@@ -231,11 +231,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args) -> CliConfig:
+def _config(args, seed: int) -> CliConfig:
     cfg = CliConfig(
         subcommand=args.command,
         tol=args.tol,
-        seed=_resolve_seed(args),
+        seed=seed,
         max_n=args.max_n,
         output=args.output,
         fmt=args.fmt,
@@ -247,126 +247,123 @@ def _config(args) -> CliConfig:
     return cfg
 
 
-def _dispatch(args, cfg: CliConfig):
-    """Run one subcommand; returns (payload, passed, inputs_for_digest)."""
+def _dispatch(args, cfg: CliConfig, envelope: ReportEnvelope):
+    """Run one subcommand; returns (payload, passed).
+
+    Once the inputs are parsed, their digest goes into ``envelope``, so an
+    error raised by the computation still reports which inputs it saw.
+    """
     cmd = args.command
     fmt = cfg.fmt
     seed = cfg.seed
 
+    def parsed(inputs: dict) -> None:
+        envelope.inputs_digest = digest(inputs)
+
     if cmd == "knorm":
         raw = load_json(args.scalar)
         z = parse_scalar(raw)
-        payload = {"knorm": scalar_to_json(knorm(z), fmt)}
-        return payload, True, {"scalar": scalar_to_json(z)}
+        parsed({"scalar": scalar_to_json(z)})
+        return {"knorm": scalar_to_json(knorm(z), fmt)}, True
 
     if cmd == "inv":
         raw = load_json(args.scalar)
         z = parse_scalar(raw)
-        payload = {"inverse": scalar_to_json(bc_inverse(z), fmt)}
-        return payload, True, {"scalar": scalar_to_json(z)}
+        parsed({"scalar": scalar_to_json(z)})
+        return {"inverse": scalar_to_json(bc_inverse(z), fmt)}, True
 
     if cmd == "norm":
         v = parse_vector(load_json(args.vector))
-        cfg = DNormConfig(args.norm)
+        parsed({"vector": vector_to_json(v), "norm": args.norm})
         payload = {
-            "dnorm": scalar_to_json(vec_dnorm(v, cfg), fmt),
+            "dnorm": scalar_to_json(vec_dnorm(v, DNormConfig(args.norm)), fmt),
             "component_norm": args.norm,
         }
-        return payload, True, {"vector": vector_to_json(v), "norm": args.norm}
+        return payload, True
 
     if cmd == "opnorm":
         T = parse_matrix(load_json(args.matrix))
+        parsed({"matrix": matrix_to_json(T), "tol": cfg.tol})
         rep = op_dnorm(T, tol=cfg.tol)
         payload = rep.to_json_dict()
         payload["M"] = scalar_to_json(rep.M, fmt)
-        return payload, True, {"matrix": matrix_to_json(T), "tol": cfg.tol}
+        return payload, True
 
     if cmd == "solve":
         T = parse_matrix(load_json(args.matrix))
         y = parse_vector(load_json(args.y))
-        rep = min_norm_solve(T, y, tol=cfg.tol)
-        return rep.to_json_dict(), True, {
-            "matrix": matrix_to_json(T),
-            "y": vector_to_json(y),
-            "tol": cfg.tol,
-        }
+        parsed({"matrix": matrix_to_json(T), "y": vector_to_json(y), "tol": cfg.tol})
+        return min_norm_solve(T, y, tol=cfg.tol).to_json_dict(), True
 
     if cmd == "omc":
         T = parse_matrix(load_json(args.matrix))
+        parsed({"matrix": matrix_to_json(T), "tol": cfg.tol})
         delta = open_mapping_delta(T, tol=cfg.tol)
         srep = surjectivity_check(T, tol=cfg.tol)
-        payload = {"delta": scalar_to_json(delta, fmt), "surjectivity": srep.to_json_dict()}
-        return payload, True, {"matrix": matrix_to_json(T), "tol": cfg.tol}
+        return {"delta": scalar_to_json(delta, fmt), "surjectivity": srep.to_json_dict()}, True
 
     if cmd == "series":
         raw = load_json(args.terms)
         tol = parse_hyp_literal(args.series_tol)
-        inputs = {"terms": raw, "series_tol": [tol.a1, tol.a2], "maxN": cfg.max_n}
+        parsed({"terms": raw, "series_tol": [tol.a1, tol.a2], "maxN": cfg.max_n})
         if args.abs_check:
             rep = abs_summability_check(parse_series(raw), cfg.max_n, tol)
             passed = bool(rep.abs_converged and rep.cauchy_chain_ok)
             if not rep.abs_converged:
                 raise NotConverged("absolute sums not settled at the cap", rep)
-            return rep.to_json_dict(), passed, inputs
+            return rep.to_json_dict(), passed
         rep = series_sum(parse_series(raw), tol, cfg.max_n)
-        return rep.to_json_dict(), rep.converged, inputs
+        return rep.to_json_dict(), rep.converged
 
     if cmd == "zabreiko":
         T = parse_matrix(load_json(args.matrix))
         x = parse_vector(load_json(args.x))
         m = parse_hyp_literal(args.m)
         eps = parse_hyp_literal(args.eps)
-        trace = zabreiko_decompose(DSeminorm(T), x, m, args.r, eps, cfg.max_n)
-        inputs = {
+        parsed({
             "matrix": matrix_to_json(T),
             "x": vector_to_json(x),
             "m": [m.a1, m.a2],
             "r": args.r,
             "eps": [eps.a1, eps.a2],
             "maxN": cfg.max_n,
-        }
-        return trace.to_json_dict(), trace.passed, inputs
+        })
+        trace = zabreiko_decompose(DSeminorm(T), x, m, args.r, eps, cfg.max_n)
+        return trace.to_json_dict(), trace.passed
 
     if cmd == "ubp":
         raw = load_json(args.family)
         if not isinstance(raw, list):
             raise InvalidInput("family must be a JSON array of matrices")
         family = [parse_matrix(mj) for mj in raw]
+        parsed({"family": [matrix_to_json(T) for T in family], "samples": args.samples})
         rep = ubp_verify(family, args.samples, seed)
-        inputs = {
-            "family": [matrix_to_json(T) for T in family],
-            "samples": args.samples,
-        }
-        return rep.to_json_dict(), rep.passed, inputs
+        return rep.to_json_dict(), rep.passed
 
     if cmd == "omt-verify":
         T = parse_matrix(load_json(args.matrix))
+        parsed({"matrix": matrix_to_json(T), "trials": args.trials})
         rep = open_mapping_verify(T, args.trials, seed)
-        return rep.to_json_dict(), rep.passed, {
-            "matrix": matrix_to_json(T),
-            "trials": args.trials,
-        }
+        return rep.to_json_dict(), rep.passed
 
     if cmd == "lemma31":
         T = parse_matrix(load_json(args.matrix))
+        parsed({"matrix": matrix_to_json(T), "trials": args.trials})
         rep = continuity_bound_check(DSeminorm(T), args.trials, seed)
-        return rep.to_json_dict(), rep.passed, {
-            "matrix": matrix_to_json(T),
-            "trials": args.trials,
-        }
+        return rep.to_json_dict(), rep.passed
 
     if cmd == "subadd":
         T = parse_matrix(load_json(args.matrix))
         raw = load_json(args.terms)
         tol = parse_hyp_literal(args.series_tol)
-        rep = countable_subadd_check(DSeminorm(T), parse_series(raw), cfg.max_n, tol)
-        inputs = {
+        parsed({
             "matrix": matrix_to_json(T),
             "terms": raw,
             "series_tol": [tol.a1, tol.a2],
             "maxN": cfg.max_n,
-        }
-        return rep.to_json_dict(), rep.passed, inputs
+        })
+        rep = countable_subadd_check(DSeminorm(T), parse_series(raw), cfg.max_n, tol)
+        return rep.to_json_dict(), rep.passed
 
     if cmd == "ballscale":
         T = parse_matrix(load_json(args.matrix))
@@ -379,15 +376,15 @@ def _dispatch(args, cfg: CliConfig):
             deltas = [float(d) for d in args.deltas.split(",") if d.strip()]
         except ValueError as exc:
             raise InvalidInput(f"bad --deltas literal {args.deltas!r}") from exc
-        rep = ball_scaling_check(p, alpha, args.r, deltas, args.samples, seed)
-        inputs = {
+        parsed({
             "matrix": matrix_to_json(T),
             "alpha": [alpha.a1, alpha.a2],
             "r": args.r,
             "deltas": deltas,
             "samples": args.samples,
-        }
-        return rep.to_json_dict(), rep.passed, inputs
+        })
+        rep = ball_scaling_check(p, alpha, args.r, deltas, args.samples, seed)
+        return rep.to_json_dict(), rep.passed
 
     raise InvalidInput(f"unknown subcommand {cmd!r}")
 
@@ -412,19 +409,16 @@ def run(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 2
         return code
 
-    output = args.output
+    # seed 0 and an empty digest stand for "not known yet" until resolved
+    envelope = ReportEnvelope(
+        subcommand=args.command, inputs_digest="", seed=0, payload={}, passed=False
+    )
     try:
-        cfg = _config(args)
-        payload, passed, inputs = _dispatch(args, cfg)
-        envelope = ReportEnvelope(
-            subcommand=cfg.subcommand,
-            inputs_digest=digest(inputs),
-            seed=cfg.seed,
-            payload=payload,
-            passed=passed,
-        )
-        _emit(envelope, output)
-        return EXIT_PASS if passed else EXIT_CHECK_FAILED
+        envelope.seed = _resolve_seed(args)
+        cfg = _config(args, envelope.seed)
+        envelope.payload, envelope.passed = _dispatch(args, cfg, envelope)
+        _emit(envelope, args.output)
+        return EXIT_PASS if envelope.passed else EXIT_CHECK_FAILED
     except HyplabError as exc:
         if isinstance(exc, _INVALID):
             code = EXIT_INVALID_INPUT
@@ -435,14 +429,9 @@ def run(argv=None) -> int:
         else:
             code = EXIT_INVALID_INPUT
         print(f"hyplab: {type(exc).__name__}: {exc}", file=sys.stderr)
-        envelope = ReportEnvelope(
-            subcommand=getattr(args, "command", "unknown"),
-            inputs_digest="",
-            seed=getattr(args, "seed", None) or 0,
-            payload=_error_payload(type(exc).__name__, exc),
-            passed=False,
-        )
-        _emit(envelope, output)
+        envelope.payload = _error_payload(type(exc).__name__, exc)
+        envelope.passed = False
+        _emit(envelope, args.output)
         return code
 
 

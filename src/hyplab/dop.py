@@ -9,14 +9,20 @@ ordinary complex matrix computations:
   * open-mapping bound ->  reciprocal smallest singular value per component
   * quotient value q(y) -> norm of the per-component minimum-norm solution
 
-The singular-value kernel defaults to a full LAPACK decomposition; a
-power-iteration kernel is available for callers that prefer an iterative
-route.  The contract is the tolerance, not the method.
+Each operator is factored once: ``BCMatrix.svd`` computes a thin singular
+value decomposition per component on first use and caches it, read-only,
+with the operator.  Norms, ranks, open-mapping constants and minimum-norm
+solves all read that one factorization; the full spectrum is stored, so a
+caller's rank tolerance is applied when the values are read.  A
+power-iteration kernel remains for ``sigma_extremes`` and ``op_dnorm``
+callers that ask for an iterative route.  The contract is the tolerance,
+not the method.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +48,10 @@ _POWER_MAX_ITER = 20000
 
 
 def _as_matrix_component(values, *, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=complex)
+    try:
+        arr = np.array(values, dtype=complex)
+    except (TypeError, ValueError) as exc:  # ragged rows or non-numeric entries
+        raise InvalidInput(f"{what} is not a numeric matrix: {exc}") from exc
     if arr.ndim != 2:
         raise InvalidInput(f"{what} must be two-dimensional, got shape {arr.shape}")
     if arr.size < 1 or arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -52,10 +61,31 @@ def _as_matrix_component(values, *, what: str) -> np.ndarray:
     return arr
 
 
+class ThinSVD(NamedTuple):
+    """Thin SVD ``a = u @ diag(s) @ vh`` of one component; arrays read-only.
+
+    ``s`` holds all min(rows, cols) singular values in descending order.
+    """
+
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
+
+
+def _thin_svd(a: np.ndarray) -> ThinSVD:
+    try:
+        f = ThinSVD(*np.linalg.svd(a, full_matrices=False))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"SVD kernel failed: {exc}", 0) from exc
+    for arr in f:
+        arr.setflags(write=False)
+    return f
+
+
 class BCMatrix:
     """BC-linear operator held as a pair of complex matrices of equal shape."""
 
-    __slots__ = ("m1", "m2")
+    __slots__ = ("m1", "m2", "_svd")
 
     def __init__(self, m1, m2):
         m1 = _as_matrix_component(m1, what="e1 component")
@@ -66,6 +96,18 @@ class BCMatrix:
         m2.setflags(write=False)
         object.__setattr__(self, "m1", m1)
         object.__setattr__(self, "m2", m2)
+        object.__setattr__(self, "_svd", None)
+
+    def svd(self) -> tuple[ThinSVD, ThinSVD]:
+        """Thin SVD of each component, computed on first use and cached.
+
+        The components are write-locked, so the factors stay valid for the
+        operator's lifetime.  Concurrent first calls may both factor; their
+        results are equal, so either may be kept.
+        """
+        if self._svd is None:
+            object.__setattr__(self, "_svd", (_thin_svd(self.m1), _thin_svd(self.m2)))
+        return self._svd
 
     @property
     def rows(self) -> int:
@@ -144,11 +186,15 @@ def _power_extremes(A: np.ndarray, tol: float, max_iter: int) -> tuple[float, fl
     return sigma_max, min(sigma_min, sigma_max), it1 + it2
 
 
+def _check_tol(tol: float) -> None:
+    if tol <= 0:
+        raise InvalidInput(f"tol must be positive, got {tol}")
+
+
 def _sigma_extremes_impl(
     A: np.ndarray, tol: float, method: str, max_iter: int
 ) -> tuple[float, float, int]:
-    if tol <= 0:
-        raise InvalidInput(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     A = _as_matrix_component(A, what="matrix")
     if method == FULL_DECOMPOSITION:
         try:
@@ -210,13 +256,19 @@ def op_dnorm(
     """
     if cfg.component_norm != "l2":
         raise UnsupportedNorm(f"operator norm requires the l2 component norm, got {cfg.component_norm}")
-    s1, _, it1 = _sigma_extremes_impl(T.m1, tol, method, _POWER_MAX_ITER)
-    s2, _, it2 = _sigma_extremes_impl(T.m2, tol, method, _POWER_MAX_ITER)
+    if method == FULL_DECOMPOSITION:
+        _check_tol(tol)
+        f1, f2 = T.svd()
+        s1, s2, iterations = float(f1.s[0]), float(f2.s[0]), 0
+    else:
+        s1, _, it1 = _sigma_extremes_impl(T.m1, tol, method, _POWER_MAX_ITER)
+        s2, _, it2 = _sigma_extremes_impl(T.m2, tol, method, _POWER_MAX_ITER)
+        iterations = it1 + it2
     return OperatorNormReport(
         M=DPlus(s1, s2),
         sigma_max=(s1, s2),
         method=method,
-        iterations=it1 + it2,
+        iterations=iterations,
         tol=tol,
     )
 
@@ -226,12 +278,14 @@ class SolveReport:
     """Minimum-norm solve of Tx = y.
 
     ``qy`` is ||x||_D of the returned solution, which realizes the quotient
-    value inf{ ||x||_D : Tx = y } componentwise.
+    value inf{ ||x||_D : Tx = y } componentwise.  ``tol`` is the residual
+    tolerance that was applied, scaled by the right-hand side.
     """
 
     x: BCVector
     qy: DPlus
     residual: DPlus
+    tol: DPlus
 
     def to_json_dict(self) -> dict:
         return {
@@ -242,28 +296,43 @@ class SolveReport:
             },
             "qy": [self.qy.a1, self.qy.a2],
             "residual": [self.residual.a1, self.residual.a2],
+            "tol": [self.tol.a1, self.tol.a2],
         }
+
+
+def _min_norm_component(f: ThinSVD, b: np.ndarray) -> np.ndarray:
+    """x = Vh_r^H (U_r^H b / s_r), the least-squares solution of least norm.
+
+    The rank cutoff is lstsq's default (rcond=None): singular values at or
+    below eps * max(rows, cols) * s[0] count as zero, so the solution is the
+    one ``np.linalg.lstsq`` returns.
+    """
+    cutoff = np.finfo(float).eps * max(f.u.shape[0], f.vh.shape[1]) * f.s[0]
+    r = int(np.count_nonzero(f.s > cutoff))
+    return f.vh[:r].conj().T @ ((f.u[:, :r].conj().T @ b) / f.s[:r])
 
 
 def min_norm_solve(T: BCMatrix, y: BCVector, tol: float = 1e-10) -> SolveReport:
     """Per-component minimum-norm least-squares solution of Tx = y.
 
     The equation and the norm both decouple over the idempotents, so the
-    bicomplex minimum-norm solution is the pair of complex ones.  Raises
-    ``NotInRange`` when the least-squares residual exceeds ``tol`` in
-    either component.
+    bicomplex minimum-norm solution is the pair of complex ones, read off
+    the operator's cached SVD.  Raises ``NotInRange`` when the residual
+    exceeds ``tol * max(1, ||y||)`` in either component.
     """
     if T.rows != y.dim:
         raise DimensionMismatch(f"operator has {T.rows} rows, vector has dim {y.dim}")
-    x1 = np.linalg.lstsq(T.m1, y.v1, rcond=None)[0]
-    x2 = np.linalg.lstsq(T.m2, y.v2, rcond=None)[0]
-    x = BCVector(x1, x2)
+    f1, f2 = T.svd()
+    x = BCVector(_min_norm_component(f1, y.v1), _min_norm_component(f2, y.v2))
     residual = vec_dnorm(mat_apply(T, x) - y)
-    if residual.a1 > tol or residual.a2 > tol:
+    ny = vec_dnorm(y)
+    tol_y = DPlus(tol * max(1.0, ny.a1), tol * max(1.0, ny.a2))
+    if residual.a1 > tol_y.a1 or residual.a2 > tol_y.a2:
         raise NotInRange(
-            f"right-hand side outside operator range: residual ({residual.a1}, {residual.a2}) > {tol}"
+            f"right-hand side outside operator range: residual ({residual.a1}, {residual.a2})"
+            f" > ({tol_y.a1}, {tol_y.a2})"
         )
-    return SolveReport(x=x, qy=vec_dnorm(x), residual=residual)
+    return SolveReport(x=x, qy=vec_dnorm(x), residual=residual, tol=tol_y)
 
 
 @dataclass
@@ -286,8 +355,8 @@ class SurjectivityReport:
         }
 
 
-def _numerical_rank(A: np.ndarray, tol: float) -> int:
-    s = np.linalg.svd(A, compute_uv=False)
+def _numerical_rank(s: np.ndarray, tol: float) -> int:
+    """Count of singular values above tol * s[0]; ``s`` descending."""
     if s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))
@@ -295,8 +364,9 @@ def _numerical_rank(A: np.ndarray, tol: float) -> int:
 
 def surjectivity_check(T: BCMatrix, tol: float = RANK_TOL) -> SurjectivityReport:
     """Surjective iff both components have numerical row rank equal to rows."""
-    r1 = _numerical_rank(T.m1, tol)
-    r2 = _numerical_rank(T.m2, tol)
+    f1, f2 = T.svd()
+    r1 = _numerical_rank(f1.s, tol)
+    r2 = _numerical_rank(f2.s, tol)
     return SurjectivityReport(
         surjective=(r1 == T.rows and r2 == T.rows),
         rank_e1=r1,
@@ -313,11 +383,11 @@ def open_mapping_delta(T: BCMatrix, tol: float = RANK_TOL) -> DPlus:
     components to be surjective.  The bound is attained on the bottom left
     singular vectors.
     """
+    _check_tol(tol)
     rep = surjectivity_check(T, tol)
     if not rep.surjective:
         raise NotSurjective(
             f"row ranks ({rep.rank_e1}, {rep.rank_e2}) below {rep.rows}; no open-mapping constant"
         )
-    _, s1min, _ = _sigma_extremes_impl(T.m1, tol, FULL_DECOMPOSITION, _POWER_MAX_ITER)
-    _, s2min, _ = _sigma_extremes_impl(T.m2, tol, FULL_DECOMPOSITION, _POWER_MAX_ITER)
-    return DPlus(1.0 / s1min, 1.0 / s2min)
+    f1, f2 = T.svd()
+    return DPlus(1.0 / float(f1.s[-1]), 1.0 / float(f2.s[-1]))

@@ -72,7 +72,25 @@ def digest(obj: Any) -> str:
 def _num(x, *, what: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise InvalidInput(f"{what}: expected a number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError as exc:
+        raise InvalidInput(f"{what}: integer literal beyond floating-point range") from exc
+
+
+def _declared_size(obj: dict, key: str) -> int:
+    """The optional "dim", "rows" or "cols" field as an integer."""
+    try:
+        return int(obj[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"declared {key} must be an integer, got {obj[key]!r}") from exc
+
+
+def _rows(x, *, what: str) -> list:
+    """A matrix given as a list of rows, each row a list of entries."""
+    if not isinstance(x, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in x):
+        raise InvalidInput(f"{what} must be a list of rows, each a list of entries")
+    return x
 
 
 def _pair(x, *, what: str) -> complex:
@@ -123,7 +141,7 @@ def parse_vector(obj) -> BCVector:
     v1 = [_pair(e, what="vector e1 entry") for e in obj["e1"]]
     v2 = [_pair(e, what="vector e2 entry") for e in obj["e2"]]
     v = BCVector(v1, v2)
-    if "dim" in obj and int(obj["dim"]) != v.dim:
+    if "dim" in obj and _declared_size(obj, "dim") != v.dim:
         raise InvalidInput(f"declared dim {obj['dim']} but {v.dim} entries")
     return v
 
@@ -140,8 +158,8 @@ def parse_matrix(obj) -> BCMatrix:
     if not isinstance(obj, dict):
         raise InvalidInput("matrix must be a JSON object")
     if "w" in obj:
-        rows = obj["w"]
-        if not isinstance(rows, (list, tuple)) or not rows:
+        rows = _rows(obj["w"], what="cartesian matrix")
+        if not rows:
             raise InvalidInput("cartesian matrix must be a nonempty list of rows")
         m1 = []
         m2 = []
@@ -158,14 +176,14 @@ def parse_matrix(obj) -> BCMatrix:
             m2.append(r2)
         mat = BCMatrix(m1, m2)
     elif "e1" in obj and "e2" in obj:
-        m1 = [[_pair(e, what="matrix e1 entry") for e in row] for row in obj["e1"]]
-        m2 = [[_pair(e, what="matrix e2 entry") for e in row] for row in obj["e2"]]
+        m1 = [[_pair(e, what="matrix e1 entry") for e in row] for row in _rows(obj["e1"], what="matrix e1")]
+        m2 = [[_pair(e, what="matrix e2 entry") for e in row] for row in _rows(obj["e2"], what="matrix e2")]
         mat = BCMatrix(m1, m2)
     else:
         raise InvalidInput(f"matrix object needs e1/e2 or w keys, got {sorted(obj)}")
-    if "rows" in obj and int(obj["rows"]) != mat.rows:
+    if "rows" in obj and _declared_size(obj, "rows") != mat.rows:
         raise InvalidInput(f"declared rows {obj['rows']} but matrix has {mat.rows}")
-    if "cols" in obj and int(obj["cols"]) != mat.cols:
+    if "cols" in obj and _declared_size(obj, "cols") != mat.cols:
         raise InvalidInput(f"declared cols {obj['cols']} but matrix has {mat.cols}")
     return mat
 

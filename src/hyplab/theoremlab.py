@@ -48,12 +48,10 @@ from .dop import (
     min_norm_solve,
     op_dnorm,
     open_mapping_delta,
-    surjectivity_check,
 )
 from .errors import (
     HypothesisFailed,
     InvalidInput,
-    NotSurjective,
     PreconditionViolated,
     ShapeMismatch,
 )
@@ -113,17 +111,16 @@ class _Worst:
         return Hyperbolic(self.a1, self.a2)
 
 
-def _top_singular_vectors(A: np.ndarray) -> np.ndarray:
-    """Right singular vector of the largest singular value."""
-    _, _, vh = np.linalg.svd(A)
-    return vh[0].conj()
-
-
 def _witness_vectors(T: BCMatrix) -> list[BCVector]:
-    """Unit vectors attaining the operator norm, per component and combined."""
+    """Unit vectors attaining the operator norm, per component and combined.
+
+    Each is the right singular vector of its component's largest singular
+    value.
+    """
     n = T.cols
-    v1 = _top_singular_vectors(T.m1)
-    v2 = _top_singular_vectors(T.m2)
+    f1, f2 = T.svd()
+    v1 = f1.vh[0].conj()
+    v2 = f2.vh[0].conj()
     zero = np.zeros(n, dtype=complex)
     return [
         BCVector(v1, zero),
@@ -701,11 +698,7 @@ def ubp_verify(
     i1 = max(range(len(family)), key=lambda i: norms[i].a1)
     i2 = max(range(len(family)), key=lambda i: norms[i].a2)
     n = shape[1]
-    zero = np.zeros(n, dtype=complex)
-    xs = [
-        BCVector(_top_singular_vectors(family[i1].m1), zero),
-        BCVector(zero, _top_singular_vectors(family[i2].m2)),
-    ]
+    xs = [_witness_vectors(family[i1])[0], _witness_vectors(family[i2])[1]]
     for i in range(samples):
         xs.append(_random_vector(check_stream(seed, name, i), n))
 
@@ -775,12 +768,6 @@ class OpenMapReport:
         }
 
 
-def _bottom_left_singular_vectors(A: np.ndarray, rows: int) -> np.ndarray:
-    """Left singular vector of the smallest (rows-th) singular value."""
-    u, _, _ = np.linalg.svd(A)
-    return u[:, rows - 1]
-
-
 def open_mapping_verify(
     T: BCMatrix,
     trials: int,
@@ -800,13 +787,8 @@ def open_mapping_verify(
     """
     if trials < 1:
         raise InvalidInput(f"trials must be >= 1, got {trials}")
-    srep = surjectivity_check(T)
-    if not srep.surjective:
-        raise NotSurjective(
-            f"row ranks ({srep.rank_e1}, {srep.rank_e2}) below {srep.rows}"
-        )
     name = "omt-verify"
-    delta = open_mapping_delta(T)
+    delta = open_mapping_delta(T)  # raises NotSurjective
     rows = T.rows
     eps = eps if eps is not None else DPlus(0.5, 0.5)
 
@@ -828,11 +810,10 @@ def open_mapping_verify(
         if not _le_slack(rep.qy, rhs):
             bound_ok = False
 
-    # minimality witness: bottom singular vectors reach the constant
-    yw = BCVector(
-        _bottom_left_singular_vectors(T.m1, rows),
-        _bottom_left_singular_vectors(T.m2, rows),
-    )
+    # minimality witness: the left singular vectors of the smallest
+    # singular values reach the constant (T is surjective, so rows <= cols)
+    f1, f2 = T.svd()
+    yw = BCVector(f1.u[:, rows - 1], f2.u[:, rows - 1])
     wrep = min_norm_solve(T, yw, tol=residual_tol)
     nyw = vec_dnorm(yw)
     ratio = DPlus(wrep.qy.a1 / nyw.a1, wrep.qy.a2 / nyw.a2)

@@ -1,12 +1,16 @@
 """CLI subcommands: payloads, exit codes, determinism, stream discipline."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
 import hyplab.cli as cli
 from hyplab import BCMatrix, BCVector
-from hyplab.jsonio import dumps, matrix_to_json, vector_to_json
+from hyplab.jsonio import digest, dumps, matrix_to_json, vector_to_json
 from support import random_mat, random_vec, surjective_mat
 
 
@@ -341,3 +345,91 @@ def test_format_cartesian_emission(tmp_path, capsys):
     code, doc, _ = run_json(capsys, ["knorm", "--scalar", scalar, "--format", "cartesian"])
     assert code == 0
     assert doc["payload"]["knorm"]["w"][0] == 2.5
+
+
+def test_solve_large_rhs_within_scaled_tolerance(tmp_path, capsys):
+    mat = write(tmp_path, "T.json", matrix_to_json(BCMatrix([[1.0, 1.0]], [[1.0, 1.0]])))
+    y = write(tmp_path, "y.json", vector_to_json(BCVector([1e8], [1e8])))
+    code, doc, _ = run_json(capsys, ["solve", "--matrix", mat, "--y", y])
+    assert code == 0
+    assert doc["payload"]["tol"] == [1e-2, 1e-2]
+
+
+# ---------------------------------------------------------- malformed input
+
+
+def test_vector_dim_not_a_number_exit_2(tmp_path, capsys):
+    vec = write(tmp_path, "v.json", {"dim": "abc", "e1": [[1, 0]], "e2": [[1, 0]]})
+    code, doc, _ = run_json(capsys, ["norm", "--vector", vec])
+    assert code == 2
+    assert doc["payload"]["error"]["kind"] == "InvalidInput"
+
+
+def test_matrix_row_given_as_number_exit_2(tmp_path, capsys):
+    mat = write(tmp_path, "T.json", {"e1": [1.0, 2.0], "e2": [[[1, 0]], [[2, 0]]]})
+    code, doc, _ = run_json(capsys, ["opnorm", "--matrix", mat])
+    assert code == 2
+    assert doc["payload"]["error"]["kind"] == "InvalidInput"
+
+
+def test_integer_beyond_float_range_exit_2(tmp_path, capsys):
+    path = tmp_path / "z.json"
+    path.write_text('{"e1": [1' + "0" * 400 + ', 0], "e2": [1, 0]}')
+    code, doc, _ = run_json(capsys, ["knorm", "--scalar", str(path)])
+    assert code == 2
+    assert doc["payload"]["error"]["kind"] == "InvalidInput"
+
+
+# ---------------------------------------------------------- error envelopes
+
+
+def test_error_envelope_keeps_seed(tmp_path, capsys, monkeypatch):
+    mat = write(tmp_path, "T.json", matrix_to_json(BCMatrix.zeros(2, 2)))
+    monkeypatch.delenv("HYPLAB_SEED", raising=False)
+    code, doc, _ = run_json(capsys, ["omt-verify", "--matrix", mat, "--trials", "5"])
+    assert code == 4 and doc["seed"] == 42
+    monkeypatch.setenv("HYPLAB_SEED", "7")
+    code, doc, _ = run_json(capsys, ["omt-verify", "--matrix", mat, "--trials", "5"])
+    assert code == 4 and doc["seed"] == 7
+    code, doc, _ = run_json(capsys, ["omt-verify", "--matrix", mat, "--tol", "-1"])
+    assert code == 2 and doc["seed"] == 7
+
+
+def test_error_envelope_keeps_inputs_digest(tmp_path, capsys):
+    T = BCMatrix([[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
+    y = BCVector([0.0, 1.0], [0.0, 1.0])
+    mat = write(tmp_path, "T.json", matrix_to_json(T))
+    yf = write(tmp_path, "y.json", vector_to_json(y))
+    code, doc, _ = run_json(capsys, ["solve", "--matrix", mat, "--y", yf])
+    assert code == 4
+    want = {"matrix": matrix_to_json(T), "y": vector_to_json(y), "tol": 1e-10}
+    assert doc["inputs_digest"] == digest(want)
+    # inputs that never parsed have no digest
+    code, doc, _ = run_json(capsys, ["solve", "--matrix", mat, "--y", "/nonexistent/y.json"])
+    assert code == 2 and doc["inputs_digest"] == ""
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        24,
+        # above OpenBLAS's threading threshold, two threads split the
+        # reductions inside gemv and gesdd and round differently
+        pytest.param(64, marks=pytest.mark.xfail(reason="threaded OpenBLAS rounding differs")),
+    ],
+)
+def test_omt_verify_bytes_independent_of_blas_threads(tmp_path, rows):
+    rng = np.random.default_rng(17)
+    mat = write(tmp_path, "T.json", matrix_to_json(surjective_mat(rng, rows, 2 * rows)))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyplab.cli", "omt-verify", "--matrix", mat, "--trials", "30"],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and outs[0]

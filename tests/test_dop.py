@@ -394,3 +394,80 @@ def test_opnorm_report_fields():
     assert d["method"] == "full-decomposition"
     assert d["tol"] == 1e-10
     assert d["M"] == [1.0, 1.0]
+
+
+# ------------------------------------------------------ one factorization
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(np.linalg, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, wrapper)
+    return calls
+
+
+def test_operator_session_factors_once(monkeypatch):
+    from hyplab import open_mapping_verify
+
+    T = surjective_mat(np.random.default_rng(30), 64, 128)
+    svd_calls = _counting(monkeypatch, "svd")
+    lstsq_calls = _counting(monkeypatch, "lstsq")
+    op_dnorm(T)
+    open_mapping_delta(T)
+    assert open_mapping_verify(T, 20, seed=1).passed
+    assert len(svd_calls) == 2  # one per component
+    assert lstsq_calls == []
+
+
+def test_cached_factors_read_only_and_exact():
+    rng = np.random.default_rng(31)
+    for rows, cols in ((3, 6), (5, 5), (6, 3)):
+        T = random_mat(rng, rows, cols)
+        factors = T.svd()
+        assert T.svd() is factors
+        for f, m in zip(factors, (T.m1, T.m2)):
+            u, s, vh = np.linalg.svd(m, full_matrices=False)
+            for got, want in ((f.u, u), (f.s, s), (f.vh, vh)):
+                assert not got.flags.writeable
+                assert np.allclose(got, want, rtol=0, atol=1e-12)
+            with pytest.raises(ValueError):
+                f.s[0] = 0.0
+
+
+def test_solve_matches_lstsq():
+    rng = np.random.default_rng(32)
+    wide = surjective_mat(rng, 4, 7)
+    square = random_mat(rng, 5, 5)
+    m1 = random_mat(rng, 4, 6).m1.copy()
+    m1[3] = m1[0] * (1 - 2j)  # rank 3 in the e1 component
+    deficient = BCMatrix(m1, random_mat(rng, 4, 6).m2)
+    cases = [
+        (wide, random_vec(rng, 4)),
+        (square, random_vec(rng, 5)),
+        (deficient, mat_apply(deficient, random_vec(rng, 6))),  # in range
+    ]
+    for T, y in cases:
+        rep = min_norm_solve(T, y, tol=1e-9)
+        for got, m, b in ((rep.x.v1, T.m1, y.v1), (rep.x.v2, T.m2, y.v2)):
+            want = np.linalg.lstsq(m, b, rcond=None)[0]
+            assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
+
+
+def test_solve_tolerance_scales_with_rhs():
+    # residual ~4e-8 on y = 1e8 sits far below 1e-10 * ||y||
+    T = BCMatrix([[1.0, 1.0]], [[1.0, 1.0]])
+    rep = min_norm_solve(T, BCVector([1e8], [1e8]), tol=1e-10)
+    assert np.allclose(rep.x.v1, [5e7, 5e7], rtol=1e-15)
+    assert rep.tol == DPlus(1e-10 * 1e8, 1e-10 * 1e8)
+    assert rep.to_json_dict()["tol"] == [1e-2, 1e-2]
+    # small right-hand sides keep the absolute floor
+    assert min_norm_solve(T, BCVector([0.5], [0.5])).tol == DPlus(1e-10, 1e-10)
+    # a scaled-up out-of-range right-hand side is still rejected
+    R = BCMatrix([[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(NotInRange):
+        min_norm_solve(R, BCVector([1e8, 1e8], [1e8, 1e8]), tol=1e-10)
