@@ -9,6 +9,8 @@ Every invocation writes exactly one JSON document to the output stream
     3  numerical non-convergence (series cap or kernel iteration cap)
     4  precondition violation (zero divisor, not surjective, budget
        precondition, right-hand side out of range, failed premise)
+    5  internal error: an unexpected exception, a defect in hyplab; the
+       envelope names the exception type as its error kind
 
 The default seed is 42, overridable by the HYPLAB_SEED environment
 variable; an explicit --seed beats both.  Identical inputs and seed give
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 
 from . import __version__
@@ -69,6 +72,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_PRECONDITION = 4
+EXIT_INTERNAL = 5
 
 _INVALID = (InvalidInput, DimensionMismatch, ShapeMismatch, UnsupportedNorm)
 _NOCONV = (NoConvergence, NotConverged)
@@ -133,9 +137,12 @@ def _emit(envelope: ReportEnvelope, output: str | None) -> None:
     text = dumps(envelope.to_json_dict()) + "\n"
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InvalidInput(f"cannot write the envelope to {output}: {exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -391,6 +398,8 @@ def _dispatch(args, cfg: CliConfig, envelope: ReportEnvelope):
 
 def _error_payload(kind: str, exc: Exception) -> dict:
     payload = {"error": {"kind": kind, "message": str(exc)}}
+    if not isinstance(exc, HyplabError):
+        return payload
     report = getattr(exc, "report", None)
     if report is not None:
         payload["report"] = report.to_json_dict()
@@ -419,20 +428,35 @@ def run(argv=None) -> int:
         envelope.payload, envelope.passed = _dispatch(args, cfg, envelope)
         _emit(envelope, args.output)
         return EXIT_PASS if envelope.passed else EXIT_CHECK_FAILED
-    except HyplabError as exc:
-        if isinstance(exc, _INVALID):
-            code = EXIT_INVALID_INPUT
-        elif isinstance(exc, _NOCONV):
-            code = EXIT_NO_CONVERGENCE
-        elif isinstance(exc, _PRECOND):
-            code = EXIT_PRECONDITION
-        else:
-            code = EXIT_INVALID_INPUT
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code == EXIT_INTERNAL:
+            traceback.print_exc(file=sys.stderr)
         print(f"hyplab: {type(exc).__name__}: {exc}", file=sys.stderr)
         envelope.payload = _error_payload(type(exc).__name__, exc)
         envelope.passed = False
-        _emit(envelope, args.output)
+        try:
+            _emit(envelope, args.output)
+        except InvalidInput:
+            _emit(envelope, None)  # the output path itself failed: use stdout
         return code
+
+
+def _exit_code(exc: Exception) -> int:
+    """The exit-table entry of an exception raised while running a subcommand.
+
+    Anything that is not a ``HyplabError`` is a defect in hyplab, not a
+    verdict, so it gets the last-resort code rather than a crash.
+    """
+    if isinstance(exc, _INVALID):
+        return EXIT_INVALID_INPUT
+    if isinstance(exc, _NOCONV):
+        return EXIT_NO_CONVERGENCE
+    if isinstance(exc, _PRECOND):
+        return EXIT_PRECONDITION
+    if isinstance(exc, HyplabError):
+        return EXIT_INVALID_INPUT
+    return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -5,6 +5,15 @@ Norms split componentwise: ||x||_D = e1*N(v1) + e2*N(v2) for a configurable
 complex vector norm N (l2 by default).  Series summation is capped and every
 "converged" verdict means converged at the given cap with the given
 tolerance, never a claim about the infinite limit.
+
+Many vectors at once are held as a block: a pair of (k, n) arrays whose
+row i holds the components of the i-th vector.  ``DNormConfig.norms`` is
+the one component-norm kernel: it reduces along the last axis, so a vector
+and each row of a block go through the same arithmetic, and it rejects a
+non-finite result the way a scalar does.  ``vec_dnorm`` and
+``seminorm_eval`` are its one-vector case; ``dnorm_rows`` and
+``seminorm_rows`` apply it to a block after one matrix product per
+component.
 """
 
 from __future__ import annotations
@@ -104,20 +113,52 @@ class DNormConfig:
         if self.component_norm not in ("l2", "l1", "linf"):
             raise InvalidInput(f"unknown component norm {self.component_norm!r}")
 
-    def component_value(self, v: np.ndarray) -> float:
+    def norms(self, a: np.ndarray) -> np.ndarray:
+        """The component norm along the last axis: one value per row of a block.
+
+        A vector and a row of a block reduce identically, so a value does
+        not depend on how many vectors were evaluated with it; the l2 value
+        is sqrt(re.re + im.im) with the dot product ``np.linalg.norm`` uses,
+        so it equals that function's result bit for bit.  A non-finite
+        result (an overflowing l2 sum) raises ``InvalidInput`` as a
+        non-finite scalar component does.
+        """
         if self.component_norm == "l2":
-            return float(np.linalg.norm(v))
-        if self.component_norm == "l1":
-            return float(np.abs(v).sum())
-        return float(np.abs(v).max())
+            re, im = a.real, a.imag
+            out = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+        elif self.component_norm == "l1":
+            out = np.abs(a).sum(axis=-1)
+        else:
+            out = np.abs(a).max(axis=-1)
+        return require_finite(out)
+
+    def component_value(self, v: np.ndarray) -> float:
+        return float(self.norms(v))
 
 
 _L2 = DNormConfig()
+
+def require_finite(values: np.ndarray) -> np.ndarray:
+    """Return ``values`` unchanged, or reject the first non-finite entry.
+
+    The message is the one a non-finite ``Hyperbolic`` component gets, so a
+    bound that overflows fails the same way for one vector or a block.
+    """
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = float(np.asarray(values)[~finite].flat[0])
+        raise InvalidInput(f"non-finite component {bad!r} rejected")
+    return values
 
 
 def vec_dnorm(v: BCVector, cfg: DNormConfig = _L2) -> DPlus:
     """Hyperbolic-valued norm e1*N(v1) + e2*N(v2)."""
     return DPlus(cfg.component_value(v.v1), cfg.component_value(v.v2))
+
+
+def dnorm_rows(b1: np.ndarray, b2: np.ndarray, cfg: DNormConfig = _L2) -> np.ndarray:
+    """||x_i||_D for every row x_i = (b1[i], b2[i]) of a block, as a (2, k) array."""
+    return np.stack((cfg.norms(b1), cfg.norms(b2)))
 
 
 @dataclass(frozen=True)
@@ -144,6 +185,19 @@ def seminorm_eval(p: DSeminorm, x: BCVector) -> DPlus:
         p.codomain.component_value(T.m1 @ x.v1),
         p.codomain.component_value(T.m2 @ x.v2),
     )
+
+
+def seminorm_rows(p: DSeminorm, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """p(x_i) for every row of a block, as a (2, k) array.
+
+    One matrix product per component applies T to all rows at once.
+    """
+    T = p.T
+    if b1.shape[-1] != T.cols or b2.shape[-1] != T.cols:
+        raise DimensionMismatch(
+            f"operator has {T.cols} columns, block rows have dim {b1.shape[-1]}"
+        )
+    return dnorm_rows(b1 @ T.m1.T, b2 @ T.m2.T, p.codomain)
 
 
 def v_alpha_member(p: DSeminorm, x: BCVector, alpha: DPlus) -> bool:
@@ -317,67 +371,55 @@ def abs_summability_check(
     if not xs:
         raise InvalidInput("empty series")
     dim = xs[0].dim
-    partials: list[BCVector] = []
-    s = BCVector.zeros(dim)
-    running = DPlus(0.0, 0.0)
-    abs_sums: list[DPlus] = []
-    partial_norms: list[DPlus] = []
-    term_norms: list[DPlus] = []
     for k, x in enumerate(xs):
         if x.dim != dim:
             raise DimensionMismatch(f"term {k} has dim {x.dim}, expected {dim}")
-        s = s + x
-        partials.append(s)
-        t_norm = vec_dnorm(x)
-        term_norms.append(t_norm)
-        running = DPlus(running.a1 + t_norm.a1, running.a2 + t_norm.a2)
-        abs_sums.append(running)
-        partial_norms.append(vec_dnorm(s))
-
     n_terms = len(xs)
-    cauchy_margin = DPlus(0.0, 0.0)
-    final_tail: DPlus | None = None
-    for i in range(n_terms):
-        lo = max(0, i - window + 1)
-        tail = DPlus(
-            sum(t.a1 for t in term_norms[lo : i + 1]),
-            sum(t.a2 for t in term_norms[lo : i + 1]),
-        )
-        cauchy_margin = DPlus(max(cauchy_margin.a1, tail.a1), max(cauchy_margin.a2, tail.a2))
-        if i - lo + 1 == window:
-            final_tail = tail
+
+    b1 = np.stack([x.v1 for x in xs])
+    b2 = np.stack([x.v2 for x in xs])
+    # row n of the partial sums is s_n = ((0 + x_0) + x_1) + ... + x_n;
+    # cumsum adds in that order, and adding +0.0 restores the zero start
+    # (it turns a -0.0 that the start would have absorbed into +0.0)
+    s1 = np.cumsum(b1, axis=0) + 0.0
+    s2 = np.cumsum(b2, axis=0) + 0.0
+    term_norms = dnorm_rows(b1, b2)
+    abs_sums = require_finite(np.cumsum(term_norms, axis=1))
+    partial_norms = dnorm_rows(s1, s2)
+
+    # trailing-window tails, summed left to right from 0 as in sum(...)
+    padded = np.concatenate((np.zeros((2, window - 1)), term_norms), axis=1)
+    tails = np.zeros((2, n_terms))
+    for offset in range(window):
+        tails = tails + padded[:, offset : offset + n_terms]
+    cauchy_margin = DPlus(*np.maximum(0.0, tails.max(axis=1)).tolist())
+    final_tail = DPlus(*tails[:, -1].tolist()) if n_terms >= window else None
     # verdict at the cap: exhausted sequences are finite sums, otherwise the
     # trailing window must have settled below tol
     abs_converged = exhausted or (final_tail is not None and hyp_leq(final_tail, tol))
 
-    # pairs (m, n): consecutive plus power-of-two strides, deterministic
-    pairs: list[tuple[int, int]] = []
-    for n in range(1, n_terms):
-        pairs.append((n - 1, n))
-        stride = 2
-        while n - stride >= 0:
-            pairs.append((n - stride, n))
-            stride *= 2
+    # pairs (m, n) = (n - stride, n) for strides 1, 2, 4, ...: deterministic
     chain_ok = True
-    w1 = w2 = float("-inf")
-    for m, n in pairs:
-        diff = vec_dnorm(partials[n] - partials[m])
-        b1 = abs_sums[n].a1 - abs_sums[m].a1
-        b2 = abs_sums[n].a2 - abs_sums[m].a2
-        m1 = diff.a1 - b1
-        m2 = diff.a2 - b2
-        w1 = max(w1, m1)
-        w2 = max(w2, m2)
-        if m1 > 1e-12 * max(1.0, abs_sums[n].a1) or m2 > 1e-12 * max(1.0, abs_sums[n].a2):
-            chain_ok = False
-    worst = Hyperbolic(w1, w2) if pairs else Hyperbolic(0.0, 0.0)
+    margins = []
+    stride = 1
+    while stride < n_terms:
+        diff = dnorm_rows(s1[stride:] - s1[:-stride], s2[stride:] - s2[:-stride])
+        upper = abs_sums[:, stride:]
+        margins.append(diff - (upper - abs_sums[:, :-stride]))
+        chain_ok = chain_ok and bool((margins[-1] <= 1e-12 * np.maximum(1.0, upper)).all())
+        stride *= 2
+    worst = (
+        Hyperbolic(*np.concatenate(margins, axis=1).max(axis=1).tolist())
+        if margins
+        else Hyperbolic(0.0, 0.0)
+    )
 
     return SeriesReport(
         n_terms=n_terms,
         converged=abs_converged,
-        limit=partials[-1] if abs_converged else None,
-        partial_norms=partial_norms,
-        abs_sums=abs_sums,
+        limit=BCVector(s1[-1], s2[-1]) if abs_converged else None,
+        partial_norms=_dplus_list(partial_norms),
+        abs_sums=_dplus_list(abs_sums),
         cauchy_margin=cauchy_margin,
         tol=tol,
         window=window,
@@ -385,6 +427,11 @@ def abs_summability_check(
         cauchy_chain_ok=chain_ok,
         chain_margin=worst,
     )
+
+
+def _dplus_list(values: np.ndarray) -> list[DPlus]:
+    """The columns of a (2, k) array as cone values."""
+    return [DPlus(a1, a2) for a1, a2 in zip(values[0].tolist(), values[1].tolist())]
 
 
 def geometric_terms(ratio: Bicomplex, seed_vector: BCVector) -> Iterator[BCVector]:

@@ -13,7 +13,9 @@ Each operator is factored once: ``BCMatrix.svd`` computes a thin singular
 value decomposition per component on first use and caches it, read-only,
 with the operator.  Norms, ranks, open-mapping constants and minimum-norm
 solves all read that one factorization; the full spectrum is stored, so a
-caller's rank tolerance is applied when the values are read.  A
+caller's rank tolerance is applied when the values are read.
+``min_norm_solve_rows`` solves a whole block of right-hand sides with one
+product chain per component; ``min_norm_solve`` is its one-row case.  A
 power-iteration kernel remains for ``sigma_extremes`` and ``op_dnorm``
 callers that ask for an iterative route.  The contract is the tolerance,
 not the method.
@@ -26,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dmodule import BCVector, DNormConfig, vec_dnorm
+from .dmodule import BCVector, DNormConfig, dnorm_rows
 from .errors import (
     DimensionMismatch,
     InvalidInput,
@@ -300,39 +302,74 @@ class SolveReport:
         }
 
 
-def _min_norm_component(f: ThinSVD, b: np.ndarray) -> np.ndarray:
-    """x = Vh_r^H (U_r^H b / s_r), the least-squares solution of least norm.
+@dataclass
+class BlockSolve:
+    """Minimum-norm solves of T x_i = y_i for the rows y_i of a block.
+
+    ``x1`` and ``x2`` hold the solutions as rows; ``qy``, ``residual`` and
+    ``tol`` are (2, k) arrays, one column per row, with the meanings of the
+    ``SolveReport`` fields of the same names.
+    """
+
+    x1: np.ndarray
+    x2: np.ndarray
+    qy: np.ndarray
+    residual: np.ndarray
+    tol: np.ndarray
+
+
+def _min_norm_rows(f: ThinSVD, b: np.ndarray) -> np.ndarray:
+    """Rows x_i = Vh_r^H (U_r^H b_i / s_r): least-squares solutions of least norm.
 
     The rank cutoff is lstsq's default (rcond=None): singular values at or
-    below eps * max(rows, cols) * s[0] count as zero, so the solution is the
-    one ``np.linalg.lstsq`` returns.
+    below eps * max(rows, cols) * s[0] count as zero, so each solution is
+    the one ``np.linalg.lstsq`` returns.
     """
     cutoff = np.finfo(float).eps * max(f.u.shape[0], f.vh.shape[1]) * f.s[0]
     r = int(np.count_nonzero(f.s > cutoff))
-    return f.vh[:r].conj().T @ ((f.u[:, :r].conj().T @ b) / f.s[:r])
+    return ((b @ f.u[:, :r].conj()) / f.s[:r]) @ f.vh[:r].conj()
+
+
+def min_norm_solve_rows(
+    T: BCMatrix, y1: np.ndarray, y2: np.ndarray, tol: float = 1e-10
+) -> BlockSolve:
+    """Per-component minimum-norm solutions for every row of a (k, rows) block.
+
+    The equation and the norm both decouple over the idempotents, so each
+    bicomplex minimum-norm solution is a pair of complex ones, read off the
+    operator's cached SVD with one product chain per component.  Raises
+    ``NotInRange`` for the first row whose residual exceeds
+    ``tol * max(1, ||y_i||)`` in either component.
+    """
+    if y1.shape[-1] != T.rows or y2.shape[-1] != T.rows:
+        raise DimensionMismatch(f"operator has {T.rows} rows, vector has dim {y1.shape[-1]}")
+    f1, f2 = T.svd()
+    x1 = _min_norm_rows(f1, y1)
+    x2 = _min_norm_rows(f2, y2)
+    residual = dnorm_rows(x1 @ T.m1.T - y1, x2 @ T.m2.T - y2)
+    tol_y = tol * np.maximum(1.0, dnorm_rows(y1, y2))
+    bad = np.flatnonzero((residual > tol_y).any(axis=0))
+    if bad.size:
+        (r1, r2), (t1, t2) = residual[:, bad[0]].tolist(), tol_y[:, bad[0]].tolist()
+        raise NotInRange(
+            f"right-hand side outside operator range: residual ({r1}, {r2}) > ({t1}, {t2})"
+        )
+    return BlockSolve(x1=x1, x2=x2, qy=dnorm_rows(x1, x2), residual=residual, tol=tol_y)
 
 
 def min_norm_solve(T: BCMatrix, y: BCVector, tol: float = 1e-10) -> SolveReport:
-    """Per-component minimum-norm least-squares solution of Tx = y.
+    """Minimum-norm least-squares solution of Tx = y: the one-row block solve.
 
-    The equation and the norm both decouple over the idempotents, so the
-    bicomplex minimum-norm solution is the pair of complex ones, read off
-    the operator's cached SVD.  Raises ``NotInRange`` when the residual
-    exceeds ``tol * max(1, ||y||)`` in either component.
+    Raises ``NotInRange`` when the residual exceeds ``tol * max(1, ||y||)``
+    in either component.
     """
-    if T.rows != y.dim:
-        raise DimensionMismatch(f"operator has {T.rows} rows, vector has dim {y.dim}")
-    f1, f2 = T.svd()
-    x = BCVector(_min_norm_component(f1, y.v1), _min_norm_component(f2, y.v2))
-    residual = vec_dnorm(mat_apply(T, x) - y)
-    ny = vec_dnorm(y)
-    tol_y = DPlus(tol * max(1.0, ny.a1), tol * max(1.0, ny.a2))
-    if residual.a1 > tol_y.a1 or residual.a2 > tol_y.a2:
-        raise NotInRange(
-            f"right-hand side outside operator range: residual ({residual.a1}, {residual.a2})"
-            f" > ({tol_y.a1}, {tol_y.a2})"
-        )
-    return SolveReport(x=x, qy=vec_dnorm(x), residual=residual, tol=tol_y)
+    b = min_norm_solve_rows(T, y.v1[None, :], y.v2[None, :], tol)
+    return SolveReport(
+        x=BCVector(b.x1[0], b.x2[0]),
+        qy=DPlus(*b.qy[:, 0].tolist()),
+        residual=DPlus(*b.residual[:, 0].tolist()),
+        tol=DPlus(*b.tol[:, 0].tolist()),
+    )
 
 
 @dataclass

@@ -1,0 +1,297 @@
+"""Batched theorem checks: sample blocks, agreement with per-sample
+evaluation, constant object counts, and tolerances that scale with the data."""
+
+import math
+
+import numpy as np
+import pytest
+
+import hyplab.theoremlab as tl
+from hyplab import (
+    BCMatrix,
+    BCVector,
+    DNormConfig,
+    DPlus,
+    DSeminorm,
+    HypothesisFailed,
+    InvalidInput,
+    ball_scaling_check,
+    check_stream,
+    continuity_bound_check,
+    dnorm_rows,
+    min_norm_solve,
+    min_norm_solve_rows,
+    op_dnorm,
+    open_mapping_delta,
+    open_mapping_verify,
+    seminorm_eval,
+    seminorm_rows,
+    ubp_verify,
+    vec_dnorm,
+)
+from support import random_mat, random_vec, surjective_mat
+
+
+def close(a: float, b: float, scale: float) -> bool:
+    return abs(a - b) <= 1e-12 * max(1.0, scale)
+
+
+# ------------------------------------------------------------ sample blocks
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_sample_block_rows_are_the_per_trial_streams(n):
+    b1, b2 = tl._sample_rows(tl._draws(5, "lemma31", 40, 4 * n), n)
+    for i in range(40):
+        x = tl._random_vector(check_stream(5, "lemma31", i), n)
+        assert np.array_equal(b1[i], x.v1) and np.array_equal(b2[i], x.v2)
+        # the draw order of four successive calls of n normals each
+        rng = check_stream(5, "lemma31", i)
+        v1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert np.array_equal(b1[i], v1) and np.array_equal(b2[i], v2)
+
+
+def test_second_vector_and_uniform_follow_in_the_same_stream():
+    n = 3
+    z = tl._draws(9, "x", 6, 8 * n, uniform=True)
+    for i in range(6):
+        rng = check_stream(9, "x", i)
+        first = tl._random_vector(rng, n)
+        second = tl._random_vector(rng, n)
+        u = float(rng.uniform(0.0, 1.0))
+        for j, want in ((0, first), (1, second)):
+            b1, b2 = tl._sample_rows(z, n, j)
+            assert np.array_equal(b1[i], want.v1) and np.array_equal(b2[i], want.v2)
+        assert z[i, -1] == u
+
+
+@pytest.mark.parametrize("norm", ["l2", "l1", "linf"])
+def test_row_norms_equal_the_one_vector_kernel(norm):
+    rng = np.random.default_rng(1)
+    cfg = DNormConfig(norm)
+    T = random_mat(rng, 5, 4)
+    p = DSeminorm(T, cfg)
+    xs = [random_vec(rng, 4) for _ in range(30)]
+    b1 = np.stack([x.v1 for x in xs])
+    b2 = np.stack([x.v2 for x in xs])
+    norms = dnorm_rows(b1, b2, cfg)
+    for i, x in enumerate(xs):
+        assert DPlus(*norms[:, i]) == vec_dnorm(x, cfg)
+    values = seminorm_rows(p, b1, b2)
+    for i, x in enumerate(xs):
+        want = seminorm_eval(p, x)
+        assert close(values[0, i], want.a1, want.a1) and close(values[1, i], want.a2, want.a2)
+
+
+def test_l2_row_norm_is_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(2)
+    b = rng.standard_normal((200, 7)) + 1j * rng.standard_normal((200, 7))
+    got = DNormConfig().norms(b)
+    assert all(got[i] == np.linalg.norm(b[i]) for i in range(200))
+
+
+def test_block_solve_rows_match_one_row_solves():
+    rng = np.random.default_rng(3)
+    T = surjective_mat(rng, 3, 6)
+    ys = [random_vec(rng, 3) for _ in range(20)]
+    sol = min_norm_solve_rows(T, np.stack([y.v1 for y in ys]), np.stack([y.v2 for y in ys]))
+    for i, y in enumerate(ys):
+        rep = min_norm_solve(T, y)
+        scale = float(np.abs(rep.x.v1).max() + np.abs(rep.x.v2).max())
+        assert np.allclose(sol.x1[i], rep.x.v1, rtol=0, atol=1e-12 * scale)
+        assert np.allclose(sol.x2[i], rep.x.v2, rtol=0, atol=1e-12 * scale)
+        assert close(sol.qy[0, i], rep.qy.a1, rep.qy.a1)
+        assert close(sol.qy[1, i], rep.qy.a2, rep.qy.a2)
+        assert sol.tol[0, i] == rep.tol.a1 and sol.tol[1, i] == rep.tol.a2
+
+
+def test_block_solve_rejects_the_first_row_out_of_range():
+    from hyplab import NotInRange
+
+    T = BCMatrix([[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
+    y1 = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(NotInRange, match=r"residual \(1\.0, 1\.0\) > \(1e-10, 1e-10\)"):
+        min_norm_solve_rows(T, y1, y1.copy())
+
+
+# ------------------------------------------------ agreement with per sample
+
+
+def per_sample_continuity(p, trials, seed, a):
+    """The check evaluated one vector at a time."""
+    n = p.T.cols
+    f1, f2 = p.T.svd()
+    v1, v2, zero = f1.vh[0].conj(), f2.vh[0].conj(), np.zeros(n, complex)
+    xs = [BCVector(v1, zero), BCVector(zero, v2), BCVector(v1, v2)]
+    xs += [tl._random_vector(check_stream(seed, "lemma31", i), n) for i in range(trials)]
+    margins = []
+    for x in xs:
+        px, nx = seminorm_eval(p, x), vec_dnorm(x)
+        margins.append((px.a1 - a.a1 * nx.a1, px.a2 - a.a2 * nx.a2, a.a1 * nx.a1, a.a2 * nx.a2))
+    for t in range(min(trials, 8)):
+        rng = check_stream(seed, "lemma31/seq", t)
+        x = tl._random_vector(rng, n)
+        d = tl._random_vector(rng, n)
+        px = seminorm_eval(p, x)
+        for j in range(1, 11):
+            xj = x + d.scale(2.0**-j)
+            pj, nd = seminorm_eval(p, xj), vec_dnorm(xj - x)
+            margins.append((
+                abs(pj.a1 - px.a1) - a.a1 * nd.a1,
+                abs(pj.a2 - px.a2) - a.a2 * nd.a2,
+                a.a1 * nd.a1,
+                a.a2 * nd.a2,
+            ))
+    return margins
+
+
+@pytest.mark.parametrize("codomain", ["l2", "l1"])
+def test_continuity_matches_per_sample_evaluation(codomain):
+    rng = np.random.default_rng(4)
+    T = random_mat(rng, 4, 3)
+    p = DSeminorm(T, DNormConfig(codomain))
+    M = op_dnorm(T).M
+    # ||.||_1 <= sqrt(rows) ||.||_2 makes sqrt(rows) * M a valid l1 constant
+    a = M if codomain == "l2" else DPlus(2.0 * M.a1, 2.0 * M.a2)
+    for alpha in (a, DPlus(0.9 * a.a1, 0.9 * a.a2)):
+        rep = continuity_bound_check(p, 120, 11, alpha_star=alpha)
+        margins = per_sample_continuity(p, 120, 11, alpha)
+        w1 = max(m[0] for m in margins)
+        w2 = max(m[1] for m in margins)
+        scale = max(max(m[2], m[3]) for m in margins)
+        assert close(rep.worst_margin.a1, w1, scale) and close(rep.worst_margin.a2, w2, scale)
+        # slack relative to the larger side, as every check applies it
+        ok = all(
+            m[0] <= 1e-9 * max(abs(m[0] + m[2]), m[2]) and m[1] <= 1e-9 * max(abs(m[1] + m[3]), m[3])
+            for m in margins
+        )
+        assert (rep.all_ok and rep.sequence_ok) == ok
+    assert not continuity_bound_check(p, 120, 11, alpha_star=DPlus(0.9 * a.a1, 0.9 * a.a2)).passed
+
+
+def test_ubp_matches_per_sample_evaluation():
+    rng = np.random.default_rng(5)
+    family = [random_mat(rng, 3, 4) for _ in range(6)]
+    rep = ubp_verify(family, 70, 12)
+    norms = [op_dnorm(T).M for T in family]
+    i1 = max(range(6), key=lambda i: norms[i].a1)
+    i2 = max(range(6), key=lambda i: norms[i].a2)
+    f1, _ = family[i1].svd()
+    _, f2 = family[i2].svd()
+    zero = np.zeros(4, complex)
+    xs = [BCVector(f1.vh[0].conj(), zero), BCVector(zero, f2.vh[0].conj())]
+    xs += [tl._random_vector(check_stream(12, "ubp", i), 4) for i in range(70)]
+    d = rep.bound_delta
+    w1 = w2 = -math.inf
+    for k, x in enumerate(xs):
+        vals = [seminorm_eval(DSeminorm(T), x) for T in family]
+        s1, s2 = max(v.a1 for v in vals), max(v.a2 for v in vals)
+        assert close(rep.pointwise_sups[k].a1, s1, s1) and close(rep.pointwise_sups[k].a2, s2, s2)
+        nx = vec_dnorm(x)
+        w1, w2 = max(w1, s1 - d.a1 * nx.a1), max(w2, s2 - d.a2 * nx.a2)
+    scale = max(d.a1, d.a2) * max(max(vec_dnorm(x).a1, vec_dnorm(x).a2) for x in xs)
+    assert close(rep.worst_margin.a1, w1, scale) and close(rep.worst_margin.a2, w2, scale)
+    assert rep.passed and w1 <= 1e-12 * scale and w2 <= 1e-12 * scale
+    shrunk = DPlus((1 - 1e-6) * d.a1, (1 - 1e-6) * d.a2)
+    assert not ubp_verify(family, 70, 12, delta=shrunk).passed
+
+
+def test_open_mapping_matches_per_sample_evaluation():
+    rng = np.random.default_rng(6)
+    T = surjective_mat(rng, 3, 5)
+    rep = open_mapping_verify(T, 150, 13)
+    delta = open_mapping_delta(T)
+    w1 = w2 = -math.inf
+    r1 = r2 = 0.0
+    scale = 1.0
+    for i in range(150):
+        y = tl._random_vector(check_stream(13, "omt-verify", i), 3)
+        sol = min_norm_solve(T, y, tol=1e-9)
+        ny = vec_dnorm(y)
+        w1 = max(w1, sol.qy.a1 - delta.a1 * ny.a1)
+        w2 = max(w2, sol.qy.a2 - delta.a2 * ny.a2)
+        r1, r2 = max(r1, sol.residual.a1), max(r2, sol.residual.a2)
+        scale = max(scale, delta.a1 * ny.a1, delta.a2 * ny.a2)
+    assert rep.passed
+    assert close(rep.worst_margin.a1, w1, scale) and close(rep.worst_margin.a2, w2, scale)
+    assert rep.worst_residual.a1 <= 1e-12 * scale and r1 <= 1e-12 * scale
+    assert rep.worst_residual.a2 <= 1e-12 * scale and r2 <= 1e-12 * scale
+
+
+# ------------------------------------------------------ constant overheads
+
+
+def count_vectors(monkeypatch, fn):
+    calls = [0]
+    init = BCVector.__init__
+
+    def counted(self, v1, v2):
+        calls[0] += 1
+        init(self, v1, v2)
+
+    monkeypatch.setattr(BCVector, "__init__", counted)
+    fn()
+    monkeypatch.setattr(BCVector, "__init__", init)
+    return calls[0]
+
+
+def test_vector_constructions_do_not_grow_with_trials(monkeypatch):
+    rng = np.random.default_rng(7)
+    T = random_mat(rng, 3, 3)
+    W = surjective_mat(rng, 3, 6)
+    family = [random_mat(rng, 3, 3) for _ in range(4)]
+    alpha = op_dnorm(T).M
+    checks = {
+        "lemma31": lambda k: continuity_bound_check(DSeminorm(T), k, 1),
+        "ubp": lambda k: ubp_verify(family, k, 1),
+        "omt-verify": lambda k: open_mapping_verify(W, k, 1),
+        "ballscale": lambda k: ball_scaling_check(DSeminorm(T), alpha, 1.0, [0.5, 2.0], k, 1),
+    }
+    for name, check in checks.items():
+        small = count_vectors(monkeypatch, lambda: check(50))
+        large = count_vectors(monkeypatch, lambda: check(400))
+        assert small == large, name
+
+
+# -------------------------------------------------- scale-aware tolerances
+
+
+def scaled(seed: int, rows: int, cols: int, s: float) -> BCMatrix:
+    T = random_mat(np.random.default_rng(seed), rows, cols)
+    return BCMatrix(T.m1 * s, T.m2 * s)
+
+
+@pytest.mark.parametrize("s", [1e9, 1e-12, 1e150])
+def test_continuity_and_ubp_scale_with_the_operator(s):
+    T = scaled(0, 3, 3, s)
+    M = op_dnorm(T).M
+    shrunk = DPlus((1 - 1e-6) * M.a1, (1 - 1e-6) * M.a2)
+    assert continuity_bound_check(DSeminorm(T), 100, 42).passed
+    assert not continuity_bound_check(DSeminorm(T), 100, 42, alpha_star=shrunk).all_ok
+    assert ubp_verify([T], 50, 42).passed
+    assert not ubp_verify([T], 50, 42, delta=shrunk).passed
+
+
+@pytest.mark.parametrize("s", [1e9, 1e-12, 1e150])
+def test_ball_scaling_scales_with_the_operator(s):
+    T = scaled(0, 3, 3, s)
+    M = op_dnorm(T).M
+    assert ball_scaling_check(DSeminorm(T), M, 1.0, [0.5, 2.0, 10.0], 50, 42).passed
+    shrunk = DPlus((1 - 1e-6) * M.a1, (1 - 1e-6) * M.a2)
+    with pytest.raises(HypothesisFailed):
+        ball_scaling_check(DSeminorm(T), shrunk, 1.0, [0.5], 50, 42)
+
+
+@pytest.mark.parametrize("s", [1e9, 1e-12, 1e150])
+def test_open_mapping_scales_with_the_operator(s):
+    rep = open_mapping_verify(scaled(1, 3, 6, s), 100, 42)
+    assert rep.subadd_ok and rep.passed
+
+
+def test_overflowing_norms_are_rejected_not_compared():
+    T = scaled(0, 3, 3, 1e160)
+    with pytest.raises(InvalidInput, match="non-finite component inf rejected"):
+        continuity_bound_check(DSeminorm(T), 20, 42)
+    with pytest.raises(InvalidInput, match="non-finite component inf rejected"):
+        ubp_verify([T], 20, 42)

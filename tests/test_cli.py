@@ -433,3 +433,30 @@ def test_omt_verify_bytes_independent_of_blas_threads(tmp_path, rows):
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1] and outs[0]
+
+
+# ------------------------------------------------------------ last resort
+
+
+def test_unexpected_exception_exit_5_with_one_envelope(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(18)
+    mat = write(tmp_path, "T.json", matrix_to_json(random_mat(rng, 2, 2)))
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("kernel exploded")
+
+    monkeypatch.setattr(cli, "op_dnorm", broken)
+    code, doc, err = run_json(capsys, ["opnorm", "--matrix", mat])
+    assert code == cli.EXIT_INTERNAL == 5
+    assert doc["pass"] is False
+    assert doc["payload"]["error"] == {"kind": "RuntimeError", "message": "kernel exploded"}
+    assert doc["inputs_digest"]  # the inputs had parsed
+    assert "RuntimeError" in err
+
+
+def test_unwritable_output_exit_2_envelope_on_stdout(tmp_path, capsys):
+    scalar = write(tmp_path, "z.json", {"e1": [1, 0], "e2": [1, 0]})
+    out = str(tmp_path / "missing-dir" / "report.json")
+    code, doc, _ = run_json(capsys, ["knorm", "--scalar", scalar, "--output", out])
+    assert code == 2
+    assert doc["payload"]["error"]["kind"] == "InvalidInput"
