@@ -153,10 +153,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hyplab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, tol_default=1e-10):
+    def common(sp, *, tol_default=1e-10, max_n_help="term/iteration cap"):
         sp.add_argument("--tol", type=float, default=tol_default, help="numeric tolerance")
         sp.add_argument("--seed", type=int, default=None, help="sampling seed (default 42 or HYPLAB_SEED)")
-        sp.add_argument("--maxN", dest="max_n", type=int, default=1000, help="term/iteration cap")
+        sp.add_argument("--maxN", dest="max_n", type=int, default=1000, help=max_n_help)
         sp.add_argument("--output", default=None, help="write the JSON envelope here instead of stdout")
         sp.add_argument(
             "--format",
@@ -196,7 +196,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--terms", required=True)
     sp.add_argument("--series-tol", default="1e-12", help="hyperbolic literal a1,a2")
     sp.add_argument("--abs-check", action="store_true", help="run the absolute-summability chain check")
-    common(sp)
+    common(
+        sp,
+        max_n_help="term cap; each term summed costs about 300 bytes of memory "
+        "(750 + 120*dim with --abs-check, which keeps every term) and ~90 bytes of output",
+    )
 
     sp = sub.add_parser("zabreiko", help="geometric-budget decomposition trace")
     sp.add_argument("--matrix", required=True)
@@ -204,35 +208,48 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", required=True, help="hyperbolic literal a1,a2")
     sp.add_argument("--r", type=float, required=True)
     sp.add_argument("--eps", required=True, help="hyperbolic literal a1,a2")
-    common(sp)
+    common(
+        sp,
+        max_n_help="step cap; the trace ends when the remainder vanishes or underflows "
+        "(about 530 steps at dim 4, never more than ~2,100), so memory and output "
+        "(~190 bytes per step and dimension) grow with steps*dim, not with maxN",
+    )
+
+    trials_help = "random samples; each takes about 100 bytes per matrix column"
 
     sp = sub.add_parser("ubp", help="uniform boundedness over an operator family")
     sp.add_argument("--family", required=True, help="JSON array of matrices")
-    sp.add_argument("--samples", type=int, default=100)
+    sp.add_argument(
+        "--samples", type=int, default=100,
+        help="random samples; each takes about 100 bytes per matrix column plus 60 per family member",
+    )
     common(sp)
 
     sp = sub.add_parser("omt-verify", help="open-mapping solve-and-bound verification")
     sp.add_argument("--matrix", required=True)
-    sp.add_argument("--trials", type=int, default=1000)
+    sp.add_argument("--trials", type=int, default=1000, help=trials_help)
     common(sp)
 
     sp = sub.add_parser("lemma31", help="continuity bound check for a seminorm")
     sp.add_argument("--matrix", required=True)
-    sp.add_argument("--trials", type=int, default=1000)
+    sp.add_argument("--trials", type=int, default=1000, help=trials_help)
     common(sp)
 
     sp = sub.add_parser("subadd", help="countable subadditivity along a series")
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--terms", required=True)
     sp.add_argument("--series-tol", default="1e-12", help="hyperbolic literal a1,a2")
-    common(sp)
+    common(sp, max_n_help="term cap; every term up to it is kept, about 600 + 30*dim bytes each")
 
     sp = sub.add_parser("ballscale", help="sublevel-set ball scaling check")
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--alpha", default=None, help="hyperbolic literal a1,a2 (default opnorm*r)")
     sp.add_argument("--r", type=float, default=1.0)
     sp.add_argument("--deltas", default="0.5,2,10", help="comma-separated positive reals")
-    sp.add_argument("--samples", type=int, default=100)
+    sp.add_argument(
+        "--samples", type=int, default=100,
+        help="random samples; each takes about 100 bytes per matrix column",
+    )
     common(sp)
 
     return parser

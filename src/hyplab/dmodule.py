@@ -13,7 +13,11 @@ and each row of a block go through the same arithmetic, and it rejects a
 non-finite result the way a scalar does.  ``vec_dnorm`` and
 ``seminorm_eval`` are its one-vector case; ``dnorm_rows`` and
 ``seminorm_rows`` apply it to a block after one matrix product per
-component.
+component, and ``seminorm_terms`` after one matrix-vector product per row.
+
+``complex_pairs`` is the one emitter of complex entries: it turns an array
+of any shape into nested ``[re, im]`` lists of plain floats.  The vector
+documents of reports and of ``jsonio`` are built from it by ``vector_docs``.
 """
 
 from __future__ import annotations
@@ -187,17 +191,35 @@ def seminorm_eval(p: DSeminorm, x: BCVector) -> DPlus:
     )
 
 
+def _check_block_dim(T: "BCMatrix", b1: np.ndarray, b2: np.ndarray) -> None:
+    if b1.shape[-1] != T.cols or b2.shape[-1] != T.cols:
+        raise DimensionMismatch(
+            f"operator has {T.cols} columns, block rows have dim {b1.shape[-1]}"
+        )
+
+
 def seminorm_rows(p: DSeminorm, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     """p(x_i) for every row of a block, as a (2, k) array.
 
     One matrix product per component applies T to all rows at once.
     """
     T = p.T
-    if b1.shape[-1] != T.cols or b2.shape[-1] != T.cols:
-        raise DimensionMismatch(
-            f"operator has {T.cols} columns, block rows have dim {b1.shape[-1]}"
-        )
+    _check_block_dim(T, b1, b2)
     return dnorm_rows(b1 @ T.m1.T, b2 @ T.m2.T, p.codomain)
+
+
+def seminorm_terms(p: DSeminorm, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """p(x_i) for every row of a block, each equal to ``seminorm_eval`` bit for bit.
+
+    A stacked product applies T to one row at a time with the
+    matrix-vector product ``seminorm_eval`` makes; the one matrix-matrix
+    product of ``seminorm_rows`` may round the last digit differently.
+    """
+    T = p.T
+    _check_block_dim(T, b1, b2)
+    return dnorm_rows(
+        (T.m1 @ b1[..., None])[..., 0], (T.m2 @ b2[..., None])[..., 0], p.codomain
+    )
 
 
 def v_alpha_member(p: DSeminorm, x: BCVector, alpha: DPlus) -> bool:
@@ -249,11 +271,7 @@ class SeriesReport:
             "window": self.window,
         }
         if self.limit is not None:
-            d["limit"] = {
-                "dim": self.limit.dim,
-                "e1": [[z.real, z.imag] for z in self.limit.v1],
-                "e2": [[z.real, z.imag] for z in self.limit.v2],
-            }
+            d["limit"] = vector_doc(self.limit)
         if self.abs_converged is not None:
             d["abs_converged"] = self.abs_converged
         if self.cauchy_chain_ok is not None:
@@ -432,6 +450,29 @@ def abs_summability_check(
 def _dplus_list(values: np.ndarray) -> list[DPlus]:
     """The columns of a (2, k) array as cone values."""
     return [DPlus(a1, a2) for a1, a2 in zip(values[0].tolist(), values[1].tolist())]
+
+
+def complex_pairs(a: np.ndarray) -> list:
+    """The entries of a complex array as [re, im] pairs of plain floats.
+
+    The lists nest as the array does: a vector gives a list of pairs, a
+    block a list of such lists.
+    """
+    return np.stack((a.real, a.imag), axis=-1).tolist()
+
+
+def vector_docs(b1: np.ndarray, b2: np.ndarray) -> list[dict]:
+    """The JSON document {"dim", "e1", "e2"} of every row of a block."""
+    dim = b1.shape[-1]
+    return [
+        {"dim": dim, "e1": e1, "e2": e2}
+        for e1, e2 in zip(complex_pairs(b1), complex_pairs(b2))
+    ]
+
+
+def vector_doc(v: BCVector) -> dict:
+    """The JSON document of one vector: the one-row case of ``vector_docs``."""
+    return vector_docs(v.v1[None], v.v2[None])[0]
 
 
 def geometric_terms(ratio: Bicomplex, seed_vector: BCVector) -> Iterator[BCVector]:

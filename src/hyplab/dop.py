@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dmodule import BCVector, DNormConfig, dnorm_rows
+from .dmodule import BCVector, DNormConfig, dnorm_rows, vector_doc
 from .errors import (
     DimensionMismatch,
     InvalidInput,
@@ -291,11 +291,7 @@ class SolveReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "x": {
-                "dim": self.x.dim,
-                "e1": [[z.real, z.imag] for z in self.x.v1],
-                "e2": [[z.real, z.imag] for z in self.x.v2],
-            },
+            "x": vector_doc(self.x),
             "qy": [self.qy.a1, self.qy.a2],
             "residual": [self.residual.a1, self.residual.a2],
             "tol": [self.tol.a1, self.tol.a2],

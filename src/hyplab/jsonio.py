@@ -13,54 +13,113 @@ Series: a JSON array of vectors, or
         {"kind": "geometric", "ratio": <scalar>, "seed_vector": <vector>}
 
 Emission always uses idempotent components (cartesian on request) and
-prints every float with 17 significant digits, so correctly rounded
-platforms produce byte-identical documents.
+prints every float with 17 significant digits (``"%.17g"``), so correctly
+rounded platforms produce byte-identical documents.
+
+``dumps`` dispatches on the exact type of each value first.  A list of
+plain floats is formatted with one join, and a list of equal-length lists
+of plain floats (vector entries, hyperbolic pairs, the rows of a trace)
+with one format call, its template repeating one cached row template per
+width.  Every other value, numpy scalars included, goes through the
+general ``isinstance`` chain, which recurses into containers; both routes
+print the same bytes.  Keys and strings are
+quoted exactly as ``json.dumps`` quotes them.  Complex entries reach
+``dumps`` as plain floats through ``dmodule.complex_pairs``, the one emitter
+of [re, im] pairs, which ``vector_to_json`` and ``matrix_to_json`` use too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from functools import lru_cache
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 import numpy as np
 
-from .dmodule import BCVector, geometric_terms
+from .dmodule import BCVector, complex_pairs, geometric_terms, vector_doc
 from .dop import BCMatrix
 from .errors import InvalidInput
 from .hyperscalar import Bicomplex, DPlus, Hyperbolic
 
+#: 17 significant digits: enough to round-trip any double.
+_FLOAT = "%.17g"
+_FLOATS = {float}
+_LISTS = {list}
+
 
 def format_float(x: float) -> str:
     """17-significant-digit decimal, enough to round-trip any double."""
-    return format(float(x), ".17g")
+    return _FLOAT % float(x)
+
+
+@lru_cache(maxsize=64)
+def _row_template(width: int) -> str:
+    """Format string of one list of ``width`` floats."""
+    return "[" + ",".join([_FLOAT] * width) + "]"
+
+
+def _array(items) -> str:
+    """A list or tuple; flat and equal-width float lists take one format each."""
+    kinds = {*map(type, items)}
+    if kinds == _FLOATS:
+        return "[" + ",".join(map(_FLOAT.__mod__, items)) + "]"
+    if kinds == _LISTS:
+        widths = {*map(len, items)}
+        if len(widths) == 1:
+            flat = tuple(chain.from_iterable(items))
+            if {*map(type, flat)} == _FLOATS:
+                rows = ",".join([_row_template(widths.pop())] * len(items))
+                return ("[" + rows + "]") % flat
+    return "[" + ",".join(map(dumps, items)) + "]"
+
+
+def _object(obj: dict) -> str:
+    parts = []
+    for k, v in obj.items():
+        if not isinstance(k, str):
+            raise InvalidInput(f"JSON object keys must be strings, got {k!r}")
+        parts.append(_quote(k) + ":" + dumps(v))
+    return "{" + ",".join(parts) + "}"
+
+
+#: Emitters of the exact types JSON data is made of.
+_BY_TYPE = {
+    float: _FLOAT.__mod__,
+    int: int.__str__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+    str: _quote,
+    list: _array,
+    dict: _object,
+}
 
 
 def dumps(obj: Any) -> str:
     """Serialize to JSON with deterministic float formatting.
 
     Dict keys keep insertion order (reports are built with stable field
-    order); floats go through :func:`format_float`.
+    order); floats go through :func:`format_float`'s format.  Values of an
+    exact JSON type are emitted through ``_BY_TYPE``; numpy scalars,
+    tuples and subclasses take the ``isinstance`` chain below.
     """
-    if obj is None:
-        return "null"
+    emit = _BY_TYPE.get(type(obj))
+    if emit is not None:
+        return emit(obj)
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
+        return format_float(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(dumps(v) for v in obj) + "]"
+        return _array(obj)
     if isinstance(obj, dict):
-        parts = []
-        for k, v in obj.items():
-            if not isinstance(k, str):
-                raise InvalidInput(f"JSON object keys must be strings, got {k!r}")
-            parts.append(json.dumps(k) + ":" + dumps(v))
-        return "{" + ",".join(parts) + "}"
+        return _object(obj)
     raise InvalidInput(f"cannot serialize {type(obj).__name__}")
 
 
@@ -147,11 +206,7 @@ def parse_vector(obj) -> BCVector:
 
 
 def vector_to_json(v: BCVector) -> dict:
-    return {
-        "dim": v.dim,
-        "e1": [[z.real, z.imag] for z in v.v1],
-        "e2": [[z.real, z.imag] for z in v.v2],
-    }
+    return vector_doc(v)
 
 
 def parse_matrix(obj) -> BCMatrix:
@@ -192,8 +247,8 @@ def matrix_to_json(T: BCMatrix) -> dict:
     return {
         "rows": T.rows,
         "cols": T.cols,
-        "e1": [[[z.real, z.imag] for z in row] for row in T.m1],
-        "e2": [[[z.real, z.imag] for z in row] for row in T.m2],
+        "e1": complex_pairs(T.m1),
+        "e2": complex_pairs(T.m2),
     }
 
 

@@ -32,6 +32,10 @@ are array comparisons and worst margins are maxima over the arrays.  Every
 inequality is judged through ``_within``, whose slack is relative to the
 values compared, so verdicts do not depend on the operator's scale; a norm
 or bound that overflows is rejected as ``InvalidInput``, never compared.
+
+The Zabreiko decomposition is sequential, so its steps fill (2, steps, n)
+blocks one row at a time; its budgets and its exact remainder chain are
+then judged over the whole blocks, and its trace reports hold the blocks.
 """
 
 from __future__ import annotations
@@ -39,19 +43,23 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
 
 from .dmodule import (
     BCVector,
+    DNormConfig,
     DSeminorm,
     dnorm_rows,
     require_finite,
     seminorm_eval,
     seminorm_rows,
+    seminorm_terms,
     series_sum,
     vec_dnorm,
+    vector_docs,
 )
 from .dop import (
     BCMatrix,
@@ -437,15 +445,20 @@ def ball_scaling_check(
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class ZabreikoTrace:
     """Audit record of the geometric-budget decomposition x = sum x_k.
 
-    Indexing follows the construction: x_terms[i] is x_{i+1},
-    remainders[i] is u_{i+1} = x - (x_1 + ... + x_{i+1}),
-    epsilons = [eps_0, eps_1, ..., eps_K] with eps_0 = ||x||_D / r and
-    eps_k = eps / (m 2^k), and tail_bounds[i] = eps_{i+1} * r bounds
-    ||remainders[i]||_D.
+    The steps are held as read-only blocks.  ``term_block`` and
+    ``remainder_block`` are (2, steps, n) arrays: row [c, i] is component c
+    of x_{i+1} and of u_{i+1} = x - (x_1 + ... + x_{i+1}).
+    ``epsilon_block`` is the (2, steps + 1) array of eps_0, ..., eps_K with
+    eps_0 = ||x||_D / r and eps_k = eps / (m 2^k), and column i of
+    ``tail_block``, eps_{i+1} * r, bounds ||u_{i+1}||_D.
+
+    ``x_terms``, ``remainders``, ``epsilons`` and ``tail_bounds`` list the
+    blocks' rows as vectors and cone values, built on first use and indexed
+    as in the construction: x_terms[i] is x_{i+1}.
     """
 
     m: DPlus
@@ -454,10 +467,10 @@ class ZabreikoTrace:
     alpha_star: DPlus
     x_norm: DPlus
     px: DPlus
-    x_terms: list[BCVector]
-    remainders: list[BCVector]
-    epsilons: list[DPlus]
-    tail_bounds: list[DPlus]
+    term_block: np.ndarray
+    remainder_block: np.ndarray
+    epsilon_block: np.ndarray
+    tail_block: np.ndarray
     chain_exact: bool
     term_bounds_ok: bool
     remainder_bounds_ok: bool
@@ -468,7 +481,23 @@ class ZabreikoTrace:
 
     @property
     def n_steps(self) -> int:
-        return len(self.x_terms)
+        return self.term_block.shape[1]
+
+    @cached_property
+    def x_terms(self) -> list[BCVector]:
+        return [BCVector(*row) for row in zip(*self.term_block)]
+
+    @cached_property
+    def remainders(self) -> list[BCVector]:
+        return [BCVector(*row) for row in zip(*self.remainder_block)]
+
+    @cached_property
+    def epsilons(self) -> list[DPlus]:
+        return [DPlus(*col) for col in self.epsilon_block.T.tolist()]
+
+    @cached_property
+    def tail_bounds(self) -> list[DPlus]:
+        return [DPlus(*col) for col in self.tail_block.T.tolist()]
 
     @property
     def passed(self) -> bool:
@@ -480,13 +509,6 @@ class ZabreikoTrace:
         )
 
     def to_json_dict(self) -> dict:
-        def vec(v: BCVector) -> dict:
-            return {
-                "dim": v.dim,
-                "e1": [[z.real, z.imag] for z in v.v1],
-                "e2": [[z.real, z.imag] for z in v.v2],
-            }
-
         return {
             "check": "zabreiko",
             "m": [self.m.a1, self.m.a2],
@@ -497,10 +519,10 @@ class ZabreikoTrace:
             "px": [self.px.a1, self.px.a2],
             "n_steps": self.n_steps,
             "capped": self.capped,
-            "epsilons": [[e.a1, e.a2] for e in self.epsilons],
-            "tail_bounds": [[t.a1, t.a2] for t in self.tail_bounds],
-            "x_terms": [vec(v) for v in self.x_terms],
-            "remainders": [vec(v) for v in self.remainders],
+            "epsilons": self.epsilon_block.T.tolist(),
+            "tail_bounds": self.tail_block.T.tolist(),
+            "x_terms": vector_docs(*self.term_block),
+            "remainders": vector_docs(*self.remainder_block),
             "chain_exact": self.chain_exact,
             "term_bounds_ok": self.term_bounds_ok,
             "remainder_bounds_ok": self.remainder_bounds_ok,
@@ -514,11 +536,55 @@ class ZabreikoTrace:
         }
 
 
-def _quantize(v: np.ndarray, pitch: float) -> np.ndarray:
-    """Round real and imaginary parts to the grid; zero pitch copies exactly."""
-    if pitch <= 0.0:
-        return v.copy()
-    return np.round(v.real / pitch) * pitch + 1j * (np.round(v.imag / pitch) * pitch)
+#: Steps a decomposition allocates at first; its blocks double when full.
+_STEP_CHUNK = 256
+
+
+def _grid(v: np.ndarray, pitch) -> np.ndarray:
+    """Real and imaginary parts rounded to multiples of ``pitch``.
+
+    ``np.rint`` is what ``np.round`` calls for zero decimals, minus the
+    dispatch.
+    """
+    return np.rint(v.real / pitch) * pitch + 1j * (np.rint(v.imag / pitch) * pitch)
+
+
+def _quantize(v: np.ndarray, pitch: np.ndarray) -> np.ndarray:
+    """Round each row of ``v`` to the grid of its pitch, a (2, 1) column.
+
+    Pitches are never negative; a row whose pitch is zero is copied exactly.
+    """
+    if all(pitch.ravel().tolist()):
+        return _grid(v, pitch)
+    out = v.copy()
+    live = pitch[:, 0] > 0.0
+    out[live] = _grid(v[live], pitch[live])
+    return out
+
+
+def _schedule(
+    eps0: np.ndarray, ratio: np.ndarray, r: float, denom: float, steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The epsilons eps_0, ..., eps_steps and the pitch of every step.
+
+    eps_k = ratio 2^-k for k >= 1, as a (2, steps + 1) array.  Step k
+    quantizes at eps'_k r / denom with eps'_k = min(eps_k, eps_{k-1}); the
+    pitches come as a (steps, 2, 1) array, one column per step.
+    """
+    halvings = np.ldexp(ratio, -np.arange(1, steps + 1))
+    epsilons = require_finite(np.concatenate((eps0, halvings), axis=1))
+    clamp = np.minimum(epsilons[:, 1:], epsilons[:, :-1])
+    # a pitch that overflows gives a non-finite term, rejected when it is
+    # reached; steps past the end of the trace are never reached
+    with np.errstate(over="ignore"):
+        pitches = clamp * r / denom
+    return epsilons, pitches.T[:, :, None]
+
+
+def _extend(block: np.ndarray, size: int) -> np.ndarray:
+    """``block`` grown along axis 1 to ``size`` steps; the new steps are unset."""
+    two, steps, n = block.shape
+    return np.concatenate((block, np.empty((two, size - steps, n), dtype=block.dtype)), axis=1)
 
 
 def zabreiko_decompose(
@@ -539,9 +605,22 @@ def zabreiko_decompose(
     p(x_k) <= alpha*(eps_{k-1}+eps'_k) r <= eps_{k-1} m survives a first
     step where eps_0 = ||x||_D/r is smaller than eps_1.
 
-    Terminates when the remainder underflows or at ``max_n`` steps; the
+    Terminates at ``max_n`` steps or when both components of ||u_k||_D are
+    at most ``REMAINDER_FLOOR``.  Unless the grid represents the remainder
+    exactly first, that is when the l2 squares of the remainder's entries
+    underflow to zero, not when the remainder is that small: a random x in
+    the unit ball at n=4 stops after 532 steps, and its trace is ~400 KB
+    of JSON (about 190 bytes per step and dimension).  Once eps_k
+    underflows the pitch is zero and the next step ends the trace, so no
+    trace is longer than ~2,100 steps.  Memory and output grow with
+    steps * n and not with ``max_n``, which only caps the steps.  The
     final bound p(x) <= (m/r)||x||_D + eps is evaluated directly on x and
     does not depend on where the trace stops.
+
+    The steps run on (2, steps, n) blocks: each step only quantizes,
+    subtracts and takes the norm that decides termination.  The budgets
+    p(x_k) <= eps_{k-1} m and ||u_k||_D <= eps_k r and the replay of the
+    exact chain u_k = u_{k-1} - x_k are then judged once over the blocks.
     """
     if r <= 0:
         raise PreconditionViolated(f"radius must be positive, got {r}")
@@ -569,56 +648,56 @@ def zabreiko_decompose(
         )
 
     n = x.dim
-    eps0 = DPlus(x_norm.a1 / r, x_norm.a2 / r)
-    epsilons = [eps0]
-    x_terms: list[BCVector] = []
-    remainders: list[BCVector] = []
-    tail_bounds: list[DPlus] = []
+    denom = 2.0 * math.sqrt(n)
+    x0 = np.stack((x.v1, x.v2))
+    eps0 = np.array([[x_norm.a1 / r], [x_norm.a2 / r]])
+    ratio = np.array([[eps.a1 / m.a1], [eps.a2 / m.a2]])
+    l2 = DNormConfig()
 
-    u = x
-    p_terms: list[tuple[float, float]] = []
-    term_bounds: list[tuple[float, float]] = []
-    rem_norms: list[tuple[float, float]] = []
+    size = 0
+    terms = np.empty((2, 0, n), dtype=complex)
+    rems = np.empty_like(terms)
+    u = x0
+    steps = 0
     capped = True
-    for k in range(1, max_n + 1):
-        prev_eps = epsilons[-1]
-        eps_k = DPlus(math.ldexp(eps.a1 / m.a1, -k), math.ldexp(eps.a2 / m.a2, -k))
-        clamp = DPlus(min(eps_k.a1, prev_eps.a1), min(eps_k.a2, prev_eps.a2))
-        denom = 2.0 * math.sqrt(n)
-        xk = BCVector(
-            _quantize(u.v1, clamp.a1 * r / denom),
-            _quantize(u.v2, clamp.a2 * r / denom),
-        )
-        u = u - xk
-        p_terms.append(seminorm_eval(p, xk).components())
-        term_bounds.append((prev_eps * m).components())
-        un = vec_dnorm(u)
-        rem_norms.append(un.components())
-
-        x_terms.append(xk)
-        remainders.append(u)
-        epsilons.append(eps_k)
-        tail_bounds.append(eps_k * r)
-        if un.a1 <= REMAINDER_FLOOR and un.a2 <= REMAINDER_FLOOR:
+    while steps < max_n:
+        if steps == size:
+            size = min(max_n, max(_STEP_CHUNK, 2 * size))
+            epsilons, pitches = _schedule(eps0, ratio, r, denom, size)
+            terms = _extend(terms, size)
+            rems = _extend(rems, size)
+        xk = _quantize(u, pitches[steps])
+        terms[:, steps] = xk
+        u = rems[:, steps] = u - xk
+        steps += 1
+        try:
+            un1, un2 = l2.norms(u).tolist()
+        except InvalidInput:
+            break  # a non-finite remainder, rejected below
+        if un1 <= REMAINDER_FLOOR and un2 <= REMAINDER_FLOOR:
             capped = False
             break
 
+    terms = terms[:, :steps].copy()
+    rems = rems[:, :steps].copy()
+    epsilons = epsilons[:, : steps + 1].copy()
+    # the loop stops at the first non-finite remainder, so only the last
+    # term and remainder can be non-finite: reject them as vectors are
+    BCVector(*terms[:, -1])
+    BCVector(*rems[:, -1])
+
     # budgets p(x_k) <= eps_{k-1} m and ||u_k||_D <= eps_k r, every step
-    pks, tbs = np.array(p_terms).T, np.array(term_bounds).T
-    uns, rbs = np.array(rem_norms).T, np.array([t.components() for t in tail_bounds]).T
+    pks = seminorm_terms(p, terms[0], terms[1])
+    uns = dnorm_rows(rems[0], rems[1])
+    with np.errstate(over="ignore"):  # an overflowing bound is rejected here
+        tbs = require_finite(epsilons[:, :-1] * _column(m))
+        tails = require_finite(epsilons[:, 1:] * r)
     term_ok = bool(_within(pks, tbs).all())
-    rem_ok = bool(_within(uns, rbs).all())
+    rem_ok = bool(_within(uns, tails).all())
 
     # replay the exact remainder chain u_k = u_{k-1} - x_k
-    chain_exact = True
-    prev = x
-    for xk, uk in zip(x_terms, remainders):
-        expect = prev - xk
-        if not (
-            np.array_equal(expect.v1, uk.v1) and np.array_equal(expect.v2, uk.v2)
-        ):
-            chain_exact = False
-        prev = uk
+    before = np.concatenate((x0[:, None], rems[:, :-1]), axis=1)
+    chain_exact = bool(np.array_equal(before - terms, rems))
 
     px = seminorm_eval(p, x)
     final_rhs = DPlus(
@@ -627,6 +706,8 @@ def zabreiko_decompose(
     )
     final_bound_ok = _holds(px, final_rhs)
 
+    for block in (terms, rems, epsilons, tails):
+        block.setflags(write=False)
     return ZabreikoTrace(
         m=m,
         r=r,
@@ -634,17 +715,17 @@ def zabreiko_decompose(
         alpha_star=alpha_star,
         x_norm=x_norm,
         px=px,
-        x_terms=x_terms,
-        remainders=remainders,
-        epsilons=epsilons,
-        tail_bounds=tail_bounds,
+        term_block=terms,
+        remainder_block=rems,
+        epsilon_block=epsilons,
+        tail_block=tails,
         chain_exact=chain_exact,
         term_bounds_ok=term_ok,
         remainder_bounds_ok=rem_ok,
         final_bound_ok=final_bound_ok,
         capped=capped,
         worst_term_margin=_worst(pks - tbs),
-        worst_remainder_margin=_worst(uns - rbs),
+        worst_remainder_margin=_worst(uns - tails),
     )
 
 

@@ -4,13 +4,25 @@ Everything here is deliberately independent of the library's own kernels:
 the four-real multiplication table, power iteration on the Gram matrix,
 and the normal-equations route to minimum-norm solutions are the reference
 paths that the idempotent/SVD implementations are checked against.
+
+``oracle_dumps`` and ``oracle_zabreiko`` are reference implementations of
+emission and of the Zabreiko decomposition: a recursive serializer that
+formats one value at a time, and a step loop that builds one vector per
+term and remainder.  The library's type-dispatching ``dumps`` and its
+block-backed decomposition must reproduce their bytes.
 """
 
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
 
-from hyplab import BCMatrix, BCVector, Bicomplex
+from hyplab import BCMatrix, BCVector, Bicomplex, DPlus, InvalidInput
+from hyplab.dmodule import seminorm_eval, vec_dnorm
+from hyplab.dop import op_dnorm
+from hyplab.theoremlab import REMAINDER_FLOOR, _holds, _within, _worst
 
 
 def mul4(a, b):
@@ -126,3 +138,115 @@ def bc_to4(z: Bicomplex):
 
 def bc_from4(t) -> Bicomplex:
     return Bicomplex.from_reals(*t)
+
+
+def oracle_dumps(obj) -> str:
+    """JSON with 17-significant-digit floats, one value at a time."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(oracle_dumps(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        parts = []
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                raise InvalidInput(f"JSON object keys must be strings, got {k!r}")
+            parts.append(json.dumps(k) + ":" + oracle_dumps(v))
+        return "{" + ",".join(parts) + "}"
+    raise InvalidInput(f"cannot serialize {type(obj).__name__}")
+
+
+def _oracle_quantize(v: np.ndarray, pitch: float) -> np.ndarray:
+    if pitch <= 0.0:
+        return v.copy()
+    return np.round(v.real / pitch) * pitch + 1j * (np.round(v.imag / pitch) * pitch)
+
+
+def _vector_json(v: BCVector) -> dict:
+    return {
+        "dim": v.dim,
+        "e1": [[z.real, z.imag] for z in v.v1],
+        "e2": [[z.real, z.imag] for z in v.v2],
+    }
+
+
+def oracle_zabreiko(p, x: BCVector, m: DPlus, r: float, eps: DPlus, max_n: int) -> dict:
+    """The decomposition one step and one vector at a time, as its JSON document.
+
+    The inputs are taken to meet the preconditions; they are not checked.
+    """
+    alpha_star = op_dnorm(p.T).M
+    x_norm = vec_dnorm(x)
+    n = x.dim
+    epsilons = [DPlus(x_norm.a1 / r, x_norm.a2 / r)]
+    x_terms, remainders, tail_bounds = [], [], []
+    p_terms, term_bounds, rem_norms = [], [], []
+    u = x
+    capped = True
+    for k in range(1, max_n + 1):
+        prev_eps = epsilons[-1]
+        eps_k = DPlus(math.ldexp(eps.a1 / m.a1, -k), math.ldexp(eps.a2 / m.a2, -k))
+        clamp = DPlus(min(eps_k.a1, prev_eps.a1), min(eps_k.a2, prev_eps.a2))
+        denom = 2.0 * math.sqrt(n)
+        xk = BCVector(
+            _oracle_quantize(u.v1, clamp.a1 * r / denom),
+            _oracle_quantize(u.v2, clamp.a2 * r / denom),
+        )
+        u = u - xk
+        p_terms.append(seminorm_eval(p, xk).components())
+        term_bounds.append((prev_eps * m).components())
+        un = vec_dnorm(u)
+        rem_norms.append(un.components())
+        x_terms.append(xk)
+        remainders.append(u)
+        epsilons.append(eps_k)
+        tail_bounds.append(eps_k * r)
+        if un.a1 <= REMAINDER_FLOOR and un.a2 <= REMAINDER_FLOOR:
+            capped = False
+            break
+
+    pks, tbs = np.array(p_terms).T, np.array(term_bounds).T
+    uns, rbs = np.array(rem_norms).T, np.array([t.components() for t in tail_bounds]).T
+    chain_exact = True
+    prev = x
+    for xk, uk in zip(x_terms, remainders):
+        expect = prev - xk
+        if not (np.array_equal(expect.v1, uk.v1) and np.array_equal(expect.v2, uk.v2)):
+            chain_exact = False
+        prev = uk
+    px = seminorm_eval(p, x)
+    final_rhs = DPlus(m.a1 * x_norm.a1 / r + eps.a1, m.a2 * x_norm.a2 / r + eps.a2)
+    checks = {
+        "chain_exact": chain_exact,
+        "term_bounds_ok": bool(_within(pks, tbs).all()),
+        "remainder_bounds_ok": bool(_within(uns, rbs).all()),
+        "final_bound_ok": _holds(px, final_rhs),
+    }
+    worst_term, worst_rem = _worst(pks - tbs), _worst(uns - rbs)
+    return {
+        "check": "zabreiko",
+        "m": [m.a1, m.a2],
+        "r": r,
+        "eps": [eps.a1, eps.a2],
+        "alpha_star": [alpha_star.a1, alpha_star.a2],
+        "x_norm": [x_norm.a1, x_norm.a2],
+        "px": [px.a1, px.a2],
+        "n_steps": len(x_terms),
+        "capped": capped,
+        "epsilons": [[e.a1, e.a2] for e in epsilons],
+        "tail_bounds": [[t.a1, t.a2] for t in tail_bounds],
+        "x_terms": [_vector_json(v) for v in x_terms],
+        "remainders": [_vector_json(v) for v in remainders],
+        **checks,
+        "worst_term_margin": [worst_term.a1, worst_term.a2],
+        "worst_remainder_margin": [worst_rem.a1, worst_rem.a2],
+        "pass": all(checks.values()),
+    }

@@ -1,5 +1,6 @@
 """CLI subcommands: payloads, exit codes, determinism, stream discipline."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,42 @@ import pytest
 import hyplab.cli as cli
 from hyplab import BCMatrix, BCVector
 from hyplab.jsonio import digest, dumps, matrix_to_json, vector_to_json
-from support import random_mat, random_vec, surjective_mat
+from support import oracle_dumps, random_mat, random_vec, surjective_mat
+
+
+@pytest.fixture(autouse=True)
+def emission_matches_oracle(monkeypatch):
+    """Every envelope and inputs digest the CLI makes in a test here is also
+    made with the reference serializer, and the two must agree byte for byte.
+
+    Mismatches are collected and asserted after the test, because the CLI
+    turns an exception raised while emitting into an exit-5 envelope.
+    """
+    mismatches = []
+
+    def reference(obj):
+        try:
+            return oracle_dumps(obj)
+        except Exception:
+            return None
+
+    def checked_dumps(obj):
+        text = dumps(obj)
+        if text != reference(obj):
+            mismatches.append(("envelope", text[:200]))
+        return text
+
+    def checked_digest(obj):
+        value = digest(obj)
+        want = reference(obj)
+        if want is None or value != hashlib.sha256(want.encode("utf-8")).hexdigest():
+            mismatches.append(("inputs_digest", value))
+        return value
+
+    monkeypatch.setattr(cli, "dumps", checked_dumps)
+    monkeypatch.setattr(cli, "digest", checked_digest)
+    yield
+    assert not mismatches
 
 
 def write(tmp_path, name, obj):
