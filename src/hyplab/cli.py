@@ -198,8 +198,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--abs-check", action="store_true", help="run the absolute-summability chain check")
     common(
         sp,
-        max_n_help="term cap; each term summed costs about 300 bytes of memory "
-        "(750 + 120*dim with --abs-check, which keeps every term) and ~90 bytes of output",
+        max_n_help="term cap; each term summed costs about 300 bytes of memory, plus "
+        "0.5 + 0.11*dim MB at most for the chunk being summed (750 + 120*dim bytes "
+        "per term with --abs-check, which keeps every term) and ~90 bytes of output",
     )
 
     sp = sub.add_parser("zabreiko", help="geometric-budget decomposition trace")
@@ -239,7 +240,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--terms", required=True)
     sp.add_argument("--series-tol", default="1e-12", help="hyperbolic literal a1,a2")
-    common(sp, max_n_help="term cap; every term up to it is kept, about 600 + 30*dim bytes each")
+    common(
+        sp,
+        max_n_help="term cap; every term up to it is kept, about 600 + 30*dim bytes each, "
+        "plus 0.1*dim MB at most while the series is summed",
+    )
 
     sp = sub.add_parser("ballscale", help="sublevel-set ball scaling check")
     sp.add_argument("--matrix", required=True)

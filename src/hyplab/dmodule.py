@@ -22,10 +22,9 @@ documents of reports and of ``jsonio`` are built from it by ``vector_docs``.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Iterable, Iterator, Literal
+from typing import TYPE_CHECKING, Iterable, Iterator, Literal, NamedTuple
 
 import numpy as np
 
@@ -125,16 +124,24 @@ class DNormConfig:
         is sqrt(re.re + im.im) with the dot product ``np.linalg.norm`` uses,
         so it equals that function's result bit for bit.  A non-finite
         result (an overflowing l2 sum) raises ``InvalidInput`` as a
-        non-finite scalar component does.
+        non-finite scalar component does, and numpy's overflow warning is
+        silenced because the value is rejected anyway.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.norms_unchecked(a)
+        return require_finite(out)
+
+    def norms_unchecked(self, a: np.ndarray) -> np.ndarray:
+        """``norms`` without the finiteness check, for callers that judge it.
+
+        Numpy warns on overflow here unless the caller silences it.
         """
         if self.component_norm == "l2":
             re, im = a.real, a.imag
-            out = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
-        elif self.component_norm == "l1":
-            out = np.abs(a).sum(axis=-1)
-        else:
-            out = np.abs(a).max(axis=-1)
-        return require_finite(out)
+            return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+        if self.component_norm == "l1":
+            return np.abs(a).sum(axis=-1)
+        return np.abs(a).max(axis=-1)
 
     def component_value(self, v: np.ndarray) -> float:
         return float(self.norms(v))
@@ -185,10 +192,9 @@ def seminorm_eval(p: DSeminorm, x: BCVector) -> DPlus:
     T = p.T
     if T.cols != x.dim:
         raise DimensionMismatch(f"operator has {T.cols} columns, vector has dim {x.dim}")
-    return DPlus(
-        p.codomain.component_value(T.m1 @ x.v1),
-        p.codomain.component_value(T.m2 @ x.v2),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # its norm rejects an overflow
+        y1, y2 = T.m1 @ x.v1, T.m2 @ x.v2
+    return DPlus(p.codomain.component_value(y1), p.codomain.component_value(y2))
 
 
 def _check_block_dim(T: "BCMatrix", b1: np.ndarray, b2: np.ndarray) -> None:
@@ -205,7 +211,9 @@ def seminorm_rows(p: DSeminorm, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     """
     T = p.T
     _check_block_dim(T, b1, b2)
-    return dnorm_rows(b1 @ T.m1.T, b2 @ T.m2.T, p.codomain)
+    with np.errstate(over="ignore", invalid="ignore"):  # its norm rejects an overflow
+        y1, y2 = b1 @ T.m1.T, b2 @ T.m2.T
+    return dnorm_rows(y1, y2, p.codomain)
 
 
 def seminorm_terms(p: DSeminorm, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
@@ -217,9 +225,9 @@ def seminorm_terms(p: DSeminorm, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     """
     T = p.T
     _check_block_dim(T, b1, b2)
-    return dnorm_rows(
-        (T.m1 @ b1[..., None])[..., 0], (T.m2 @ b2[..., None])[..., 0], p.codomain
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # its norm rejects an overflow
+        y1, y2 = (T.m1 @ b1[..., None])[..., 0], (T.m2 @ b2[..., None])[..., 0]
+    return dnorm_rows(y1, y2, p.codomain)
 
 
 def v_alpha_member(p: DSeminorm, x: BCVector, alpha: DPlus) -> bool:
@@ -290,6 +298,87 @@ def _as_tol(tol) -> DPlus:
     return tol
 
 
+#: Terms ``series_sum`` pulls at first; each further chunk is twice as
+#: long, up to ``_SERIES_CHUNK_MAX``, which bounds the terms held at once.
+_SERIES_CHUNK = 32
+_SERIES_CHUNK_MAX = 1024
+
+
+class _SeriesRows(NamedTuple):
+    """Running quantities of a block of stacked terms; index i is its i-th term."""
+
+    s1: np.ndarray  # (k, n) partial sums, e1 component
+    s2: np.ndarray  # (k, n) partial sums, e2 component
+    term_norms: np.ndarray  # (2, k) ||x_i||_D
+    abs_sums: np.ndarray  # (2, k) running sums of the term norms
+    partial_norms: np.ndarray  # (2, k) ||s_i||_D
+    tails: np.ndarray  # (2, k) sums of the last ``window`` term norms
+    recent: np.ndarray  # (2, window - 1) the last term norms, zeros before x_1
+
+
+def _series_rows(
+    b1: np.ndarray, b2: np.ndarray, window: int, prev: _SeriesRows | None = None
+) -> _SeriesRows:
+    """The running quantities of the terms stacked in b1 and b2, unchecked.
+
+    ``prev``, the rows of the block before, continues its sums.  Each value
+    is the one a term-by-term loop reaches: partial sums add in order from
+    x_1 (``cumsum``), running sums from 0.0 (the norms are never -0.0, so
+    the start drops out), and each trailing-window tail adds the last
+    ``window`` norms left to right from 0, as ``sum`` does.  Non-finite
+    values are left for the caller to reject, without numpy's warnings.
+    """
+    k = b1.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        term_norms = np.stack((_L2.norms_unchecked(b1), _L2.norms_unchecked(b2)))
+        if prev is None:
+            s1 = np.cumsum(b1, axis=0)
+            s2 = np.cumsum(b2, axis=0)
+            running, recent = np.zeros((2, 1)), np.zeros((2, window - 1))
+        else:
+            s1 = np.cumsum(np.concatenate((prev.s1[-1:], b1)), axis=0)[1:]
+            s2 = np.cumsum(np.concatenate((prev.s2[-1:], b2)), axis=0)[1:]
+            running, recent = prev.abs_sums[:, -1:], prev.recent
+        abs_sums = np.cumsum(np.concatenate((running, term_norms), axis=1), axis=1)[:, 1:]
+        partial_norms = np.stack((_L2.norms_unchecked(s1), _L2.norms_unchecked(s2)))
+        padded = np.concatenate((recent, term_norms), axis=1)
+        tails = np.zeros((2, k))
+        for offset in range(window):
+            tails = tails + padded[:, offset : offset + k]
+    return _SeriesRows(s1, s2, term_norms, abs_sums, partial_norms, tails, padded[:, k:])
+
+
+def _settled_at(rows: _SeriesRows, tol: DPlus, window: int, before: int) -> int | None:
+    """The number of terms of the block summed when the series first settles.
+
+    It settles at the first term where the trailing window is full and its
+    tail is at most ``tol`` componentwise; None if no term of the block
+    does.  ``before`` terms precede the block.  A term before that point
+    that a term-by-term loop rejects raises that loop's error instead: a
+    non-finite partial sum first, then a non-finite term norm, running sum
+    or partial-sum norm.  (A partial sum can be non-finite before a norm
+    only if a term was built around ``BCVector``'s checks.)
+    """
+    s1, s2 = rows.s1, rows.s2
+    finite = np.isfinite(s1).all(axis=1) & np.isfinite(s2).all(axis=1)
+    for values in (rows.term_norms, rows.abs_sums, rows.partial_norms):
+        finite &= np.isfinite(values).all(axis=0)
+    settled = (rows.tails <= np.array([[tol.a1], [tol.a2]])).all(axis=0)
+    settled[: max(0, window - 1 - before)] = False  # the window is not full yet
+    hits = np.flatnonzero(settled | ~finite)
+    if not hits.size:
+        return None
+    i = int(hits[0])
+    if not finite[i]:
+        # s_1 is x_1 itself; every later partial sum is built as a vector
+        for comp, s in (("e1", s1), ("e2", s2)):
+            if before + i and not np.isfinite(s[i]).all():
+                raise InvalidInput(f"{comp} component contains non-finite entries")
+        for values in (rows.term_norms, rows.abs_sums, rows.partial_norms):
+            require_finite(values[:, i])
+    return i + 1
+
+
 def series_sum(
     terms: Iterable[BCVector],
     tol,
@@ -303,6 +392,15 @@ def series_sum(
     dropped below ``tol`` componentwise, or the term sequence was exhausted,
     in which case the finite sum is exact.  Hitting the cap first raises
     ``NotConverged`` carrying the report.
+
+    Terms are pulled in chunks (32, then twice as many each time up to
+    1024, never past the cap) and summed as blocks by ``_series_rows``, so
+    only one chunk of terms is held at a time.  The report, or the
+    exception and its message, is the one a term-by-term loop gives: a
+    dimension mismatch, a non-finite partial sum or norm and an error
+    raised by ``terms`` itself surface at the term where they occur, and
+    only if the series has not settled before it.  Terms pulled past the
+    settling point are never used.
     """
     tol = _as_tol(tol)
     if max_n < 1:
@@ -311,51 +409,62 @@ def series_sum(
         raise InvalidInput(f"window must be >= 1, got {window}")
 
     it = iter(terms)
-    s: BCVector | None = None
-    running = DPlus(0.0, 0.0)
-    cauchy_margin = DPlus(0.0, 0.0)
+    n = 0
+    dim = None
+    rows: _SeriesRows | None = None
     partial_norms: list[DPlus] = []
     abs_sums: list[DPlus] = []
-    recent: deque[DPlus] = deque(maxlen=window)
-    converged = False
-    n = 0
-
-    while n < max_n:
-        x = next(it, None)
-        if x is None:
-            # finite series: the accumulated sum is the exact total
-            converged = s is not None
-            break
-        if s is None:
-            s = x
-        else:
-            if x.dim != s.dim:
-                raise DimensionMismatch(f"term {n} has dim {x.dim}, expected {s.dim}")
-            s = s + x
-        n += 1
-        t_norm = vec_dnorm(x)
-        running = DPlus(running.a1 + t_norm.a1, running.a2 + t_norm.a2)
-        recent.append(t_norm)
-        partial_norms.append(vec_dnorm(s))
-        abs_sums.append(running)
-        tail = DPlus(sum(t.a1 for t in recent), sum(t.a2 for t in recent))
-        cauchy_margin = DPlus(max(cauchy_margin.a1, tail.a1), max(cauchy_margin.a2, tail.a2))
-        if len(recent) == window and hyp_leq(tail, tol):
+    cauchy_margin = np.zeros(2)
+    used = 0  # terms of the last block in the sum
+    cut: Exception | None = None  # what ends the terms early, raised if reached
+    exhausted = False
+    size = _SERIES_CHUNK
+    while True:
+        chunk: list[BCVector] = []
+        while len(chunk) < min(size, max_n - n) and cut is None and not exhausted:
+            try:
+                x = next(it, None)
+            except Exception as exc:  # the iterable failed on this term
+                cut = exc
+                break
+            if x is None:
+                exhausted = True
+            elif dim is not None and x.dim != dim:
+                cut = DimensionMismatch(f"term {n + len(chunk)} has dim {x.dim}, expected {dim}")
+            else:
+                dim = x.dim
+                chunk.append(x)
+        settled = None
+        if chunk:
+            rows = _series_rows(
+                np.stack([x.v1 for x in chunk]), np.stack([x.v2 for x in chunk]), window, rows
+            )
+            settled = _settled_at(rows, tol, window, n)
+            used = settled or len(chunk)
+            partial_norms += _dplus_list(rows.partial_norms[:, :used])
+            abs_sums += _dplus_list(rows.abs_sums[:, :used])
+            cauchy_margin = np.maximum(cauchy_margin, rows.tails[:, :used].max(axis=1))
+            n += used
+        if settled is not None:
             converged = True
             break
-
-    if s is None:
-        raise InvalidInput("empty series")
-    if not converged and n == max_n and next(it, None) is None:
-        converged = True  # sequence ended exactly at the cap: finite sum is exact
+        if cut is not None:
+            raise cut
+        if rows is None:
+            raise InvalidInput("empty series")
+        if exhausted or n == max_n:
+            # a finite sum is exact, also when the sequence ends at the cap
+            converged = exhausted or next(it, None) is None
+            break
+        size = min(2 * size, _SERIES_CHUNK_MAX)
 
     report = SeriesReport(
         n_terms=n,
         converged=converged,
-        limit=s if converged else None,
+        limit=BCVector(rows.s1[used - 1], rows.s2[used - 1]) if converged else None,
         partial_norms=partial_norms,
         abs_sums=abs_sums,
-        cauchy_margin=cauchy_margin,
+        cauchy_margin=DPlus(*cauchy_margin.tolist()),
         tol=tol,
         window=window,
     )
@@ -394,22 +503,17 @@ def abs_summability_check(
             raise DimensionMismatch(f"term {k} has dim {x.dim}, expected {dim}")
     n_terms = len(xs)
 
-    b1 = np.stack([x.v1 for x in xs])
-    b2 = np.stack([x.v2 for x in xs])
+    rows = _series_rows(np.stack([x.v1 for x in xs]), np.stack([x.v2 for x in xs]), window)
+    # a non-finite term norm, running sum or partial-sum norm, in that order
+    require_finite(rows.term_norms)
+    abs_sums = require_finite(rows.abs_sums)
+    partial_norms = require_finite(rows.partial_norms)
+    tails = rows.tails
     # row n of the partial sums is s_n = ((0 + x_0) + x_1) + ... + x_n;
     # cumsum adds in that order, and adding +0.0 restores the zero start
     # (it turns a -0.0 that the start would have absorbed into +0.0)
-    s1 = np.cumsum(b1, axis=0) + 0.0
-    s2 = np.cumsum(b2, axis=0) + 0.0
-    term_norms = dnorm_rows(b1, b2)
-    abs_sums = require_finite(np.cumsum(term_norms, axis=1))
-    partial_norms = dnorm_rows(s1, s2)
-
-    # trailing-window tails, summed left to right from 0 as in sum(...)
-    padded = np.concatenate((np.zeros((2, window - 1)), term_norms), axis=1)
-    tails = np.zeros((2, n_terms))
-    for offset in range(window):
-        tails = tails + padded[:, offset : offset + n_terms]
+    s1 = rows.s1 + 0.0
+    s2 = rows.s2 + 0.0
     cauchy_margin = DPlus(*np.maximum(0.0, tails.max(axis=1)).tolist())
     final_tail = DPlus(*tails[:, -1].tolist()) if n_terms >= window else None
     # verdict at the cap: exhausted sequences are finite sums, otherwise the

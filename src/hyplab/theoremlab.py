@@ -22,7 +22,10 @@ report in which every inequality of the chain has been evaluated:
 
 Randomness is drawn from named counter-based streams keyed by
 (seed, check name, trial index), so reports are byte-reproducible and
-independent of evaluation order.
+independent of evaluation order.  ``check_stream`` opens one such stream;
+a sample block takes one Philox generator per call and, before each row,
+resets its state to the fresh state of that row's stream, so the rows
+hold exactly what one ``check_stream`` per row would draw.
 
 The sampled checks are evaluated in blocks: row i of a (samples, n) block
 per component is the vector drawn from stream i, every operator is applied
@@ -94,12 +97,18 @@ REMAINDER_FLOOR = 1e-300
 _MASK64 = (1 << 64) - 1
 
 
+def _stream_key(seed: int, name: str, trial: int) -> tuple[int, int]:
+    """The Philox key of stream (seed, name, trial): two unsigned 64-bit words.
+
+    The seed is taken modulo 2^64 and the trial index modulo 2^32; the
+    CRC-32 of the name fills the high half of the second word.
+    """
+    return seed & _MASK64, ((zlib.crc32(name.encode()) << 32) ^ (trial & 0xFFFFFFFF)) & _MASK64
+
+
 def check_stream(seed: int, name: str, trial: int = 0) -> np.random.Generator:
     """Counter-based random stream keyed by (seed, check name, trial index)."""
-    key = np.array(
-        [seed & _MASK64, ((zlib.crc32(name.encode()) << 32) ^ (trial & 0xFFFFFFFF)) & _MASK64],
-        dtype=np.uint64,
-    )
+    key = np.array(_stream_key(seed, name, trial), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -107,12 +116,20 @@ def _draws(seed: int, name: str, count: int, width: int, uniform: bool = False) 
     """Row i holds ``width`` standard normals from check_stream(seed, name, i).
 
     With ``uniform`` the row ends with one further U(0, 1) draw from the
-    same stream.
+    same stream.  One Philox generator serves every row: before each row
+    its state is reset to what a fresh stream holds (the row's key, counter
+    0 and an empty buffer), so the row draws exactly what
+    ``check_stream(seed, name, i)`` would.  The generator belongs to this
+    call, so concurrent calls never share a stream.
     """
     out = np.empty((count, width + uniform))
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state
     for i in range(count):
-        rng = check_stream(seed, name, i)
-        out[i, :width] = rng.standard_normal(width)
+        fresh["state"]["key"] = _stream_key(seed, name, i)
+        bitgen.state = fresh
+        rng.standard_normal(out=out[i, :width])
         if uniform:
             out[i, width] = rng.uniform(0.0, 1.0)
     return out
@@ -660,23 +677,25 @@ def zabreiko_decompose(
     u = x0
     steps = 0
     capped = True
-    while steps < max_n:
-        if steps == size:
-            size = min(max_n, max(_STEP_CHUNK, 2 * size))
-            epsilons, pitches = _schedule(eps0, ratio, r, denom, size)
-            terms = _extend(terms, size)
-            rems = _extend(rems, size)
-        xk = _quantize(u, pitches[steps])
-        terms[:, steps] = xk
-        u = rems[:, steps] = u - xk
-        steps += 1
-        try:
-            un1, un2 = l2.norms(u).tolist()
-        except InvalidInput:
-            break  # a non-finite remainder, rejected below
-        if un1 <= REMAINDER_FLOOR and un2 <= REMAINDER_FLOOR:
-            capped = False
-            break
+    # a step that overflows ends the loop and is rejected below, so numpy's
+    # warnings about it are silenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        while steps < max_n:
+            if steps == size:
+                size = min(max_n, max(_STEP_CHUNK, 2 * size))
+                epsilons, pitches = _schedule(eps0, ratio, r, denom, size)
+                terms = _extend(terms, size)
+                rems = _extend(rems, size)
+            xk = _quantize(u, pitches[steps])
+            terms[:, steps] = xk
+            u = rems[:, steps] = u - xk
+            steps += 1
+            un1, un2 = l2.norms_unchecked(u).tolist()
+            if not (math.isfinite(un1) and math.isfinite(un2)):
+                break  # a non-finite remainder, rejected below
+            if un1 <= REMAINDER_FLOOR and un2 <= REMAINDER_FLOOR:
+                capped = False
+                break
 
     terms = terms[:, :steps].copy()
     rems = rems[:, :steps].copy()

@@ -5,22 +5,26 @@ the four-real multiplication table, power iteration on the Gram matrix,
 and the normal-equations route to minimum-norm solutions are the reference
 paths that the idempotent/SVD implementations are checked against.
 
-``oracle_dumps`` and ``oracle_zabreiko`` are reference implementations of
-emission and of the Zabreiko decomposition: a recursive serializer that
-formats one value at a time, and a step loop that builds one vector per
-term and remainder.  The library's type-dispatching ``dumps`` and its
-block-backed decomposition must reproduce their bytes.
+``oracle_dumps``, ``oracle_zabreiko`` and ``oracle_series_sum`` are
+reference implementations of emission, of the Zabreiko decomposition and
+of capped series summation: a recursive serializer that formats one value
+at a time, a step loop that builds one vector per term and remainder, and
+a loop that pulls, adds and measures one term at a time.  The library's
+type-dispatching ``dumps``, its block-backed decomposition and its
+block-backed ``series_sum`` must reproduce their bytes and their errors.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import deque
 
 import numpy as np
 
-from hyplab import BCMatrix, BCVector, Bicomplex, DPlus, InvalidInput
-from hyplab.dmodule import seminorm_eval, vec_dnorm
+from hyplab import BCMatrix, BCVector, Bicomplex, DimensionMismatch, DPlus, InvalidInput, NotConverged
+from hyplab.dmodule import SeriesReport, _as_tol, seminorm_eval, vec_dnorm
+from hyplab.hyperscalar import hyp_leq
 from hyplab.dop import op_dnorm
 from hyplab.theoremlab import REMAINDER_FLOOR, _holds, _within, _worst
 
@@ -250,3 +254,63 @@ def oracle_zabreiko(p, x: BCVector, m: DPlus, r: float, eps: DPlus, max_n: int) 
         "worst_remainder_margin": [worst_rem.a1, worst_rem.a2],
         "pass": all(checks.values()),
     }
+
+
+def oracle_series_sum(terms, tol, max_n: int, window: int = 3) -> SeriesReport:
+    """Capped series summation one term at a time: pull, add, measure, test."""
+    tol = _as_tol(tol)
+    if max_n < 1:
+        raise InvalidInput(f"max_n must be >= 1, got {max_n}")
+    if window < 1:
+        raise InvalidInput(f"window must be >= 1, got {window}")
+
+    it = iter(terms)
+    s = None
+    running = DPlus(0.0, 0.0)
+    cauchy_margin = DPlus(0.0, 0.0)
+    partial_norms, abs_sums = [], []
+    recent = deque(maxlen=window)
+    converged = False
+    n = 0
+
+    while n < max_n:
+        x = next(it, None)
+        if x is None:
+            converged = s is not None
+            break
+        if s is None:
+            s = x
+        else:
+            if x.dim != s.dim:
+                raise DimensionMismatch(f"term {n} has dim {x.dim}, expected {s.dim}")
+            s = s + x
+        n += 1
+        t_norm = vec_dnorm(x)
+        running = DPlus(running.a1 + t_norm.a1, running.a2 + t_norm.a2)
+        recent.append(t_norm)
+        partial_norms.append(vec_dnorm(s))
+        abs_sums.append(running)
+        tail = DPlus(sum(t.a1 for t in recent), sum(t.a2 for t in recent))
+        cauchy_margin = DPlus(max(cauchy_margin.a1, tail.a1), max(cauchy_margin.a2, tail.a2))
+        if len(recent) == window and hyp_leq(tail, tol):
+            converged = True
+            break
+
+    if s is None:
+        raise InvalidInput("empty series")
+    if not converged and n == max_n and next(it, None) is None:
+        converged = True
+
+    report = SeriesReport(
+        n_terms=n,
+        converged=converged,
+        limit=s if converged else None,
+        partial_norms=partial_norms,
+        abs_sums=abs_sums,
+        cauchy_margin=cauchy_margin,
+        tol=tol,
+        window=window,
+    )
+    if not converged:
+        raise NotConverged(f"series not converged after {n} terms", report)
+    return report

@@ -2,9 +2,14 @@
 evaluation, constant object counts, and tolerances that scale with the data."""
 
 import math
+import sys
+import threading
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hyplab.theoremlab as tl
 from hyplab import (
@@ -64,6 +69,82 @@ def test_second_vector_and_uniform_follow_in_the_same_stream():
             b1, b2 = tl._sample_rows(z, n, j)
             assert np.array_equal(b1[i], want.v1) and np.array_equal(b2[i], want.v2)
         assert z[i, -1] == u
+
+
+def _stream_rows(seed, name, count, width, uniform):
+    """What ``_draws`` must hold: one fresh ``check_stream`` per row."""
+    out = np.empty((count, width + uniform))
+    for i in range(count):
+        rng = check_stream(seed, name, i)
+        out[i, :width] = rng.standard_normal(width)
+        if uniform:
+            out[i, width] = rng.uniform(0.0, 1.0)
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(-(2**70), 2**70) | st.sampled_from([-1, 0, 2**63, 2**64 - 1, 2**64]),
+    name=st.text(max_size=8) | st.sampled_from(["lemma31/seq", "omt-verify", "ßallscale/δ", "ubp 検証"]),
+    count=st.integers(0, 50),
+    width=st.integers(0, 64),
+    uniform=st.booleans(),
+)
+@example(seed=-(2**63), name="é", count=50, width=64, uniform=True)
+def test_draws_rows_are_the_check_streams_bit_for_bit(seed, name, count, width, uniform):
+    got = tl._draws(seed, name, count, width, uniform)
+    want = _stream_rows(seed, name, count, width, uniform)
+    assert got.shape == want.shape == (count, width + uniform)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_stream_key_wraps_the_trial_index_at_32_bits():
+    crc = zlib.crc32("lemma31".encode())
+    assert tl._stream_key(7, "lemma31", 5) == (7, (crc << 32) ^ 5)
+    assert tl._stream_key(-1, "lemma31", -1) == (2**64 - 1, (crc << 32) | 0xFFFFFFFF)
+    for trial in (2**32, 2**32 + 5, 3 * 2**32 + 5, 2**40 + 5):
+        assert tl._stream_key(7, "lemma31", trial) == tl._stream_key(7, "lemma31", trial % 2**32)
+        a = check_stream(7, "lemma31", trial).standard_normal(4)
+        b = check_stream(7, "lemma31", trial % 2**32).standard_normal(4)
+        assert a.tobytes() == b.tobytes()
+    assert tl._stream_key(2**64 + 7, "x", 0) == tl._stream_key(7, "x", 0)
+
+
+def test_draws_in_concurrent_threads_match_the_serial_result():
+    jobs = [(11, "lemma31", 300, 16, False), (12, "ballscale", 300, 12, True)] * 3
+    want = [tl._draws(*job).tobytes() for job in jobs]
+    got = [[] for _ in jobs]
+
+    def work(k):
+        for _ in range(5):
+            got[k].append(tl._draws(*jobs[k]).tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 5 for w in want]
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 400])
+def test_draws_builds_one_bit_generator_per_call(monkeypatch, count):
+    built = []
+    real = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    tl._draws(3, "lemma31", count, 8, uniform=True)
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("norm", ["l2", "l1", "linf"])

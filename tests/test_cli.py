@@ -445,6 +445,40 @@ def test_error_envelope_keeps_inputs_digest(tmp_path, capsys):
     assert code == 2 and doc["inputs_digest"] == ""
 
 
+def _rejected_quietly(argv, message):
+    """Run the CLI in a child that shows every warning; expect one exit-2
+    envelope on stdout and only the one summary line on stderr."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "hyplab.cli", *argv],
+        capture_output=True, env=env, timeout=120, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"hyplab: InvalidInput: {message}\n"
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert lines[0] == dumps(doc)
+    assert doc["payload"] == {"error": {"kind": "InvalidInput", "message": message}}
+    assert doc["pass"] is False and len(doc["inputs_digest"]) == 64
+
+
+def test_subnormal_eps_is_rejected_without_numpy_warnings(tmp_path):
+    mat = write(tmp_path, "T.json", matrix_to_json(random_mat(np.random.default_rng(19), 3, 3)))
+    xf = write(tmp_path, "x.json", vector_to_json(BCVector([0.1, 0.0, 0.1], [0.0, 0.1, 0.1])))
+    argv = ["zabreiko", "--matrix", mat, "--x", xf, "--m", "100,100", "--r", "1", "--eps", "1e-310,1e-310"]
+    _rejected_quietly(argv, "e1 component contains non-finite entries")
+
+
+@pytest.mark.parametrize("command", ["lemma31", "ballscale"])
+def test_overflowing_norms_are_rejected_without_numpy_warnings(tmp_path, command):
+    T = random_mat(np.random.default_rng(20), 3, 3)
+    mat = write(tmp_path, "T.json", matrix_to_json(BCMatrix(T.m1 * 1e160, T.m2 * 1e160)))
+    _rejected_quietly([command, "--matrix", mat], "non-finite component inf rejected")
+
+
 @pytest.mark.parametrize(
     "rows",
     [

@@ -1,24 +1,41 @@
-"""Byte-level pins of emission and of the Zabreiko trace.
+"""Byte-level pins of emission, of the Zabreiko trace and of series sums.
 
 ``dumps`` dispatches on exact types and formats float lists with templates;
-``zabreiko_decompose`` runs its steps on blocks.  Both must print exactly
-what the one-value-at-a-time references in ``support`` print.
+``zabreiko_decompose`` runs its steps on blocks; ``series_sum`` pulls its
+terms in chunks and sums them as blocks.  Each must print, or raise,
+exactly what the one-value-at-a-time references in ``support`` do.
 """
 
 from __future__ import annotations
 
 import math
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyplab import BCVector, DPlus, DSeminorm, InvalidInput, op_dnorm, vec_dnorm, zabreiko_decompose
+import hyplab.cli as cli
+import hyplab.theoremlab as tl
+from hyplab import (
+    BCVector,
+    Bicomplex,
+    DPlus,
+    DSeminorm,
+    InvalidInput,
+    NotConverged,
+    countable_subadd_check,
+    geometric_terms,
+    op_dnorm,
+    series_sum,
+    vec_dnorm,
+    zabreiko_decompose,
+)
 from hyplab.jsonio import dumps
 
-from support import oracle_dumps, oracle_zabreiko, random_mat, random_vec
+from support import oracle_dumps, oracle_series_sum, oracle_zabreiko, random_mat, random_vec
 
 # ------------------------------------------------------------------ dumps
 
@@ -187,3 +204,190 @@ def test_trace_blocks_are_read_only():
     assert not np.shares_memory(first.v1, trace.term_block)
     assert trace.x_terms[-1].v2.tolist() == trace.term_block[1, -1].tolist()
     assert [e.a1 for e in trace.epsilons[:2]] == trace.epsilon_block[0, :2].tolist()
+
+
+# ----------------------------------------------------------------- series
+
+
+def _report_outcome(run):
+    try:
+        report = run()
+    except NotConverged as exc:
+        return "NotConverged", str(exc), dumps(exc.report.to_json_dict())
+    except Exception as exc:  # the same exception is part of the contract
+        return type(exc).__name__, str(exc)
+    return "ok", dumps(report.to_json_dict())
+
+
+def assert_series_matches_oracle(make_terms, tol=1e-12, max_n=200, window=3):
+    """``make_terms()`` gives a fresh iterable for each implementation."""
+    got = _report_outcome(lambda: series_sum(make_terms(), tol, max_n, window))
+    assert got == _report_outcome(lambda: oracle_series_sum(make_terms(), tol, max_n, window))
+    return got
+
+
+def _raw_vector(v1, v2) -> BCVector:
+    """A vector built around the constructor's finiteness check."""
+    v = BCVector.__new__(BCVector)
+    object.__setattr__(v, "v1", np.array(v1, dtype=complex))
+    object.__setattr__(v, "v2", np.array(v2, dtype=complex))
+    return v
+
+
+def _failing_after(terms, exc):
+    yield from terms
+    raise exc
+
+
+SPECIAL_ENTRIES = np.array([0.0, -0.0, 5e-324, 1e-160])
+HUGE_ENTRIES = np.array([1.3e154, -1.3e154, 1e200, 1.7976931348623157e308])
+
+
+@st.composite
+def series_cases(draw):
+    """Term lists that settle, run to the cap, end early, overflow or change dim.
+
+    Hypothesis picks the shape, the tolerance and where a list ends, changes
+    dimension or holds a huge term; the entries come from a seeded generator.
+    """
+    dim = draw(st.integers(1, 3))
+    decay = draw(st.sampled_from([1.0, 0.9, 0.5, 1e-3, 0.0]))
+    events = draw(st.dictionaries(st.integers(0, 79), st.sampled_from(["end", "dim", "huge"]), max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    terms = []
+    for k in range(draw(st.integers(0, 80))):
+        event = events.get(k)
+        if event == "end":
+            terms.append(None)  # ends the series like an exhausted iterator
+            continue
+        shape = (2, 2, dim + 1 if event == "dim" else dim)  # (re/im, e1/e2, entries)
+        parts = rng.uniform(-2.0, 2.0, shape)
+        special = rng.random(shape) < 0.2
+        parts[special] = rng.choice(SPECIAL_ENTRIES, special.sum())
+        if event == "huge":
+            parts = rng.choice(HUGE_ENTRIES, shape)
+        z = np.empty(shape[1:], dtype=complex)
+        z.real, z.imag = parts
+        with np.errstate(under="ignore"):
+            terms.append(BCVector(*(z * decay ** min(k, 2000))))
+    tols = st.sampled_from([1e-300, 1e-12, 1e-3, 1.0, 1e300])
+    tol = DPlus(draw(tols), draw(tols))
+    return terms, tol, draw(st.integers(1, 100)), draw(st.integers(1, 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_cases(), st.booleans())
+def test_series_sum_matches_term_loop(case, as_iterator):
+    terms, tol, max_n, window = case
+    make = (lambda: iter(list(terms))) if as_iterator else (lambda: list(terms))
+    assert_series_matches_oracle(make, tol, max_n, window)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 4, 5, 40])  # 40 spans the first chunk
+def test_series_sum_geometric_generators(window):
+    x0 = BCVector([1.0, -0.0, 2 - 1j], [0.5j, 1e-3, -0.0])
+    kinds = set()
+    for ratio in ((0.5, 0.25), (0.9j, -0.95), (0.999, 0.5), (1.0, 0.5), (1.5, 0.1), (0.0, 0.0)):
+        for max_n in (1, 2, 31, 32, 33, 200, 1000, 3000):  # chunks stop growing at 1024
+            outcome = assert_series_matches_oracle(
+                lambda: geometric_terms(Bicomplex(*ratio), x0), DPlus(1e-12, 1e-9), max_n, window
+            )
+            kinds.add(outcome[0])
+    assert kinds == {"ok", "NotConverged", "InvalidInput"}  # 1.5^k overflows before 1000 terms
+
+
+def test_series_sum_edge_cases():
+    one = BCVector([1.0, -0.0], [-0.0, 2.0])
+    big = BCVector([1.3e154, 0.0], [0.0, 0.0])
+    tiny = BCVector([1e-20, 0.0], [0.0, 1e-20])
+    cases = {
+        "empty": lambda: [],
+        "empty iterator": lambda: iter(()),
+        "none first": lambda: [None, one],
+        "one term keeps -0.0": lambda: [one],
+        "dim mismatch at 1": lambda: [one, BCVector([1.0], [1.0])],
+        "dim mismatch at 40": lambda: [one] * 40 + [BCVector([1.0], [1.0])],
+        "dim mismatch after settling": lambda: [one, tiny, tiny, tiny, BCVector([1.0], [1.0])],
+        "ends at the cap": lambda: [one] * 64,
+        "one past the cap": lambda: [one] * 65,
+        "term norm overflow first": lambda: [BCVector([1e200, 0.0], [0.0, 0.0])],
+        "term norm overflow in e2": lambda: [one] * 33 + [BCVector([0.0, 0.0], [1e200, 0.0])],
+        "partial-sum norm overflow": lambda: [one, big, big],
+        "overflow after settling": lambda: [one, tiny, tiny, tiny, big, big],
+        "non-finite e1 partial sum": lambda: [one, _raw_vector([np.inf, 0], [0, 0])],
+        "non-finite e2 partial sum": lambda: [one, _raw_vector([0, 0], [np.nan, 0])],
+        "non-finite first term": lambda: [_raw_vector([np.inf, 0], [0, 0])],
+        "non-finite sum opening a chunk": lambda: [one] * 32 + [_raw_vector([np.inf, 0], [0, 0])],
+        "raises at once": lambda: _failing_after([], RuntimeError("no terms")),
+        "raises before settling": lambda: _failing_after([one] * 40, ValueError("term 40")),
+        "raises after settling": lambda: _failing_after([one, tiny, tiny, tiny], ValueError("late")),
+        "raises after the cap": lambda: _failing_after([one] * 64, ValueError("past the cap")),
+    }
+    outcomes = {name: assert_series_matches_oracle(make, 1e-12, 64) for name, make in cases.items()}
+    assert outcomes["empty"] == ("InvalidInput", "empty series")
+    assert outcomes["dim mismatch at 40"] == ("DimensionMismatch", "term 40 has dim 1, expected 2")
+    assert outcomes["ends at the cap"][0] == "ok"
+    assert outcomes["one past the cap"][:2] == ("NotConverged", "series not converged after 64 terms")
+    assert outcomes["partial-sum norm overflow"] == ("InvalidInput", "non-finite component inf rejected")
+    assert outcomes["non-finite e1 partial sum"] == ("InvalidInput", "e1 component contains non-finite entries")
+    assert outcomes["non-finite e2 partial sum"] == ("InvalidInput", "e2 component contains non-finite entries")
+    assert outcomes["non-finite sum opening a chunk"] == outcomes["non-finite e1 partial sum"]
+    assert outcomes["raises before settling"] == ("ValueError", "term 40")
+    assert outcomes["raises after the cap"] == ("ValueError", "past the cap")
+    for name in ("dim mismatch after settling", "overflow after settling", "raises after settling"):
+        assert outcomes[name][0] == "ok", name
+    assert '"limit":{"dim":2,"e1":[[1,0],[-0,0]]' in outcomes["one term keeps -0.0"][1]
+    # a tail equal to the tolerance settles the series
+    half = BCVector([0.5], [0.5j])
+    settled = assert_series_matches_oracle(lambda: [half] * 10, DPlus(1.5, 1.5), 64)
+    assert settled[0] == "ok" and '"n_terms":3,' in settled[1]
+
+
+def test_series_sum_pulls_at_most_the_cap_plus_one():
+    pulled = []
+
+    def counted():
+        for k in range(10):
+            pulled.append(k)
+            yield BCVector([1.0], [1.0])
+
+    with pytest.raises(NotConverged):
+        series_sum(counted(), 1e-12, 5)
+    assert pulled == list(range(6))  # the cap, plus one pull to see whether it ended
+
+
+def test_subadd_reports_match_the_term_loop(monkeypatch):
+    rng = np.random.default_rng(41)
+    for n in (1, 4):
+        p = DSeminorm(random_mat(rng, n, n))
+        x0 = random_vec(rng, n)
+        for ratio, max_n in (((0.5, 0.3j), 200), ((0.95, -0.9), 200), ((0.9, 0.9), 40)):
+            terms = list(islice(geometric_terms(Bicomplex(*ratio), x0), 300))
+            for cap in (max_n, len(terms)):
+                outcomes = []
+                for fn in (series_sum, oracle_series_sum):
+                    monkeypatch.setattr(tl, "series_sum", fn)
+                    outcomes.append(_report_outcome(lambda: countable_subadd_check(p, terms, cap)))
+                assert outcomes[0] == outcomes[1]
+
+
+def test_cli_series_envelope_matches_the_term_loop(tmp_path, capsys, monkeypatch):
+    specs = [
+        {"kind": "geometric", "ratio": {"e1": [0.5, 0], "e2": [0.25, 0.1]},
+         "seed_vector": {"dim": 2, "e1": [[1, 0], [-0.0, 2]], "e2": [[1, 0], [0, -1]]}},
+        {"kind": "geometric", "ratio": {"e1": [1.0, 0], "e2": [1.0, 0]},
+         "seed_vector": {"dim": 1, "e1": [[1, 0]], "e2": [[1, 0]]}},
+        [{"dim": 1, "e1": [[1, 0]], "e2": [[2, 0]]}, {"dim": 1, "e1": [[1e200, 0]], "e2": [[0, 0]]}],
+        [{"dim": 1, "e1": [[1, 0]], "e2": [[2, 0]]}, {"dim": 2, "e1": [[1, 0], [0, 0]], "e2": [[0, 0], [0, 0]]}],
+    ]
+    for k, spec in enumerate(specs):
+        path = tmp_path / f"terms{k}.json"
+        path.write_text(dumps(spec))
+        for max_n in ("1", "10", "300"):
+            argv = ["series", "--terms", str(path), "--maxN", max_n]
+            outs = []
+            for fn in (series_sum, oracle_series_sum):
+                monkeypatch.setattr(cli, "series_sum", fn)
+                code = cli.run(argv)
+                outs.append((code, capsys.readouterr().out))
+            assert outs[0] == outs[1]
