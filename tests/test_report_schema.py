@@ -1,0 +1,255 @@
+"""Schema pins: the exact JSON of every report class, from hand-set fields.
+
+Each report is built from literal field values, with no kernel run, so the
+expected strings hold on every platform.  The values include -0.0, the
+smallest subnormal 5e-324, empty lists and the optional ``SeriesReport``
+fields left as None.  A serializer that reorders, renames, drops or adds a
+key, or formats a value differently, fails here.
+"""
+
+import numpy as np
+import pytest
+
+from hyplab import (
+    BallScaleReport,
+    BCVector,
+    ContinuityReport,
+    DPlus,
+    Hyperbolic,
+    OpenMapReport,
+    OperatorNormReport,
+    SeriesReport,
+    SolveReport,
+    SubaddReport,
+    SurjectivityReport,
+    UBPReport,
+    ZabreikoTrace,
+)
+from hyplab.cli import ReportEnvelope
+from hyplab.jsonio import dumps
+
+TINY = 5e-324
+
+
+def _block(*rows):
+    """A read-only (2, steps, n) complex block from per-component rows."""
+    a = np.array(rows, dtype=complex)
+    a.setflags(write=False)
+    return a
+
+
+def _reports():
+    yield "continuity", ContinuityReport(
+        check="lemma31",
+        seed=-3,
+        trials=1,
+        alpha_star=DPlus(-0.0, TINY),
+        all_ok=True,
+        sequence_ok=False,
+        witness_tight=True,
+        worst_margin=Hyperbolic(-1.5, 0.1),
+    ), (
+        '{"check":"lemma31","seed":-3,"trials":1,"alpha_star":[-0,4.9406564584124654e-324],'
+        '"all_ok":true,"sequence_ok":false,"witness_tight":true,'
+        '"worst_margin":[-1.5,0.10000000000000001],"pass":false}'
+    )
+    yield "subadd", SubaddReport(
+        check="subadd",
+        n_terms=0,
+        series_converged=True,
+        partial_ok=True,
+        limit_ok=True,
+        worst_margin=Hyperbolic(-0.0, -TINY),
+    ), (
+        '{"check":"subadd","n_terms":0,"series_converged":true,"partial_ok":true,'
+        '"limit_ok":true,"worst_margin":[-0,-4.9406564584124654e-324],"pass":true}'
+    )
+    yield "ballscale", BallScaleReport(
+        check="ballscale",
+        seed=0,
+        samples=2,
+        r=-0.0,
+        alpha=DPlus(1.0, 2.0),
+        deltas=[],
+        per_delta_ok=[],
+        worst_margin=Hyperbolic(0.0, 0.0),
+        closure_tol=TINY,
+    ), (
+        '{"check":"ballscale","seed":0,"samples":2,"r":-0,"alpha":[1,2],"deltas":[],'
+        '"per_delta_ok":[],"worst_margin":[0,0],"closure_tol":4.9406564584124654e-324,'
+        '"pass":true}'
+    )
+    yield "ballscale-deltas", BallScaleReport(
+        check="ballscale",
+        seed=7,
+        samples=1,
+        r=0.5,
+        alpha=DPlus(TINY, 1e308),
+        deltas=[0.5, -0.0],
+        per_delta_ok=[True, False],
+        worst_margin=Hyperbolic(1e-300, -2.0),
+        closure_tol=1e-9,
+    ), (
+        '{"check":"ballscale","seed":7,"samples":1,"r":0.5,'
+        '"alpha":[4.9406564584124654e-324,1e+308],"deltas":[0.5,-0],'
+        '"per_delta_ok":[true,false],"worst_margin":[1e-300,-2],'
+        '"closure_tol":1.0000000000000001e-09,"pass":false}'
+    )
+    yield "ubp", UBPReport(
+        check="ubp",
+        seed=1,
+        family_size=2,
+        samples=1,
+        pointwise_sups=[DPlus(-0.0, TINY), DPlus(3.0, 0.25)],
+        sup_opnorm=DPlus(3.0, 0.25),
+        bound_delta=DPlus(3.0, 0.25),
+        all_bounds_ok=True,
+        worst_margin=Hyperbolic(-0.0, 0.0),
+    ), (
+        '{"check":"ubp","seed":1,"family_size":2,"samples":1,'
+        '"pointwise_sups":[[-0,4.9406564584124654e-324],[3,0.25]],"sup_opnorm":[3,0.25],'
+        '"bound_delta":[3,0.25],"all_bounds_ok":true,"worst_margin":[-0,0],"pass":true}'
+    )
+    yield "ubp-empty", UBPReport(
+        check="ubp",
+        seed=1,
+        family_size=0,
+        samples=0,
+        pointwise_sups=[],
+        sup_opnorm=DPlus(0.0, 0.0),
+        bound_delta=DPlus(0.0, 0.0),
+        all_bounds_ok=False,
+        worst_margin=Hyperbolic(0.0, 0.0),
+    ), (
+        '{"check":"ubp","seed":1,"family_size":0,"samples":0,"pointwise_sups":[],'
+        '"sup_opnorm":[0,0],"bound_delta":[0,0],"all_bounds_ok":false,'
+        '"worst_margin":[0,0],"pass":false}'
+    )
+    yield "openmap", OpenMapReport(
+        check="omt-verify",
+        seed=2,
+        trials=3,
+        delta=DPlus(TINY, -0.0),
+        solve_ok=True,
+        bound_ok=True,
+        witness_ok=False,
+        witness_ratio=DPlus(1.0, 1.0),
+        subadd_ok=True,
+        worst_residual=DPlus(0.0, TINY),
+        worst_margin=Hyperbolic(-1e-17, 2.5),
+    ), (
+        '{"check":"omt-verify","seed":2,"trials":3,"delta":[4.9406564584124654e-324,-0],'
+        '"solve_ok":true,"bound_ok":true,"witness_ok":false,"witness_ratio":[1,1],'
+        '"subadd_ok":true,"worst_residual":[0,4.9406564584124654e-324],'
+        '"worst_margin":[-1.0000000000000001e-17,2.5],"pass":false}'
+    )
+    yield "opnorm", OperatorNormReport(
+        M=DPlus(-0.0, TINY),
+        sigma_max=(-0.0, TINY),
+        method="full-decomposition",
+        iterations=0,
+        tol=1e-10,
+    ), (
+        '{"M":[-0,4.9406564584124654e-324],"sigma_max":[-0,4.9406564584124654e-324],'
+        '"method":"full-decomposition","iterations":0,"tol":1e-10}'
+    )
+    yield "solve", SolveReport(
+        x=BCVector([complex(-0.0, TINY), 1 + 2j], [0j, complex(3.0, -0.0)]),
+        qy=DPlus(TINY, -0.0),
+        residual=DPlus(0.0, 0.0),
+        tol=DPlus(1e-10, 1e-10),
+    ), (
+        '{"x":{"dim":2,"e1":[[-0,4.9406564584124654e-324],[1,2]],"e2":[[0,0],[3,-0]]},'
+        '"qy":[4.9406564584124654e-324,-0],"residual":[0,0],'
+        '"tol":[1e-10,1e-10]}'
+    )
+    yield "surjectivity", SurjectivityReport(
+        surjective=False, rank_e1=0, rank_e2=3, rows=3, cols=5
+    ), '{"surjective":false,"rank_e1":0,"rank_e2":3,"rows":3,"cols":5}'
+    yield "series-bare", SeriesReport(
+        n_terms=0,
+        converged=False,
+        limit=None,
+        partial_norms=[],
+        abs_sums=[],
+        cauchy_margin=DPlus(-0.0, TINY),
+        tol=DPlus(1e-12, 1e-12),
+        window=3,
+    ), (
+        '{"n_terms":0,"converged":false,"limit":null,"partial_norms":[],"abs_sums":[],'
+        '"cauchy_margin":[-0,4.9406564584124654e-324],'
+        '"tol":[9.9999999999999998e-13,9.9999999999999998e-13],"window":3}'
+    )
+    yield "series-full", SeriesReport(
+        n_terms=2,
+        converged=True,
+        limit=BCVector([complex(-0.0, 0.5)], [complex(TINY, 0.0)]),
+        partial_norms=[DPlus(1.0, -0.0), DPlus(TINY, 2.0)],
+        abs_sums=[DPlus(1.0, 0.0), DPlus(1.5, 2.0)],
+        cauchy_margin=DPlus(0.5, 0.5),
+        tol=DPlus(0.25, 4.0),
+        window=1,
+        abs_converged=False,
+        cauchy_chain_ok=True,
+        chain_margin=Hyperbolic(-0.0, -TINY),
+    ), (
+        '{"n_terms":2,"converged":true,"limit":{"dim":1,"e1":[[-0,0.5]],'
+        '"e2":[[4.9406564584124654e-324,0]]},"partial_norms":[[1,-0],'
+        '[4.9406564584124654e-324,2]],"abs_sums":[[1,0],[1.5,2]],"cauchy_margin":[0.5,0.5],'
+        '"tol":[0.25,4],"window":1,"abs_converged":false,"cauchy_chain_ok":true,'
+        '"chain_margin":[-0,-4.9406564584124654e-324]}'
+    )
+    yield "zabreiko", ZabreikoTrace(
+        m=DPlus(50.0, 50.0),
+        r=1.0,
+        eps=DPlus(1.0, TINY),
+        alpha_star=DPlus(-0.0, 2.0),
+        x_norm=DPlus(0.5, 0.25),
+        px=DPlus(TINY, 0.0),
+        term_block=_block([[complex(-0.0, 0.5)]], [[complex(TINY, 1.0)]]),
+        remainder_block=_block([[0j]], [[complex(-TINY, -0.0)]]),
+        epsilon_block=np.array([[0.5, 0.02], [0.25, -0.0]]),
+        tail_block=np.array([[0.02], [TINY]]),
+        chain_exact=True,
+        term_bounds_ok=True,
+        remainder_bounds_ok=False,
+        final_bound_ok=True,
+        capped=False,
+        worst_term_margin=Hyperbolic(-0.0, -1.0),
+        worst_remainder_margin=Hyperbolic(TINY, -TINY),
+    ), (
+        '{"check":"zabreiko","m":[50,50],"r":1,"eps":[1,4.9406564584124654e-324],'
+        '"alpha_star":[-0,2],"x_norm":[0.5,0.25],"px":[4.9406564584124654e-324,0],'
+        '"n_steps":1,"capped":false,"epsilons":[[0.5,0.25],[0.02,-0]],'
+        '"tail_bounds":[[0.02,4.9406564584124654e-324]],'
+        '"x_terms":[{"dim":1,"e1":[[-0,0.5]],"e2":[[4.9406564584124654e-324,1]]}],'
+        '"remainders":[{"dim":1,"e1":[[0,0]],"e2":[[-4.9406564584124654e-324,-0]]}],'
+        '"chain_exact":true,"term_bounds_ok":true,"remainder_bounds_ok":false,'
+        '"final_bound_ok":true,"worst_term_margin":[-0,-1],'
+        '"worst_remainder_margin":[4.9406564584124654e-324,-4.9406564584124654e-324],'
+        '"pass":false}'
+    )
+    yield "envelope", ReportEnvelope(
+        subcommand="knorm",
+        inputs_digest="",
+        seed=-0,
+        payload={"error": {"kind": "InvalidInput", "message": "bad \"x\""}, "r": -0.0},
+        passed=False,
+    ), (
+        '{"tool":"hyplab","version":"0.1.0","subcommand":"knorm","inputs_digest":"",'
+        '"seed":0,"payload":{"error":{"kind":"InvalidInput","message":"bad \\"x\\""},'
+        '"r":-0},"pass":false}'
+    )
+
+
+CASES = list(_reports())
+
+
+def test_every_report_class_is_pinned():
+    pinned = {type(report) for _, report, _ in CASES}
+    assert len(pinned) == 11
+
+
+@pytest.mark.parametrize("report,expected", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_report_json_is_pinned(report, expected):
+    assert dumps(report.to_json_dict()) == expected
