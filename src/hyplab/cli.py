@@ -6,7 +6,7 @@ Every invocation writes exactly one JSON document to the output stream
     0  run completed and every checked property holds
     1  run completed but a checked property is violated
     2  invalid input (parse error, bad shape or dimension, bad literal)
-    3  numerical non-convergence (series cap or kernel iteration cap)
+    3  numerical non-convergence (series cap or SVD kernel failure)
     4  precondition violation (zero divisor, not surjective, budget
        precondition, right-hand side out of range, failed premise)
     5  internal error: an unexpected exception, a defect in hyplab; the
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .dmodule import DNormConfig, DSeminorm, abs_summability_check, series_sum, vec_dnorm
-from .dop import min_norm_solve, op_dnorm, open_mapping_delta, surjectivity_check
+from .dop import _check_tol, min_norm_solve, op_dnorm, open_mapping_delta, surjectivity_check
 from .errors import (
     DimensionMismatch,
     EmptySet,
@@ -85,18 +85,6 @@ _PRECOND = (
     NotInRange,
     EmptySet,
 )
-
-
-@dataclass
-class CliConfig:
-    """Common options resolved for one invocation."""
-
-    subcommand: str
-    tol: float
-    seed: int
-    max_n: int
-    output: str | None
-    fmt: str
 
 
 @dataclass
@@ -260,31 +248,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args, seed: int) -> CliConfig:
-    cfg = CliConfig(
-        subcommand=args.command,
-        tol=args.tol,
-        seed=seed,
-        max_n=args.max_n,
-        output=args.output,
-        fmt=args.fmt,
-    )
-    if cfg.tol <= 0:
-        raise InvalidInput(f"tol must be positive, got {cfg.tol}")
-    if cfg.max_n < 1:
-        raise InvalidInput(f"maxN must be >= 1, got {cfg.max_n}")
-    return cfg
+def _check_common(args) -> None:
+    """Reject a --tol that is not a finite positive number and a --maxN below 1."""
+    _check_tol(args.tol)
+    if args.max_n < 1:
+        raise InvalidInput(f"maxN must be >= 1, got {args.max_n}")
 
 
-def _dispatch(args, cfg: CliConfig, envelope: ReportEnvelope):
+def _dispatch(args, envelope: ReportEnvelope):
     """Run one subcommand; returns (payload, passed).
 
     Once the inputs are parsed, their digest goes into ``envelope``, so an
     error raised by the computation still reports which inputs it saw.
     """
     cmd = args.command
-    fmt = cfg.fmt
-    seed = cfg.seed
+    fmt = args.fmt
+    seed = envelope.seed
 
     def parsed(inputs: dict) -> None:
         envelope.inputs_digest = digest(inputs)
@@ -312,8 +291,8 @@ def _dispatch(args, cfg: CliConfig, envelope: ReportEnvelope):
 
     if cmd == "opnorm":
         T = parse_matrix(load_json(args.matrix))
-        parsed({"matrix": matrix_to_json(T), "tol": cfg.tol})
-        rep = op_dnorm(T, tol=cfg.tol)
+        parsed({"matrix": matrix_to_json(T), "tol": args.tol})
+        rep = op_dnorm(T, tol=args.tol)
         payload = rep.to_json_dict()
         payload["M"] = scalar_to_json(rep.M, fmt)
         return payload, True
@@ -321,27 +300,27 @@ def _dispatch(args, cfg: CliConfig, envelope: ReportEnvelope):
     if cmd == "solve":
         T = parse_matrix(load_json(args.matrix))
         y = parse_vector(load_json(args.y))
-        parsed({"matrix": matrix_to_json(T), "y": vector_to_json(y), "tol": cfg.tol})
-        return min_norm_solve(T, y, tol=cfg.tol).to_json_dict(), True
+        parsed({"matrix": matrix_to_json(T), "y": vector_to_json(y), "tol": args.tol})
+        return min_norm_solve(T, y, tol=args.tol).to_json_dict(), True
 
     if cmd == "omc":
         T = parse_matrix(load_json(args.matrix))
-        parsed({"matrix": matrix_to_json(T), "tol": cfg.tol})
-        delta = open_mapping_delta(T, tol=cfg.tol)
-        srep = surjectivity_check(T, tol=cfg.tol)
+        parsed({"matrix": matrix_to_json(T), "tol": args.tol})
+        delta = open_mapping_delta(T, tol=args.tol)
+        srep = surjectivity_check(T, tol=args.tol)
         return {"delta": scalar_to_json(delta, fmt), "surjectivity": srep.to_json_dict()}, True
 
     if cmd == "series":
         raw = load_json(args.terms)
         tol = parse_hyp_literal(args.series_tol)
-        parsed({"terms": raw, "series_tol": [tol.a1, tol.a2], "maxN": cfg.max_n})
+        parsed({"terms": raw, "series_tol": [tol.a1, tol.a2], "maxN": args.max_n})
         if args.abs_check:
-            rep = abs_summability_check(parse_series(raw), cfg.max_n, tol)
+            rep = abs_summability_check(parse_series(raw), args.max_n, tol)
             passed = bool(rep.abs_converged and rep.cauchy_chain_ok)
             if not rep.abs_converged:
                 raise NotConverged("absolute sums not settled at the cap", rep)
             return rep.to_json_dict(), passed
-        rep = series_sum(parse_series(raw), tol, cfg.max_n)
+        rep = series_sum(parse_series(raw), tol, args.max_n)
         return rep.to_json_dict(), rep.converged
 
     if cmd == "zabreiko":
@@ -355,9 +334,9 @@ def _dispatch(args, cfg: CliConfig, envelope: ReportEnvelope):
             "m": [m.a1, m.a2],
             "r": args.r,
             "eps": [eps.a1, eps.a2],
-            "maxN": cfg.max_n,
+            "maxN": args.max_n,
         })
-        trace = zabreiko_decompose(DSeminorm(T), x, m, args.r, eps, cfg.max_n)
+        trace = zabreiko_decompose(DSeminorm(T), x, m, args.r, eps, args.max_n)
         return trace.to_json_dict(), trace.passed
 
     if cmd == "ubp":
@@ -389,16 +368,16 @@ def _dispatch(args, cfg: CliConfig, envelope: ReportEnvelope):
             "matrix": matrix_to_json(T),
             "terms": raw,
             "series_tol": [tol.a1, tol.a2],
-            "maxN": cfg.max_n,
+            "maxN": args.max_n,
         })
-        rep = countable_subadd_check(DSeminorm(T), parse_series(raw), cfg.max_n, tol)
+        rep = countable_subadd_check(DSeminorm(T), parse_series(raw), args.max_n, tol)
         return rep.to_json_dict(), rep.passed
 
     if cmd == "ballscale":
         T = parse_matrix(load_json(args.matrix))
         p = DSeminorm(T)
         if args.alpha is None:
-            alpha = op_dnorm(T, tol=cfg.tol).M * args.r
+            alpha = op_dnorm(T, tol=args.tol).M * args.r
         else:
             alpha = parse_hyp_literal(args.alpha)
         try:
@@ -446,8 +425,8 @@ def run(argv=None) -> int:
     )
     try:
         envelope.seed = _resolve_seed(args)
-        cfg = _config(args, envelope.seed)
-        envelope.payload, envelope.passed = _dispatch(args, cfg, envelope)
+        _check_common(args)
+        envelope.payload, envelope.passed = _dispatch(args, envelope)
         _emit(envelope, args.output)
         return EXIT_PASS if envelope.passed else EXIT_CHECK_FAILED
     except Exception as exc:

@@ -18,11 +18,19 @@ component, and ``seminorm_terms`` after one matrix-vector product per row.
 ``complex_pairs`` is the one emitter of complex entries: it turns an array
 of any shape into nested ``[re, im]`` lists of plain floats.  The vector
 documents of reports and of ``jsonio`` are built from it by ``vector_docs``.
+
+``Report`` is the one report encoder.  A report dataclass that inherits it
+gets a ``to_json_dict`` that walks its fields in declaration order, writes
+a hyperbolic value as ``[a1, a2]``, a vector as its ``vector_doc`` and a
+list or tuple element by element, and ends with ``"pass"`` when the class
+has a ``passed`` property.  Only reports whose keys do not follow their
+fields (``SeriesReport``, the Zabreiko trace and the CLI envelope) write
+their own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator, Literal, NamedTuple
 
@@ -76,10 +84,17 @@ class BCVector:
         return cls(np.zeros(n, dtype=complex), np.zeros(n, dtype=complex))
 
     def scale(self, mu) -> "BCVector":
-        """Scale by a bicomplex, complex, or real scalar."""
-        if isinstance(mu, Bicomplex):
-            return BCVector(mu.z1 * self.v1, mu.z2 * self.v2)
-        return BCVector(mu * self.v1, mu * self.v2)
+        """Scale by a bicomplex, complex, or real scalar.
+
+        A product that overflows is rejected by the constructor as a
+        non-finite entry, so numpy's overflow warning is silenced.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            if isinstance(mu, Bicomplex):
+                v1, v2 = mu.z1 * self.v1, mu.z2 * self.v2
+            else:
+                v1, v2 = mu * self.v1, mu * self.v2
+        return BCVector(v1, v2)
 
     def __add__(self, other):
         if isinstance(other, BCVector):
@@ -245,8 +260,30 @@ def v_alpha_member_closed(
     return hyp_leq(seminorm_eval(p, x), DPlus(alpha.a1 + tol, alpha.a2 + tol))
 
 
+class Report:
+    """Base of the report dataclasses: their one JSON encoder."""
+
+    def to_json_dict(self) -> dict:
+        """The fields in order, then ``"pass"`` if the class has ``passed``."""
+        d = {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+        if isinstance(getattr(type(self), "passed", None), property):
+            d["pass"] = self.passed
+        return d
+
+
+def _json_value(value):
+    """A field value as JSON data: cone values as pairs, vectors as documents."""
+    if isinstance(value, Hyperbolic):
+        return [value.a1, value.a2]
+    if isinstance(value, BCVector):
+        return vector_doc(value)
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value
+
+
 @dataclass
-class SeriesReport:
+class SeriesReport(Report):
     """Outcome of a capped series summation.
 
     All facts are "at this cap, with this tolerance".  ``partial_norms``
@@ -268,23 +305,11 @@ class SeriesReport:
     chain_margin: Hyperbolic | None = None
 
     def to_json_dict(self) -> dict:
-        d = {
-            "n_terms": self.n_terms,
-            "converged": self.converged,
-            "limit": None,
-            "partial_norms": [[p.a1, p.a2] for p in self.partial_norms],
-            "abs_sums": [[a.a1, a.a2] for a in self.abs_sums],
-            "cauchy_margin": [self.cauchy_margin.a1, self.cauchy_margin.a2],
-            "tol": [self.tol.a1, self.tol.a2],
-            "window": self.window,
-        }
-        if self.limit is not None:
-            d["limit"] = vector_doc(self.limit)
-        if self.abs_converged is not None:
-            d["abs_converged"] = self.abs_converged
-        if self.cauchy_chain_ok is not None:
-            d["cauchy_chain_ok"] = self.cauchy_chain_ok
-            d["chain_margin"] = [self.chain_margin.a1, self.chain_margin.a2]
+        """The fields in order, the chain fields only when they are set."""
+        d = super().to_json_dict()
+        for key in ("abs_converged", "cauchy_chain_ok", "chain_margin"):
+            if d[key] is None:
+                del d[key]
         return d
 
 

@@ -15,20 +15,20 @@ with the operator.  Norms, ranks, open-mapping constants and minimum-norm
 solves all read that one factorization; the full spectrum is stored, so a
 caller's rank tolerance is applied when the values are read.
 ``min_norm_solve_rows`` solves a whole block of right-hand sides with one
-product chain per component; ``min_norm_solve`` is its one-row case.  A
-power-iteration kernel remains for ``sigma_extremes`` and ``op_dnorm``
-callers that ask for an iterative route.  The contract is the tolerance,
-not the method.
+product chain per component; ``min_norm_solve`` is its one-row case.
+``sigma_extremes`` reads the spectrum of a bare matrix the same way, with
+one SVD and no iteration.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .dmodule import BCVector, DNormConfig, dnorm_rows, vector_doc
+from .dmodule import BCVector, DNormConfig, Report, dnorm_rows, require_finite
 from .errors import (
     DimensionMismatch,
     InvalidInput,
@@ -43,10 +43,6 @@ from .hyperscalar import DPlus
 RANK_TOL = 1e-10
 
 FULL_DECOMPOSITION = "full-decomposition"
-POWER_ITERATION = "power-iteration"
-
-_POWER_SEED = 0xC0FFEE
-_POWER_MAX_ITER = 20000
 
 
 def _as_matrix_component(values, *, what: str) -> np.ndarray:
@@ -139,94 +135,31 @@ def mat_apply(T: BCMatrix, x: BCVector) -> BCVector:
     return BCVector(T.m1 @ x.v1, T.m2 @ x.v2)
 
 
-def _power_rng() -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=_POWER_SEED))
-
-
-def _power_top_eig(G: np.ndarray, tol_abs: float, max_iter: int, rng) -> tuple[float, int]:
-    """Largest eigenvalue of a Hermitian PSD matrix by power iteration.
-
-    Stops when successive estimates differ by <= tol_abs.
-    """
-    n = G.shape[0]
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for it in range(1, max_iter + 1):
-        w = G @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0, it
-        v = w / nw
-        if abs(nw - lam) <= tol_abs:
-            return nw, it
-        lam = nw
-    raise NoConvergence(f"power iteration did not settle in {max_iter} iterations", max_iter)
-
-
-def _power_extremes(A: np.ndarray, tol: float, max_iter: int) -> tuple[float, float, int]:
-    """(sigma_max, sigma_min, iterations) via plain and shifted power iteration.
-
-    Near-singular smallest values are only sqrt(tol)-accurate on this route;
-    the direct kernel is the one to use for rank decisions.
-    """
-    rng = _power_rng()
-    if A.shape[0] <= A.shape[1]:
-        G = A @ A.conj().T
-    else:
-        G = A.conj().T @ A
-    scale = float(np.linalg.norm(G, ord="fro"))
-    if scale == 0.0:
-        return 0.0, 0.0, 1
-    tol_abs = max(2.0 * tol * scale, 1e-30)
-    lam_max, it1 = _power_top_eig(G, tol_abs, max_iter, rng)
-    # shift so the smallest eigenvalue of G becomes the largest of c*I - G
-    c = lam_max * (1.0 + 16.0 * tol) + tol_abs
-    mu_max, it2 = _power_top_eig(c * np.eye(G.shape[0]) - G, tol_abs, max_iter, rng)
-    sigma_max = float(np.sqrt(max(lam_max, 0.0)))
-    sigma_min = float(np.sqrt(max(c - mu_max, 0.0)))
-    return sigma_max, min(sigma_min, sigma_max), it1 + it2
-
-
 def _check_tol(tol: float) -> None:
-    if tol <= 0:
+    """Reject a tolerance that is not a finite positive number."""
+    if not tol > 0:  # NaN fails the comparison too
         raise InvalidInput(f"tol must be positive, got {tol}")
+    if tol == math.inf:
+        raise InvalidInput(f"tol must be finite, got {tol}")
 
 
-def _sigma_extremes_impl(
-    A: np.ndarray, tol: float, method: str, max_iter: int
-) -> tuple[float, float, int]:
-    _check_tol(tol)
-    A = _as_matrix_component(A, what="matrix")
-    if method == FULL_DECOMPOSITION:
-        try:
-            s = np.linalg.svd(A, compute_uv=False)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"SVD kernel failed: {exc}", 0) from exc
-        return float(s[0]), float(s[-1]), 0
-    if method == POWER_ITERATION:
-        return _power_extremes(A, tol, max_iter)
-    raise InvalidInput(f"unknown kernel method {method!r}")
-
-
-def sigma_extremes(
-    A,
-    tol: float = 1e-10,
-    method: str = FULL_DECOMPOSITION,
-    max_iter: int = _POWER_MAX_ITER,
-) -> tuple[float, float]:
+def sigma_extremes(A) -> tuple[float, float]:
     """Largest and smallest singular values of a complex matrix.
 
     The smallest is taken over the full rectangular spectrum of
     min(rows, cols) values, so it is 0 exactly when the matrix is
     rank-deficient in that sense.
     """
-    smax, smin, _ = _sigma_extremes_impl(np.asarray(A, dtype=complex), tol, method, max_iter)
-    return smax, smin
+    A = _as_matrix_component(A, what="matrix")
+    try:
+        s = np.linalg.svd(A, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"SVD kernel failed: {exc}", 0) from exc
+    return float(s[0]), float(s[-1])
 
 
 @dataclass
-class OperatorNormReport:
+class OperatorNormReport(Report):
     """Operator D-norm together with how it was computed."""
 
     M: DPlus
@@ -235,20 +168,10 @@ class OperatorNormReport:
     iterations: int
     tol: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "M": [self.M.a1, self.M.a2],
-            "sigma_max": [self.sigma_max[0], self.sigma_max[1]],
-            "method": self.method,
-            "iterations": self.iterations,
-            "tol": self.tol,
-        }
-
 
 def op_dnorm(
     T: BCMatrix,
     tol: float = 1e-10,
-    method: str = FULL_DECOMPOSITION,
     cfg: DNormConfig = DNormConfig(),
 ) -> OperatorNormReport:
     """Least M with ||Tx||_D <= M ||x||_D componentwise: top singular values.
@@ -258,25 +181,20 @@ def op_dnorm(
     """
     if cfg.component_norm != "l2":
         raise UnsupportedNorm(f"operator norm requires the l2 component norm, got {cfg.component_norm}")
-    if method == FULL_DECOMPOSITION:
-        _check_tol(tol)
-        f1, f2 = T.svd()
-        s1, s2, iterations = float(f1.s[0]), float(f2.s[0]), 0
-    else:
-        s1, _, it1 = _sigma_extremes_impl(T.m1, tol, method, _POWER_MAX_ITER)
-        s2, _, it2 = _sigma_extremes_impl(T.m2, tol, method, _POWER_MAX_ITER)
-        iterations = it1 + it2
+    _check_tol(tol)
+    f1, f2 = T.svd()
+    s1, s2 = float(f1.s[0]), float(f2.s[0])
     return OperatorNormReport(
         M=DPlus(s1, s2),
         sigma_max=(s1, s2),
-        method=method,
-        iterations=iterations,
+        method=FULL_DECOMPOSITION,
+        iterations=0,
         tol=tol,
     )
 
 
 @dataclass
-class SolveReport:
+class SolveReport(Report):
     """Minimum-norm solve of Tx = y.
 
     ``qy`` is ||x||_D of the returned solution, which realizes the quotient
@@ -288,14 +206,6 @@ class SolveReport:
     qy: DPlus
     residual: DPlus
     tol: DPlus
-
-    def to_json_dict(self) -> dict:
-        return {
-            "x": vector_doc(self.x),
-            "qy": [self.qy.a1, self.qy.a2],
-            "residual": [self.residual.a1, self.residual.a2],
-            "tol": [self.tol.a1, self.tol.a2],
-        }
 
 
 @dataclass
@@ -343,7 +253,8 @@ def min_norm_solve_rows(
     x1 = _min_norm_rows(f1, y1)
     x2 = _min_norm_rows(f2, y2)
     residual = dnorm_rows(x1 @ T.m1.T - y1, x2 @ T.m2.T - y2)
-    tol_y = tol * np.maximum(1.0, dnorm_rows(y1, y2))
+    with np.errstate(over="ignore"):  # an overflowing tolerance is rejected here
+        tol_y = require_finite(tol * np.maximum(1.0, dnorm_rows(y1, y2)))
     bad = np.flatnonzero((residual > tol_y).any(axis=0))
     if bad.size:
         (r1, r2), (t1, t2) = residual[:, bad[0]].tolist(), tol_y[:, bad[0]].tolist()
@@ -369,7 +280,7 @@ def min_norm_solve(T: BCMatrix, y: BCVector, tol: float = 1e-10) -> SolveReport:
 
 
 @dataclass
-class SurjectivityReport:
+class SurjectivityReport(Report):
     """Numerical row-rank check per component."""
 
     surjective: bool
@@ -378,21 +289,13 @@ class SurjectivityReport:
     rows: int
     cols: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "surjective": self.surjective,
-            "rank_e1": self.rank_e1,
-            "rank_e2": self.rank_e2,
-            "rows": self.rows,
-            "cols": self.cols,
-        }
-
 
 def _numerical_rank(s: np.ndarray, tol: float) -> int:
     """Count of singular values above tol * s[0]; ``s`` descending."""
     if s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    with np.errstate(over="ignore"):  # an infinite cutoff counts no value
+        return int(np.count_nonzero(s > tol * s[0]))
 
 
 def surjectivity_check(T: BCMatrix, tol: float = RANK_TOL) -> SurjectivityReport:

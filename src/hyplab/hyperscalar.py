@@ -283,30 +283,9 @@ UNIT_J = Bicomplex(-1j, 1j)
 UNIT_K = Bicomplex(1.0, -1.0)
 
 
-def bc_add(z: Bicomplex, w: Bicomplex) -> Bicomplex:
-    return z + w
-
-
-def bc_sub(z: Bicomplex, w: Bicomplex) -> Bicomplex:
-    return z - w
-
-
 def bc_mul(z: Bicomplex, w: Bicomplex) -> Bicomplex:
     """Product: componentwise in idempotent coordinates."""
     return z * w
-
-
-def bc_scale(z: Bicomplex, c: complex) -> Bicomplex:
-    """Scale by a real or complex-in-i scalar (embeds diagonally)."""
-    return Bicomplex(c * z.z1, c * z.z2)
-
-
-def bc_from_cartesian(w1: complex, w2: complex) -> Bicomplex:
-    return Bicomplex.from_cartesian(w1, w2)
-
-
-def bc_to_cartesian(z: Bicomplex) -> tuple[complex, complex]:
-    return z.to_cartesian()
 
 
 def bc_inverse(z: Bicomplex) -> Bicomplex:

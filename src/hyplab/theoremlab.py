@@ -55,6 +55,7 @@ from .dmodule import (
     BCVector,
     DNormConfig,
     DSeminorm,
+    Report,
     dnorm_rows,
     require_finite,
     seminorm_eval,
@@ -194,7 +195,7 @@ def _witness_rows(T: BCMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
-class ContinuityReport:
+class ContinuityReport(Report):
     """Evidence for the bound form of seminorm continuity."""
 
     check: str
@@ -209,19 +210,6 @@ class ContinuityReport:
     @property
     def passed(self) -> bool:
         return self.all_ok and self.sequence_ok and self.witness_tight
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "seed": self.seed,
-            "trials": self.trials,
-            "alpha_star": [self.alpha_star.a1, self.alpha_star.a2],
-            "all_ok": self.all_ok,
-            "sequence_ok": self.sequence_ok,
-            "witness_tight": self.witness_tight,
-            "worst_margin": [self.worst_margin.a1, self.worst_margin.a2],
-            "pass": self.passed,
-        }
 
 
 def continuity_bound_check(
@@ -290,7 +278,7 @@ def continuity_bound_check(
 
 
 @dataclass
-class SubaddReport:
+class SubaddReport(Report):
     """Partial-sum domination p(s_n) <= sum of p(x_k), checked at every step."""
 
     check: str
@@ -303,17 +291,6 @@ class SubaddReport:
     @property
     def passed(self) -> bool:
         return self.series_converged and self.partial_ok and self.limit_ok
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "n_terms": self.n_terms,
-            "series_converged": self.series_converged,
-            "partial_ok": self.partial_ok,
-            "limit_ok": self.limit_ok,
-            "worst_margin": [self.worst_margin.a1, self.worst_margin.a2],
-            "pass": self.passed,
-        }
 
 
 def countable_subadd_check(
@@ -356,7 +333,7 @@ def countable_subadd_check(
 
 
 @dataclass
-class BallScaleReport:
+class BallScaleReport(Report):
     """Scaling of sublevel-set coverage from radius r to delta*r."""
 
     check: str
@@ -372,20 +349,6 @@ class BallScaleReport:
     @property
     def passed(self) -> bool:
         return all(self.per_delta_ok)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "seed": self.seed,
-            "samples": self.samples,
-            "r": self.r,
-            "alpha": [self.alpha.a1, self.alpha.a2],
-            "deltas": list(self.deltas),
-            "per_delta_ok": list(self.per_delta_ok),
-            "worst_margin": [self.worst_margin.a1, self.worst_margin.a2],
-            "closure_tol": self.closure_tol,
-            "pass": self.passed,
-        }
 
 
 def _ball_rows(
@@ -427,6 +390,8 @@ def ball_scaling_check(
         raise InvalidInput(f"r must be positive, got {r}")
     if samples < 1:
         raise InvalidInput(f"samples must be >= 1, got {samples}")
+    if not delta_list:
+        raise InvalidInput("deltas must be nonempty")
     if any(d <= 0 for d in delta_list):
         raise InvalidInput("all deltas must be positive")
     name = "ballscale"
@@ -457,7 +422,7 @@ def ball_scaling_check(
         alpha=alpha,
         deltas=list(delta_list),
         per_delta_ok=per_delta_ok,
-        worst_margin=_worst(*margins) if margins else Hyperbolic(0.0, 0.0),
+        worst_margin=_worst(*margins),
         closure_tol=closure_tol,
     )
 
@@ -749,7 +714,7 @@ def zabreiko_decompose(
 
 
 @dataclass
-class UBPReport:
+class UBPReport(Report):
     """Uniform boundedness of a finite seminorm family via pointwise sups."""
 
     check: str
@@ -765,20 +730,6 @@ class UBPReport:
     @property
     def passed(self) -> bool:
         return self.all_bounds_ok
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "seed": self.seed,
-            "family_size": self.family_size,
-            "samples": self.samples,
-            "pointwise_sups": [[s.a1, s.a2] for s in self.pointwise_sups],
-            "sup_opnorm": [self.sup_opnorm.a1, self.sup_opnorm.a2],
-            "bound_delta": [self.bound_delta.a1, self.bound_delta.a2],
-            "all_bounds_ok": self.all_bounds_ok,
-            "worst_margin": [self.worst_margin.a1, self.worst_margin.a2],
-            "pass": self.passed,
-        }
 
 
 def ubp_verify(
@@ -841,7 +792,7 @@ def ubp_verify(
 
 
 @dataclass
-class OpenMapReport:
+class OpenMapReport(Report):
     """Solve-and-bound evidence for the open-mapping constant."""
 
     check: str
@@ -859,22 +810,6 @@ class OpenMapReport:
     @property
     def passed(self) -> bool:
         return self.solve_ok and self.bound_ok and self.witness_ok and self.subadd_ok
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "seed": self.seed,
-            "trials": self.trials,
-            "delta": [self.delta.a1, self.delta.a2],
-            "solve_ok": self.solve_ok,
-            "bound_ok": self.bound_ok,
-            "witness_ok": self.witness_ok,
-            "witness_ratio": [self.witness_ratio.a1, self.witness_ratio.a2],
-            "subadd_ok": self.subadd_ok,
-            "worst_residual": [self.worst_residual.a1, self.worst_residual.a2],
-            "worst_margin": [self.worst_margin.a1, self.worst_margin.a2],
-            "pass": self.passed,
-        }
 
 
 def open_mapping_verify(

@@ -290,6 +290,14 @@ def test_ballscale_hypothesis_failed_exit_4(tmp_path, capsys):
     assert doc["payload"]["error"]["kind"] == "HypothesisFailed"
 
 
+@pytest.mark.parametrize("deltas", ["", ","])
+def test_ballscale_without_deltas_exit_2(tmp_path, capsys, deltas):
+    mat = write(tmp_path, "T.json", matrix_to_json(random_mat(np.random.default_rng(12), 3, 3)))
+    code, doc, _ = run_json(capsys, ["ballscale", "--matrix", mat, "--deltas", deltas])
+    assert code == 2
+    assert doc["payload"]["error"] == {"kind": "InvalidInput", "message": "deltas must be nonempty"}
+
+
 # ----------------------------------------------------------- error mapping
 
 
@@ -310,6 +318,32 @@ def test_unknown_subcommand_exit_2(capsys):
     code, out, err = run_cli(capsys, ["frobnicate"])
     assert code == 2
     assert out == ""  # nothing on the JSON stream
+
+
+def _strict_json(text):
+    """Parse one document, refusing the NaN and Infinity tokens JSON lacks."""
+
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["knorm", "opnorm", "omc"])
+def test_non_finite_tol_exit_2(tmp_path, capsys, command, tol):
+    if command == "knorm":
+        argv = ["knorm", "--scalar", write(tmp_path, "z.json", {"e1": [3, 4], "e2": [1, 0]})]
+    else:
+        argv = [command, "--matrix", write(tmp_path, "T.json", matrix_to_json(surjective_mat(np.random.default_rng(21), 2, 3)))]
+    code, out, err = run_cli(capsys, argv + [f"--tol={tol}"])  # "-inf" alone reads as an option
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    doc = _strict_json(lines[0])
+    assert doc["payload"]["error"]["kind"] == "InvalidInput"
+    assert "tol must be" in doc["payload"]["error"]["message"]
+    assert err.startswith("hyplab: InvalidInput: tol must be")
 
 
 def test_check_failed_maps_to_exit_1(tmp_path, capsys, monkeypatch):
@@ -477,6 +511,23 @@ def test_overflowing_norms_are_rejected_without_numpy_warnings(tmp_path, command
     T = random_mat(np.random.default_rng(20), 3, 3)
     mat = write(tmp_path, "T.json", matrix_to_json(BCMatrix(T.m1 * 1e160, T.m2 * 1e160)))
     _rejected_quietly([command, "--matrix", mat], "non-finite component inf rejected")
+
+
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        ("series", "non-finite component inf rejected"),
+        ("subadd", "e1 component contains non-finite entries"),
+    ],
+)
+def test_overflowing_geometric_terms_are_rejected_without_numpy_warnings(tmp_path, command, message):
+    # the second term, ratio * seed, overflows to inf
+    big = {"e1": [1e200, 0], "e2": [1e200, 0]}
+    spec = {"kind": "geometric", "ratio": big, "seed_vector": {"e1": [big["e1"]], "e2": [big["e2"]]}}
+    argv = [command, "--terms", write(tmp_path, "terms.json", spec)]
+    if command == "subadd":
+        argv += ["--matrix", write(tmp_path, "T.json", matrix_to_json(BCMatrix([[1.0]], [[1.0]])))]
+    _rejected_quietly(argv, message)
 
 
 @pytest.mark.parametrize(

@@ -1,16 +1,26 @@
-"""Fuzz every file-reading subcommand with JSON-shaped inputs.
+"""Fuzz every file-reading subcommand with JSON-shaped inputs and value flags.
 
 Each run goes through ``cli.run`` in process.  Whatever the input, it must
-end with a documented exit code (0-5) and exactly one parseable envelope
-on stdout.  Inputs mix arbitrary JSON with near-valid scalars, vectors,
-matrices and series whose numbers range from 0 to near the float limits.
+end with an exit code of the 0-4 table, exactly one envelope on stdout that
+is strict JSON (no NaN or Infinity token), no warning, and on stderr nothing
+after a verdict (exit 0 or 1) and exactly one ``hyplab:`` line after a
+rejection (exit 2-4).  The one exception is a number flag whose text is not
+a number: argparse rejects it before any envelope exists, with exit 2 and
+its usage message.
+
+Inputs mix arbitrary JSON with near-valid scalars, vectors, matrices and
+series whose numbers range from 0 to near the float limits.  The value
+flags take valid values, NaN, infinities, -0.0, 1e308 and non-numeric
+text; integer flags stay within -3..50, so no example allocates much.
 """
 
 import contextlib
 import io
 import json
 import os
+import re
 import tempfile
+import warnings
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -73,42 +83,100 @@ def maybe(strategy):
     return st.one_of(strategy, strategy, strategy, anything)
 
 
-#: subcommand -> (file options with their input strategies, fixed options)
+#: texts a number flag or a literal component is fuzzed with
+specials = st.sampled_from(["nan", "inf", "-inf", "-0.0", "0", "1e308", "-1e308", "1e-320", "abc", ""])
+
+
+def value(valid: str):
+    """Mostly ``valid``, else a special number or non-numeric text."""
+    return st.one_of(st.just(valid), st.just(valid), specials)
+
+
+def literal(valid: str):
+    """A hyperbolic literal "a1,a2" (or one value) built from ``value``."""
+    parts = value(valid.split(",")[0])
+    return st.one_of(
+        st.just(valid),
+        parts,
+        st.builds(lambda a, b: f"{a},{b}", parts, parts),
+        st.text(alphabet="0123456789.,-e", max_size=6),
+    )
+
+
+deltas = st.one_of(
+    st.just("0.5,2"),
+    st.lists(value("2"), min_size=0, max_size=4).map(",".join),
+)
+counts = st.integers(min_value=-3, max_value=50).map(str)
+
+#: subcommand -> (file options with their input strategies, value options)
 SUBCOMMANDS = {
-    "knorm": ({"--scalar": scalars}, []),
-    "inv": ({"--scalar": scalars}, []),
-    "norm": ({"--vector": vectors()}, []),
-    "opnorm": ({"--matrix": matrices()}, []),
-    "solve": ({"--matrix": matrices(), "--y": vectors()}, []),
-    "omc": ({"--matrix": matrices()}, []),
-    "series": ({"--terms": series}, ["--maxN", "40", "--abs-check"]),
-    "zabreiko": ({"--matrix": matrices(), "--x": vectors()}, ["--m", "50,50", "--r", "1", "--eps", "1,1", "--maxN", "20"]),
-    "ubp": ({"--family": st.lists(matrices(), min_size=0, max_size=3)}, ["--samples", "4"]),
-    "omt-verify": ({"--matrix": matrices()}, ["--trials", "4"]),
-    "lemma31": ({"--matrix": matrices()}, ["--trials", "4"]),
-    "subadd": ({"--matrix": matrices(), "--terms": series}, ["--maxN", "40"]),
-    "ballscale": ({"--matrix": matrices()}, ["--samples", "4"]),
+    "knorm": ({"--scalar": scalars}, {}),
+    "inv": ({"--scalar": scalars}, {}),
+    "norm": ({"--vector": vectors()}, {}),
+    "opnorm": ({"--matrix": matrices()}, {}),
+    "solve": ({"--matrix": matrices(), "--y": vectors()}, {}),
+    "omc": ({"--matrix": matrices()}, {}),
+    "series": (
+        {"--terms": series},
+        {"--maxN": counts, "--series-tol": literal("1e-12"), "--abs-check": st.booleans()},
+    ),
+    "zabreiko": (
+        {"--matrix": matrices(), "--x": vectors()},
+        {"--m": literal("50,50"), "--r": value("1"), "--eps": literal("1,1"), "--maxN": counts},
+    ),
+    "ubp": ({"--family": st.lists(matrices(), min_size=0, max_size=3)}, {"--samples": counts}),
+    "omt-verify": ({"--matrix": matrices()}, {"--trials": counts}),
+    "lemma31": ({"--matrix": matrices()}, {"--trials": counts}),
+    "subadd": (
+        {"--matrix": matrices(), "--terms": series},
+        {"--maxN": counts, "--series-tol": literal("1e-12")},
+    ),
+    "ballscale": (
+        {"--matrix": matrices()},
+        {
+            "--samples": counts,
+            "--r": value("1"),
+            "--alpha": st.none() | literal("100,100"),
+            "--deltas": deltas,
+        },
+    ),
 }
+
+#: value options a subcommand cannot run without
+REQUIRED = {"zabreiko": ("--m", "--r", "--eps")}
+
+#: argparse's own rejection of a number flag whose text is not a number
+USAGE_ERROR = re.compile(r"error: argument --[\w-]+: invalid (float|int) value: '.*'")
 
 
 def run_in_process(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.run(argv)
-    return code, out.getvalue()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue(), caught
+
+
+def _refuse(token):
+    raise ValueError(f"non-JSON constant {token}")
 
 
 def fuzz_case(name):
-    files, fixed = SUBCOMMANDS[name]
-    strategy = st.fixed_dictionaries({opt: maybe(s) for opt, s in files.items()})
+    files, values = SUBCOMMANDS[name]
+    file_docs = st.fixed_dictionaries({opt: maybe(s) for opt, s in files.items()})
+    required = {opt: values[opt] for opt in REQUIRED.get(name, ())}
+    optional = {opt: s for opt, s in values.items() if opt not in required}
+    flags = st.fixed_dictionaries({"--tol": value("1e-10"), **required}, optional=optional)
 
     @settings(
         max_examples=15,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
-    @given(docs=strategy)
-    def case(docs):
+    @given(docs=file_docs, opts=flags)
+    def case(docs, opts):
         with tempfile.TemporaryDirectory() as tmp:
             argv = [name]
             for k, (opt, doc) in enumerate(docs.items()):
@@ -116,13 +184,26 @@ def fuzz_case(name):
                 with open(path, "w", encoding="utf-8") as fh:
                     json.dump(doc, fh)
                 argv += [opt, path]
-            code, out = run_in_process(argv + fixed)
-        assert code in range(6)
+            for opt, text in opts.items():
+                if text is True:
+                    argv.append(opt)
+                elif text not in (False, None):
+                    argv.append(f"{opt}={text}")  # "-inf" alone reads as an option
+            code, out, err, caught = run_in_process(argv)
+        assert not caught, [str(w.message) for w in caught]
+        assert code in range(5), err
+        if out == "" and code == 2:
+            assert USAGE_ERROR.search(err.splitlines()[-1]), err
+            return
         lines = out.splitlines()
         assert len(lines) == 1 and out.endswith("\n")
-        env = json.loads(lines[0])
+        env = json.loads(lines[0], parse_constant=_refuse)
         assert env["subcommand"] == name
         assert env["pass"] is (code == 0)
+        if code < 2:
+            assert err == ""
+        else:
+            assert err.startswith("hyplab: ") and err.count("\n") == 1 and err.endswith("\n")
 
     return case
 

@@ -1,6 +1,7 @@
 """Operators: application, singular-value kernel, norms, solves, surjectivity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hyplab import (
     DPlus,
     DimensionMismatch,
     E1,
-    NoConvergence,
+    InvalidInput,
     NotInRange,
     NotSurjective,
     UnsupportedNorm,
@@ -128,7 +129,7 @@ def test_sigma_matches_power_iteration_oracle():
     rng = np.random.default_rng(5)
     for _ in range(10):
         A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        smax, smin = sigma_extremes(A, tol=1e-10)
+        smax, smin = sigma_extremes(A)
         assert abs(smax - pi_sigma_max(A)) < 1e-8
         assert abs(smin - pi_sigma_min(A)) < 1e-8
 
@@ -140,24 +141,6 @@ def test_sigma_rectangular_spectrum():
     s = np.linalg.svd(A, compute_uv=False)
     assert len(s) == 3
     assert abs(smax - s[0]) < 1e-12 and abs(smin - s[-1]) < 1e-12
-
-
-def test_sigma_power_iteration_method():
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        ref = sigma_extremes(A)
-        got = sigma_extremes(A, tol=1e-12, method="power-iteration")
-        assert abs(got[0] - ref[0]) < 1e-6 * max(1.0, ref[0])
-        assert abs(got[1] - ref[1]) < 1e-4 * max(1.0, ref[0])
-
-
-def test_sigma_power_iteration_cap():
-    rng = np.random.default_rng(8)
-    A = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    with pytest.raises(NoConvergence) as err:
-        sigma_extremes(A, tol=1e-15, method="power-iteration", max_iter=2)
-    assert err.value.iterations == 2
 
 
 # ----------------------------------------------------------------- op_dnorm
@@ -179,17 +162,6 @@ def test_opnorm_rejects_non_l2():
     T = BCMatrix.identity(2)
     with pytest.raises(UnsupportedNorm):
         op_dnorm(T, cfg=DNormConfig("l1"))
-
-
-def test_opnorm_power_iteration_method():
-    rng = np.random.default_rng(42)
-    T = random_mat(rng, 5, 5)
-    ref = op_dnorm(T)
-    rep = op_dnorm(T, tol=1e-12, method="power-iteration")
-    assert rep.method == "power-iteration"
-    assert rep.iterations > 0
-    assert abs(rep.M.a1 - ref.M.a1) < 1e-6 * max(1.0, ref.M.a1)
-    assert abs(rep.M.a2 - ref.M.a2) < 1e-6 * max(1.0, ref.M.a2)
 
 
 def test_opnorm_monte_carlo_sup_and_soundness():
@@ -471,3 +443,14 @@ def test_solve_tolerance_scales_with_rhs():
     R = BCMatrix([[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(NotInRange):
         min_norm_solve(R, BCVector([1e8, 1e8], [1e8, 1e8]), tol=1e-10)
+
+
+def test_tolerance_products_that_overflow_raise_no_numpy_warning():
+    # 1e308 times a singular value or a norm above ~1.8 overflows: a rank
+    # cutoff at inf counts no value, and a residual bound at inf is rejected
+    T = BCMatrix([[2.0, 0.0]], [[3.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert surjectivity_check(T, tol=1e308).rank_e1 == 0
+        with pytest.raises(InvalidInput, match="non-finite component inf"):
+            min_norm_solve(T, BCVector([4.0], [4.0]), tol=1e308)

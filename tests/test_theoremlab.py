@@ -11,6 +11,7 @@ from hyplab import (
     DPlus,
     DSeminorm,
     HypothesisFailed,
+    InvalidInput,
     NotSurjective,
     PreconditionViolated,
     ShapeMismatch,
@@ -170,6 +171,13 @@ def test_ballscale_random_and_falsification():
     shrunk = DPlus(0.9 * alpha.a1, 0.9 * alpha.a2)
     with pytest.raises(HypothesisFailed):
         ball_scaling_check(p, shrunk, r, [0.5], samples=100, seed=6)
+
+
+def test_ballscale_rejects_empty_deltas():
+    # with no delta there is nothing to check, so no verdict is given
+    p = DSeminorm(BCMatrix.identity(2))
+    with pytest.raises(InvalidInput, match="deltas must be nonempty"):
+        ball_scaling_check(p, DPlus(1.0, 1.0), 1.0, [], samples=5, seed=1)
 
 
 def test_ballscale_deterministic():
