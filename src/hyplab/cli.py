@@ -41,7 +41,6 @@ from .errors import (
     NotSurjective,
     PreconditionViolated,
     ShapeMismatch,
-    UnsupportedNorm,
     ZeroDivisor,
 )
 from .hyperscalar import bc_inverse, knorm
@@ -74,7 +73,7 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_PRECONDITION = 4
 EXIT_INTERNAL = 5
 
-_INVALID = (InvalidInput, DimensionMismatch, ShapeMismatch, UnsupportedNorm)
+_INVALID = (InvalidInput, DimensionMismatch, ShapeMismatch)
 _NOCONV = (NoConvergence, NotConverged)
 _PRECOND = (
     ZeroDivisor,
@@ -141,44 +140,45 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hyplab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, tol_default=1e-10, max_n_help="term/iteration cap"):
-        sp.add_argument("--tol", type=float, default=tol_default, help="numeric tolerance")
+    def common(sp, *, tol=False, max_n_help=None, fmt=False):
+        # --seed and --output go to every subcommand, the rest where read
+        if tol:
+            sp.add_argument("--tol", type=float, default=1e-10, help="numeric tolerance")
         sp.add_argument("--seed", type=int, default=None, help="sampling seed (default 42 or HYPLAB_SEED)")
-        sp.add_argument("--maxN", dest="max_n", type=int, default=1000, help=max_n_help)
+        if max_n_help:
+            sp.add_argument("--maxN", dest="max_n", type=int, default=1000, help=max_n_help)
         sp.add_argument("--output", default=None, help="write the JSON envelope here instead of stdout")
-        sp.add_argument(
-            "--format",
-            dest="fmt",
-            choices=("idempotent", "cartesian"),
-            default="idempotent",
-            help="scalar emission form",
-        )
+        if fmt:
+            sp.add_argument(
+                "--format", dest="fmt", choices=("idempotent", "cartesian"),
+                default="idempotent", help="scalar emission form",
+            )
 
     sp = sub.add_parser("knorm", help="hyperbolic-valued norm of a scalar")
     sp.add_argument("--scalar", required=True)
-    common(sp)
+    common(sp, fmt=True)
 
     sp = sub.add_parser("inv", help="componentwise inverse of a scalar")
     sp.add_argument("--scalar", required=True)
-    common(sp)
+    common(sp, fmt=True)
 
     sp = sub.add_parser("norm", help="D-norm of a vector")
     sp.add_argument("--vector", required=True)
     sp.add_argument("--norm", choices=("l2", "l1", "linf"), default="l2")
-    common(sp)
+    common(sp, fmt=True)
 
     sp = sub.add_parser("opnorm", help="operator D-norm via extremal singular values")
     sp.add_argument("--matrix", required=True)
-    common(sp)
+    common(sp, tol=True, fmt=True)
 
     sp = sub.add_parser("solve", help="minimum-norm solve of Tx = y")
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--y", required=True)
-    common(sp)
+    common(sp, tol=True)
 
     sp = sub.add_parser("omc", help="open-mapping constant 1/sigma_min per component")
     sp.add_argument("--matrix", required=True)
-    common(sp)
+    common(sp, tol=True, fmt=True)
 
     sp = sub.add_parser("series", help="capped series summation (array or generator spec)")
     sp.add_argument("--terms", required=True)
@@ -249,9 +249,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_common(args) -> None:
-    """Reject a --tol that is not a finite positive number and a --maxN below 1."""
-    _check_tol(args.tol)
-    if args.max_n < 1:
+    """Reject a declared --tol that is not finite and positive, or --maxN < 1."""
+    if hasattr(args, "tol"):
+        _check_tol(args.tol)
+    if hasattr(args, "max_n") and args.max_n < 1:
         raise InvalidInput(f"maxN must be >= 1, got {args.max_n}")
 
 
@@ -262,29 +263,26 @@ def _dispatch(args, envelope: ReportEnvelope):
     error raised by the computation still reports which inputs it saw.
     """
     cmd = args.command
-    fmt = args.fmt
     seed = envelope.seed
 
     def parsed(inputs: dict) -> None:
         envelope.inputs_digest = digest(inputs)
 
     if cmd == "knorm":
-        raw = load_json(args.scalar)
-        z = parse_scalar(raw)
+        z = parse_scalar(load_json(args.scalar))
         parsed({"scalar": scalar_to_json(z)})
-        return {"knorm": scalar_to_json(knorm(z), fmt)}, True
+        return {"knorm": scalar_to_json(knorm(z), args.fmt)}, True
 
     if cmd == "inv":
-        raw = load_json(args.scalar)
-        z = parse_scalar(raw)
+        z = parse_scalar(load_json(args.scalar))
         parsed({"scalar": scalar_to_json(z)})
-        return {"inverse": scalar_to_json(bc_inverse(z), fmt)}, True
+        return {"inverse": scalar_to_json(bc_inverse(z), args.fmt)}, True
 
     if cmd == "norm":
         v = parse_vector(load_json(args.vector))
         parsed({"vector": vector_to_json(v), "norm": args.norm})
         payload = {
-            "dnorm": scalar_to_json(vec_dnorm(v, DNormConfig(args.norm)), fmt),
+            "dnorm": scalar_to_json(vec_dnorm(v, DNormConfig(args.norm)), args.fmt),
             "component_norm": args.norm,
         }
         return payload, True
@@ -294,7 +292,7 @@ def _dispatch(args, envelope: ReportEnvelope):
         parsed({"matrix": matrix_to_json(T), "tol": args.tol})
         rep = op_dnorm(T, tol=args.tol)
         payload = rep.to_json_dict()
-        payload["M"] = scalar_to_json(rep.M, fmt)
+        payload["M"] = scalar_to_json(rep.M, args.fmt)
         return payload, True
 
     if cmd == "solve":
@@ -308,7 +306,7 @@ def _dispatch(args, envelope: ReportEnvelope):
         parsed({"matrix": matrix_to_json(T), "tol": args.tol})
         delta = open_mapping_delta(T, tol=args.tol)
         srep = surjectivity_check(T, tol=args.tol)
-        return {"delta": scalar_to_json(delta, fmt), "surjectivity": srep.to_json_dict()}, True
+        return {"delta": scalar_to_json(delta, args.fmt), "surjectivity": srep.to_json_dict()}, True
 
     if cmd == "series":
         raw = load_json(args.terms)
@@ -377,7 +375,7 @@ def _dispatch(args, envelope: ReportEnvelope):
         T = parse_matrix(load_json(args.matrix))
         p = DSeminorm(T)
         if args.alpha is None:
-            alpha = op_dnorm(T, tol=args.tol).M * args.r
+            alpha = op_dnorm(T).M * args.r
         else:
             alpha = parse_hyp_literal(args.alpha)
         try:
@@ -416,8 +414,7 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors itself
-        code = exc.code if isinstance(exc.code, int) else 2
-        return code
+        return exc.code if isinstance(exc.code, int) else 2
 
     # seed 0 and an empty digest stand for "not known yet" until resolved
     envelope = ReportEnvelope(

@@ -16,8 +16,8 @@ solves all read that one factorization; the full spectrum is stored, so a
 caller's rank tolerance is applied when the values are read.
 ``min_norm_solve_rows`` solves a whole block of right-hand sides with one
 product chain per component; ``min_norm_solve`` is its one-row case.
-``sigma_extremes`` reads the spectrum of a bare matrix the same way, with
-one SVD and no iteration.
+The singular values are read only through an operator, so there is one
+SVD entry point and no iterative kernel.
 """
 
 from __future__ import annotations
@@ -28,15 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dmodule import BCVector, DNormConfig, Report, dnorm_rows, require_finite
-from .errors import (
-    DimensionMismatch,
-    InvalidInput,
-    NoConvergence,
-    NotInRange,
-    NotSurjective,
-    UnsupportedNorm,
-)
+from .dmodule import BCVector, Report, dnorm_rows, require_finite
+from .errors import DimensionMismatch, InvalidInput, NoConvergence, NotInRange, NotSurjective
 from .hyperscalar import DPlus
 
 #: Singular values above RANK_TOL * sigma_max count as nonzero.
@@ -143,21 +136,6 @@ def _check_tol(tol: float) -> None:
         raise InvalidInput(f"tol must be finite, got {tol}")
 
 
-def sigma_extremes(A) -> tuple[float, float]:
-    """Largest and smallest singular values of a complex matrix.
-
-    The smallest is taken over the full rectangular spectrum of
-    min(rows, cols) values, so it is 0 exactly when the matrix is
-    rank-deficient in that sense.
-    """
-    A = _as_matrix_component(A, what="matrix")
-    try:
-        s = np.linalg.svd(A, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"SVD kernel failed: {exc}", 0) from exc
-    return float(s[0]), float(s[-1])
-
-
 @dataclass
 class OperatorNormReport(Report):
     """Operator D-norm together with how it was computed."""
@@ -169,18 +147,13 @@ class OperatorNormReport(Report):
     tol: float
 
 
-def op_dnorm(
-    T: BCMatrix,
-    tol: float = 1e-10,
-    cfg: DNormConfig = DNormConfig(),
-) -> OperatorNormReport:
+def op_dnorm(T: BCMatrix, tol: float = 1e-10) -> OperatorNormReport:
     """Least M with ||Tx||_D <= M ||x||_D componentwise: top singular values.
 
-    Only the l2 component norm is supported; each component of M is
-    attained by embedding that component's top right singular vector.
+    The norms are the l2 component norms; each component of M is attained
+    by embedding that component's top right singular vector.  ``tol`` is
+    checked and recorded in the report; the values do not depend on it.
     """
-    if cfg.component_norm != "l2":
-        raise UnsupportedNorm(f"operator norm requires the l2 component norm, got {cfg.component_norm}")
     _check_tol(tol)
     f1, f2 = T.svd()
     s1, s2 = float(f1.s[0]), float(f2.s[0])

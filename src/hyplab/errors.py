@@ -1,7 +1,8 @@
 """Exception types shared across the library.
 
 The CLI maps these onto its exit-code table, so every failure mode that a
-subcommand can hit has a distinct class here.
+subcommand can hit has a distinct class here; a failure that no routine
+can raise gets no class.
 """
 
 
@@ -34,15 +35,12 @@ class EmptySet(HyplabError):
     """Supremum or infimum of an empty collection."""
 
 
-class UnsupportedNorm(HyplabError, ValueError):
-    """Operation is only defined for the l2 component norm."""
-
-
 class NoConvergence(HyplabError):
-    """An iterative numerical kernel hit its iteration cap.
+    """A numerical kernel did not converge: LAPACK's SVD driver failed.
 
     Attributes:
-        iterations: number of iterations performed before giving up.
+        iterations: iterations performed before giving up; the SVD kernel
+            reports none, so it is 0.
     """
 
     def __init__(self, message: str, iterations: int = 0):

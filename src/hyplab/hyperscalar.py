@@ -16,6 +16,7 @@ All types here are immutable values; every operation is pure.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -240,6 +241,9 @@ class Bicomplex:
         """Inverse of ``from_cartesian``: (w1, w2) with w1=(z1+z2)/2, w2=i(z1-z2)/2."""
         w1 = 0.5 * (self.z1 + self.z2)
         w2 = 0.5j * (self.z1 - self.z2)
+        if not (cmath.isfinite(w1) and cmath.isfinite(w2)):  # halve first near the float limit
+            w1 = 0.5 * self.z1 + 0.5 * self.z2
+            w2 = 0.5j * self.z1 - 0.5j * self.z2
         return (w1, w2)
 
     def to_reals(self) -> tuple[float, float, float, float]:

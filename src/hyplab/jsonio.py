@@ -279,9 +279,34 @@ def parse_hyp_literal(text: str) -> DPlus:
     return DPlus(a1, a2)
 
 
+#: Deepest container nesting ``load_json`` accepts: far above the 5 levels
+#: of a ``ubp`` family, the deepest input, and far below what ``dumps`` can
+#: digest before it runs out of recursion.
+MAX_DEPTH = 64
+_CONTAINERS = {list, dict}
+
+
+def _nesting(doc) -> int:
+    """Container levels of a parsed document, counted up to MAX_DEPTH + 1."""
+    depth, level = 0, [doc] if type(doc) in _CONTAINERS else []
+    while level and depth <= MAX_DEPTH:
+        depth += 1
+        level = [
+            x for c in level for x in (c.values() if type(c) is dict else c) if type(x) in _CONTAINERS
+        ]
+    return depth
+
+
 def load_json(path: str):
+    """Parse a UTF-8 JSON file nested at most ``MAX_DEPTH`` levels deep."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            doc = json.load(fh)
+        too_deep = _nesting(doc) > MAX_DEPTH
+    except RecursionError:  # nested beyond the parser's own limit
+        too_deep = True
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidInput(f"cannot read JSON from {path}: {exc}") from exc
+    if too_deep:
+        raise InvalidInput(f"cannot read JSON from {path}: nested deeper than {MAX_DEPTH} levels")
+    return doc

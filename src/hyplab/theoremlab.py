@@ -35,6 +35,10 @@ are array comparisons and worst margins are maxima over the arrays.  Every
 inequality is judged through ``_within``, whose slack is relative to the
 values compared, so verdicts do not depend on the operator's scale; a norm
 or bound that overflows is rejected as ``InvalidInput``, never compared.
+A check's parameters are the quantities of the statement it replays
+(operators, radii, bounds, sample counts, seeds); the slack
+``CHECK_SLACK``, the closure tolerance ``CLOSURE_TOL`` and the open-mapping
+series ``OMT_SERIES_LEN``/``OMT_BUDGET`` are module constants.
 
 The Zabreiko decomposition is sequential, so its steps fill (2, steps, n)
 blocks one row at a time; its budgets and its exact remainder chain are
@@ -94,6 +98,12 @@ SLACK_FLOOR = 1e-150
 
 #: Remainder components below this floor terminate a decomposition.
 REMAINDER_FLOOR = 1e-300
+
+#: Terms of the geometric right-hand-side series ``open_mapping_verify`` solves.
+OMT_SERIES_LEN = 12
+
+#: The budget eps of that series' quotient-seminorm chain, per component.
+OMT_BUDGET = DPlus(0.5, 0.5)
 
 _MASK64 = (1 << 64) - 1
 
@@ -298,7 +308,6 @@ def countable_subadd_check(
     terms,
     max_n: int,
     tol=None,
-    slack: float = CHECK_SLACK,
 ) -> SubaddReport:
     """Check p(s_n) <= sum_{k<=n} p(x_k) for every partial sum of a series.
 
@@ -316,11 +325,11 @@ def countable_subadd_check(
     # partial sums s_n = x_1 + ... + x_n and running sums of p(x_k), in order
     p_running = require_finite(np.cumsum(seminorm_rows(p, b1, b2), axis=1))
     ps = seminorm_rows(p, np.cumsum(b1, axis=0), np.cumsum(b2, axis=0))
-    partial_ok = bool(_within(ps, p_running, slack).all())
+    partial_ok = bool(_within(ps, p_running).all())
 
     p_limit = np.array(seminorm_eval(p, report.limit).components())[:, None]
     p_total = p_running[:, -1:]
-    limit_ok = bool(_within(p_limit, p_total, slack).all())
+    limit_ok = bool(_within(p_limit, p_total).all())
 
     return SubaddReport(
         check="subadd",
@@ -367,7 +376,8 @@ def _ball_rows(
     nr = dnorm_rows(r1, r2)
     ws = (radius / np.maximum(np.maximum(nw[0], nw[1]), 1e-30))[:, None]
     rs = (radius * z[:, -1] / np.maximum(np.maximum(nr[0], nr[1]), 1e-30))[:, None]
-    return np.concatenate((w1 * ws, r1 * rs)), np.concatenate((w2 * ws, r2 * rs))
+    with np.errstate(invalid="ignore"):  # 0 * inf from an infinite radius is rejected later
+        return np.concatenate((w1 * ws, r1 * rs)), np.concatenate((w2 * ws, r2 * rs))
 
 
 def ball_scaling_check(
@@ -377,13 +387,12 @@ def ball_scaling_check(
     delta_list: list[float],
     samples: int,
     seed: int,
-    closure_tol: float = CLOSURE_TOL,
 ) -> BallScaleReport:
     """From B[0,r] inside the closed V_alpha, conclude B[0,dr] inside V_{d*alpha}.
 
     The premise is re-verified on witness and random samples first and a
     failing premise raises ``HypothesisFailed``.  Closure is the
-    tolerance-ball form: p(x) <= alpha + closure_tol * max(p(x), alpha)
+    tolerance-ball form: p(x) <= alpha + CLOSURE_TOL * max(p(x), alpha)
     per component.
     """
     if r <= 0:
@@ -398,12 +407,12 @@ def ball_scaling_check(
     witnesses = _witness_rows(p.T)
 
     px = seminorm_rows(p, *_ball_rows(witnesses, r, samples, seed, name + "/hyp"))
-    outside = np.flatnonzero(~_within(px, _column(alpha), closure_tol).all(axis=0))
+    outside = np.flatnonzero(~_within(px, _column(alpha), CLOSURE_TOL).all(axis=0))
     if outside.size:
         a1, a2 = px[:, outside[0]].tolist()
         raise HypothesisFailed(
             f"premise fails at radius {r}: p(x)=({a1}, {a2}) "
-            f"exceeds alpha=({alpha.a1}, {alpha.a2}) beyond relative tolerance {closure_tol}"
+            f"exceeds alpha=({alpha.a1}, {alpha.a2}) beyond relative tolerance {CLOSURE_TOL}"
         )
 
     per_delta_ok = []
@@ -412,7 +421,7 @@ def ball_scaling_check(
         scaled_alpha = _column(alpha * float(d))
         px = seminorm_rows(p, *_ball_rows(witnesses, d * r, samples, seed, f"{name}/d{j}"))
         margins.append(px - scaled_alpha)
-        per_delta_ok.append(bool(_within(px, scaled_alpha, closure_tol).all()))
+        per_delta_ok.append(bool(_within(px, scaled_alpha, CLOSURE_TOL).all()))
 
     return BallScaleReport(
         check=name,
@@ -423,7 +432,7 @@ def ball_scaling_check(
         deltas=list(delta_list),
         per_delta_ok=per_delta_ok,
         worst_margin=_worst(*margins),
-        closure_tol=closure_tol,
+        closure_tol=CLOSURE_TOL,
     )
 
 
@@ -812,35 +821,28 @@ class OpenMapReport(Report):
         return self.solve_ok and self.bound_ok and self.witness_ok and self.subadd_ok
 
 
-def open_mapping_verify(
-    T: BCMatrix,
-    trials: int,
-    seed: int,
-    eps: DPlus | None = None,
-    series_len: int = 12,
-    residual_tol: float = CHECK_SLACK,
-) -> OpenMapReport:
+def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
     """Verify delta = 1/sigma_min by solving for random right-hand sides.
 
     For every sampled y the minimum-norm preimage x must satisfy Tx = y
-    within ``residual_tol`` and ||x||_D <= delta ||y||_D, with the bound
+    within ``CHECK_SLACK`` and ||x||_D <= delta ||y||_D, with the bound
     attained (up to 1e-6 relative) on the bottom singular vectors.  A
-    geometric series of right-hand sides then replays the eps/2^k budget:
-    with x_k the minimum-norm preimages, q(sum y_k) <= ||sum x_k||_D
-    <= sum ||x_k||_D <= sum q(y_k) + eps componentwise.
+    geometric series of ``OMT_SERIES_LEN`` right-hand sides then replays
+    the eps/2^k budget with eps = ``OMT_BUDGET``: with x_k the minimum-norm
+    preimages, q(sum y_k) <= ||sum x_k||_D <= sum ||x_k||_D
+    <= sum q(y_k) + eps componentwise.
     """
     if trials < 1:
         raise InvalidInput(f"trials must be >= 1, got {trials}")
     name = "omt-verify"
     delta = open_mapping_delta(T)  # raises NotSurjective
     rows = T.rows
-    eps = eps if eps is not None else DPlus(0.5, 0.5)
 
     # one block solve for all trials: T x_i = y_i with x_i of least norm
     y1, y2 = _sample_rows(_draws(seed, name, trials, 4 * rows), rows)
-    sol = min_norm_solve_rows(T, y1, y2, tol=residual_tol)
+    sol = min_norm_solve_rows(T, y1, y2, tol=CHECK_SLACK)
     worst_res = DPlus(*np.maximum(0.0, sol.residual.max(axis=1)).tolist())
-    solve_ok = bool((sol.residual <= residual_tol).all())
+    solve_ok = bool((sol.residual <= CHECK_SLACK).all())
     rhs = require_finite(_column(delta) * dnorm_rows(y1, y2))
     bound_ok = bool(_within(sol.qy, rhs).all())
 
@@ -848,7 +850,7 @@ def open_mapping_verify(
     # singular values reach the constant (T is surjective, so rows <= cols)
     f1, f2 = T.svd()
     yw = BCVector(f1.u[:, rows - 1], f2.u[:, rows - 1])
-    wrep = min_norm_solve(T, yw, tol=residual_tol)
+    wrep = min_norm_solve(T, yw, tol=CHECK_SLACK)
     nyw = vec_dnorm(yw)
     ratio = DPlus(wrep.qy.a1 / nyw.a1, wrep.qy.a2 / nyw.a2)
     witness_ok = (
@@ -856,15 +858,15 @@ def open_mapping_verify(
     )
 
     # quotient-seminorm budget chain over the generated convergent series
-    # y_k = 2^-(k-1) y_0, k = 1..series_len, solved as one block
+    # y_k = 2^-(k-1) y_0, k = 1..OMT_SERIES_LEN, solved as one block
     y0 = _random_vector(check_stream(seed, name + "/series"), rows)
     ny0 = vec_dnorm(y0)
     y0 = y0.scale(1.0 / max(ny0.a1, ny0.a2))
-    halves = (0.5 ** np.arange(series_len))[:, None]
+    halves = (0.5 ** np.arange(OMT_SERIES_LEN))[:, None]
     ys1, ys2 = y0.v1 * halves, y0.v2 * halves
-    chain = min_norm_solve_rows(T, ys1, ys2, tol=residual_tol)
+    chain = min_norm_solve_rows(T, ys1, ys2, tol=CHECK_SLACK)
     # q(y_k) is ||x_k||_D for the minimum-norm preimage x_k
-    eps_k = _column(eps) * 2.0 ** -np.arange(1, series_len + 1)
+    eps_k = _column(OMT_BUDGET) * 2.0 ** -np.arange(1, OMT_SERIES_LEN + 1)
     subadd_ok = bool(_within(chain.qy, chain.qy + eps_k).all())
 
     # sums in series order from zero; adding +0.0 restores the zero start
@@ -872,9 +874,9 @@ def open_mapping_verify(
     x_sum = BCVector(np.cumsum(chain.x1, axis=0)[-1] + 0.0, np.cumsum(chain.x2, axis=0)[-1] + 0.0)
     sum_q = Hyperbolic(*np.cumsum(chain.qy, axis=1)[:, -1].tolist())
     chain_slack = 1e-8
-    q_sum = min_norm_solve(T, y_sum, tol=residual_tol).qy
+    q_sum = min_norm_solve(T, y_sum, tol=CHECK_SLACK).qy
     nx_sum = vec_dnorm(x_sum)
-    budget_total = DPlus(sum_q.a1 + eps.a1, sum_q.a2 + eps.a2)
+    budget_total = DPlus(sum_q.a1 + OMT_BUDGET.a1, sum_q.a2 + OMT_BUDGET.a2)
     subadd_ok = (
         subadd_ok
         and _holds(

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -330,12 +331,12 @@ def _strict_json(text):
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("command", ["knorm", "opnorm", "omc"])
+@pytest.mark.parametrize("command", ["opnorm", "solve", "omc"])
 def test_non_finite_tol_exit_2(tmp_path, capsys, command, tol):
-    if command == "knorm":
-        argv = ["knorm", "--scalar", write(tmp_path, "z.json", {"e1": [3, 4], "e2": [1, 0]})]
-    else:
-        argv = [command, "--matrix", write(tmp_path, "T.json", matrix_to_json(surjective_mat(np.random.default_rng(21), 2, 3)))]
+    T = surjective_mat(np.random.default_rng(21), 2, 3)
+    argv = [command, "--matrix", write(tmp_path, "T.json", matrix_to_json(T))]
+    if command == "solve":
+        argv += ["--y", write(tmp_path, "y.json", vector_to_json(random_vec(np.random.default_rng(22), 2)))]
     code, out, err = run_cli(capsys, argv + [f"--tol={tol}"])  # "-inf" alone reads as an option
     assert code == 2
     lines = out.splitlines()
@@ -344,6 +345,61 @@ def test_non_finite_tol_exit_2(tmp_path, capsys, command, tol):
     assert doc["payload"]["error"]["kind"] == "InvalidInput"
     assert "tol must be" in doc["payload"]["error"]["message"]
     assert err.startswith("hyplab: InvalidInput: tol must be")
+
+
+#: required arguments of each subcommand; argparse rejects a stray flag
+#: before any file is opened, so the paths need not exist
+REQUIRED_ARGS = {
+    "knorm": ["--scalar", "z.json"],
+    "inv": ["--scalar", "z.json"],
+    "norm": ["--vector", "v.json"],
+    "opnorm": ["--matrix", "T.json"],
+    "solve": ["--matrix", "T.json", "--y", "y.json"],
+    "omc": ["--matrix", "T.json"],
+    "series": ["--terms", "s.json"],
+    "zabreiko": ["--matrix", "T.json", "--x", "x.json", "--m", "2,2", "--r", "1", "--eps", "1,1"],
+    "ubp": ["--family", "F.json"],
+    "omt-verify": ["--matrix", "T.json"],
+    "lemma31": ["--matrix", "T.json"],
+    "subadd": ["--matrix", "T.json", "--terms", "s.json"],
+    "ballscale": ["--matrix", "T.json"],
+}
+
+#: the subcommands whose computation reads each shared flag, with a value
+FLAG_READERS = {
+    ("--tol", "1e-10"): ("opnorm", "solve", "omc"),
+    ("--maxN", "10"): ("series", "zabreiko", "subadd"),
+    ("--format", "cartesian"): ("knorm", "inv", "norm", "opnorm", "omc"),
+}
+UNREAD = [
+    (command, flag, text)
+    for (flag, text), readers in FLAG_READERS.items()
+    for command in REQUIRED_ARGS
+    if command not in readers
+]
+
+
+def test_every_subcommand_is_listed():
+    usage = cli._build_parser().format_usage()
+    assert sorted(REQUIRED_ARGS) == sorted(re.search(r"\{([\w,-]+)\}", usage).group(1).split(","))
+    assert len(UNREAD) == 28
+
+
+@pytest.mark.parametrize("command, flag, text", UNREAD)
+def test_flag_a_subcommand_does_not_read_is_a_usage_error(capsys, command, flag, text):
+    code, out, err = run_cli(capsys, [command, *REQUIRED_ARGS[command], flag, text])
+    assert code == 2
+    assert out == ""
+    assert f"error: unrecognized arguments: {flag} {text}" in err
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED_ARGS))
+def test_help_lists_only_the_flags_read(capsys, command):
+    code, out, _ = run_cli(capsys, [command, "--help"])
+    assert code == 0
+    for (flag, _text), readers in FLAG_READERS.items():
+        assert (f"[{flag} " in out) == (command in readers), flag
+    assert "[--seed SEED]" in out and "[--output OUTPUT]" in out
 
 
 def test_check_failed_maps_to_exit_1(tmp_path, capsys, monkeypatch):
@@ -417,6 +473,19 @@ def test_format_cartesian_emission(tmp_path, capsys):
     assert doc["payload"]["knorm"]["w"][0] == 2.5
 
 
+@pytest.mark.parametrize("command", ["opnorm", "omc"])
+def test_format_cartesian_near_float_limit_is_strict_json(tmp_path, capsys, command):
+    big = 1.7976931348623157e308
+    mat = write(tmp_path, "T.json", {"e1": [[[big, 0.0]]], "e2": [[[1e308, 0.0]]]})
+    if command == "omc":  # 1/sigma_min near the limit too
+        mat = write(tmp_path, "T.json", {"e1": [[[1e-308, 0.0]]], "e2": [[[6e-309, 0.0]]]})
+    code, out, err = run_cli(capsys, [command, "--matrix", mat, "--format", "cartesian"])
+    assert code == 0 and err == ""
+    doc = _strict_json(out)
+    w = doc["payload"]["M" if command == "opnorm" else "delta"]["w"]
+    assert w[1] == w[2] == 0.0 and w[0] > 1e307 and abs(w[3]) > 1e307
+
+
 def test_solve_large_rhs_within_scaled_tolerance(tmp_path, capsys):
     mat = write(tmp_path, "T.json", matrix_to_json(BCMatrix([[1.0, 1.0]], [[1.0, 1.0]])))
     y = write(tmp_path, "y.json", vector_to_json(BCVector([1e8], [1e8])))
@@ -461,7 +530,7 @@ def test_error_envelope_keeps_seed(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("HYPLAB_SEED", "7")
     code, doc, _ = run_json(capsys, ["omt-verify", "--matrix", mat, "--trials", "5"])
     assert code == 4 and doc["seed"] == 7
-    code, doc, _ = run_json(capsys, ["omt-verify", "--matrix", mat, "--tol", "-1"])
+    code, doc, _ = run_json(capsys, ["omt-verify", "--matrix", mat, "--trials", "0"])
     assert code == 2 and doc["seed"] == 7
 
 
@@ -477,6 +546,40 @@ def test_error_envelope_keeps_inputs_digest(tmp_path, capsys):
     # inputs that never parsed have no digest
     code, doc, _ = run_json(capsys, ["solve", "--matrix", mat, "--y", "/nonexistent/y.json"])
     assert code == 2 and doc["inputs_digest"] == ""
+
+
+NESTED_600 = "[" * 600 + "]" * 600
+
+
+@pytest.mark.parametrize(
+    "command, option, content",
+    [
+        ("opnorm", "--matrix", b'{"e1": [[[1, 0]]], "e2": [[[1, 0]]], "w": "\xff"}'),
+        ("series", "--terms", b"[" * 100_000),
+        ("norm", "--vector", b"[" * 100_000),
+        ("series", "--terms", ("[" * 900 + "]" * 900).encode()),
+        (
+            "series",
+            "--terms",
+            (
+                '{"kind": "geometric", "ratio": {"e1": [0.5, 0], "e2": [0.5, 0]}, '
+                '"seed_vector": {"e1": [[1, 0]], "e2": [[1, 0]]}, "x": ' + NESTED_600 + "}"
+            ).encode(),
+        ),
+    ],
+    ids=["not-utf8", "series-deep", "norm-deep", "terms-900", "spec-extra-600"],
+)
+def test_malformed_file_exit_2(tmp_path, capsys, command, option, content):
+    path = tmp_path / "in.json"
+    path.write_bytes(content)
+    argv = [command, *REQUIRED_ARGS[command]]
+    argv[argv.index(option) + 1] = str(path)
+    code, doc, err = run_json(capsys, argv)
+    assert code == 2
+    assert doc["inputs_digest"] == ""
+    assert doc["payload"]["error"]["kind"] == "InvalidInput"
+    assert doc["payload"]["error"]["message"].startswith(f"cannot read JSON from {path}: ")
+    assert err.count("\n") == 1
 
 
 def _rejected_quietly(argv, message):
@@ -511,6 +614,13 @@ def test_overflowing_norms_are_rejected_without_numpy_warnings(tmp_path, command
     T = random_mat(np.random.default_rng(20), 3, 3)
     mat = write(tmp_path, "T.json", matrix_to_json(BCMatrix(T.m1 * 1e160, T.m2 * 1e160)))
     _rejected_quietly([command, "--matrix", mat], "non-finite component inf rejected")
+
+
+@pytest.mark.parametrize("entry", [0.0, 1.0])
+def test_infinite_radius_is_rejected_without_numpy_warnings(tmp_path, entry):
+    mat = write(tmp_path, "T.json", {"e1": [[[entry, 0.0]]], "e2": [[[entry, 0.0]]]})
+    argv = ["ballscale", "--matrix", mat, "--alpha", "100,100", "--r", "inf"]
+    _rejected_quietly(argv, "non-finite component nan rejected")
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,9 @@ Inputs mix arbitrary JSON with near-valid scalars, vectors, matrices and
 series whose numbers range from 0 to near the float limits.  The value
 flags take valid values, NaN, infinities, -0.0, 1e308 and non-numeric
 text; integer flags stay within -3..50, so no example allocates much.
+Each subcommand gets only the flags it reads: ``--tol`` goes to
+``opnorm``, ``solve`` and ``omc``, and ``--format`` (either form, or
+absent) to the five subcommands that emit a scalar.
 """
 
 import contextlib
@@ -108,15 +111,17 @@ deltas = st.one_of(
     st.lists(value("2"), min_size=0, max_size=4).map(",".join),
 )
 counts = st.integers(min_value=-3, max_value=50).map(str)
+tol = value("1e-10")
+form = st.sampled_from(["idempotent", "cartesian", None])
 
 #: subcommand -> (file options with their input strategies, value options)
 SUBCOMMANDS = {
-    "knorm": ({"--scalar": scalars}, {}),
-    "inv": ({"--scalar": scalars}, {}),
-    "norm": ({"--vector": vectors()}, {}),
-    "opnorm": ({"--matrix": matrices()}, {}),
-    "solve": ({"--matrix": matrices(), "--y": vectors()}, {}),
-    "omc": ({"--matrix": matrices()}, {}),
+    "knorm": ({"--scalar": scalars}, {"--format": form}),
+    "inv": ({"--scalar": scalars}, {"--format": form}),
+    "norm": ({"--vector": vectors()}, {"--format": form}),
+    "opnorm": ({"--matrix": matrices()}, {"--tol": tol, "--format": form}),
+    "solve": ({"--matrix": matrices(), "--y": vectors()}, {"--tol": tol}),
+    "omc": ({"--matrix": matrices()}, {"--tol": tol, "--format": form}),
     "series": (
         {"--terms": series},
         {"--maxN": counts, "--series-tol": literal("1e-12"), "--abs-check": st.booleans()},
@@ -168,7 +173,7 @@ def fuzz_case(name):
     file_docs = st.fixed_dictionaries({opt: maybe(s) for opt, s in files.items()})
     required = {opt: values[opt] for opt in REQUIRED.get(name, ())}
     optional = {opt: s for opt, s in values.items() if opt not in required}
-    flags = st.fixed_dictionaries({"--tol": value("1e-10"), **required}, optional=optional)
+    flags = st.fixed_dictionaries(required, optional=optional)
 
     @settings(
         max_examples=15,

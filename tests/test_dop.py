@@ -10,20 +10,17 @@ from hyplab import (
     BCMatrix,
     BCVector,
     Bicomplex,
-    DNormConfig,
     DPlus,
     DimensionMismatch,
     E1,
     InvalidInput,
     NotInRange,
     NotSurjective,
-    UnsupportedNorm,
     knorm,
     mat_apply,
     min_norm_solve,
     op_dnorm,
     open_mapping_delta,
-    sigma_extremes,
     surjectivity_check,
     vec_dnorm,
 )
@@ -113,34 +110,52 @@ def test_apply_matches_four_real_path():
             assert abs(got.v2[i] - want.z2) <= 1e-12 * scale
 
 
-# ----------------------------------------------------------- sigma extremes
+# ------------------------------------------------------- singular values
+#
+# Every check reads the spectrum through BCMatrix.svd(): op_dnorm takes its
+# top values and open_mapping_delta the reciprocals of its bottom ones.
 
 
 def test_sigma_identity():
-    assert sigma_extremes(np.eye(4)) == (1.0, 1.0)
+    T = BCMatrix.identity(4)
+    assert [f.s.tolist() for f in T.svd()] == [[1.0] * 4] * 2
+    assert op_dnorm(T).M == DPlus(1.0, 1.0)
+    assert open_mapping_delta(T) == DPlus(1.0, 1.0)
 
 
 def test_sigma_nilpotent():
-    smax, smin = sigma_extremes([[0, 2], [0, 0]])
-    assert abs(smax - 2.0) < 1e-12 and smin == 0.0
+    T = BCMatrix([[0, 2], [0, 0]], [[0, 2], [0, 0]])
+    for f in T.svd():
+        assert abs(f.s[0] - 2.0) < 1e-12 and f.s[-1] == 0.0
+    M = op_dnorm(T).M
+    assert abs(M.a1 - 2.0) < 1e-12 and abs(M.a2 - 2.0) < 1e-12
+    with pytest.raises(NotSurjective):
+        open_mapping_delta(T)
 
 
 def test_sigma_matches_power_iteration_oracle():
     rng = np.random.default_rng(5)
     for _ in range(10):
-        A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        smax, smin = sigma_extremes(A)
-        assert abs(smax - pi_sigma_max(A)) < 1e-8
-        assert abs(smin - pi_sigma_min(A)) < 1e-8
+        A, B = (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)) for _ in range(2))
+        T = BCMatrix(A, B)
+        M = op_dnorm(T).M
+        delta = open_mapping_delta(T)
+        for smax, smin, C in ((M.a1, 1.0 / delta.a1, A), (M.a2, 1.0 / delta.a2, B)):
+            assert abs(smax - pi_sigma_max(C)) < 1e-8
+            assert abs(smin - pi_sigma_min(C)) < 1e-8
 
 
 def test_sigma_rectangular_spectrum():
     rng = np.random.default_rng(6)
-    A = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
-    smax, smin = sigma_extremes(A)
-    s = np.linalg.svd(A, compute_uv=False)
-    assert len(s) == 3
-    assert abs(smax - s[0]) < 1e-12 and abs(smin - s[-1]) < 1e-12
+    A, B = (rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6)) for _ in range(2))
+    T = BCMatrix(A, B)
+    f1, f2 = T.svd()
+    M = op_dnorm(T).M
+    delta = open_mapping_delta(T)
+    for f, C, smax, smin in ((f1, A, M.a1, 1.0 / delta.a1), (f2, B, M.a2, 1.0 / delta.a2)):
+        s = np.linalg.svd(C, compute_uv=False)
+        assert len(f.s) == 3
+        assert abs(smax - s[0]) < 1e-12 and abs(smin - s[-1]) < 1e-12
 
 
 # ----------------------------------------------------------------- op_dnorm
@@ -156,12 +171,6 @@ def test_opnorm_scalar_matrix():
 def test_opnorm_diagonal():
     T = BCMatrix(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
     assert op_dnorm(T).M == DPlus(2.0, 4.0)
-
-
-def test_opnorm_rejects_non_l2():
-    T = BCMatrix.identity(2)
-    with pytest.raises(UnsupportedNorm):
-        op_dnorm(T, cfg=DNormConfig("l1"))
 
 
 def test_opnorm_monte_carlo_sup_and_soundness():

@@ -154,6 +154,15 @@ def test_cartesian_round_trip():
         assert rel_err_c(got2, w2) < 1e-15
 
 
+def test_cartesian_near_float_limit_stays_finite():
+    big = 1.7976931348623157e308
+    for z1, z2 in ((big, 1e308), (big, -big), (1j * big, -big), (big + 1j * big, big - 1j * big)):
+        w1, w2 = Bicomplex(z1, z2).to_cartesian()
+        assert w1 == 0.5 * z1 + 0.5 * z2
+        assert w2 == 0.5j * z1 - 0.5j * z2
+        assert all(math.isfinite(t) for t in (w1.real, w1.imag, w2.real, w2.imag))
+
+
 def test_four_real_round_trip():
     rng = np.random.default_rng(8)
     for _ in range(300):

@@ -5,6 +5,7 @@ import pytest
 
 from hyplab import BCMatrix, Bicomplex, DPlus, InvalidInput
 from hyplab.jsonio import (
+    MAX_DEPTH,
     digest,
     dumps,
     format_float,
@@ -210,3 +211,19 @@ def test_load_json_bad_content(tmp_path):
     f.write_text("{not json")
     with pytest.raises(InvalidInput):
         load_json(str(f))
+
+
+def test_load_json_nesting_limit(tmp_path):
+    f = tmp_path / "deep.json"
+    family = [matrix_to_json(BCMatrix.identity(2))] * 2  # the deepest input: 5 levels
+    f.write_text(dumps(family))
+    assert load_json(str(f)) == family
+    for depth, ok in ((MAX_DEPTH, True), (MAX_DEPTH + 1, False), (3 * MAX_DEPTH, False)):
+        f.write_text("[" * (depth - 1) + '{"k":1}' + "]" * (depth - 1))
+        if ok:
+            assert dumps(load_json(str(f))) == f.read_text()
+        else:
+            with pytest.raises(InvalidInput, match=f"nested deeper than {MAX_DEPTH} levels"):
+                load_json(str(f))
+    f.write_text('{"a": [1, {"b": [[]]}], "c": 2}')
+    assert load_json(str(f)) == {"a": [1, {"b": [[]]}], "c": 2}
