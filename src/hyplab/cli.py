@@ -12,6 +12,9 @@ Every invocation writes exactly one JSON document to the output stream
     5  internal error: an unexpected exception, a defect in hyplab; the
        envelope names the exception type as its error kind
 
+Codes 2-4 are the raised ``HyplabError`` class's ``exit_code``; the
+classes in ``hyplab.errors`` are the table.
+
 The default seed is 42, overridable by the HYPLAB_SEED environment
 variable; an explicit --seed beats both.  Identical inputs and seed give
 byte-identical envelopes.
@@ -23,26 +26,11 @@ import argparse
 import os
 import sys
 import traceback
-from dataclasses import dataclass
 
 from . import __version__
 from .dmodule import DNormConfig, DSeminorm, abs_summability_check, series_sum, vec_dnorm
 from .dop import _check_tol, min_norm_solve, op_dnorm, open_mapping_delta, surjectivity_check
-from .errors import (
-    DimensionMismatch,
-    EmptySet,
-    HyplabError,
-    HypothesisFailed,
-    InvalidInput,
-    NoConvergence,
-    NotConverged,
-    NotInRange,
-    NotStrictlyPositive,
-    NotSurjective,
-    PreconditionViolated,
-    ShapeMismatch,
-    ZeroDivisor,
-)
+from .errors import HyplabError, InvalidInput, NotConverged
 from .hyperscalar import bc_inverse, knorm
 from .jsonio import (
     digest,
@@ -68,44 +56,7 @@ from .theoremlab import (
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
-EXIT_INVALID_INPUT = 2
-EXIT_NO_CONVERGENCE = 3
-EXIT_PRECONDITION = 4
 EXIT_INTERNAL = 5
-
-_INVALID = (InvalidInput, DimensionMismatch, ShapeMismatch)
-_NOCONV = (NoConvergence, NotConverged)
-_PRECOND = (
-    ZeroDivisor,
-    NotStrictlyPositive,
-    NotSurjective,
-    PreconditionViolated,
-    HypothesisFailed,
-    NotInRange,
-    EmptySet,
-)
-
-
-@dataclass
-class ReportEnvelope:
-    """Wrapper around a subcommand payload; serialization is byte-stable."""
-
-    subcommand: str
-    inputs_digest: str
-    seed: int
-    payload: dict
-    passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "tool": "hyplab",
-            "version": __version__,
-            "subcommand": self.subcommand,
-            "inputs_digest": self.inputs_digest,
-            "seed": self.seed,
-            "payload": self.payload,
-            "pass": self.passed,
-        }
 
 
 def _resolve_seed(args) -> int:
@@ -120,8 +71,22 @@ def _resolve_seed(args) -> int:
     return 42
 
 
-def _emit(envelope: ReportEnvelope, output: str | None) -> None:
-    text = dumps(envelope.to_json_dict()) + "\n"
+def _new_envelope(subcommand: str) -> dict:
+    """A run's envelope, keys in emission order; seed 0 and an empty digest
+    stand for "not known yet" until they are resolved."""
+    return {
+        "tool": "hyplab",
+        "version": __version__,
+        "subcommand": subcommand,
+        "inputs_digest": "",
+        "seed": 0,
+        "payload": {},
+        "pass": False,
+    }
+
+
+def _emit(envelope: dict, output: str | None) -> None:
+    text = dumps(envelope) + "\n"
     if output is None:
         sys.stdout.write(text)
         return
@@ -256,17 +221,17 @@ def _check_common(args) -> None:
         raise InvalidInput(f"maxN must be >= 1, got {args.max_n}")
 
 
-def _dispatch(args, envelope: ReportEnvelope):
+def _dispatch(args, envelope: dict):
     """Run one subcommand; returns (payload, passed).
 
     Once the inputs are parsed, their digest goes into ``envelope``, so an
     error raised by the computation still reports which inputs it saw.
     """
     cmd = args.command
-    seed = envelope.seed
+    seed = envelope["seed"]
 
     def parsed(inputs: dict) -> None:
-        envelope.inputs_digest = digest(inputs)
+        envelope["inputs_digest"] = digest(inputs)
 
     if cmd == "knorm":
         z = parse_scalar(load_json(args.scalar))
@@ -395,19 +360,6 @@ def _dispatch(args, envelope: ReportEnvelope):
     raise InvalidInput(f"unknown subcommand {cmd!r}")
 
 
-def _error_payload(kind: str, exc: Exception) -> dict:
-    payload = {"error": {"kind": kind, "message": str(exc)}}
-    if not isinstance(exc, HyplabError):
-        return payload
-    report = getattr(exc, "report", None)
-    if report is not None:
-        payload["report"] = report.to_json_dict()
-    iterations = getattr(exc, "iterations", None)
-    if iterations is not None:
-        payload["iterations"] = iterations
-    return payload
-
-
 def run(argv=None) -> int:
     """Execute one subcommand; returns the exit code."""
     parser = _build_parser()
@@ -416,45 +368,28 @@ def run(argv=None) -> int:
     except SystemExit as exc:  # argparse reports usage errors itself
         return exc.code if isinstance(exc.code, int) else 2
 
-    # seed 0 and an empty digest stand for "not known yet" until resolved
-    envelope = ReportEnvelope(
-        subcommand=args.command, inputs_digest="", seed=0, payload={}, passed=False
-    )
+    envelope = _new_envelope(args.command)
     try:
-        envelope.seed = _resolve_seed(args)
+        envelope["seed"] = _resolve_seed(args)
         _check_common(args)
-        envelope.payload, envelope.passed = _dispatch(args, envelope)
+        envelope["payload"], envelope["pass"] = _dispatch(args, envelope)
         _emit(envelope, args.output)
-        return EXIT_PASS if envelope.passed else EXIT_CHECK_FAILED
+        return EXIT_PASS if envelope["pass"] else EXIT_CHECK_FAILED
     except Exception as exc:
-        code = _exit_code(exc)
+        # anything but a HyplabError is a defect in hyplab, not a verdict
+        code = exc.exit_code if isinstance(exc, HyplabError) else EXIT_INTERNAL
         if code == EXIT_INTERNAL:
             traceback.print_exc(file=sys.stderr)
         print(f"hyplab: {type(exc).__name__}: {exc}", file=sys.stderr)
-        envelope.payload = _error_payload(type(exc).__name__, exc)
-        envelope.passed = False
+        envelope["payload"] = {"error": {"kind": type(exc).__name__, "message": str(exc)}}
+        if isinstance(exc, NotConverged) and exc.report is not None:
+            envelope["payload"]["report"] = exc.report.to_json_dict()
+        envelope["pass"] = False
         try:
             _emit(envelope, args.output)
         except InvalidInput:
             _emit(envelope, None)  # the output path itself failed: use stdout
         return code
-
-
-def _exit_code(exc: Exception) -> int:
-    """The exit-table entry of an exception raised while running a subcommand.
-
-    Anything that is not a ``HyplabError`` is a defect in hyplab, not a
-    verdict, so it gets the last-resort code rather than a crash.
-    """
-    if isinstance(exc, _INVALID):
-        return EXIT_INVALID_INPUT
-    if isinstance(exc, _NOCONV):
-        return EXIT_NO_CONVERGENCE
-    if isinstance(exc, _PRECOND):
-        return EXIT_PRECONDITION
-    if isinstance(exc, HyplabError):
-        return EXIT_INVALID_INPUT
-    return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -502,7 +502,6 @@ def abs_summability_check(
     terms: Iterable[BCVector],
     max_n: int,
     tol=None,
-    window: int = 3,
 ) -> SeriesReport:
     """Check absolute summability and the Cauchy tail chain of partial sums.
 
@@ -516,6 +515,7 @@ def abs_summability_check(
     tol = _as_tol(tol if tol is not None else 1e-12)
     if max_n < 1:
         raise InvalidInput(f"max_n must be >= 1, got {max_n}")
+    window = 3  # terms in the trailing-window tail estimate, as series_sum's default
 
     it = iter(terms)
     xs = list(islice(it, max_n))

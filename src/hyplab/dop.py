@@ -67,7 +67,7 @@ def _thin_svd(a: np.ndarray) -> ThinSVD:
     try:
         f = ThinSVD(*np.linalg.svd(a, full_matrices=False))
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"SVD kernel failed: {exc}", 0) from exc
+        raise NoConvergence(f"SVD kernel failed: {exc}") from exc
     for arr in f:
         arr.setflags(write=False)
     return f

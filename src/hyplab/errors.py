@@ -1,13 +1,18 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, each with its CLI exit code.
 
-The CLI maps these onto its exit-code table, so every failure mode that a
-subcommand can hit has a distinct class here; a failure that no routine
-can raise gets no class.
+Every failure mode that a subcommand can hit has a distinct class here,
+and the class's ``exit_code`` is the one the CLI exits with when it is
+raised: 2 for invalid input (the default), 3 for numerical
+non-convergence, 4 for a violated precondition.  A failure that no
+routine can raise gets no class.
 """
 
 
 class HyplabError(Exception):
-    """Base class for all library-specific errors."""
+    """Base class for all library-specific errors; ``exit_code`` is the
+    CLI's exit code for one, 2 (invalid input) unless a subclass says otherwise."""
+
+    exit_code = 2
 
 
 class InvalidInput(HyplabError, ValueError):
@@ -22,30 +27,10 @@ class ShapeMismatch(HyplabError, ValueError):
     """Members of an operator family disagree in shape."""
 
 
-class ZeroDivisor(HyplabError):
-    """A bicomplex value with a (numerically) vanishing idempotent component
-    was asked for its inverse."""
-
-
-class NotStrictlyPositive(HyplabError):
-    """A strictly positive hyperbolic value was required."""
-
-
-class EmptySet(HyplabError):
-    """Supremum or infimum of an empty collection."""
-
-
 class NoConvergence(HyplabError):
-    """A numerical kernel did not converge: LAPACK's SVD driver failed.
+    """A numerical kernel did not converge: LAPACK's SVD driver failed."""
 
-    Attributes:
-        iterations: iterations performed before giving up; the SVD kernel
-            reports none, so it is 0.
-    """
-
-    def __init__(self, message: str, iterations: int = 0):
-        super().__init__(message)
-        self.iterations = iterations
+    exit_code = 3
 
 
 class NotConverged(HyplabError):
@@ -55,22 +40,51 @@ class NotConverged(HyplabError):
         report: the partially filled SeriesReport at the point of failure.
     """
 
+    exit_code = 3
+
     def __init__(self, message: str, report=None):
         super().__init__(message)
         self.report = report
 
 
+class ZeroDivisor(HyplabError):
+    """A bicomplex value with a (numerically) vanishing idempotent component
+    was asked for its inverse."""
+
+    exit_code = 4
+
+
+class NotStrictlyPositive(HyplabError):
+    """A strictly positive hyperbolic value was required."""
+
+    exit_code = 4
+
+
+class EmptySet(HyplabError):
+    """Supremum or infimum of an empty collection."""
+
+    exit_code = 4
+
+
 class NotInRange(HyplabError):
     """The right-hand side is not in the range of the operator."""
+
+    exit_code = 4
 
 
 class NotSurjective(HyplabError):
     """The operator is not surjective: some component is row-rank deficient."""
 
+    exit_code = 4
+
 
 class PreconditionViolated(HyplabError):
     """A stated precondition of a verification routine does not hold."""
 
+    exit_code = 4
+
 
 class HypothesisFailed(HyplabError):
     """The sampled premise of a covering/scaling check does not hold."""
+
+    exit_code = 4

@@ -78,17 +78,10 @@ class Hyperbolic:
     def _binary(self, other, op):
         if isinstance(other, Hyperbolic):
             cls = DPlus if isinstance(self, DPlus) and isinstance(other, DPlus) else Hyperbolic
-            try:
-                return cls(op(self.a1, other.a1), op(self.a2, other.a2))
-            except InvalidInput:
-                # cone-violating result of DPlus arithmetic degrades to Hyperbolic
-                return Hyperbolic(op(self.a1, other.a1), op(self.a2, other.a2))
+            return cls(op(self.a1, other.a1), op(self.a2, other.a2))
         if isinstance(other, (int, float)):
             cls = DPlus if isinstance(self, DPlus) and other >= 0 else Hyperbolic
-            try:
-                return cls(op(self.a1, other), op(self.a2, other))
-            except InvalidInput:
-                return Hyperbolic(op(self.a1, other), op(self.a2, other))
+            return cls(op(self.a1, other), op(self.a2, other))
         return NotImplemented
 
     def __add__(self, other):
@@ -292,21 +285,33 @@ def bc_mul(z: Bicomplex, w: Bicomplex) -> Bicomplex:
     return z * w
 
 
+def _reciprocal(w: complex) -> complex:
+    """1/w, also where ``complex`` division overflows its denominator and
+    returns 0 (which 1/w never is): 1/w = 0.5/(w/2)."""
+    return 1.0 / w or 0.5 / complex(0.5 * w.real, 0.5 * w.imag)
+
+
 def bc_inverse(z: Bicomplex) -> Bicomplex:
     """Componentwise reciprocal; fails on zero divisors and zero.
 
-    A component below ``ZERO_DIVISOR_TOL`` in modulus counts as zero.
+    A component below ``ZERO_DIVISOR_TOL`` in modulus counts as zero; one
+    beyond the float range is rejected as ``knorm`` rejects it.
     """
-    if abs(z.z1) <= ZERO_DIVISOR_TOL or abs(z.z2) <= ZERO_DIVISOR_TOL:
-        raise ZeroDivisor(
-            f"not invertible: idempotent component moduli ({abs(z.z1)}, {abs(z.z2)})"
-        )
-    return Bicomplex(1.0 / z.z1, 1.0 / z.z2)
+    m = knorm(z)
+    if m.a1 <= ZERO_DIVISOR_TOL or m.a2 <= ZERO_DIVISOR_TOL:
+        raise ZeroDivisor(f"not invertible: idempotent component moduli ({m.a1}, {m.a2})")
+    return Bicomplex(_reciprocal(z.z1), _reciprocal(z.z2))
 
 
 def knorm(z: Bicomplex) -> DPlus:
-    """Hyperbolic-valued norm e1*|z1| + e2*|z2|; zero iff z is zero."""
-    return DPlus(abs(z.z1), abs(z.z2))
+    """Hyperbolic-valued norm e1*|z1| + e2*|z2|; zero iff z is zero.
+
+    A modulus beyond the float range is rejected as ``InvalidInput``.
+    """
+    try:
+        return DPlus(abs(z.z1), abs(z.z2))
+    except OverflowError:  # a modulus beyond the float range, both parts finite
+        raise InvalidInput("non-finite component inf rejected") from None
 
 
 def euclid_norm(z: Bicomplex) -> float:

@@ -10,7 +10,9 @@ import sys
 import numpy as np
 import pytest
 
+import hyplab
 import hyplab.cli as cli
+import hyplab.errors
 from hyplab import BCMatrix, BCVector
 from hyplab.jsonio import digest, dumps, matrix_to_json, vector_to_json
 from support import oracle_dumps, random_mat, random_vec, surjective_mat
@@ -321,6 +323,49 @@ def test_unknown_subcommand_exit_2(capsys):
     assert out == ""  # nothing on the JSON stream
 
 
+#: the documented exit code of every error class hyplab exports
+EXIT_TABLE = {
+    "HyplabError": 2,
+    "InvalidInput": 2,
+    "DimensionMismatch": 2,
+    "ShapeMismatch": 2,
+    "NoConvergence": 3,
+    "NotConverged": 3,
+    "ZeroDivisor": 4,
+    "NotStrictlyPositive": 4,
+    "EmptySet": 4,
+    "NotInRange": 4,
+    "NotSurjective": 4,
+    "PreconditionViolated": 4,
+    "HypothesisFailed": 4,
+}
+
+
+def test_every_error_class_is_in_the_exit_table():
+    defined = {
+        name
+        for name, obj in vars(hyplab.errors).items()
+        if isinstance(obj, type) and issubclass(obj, hyplab.errors.HyplabError)
+    }
+    assert defined == set(EXIT_TABLE)
+    assert defined <= set(hyplab.__all__)
+
+
+@pytest.mark.parametrize("name, exit_code", sorted(EXIT_TABLE.items()))
+def test_error_class_exits_with_its_code(tmp_path, capsys, monkeypatch, name, exit_code):
+    scalar = write(tmp_path, "z.json", {"e1": [1, 0], "e2": [1, 0]})
+
+    def raising(z):
+        raise getattr(hyplab, name)("raised on purpose")
+
+    monkeypatch.setattr(cli, "knorm", raising)
+    code, doc, err = run_json(capsys, ["knorm", "--scalar", scalar])
+    assert code == exit_code
+    assert doc["pass"] is False
+    assert doc["payload"] == {"error": {"kind": name, "message": "raised on purpose"}}
+    assert err == f"hyplab: {name}: raised on purpose\n"  # no traceback below exit 5
+
+
 def _strict_json(text):
     """Parse one document, refusing the NaN and Infinity tokens JSON lacks."""
 
@@ -511,6 +556,35 @@ def test_matrix_row_given_as_number_exit_2(tmp_path, capsys):
     assert doc["payload"]["error"]["kind"] == "InvalidInput"
 
 
+#: finite idempotent components whose modulus exceeds the float range
+BEYOND_RANGE = [1.2711610061536462e308, 1.2711610061536464e308]
+
+
+@pytest.mark.parametrize("e1", [[0, 0], [2, 0]])
+@pytest.mark.parametrize("command", ["knorm", "inv"])
+def test_modulus_beyond_float_range_exit_2(tmp_path, capsys, command, e1):
+    scalar = write(tmp_path, "z.json", {"e1": e1, "e2": BEYOND_RANGE})
+    code, doc, err = run_json(capsys, [command, "--scalar", scalar])
+    assert code == 2
+    assert doc["payload"]["error"] == {
+        "kind": "InvalidInput",
+        "message": "non-finite component inf rejected",
+    }
+    assert err == "hyplab: InvalidInput: non-finite component inf rejected\n"
+
+
+@pytest.mark.parametrize("e2", [[1e308, 1e308], [-1.2e308, 0.9e308]])
+def test_inv_near_float_limit_is_an_inverse(tmp_path, capsys, e2):
+    # complex division overflows its denominator here and returns 0
+    scalar = write(tmp_path, "z.json", {"e1": [2, 0], "e2": e2})
+    code, doc, _ = run_json(capsys, ["inv", "--scalar", scalar])
+    assert code == 0
+    inverse = doc["payload"]["inverse"]
+    assert inverse["e1"] == [0.5, 0.0]
+    product = complex(*e2) * complex(*inverse["e2"])
+    assert abs(product - 1) < 1e-12
+
+
 def test_integer_beyond_float_range_exit_2(tmp_path, capsys):
     path = tmp_path / "z.json"
     path.write_text('{"e1": [1' + "0" * 400 + ', 0], "e2": [1, 0]}')
@@ -683,6 +757,22 @@ def test_unexpected_exception_exit_5_with_one_envelope(tmp_path, capsys, monkeyp
     assert doc["payload"]["error"] == {"kind": "RuntimeError", "message": "kernel exploded"}
     assert doc["inputs_digest"]  # the inputs had parsed
     assert "RuntimeError" in err
+
+
+def test_svd_failure_exit_3_with_one_envelope(tmp_path, capsys, monkeypatch):
+    mat = write(tmp_path, "T.json", matrix_to_json(random_mat(np.random.default_rng(19), 2, 2)))
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    code, doc, err = run_json(capsys, ["opnorm", "--matrix", mat])
+    assert code == 3
+    assert doc["pass"] is False
+    assert doc["payload"] == {
+        "error": {"kind": "NoConvergence", "message": "SVD kernel failed: SVD did not converge"}
+    }
+    assert err == "hyplab: NoConvergence: SVD kernel failed: SVD did not converge\n"
 
 
 def test_unwritable_output_exit_2_envelope_on_stdout(tmp_path, capsys):
