@@ -10,26 +10,26 @@ Many vectors at once are held as a block: a pair of (k, n) arrays whose
 row i holds the components of the i-th vector.  ``DNormConfig.norms`` is
 the one component-norm kernel: it reduces along the last axis, so a vector
 and each row of a block go through the same arithmetic, and it rejects a
-non-finite result the way a scalar does.  ``vec_dnorm`` and
-``seminorm_eval`` are its one-vector case; ``dnorm_rows`` and
-``seminorm_rows`` apply it to a block after one matrix product per
-component, and ``seminorm_terms`` after one matrix-vector product per row.
+non-finite result the way a scalar does.  ``dnorm_rows`` applies it to a
+block, ``seminorm_rows`` after one matrix product per component and
+``seminorm_terms`` after one matrix-vector product per row; ``vec_dnorm``
+and ``seminorm_eval`` are their one-row cases.
 
 ``complex_pairs`` is the one emitter of complex entries: it turns an array
 of any shape into nested ``[re, im]`` lists of plain floats.  The vector
 documents of reports and of ``jsonio`` are built from it by ``vector_docs``.
 
-``Report`` is the one report encoder.  A report dataclass that inherits it
-gets a ``to_json_dict`` that walks its fields in declaration order, writes
-a hyperbolic value as ``[a1, a2]``, a vector as its ``vector_doc`` and a
-list or tuple element by element, and ends with ``"pass"`` when the class
-has a ``passed`` property.  Only reports whose keys do not follow their
-fields (``SeriesReport``, the Zabreiko trace and the CLI envelope) write
-their own.
+``Report`` is the one report encoder: every report is a dataclass that
+inherits it, so its fields are its keys in emission order.  It writes a
+hyperbolic value as ``[a1, a2]``, a vector as its ``vector_doc``, a
+``Columns`` view (a sequence of cone values or vectors over one read-only
+component-major array) from that array, and a list or tuple element by
+element, and ends with ``"pass"`` when the class has a ``passed`` property.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator, Literal, NamedTuple
@@ -158,9 +158,6 @@ class DNormConfig:
             return np.abs(a).sum(axis=-1)
         return np.abs(a).max(axis=-1)
 
-    def component_value(self, v: np.ndarray) -> float:
-        return float(self.norms(v))
-
 
 _L2 = DNormConfig()
 
@@ -177,14 +174,14 @@ def require_finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def vec_dnorm(v: BCVector, cfg: DNormConfig = _L2) -> DPlus:
-    """Hyperbolic-valued norm e1*N(v1) + e2*N(v2)."""
-    return DPlus(cfg.component_value(v.v1), cfg.component_value(v.v2))
-
-
 def dnorm_rows(b1: np.ndarray, b2: np.ndarray, cfg: DNormConfig = _L2) -> np.ndarray:
     """||x_i||_D for every row x_i = (b1[i], b2[i]) of a block, as a (2, k) array."""
     return np.stack((cfg.norms(b1), cfg.norms(b2)))
+
+
+def vec_dnorm(v: BCVector, cfg: DNormConfig = _L2) -> DPlus:
+    """Hyperbolic-valued norm e1*N(v1) + e2*N(v2): the one-row ``dnorm_rows``."""
+    return DPlus(*dnorm_rows(v.v1[None], v.v2[None], cfg)[:, 0].tolist())
 
 
 @dataclass(frozen=True)
@@ -196,20 +193,9 @@ class DSeminorm:
     """
 
     T: "BCMatrix"
-    codomain: DNormConfig = _L2
 
     def __call__(self, x: BCVector) -> DPlus:
         return seminorm_eval(self, x)
-
-
-def seminorm_eval(p: DSeminorm, x: BCVector) -> DPlus:
-    """Evaluate p(x) = ||Tx||_D with the codomain's component norm."""
-    T = p.T
-    if T.cols != x.dim:
-        raise DimensionMismatch(f"operator has {T.cols} columns, vector has dim {x.dim}")
-    with np.errstate(over="ignore", invalid="ignore"):  # its norm rejects an overflow
-        y1, y2 = T.m1 @ x.v1, T.m2 @ x.v2
-    return DPlus(p.codomain.component_value(y1), p.codomain.component_value(y2))
 
 
 def _check_block_dim(T: "BCMatrix", b1: np.ndarray, b2: np.ndarray) -> None:
@@ -228,21 +214,28 @@ def seminorm_rows(p: DSeminorm, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     _check_block_dim(T, b1, b2)
     with np.errstate(over="ignore", invalid="ignore"):  # its norm rejects an overflow
         y1, y2 = b1 @ T.m1.T, b2 @ T.m2.T
-    return dnorm_rows(y1, y2, p.codomain)
+    return dnorm_rows(y1, y2)
 
 
 def seminorm_terms(p: DSeminorm, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    """p(x_i) for every row of a block, each equal to ``seminorm_eval`` bit for bit.
+    """p(x_i) for every row of a block, each the matrix-vector value T x_i.
 
-    A stacked product applies T to one row at a time with the
-    matrix-vector product ``seminorm_eval`` makes; the one matrix-matrix
-    product of ``seminorm_rows`` may round the last digit differently.
+    A stacked product applies T to one row at a time, so a value does not
+    depend on the other rows; the one matrix-matrix product of
+    ``seminorm_rows`` may round the last digit differently.
     """
     T = p.T
     _check_block_dim(T, b1, b2)
     with np.errstate(over="ignore", invalid="ignore"):  # its norm rejects an overflow
         y1, y2 = (T.m1 @ b1[..., None])[..., 0], (T.m2 @ b2[..., None])[..., 0]
-    return dnorm_rows(y1, y2, p.codomain)
+    return dnorm_rows(y1, y2)
+
+
+def seminorm_eval(p: DSeminorm, x: BCVector) -> DPlus:
+    """Evaluate p(x) = ||Tx||_D: the one-row ``seminorm_terms``."""
+    if p.T.cols != x.dim:
+        raise DimensionMismatch(f"operator has {p.T.cols} columns, vector has dim {x.dim}")
+    return DPlus(*seminorm_terms(p, x.v1[None], x.v2[None])[:, 0].tolist())
 
 
 def v_alpha_member(p: DSeminorm, x: BCVector, alpha: DPlus) -> bool:
@@ -258,6 +251,27 @@ def v_alpha_member_closed(
     Stands in for topological closure of the sublevel set at desk scale.
     """
     return hyp_leq(seminorm_eval(p, x), DPlus(alpha.a1 + tol, alpha.a2 + tol))
+
+
+class Columns(Sequence):
+    """A private read-only copy of a component-major array, read as a sequence.
+
+    Item i is column i of both components, built when read: a (2, k) array
+    reads as k ``DPlus`` values and a (2, k, n) block as k ``BCVector``s.
+    """
+
+    def __init__(self, array):
+        self.array = np.array(array)
+        self.array.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.array.shape[1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Columns(self.array[:, i])
+        column = self.array[:, i]
+        return BCVector(*column) if column.ndim == 2 else DPlus(*column.tolist())
 
 
 class Report:
@@ -277,6 +291,9 @@ def _json_value(value):
         return [value.a1, value.a2]
     if isinstance(value, BCVector):
         return vector_doc(value)
+    if isinstance(value, Columns):
+        a = value.array
+        return vector_docs(*a) if a.ndim == 3 else a.T.tolist()
     if isinstance(value, (list, tuple)):
         return [_json_value(v) for v in value]
     return value
@@ -289,28 +306,25 @@ class SeriesReport(Report):
     All facts are "at this cap, with this tolerance".  ``partial_norms``
     holds ||s_n||_D per step, ``abs_sums`` the running sum of ||x_k||_D,
     and ``cauchy_margin`` the largest trailing-window tail estimate seen.
-    The chain fields are populated by ``abs_summability_check`` only.
     """
 
     n_terms: int
     converged: bool
     limit: BCVector | None
-    partial_norms: list[DPlus]
-    abs_sums: list[DPlus]
+    partial_norms: Columns
+    abs_sums: Columns
     cauchy_margin: DPlus
     tol: DPlus
     window: int
-    abs_converged: bool | None = None
-    cauchy_chain_ok: bool | None = None
-    chain_margin: Hyperbolic | None = None
 
-    def to_json_dict(self) -> dict:
-        """The fields in order, the chain fields only when they are set."""
-        d = super().to_json_dict()
-        for key in ("abs_converged", "cauchy_chain_ok", "chain_margin"):
-            if d[key] is None:
-                del d[key]
-        return d
+
+@dataclass
+class AbsSummabilityReport(SeriesReport):
+    """A series report with the absolute-summability chain verdicts."""
+
+    abs_converged: bool
+    cauchy_chain_ok: bool
+    chain_margin: Hyperbolic
 
 
 def _as_tol(tol) -> DPlus:
@@ -437,8 +451,8 @@ def series_sum(
     n = 0
     dim = None
     rows: _SeriesRows | None = None
-    partial_norms: list[DPlus] = []
-    abs_sums: list[DPlus] = []
+    partial_norms: list[np.ndarray] = []  # the (2, used) columns of each block
+    abs_sums: list[np.ndarray] = []
     cauchy_margin = np.zeros(2)
     used = 0  # terms of the last block in the sum
     cut: Exception | None = None  # what ends the terms early, raised if reached
@@ -466,8 +480,8 @@ def series_sum(
             )
             settled = _settled_at(rows, tol, window, n)
             used = settled or len(chunk)
-            partial_norms += _dplus_list(rows.partial_norms[:, :used])
-            abs_sums += _dplus_list(rows.abs_sums[:, :used])
+            partial_norms.append(rows.partial_norms[:, :used])
+            abs_sums.append(rows.abs_sums[:, :used])
             cauchy_margin = np.maximum(cauchy_margin, rows.tails[:, :used].max(axis=1))
             n += used
         if settled is not None:
@@ -487,8 +501,8 @@ def series_sum(
         n_terms=n,
         converged=converged,
         limit=BCVector(rows.s1[used - 1], rows.s2[used - 1]) if converged else None,
-        partial_norms=partial_norms,
-        abs_sums=abs_sums,
+        partial_norms=Columns(np.concatenate(partial_norms, axis=1)),
+        abs_sums=Columns(np.concatenate(abs_sums, axis=1)),
         cauchy_margin=DPlus(*cauchy_margin.tolist()),
         tol=tol,
         window=window,
@@ -502,7 +516,7 @@ def abs_summability_check(
     terms: Iterable[BCVector],
     max_n: int,
     tol=None,
-) -> SeriesReport:
+) -> AbsSummabilityReport:
     """Check absolute summability and the Cauchy tail chain of partial sums.
 
     First decides whether the real series sum ||x_k||_D settles below
@@ -561,12 +575,12 @@ def abs_summability_check(
         else Hyperbolic(0.0, 0.0)
     )
 
-    return SeriesReport(
+    return AbsSummabilityReport(
         n_terms=n_terms,
         converged=abs_converged,
         limit=BCVector(s1[-1], s2[-1]) if abs_converged else None,
-        partial_norms=_dplus_list(partial_norms),
-        abs_sums=_dplus_list(abs_sums),
+        partial_norms=Columns(partial_norms),
+        abs_sums=Columns(abs_sums),
         cauchy_margin=cauchy_margin,
         tol=tol,
         window=window,
@@ -574,11 +588,6 @@ def abs_summability_check(
         cauchy_chain_ok=chain_ok,
         chain_margin=worst,
     )
-
-
-def _dplus_list(values: np.ndarray) -> list[DPlus]:
-    """The columns of a (2, k) array as cone values."""
-    return [DPlus(a1, a2) for a1, a2 in zip(values[0].tolist(), values[1].tolist())]
 
 
 def complex_pairs(a: np.ndarray) -> list:

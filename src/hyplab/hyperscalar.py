@@ -318,5 +318,6 @@ def euclid_norm(z: Bicomplex) -> float:
     """Euclidean modulus of the four-real view, sqrt((|z1|^2+|z2|^2)/2).
 
     Each component of ``knorm(z)`` is bounded by sqrt(2) times this value.
+    ``math.hypot`` rescales, so no square overflows or underflows.
     """
-    return math.sqrt(0.5 * (abs(z.z1) ** 2 + abs(z.z2) ** 2))
+    return math.hypot(z.z1.real, z.z1.imag, z.z2.real, z.z2.imag) / math.sqrt(2.0)

@@ -30,6 +30,12 @@ from hypothesis import strategies as st
 
 import hyplab.cli as cli
 
+#: Examples per subcommand: 15, or the count of the ``fuzz-deep`` profile
+#: (conftest.py) when that profile is loaded.
+FUZZ_EXAMPLES = (
+    settings.default.max_examples if settings.get_current_profile_name() == "fuzz-deep" else 15
+)
+
 moderate = st.floats(min_value=-10.0, max_value=10.0)
 numbers = st.one_of(
     *[moderate] * 12,
@@ -176,7 +182,7 @@ def fuzz_case(name):
     flags = st.fixed_dictionaries(required, optional=optional)
 
     @settings(
-        max_examples=15,
+        max_examples=FUZZ_EXAMPLES,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )

@@ -1,5 +1,7 @@
 """Vectors, D-valued norms, seminorms, and capped series summation."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,10 @@ from hypothesis import strategies as st
 
 from hyplab import (
     BCMatrix,
+    AbsSummabilityReport,
     BCVector,
     Bicomplex,
+    Columns,
     DNormConfig,
     DPlus,
     DSeminorm,
@@ -17,6 +21,7 @@ from hyplab import (
     InvalidInput,
     NotConverged,
     NotStrictlyPositive,
+    SeriesReport,
     abs_summability_check,
     geometric_terms,
     knorm,
@@ -358,3 +363,56 @@ def test_geometric_generator_terms():
 def test_dnorm_config_rejects_unknown():
     with pytest.raises(InvalidInput):
         DNormConfig("l3")
+
+
+# --------------------------------------------------------- column views
+
+
+def test_columns_read_cone_values():
+    a = np.array([[1.0, 2.0, 3.0], [0.5, -0.0, 4.0]])
+    view = Columns(a)
+    assert len(view) == 3
+    assert view[0] == DPlus(1.0, 0.5) and view[-1] == DPlus(3.0, 4.0)
+    assert list(view) == [DPlus(*col) for col in a.T.tolist()]
+    part = view[1:]
+    assert isinstance(part, Columns) and list(part) == [DPlus(2.0, -0.0), DPlus(3.0, 4.0)]
+    assert len(view[::-2]) == 2 and view[::-2][1] == DPlus(1.0, 0.5)
+    with pytest.raises(IndexError):
+        view[3]
+
+
+def test_columns_read_vectors():
+    rng = np.random.default_rng(93)
+    block = rng.standard_normal((2, 4, 3)) + 1j * rng.standard_normal((2, 4, 3))
+    view = Columns(block)
+    assert len(view) == 4 and len(view[1:3]) == 2
+    for i, v in enumerate(view):
+        assert isinstance(v, BCVector)
+        assert np.array_equal(v.v1, block[0, i]) and np.array_equal(v.v2, block[1, i])
+    assert np.array_equal(view[-1].v2, block[1, 3])
+    assert np.array_equal(view[1:][0].v1, block[0, 1])
+
+
+def test_columns_hold_a_read_only_copy():
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    view = Columns(a)
+    a[0, 0] = 9.0  # the caller's array stays its own
+    assert view[0] == DPlus(1.0, 3.0)
+    assert not view.array.flags.writeable and not view[1:].array.flags.writeable
+    with pytest.raises(ValueError):
+        view.array[0, 0] = 0.0
+
+
+def test_series_reports_hold_views():
+    rng = np.random.default_rng(94)
+    terms = list(islice(geometric_terms(Bicomplex(0.5, 0.25), random_vec(rng, 3)), 80))
+    plain = series_sum(terms, DPlus(1e-12, 1e-12), 200)
+    chain = abs_summability_check(terms, 200)
+    assert type(plain) is SeriesReport and isinstance(chain, AbsSummabilityReport)
+    for rep in (plain, chain):
+        assert isinstance(rep.partial_norms, Columns) and isinstance(rep.abs_sums, Columns)
+        assert len(rep.partial_norms) == len(rep.abs_sums) == rep.n_terms
+        assert rep.abs_sums[0] == vec_dnorm(terms[0])
+    # only the chain report carries the chain keys
+    assert "abs_converged" not in plain.to_json_dict()
+    assert list(chain.to_json_dict())[-3:] == ["abs_converged", "cauchy_chain_ok", "chain_margin"]

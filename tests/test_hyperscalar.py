@@ -254,6 +254,13 @@ def test_euclid_norm_unit():
     assert euclid_norm(ONE) == 1.0
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_euclid_norm_outside_the_squaring_range(scale):
+    # |z|^2 overflows at 1e200 and underflows to 0 at 1e-200
+    got = euclid_norm(Bicomplex(scale, 0))
+    assert abs(got - scale * math.sqrt(0.5)) <= 1e-15 * scale
+
+
 def test_euclid_norm_e1_tight():
     got = euclid_norm(E1)
     assert abs(got - math.sqrt(0.5)) < 1e-15

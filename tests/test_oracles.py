@@ -192,18 +192,18 @@ def test_trace_memory_does_not_scale_with_max_n():
 def test_trace_blocks_are_read_only():
     p, x, m = _instance(4)
     trace = zabreiko_decompose(p, x, m, 1.0, DPlus(1.0, 1.0), 64)
-    blocks = (trace.term_block, trace.remainder_block, trace.epsilon_block, trace.tail_block)
-    for block in blocks:
-        assert not block.flags.writeable
+    views = (trace.x_terms, trace.remainders, trace.epsilons, trace.tail_bounds)
+    for view in views:
+        assert not view.array.flags.writeable
         with pytest.raises(ValueError):
-            block[(0,) * block.ndim] = 1.0
-    assert trace.term_block.shape == trace.remainder_block.shape == (2, trace.n_steps, 4)
-    # the lists hold copies of the blocks' rows
+            view.array[(0,) * view.array.ndim] = 1.0
+    assert trace.x_terms.array.shape == trace.remainders.array.shape == (2, trace.n_steps, 4)
+    # the items are copies of the blocks' columns
     first = trace.x_terms[0]
-    assert np.array_equal(first.v1, trace.term_block[0, 0])
-    assert not np.shares_memory(first.v1, trace.term_block)
-    assert trace.x_terms[-1].v2.tolist() == trace.term_block[1, -1].tolist()
-    assert [e.a1 for e in trace.epsilons[:2]] == trace.epsilon_block[0, :2].tolist()
+    assert np.array_equal(first.v1, trace.x_terms.array[0, 0])
+    assert not np.shares_memory(first.v1, trace.x_terms.array)
+    assert trace.x_terms[-1].v2.tolist() == trace.x_terms.array[1, -1].tolist()
+    assert [e.a1 for e in trace.epsilons[:2]] == trace.epsilons.array[0, :2].tolist()
 
 
 # ----------------------------------------------------------------- series

@@ -3,17 +3,24 @@ envelope, from hand-set fields.
 
 Each report is built from literal field values, with no kernel run, so the
 expected strings hold on every platform.  The values include -0.0, the
-smallest subnormal 5e-324, empty lists and the optional ``SeriesReport``
-fields left as None.  A serializer that reorders, renames, drops or adds a
+smallest subnormal 5e-324, empty lists and ``Columns`` views beside plain
+lists of cone values.  A serializer that reorders, renames, drops or adds a
 key, or formats a value differently, fails here.
 """
+
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
+import hyplab
+
 from hyplab import (
+    AbsSummabilityReport,
     BallScaleReport,
     BCVector,
+    Columns,
     ContinuityReport,
     DPlus,
     Hyperbolic,
@@ -27,16 +34,10 @@ from hyplab import (
     ZabreikoTrace,
 )
 from hyplab.cli import _new_envelope
+from hyplab.dmodule import Report
 from hyplab.jsonio import dumps
 
 TINY = 5e-324
-
-
-def _block(*rows):
-    """A read-only (2, steps, n) complex block from per-component rows."""
-    a = np.array(rows, dtype=complex)
-    a.setflags(write=False)
-    return a
 
 
 def _reports():
@@ -181,12 +182,12 @@ def _reports():
         '"cauchy_margin":[-0,4.9406564584124654e-324],'
         '"tol":[9.9999999999999998e-13,9.9999999999999998e-13],"window":3}'
     )
-    yield "series-full", SeriesReport(
+    yield "series-full", AbsSummabilityReport(
         n_terms=2,
         converged=True,
         limit=BCVector([complex(-0.0, 0.5)], [complex(TINY, 0.0)]),
-        partial_norms=[DPlus(1.0, -0.0), DPlus(TINY, 2.0)],
-        abs_sums=[DPlus(1.0, 0.0), DPlus(1.5, 2.0)],
+        partial_norms=Columns([[1.0, TINY], [-0.0, 2.0]]),
+        abs_sums=Columns([[1.0, 1.5], [0.0, 2.0]]),
         cauchy_margin=DPlus(0.5, 0.5),
         tol=DPlus(0.25, 4.0),
         window=1,
@@ -201,21 +202,23 @@ def _reports():
         '"chain_margin":[-0,-4.9406564584124654e-324]}'
     )
     yield "zabreiko", ZabreikoTrace(
+        check="zabreiko",
         m=DPlus(50.0, 50.0),
         r=1.0,
         eps=DPlus(1.0, TINY),
         alpha_star=DPlus(-0.0, 2.0),
         x_norm=DPlus(0.5, 0.25),
         px=DPlus(TINY, 0.0),
-        term_block=_block([[complex(-0.0, 0.5)]], [[complex(TINY, 1.0)]]),
-        remainder_block=_block([[0j]], [[complex(-TINY, -0.0)]]),
-        epsilon_block=np.array([[0.5, 0.02], [0.25, -0.0]]),
-        tail_block=np.array([[0.02], [TINY]]),
+        n_steps=1,
+        capped=False,
+        epsilons=Columns([[0.5, 0.02], [0.25, -0.0]]),
+        tail_bounds=Columns([[0.02], [TINY]]),
+        x_terms=Columns(np.array([[[complex(-0.0, 0.5)]], [[complex(TINY, 1.0)]]])),
+        remainders=Columns(np.array([[[0j]], [[complex(-TINY, -0.0)]]])),
         chain_exact=True,
         term_bounds_ok=True,
         remainder_bounds_ok=False,
         final_bound_ok=True,
-        capped=False,
         worst_term_margin=Hyperbolic(-0.0, -1.0),
         worst_remainder_margin=Hyperbolic(TINY, -TINY),
     ), (
@@ -245,9 +248,25 @@ def _reports():
 CASES = list(_reports())
 
 
+def _pinned():
+    return {type(report) for _, report, _ in CASES if not isinstance(report, dict)}
+
+
 def test_every_report_class_is_pinned():
-    pinned = {type(report) for _, report, _ in CASES if not isinstance(report, dict)}
-    assert len(pinned) == 10
+    assert len(_pinned()) == 11
+
+
+def test_every_report_class_uses_the_one_encoder():
+    modules = [importlib.import_module(f"hyplab.{m.name}") for m in pkgutil.iter_modules(hyplab.__path__)]
+    encoders = {
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if isinstance(obj, type) and hasattr(obj, "to_json_dict")
+    }
+    assert encoders == _pinned() | {Report}
+    for cls in encoders:
+        assert cls.to_json_dict is Report.to_json_dict, cls.__name__
 
 
 @pytest.mark.parametrize("report,expected", [c[1:] for c in CASES], ids=[c[0] for c in CASES])

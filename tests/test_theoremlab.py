@@ -30,6 +30,7 @@ from hyplab import (
 )
 from hyplab.jsonio import dumps
 from hyplab import Bicomplex
+import hyplab.theoremlab as tl
 from support import random_mat, random_vec, surjective_mat
 
 
@@ -65,6 +66,25 @@ def test_continuity_random_and_falsification():
         p, trials=10, seed=3, alpha_star=DPlus((1 - 1e-6) * a.a1, a.a2)
     )
     assert not tiny.all_ok
+
+
+def _bottom_witness_rows(T):
+    """Unit vectors of the smallest singular values, which do not attain the norm."""
+    f1, f2 = T.svd()
+    v1, v2 = f1.vh[-1].conj(), f2.vh[-1].conj()
+    zero = np.zeros(T.cols, dtype=complex)
+    return np.stack((v1, zero, v1)), np.stack((zero, v2, v2))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-12])
+def test_continuity_witness_tightness_is_relative(monkeypatch, scale):
+    rng = np.random.default_rng(22)
+    T = random_mat(rng, 4, 4)
+    p = DSeminorm(BCMatrix(T.m1 * scale, T.m2 * scale))
+    assert continuity_bound_check(p, trials=20, seed=4).witness_tight
+    monkeypatch.setattr(tl, "_witness_rows", _bottom_witness_rows)
+    rep = continuity_bound_check(p, trials=20, seed=4)
+    assert not rep.witness_tight and not rep.passed
 
 
 def test_continuity_report_deterministic():
