@@ -164,8 +164,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", required=True, help="hyperbolic literal a1,a2")
     common(
         sp,
-        max_n_help="step cap; the trace ends when the remainder vanishes or underflows "
-        "(about 530 steps at dim 4, never more than ~2,100), so memory and output "
+        max_n_help="step cap; the trace ends when the remainder's norm is at most "
+        "2^-52 times ||x||_D per component (about 49 steps at dim 4, never more than "
+        "~2,100), so memory and output "
         "(~190 bytes per step and dimension) grow with steps*dim, not with maxN",
     )
 

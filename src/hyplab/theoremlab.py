@@ -96,9 +96,6 @@ CLOSURE_TOL = 1e-9
 #: errors near 1e-161: only an absolute comparison is meaningful there.
 SLACK_FLOOR = 1e-150
 
-#: Remainder components below this floor terminate a decomposition.
-REMAINDER_FLOOR = 1e-300
-
 #: Terms of the geometric right-hand-side series ``open_mapping_verify`` solves.
 OMT_SERIES_LEN = 12
 
@@ -478,6 +475,10 @@ class ZabreikoTrace(Report):
 #: Steps a decomposition allocates at first; its blocks double when full.
 _STEP_CHUNK = 256
 
+#: A decomposition stops once its remainder is this fraction of ||x||_D
+#: per component: float64 machine epsilon, 2^-52.
+_ROUNDOFF = 2.0**-52
+
 
 def _grid(v: np.ndarray, pitch) -> np.ndarray:
     """Real and imaginary parts rounded to multiples of ``pitch``.
@@ -538,17 +539,21 @@ def zabreiko_decompose(
     p(x_k) <= alpha*(eps_{k-1}+eps'_k) r <= eps_{k-1} m survives a first
     step where eps_0 = ||x||_D/r is smaller than eps_1.
 
-    Terminates at ``max_n`` steps or when both components of ||u_k||_D are
-    at most ``REMAINDER_FLOOR``.  Unless the grid represents the remainder
-    exactly first, that is when the l2 squares of the remainder's entries
-    underflow to zero, not when the remainder is that small: a random x in
-    the unit ball at n=4 stops after 532 steps, and its trace is ~400 KB
-    of JSON (about 190 bytes per step and dimension).  Once eps_k
-    underflows the pitch is zero and the next step ends the trace, so no
-    trace is longer than ~2,100 steps.  Memory and output grow with
-    steps * n and not with ``max_n``, which only caps the steps.  The
-    final bound p(x) <= (m/r)||x||_D + eps is evaluated directly on x and
-    does not depend on where the trace stops.
+    Terminates at ``max_n`` steps or at the first step where
+    ||u_k||_D <= 2^-52 ||x||_D componentwise (float64 machine epsilon), so
+    x = 0 stops at step 1; ``capped`` is false when this rule stopped the
+    trace.  Every step past it would be below double precision relative to
+    x.  The remainder budget is eps_k r = (eps/m) 2^-k r, so the rule holds
+    by step k ~ 52 + log2(eps r / (m ||x||_D)): the same step at every
+    common scale of x, r, m and eps, as long as the l2 squares of the
+    remainder's entries do not underflow.  A random x in the unit ball at
+    n=4 with r = 1 and eps = 1 stops after about 49 steps, and its trace is
+    ~37 KB of JSON (about 190 bytes per step and dimension).  Once eps_k
+    underflows the pitch is zero, the remainder is copied into the term and
+    the next remainder is zero, so no trace is longer than ~2,100 steps.
+    Memory and output grow with steps * n and not with ``max_n``, which
+    only caps the steps.  The final bound p(x) <= (m/r)||x||_D + eps is
+    evaluated directly on x and does not depend on where the trace stops.
 
     The steps run on (2, steps, n) blocks: each step only quantizes,
     subtracts and takes the norm that decides termination.  The budgets
@@ -585,6 +590,7 @@ def zabreiko_decompose(
     x0 = np.stack((x.v1, x.v2))
     eps0 = np.array([[x_norm.a1 / r], [x_norm.a2 / r]])
     ratio = np.array([[eps.a1 / m.a1], [eps.a2 / m.a2]])
+    stop1, stop2 = _ROUNDOFF * x_norm.a1, _ROUNDOFF * x_norm.a2
     l2 = DNormConfig()
 
     size = 0
@@ -610,7 +616,7 @@ def zabreiko_decompose(
             un1, un2 = l2.norms_unchecked(u).tolist()
             if not (math.isfinite(un1) and math.isfinite(un2)):
                 break  # a non-finite remainder, rejected below
-            if un1 <= REMAINDER_FLOOR and un2 <= REMAINDER_FLOOR:
+            if un1 <= stop1 and un2 <= stop2:
                 capped = False
                 break
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import deque
 
 import numpy as np
@@ -26,7 +27,7 @@ from hyplab import BCMatrix, BCVector, Bicomplex, DimensionMismatch, DPlus, Inva
 from hyplab.dmodule import SeriesReport, _as_tol, seminorm_eval, vec_dnorm
 from hyplab.hyperscalar import hyp_leq
 from hyplab.dop import op_dnorm
-from hyplab.theoremlab import REMAINDER_FLOOR, _holds, _within, _worst
+from hyplab.theoremlab import _holds, _within, _worst
 
 
 def mul4(a, b):
@@ -195,6 +196,8 @@ def oracle_zabreiko(p, x: BCVector, m: DPlus, r: float, eps: DPlus, max_n: int) 
     p_terms, term_bounds, rem_norms = [], [], []
     u = x
     capped = True
+    # stop at roundoff of ||x||_D: float64 machine epsilon times each component
+    stop = DPlus(sys.float_info.epsilon * x_norm.a1, sys.float_info.epsilon * x_norm.a2)
     for k in range(1, max_n + 1):
         prev_eps = epsilons[-1]
         eps_k = DPlus(math.ldexp(eps.a1 / m.a1, -k), math.ldexp(eps.a2 / m.a2, -k))
@@ -213,7 +216,7 @@ def oracle_zabreiko(p, x: BCVector, m: DPlus, r: float, eps: DPlus, max_n: int) 
         remainders.append(u)
         epsilons.append(eps_k)
         tail_bounds.append(eps_k * r)
-        if un.a1 <= REMAINDER_FLOOR and un.a2 <= REMAINDER_FLOOR:
+        if un.a1 <= stop.a1 and un.a2 <= stop.a2:
             capped = False
             break
 

@@ -9,6 +9,7 @@ exactly what the one-value-at-a-time references in ``support`` do.
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
 from itertools import islice
 
@@ -185,8 +186,38 @@ def test_trace_memory_does_not_scale_with_max_n():
     finally:
         tracemalloc.stop()
     assert dumps(trace.to_json_dict()) == want
-    assert trace.n_steps > 500
+    # the remainder budget (eps/m) 2^-k r reaches 2^-52 ||x||_D by step ~52
+    assert not trace.capped and trace.n_steps < 64
     assert peak < 5 * 2**20
+
+
+def _meets_roundoff_rule(u: BCVector, x_norm: DPlus) -> bool:
+    un = vec_dnorm(u)
+    return un.a1 <= sys.float_info.epsilon * x_norm.a1 and un.a2 <= sys.float_info.epsilon * x_norm.a2
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_trace_stops_at_the_first_remainder_below_roundoff_of_x(n):
+    p, x, m = _instance(n)
+    trace = zabreiko_decompose(p, x, m, 1.0, DPlus(1.0, 1.0), 1000)
+    assert not trace.capped and trace.n_steps >= 2
+    assert _meets_roundoff_rule(trace.remainders[-1], trace.x_norm)
+    assert not _meets_roundoff_rule(trace.remainders[-2], trace.x_norm)
+
+
+def test_trace_length_and_arrays_scale_with_the_instance():
+    p, x, m = _instance(4)
+    eps = DPlus(1.0, 1.0)
+    unit = zabreiko_decompose(p, x, m, 1.0, eps, 1000)
+    for e in (-400, 0, 400):
+        s = math.ldexp(1.0, e)
+        trace = zabreiko_decompose(p, x.scale(s), m * s, s, eps * s, 1000)
+        assert (trace.n_steps, trace.capped) == (unit.n_steps, False), e
+        # the budgets eps_k are ratios and do not scale; everything else does, exactly
+        assert np.array_equal(trace.epsilons.array, unit.epsilons.array), e
+        for name in ("tail_bounds", "x_terms", "remainders"):
+            got, want = getattr(trace, name).array, getattr(unit, name).array
+            assert np.array_equal(got, want * s), (e, name)
 
 
 def test_trace_blocks_are_read_only():
