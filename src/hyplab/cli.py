@@ -18,6 +18,11 @@ classes in ``hyplab.errors`` are the table.
 The default seed is 42, overridable by the HYPLAB_SEED environment
 variable; an explicit --seed beats both.  Identical inputs and seed give
 byte-identical envelopes.
+
+Each subcommand is one row of ``_ROWS``: its help, its flags and its run.
+A flag with a kind is an input: the kind says how its value is read and
+its canonical form in the inputs digest.  One loop builds the parser from
+the rows, and one reads a row's inputs, digests them and calls its run.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import argparse
 import os
 import sys
 import traceback
+from typing import Any, Callable, NamedTuple
 
 from . import __version__
 from .dmodule import DNormConfig, DSeminorm, abs_summability_check, series_sum, vec_dnorm
@@ -97,6 +103,191 @@ def _emit(envelope: dict, output: str | None) -> None:
         raise InvalidInput(f"cannot write the envelope to {output}: {exc}") from exc
 
 
+class _Kind(NamedTuple):
+    """How an input's flag value is read, and its canonical form in the digest.
+
+    An ``early`` input is read before any file is.  An omitted flag without
+    a default gives ``fallback(args)``, where the inputs before it are read.
+    """
+
+    read: Callable[[Any], Any]
+    canon: Callable[[Any], Any] = lambda value: value
+    early: bool = False
+    fallback: Callable[[argparse.Namespace], Any] | None = None
+
+
+class _Flag:
+    """One option of a subcommand: an input if it has a kind, else a setting
+    of the run; ``spec`` holds its ``add_argument`` keywords."""
+
+    def __init__(self, flag: str, kind: _Kind | None = None, **spec):
+        self.flag, self.kind, self.spec = flag, kind, spec
+        self.dest = flag[2:].replace("-", "_")
+
+
+class _Row(NamedTuple):
+    """One subcommand; its run maps the read inputs to (payload, passed)."""
+
+    help: str
+    flags: tuple[_Flag, ...]
+    run: Callable[[argparse.Namespace], tuple[dict, bool]]
+
+
+def _tol(tol: float) -> float:
+    _check_tol(tol)
+    return tol
+
+
+def _cap(max_n: int) -> int:
+    if max_n < 1:
+        raise InvalidInput(f"maxN must be >= 1, got {max_n}")
+    return max_n
+
+
+def _family(path: str) -> list:
+    raw = load_json(path)
+    if not isinstance(raw, list):
+        raise InvalidInput("family must be a JSON array of matrices")
+    return [parse_matrix(mj) for mj in raw]
+
+
+def _deltas(text: str) -> list[float]:
+    try:
+        return [float(d) for d in text.split(",") if d.strip()]
+    except ValueError as exc:
+        raise InvalidInput(f"bad --deltas literal {text!r}") from exc
+
+
+# kinds look hyplab functions up when called, so a patched or wrapped
+# module attribute is the one that runs
+_PLAIN = _Kind(lambda value: value)  # typed by argparse
+_SCALAR = _Kind(lambda path: parse_scalar(load_json(path)), lambda z: scalar_to_json(z))
+_VECTOR = _Kind(lambda path: parse_vector(load_json(path)), lambda v: vector_to_json(v))
+_MATRIX = _Kind(lambda path: parse_matrix(load_json(path)), lambda T: matrix_to_json(T))
+_JSON = _Kind(lambda path: load_json(path))  # parsed by the run, after the digest
+_HYP = _Kind(lambda text: parse_hyp_literal(text), lambda h: [h.a1, h.a2])
+
+_SEED = _Flag("--seed", type=int, default=None, help="sampling seed (default 42 or HYPLAB_SEED)")
+_OUTPUT = _Flag("--output", default=None, help="write the JSON envelope here instead of stdout")
+_FORMAT = _Flag("--format", choices=("idempotent", "cartesian"), default="idempotent",
+                help="scalar emission form")
+_TOL = _Flag("--tol", _Kind(_tol, early=True), type=float, default=1e-10, help="numeric tolerance")
+_SCALAR_IN = _Flag("--scalar", _SCALAR, required=True)
+_MATRIX_IN = _Flag("--matrix", _MATRIX, required=True)
+_TERMS = _Flag("--terms", _JSON, required=True)
+_SERIES_TOL = _Flag("--series-tol", _HYP, default="1e-12", help="hyperbolic literal a1,a2")
+_SAMPLES_HELP = "random samples; each takes about 100 bytes per matrix column"
+_TRIALS = _Flag("--trials", _PLAIN, type=int, default=1000, help=_SAMPLES_HELP)
+
+
+def _max_n(help: str) -> _Flag:
+    return _Flag("--maxN", _Kind(_cap, early=True), type=int, default=1000, metavar="MAX_N", help=help)
+
+
+def _verdict(rep) -> tuple[dict, bool]:
+    return rep.to_json_dict(), rep.passed
+
+
+def _opnorm(a) -> tuple[dict, bool]:
+    rep = op_dnorm(a.matrix, tol=a.tol)
+    return {**rep.to_json_dict(), "M": scalar_to_json(rep.M, a.format)}, True
+
+
+def _series(a) -> tuple[dict, bool]:
+    terms = parse_series(a.terms)
+    if not a.abs_check:
+        rep = series_sum(terms, a.series_tol, a.maxN)
+        return rep.to_json_dict(), rep.converged
+    rep = abs_summability_check(terms, a.maxN, a.series_tol)
+    if not rep.abs_converged:
+        raise NotConverged("absolute sums not settled at the cap", rep)
+    return rep.to_json_dict(), bool(rep.cauchy_chain_ok)
+
+
+#: one row per subcommand, in ``--help`` order; its flags in ``--help`` order
+_ROWS = {
+    "knorm": _Row("hyperbolic-valued norm of a scalar", (_SCALAR_IN, _SEED, _OUTPUT, _FORMAT),
+                  lambda a: ({"knorm": scalar_to_json(knorm(a.scalar), a.format)}, True)),
+    "inv": _Row("componentwise inverse of a scalar", (_SCALAR_IN, _SEED, _OUTPUT, _FORMAT),
+                lambda a: ({"inverse": scalar_to_json(bc_inverse(a.scalar), a.format)}, True)),
+    "norm": _Row(
+        "D-norm of a vector",
+        (_Flag("--vector", _VECTOR, required=True),
+         _Flag("--norm", _PLAIN, choices=("l2", "l1", "linf"), default="l2"), _SEED, _OUTPUT, _FORMAT),
+        lambda a: ({"dnorm": scalar_to_json(vec_dnorm(a.vector, DNormConfig(a.norm)), a.format),
+                    "component_norm": a.norm}, True),
+    ),
+    "opnorm": _Row("operator D-norm via extremal singular values",
+                   (_MATRIX_IN, _TOL, _SEED, _OUTPUT, _FORMAT), _opnorm),
+    "solve": _Row("minimum-norm solve of Tx = y",
+                  (_MATRIX_IN, _Flag("--y", _VECTOR, required=True), _TOL, _SEED, _OUTPUT),
+                  lambda a: (min_norm_solve(a.matrix, a.y, tol=a.tol).to_json_dict(), True)),
+    "omc": _Row(
+        "open-mapping constant 1/sigma_min per component", (_MATRIX_IN, _TOL, _SEED, _OUTPUT, _FORMAT),
+        lambda a: ({"delta": scalar_to_json(open_mapping_delta(a.matrix, tol=a.tol), a.format),
+                    "surjectivity": surjectivity_check(a.matrix, tol=a.tol).to_json_dict()}, True),
+    ),
+    "series": _Row(
+        "capped series summation (array or generator spec)",
+        (_TERMS, _SERIES_TOL,
+         _Flag("--abs-check", action="store_true", help="run the absolute-summability chain check"),
+         _SEED,
+         _max_n("term cap; each term summed costs about 300 bytes of memory, plus 0.5 + 0.11*dim MB "
+                "at most for the chunk being summed (750 + 120*dim bytes per term with --abs-check, "
+                "which keeps every term) and ~90 bytes of output"),
+         _OUTPUT),
+        _series,
+    ),
+    "zabreiko": _Row(
+        "geometric-budget decomposition trace",
+        (_MATRIX_IN, _Flag("--x", _VECTOR, required=True),
+         _Flag("--m", _HYP, required=True, help="hyperbolic literal a1,a2"),
+         _Flag("--r", _PLAIN, type=float, required=True),
+         _Flag("--eps", _HYP, required=True, help="hyperbolic literal a1,a2"),
+         _SEED,
+         _max_n("step cap; the trace ends when the remainder's norm is at most 2^-52 times ||x||_D "
+                "per component (about 49 steps at dim 4, never more than ~2,100), so memory and "
+                "output (~190 bytes per step and dimension) grow with steps*dim, not with maxN"),
+         _OUTPUT),
+        lambda a: _verdict(zabreiko_decompose(DSeminorm(a.matrix), a.x, a.m, a.r, a.eps, a.maxN)),
+    ),
+    "ubp": _Row(
+        "uniform boundedness over an operator family",
+        (_Flag("--family", _Kind(_family, lambda fam: [matrix_to_json(T) for T in fam]),
+               required=True, help="JSON array of matrices"),
+         _Flag("--samples", _PLAIN, type=int, default=100,
+               help=_SAMPLES_HELP + " plus 60 per family member"),
+         _SEED, _OUTPUT),
+        lambda a: _verdict(ubp_verify(a.family, a.samples, a.seed)),
+    ),
+    "omt-verify": _Row("open-mapping solve-and-bound verification", (_MATRIX_IN, _TRIALS, _SEED, _OUTPUT),
+                       lambda a: _verdict(open_mapping_verify(a.matrix, a.trials, a.seed))),
+    "lemma31": _Row("continuity bound check for a seminorm", (_MATRIX_IN, _TRIALS, _SEED, _OUTPUT),
+                    lambda a: _verdict(continuity_bound_check(DSeminorm(a.matrix), a.trials, a.seed))),
+    "subadd": _Row(
+        "countable subadditivity along a series",
+        (_MATRIX_IN, _TERMS, _SERIES_TOL, _SEED,
+         _max_n("term cap; every term up to it is kept, about 600 + 30*dim bytes each, "
+                "plus 0.1*dim MB at most while the series is summed"),
+         _OUTPUT),
+        lambda a: _verdict(
+            countable_subadd_check(DSeminorm(a.matrix), parse_series(a.terms), a.maxN, a.series_tol)),
+    ),
+    "ballscale": _Row(
+        "sublevel-set ball scaling check",
+        (_MATRIX_IN,
+         _Flag("--alpha", _HYP._replace(fallback=lambda a: op_dnorm(a.matrix).M * a.r),
+               default=None, help="hyperbolic literal a1,a2 (default opnorm*r)"),
+         _Flag("--r", _PLAIN, type=float, default=1.0),
+         _Flag("--deltas", _Kind(_deltas), default="0.5,2,10", help="comma-separated positive reals"),
+         _Flag("--samples", _PLAIN, type=int, default=100, help=_SAMPLES_HELP),
+         _SEED, _OUTPUT),
+        lambda a: _verdict(
+            ball_scaling_check(DSeminorm(a.matrix), a.alpha, a.r, a.deltas, a.samples, a.seed)),
+    ),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyplab",
@@ -104,261 +295,29 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"hyplab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, *, tol=False, max_n_help=None, fmt=False):
-        # --seed and --output go to every subcommand, the rest where read
-        if tol:
-            sp.add_argument("--tol", type=float, default=1e-10, help="numeric tolerance")
-        sp.add_argument("--seed", type=int, default=None, help="sampling seed (default 42 or HYPLAB_SEED)")
-        if max_n_help:
-            sp.add_argument("--maxN", dest="max_n", type=int, default=1000, help=max_n_help)
-        sp.add_argument("--output", default=None, help="write the JSON envelope here instead of stdout")
-        if fmt:
-            sp.add_argument(
-                "--format", dest="fmt", choices=("idempotent", "cartesian"),
-                default="idempotent", help="scalar emission form",
-            )
-
-    sp = sub.add_parser("knorm", help="hyperbolic-valued norm of a scalar")
-    sp.add_argument("--scalar", required=True)
-    common(sp, fmt=True)
-
-    sp = sub.add_parser("inv", help="componentwise inverse of a scalar")
-    sp.add_argument("--scalar", required=True)
-    common(sp, fmt=True)
-
-    sp = sub.add_parser("norm", help="D-norm of a vector")
-    sp.add_argument("--vector", required=True)
-    sp.add_argument("--norm", choices=("l2", "l1", "linf"), default="l2")
-    common(sp, fmt=True)
-
-    sp = sub.add_parser("opnorm", help="operator D-norm via extremal singular values")
-    sp.add_argument("--matrix", required=True)
-    common(sp, tol=True, fmt=True)
-
-    sp = sub.add_parser("solve", help="minimum-norm solve of Tx = y")
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("--y", required=True)
-    common(sp, tol=True)
-
-    sp = sub.add_parser("omc", help="open-mapping constant 1/sigma_min per component")
-    sp.add_argument("--matrix", required=True)
-    common(sp, tol=True, fmt=True)
-
-    sp = sub.add_parser("series", help="capped series summation (array or generator spec)")
-    sp.add_argument("--terms", required=True)
-    sp.add_argument("--series-tol", default="1e-12", help="hyperbolic literal a1,a2")
-    sp.add_argument("--abs-check", action="store_true", help="run the absolute-summability chain check")
-    common(
-        sp,
-        max_n_help="term cap; each term summed costs about 300 bytes of memory, plus "
-        "0.5 + 0.11*dim MB at most for the chunk being summed (750 + 120*dim bytes "
-        "per term with --abs-check, which keeps every term) and ~90 bytes of output",
-    )
-
-    sp = sub.add_parser("zabreiko", help="geometric-budget decomposition trace")
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--m", required=True, help="hyperbolic literal a1,a2")
-    sp.add_argument("--r", type=float, required=True)
-    sp.add_argument("--eps", required=True, help="hyperbolic literal a1,a2")
-    common(
-        sp,
-        max_n_help="step cap; the trace ends when the remainder's norm is at most "
-        "2^-52 times ||x||_D per component (about 49 steps at dim 4, never more than "
-        "~2,100), so memory and output "
-        "(~190 bytes per step and dimension) grow with steps*dim, not with maxN",
-    )
-
-    trials_help = "random samples; each takes about 100 bytes per matrix column"
-
-    sp = sub.add_parser("ubp", help="uniform boundedness over an operator family")
-    sp.add_argument("--family", required=True, help="JSON array of matrices")
-    sp.add_argument(
-        "--samples", type=int, default=100,
-        help="random samples; each takes about 100 bytes per matrix column plus 60 per family member",
-    )
-    common(sp)
-
-    sp = sub.add_parser("omt-verify", help="open-mapping solve-and-bound verification")
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("--trials", type=int, default=1000, help=trials_help)
-    common(sp)
-
-    sp = sub.add_parser("lemma31", help="continuity bound check for a seminorm")
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("--trials", type=int, default=1000, help=trials_help)
-    common(sp)
-
-    sp = sub.add_parser("subadd", help="countable subadditivity along a series")
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("--terms", required=True)
-    sp.add_argument("--series-tol", default="1e-12", help="hyperbolic literal a1,a2")
-    common(
-        sp,
-        max_n_help="term cap; every term up to it is kept, about 600 + 30*dim bytes each, "
-        "plus 0.1*dim MB at most while the series is summed",
-    )
-
-    sp = sub.add_parser("ballscale", help="sublevel-set ball scaling check")
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("--alpha", default=None, help="hyperbolic literal a1,a2 (default opnorm*r)")
-    sp.add_argument("--r", type=float, default=1.0)
-    sp.add_argument("--deltas", default="0.5,2,10", help="comma-separated positive reals")
-    sp.add_argument(
-        "--samples", type=int, default=100,
-        help="random samples; each takes about 100 bytes per matrix column",
-    )
-    common(sp)
-
+    for name, row in _ROWS.items():
+        sp = sub.add_parser(name, help=row.help)
+        for f in row.flags:
+            sp.add_argument(f.flag, **f.spec)
     return parser
 
 
-def _check_common(args) -> None:
-    """Reject a declared --tol that is not finite and positive, or --maxN < 1."""
-    if hasattr(args, "tol"):
-        _check_tol(args.tol)
-    if hasattr(args, "max_n") and args.max_n < 1:
-        raise InvalidInput(f"maxN must be >= 1, got {args.max_n}")
-
-
 def _dispatch(args, envelope: dict):
-    """Run one subcommand; returns (payload, passed).
+    """Read the row's inputs into ``args``, digest them and run the row;
+    returns (payload, passed).
 
-    Once the inputs are parsed, their digest goes into ``envelope``, so an
-    error raised by the computation still reports which inputs it saw.
+    Early inputs are read first, then the others in row order.  The digest
+    holds every input, in row order, keyed by its flag's name.  It goes into
+    ``envelope`` before the run, so an error the computation raises still
+    reports which inputs it saw.
     """
-    cmd = args.command
-    seed = envelope["seed"]
-
-    def parsed(inputs: dict) -> None:
-        envelope["inputs_digest"] = digest(inputs)
-
-    if cmd == "knorm":
-        z = parse_scalar(load_json(args.scalar))
-        parsed({"scalar": scalar_to_json(z)})
-        return {"knorm": scalar_to_json(knorm(z), args.fmt)}, True
-
-    if cmd == "inv":
-        z = parse_scalar(load_json(args.scalar))
-        parsed({"scalar": scalar_to_json(z)})
-        return {"inverse": scalar_to_json(bc_inverse(z), args.fmt)}, True
-
-    if cmd == "norm":
-        v = parse_vector(load_json(args.vector))
-        parsed({"vector": vector_to_json(v), "norm": args.norm})
-        payload = {
-            "dnorm": scalar_to_json(vec_dnorm(v, DNormConfig(args.norm)), args.fmt),
-            "component_norm": args.norm,
-        }
-        return payload, True
-
-    if cmd == "opnorm":
-        T = parse_matrix(load_json(args.matrix))
-        parsed({"matrix": matrix_to_json(T), "tol": args.tol})
-        rep = op_dnorm(T, tol=args.tol)
-        payload = rep.to_json_dict()
-        payload["M"] = scalar_to_json(rep.M, args.fmt)
-        return payload, True
-
-    if cmd == "solve":
-        T = parse_matrix(load_json(args.matrix))
-        y = parse_vector(load_json(args.y))
-        parsed({"matrix": matrix_to_json(T), "y": vector_to_json(y), "tol": args.tol})
-        return min_norm_solve(T, y, tol=args.tol).to_json_dict(), True
-
-    if cmd == "omc":
-        T = parse_matrix(load_json(args.matrix))
-        parsed({"matrix": matrix_to_json(T), "tol": args.tol})
-        delta = open_mapping_delta(T, tol=args.tol)
-        srep = surjectivity_check(T, tol=args.tol)
-        return {"delta": scalar_to_json(delta, args.fmt), "surjectivity": srep.to_json_dict()}, True
-
-    if cmd == "series":
-        raw = load_json(args.terms)
-        tol = parse_hyp_literal(args.series_tol)
-        parsed({"terms": raw, "series_tol": [tol.a1, tol.a2], "maxN": args.max_n})
-        if args.abs_check:
-            rep = abs_summability_check(parse_series(raw), args.max_n, tol)
-            passed = bool(rep.abs_converged and rep.cauchy_chain_ok)
-            if not rep.abs_converged:
-                raise NotConverged("absolute sums not settled at the cap", rep)
-            return rep.to_json_dict(), passed
-        rep = series_sum(parse_series(raw), tol, args.max_n)
-        return rep.to_json_dict(), rep.converged
-
-    if cmd == "zabreiko":
-        T = parse_matrix(load_json(args.matrix))
-        x = parse_vector(load_json(args.x))
-        m = parse_hyp_literal(args.m)
-        eps = parse_hyp_literal(args.eps)
-        parsed({
-            "matrix": matrix_to_json(T),
-            "x": vector_to_json(x),
-            "m": [m.a1, m.a2],
-            "r": args.r,
-            "eps": [eps.a1, eps.a2],
-            "maxN": args.max_n,
-        })
-        trace = zabreiko_decompose(DSeminorm(T), x, m, args.r, eps, args.max_n)
-        return trace.to_json_dict(), trace.passed
-
-    if cmd == "ubp":
-        raw = load_json(args.family)
-        if not isinstance(raw, list):
-            raise InvalidInput("family must be a JSON array of matrices")
-        family = [parse_matrix(mj) for mj in raw]
-        parsed({"family": [matrix_to_json(T) for T in family], "samples": args.samples})
-        rep = ubp_verify(family, args.samples, seed)
-        return rep.to_json_dict(), rep.passed
-
-    if cmd == "omt-verify":
-        T = parse_matrix(load_json(args.matrix))
-        parsed({"matrix": matrix_to_json(T), "trials": args.trials})
-        rep = open_mapping_verify(T, args.trials, seed)
-        return rep.to_json_dict(), rep.passed
-
-    if cmd == "lemma31":
-        T = parse_matrix(load_json(args.matrix))
-        parsed({"matrix": matrix_to_json(T), "trials": args.trials})
-        rep = continuity_bound_check(DSeminorm(T), args.trials, seed)
-        return rep.to_json_dict(), rep.passed
-
-    if cmd == "subadd":
-        T = parse_matrix(load_json(args.matrix))
-        raw = load_json(args.terms)
-        tol = parse_hyp_literal(args.series_tol)
-        parsed({
-            "matrix": matrix_to_json(T),
-            "terms": raw,
-            "series_tol": [tol.a1, tol.a2],
-            "maxN": args.max_n,
-        })
-        rep = countable_subadd_check(DSeminorm(T), parse_series(raw), args.max_n, tol)
-        return rep.to_json_dict(), rep.passed
-
-    if cmd == "ballscale":
-        T = parse_matrix(load_json(args.matrix))
-        p = DSeminorm(T)
-        if args.alpha is None:
-            alpha = op_dnorm(T).M * args.r
-        else:
-            alpha = parse_hyp_literal(args.alpha)
-        try:
-            deltas = [float(d) for d in args.deltas.split(",") if d.strip()]
-        except ValueError as exc:
-            raise InvalidInput(f"bad --deltas literal {args.deltas!r}") from exc
-        parsed({
-            "matrix": matrix_to_json(T),
-            "alpha": [alpha.a1, alpha.a2],
-            "r": args.r,
-            "deltas": deltas,
-            "samples": args.samples,
-        })
-        rep = ball_scaling_check(p, alpha, args.r, deltas, args.samples, seed)
-        return rep.to_json_dict(), rep.passed
-
-    raise InvalidInput(f"unknown subcommand {cmd!r}")
+    row = _ROWS[args.command]
+    inputs = [f for f in row.flags if f.kind is not None]
+    for f in sorted(inputs, key=lambda f: not f.kind.early):
+        value = getattr(args, f.dest)
+        setattr(args, f.dest, f.kind.fallback(args) if value is None else f.kind.read(value))
+    envelope["inputs_digest"] = digest({f.dest: f.kind.canon(getattr(args, f.dest)) for f in inputs})
+    return row.run(args)
 
 
 def run(argv=None) -> int:
@@ -371,8 +330,7 @@ def run(argv=None) -> int:
 
     envelope = _new_envelope(args.command)
     try:
-        envelope["seed"] = _resolve_seed(args)
-        _check_common(args)
+        args.seed = envelope["seed"] = _resolve_seed(args)
         envelope["payload"], envelope["pass"] = _dispatch(args, envelope)
         _emit(envelope, args.output)
         return EXIT_PASS if envelope["pass"] else EXIT_CHECK_FAILED

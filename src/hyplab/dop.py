@@ -217,8 +217,8 @@ def min_norm_solve_rows(
     The equation and the norm both decouple over the idempotents, so each
     bicomplex minimum-norm solution is a pair of complex ones, read off the
     operator's cached SVD with one product chain per component.  Raises
-    ``NotInRange`` for the first row whose residual exceeds
-    ``tol * max(1, ||y_i||)`` in either component.
+    ``NotInRange`` for the first row whose residual exceeds ``tol * ||y_i||``
+    in either component, so a zero right-hand side needs a zero residual.
     """
     if y1.shape[-1] != T.rows or y2.shape[-1] != T.rows:
         raise DimensionMismatch(f"operator has {T.rows} rows, vector has dim {y1.shape[-1]}")
@@ -227,7 +227,7 @@ def min_norm_solve_rows(
     x2 = _min_norm_rows(f2, y2)
     residual = dnorm_rows(x1 @ T.m1.T - y1, x2 @ T.m2.T - y2)
     with np.errstate(over="ignore"):  # an overflowing tolerance is rejected here
-        tol_y = require_finite(tol * np.maximum(1.0, dnorm_rows(y1, y2)))
+        tol_y = require_finite(tol * dnorm_rows(y1, y2))
     bad = np.flatnonzero((residual > tol_y).any(axis=0))
     if bad.size:
         (r1, r2), (t1, t2) = residual[:, bad[0]].tolist(), tol_y[:, bad[0]].tolist()
@@ -240,8 +240,8 @@ def min_norm_solve_rows(
 def min_norm_solve(T: BCMatrix, y: BCVector, tol: float = 1e-10) -> SolveReport:
     """Minimum-norm least-squares solution of Tx = y: the one-row block solve.
 
-    Raises ``NotInRange`` when the residual exceeds ``tol * max(1, ||y||)``
-    in either component.
+    Raises ``NotInRange`` when the residual exceeds ``tol * ||y||`` in either
+    component.
     """
     b = min_norm_solve_rows(T, y.v1[None, :], y.v2[None, :], tol)
     return SolveReport(

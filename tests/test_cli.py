@@ -608,16 +608,106 @@ def test_error_envelope_keeps_seed(tmp_path, capsys, monkeypatch):
     assert code == 2 and doc["seed"] == 7
 
 
-def test_error_envelope_keeps_inputs_digest(tmp_path, capsys):
-    T = BCMatrix([[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
-    y = BCVector([0.0, 1.0], [0.0, 1.0])
-    mat = write(tmp_path, "T.json", matrix_to_json(T))
-    yf = write(tmp_path, "y.json", vector_to_json(y))
-    code, doc, _ = run_json(capsys, ["solve", "--matrix", mat, "--y", yf])
-    assert code == 4
-    want = {"matrix": matrix_to_json(T), "y": vector_to_json(y), "tol": 1e-10}
+#: input files as a user might write them (integer entries, no declared
+#: sizes), and the canonical form each takes in the inputs digest
+RANK1 = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+RANK1_CANON = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+DIGEST_FILES = {
+    "z.json": {"e1": [1, 0], "e2": [0, 0]},
+    "v.json": {"e1": [[3, 0], [4, 0]], "e2": [[0, 0], [0, 0]]},
+    "A.json": {"e1": RANK1, "e2": RANK1},
+    "I.json": {"e1": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "e2": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+    "y.json": {"e1": [[0, 0], [1, 0]], "e2": [[0, 0], [1, 0]]},
+    "x.json": {"e1": [[0.1, 0], [0, 0]], "e2": [[0, 0.1], [0, 0]]},
+    "D.json": {"e1": [[[2, 0]]], "e2": [[[3, 0]]]},
+    "F.json": [{"e1": RANK1, "e2": RANK1}],
+    "empty.json": [],
+    "spec.json": {"kind": "harmonic"},
+}
+SCALAR_CANON = {"e1": [1.0, 0.0], "e2": [0.0, 0.0]}
+A_CANON = {"rows": 2, "cols": 2, "e1": RANK1_CANON, "e2": RANK1_CANON}
+I_CANON = {
+    "rows": 2, "cols": 2,
+    "e1": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+    "e2": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+}
+
+#: per subcommand: its command line, exit code, and the inputs it digests,
+#: in the digest's key order
+DIGEST_CASES = {
+    "knorm": (["knorm", "--scalar", "z.json", "--format", "cartesian"], 0, {"scalar": SCALAR_CANON}),
+    "inv": (["inv", "--scalar", "z.json"], 4, {"scalar": SCALAR_CANON}),
+    "norm": (
+        ["norm", "--vector", "v.json", "--norm", "l1"], 0,
+        {
+            "vector": {"dim": 2, "e1": [[3.0, 0.0], [4.0, 0.0]], "e2": [[0.0, 0.0], [0.0, 0.0]]},
+            "norm": "l1",
+        },
+    ),
+    "opnorm": (["opnorm", "--matrix", "A.json", "--tol", "1e-8"], 0, {"matrix": A_CANON, "tol": 1e-8}),
+    "solve": (
+        ["solve", "--matrix", "A.json", "--y", "y.json"], 4,
+        {
+            "matrix": A_CANON,
+            "y": {"dim": 2, "e1": [[0.0, 0.0], [1.0, 0.0]], "e2": [[0.0, 0.0], [1.0, 0.0]]},
+            "tol": 1e-10,
+        },
+    ),
+    "omc": (["omc", "--matrix", "A.json"], 4, {"matrix": A_CANON, "tol": 1e-10}),
+    # the terms file loads, then fails to parse as a series
+    "series": (
+        ["series", "--terms", "spec.json", "--series-tol", "1e-9,1e-6", "--maxN", "5", "--abs-check"], 2,
+        {"terms": {"kind": "harmonic"}, "series_tol": [1e-9, 1e-6], "maxN": 5},
+    ),
+    "zabreiko": (
+        ["zabreiko", "--matrix", "I.json", "--x", "x.json", "--m", "1,1", "--r", "1", "--eps", "0.5"], 4,
+        {
+            "matrix": I_CANON,
+            "x": {"dim": 2, "e1": [[0.1, 0.0], [0.0, 0.0]], "e2": [[0.0, 0.1], [0.0, 0.0]]},
+            "m": [1.0, 1.0],
+            "r": 1.0,
+            "eps": [0.5, 0.5],
+            "maxN": 1000,
+        },
+    ),
+    "ubp": (["ubp", "--family", "F.json", "--samples", "0"], 2, {"family": [A_CANON], "samples": 0}),
+    "omt-verify": (["omt-verify", "--matrix", "A.json"], 4, {"matrix": A_CANON, "trials": 1000}),
+    "lemma31": (["lemma31", "--matrix", "A.json", "--trials", "0"], 2, {"matrix": A_CANON, "trials": 0}),
+    "subadd": (
+        ["subadd", "--matrix", "A.json", "--terms", "empty.json"], 2,
+        {"matrix": A_CANON, "terms": [], "series_tol": [1e-12, 1e-12], "maxN": 1000},
+    ),
+    "ballscale": (
+        ["ballscale", "--matrix", "A.json", "--alpha", "1e-6,1e-6", "--samples", "20"], 4,
+        {"matrix": A_CANON, "alpha": [1e-6, 1e-6], "r": 1.0, "deltas": [0.5, 2.0, 10.0], "samples": 20},
+    ),
+    # without --alpha the digest holds the resolved opnorm * r
+    "ballscale-default-alpha": (
+        ["ballscale", "--matrix", "D.json", "--r", "0.5", "--deltas", ""], 2,
+        {
+            "matrix": {"rows": 1, "cols": 1, "e1": [[[2.0, 0.0]]], "e2": [[[3.0, 0.0]]]},
+            "alpha": [1.0, 1.5],
+            "r": 0.5,
+            "deltas": [],
+            "samples": 100,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIGEST_CASES))
+def test_error_envelope_keeps_inputs_digest(tmp_path, capsys, case):
+    for name, obj in DIGEST_FILES.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    args, exit_code, want = DIGEST_CASES[case]
+    code, doc, _ = run_json(capsys, [str(tmp_path / a) if a in DIGEST_FILES else a for a in args])
+    assert code == exit_code
     assert doc["inputs_digest"] == digest(want)
-    # inputs that never parsed have no digest
+
+
+def test_error_envelope_before_the_inputs_parse_has_no_digest(tmp_path, capsys):
+    T = BCMatrix([[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
+    mat = write(tmp_path, "T.json", matrix_to_json(T))
     code, doc, _ = run_json(capsys, ["solve", "--matrix", mat, "--y", "/nonexistent/y.json"])
     assert code == 2 and doc["inputs_digest"] == ""
 

@@ -446,12 +446,14 @@ def test_solve_tolerance_scales_with_rhs():
     assert np.allclose(rep.x.v1, [5e7, 5e7], rtol=1e-15)
     assert rep.tol == DPlus(1e-10 * 1e8, 1e-10 * 1e8)
     assert rep.to_json_dict()["tol"] == [1e-2, 1e-2]
-    # small right-hand sides keep the absolute floor
-    assert min_norm_solve(T, BCVector([0.5], [0.5])).tol == DPlus(1e-10, 1e-10)
-    # a scaled-up out-of-range right-hand side is still rejected
+    # small right-hand sides scale it down too: there is no absolute floor
+    assert min_norm_solve(T, BCVector([0.5], [0.5])).tol == DPlus(1e-10 * 0.5, 1e-10 * 0.5)
+    # a scaled-up or scaled-down out-of-range right-hand side is still rejected
     R = BCMatrix([[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(NotInRange):
         min_norm_solve(R, BCVector([1e8, 1e8], [1e8, 1e8]), tol=1e-10)
+    with pytest.raises(NotInRange):
+        min_norm_solve(R, BCVector([0.0, 1e-12], [0.0, 1e-12]), tol=1e-10)
 
 
 def test_tolerance_products_that_overflow_raise_no_numpy_warning():
