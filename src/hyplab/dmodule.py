@@ -246,11 +246,14 @@ def v_alpha_member(p: DSeminorm, x: BCVector, alpha: DPlus) -> bool:
 def v_alpha_member_closed(
     p: DSeminorm, x: BCVector, alpha: DPlus, tol: float = 1e-9
 ) -> bool:
-    """Tolerance-closure membership: p(x) <= alpha + tol*(1,1).
+    """Tolerance-closure membership: p(x) <= alpha + tol * max(p(x), alpha).
 
-    Stands in for topological closure of the sublevel set at desk scale.
+    Per component and relative to the values compared, as ball scaling
+    judges closure, so the verdict does not depend on the scale of x and
+    alpha.  Stands in for topological closure of the sublevel set.
     """
-    return hyp_leq(seminorm_eval(p, x), DPlus(alpha.a1 + tol, alpha.a2 + tol))
+    px = seminorm_eval(p, x)
+    return all(a <= b + tol * max(a, b) for a, b in zip(px.components(), alpha.components()))
 
 
 class Columns(Sequence):

@@ -35,8 +35,6 @@ from .hyperscalar import DPlus
 #: Singular values above RANK_TOL * sigma_max count as nonzero.
 RANK_TOL = 1e-10
 
-FULL_DECOMPOSITION = "full-decomposition"
-
 
 def _as_matrix_component(values, *, what: str) -> np.ndarray:
     try:
@@ -138,12 +136,10 @@ def _check_tol(tol: float) -> None:
 
 @dataclass
 class OperatorNormReport(Report):
-    """Operator D-norm together with how it was computed."""
+    """Operator D-norm, its top singular values and the recorded tolerance."""
 
     M: DPlus
     sigma_max: tuple[float, float]
-    method: str
-    iterations: int
     tol: float
 
 
@@ -160,8 +156,6 @@ def op_dnorm(T: BCMatrix, tol: float = 1e-10) -> OperatorNormReport:
     return OperatorNormReport(
         M=DPlus(s1, s2),
         sigma_max=(s1, s2),
-        method=FULL_DECOMPOSITION,
-        iterations=0,
         tol=tol,
     )
 

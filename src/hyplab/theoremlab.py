@@ -21,14 +21,14 @@ report in which every inequality of the chain has been evaluated:
     epsilon/2^k budget chain for the quotient seminorm.
 
 Randomness is drawn from named counter-based streams keyed by
-(seed, check name, trial index), so reports are byte-reproducible and
-independent of evaluation order.  ``check_stream`` opens one such stream;
-a sample block takes one Philox generator per call and, before each row,
-resets its state to the fresh state of that row's stream, so the rows
-hold exactly what one ``check_stream`` per row would draw.
+(seed, check name), so reports are byte-reproducible and independent of
+evaluation order.  ``check_stream`` opens one such stream, and a sample
+block is its first rows: row i holds the stream's normals i*w to
+(i+1)*w - 1 for rows of width w, so trial i is replayed by drawing i + 1
+rows, and the first k rows are the same for every sample count >= k.
 
 The sampled checks are evaluated in blocks: row i of a (samples, n) block
-per component is the vector drawn from stream i, every operator is applied
+per component is the vector of trial i, every operator is applied
 to a whole block with one matrix product per component, and the open-mapping
 preimages come from one block solve on the operator's cached SVD.  Verdicts
 are array comparisons and worst margins are maxima over the arrays.  Every
@@ -105,42 +105,30 @@ OMT_BUDGET = DPlus(0.5, 0.5)
 _MASK64 = (1 << 64) - 1
 
 
-def _stream_key(seed: int, name: str, trial: int) -> tuple[int, int]:
-    """The Philox key of stream (seed, name, trial): two unsigned 64-bit words.
+def _stream_key(seed: int, name: str) -> tuple[int, int]:
+    """The Philox key of stream (seed, name): two unsigned 64-bit words.
 
-    The seed is taken modulo 2^64 and the trial index modulo 2^32; the
-    CRC-32 of the name fills the high half of the second word.
+    The seed is taken modulo 2^64; the CRC-32 of the name fills the high
+    half of the second word and the low half is zero.
     """
-    return seed & _MASK64, ((zlib.crc32(name.encode()) << 32) ^ (trial & 0xFFFFFFFF)) & _MASK64
+    return seed & _MASK64, zlib.crc32(name.encode()) << 32
 
 
-def check_stream(seed: int, name: str, trial: int = 0) -> np.random.Generator:
-    """Counter-based random stream keyed by (seed, check name, trial index)."""
-    key = np.array(_stream_key(seed, name, trial), dtype=np.uint64)
+def check_stream(seed: int, name: str) -> np.random.Generator:
+    """Counter-based random stream keyed by (seed, check name)."""
+    key = np.array(_stream_key(seed, name), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draws(seed: int, name: str, count: int, width: int, uniform: bool = False) -> np.ndarray:
-    """Row i holds ``width`` standard normals from check_stream(seed, name, i).
+def _draws(seed: int, name: str, count: int, width: int) -> np.ndarray:
+    """The first ``count`` rows of ``width`` standard normals of one stream.
 
-    With ``uniform`` the row ends with one further U(0, 1) draw from the
-    same stream.  One Philox generator serves every row: before each row
-    its state is reset to what a fresh stream holds (the row's key, counter
-    0 and an empty buffer), so the row draws exactly what
-    ``check_stream(seed, name, i)`` would.  The generator belongs to this
-    call, so concurrent calls never share a stream.
+    Row i holds normals i*width to (i+1)*width - 1 of
+    check_stream(seed, name), so the first k rows are the same for every
+    count >= k.  Each call opens its own stream, so concurrent calls never
+    share one.
     """
-    out = np.empty((count, width + uniform))
-    bitgen = np.random.Philox(key=0)
-    rng = np.random.Generator(bitgen)
-    fresh = bitgen.state
-    for i in range(count):
-        fresh["state"]["key"] = _stream_key(seed, name, i)
-        bitgen.state = fresh
-        rng.standard_normal(out=out[i, :width])
-        if uniform:
-            out[i, width] = rng.uniform(0.0, 1.0)
-    return out
+    return check_stream(seed, name).standard_normal((count, width))
 
 
 def _sample_rows(z: np.ndarray, n: int, j: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -154,11 +142,6 @@ def _sample_rows(z: np.ndarray, n: int, j: int = 0) -> tuple[np.ndarray, np.ndar
         z[:, o : o + n] + 1j * z[:, o + n : o + 2 * n],
         z[:, o + 2 * n : o + 3 * n] + 1j * z[:, o + 3 * n : o + 4 * n],
     )
-
-
-def _random_vector(rng: np.random.Generator, n: int) -> BCVector:
-    b1, b2 = _sample_rows(rng.standard_normal(4 * n)[None, :], n)
-    return BCVector(b1[0], b2[0])
 
 
 def _within(a, b, slack: float = CHECK_SLACK, scale=0.0):
@@ -358,17 +341,18 @@ def _ball_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows with both norm components <= radius: witnesses, then random samples.
 
-    Witnesses are scaled onto the sphere; sample i is scaled to radius
-    times the uniform draw that follows it in its stream.
+    Witnesses are scaled onto the sphere.  Sample i is row i of stream
+    ``name``, scaled to radius times uniform i of the sibling stream
+    ``name + "/u"``, so row i does not depend on the sample count.
     """
     w1, w2 = witnesses
     n = w1.shape[1]
-    z = _draws(seed, name, samples, 4 * n, uniform=True)
-    r1, r2 = _sample_rows(z, n)
+    r1, r2 = _sample_rows(_draws(seed, name, samples, 4 * n), n)
+    u = check_stream(seed, name + "/u").uniform(0.0, 1.0, samples)
     nw = dnorm_rows(w1, w2)
     nr = dnorm_rows(r1, r2)
     ws = (radius / np.maximum(np.maximum(nw[0], nw[1]), 1e-30))[:, None]
-    rs = (radius * z[:, -1] / np.maximum(np.maximum(nr[0], nr[1]), 1e-30))[:, None]
+    rs = (radius * u / np.maximum(np.maximum(nr[0], nr[1]), 1e-30))[:, None]
     with np.errstate(invalid="ignore"):  # 0 * inf from an infinite radius is rejected later
         return np.concatenate((w1 * ws, r1 * rs)), np.concatenate((w2 * ws, r2 * rs))
 
@@ -807,7 +791,8 @@ def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
 
     # quotient-seminorm budget chain over the generated convergent series
     # y_k = 2^-(k-1) y_0, k = 1..OMT_SERIES_LEN, solved as one block
-    y0 = _random_vector(check_stream(seed, name + "/series"), rows)
+    s1, s2 = _sample_rows(_draws(seed, name + "/series", 1, 4 * rows), rows)
+    y0 = BCVector(s1[0], s2[0])
     ny0 = vec_dnorm(y0)
     y0 = y0.scale(1.0 / max(ny0.a1, ny0.a2))
     halves = (0.5 ** np.arange(OMT_SERIES_LEN))[:, None]

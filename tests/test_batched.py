@@ -44,41 +44,54 @@ def close(a: float, b: float, scale: float) -> bool:
 # ------------------------------------------------------------ sample blocks
 
 
+def next_vector(rng, n):
+    """The next vector of dim n of a stream: e1 re, e1 im, e2 re, e2 im."""
+    v1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return BCVector(v1, v2)
+
+
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_sample_block_rows_are_the_per_trial_streams(n):
     b1, b2 = tl._sample_rows(tl._draws(5, "lemma31", 40, 4 * n), n)
+    rng = check_stream(5, "lemma31")
     for i in range(40):
-        x = tl._random_vector(check_stream(5, "lemma31", i), n)
+        x = next_vector(rng, n)
         assert np.array_equal(b1[i], x.v1) and np.array_equal(b2[i], x.v2)
-        # the draw order of four successive calls of n normals each
-        rng = check_stream(5, "lemma31", i)
-        v1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        assert np.array_equal(b1[i], v1) and np.array_equal(b2[i], v2)
 
 
-def test_second_vector_and_uniform_follow_in_the_same_stream():
+def test_second_vector_follows_in_the_same_stream_and_uniform_in_its_sibling():
     n = 3
-    z = tl._draws(9, "x", 6, 8 * n, uniform=True)
+    z = tl._draws(9, "x", 6, 8 * n)
+    rng = check_stream(9, "x")
     for i in range(6):
-        rng = check_stream(9, "x", i)
-        first = tl._random_vector(rng, n)
-        second = tl._random_vector(rng, n)
-        u = float(rng.uniform(0.0, 1.0))
+        first = next_vector(rng, n)
+        second = next_vector(rng, n)
         for j, want in ((0, first), (1, second)):
             b1, b2 = tl._sample_rows(z, n, j)
             assert np.array_equal(b1[i], want.v1) and np.array_equal(b2[i], want.v2)
-        assert z[i, -1] == u
+
+    # ballscale: sample i is row i of its stream scaled to radius times
+    # uniform i of the "/u" sibling, so it does not depend on the count
+    none = np.empty((0, n), dtype=complex)
+    x1, x2 = tl._ball_rows((none, none), 2.5, 6, 9, "x")
+    r1, r2 = tl._sample_rows(tl._draws(9, "x", 6, 4 * n), n)
+    u = check_stream(9, "x/u").uniform(0.0, 1.0, 6)
+    nr = dnorm_rows(r1, r2)
+    scale = (2.5 * u / np.maximum(nr[0], nr[1]))[:, None]
+    assert np.array_equal(x1, r1 * scale) and np.array_equal(x2, r2 * scale)
+    for samples in (1, 4, 20):
+        y1, y2 = tl._ball_rows((none, none), 2.5, samples, 9, "x")
+        k = min(samples, 6)
+        assert np.array_equal(y1[:k], x1[:k]) and np.array_equal(y2[:k], x2[:k])
 
 
-def _stream_rows(seed, name, count, width, uniform):
-    """What ``_draws`` must hold: one fresh ``check_stream`` per row."""
-    out = np.empty((count, width + uniform))
+def _stream_rows(seed, name, count, width):
+    """What ``_draws`` must hold: the next ``width`` normals of one stream per row."""
+    rng = check_stream(seed, name)
+    out = np.empty((count, width))
     for i in range(count):
-        rng = check_stream(seed, name, i)
-        out[i, :width] = rng.standard_normal(width)
-        if uniform:
-            out[i, width] = rng.uniform(0.0, 1.0)
+        out[i] = rng.standard_normal(width)
     return out
 
 
@@ -88,30 +101,31 @@ def _stream_rows(seed, name, count, width, uniform):
     name=st.text(max_size=8) | st.sampled_from(["lemma31/seq", "omt-verify", "ßallscale/δ", "ubp 検証"]),
     count=st.integers(0, 50),
     width=st.integers(0, 64),
-    uniform=st.booleans(),
 )
-@example(seed=-(2**63), name="é", count=50, width=64, uniform=True)
-def test_draws_rows_are_the_check_streams_bit_for_bit(seed, name, count, width, uniform):
-    got = tl._draws(seed, name, count, width, uniform)
-    want = _stream_rows(seed, name, count, width, uniform)
-    assert got.shape == want.shape == (count, width + uniform)
+@example(seed=-(2**63), name="é", count=50, width=64)
+def test_draws_rows_are_the_check_streams_bit_for_bit(seed, name, count, width):
+    got = tl._draws(seed, name, count, width)
+    want = _stream_rows(seed, name, count, width)
+    assert got.shape == want.shape == (count, width)
     assert got.tobytes() == want.tobytes()
 
 
-def test_stream_key_wraps_the_trial_index_at_32_bits():
+def test_stream_key_wraps_the_seed_at_64_bits():
     crc = zlib.crc32("lemma31".encode())
-    assert tl._stream_key(7, "lemma31", 5) == (7, (crc << 32) ^ 5)
-    assert tl._stream_key(-1, "lemma31", -1) == (2**64 - 1, (crc << 32) | 0xFFFFFFFF)
-    for trial in (2**32, 2**32 + 5, 3 * 2**32 + 5, 2**40 + 5):
-        assert tl._stream_key(7, "lemma31", trial) == tl._stream_key(7, "lemma31", trial % 2**32)
-        a = check_stream(7, "lemma31", trial).standard_normal(4)
-        b = check_stream(7, "lemma31", trial % 2**32).standard_normal(4)
+    assert tl._stream_key(7, "lemma31") == (7, crc << 32)
+    assert tl._stream_key(-1, "lemma31") == (2**64 - 1, crc << 32)
+    assert tl._stream_key(5, "") == (5, 0)
+    want = np.random.Generator(np.random.Philox(key=np.array([7, crc << 32], dtype=np.uint64)))
+    assert check_stream(7, "lemma31").standard_normal(4).tobytes() == want.standard_normal(4).tobytes()
+    for seed in (2**64 + 7, 7 - 2**64, 3 * 2**64 + 7, 2**80 + 7):
+        assert tl._stream_key(seed, "lemma31") == tl._stream_key(7, "lemma31")
+        a = check_stream(seed, "lemma31").standard_normal(4)
+        b = check_stream(7, "lemma31").standard_normal(4)
         assert a.tobytes() == b.tobytes()
-    assert tl._stream_key(2**64 + 7, "x", 0) == tl._stream_key(7, "x", 0)
 
 
 def test_draws_in_concurrent_threads_match_the_serial_result():
-    jobs = [(11, "lemma31", 300, 16, False), (12, "ballscale", 300, 12, True)] * 3
+    jobs = [(11, "lemma31", 300, 16), (12, "ballscale", 300, 12)] * 3
     want = [tl._draws(*job).tobytes() for job in jobs]
     got = [[] for _ in jobs]
 
@@ -143,8 +157,53 @@ def test_draws_builds_one_bit_generator_per_call(monkeypatch, count):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "Philox", counting)
-    tl._draws(3, "lemma31", count, 8, uniform=True)
+    tl._draws(3, "lemma31", count, 8)
     assert len(built) == 1
+
+
+def test_every_sampled_stream_is_prefix_stable(monkeypatch):
+    """Trial i of a sampled check is replayed by drawing i + 1 rows.
+
+    The streams are the ones the four sampled checks open; for each, the
+    first k rows (or uniforms) are the same for every count >= k.
+    """
+    draws, opened = [], []
+    real_draws, real_stream = tl._draws, tl.check_stream
+
+    def recording_draws(*args):
+        draws.append(args)
+        return real_draws(*args)
+
+    def recording_stream(seed, name):
+        opened.append(name)
+        return real_stream(seed, name)
+
+    monkeypatch.setattr(tl, "_draws", recording_draws)
+    monkeypatch.setattr(tl, "check_stream", recording_stream)
+    rng = np.random.default_rng(7)
+    T = surjective_mat(rng, 2, 3)
+    p = DSeminorm(T)
+    assert continuity_bound_check(p, 12, 21).passed
+    assert ball_scaling_check(p, op_dnorm(T).M, 1.0, [0.5, 2.0], 12, 21).passed
+    assert ubp_verify([T, random_mat(rng, 2, 3)], 12, 21).passed
+    assert open_mapping_verify(T, 12, 21).passed
+    monkeypatch.undo()
+
+    drawn = {name for _, name, _, _ in draws}
+    assert drawn == {
+        "lemma31", "lemma31/seq", "ballscale/hyp", "ballscale/d0", "ballscale/d1",
+        "ubp", "omt-verify", "omt-verify/series",
+    }
+    uniforms = set(opened) - drawn
+    assert uniforms == {"ballscale/hyp/u", "ballscale/d0/u", "ballscale/d1/u"}
+    for seed, name, _, width in draws:
+        block = tl._draws(seed, name, 40, width)
+        for k in range(41):
+            assert np.array_equal(tl._draws(seed, name, k, width), block[:k])
+    for name in uniforms:
+        u = check_stream(21, name).uniform(0.0, 1.0, 40)
+        for k in range(41):
+            assert np.array_equal(check_stream(21, name).uniform(0.0, 1.0, k), u[:k])
 
 
 @pytest.mark.parametrize("norm", ["l2", "l1", "linf"])
@@ -205,15 +264,16 @@ def per_sample_continuity(p, trials, seed, a):
     f1, f2 = p.T.svd()
     v1, v2, zero = f1.vh[0].conj(), f2.vh[0].conj(), np.zeros(n, complex)
     xs = [BCVector(v1, zero), BCVector(zero, v2), BCVector(v1, v2)]
-    xs += [tl._random_vector(check_stream(seed, "lemma31", i), n) for i in range(trials)]
+    rng = check_stream(seed, "lemma31")
+    xs += [next_vector(rng, n) for _ in range(trials)]
     margins = []
     for x in xs:
         px, nx = seminorm_eval(p, x), vec_dnorm(x)
         margins.append((px.a1 - a.a1 * nx.a1, px.a2 - a.a2 * nx.a2, a.a1 * nx.a1, a.a2 * nx.a2))
-    for t in range(min(trials, 8)):
-        rng = check_stream(seed, "lemma31/seq", t)
-        x = tl._random_vector(rng, n)
-        d = tl._random_vector(rng, n)
+    rng = check_stream(seed, "lemma31/seq")
+    for _ in range(min(trials, 8)):
+        x = next_vector(rng, n)
+        d = next_vector(rng, n)
         px = seminorm_eval(p, x)
         for j in range(1, 11):
             xj = x + d.scale(2.0**-j)
@@ -259,7 +319,8 @@ def test_ubp_matches_per_sample_evaluation():
     _, f2 = family[i2].svd()
     zero = np.zeros(4, complex)
     xs = [BCVector(f1.vh[0].conj(), zero), BCVector(zero, f2.vh[0].conj())]
-    xs += [tl._random_vector(check_stream(12, "ubp", i), 4) for i in range(70)]
+    stream = check_stream(12, "ubp")
+    xs += [next_vector(stream, 4) for _ in range(70)]
     d = rep.bound_delta
     w1 = w2 = -math.inf
     for k, x in enumerate(xs):
@@ -283,8 +344,9 @@ def test_open_mapping_matches_per_sample_evaluation():
     w1 = w2 = -math.inf
     r1 = r2 = 0.0
     scale = 1.0
-    for i in range(150):
-        y = tl._random_vector(check_stream(13, "omt-verify", i), 3)
+    stream = check_stream(13, "omt-verify")
+    for _ in range(150):
+        y = next_vector(stream, 3)
         sol = min_norm_solve(T, y, tol=1e-9)
         ny = vec_dnorm(y)
         w1 = max(w1, sol.qy.a1 - delta.a1 * ny.a1)

@@ -112,7 +112,6 @@ def test_opnorm_scalar_matrix(tmp_path, capsys):
     code, doc, _ = run_json(capsys, ["opnorm", "--matrix", mat, "--tol", "1e-10"])
     assert code == 0
     assert doc["payload"]["M"] == {"e1": [2.0, 0.0], "e2": [3.0, 0.0]}
-    assert doc["payload"]["method"] == "full-decomposition"
 
 
 def test_solve_subcommand(tmp_path, capsys):

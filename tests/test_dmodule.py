@@ -216,6 +216,17 @@ def test_member_closed_tolerance():
     assert v_alpha_member_closed(p, x, just_out, tol=1e-9)
 
 
+def test_member_closed_tolerance_is_relative():
+    p = DSeminorm(BCMatrix.identity(1))
+    # p(x) = 2 alpha is outside however small both are
+    assert not v_alpha_member_closed(p, BCVector([2e-12], [2e-12]), DPlus(1e-12, 1e-12))
+    # and p(x) within 1e-12 relative of alpha is inside however large
+    alpha = 1e6 * (1 - 1e-12)
+    assert v_alpha_member_closed(p, BCVector([1e6], [1e6]), DPlus(alpha, alpha))
+    # one component out is out
+    assert not v_alpha_member_closed(p, BCVector([1.0], [1.1]), DPlus(1.0, 1.0))
+
+
 # ------------------------------------------------------------------- series
 
 
