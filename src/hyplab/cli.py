@@ -51,14 +51,6 @@ from .jsonio import (
     scalar_to_json,
     vector_to_json,
 )
-from .theoremlab import (
-    ball_scaling_check,
-    continuity_bound_check,
-    countable_subadd_check,
-    open_mapping_verify,
-    ubp_verify,
-    zabreiko_decompose,
-)
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -184,6 +176,26 @@ def _max_n(help: str) -> _Flag:
     return _Flag("--maxN", _Kind(_cap, early=True), type=int, default=1000, metavar="MAX_N", help=help)
 
 
+#: the theorem checks; theoremlab is imported only when one is looked up,
+#: so the other subcommands run without it
+_CHECKS = ("ball_scaling_check", "continuity_bound_check", "countable_subadd_check",
+           "open_mapping_verify", "ubp_verify", "zabreiko_decompose")
+
+
+def __getattr__(name: str):
+    if name in _CHECKS:
+        from . import theoremlab
+
+        return getattr(theoremlab, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _theorem(name: str):
+    """A theorem check, looked up when called: an attribute set on this
+    module, as a test's patch is, wins over theoremlab's."""
+    return globals().get(name) or __getattr__(name)
+
+
 def _verdict(rep) -> tuple[dict, bool]:
     return rep.to_json_dict(), rep.passed
 
@@ -249,7 +261,7 @@ _ROWS = {
                 "per component (about 49 steps at dim 4, never more than ~2,100), so memory and "
                 "output (~190 bytes per step and dimension) grow with steps*dim, not with maxN"),
          _OUTPUT),
-        lambda a: _verdict(zabreiko_decompose(DSeminorm(a.matrix), a.x, a.m, a.r, a.eps, a.maxN)),
+        lambda a: _verdict(_theorem("zabreiko_decompose")(DSeminorm(a.matrix), a.x, a.m, a.r, a.eps, a.maxN)),
     ),
     "ubp": _Row(
         "uniform boundedness over an operator family",
@@ -258,20 +270,22 @@ _ROWS = {
          _Flag("--samples", _PLAIN, type=int, default=100,
                help=_SAMPLES_HELP + " plus 60 per family member"),
          _SEED, _OUTPUT),
-        lambda a: _verdict(ubp_verify(a.family, a.samples, a.seed)),
+        lambda a: _verdict(_theorem("ubp_verify")(a.family, a.samples, a.seed)),
     ),
     "omt-verify": _Row("open-mapping solve-and-bound verification", (_MATRIX_IN, _TRIALS, _SEED, _OUTPUT),
-                       lambda a: _verdict(open_mapping_verify(a.matrix, a.trials, a.seed))),
-    "lemma31": _Row("continuity bound check for a seminorm", (_MATRIX_IN, _TRIALS, _SEED, _OUTPUT),
-                    lambda a: _verdict(continuity_bound_check(DSeminorm(a.matrix), a.trials, a.seed))),
+                       lambda a: _verdict(_theorem("open_mapping_verify")(a.matrix, a.trials, a.seed))),
+    "lemma31": _Row(
+        "continuity bound check for a seminorm", (_MATRIX_IN, _TRIALS, _SEED, _OUTPUT),
+        lambda a: _verdict(_theorem("continuity_bound_check")(DSeminorm(a.matrix), a.trials, a.seed)),
+    ),
     "subadd": _Row(
         "countable subadditivity along a series",
         (_MATRIX_IN, _TERMS, _SERIES_TOL, _SEED,
          _max_n("term cap; every term up to it is kept, about 600 + 30*dim bytes each, "
                 "plus 0.1*dim MB at most while the series is summed"),
          _OUTPUT),
-        lambda a: _verdict(
-            countable_subadd_check(DSeminorm(a.matrix), parse_series(a.terms), a.maxN, a.series_tol)),
+        lambda a: _verdict(_theorem("countable_subadd_check")(
+            DSeminorm(a.matrix), parse_series(a.terms), a.maxN, a.series_tol)),
     ),
     "ballscale": _Row(
         "sublevel-set ball scaling check",
@@ -283,7 +297,7 @@ _ROWS = {
          _Flag("--samples", _PLAIN, type=int, default=100, help=_SAMPLES_HELP),
          _SEED, _OUTPUT),
         lambda a: _verdict(
-            ball_scaling_check(DSeminorm(a.matrix), a.alpha, a.r, a.deltas, a.samples, a.seed)),
+            _theorem("ball_scaling_check")(DSeminorm(a.matrix), a.alpha, a.r, a.deltas, a.samples, a.seed)),
     ),
 }
 

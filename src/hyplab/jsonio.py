@@ -12,6 +12,9 @@ Matrices: {"rows": r, "cols": c, "e1": [[[re, im], ...], ...], "e2": ...}
 Series: a JSON array of vectors, or
         {"kind": "geometric", "ratio": <scalar>, "seed_vector": <vector>}
 
+Vector and matrix entries are read at array speed by ``_complex_array``;
+an input it refuses is re-read entry by entry only to name the bad entry.
+
 Emission always uses idempotent components (cartesian on request) and
 prints every float with 17 significant digits (``"%.17g"``), so correctly
 rounded platforms produce byte-identical documents.
@@ -152,10 +155,43 @@ def _rows(x, *, what: str) -> list:
     return x
 
 
+def _complex_array(x, depth: int) -> np.ndarray | None:
+    """Entries ``depth`` lists deep as one complex array, or None.
+
+    The check accepts what ``_rows`` and ``_pair`` accept: equal-length
+    lists or tuples, ``depth - 1`` levels of them above the [re, im]
+    pairs, of numbers that are no bools.  The pairs become one (..., 2)
+    float array viewed as complex, which keeps the bits of
+    ``complex(re, im)``, -0.0 included.  None means some entry fails the
+    check, and the per-entry reading names it.
+    """
+    shape, level = [], [x]
+    for _ in range(depth + 1):
+        if not all(issubclass(t, (list, tuple)) for t in {*map(type, level)}):
+            return None
+        widths = {*map(len, level)}
+        if len(widths) != 1:
+            return None
+        shape.append(widths.pop())
+        level = list(chain.from_iterable(level))
+    if shape[-1] != 2 or not all(t is not bool and issubclass(t, (int, float)) for t in {*map(type, level)}):
+        return None
+    try:
+        return np.array(level, dtype=float).reshape(shape).view(complex)[..., 0]
+    except OverflowError:  # an integer beyond the float range
+        return None
+
+
 def _pair(x, *, what: str) -> complex:
     if not isinstance(x, (list, tuple)) or len(x) != 2:
         raise InvalidInput(f"{what}: expected [re, im], got {x!r}")
     return complex(_num(x[0], what=what), _num(x[1], what=what))
+
+
+def _cartesian(x) -> Bicomplex:
+    if not isinstance(x, (list, tuple)) or len(x) != 4:
+        raise InvalidInput(f"cartesian entry must be [a, b, c, d], got {x!r}")
+    return Bicomplex.from_reals(*(_num(v, what="matrix w") for v in x))
 
 
 def parse_scalar(obj) -> Bicomplex:
@@ -197,8 +233,10 @@ def parse_vector(obj) -> BCVector:
     for key in ("e1", "e2"):
         if not isinstance(obj[key], (list, tuple)):
             raise InvalidInput(f"vector {key} must be a list of [re, im] pairs")
-    v1 = [_pair(e, what="vector e1 entry") for e in obj["e1"]]
-    v2 = [_pair(e, what="vector e2 entry") for e in obj["e2"]]
+    v1, v2 = _complex_array(obj["e1"], 1), _complex_array(obj["e2"], 1)
+    if v1 is None or v2 is None:  # the per-entry reading raises for the first bad entry
+        v1 = [_pair(e, what="vector e1 entry") for e in obj["e1"]]
+        v2 = [_pair(e, what="vector e2 entry") for e in obj["e2"]]
     v = BCVector(v1, v2)
     if "dim" in obj and _declared_size(obj, "dim") != v.dim:
         raise InvalidInput(f"declared dim {obj['dim']} but {v.dim} entries")
@@ -216,23 +254,13 @@ def parse_matrix(obj) -> BCMatrix:
         rows = _rows(obj["w"], what="cartesian matrix")
         if not rows:
             raise InvalidInput("cartesian matrix must be a nonempty list of rows")
-        m1 = []
-        m2 = []
-        for row in rows:
-            r1 = []
-            r2 = []
-            for entry in row:
-                if not isinstance(entry, (list, tuple)) or len(entry) != 4:
-                    raise InvalidInput(f"cartesian entry must be [a, b, c, d], got {entry!r}")
-                z = Bicomplex.from_reals(*(_num(v, what="matrix w") for v in entry))
-                r1.append(z.z1)
-                r2.append(z.z2)
-            m1.append(r1)
-            m2.append(r2)
-        mat = BCMatrix(m1, m2)
+        zs = [[_cartesian(entry) for entry in row] for row in rows]
+        mat = BCMatrix([[z.z1 for z in row] for row in zs], [[z.z2 for z in row] for row in zs])
     elif "e1" in obj and "e2" in obj:
-        m1 = [[_pair(e, what="matrix e1 entry") for e in row] for row in _rows(obj["e1"], what="matrix e1")]
-        m2 = [[_pair(e, what="matrix e2 entry") for e in row] for row in _rows(obj["e2"], what="matrix e2")]
+        m1, m2 = _complex_array(obj["e1"], 2), _complex_array(obj["e2"], 2)
+        if m1 is None or m2 is None:  # the per-entry reading raises for the first bad entry
+            m1 = [[_pair(e, what="matrix e1 entry") for e in row] for row in _rows(obj["e1"], what="matrix e1")]
+            m2 = [[_pair(e, what="matrix e2 entry") for e in row] for row in _rows(obj["e2"], what="matrix e2")]
         mat = BCMatrix(m1, m2)
     else:
         raise InvalidInput(f"matrix object needs e1/e2 or w keys, got {sorted(obj)}")

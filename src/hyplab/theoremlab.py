@@ -148,9 +148,10 @@ def _within(a, b, slack: float = CHECK_SLACK, scale=0.0):
     """a <= b + slack * max(scale, |a|, |b|, SLACK_FLOOR), elementwise.
 
     The slack is relative to the values compared, so an operator with
-    entries near 1e9 or 1e-12 is judged as one with entries near 1 is, and
-    a constant shrunk by 1e-6 is refuted at any scale.  ``scale`` gives the
-    data scale of a comparison whose right-hand side is zero.
+    entries near 1e9 or 1e-12 is judged as one with entries near 1 is.  A
+    constant shrunk by 1e-6 is refuted only for values above about 1e-153;
+    below that its gap is under slack * SLACK_FLOOR = 1e-159 and it passes.
+    ``scale`` gives the data scale of a comparison whose right-hand side is zero.
     """
     size = np.maximum(np.maximum(scale, SLACK_FLOOR), np.maximum(np.abs(a), np.abs(b)))
     return a <= b + slack * size
@@ -516,7 +517,8 @@ def zabreiko_decompose(
     """Decompose x into terms with geometrically decaying seminorm budget.
 
     Preconditions: 2 * alpha* * r <= m componentwise (alpha* the operator
-    norm of p's defining operator) and ||x||_D <= r componentwise.  Each
+    norm of p's defining operator), ||x||_D <= r componentwise, and a first
+    remainder budget (eps/m) r/2 above 2^-52 ||x||_D where x is nonzero.  Each
     term is the grid quantization of the current remainder at pitch
     eps'_k r / (2 sqrt(n)) per real coordinate, with eps'_k =
     min(eps_k, eps_{k-1}) so the budget chain
@@ -575,6 +577,12 @@ def zabreiko_decompose(
     eps0 = np.array([[x_norm.a1 / r], [x_norm.a2 / r]])
     ratio = np.array([[eps.a1 / m.a1], [eps.a2 / m.a2]])
     stop1, stop2 = _ROUNDOFF * x_norm.a1, _ROUNDOFF * x_norm.a2
+    coarse = [f"e{i}: (eps/m)*r/2={b} <= 2^-52*||x||_D={s}"
+              for i, b, s in zip((1, 2), (ratio[:, 0] / 2 * r).tolist(), (stop1, stop2)) if 0 < s and b <= s]
+    if coarse:
+        raise PreconditionViolated(
+            "first remainder budget below the float64 spacing of x, so no grid step can meet it ("
+            + "; ".join(coarse) + ")")
     l2 = DNormConfig()
 
     size = 0

@@ -12,6 +12,9 @@ at a time, a step loop that builds one vector per term and remainder, and
 a loop that pulls, adds and measures one term at a time.  The library's
 type-dispatching ``dumps``, its block-backed decomposition and its
 block-backed ``series_sum`` must reproduce their bytes and their errors.
+``oracle_parse_vector`` and ``oracle_parse_matrix`` read documents one
+entry at a time into Python ``complex`` values; ``jsonio``'s array-speed
+parse must give the same bits or raise the same error.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 from hyplab import BCMatrix, BCVector, Bicomplex, DimensionMismatch, DPlus, InvalidInput, NotConverged
 from hyplab.dmodule import SeriesReport, _as_tol, seminorm_eval, vec_dnorm
 from hyplab.hyperscalar import hyp_leq
+from hyplab.jsonio import _declared_size
 from hyplab.dop import op_dnorm
 from hyplab.theoremlab import _holds, _within, _worst
 
@@ -317,3 +321,58 @@ def oracle_series_sum(terms, tol, max_n: int, window: int = 3) -> SeriesReport:
     if not converged:
         raise NotConverged(f"series not converged after {n} terms", report)
     return report
+
+
+def _oracle_num(x, *, what: str) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise InvalidInput(f"{what}: expected a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError as exc:
+        raise InvalidInput(f"{what}: integer literal beyond floating-point range") from exc
+
+
+def _oracle_pair(x, *, what: str) -> complex:
+    if not isinstance(x, (list, tuple)) or len(x) != 2:
+        raise InvalidInput(f"{what}: expected [re, im], got {x!r}")
+    return complex(_oracle_num(x[0], what=what), _oracle_num(x[1], what=what))
+
+
+def _oracle_rows(x, *, what: str) -> list:
+    if not isinstance(x, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in x):
+        raise InvalidInput(f"{what} must be a list of rows, each a list of entries")
+    return x
+
+
+def oracle_parse_vector(obj) -> BCVector:
+    """A vector document read one [re, im] entry at a time."""
+    if not isinstance(obj, dict) or "e1" not in obj or "e2" not in obj:
+        raise InvalidInput("vector must be an object with e1 and e2 entry lists")
+    for key in ("e1", "e2"):
+        if not isinstance(obj[key], (list, tuple)):
+            raise InvalidInput(f"vector {key} must be a list of [re, im] pairs")
+    v1 = [_oracle_pair(e, what="vector e1 entry") for e in obj["e1"]]
+    v2 = [_oracle_pair(e, what="vector e2 entry") for e in obj["e2"]]
+    v = BCVector(v1, v2)
+    if "dim" in obj and _declared_size(obj, "dim") != v.dim:
+        raise InvalidInput(f"declared dim {obj['dim']} but {v.dim} entries")
+    return v
+
+
+def oracle_parse_matrix(obj) -> BCMatrix:
+    """A matrix document in idempotent form read one [re, im] entry at a time."""
+    if not isinstance(obj, dict):
+        raise InvalidInput("matrix must be a JSON object")
+    if "w" in obj or "e1" not in obj or "e2" not in obj:
+        raise ValueError("the oracle reads the idempotent form only")
+    m1, m2 = (
+        [[_oracle_pair(e, what=f"matrix {k} entry") for e in row]
+         for row in _oracle_rows(obj[k], what=f"matrix {k}")]
+        for k in ("e1", "e2")
+    )
+    mat = BCMatrix(m1, m2)
+    if "rows" in obj and _declared_size(obj, "rows") != mat.rows:
+        raise InvalidInput(f"declared rows {obj['rows']} but matrix has {mat.rows}")
+    if "cols" in obj and _declared_size(obj, "cols") != mat.cols:
+        raise InvalidInput(f"declared cols {obj['cols']} but matrix has {mat.cols}")
+    return mat

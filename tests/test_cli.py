@@ -13,7 +13,7 @@ import pytest
 import hyplab
 import hyplab.cli as cli
 import hyplab.errors
-from hyplab import BCMatrix, BCVector
+from hyplab import BCMatrix, BCVector, vec_dnorm
 from hyplab.jsonio import digest, dumps, matrix_to_json, vector_to_json
 from support import oracle_dumps, random_mat, random_vec, surjective_mat
 
@@ -224,6 +224,26 @@ def test_zabreiko_precondition_exit_4(tmp_path, capsys):
     )
     assert code == 2 or code == 4  # dim mismatch would be 2; here precondition
     assert doc["payload"]["error"]["kind"] in ("PreconditionViolated", "DimensionMismatch")
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_zabreiko_budget_below_float_spacing_exit_4(tmp_path, capsys, seed):
+    # on the identity, eps = 1e-300 asks a first remainder of ~1.7e-301 of an
+    # x near 0.5, far below its float spacing: a precondition, not a failed lemma
+    mat = write(tmp_path, "I.json", matrix_to_json(BCMatrix.identity(4)))
+    x = random_vec(np.random.default_rng(seed), 4)
+    nx = vec_dnorm(x)
+    xf = write(tmp_path, "x.json", vector_to_json(x.scale(0.5 / max(nx.a1, nx.a2))))
+    argv = ["zabreiko", "--matrix", mat, "--x", xf, "--m", "3,3", "--r", "1", "--eps", "1e-300,1e-300"]
+    code, doc, err = run_json(capsys, argv)
+    assert code == 4
+    assert doc["payload"]["error"]["kind"] == "PreconditionViolated"
+    assert "float64 spacing of x" in doc["payload"]["error"]["message"]
+    assert err.count("\n") == 1
+    # x = 0 has no float spacing to fall below and still passes
+    write(tmp_path, "x.json", vector_to_json(BCVector.zeros(4)))
+    code, doc, _ = run_json(capsys, argv)
+    assert code == 0 and doc["payload"]["pass"] is True and doc["payload"]["n_steps"] == 1
 
 
 def test_ubp_subcommand(tmp_path, capsys):
@@ -745,9 +765,10 @@ def test_malformed_file_exit_2(tmp_path, capsys, command, option, content):
     assert err.count("\n") == 1
 
 
-def _rejected_quietly(argv, message):
-    """Run the CLI in a child that shows every warning; expect one exit-2
-    envelope on stdout and only the one summary line on stderr."""
+def _rejected_quietly(argv, message, kind="InvalidInput", code=2):
+    """Run the CLI in a child that shows every warning; expect one envelope
+    with error ``kind`` and exit ``code`` on stdout and only the one summary
+    line on stderr."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     env.pop("PYTHONWARNINGS", None)
@@ -755,21 +776,29 @@ def _rejected_quietly(argv, message):
         [sys.executable, "-W", "always", "-m", "hyplab.cli", *argv],
         capture_output=True, env=env, timeout=120, text=True,
     )
-    assert proc.returncode == 2
-    assert proc.stderr == f"hyplab: InvalidInput: {message}\n"
+    assert proc.returncode == code
+    assert proc.stderr == f"hyplab: {kind}: {message}\n"
     lines = proc.stdout.splitlines()
     assert len(lines) == 1
     doc = json.loads(lines[0])
     assert lines[0] == dumps(doc)
-    assert doc["payload"] == {"error": {"kind": "InvalidInput", "message": message}}
+    assert doc["payload"] == {"error": {"kind": kind, "message": message}}
     assert doc["pass"] is False and len(doc["inputs_digest"]) == 64
 
 
 def test_subnormal_eps_is_rejected_without_numpy_warnings(tmp_path):
+    # the first budget (eps/m) r / 2 = 5e-313 is below the float spacing of x,
+    # so the run is refused before any grid is built
     mat = write(tmp_path, "T.json", matrix_to_json(random_mat(np.random.default_rng(19), 3, 3)))
-    xf = write(tmp_path, "x.json", vector_to_json(BCVector([0.1, 0.0, 0.1], [0.0, 0.1, 0.1])))
+    x = BCVector([0.1, 0.0, 0.1], [0.0, 0.1, 0.1])
+    xf = write(tmp_path, "x.json", vector_to_json(x))
     argv = ["zabreiko", "--matrix", mat, "--x", xf, "--m", "100,100", "--r", "1", "--eps", "1e-310,1e-310"]
-    _rejected_quietly(argv, "e1 component contains non-finite entries")
+    budget, (s1, s2) = 1e-310 / 100 / 2, (2.0**-52 * a for a in vec_dnorm(x).components())
+    message = (
+        "first remainder budget below the float64 spacing of x, so no grid step can meet it ("
+        f"e1: (eps/m)*r/2={budget} <= 2^-52*||x||_D={s1}; e2: (eps/m)*r/2={budget} <= 2^-52*||x||_D={s2})"
+    )
+    _rejected_quietly(argv, message, "PreconditionViolated", 4)
 
 
 @pytest.mark.parametrize("command", ["lemma31", "ballscale"])

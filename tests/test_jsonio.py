@@ -1,11 +1,16 @@
 """JSON schemas, 17-digit emission, digests, and literals."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hyplab import BCMatrix, Bicomplex, DPlus, InvalidInput
+from hyplab import BCMatrix, BCVector, Bicomplex, DPlus, HyplabError, InvalidInput
 from hyplab.jsonio import (
     MAX_DEPTH,
+    _complex_array,
     digest,
     dumps,
     format_float,
@@ -19,7 +24,7 @@ from hyplab.jsonio import (
     scalar_to_json,
     vector_to_json,
 )
-from support import random_mat, random_vec
+from support import oracle_parse_matrix, oracle_parse_vector, random_mat, random_vec
 
 
 # ------------------------------------------------------------------ scalars
@@ -227,3 +232,123 @@ def test_load_json_nesting_limit(tmp_path):
                 load_json(str(f))
     f.write_text('{"a": [1, {"b": [[]]}], "c": 2}')
     assert load_json(str(f)) == {"a": [1, {"b": [[]]}], "c": 2}
+
+
+# ------------------------------------------------- array-speed parse vs oracle
+
+#: finite numbers as json.load gives them
+_NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**70), 2**70))
+#: what a pair must not hold, and NaN and +-Infinity tokens
+_ODD = st.one_of(
+    st.sampled_from([True, False, None]),
+    st.sampled_from(["1", "1.5", "NaN", "", {}, [1.0, 2.0]]),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+#: numbers at the edges of the float range and of exact integers
+_EDGE = st.sampled_from(
+    [-0.0, 5e-324, 2**53 + 1, -(2**63) - 1, 10**308, 10**309, -(10**400), 2**1024 - 2**970 - 1]
+)
+_LENGTH = st.sampled_from((1, 2, 3, 0))
+_SIZE = st.sampled_from(["2", 2.0, 2.5, None, True, [2], -1, 0, 1, 3, 10**30])
+
+
+@st.composite
+def _entries(draw, shape):
+    """Nested lists of [re, im] pairs in ``shape``, then up to three changes:
+    a number replaced by an odd value or an edge number, an element added to
+    or dropped from a list (a short or long pair, a ragged or empty row), or
+    a list turned into a tuple."""
+    def build(dims):
+        if not dims:
+            return [draw(_NUMBER), draw(_NUMBER)]
+        return [build(dims[1:]) for _ in range(dims[0])]
+
+    x = build(shape)
+    for _ in range(draw(st.sampled_from((0, 0, 1, 1, 2, 3)))):
+        lists, stack = [], [x]
+        while stack:
+            c = stack.pop()
+            lists.append(c)
+            stack.extend(e for e in c if type(e) is list)
+        op = draw(st.sampled_from(["odd", "edge", "add", "drop", "tuple"]))
+        if op in ("odd", "edge"):  # a number of some pair
+            lists = [c for c in lists if c and not any(type(e) is list for e in c)] or lists
+        c = lists[draw(st.integers(0, len(lists) - 1))]
+        i = draw(st.integers(0, max(len(c) - 1, 0)))
+        if op == "add":
+            c.insert(i, draw(st.one_of(_NUMBER, _ODD)))
+        elif c and op in ("odd", "edge"):
+            c[i] = draw(_ODD if op == "odd" else _EDGE)
+        elif c and op == "drop":
+            del c[i]
+        elif c and type(c[i]) is list:
+            c[i] = tuple(c[i])
+    return x
+
+
+@st.composite
+def _docs(draw, keys):
+    """A vector (keys ("dim",)) or matrix (keys ("rows", "cols")) document;
+    e2 sometimes has another shape, and a declared size may be wrong."""
+    shape = [draw(_LENGTH) for _ in keys]
+    doc = {"e1": draw(_entries(shape))}
+    doc["e2"] = draw(_entries(shape if draw(st.booleans()) else [draw(_LENGTH) for _ in keys]))
+    for key, size in zip(keys, shape):
+        if draw(st.booleans()):
+            doc[key] = draw(st.one_of(st.just(size), _SIZE))
+    return doc
+
+
+def _outcome(parse, doc):
+    """The parsed components' bits and shapes, or the error's class and message."""
+    try:
+        value = parse(doc)
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return type(exc), str(exc)
+    arrays = (value.v1, value.v2) if isinstance(value, BCVector) else (value.m1, value.m2)
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_docs(("dim",)))
+def test_parse_vector_matches_the_per_entry_oracle(doc):
+    assert _outcome(parse_vector, doc) == _outcome(oracle_parse_vector, doc)
+    _refused_only_where_the_oracle_raises(doc, 1, oracle_parse_vector)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_docs(("rows", "cols")))
+def test_parse_matrix_matches_the_per_entry_oracle(doc):
+    assert _outcome(parse_matrix, doc) == _outcome(oracle_parse_matrix, doc)
+    _refused_only_where_the_oracle_raises(doc, 2, oracle_parse_matrix)
+
+
+def _refused_only_where_the_oracle_raises(doc, depth, oracle):
+    """The array route is no filter of its own: what it refuses, the
+    per-entry reading cannot read either."""
+    for key in ("e1", "e2"):
+        if _complex_array(doc[key], depth) is None:
+            with pytest.raises(HyplabError):
+                oracle({"e1": doc[key], "e2": doc[key]})
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [[True, 0.0], [1.0, "2"], [None, 1.0], [1.0], [1.0, 2.0, 3.0], (1.0, 2), 7, [10**309, 0],
+     [2**53 + 1, -0.0]],
+)
+def test_parse_matrix_odd_entries_match_the_oracle(entry):
+    for doc in ({"e1": [[entry, [1.0, 0.0]]], "e2": [[[0.5, 0.5], [1.0, 0.0]]]},
+                {"e1": [[[1.0, 0.0]], [[1.0, 0.0], entry]], "e2": [[[1.0, 0.0]], [[1.0, 0.0], [0, 0]]]}):
+        assert _outcome(parse_matrix, doc) == _outcome(oracle_parse_matrix, doc)
+    vec = {"e1": [[1.0, -0.0], entry], "e2": [[0.0, 1.0], [2, 3]]}
+    assert _outcome(parse_vector, vec) == _outcome(oracle_parse_vector, vec)
+
+
+def test_parse_keeps_the_bits_of_complex():
+    doc = {"e1": [[[-0.0, 0.0], [5e-324, -1e308]]], "e2": [[[0.1, -0.0], [2**53 + 1, -(2**64)]]]}
+    T = parse_matrix(doc)
+    want = ([[complex(-0.0, 0.0), complex(5e-324, -1e308)]],
+            [[complex(0.1, -0.0), complex(2**53 + 1, -(2**64))]])
+    for got, rows in zip((T.m1, T.m2), want):
+        assert got.tobytes() == np.array(rows, dtype=complex).tobytes()

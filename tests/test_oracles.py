@@ -27,6 +27,7 @@ from hyplab import (
     DSeminorm,
     InvalidInput,
     NotConverged,
+    PreconditionViolated,
     countable_subadd_check,
     geometric_terms,
     op_dnorm,
@@ -138,7 +139,7 @@ CASES = {
     "cap7": lambda x: (x, DPlus(1.0, 1.0), 7),
     "uncapped": lambda x: (x, DPlus(1.0, 1.0), 1000),
     "zero": lambda x: (BCVector.zeros(x.dim), DPlus(1.0, 1.0), 50),
-    "eps1e-300": lambda x: (x, DPlus(1e-300, 1e-300), 1000),
+    "zero-eps1e-300": lambda x: (BCVector.zeros(x.dim), DPlus(1e-300, 1e-300), 1000),
 }
 
 
@@ -154,6 +155,16 @@ def test_trace_bytes_match_step_loop(n, case):
     assert len(trace.epsilons) == trace.n_steps + 1
     if case == "uncapped":
         assert not trace.capped and trace.n_steps < max_n
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_trace_rejects_a_first_budget_below_roundoff_of_x(n):
+    # the step-1 budget (eps/m) r / 2 ~ 1e-301 is far below 2^-52 ||x||_D:
+    # no float64 grid step can meet it, so the run is refused, not failed
+    p, x, m = _instance(n)
+    named = r"float64 spacing of x, .*\(e1: .*; e2: .*<= 2\^-52\*\|\|x\|\|_D="
+    with pytest.raises(PreconditionViolated, match=named):
+        zabreiko_decompose(p, x, m, 1.0, DPlus(1e-300, 1e-300), 1000)
 
 
 def test_trace_bytes_match_step_loop_random_instances():
