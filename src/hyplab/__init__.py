@@ -22,7 +22,7 @@ from .dmodule import (
 )
 from .dop import (
     BCMatrix, BlockSolve, OperatorNormReport, SolveReport, SurjectivityReport, mat_apply, min_norm_solve,
-    min_norm_solve_rows, op_dnorm, open_mapping_delta, surjectivity_check,
+    min_norm_solve_rows, op_dnorm, open_mapping_delta, surjectivity_check, svd_family,
 )
 
 #: hyplab.theoremlab's exports, imported when first looked up
@@ -64,6 +64,7 @@ __all__ = [
     # operators
     "BCMatrix", "OperatorNormReport", "SolveReport", "SurjectivityReport", "BlockSolve",
     "mat_apply", "op_dnorm", "min_norm_solve", "min_norm_solve_rows", "open_mapping_delta", "surjectivity_check",
+    "svd_family",
     # theorem checks
     *_LAZY,
 ]

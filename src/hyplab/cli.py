@@ -268,7 +268,7 @@ _ROWS = {
         (_Flag("--family", _Kind(_family, lambda fam: [matrix_to_json(T) for T in fam]),
                required=True, help="JSON array of matrices"),
          _Flag("--samples", _PLAIN, type=int, default=100,
-               help=_SAMPLES_HELP + " plus 60 per family member"),
+               help=_SAMPLES_HELP + " plus 32 per matrix row and 64 more per family member"),
          _SEED, _OUTPUT),
         lambda a: _verdict(_theorem("ubp_verify")(a.family, a.samples, a.seed)),
     ),

@@ -9,11 +9,11 @@ tolerance, never a claim about the infinite limit.
 Many vectors at once are held as a block: a pair of (k, n) arrays whose
 row i holds the components of the i-th vector.  ``DNormConfig.norms`` is
 the one component-norm kernel: it reduces along the last axis, so a vector
-and each row of a block go through the same arithmetic, and it rejects a
-non-finite result the way a scalar does.  ``dnorm_rows`` applies it to a
-block, ``seminorm_rows`` after one matrix product per component and
-``seminorm_terms`` after one matrix-vector product per row; ``vec_dnorm``
-and ``seminorm_eval`` are their one-row cases.
+and each row of a block go through the same arithmetic.  ``dnorm_rows``
+applies it to both components of a block and rejects a non-finite result
+the way a scalar does, ``seminorm_rows`` after one matrix product per
+component and ``seminorm_terms`` after one matrix-vector product per row;
+``vec_dnorm`` and ``seminorm_eval`` are their one-row cases.
 
 ``complex_pairs`` is the one emitter of complex entries: it turns an array
 of any shape into nested ``[re, im]`` lists of plain floats.  The vector
@@ -138,18 +138,8 @@ class DNormConfig:
         not depend on how many vectors were evaluated with it; the l2 value
         is sqrt(re.re + im.im) with the dot product ``np.linalg.norm`` uses,
         so it equals that function's result bit for bit.  A non-finite
-        result (an overflowing l2 sum) raises ``InvalidInput`` as a
-        non-finite scalar component does, and numpy's overflow warning is
-        silenced because the value is rejected anyway.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = self.norms_unchecked(a)
-        return require_finite(out)
-
-    def norms_unchecked(self, a: np.ndarray) -> np.ndarray:
-        """``norms`` without the finiteness check, for callers that judge it.
-
-        Numpy warns on overflow here unless the caller silences it.
+        result (an overflowing l2 sum) is left for the caller to judge, and
+        numpy warns on overflow here unless the caller silences it.
         """
         if self.component_norm == "l2":
             re, im = a.real, a.imag
@@ -175,8 +165,14 @@ def require_finite(values: np.ndarray) -> np.ndarray:
 
 
 def dnorm_rows(b1: np.ndarray, b2: np.ndarray, cfg: DNormConfig = _L2) -> np.ndarray:
-    """||x_i||_D for every row x_i = (b1[i], b2[i]) of a block, as a (2, k) array."""
-    return np.stack((cfg.norms(b1), cfg.norms(b2)))
+    """||x_i||_D for every row x_i = (b1[i], b2[i]) of a block, as a (2, k) array.
+
+    A non-finite value is rejected: the first one of e1, else of e2.
+    """
+    out = np.empty((2, *b1.shape[:-1]))
+    with np.errstate(over="ignore", invalid="ignore"):  # the value is rejected anyway
+        out[0], out[1] = cfg.norms(b1), cfg.norms(b2)
+    return require_finite(out)
 
 
 def vec_dnorm(v: BCVector, cfg: DNormConfig = _L2) -> DPlus:
@@ -372,7 +368,7 @@ def _series_rows(
     """
     k = b1.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        term_norms = np.stack((_L2.norms_unchecked(b1), _L2.norms_unchecked(b2)))
+        term_norms = np.stack((_L2.norms(b1), _L2.norms(b2)))
         if prev is None:
             s1 = np.cumsum(b1, axis=0)
             s2 = np.cumsum(b2, axis=0)
@@ -382,7 +378,7 @@ def _series_rows(
             s2 = np.cumsum(np.concatenate((prev.s2[-1:], b2)), axis=0)[1:]
             running, recent = prev.abs_sums[:, -1:], prev.recent
         abs_sums = np.cumsum(np.concatenate((running, term_norms), axis=1), axis=1)[:, 1:]
-        partial_norms = np.stack((_L2.norms_unchecked(s1), _L2.norms_unchecked(s2)))
+        partial_norms = np.stack((_L2.norms(s1), _L2.norms(s2)))
         padded = np.concatenate((recent, term_norms), axis=1)
         tails = np.zeros((2, k))
         for offset in range(window):

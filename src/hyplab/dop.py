@@ -9,22 +9,23 @@ ordinary complex matrix computations:
   * open-mapping bound ->  reciprocal smallest singular value per component
   * quotient value q(y) -> norm of the per-component minimum-norm solution
 
-Each operator is factored once: ``BCMatrix.svd`` computes a thin singular
-value decomposition per component on first use and caches it, read-only,
-with the operator.  Norms, ranks, open-mapping constants and minimum-norm
-solves all read that one factorization; the full spectrum is stored, so a
-caller's rank tolerance is applied when the values are read.
+Each operator is factored once: ``svd_family`` factors both components
+of every unfactored operator of a family in one SVD call and caches each
+thin SVD, read-only, with its operator.  Norms, ranks, open-mapping
+constants and minimum-norm solves all read that one factorization; the
+full spectrum is stored, so a caller's rank tolerance is applied when the
+values are read.
 ``min_norm_solve_rows`` solves a whole block of right-hand sides with one
 product chain per component; ``min_norm_solve`` is its one-row case.
-The singular values are read only through an operator, so there is one
-SVD entry point and no iterative kernel.
+``BCMatrix.svd`` is its family of one, so there is one SVD entry point
+and no iterative kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,16 +62,6 @@ class ThinSVD(NamedTuple):
     vh: np.ndarray
 
 
-def _thin_svd(a: np.ndarray) -> ThinSVD:
-    try:
-        f = ThinSVD(*np.linalg.svd(a, full_matrices=False))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"SVD kernel failed: {exc}") from exc
-    for arr in f:
-        arr.setflags(write=False)
-    return f
-
-
 class BCMatrix:
     """BC-linear operator held as a pair of complex matrices of equal shape."""
 
@@ -90,13 +81,12 @@ class BCMatrix:
     def svd(self) -> tuple[ThinSVD, ThinSVD]:
         """Thin SVD of each component, computed on first use and cached.
 
-        The components are write-locked, so the factors stay valid for the
-        operator's lifetime.  Concurrent first calls may both factor; their
-        results are equal, so either may be kept.
+        The operator is a family of one for ``svd_family``.  The components
+        are write-locked, so the factors stay valid for its lifetime.
+        Concurrent first calls, here or through a family, may both factor;
+        their results are bit-identical, so either may be kept.
         """
-        if self._svd is None:
-            object.__setattr__(self, "_svd", (_thin_svd(self.m1), _thin_svd(self.m2)))
-        return self._svd
+        return self._svd or svd_family((self,))[0]
 
     @property
     def rows(self) -> int:
@@ -117,6 +107,30 @@ class BCMatrix:
 
     def __repr__(self) -> str:
         return f"BCMatrix(rows={self.rows}, cols={self.cols})"
+
+
+def svd_family(family: Sequence[BCMatrix]) -> list[tuple[ThinSVD, ThinSVD]]:
+    """The thin SVD pair of each operator of a family of one shape.
+
+    One ``np.linalg.svd`` call factors both components of every member
+    without factors; each caches read-only views of its rows of the result.
+    """
+    todo = [T for T in family if T._svd is None]
+    if len(shapes := {T.m1.shape for T in todo}) > 1:
+        raise DimensionMismatch(f"a family is factored at one shape, got {sorted(shapes)}")
+    if todo:
+        # Stack only matrices of identical shape: the svd gufunc makes the same
+        # LAPACK call on each as on it alone, so the bits are those of one-matrix
+        # calls.  A merge into one larger problem could round differently.
+        try:
+            f = np.linalg.svd(np.stack([m for T in todo for m in (T.m1, T.m2)]), full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"SVD kernel failed: {exc}") from exc
+        for a in f:
+            a.setflags(write=False)
+        for T, u, s, vh in zip(todo, *(a.reshape(len(todo), 2, *a.shape[1:]) for a in f)):
+            object.__setattr__(T, "_svd", tuple(map(ThinSVD, u, s, vh)))
+    return [T._svd for T in family]
 
 
 def mat_apply(T: BCMatrix, x: BCVector) -> BCVector:

@@ -12,8 +12,9 @@ Matrices: {"rows": r, "cols": c, "e1": [[[re, im], ...], ...], "e2": ...}
 Series: a JSON array of vectors, or
         {"kind": "geometric", "ratio": <scalar>, "seed_vector": <vector>}
 
-Vector and matrix entries are read at array speed by ``_complex_array``;
-an input it refuses is re-read entry by entry only to name the bad entry.
+Vector and matrix entries, cartesian ones included, are read at array
+speed by ``_complex_array``; an input it refuses, or a cartesian entry that
+overflows, is re-read entry by entry only to name the bad entry.
 
 Emission always uses idempotent components (cartesian on request) and
 prints every float with 17 significant digits (``"%.17g"``), so correctly
@@ -155,14 +156,15 @@ def _rows(x, *, what: str) -> list:
     return x
 
 
-def _complex_array(x, depth: int) -> np.ndarray | None:
+def _complex_array(x, depth: int, width: int = 2) -> np.ndarray | None:
     """Entries ``depth`` lists deep as one complex array, or None.
 
-    The check accepts what ``_rows`` and ``_pair`` accept: equal-length
-    lists or tuples, ``depth - 1`` levels of them above the [re, im]
-    pairs, of numbers that are no bools.  The pairs become one (..., 2)
-    float array viewed as complex, which keeps the bits of
-    ``complex(re, im)``, -0.0 included.  None means some entry fails the
+    The check accepts what ``_rows``, ``_pair`` and ``_cartesian`` accept:
+    equal-length lists or tuples, ``depth - 1`` levels of them above the
+    entries of ``width`` numbers that are no bools.  The entries become one
+    float array viewed as complex, which keeps the bits of ``complex(re,
+    im)``, -0.0 included: an [re, im] pair gives one value, an [a, b, c, d]
+    entry the pair (a + b*i, c + d*i).  None means some entry fails the
     check, and the per-entry reading names it.
     """
     shape, level = [], [x]
@@ -174,12 +176,13 @@ def _complex_array(x, depth: int) -> np.ndarray | None:
             return None
         shape.append(widths.pop())
         level = list(chain.from_iterable(level))
-    if shape[-1] != 2 or not all(t is not bool and issubclass(t, (int, float)) for t in {*map(type, level)}):
+    if shape[-1] != width or not all(t is not bool and issubclass(t, (int, float)) for t in {*map(type, level)}):
         return None
     try:
-        return np.array(level, dtype=float).reshape(shape).view(complex)[..., 0]
+        z = np.array(level, dtype=float).reshape(shape).view(complex)
     except OverflowError:  # an integer beyond the float range
         return None
+    return z[..., 0] if width == 2 else z
 
 
 def _pair(x, *, what: str) -> complex:
@@ -254,8 +257,13 @@ def parse_matrix(obj) -> BCMatrix:
         rows = _rows(obj["w"], what="cartesian matrix")
         if not rows:
             raise InvalidInput("cartesian matrix must be a nonempty list of rows")
-        zs = [[_cartesian(entry) for entry in row] for row in rows]
-        mat = BCMatrix([[z.z1 for z in row] for row in zs], [[z.z2 for z in row] for row in zs])
+        w = _complex_array(rows, 2, width=4)
+        with np.errstate(over="ignore", invalid="ignore"):  # Bicomplex.from_cartesian's arithmetic
+            zs = None if w is None else (w[..., 0] - 1j * w[..., 1], w[..., 0] + 1j * w[..., 1])
+        if zs is None or not np.isfinite(zs).all():  # the per-entry reading names a bad entry
+            zs = [[_cartesian(entry) for entry in row] for row in rows]
+            zs = [[z.z1 for z in row] for row in zs], [[z.z2 for z in row] for row in zs]
+        mat = BCMatrix(*zs)
     elif "e1" in obj and "e2" in obj:
         m1, m2 = _complex_array(obj["e1"], 2), _complex_array(obj["e2"], 2)
         if m1 is None or m2 is None:  # the per-entry reading raises for the first bad entry

@@ -76,6 +76,7 @@ from .dop import (
     min_norm_solve_rows,
     op_dnorm,
     open_mapping_delta,
+    svd_family,
 )
 from .errors import (
     HypothesisFailed,
@@ -83,7 +84,7 @@ from .errors import (
     PreconditionViolated,
     ShapeMismatch,
 )
-from .hyperscalar import DPlus, Hyperbolic, hyp_sup
+from .hyperscalar import DPlus, Hyperbolic
 
 #: Relative slack of every verified inequality; see ``_within``.
 CHECK_SLACK = 1e-9
@@ -605,7 +606,7 @@ def zabreiko_decompose(
             terms[:, steps] = xk
             u = rems[:, steps] = u - xk
             steps += 1
-            un1, un2 = l2.norms_unchecked(u).tolist()
+            un1, un2 = l2.norms(u).tolist()
             if not (math.isfinite(un1) and math.isfinite(un2)):
                 break  # a non-finite remainder, rejected below
             if un1 <= stop1 and un2 <= stop2:
@@ -693,7 +694,10 @@ def ubp_verify(
     p*(x) is the pointwise supremum over the family and delta defaults to
     the supremum of the operator norms.  The sample set always contains the
     top-singular-vector witnesses of the norm-attaining member per
-    component, so an undersized delta (e.g. shrunk by 1e-6) is refuted.
+    component (the first on a tie), so an undersized delta (e.g. shrunk by
+    1e-6) is refuted.  One SVD call factors the family and one stacked
+    product per component applies it; each value is bit for bit the one
+    that member's own SVD and product give.
     """
     if not family:
         raise ShapeMismatch("empty operator family")
@@ -705,15 +709,14 @@ def ubp_verify(
         raise InvalidInput(f"samples must be >= 1, got {samples}")
     name = "ubp"
 
-    seminorms = [DSeminorm(T) for T in family]
-    norms = [op_dnorm(T).M for T in family]
-    sup_opnorm = hyp_sup(norms)
+    # the top singular values of all members; argmax takes the first on a tie
+    top = np.array([(f1.s[0], f2.s[0]) for f1, f2 in svd_family(family)])
+    i1, i2 = top.argmax(axis=0).tolist()
+    sup_opnorm = DPlus(top[i1, 0], top[i2, 1])
     bound = sup_opnorm if delta is None else delta
 
     # witnesses from the members attaining the supremum per component, then
     # the random samples, as one block
-    i1 = max(range(len(family)), key=lambda i: norms[i].a1)
-    i2 = max(range(len(family)), key=lambda i: norms[i].a2)
     n = shape[1]
     wa1, wa2 = _witness_rows(family[i1])
     wb1, wb2 = _witness_rows(family[i2])
@@ -721,11 +724,14 @@ def ubp_verify(
     x1 = np.concatenate((wa1[:1], wb1[1:2], r1))
     x2 = np.concatenate((wa2[:1], wb2[1:2], r2))
 
-    # p_s(x) for every member s and sample x; p* is their pointwise maximum
-    values = np.stack([seminorm_rows(ps, x1, x2) for ps in seminorms])
-    pstar = values.max(axis=0)
+    # p_s(x) for every member s and sample x, as (2, members, samples), from
+    # one broadcast product per component; p* is their pointwise maximum
+    m1, m2 = np.stack([T.m1 for T in family]), np.stack([T.m2 for T in family])
+    with np.errstate(over="ignore", invalid="ignore"):  # the norm rejects an overflow
+        values = dnorm_rows(x1 @ m1.transpose(0, 2, 1), x2 @ m2.transpose(0, 2, 1))
+    pstar = values.max(axis=1)
     rhs = require_finite(_column(bound) * dnorm_rows(x1, x2))
-    all_ok = bool(_within(values, pstar, 0.0).all()) and bool(_within(pstar, rhs).all())
+    all_ok = bool(_within(values, pstar[:, None], 0.0).all()) and bool(_within(pstar, rhs).all())
 
     return UBPReport(
         check=name,

@@ -13,8 +13,11 @@ a loop that pulls, adds and measures one term at a time.  The library's
 type-dispatching ``dumps``, its block-backed decomposition and its
 block-backed ``series_sum`` must reproduce their bytes and their errors.
 ``oracle_parse_vector`` and ``oracle_parse_matrix`` read documents one
-entry at a time into Python ``complex`` values; ``jsonio``'s array-speed
-parse must give the same bits or raise the same error.
+entry at a time into Python ``complex`` values, a cartesian entry through
+``Bicomplex.from_reals``; ``jsonio``'s array-speed parse must give the same
+bits or raise the same error.  ``oracle_ubp`` is the uniform boundedness
+check with one norm report and one block product per family member; the
+stacked ``ubp_verify`` must give the same report.
 """
 
 from __future__ import annotations
@@ -26,12 +29,16 @@ from collections import deque
 
 import numpy as np
 
-from hyplab import BCMatrix, BCVector, Bicomplex, DimensionMismatch, DPlus, InvalidInput, NotConverged
-from hyplab.dmodule import SeriesReport, _as_tol, seminorm_eval, vec_dnorm
-from hyplab.hyperscalar import hyp_leq
+from hyplab import (
+    BCMatrix, BCVector, Bicomplex, DimensionMismatch, DPlus, InvalidInput, NotConverged, ShapeMismatch,
+)
+from hyplab.dmodule import (
+    Columns, DSeminorm, SeriesReport, _as_tol, dnorm_rows, require_finite, seminorm_eval, seminorm_rows, vec_dnorm,
+)
+from hyplab.hyperscalar import hyp_leq, hyp_sup
 from hyplab.jsonio import _declared_size
 from hyplab.dop import op_dnorm
-from hyplab.theoremlab import _holds, _within, _worst
+from hyplab.theoremlab import UBPReport, _column, _draws, _holds, _sample_rows, _within, _worst
 
 
 def mul4(a, b):
@@ -359,20 +366,75 @@ def oracle_parse_vector(obj) -> BCVector:
     return v
 
 
+def _oracle_cartesian(x) -> Bicomplex:
+    if not isinstance(x, (list, tuple)) or len(x) != 4:
+        raise InvalidInput(f"cartesian entry must be [a, b, c, d], got {x!r}")
+    return Bicomplex.from_reals(*(_oracle_num(v, what="matrix w") for v in x))
+
+
 def oracle_parse_matrix(obj) -> BCMatrix:
-    """A matrix document in idempotent form read one [re, im] entry at a time."""
+    """A matrix document read one [re, im] or [a, b, c, d] entry at a time."""
     if not isinstance(obj, dict):
         raise InvalidInput("matrix must be a JSON object")
-    if "w" in obj or "e1" not in obj or "e2" not in obj:
-        raise ValueError("the oracle reads the idempotent form only")
-    m1, m2 = (
-        [[_oracle_pair(e, what=f"matrix {k} entry") for e in row]
-         for row in _oracle_rows(obj[k], what=f"matrix {k}")]
-        for k in ("e1", "e2")
-    )
+    if "w" in obj:
+        rows = _oracle_rows(obj["w"], what="cartesian matrix")
+        if not rows:
+            raise InvalidInput("cartesian matrix must be a nonempty list of rows")
+        zs = [[_oracle_cartesian(e) for e in row] for row in rows]
+        m1, m2 = [[z.z1 for z in row] for row in zs], [[z.z2 for z in row] for row in zs]
+    elif "e1" in obj and "e2" in obj:
+        m1, m2 = (
+            [[_oracle_pair(e, what=f"matrix {k} entry") for e in row]
+             for row in _oracle_rows(obj[k], what=f"matrix {k}")]
+            for k in ("e1", "e2")
+        )
+    else:
+        raise InvalidInput(f"matrix object needs e1/e2 or w keys, got {sorted(obj)}")
     mat = BCMatrix(m1, m2)
     if "rows" in obj and _declared_size(obj, "rows") != mat.rows:
         raise InvalidInput(f"declared rows {obj['rows']} but matrix has {mat.rows}")
     if "cols" in obj and _declared_size(obj, "cols") != mat.cols:
         raise InvalidInput(f"declared cols {obj['cols']} but matrix has {mat.cols}")
     return mat
+
+
+def oracle_ubp(family, samples: int, seed: int, delta=None):
+    """``ubp_verify`` member by member, as it was before the stacked route.
+
+    Each component of each member gets its own SVD call, each member its
+    own norm and its own block product ``seminorm_rows``; the members
+    attaining the supremum are picked by ``max`` (the first one on a tie).
+    """
+    if not family:
+        raise ShapeMismatch("empty operator family")
+    shape = (family[0].rows, family[0].cols)
+    for i, T in enumerate(family):
+        if (T.rows, T.cols) != shape:
+            raise ShapeMismatch(f"member {i} has shape {(T.rows, T.cols)}, expected {shape}")
+    if samples < 1:
+        raise InvalidInput(f"samples must be >= 1, got {samples}")
+    factors = [[np.linalg.svd(m, full_matrices=False) for m in (T.m1, T.m2)] for T in family]
+    norms = [DPlus(float(f1[1][0]), float(f2[1][0])) for f1, f2 in factors]
+    sup_opnorm = hyp_sup(norms)
+    bound = sup_opnorm if delta is None else delta
+    i1 = max(range(len(family)), key=lambda i: norms[i].a1)
+    i2 = max(range(len(family)), key=lambda i: norms[i].a2)
+    n = shape[1]
+    zero = np.zeros((1, n), dtype=complex)
+    r1, r2 = _sample_rows(_draws(seed, "ubp", samples, 4 * n), n)
+    x1 = np.concatenate((factors[i1][0][2][:1].conj(), zero, r1))
+    x2 = np.concatenate((zero, factors[i2][1][2][:1].conj(), r2))
+    values = np.stack([seminorm_rows(DSeminorm(T), x1, x2) for T in family])
+    pstar = values.max(axis=0)
+    rhs = require_finite(_column(bound) * dnorm_rows(x1, x2))
+    return UBPReport(
+        check="ubp",
+        seed=seed,
+        family_size=len(family),
+        samples=samples,
+        pointwise_sups=Columns(pstar),
+        sup_opnorm=sup_opnorm,
+        bound_delta=bound,
+        all_bounds_ok=bool(_within(values, pstar, 0.0).all()) and bool(_within(pstar, rhs).all()),
+        worst_margin=_worst(pstar - rhs),
+    )

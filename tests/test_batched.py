@@ -34,7 +34,8 @@ from hyplab import (
     ubp_verify,
     vec_dnorm,
 )
-from support import random_mat, random_vec, surjective_mat
+from hyplab.jsonio import dumps
+from support import oracle_ubp, random_mat, random_vec, surjective_mat
 
 
 def close(a: float, b: float, scale: float) -> bool:
@@ -334,6 +335,73 @@ def test_ubp_matches_per_sample_evaluation():
     assert rep.passed and w1 <= 1e-12 * scale and w2 <= 1e-12 * scale
     shrunk = DPlus((1 - 1e-6) * d.a1, (1 - 1e-6) * d.a2)
     assert not ubp_verify(family, 70, 12, delta=shrunk).passed
+
+
+def _same_report(got, want):
+    """Equal fields: 17 significant digits and the sign of zero give the bits."""
+    assert type(got) is type(want)
+    assert [type(v) for v in vars(got).values()] == [type(v) for v in vars(want).values()]
+    assert dumps(got.to_json_dict()) == dumps(want.to_json_dict())
+    assert got.pointwise_sups.array.tobytes() == want.pointwise_sups.array.tobytes()
+
+
+def _tied_family():
+    """Members whose top singular values tie exactly in each component.
+
+    diag(1, 3) and diag(3, 1) share the value 3 with other witnesses; the
+    last member repeats the second.
+    """
+    d13, d31 = np.diag([1.0, 3.0]).astype(complex), np.diag([3.0, 1.0j])
+    family = [BCMatrix(d13, d31), BCMatrix(d31, d13), BCMatrix.zeros(2, 2), BCMatrix(d31, d13)]
+    tops = [(T.svd()[0].s[0], T.svd()[1].s[0]) for T in family]
+    assert tops[0] == tops[1] == tops[3] == (3.0, 3.0)
+    return [BCMatrix(T.m1, T.m2) for T in family]  # unfactored copies
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        pytest.param(lambda rng: [random_mat(rng, 8, 8) for _ in range(20)], id="desk-8x8x20"),
+        pytest.param(lambda rng: [random_mat(rng, 3, 5)], id="one-3x5"),
+        pytest.param(lambda rng: [random_mat(rng, 6, 2) for _ in range(4)], id="tall-6x2x4"),
+        pytest.param(lambda rng: [BCMatrix.zeros(3, 3)] * 3, id="zeros"),
+        pytest.param(lambda rng: _tied_family(), id="ties"),
+        pytest.param(lambda rng: [random_mat(rng, 4, 4) for _ in range(5)] + [BCMatrix.zeros(4, 4)], id="with-zero"),
+    ],
+)
+@pytest.mark.parametrize("delta", [None, DPlus(2.5, 0.5)])
+def test_ubp_matches_the_per_member_oracle(family, delta):
+    members = family(np.random.default_rng(8))
+    want = oracle_ubp(members, 40, 17, delta)
+    _same_report(ubp_verify(members, 40, 17, delta), want)
+    _same_report(ubp_verify(members, 40, 17, delta), want)  # factors now cached
+
+
+def test_ubp_takes_witnesses_from_the_first_tied_member(monkeypatch):
+    # every witness attains the supremum, so the report cannot show which
+    # tied member gave it; the members asked for witnesses show it
+    family, asked = _tied_family(), []
+    real = tl._witness_rows
+    monkeypatch.setattr(tl, "_witness_rows", lambda T: asked.append(T) or real(T))
+    ubp_verify(family, 5, 1)
+    assert asked == [family[0], family[0]]
+    family, asked[:] = family[1:], []
+    ubp_verify(family, 5, 1)
+    assert asked == [family[0], family[0]]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    size=st.integers(1, 7),
+    scale=st.sampled_from([1.0, 1e-12, 1e9, 1e150]),
+)
+def test_ubp_matches_the_per_member_oracle_on_random_families(seed, shape, size, scale):
+    rng = np.random.default_rng(seed)
+    members = [random_mat(rng, *shape) for _ in range(size)]
+    members = [BCMatrix(T.m1 * scale, T.m2) for T in members]
+    _same_report(ubp_verify(members, 9, seed), oracle_ubp(members, 9, seed))
 
 
 def test_open_mapping_matches_per_sample_evaluation():

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyplab import (
     BCMatrix,
@@ -22,6 +24,8 @@ from hyplab import (
     op_dnorm,
     open_mapping_delta,
     surjectivity_check,
+    svd_family,
+    ubp_verify,
     vec_dnorm,
 )
 from support import (
@@ -401,7 +405,7 @@ def test_operator_session_factors_once(monkeypatch):
     op_dnorm(T)
     open_mapping_delta(T)
     assert open_mapping_verify(T, 20, seed=1).passed
-    assert len(svd_calls) == 2  # one per component
+    assert len(svd_calls) == 1  # both components in one stacked call
     assert lstsq_calls == []
 
 
@@ -418,6 +422,92 @@ def test_cached_factors_read_only_and_exact():
                 assert np.allclose(got, want, rtol=0, atol=1e-12)
             with pytest.raises(ValueError):
                 f.s[0] = 0.0
+
+
+def _member(rng, kind: str, rows: int, cols: int) -> BCMatrix:
+    """A random, zero, rank-one or repeated-row operator, at a random scale."""
+    if kind == "zero":
+        return BCMatrix.zeros(rows, cols)
+    T = random_mat(rng, rows, cols)
+    m1, m2 = T.m1 * 10.0 ** rng.integers(-30, 30), T.m2
+    if kind == "rank1":
+        m1, m2 = np.outer(m1[:, 0], m1[0]), np.outer(m2[:, 0], m2[0])
+    elif kind == "repeated" and rows > 1:
+        m1, m2 = m1.copy(), m2.copy()
+        m1[-1], m2[0] = m1[0], m2[-1]
+    return BCMatrix(m1, m2)
+
+
+@st.composite
+def _families(draw):
+    """1 to 6 operators of one shape from 1x1 to 8x8."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["random", "zero", "rank1", "repeated"]), min_size=1, max_size=6))
+    return [_member(rng, kind, rows, cols) for kind in kinds]
+
+
+def _assert_one_matrix_svds(family):
+    """Every cached factor is read-only and the one-matrix SVD bit for bit."""
+    for T in family:
+        for f, m in zip(T.svd(), (T.m1, T.m2)):
+            for got, want in zip(f, np.linalg.svd(m, full_matrices=False)):
+                assert not got.flags.writeable
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=_families())
+def test_family_factors_are_the_one_matrix_svds_bit_for_bit(family):
+    pairs = svd_family(family)
+    assert [T.svd() for T in family] == pairs
+    assert all(T.svd() is pair for T, pair in zip(family, pairs))
+    _assert_one_matrix_svds(family)
+
+
+def test_family_factors_are_the_one_matrix_svds_bit_for_bit_at_64x128():
+    rng = np.random.default_rng(35)
+    family = [random_mat(rng, 64, 128), random_mat(rng, 64, 128)]
+    svd_family(family)
+    _assert_one_matrix_svds(family)
+
+
+def test_partly_factored_family_factors_only_the_rest(monkeypatch):
+    rng = np.random.default_rng(36)
+    family = [random_mat(rng, 5, 3) for _ in range(5)]
+    kept = {i: family[i].svd() for i in (1, 3)}
+    stacks = []
+    real = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        stacks.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    pairs = svd_family(family)
+    assert stacks == [(6, 5, 3)]  # members 0, 2 and 4, two components each
+    for i, pair in kept.items():
+        assert pairs[i] is pair and pairs[i][0] is pair[0] and pairs[i][1] is pair[1]
+    assert svd_family(family) == pairs and len(stacks) == 1
+    _assert_one_matrix_svds(family)
+
+
+def test_family_of_two_shapes_is_rejected_unfactored():
+    rng = np.random.default_rng(37)
+    family = [random_mat(rng, 2, 3), random_mat(rng, 3, 2)]
+    with pytest.raises(DimensionMismatch, match=r"one shape, got \[\(2, 3\), \(3, 2\)\]"):
+        svd_family(family)
+    assert all(T._svd is None for T in family)
+    assert svd_family([]) == []
+
+
+def test_ubp_family_costs_one_svd_call(monkeypatch):
+    rng = np.random.default_rng(38)
+    family = [random_mat(rng, 8, 8) for _ in range(20)]
+    svd_calls = _counting(monkeypatch, "svd")
+    assert ubp_verify(family, 50, 7).passed
+    assert len(svd_calls) == 1
 
 
 def test_solve_matches_lstsq():

@@ -1,5 +1,6 @@
 """JSON schemas, 17-digit emission, digests, and literals."""
 
+import copy
 import math
 
 import numpy as np
@@ -238,10 +239,11 @@ def test_load_json_nesting_limit(tmp_path):
 
 #: finite numbers as json.load gives them
 _NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**70), 2**70))
-#: what a pair must not hold, and NaN and +-Infinity tokens
+#: what a pair must not hold, and NaN and +-Infinity tokens; each draw is
+#: a fresh copy, because ``_entries`` may later edit a list it inserted
 _ODD = st.one_of(
     st.sampled_from([True, False, None]),
-    st.sampled_from(["1", "1.5", "NaN", "", {}, [1.0, 2.0]]),
+    st.sampled_from(["1", "1.5", "NaN", "", {}, [1.0, 2.0]]).map(copy.deepcopy),
     st.sampled_from([math.nan, math.inf, -math.inf]),
 )
 #: numbers at the edges of the float range and of exact integers
@@ -253,14 +255,15 @@ _SIZE = st.sampled_from(["2", 2.0, 2.5, None, True, [2], -1, 0, 1, 3, 10**30])
 
 
 @st.composite
-def _entries(draw, shape):
-    """Nested lists of [re, im] pairs in ``shape``, then up to three changes:
-    a number replaced by an odd value or an edge number, an element added to
-    or dropped from a list (a short or long pair, a ragged or empty row), or
-    a list turned into a tuple."""
+def _entries(draw, shape, width=2, number=_NUMBER):
+    """Nested lists of entries of ``width`` numbers ([re, im] pairs by
+    default) in ``shape``, then up to three changes: a number replaced by an
+    odd value or an edge number, an element added to or dropped from a list
+    (a short or long entry, a ragged or empty row), or a list turned into a
+    tuple."""
     def build(dims):
         if not dims:
-            return [draw(_NUMBER), draw(_NUMBER)]
+            return [draw(number) for _ in range(width)]
         return [build(dims[1:]) for _ in range(dims[0])]
 
     x = build(shape)
@@ -321,6 +324,57 @@ def test_parse_vector_matches_the_per_entry_oracle(doc):
 def test_parse_matrix_matches_the_per_entry_oracle(doc):
     assert _outcome(parse_matrix, doc) == _outcome(oracle_parse_matrix, doc)
     _refused_only_where_the_oracle_raises(doc, 2, oracle_parse_matrix)
+
+
+#: cartesian coefficients: signed zeros often, so that every sign case of
+#: 0*c - d and 0*d + c comes up, and magnitudes whose sums overflow
+_W_NUMBER = st.one_of(_NUMBER, st.sampled_from([0.0, -0.0, 1e308, -1e308]))
+
+
+@st.composite
+def _cartesian_docs(draw):
+    """A cartesian matrix document, perhaps with a wrong declared size."""
+    shape = [draw(_LENGTH), draw(_LENGTH)]
+    doc = {"w": draw(_entries(shape, 4, _W_NUMBER))}
+    for key, size in zip(("rows", "cols"), shape):
+        if draw(st.booleans()):
+            doc[key] = draw(st.one_of(st.just(size), _SIZE))
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_cartesian_docs())
+def test_parse_cartesian_matrix_matches_the_per_entry_oracle(doc):
+    assert _outcome(parse_matrix, doc) == _outcome(oracle_parse_matrix, doc)
+    if isinstance(doc["w"], list) and _complex_array(doc["w"], 2, width=4) is None:
+        with pytest.raises(HyplabError):  # the array route is no filter of its own
+            oracle_parse_matrix({"w": doc["w"]})
+
+
+def test_cartesian_signed_zeros_match_from_reals():
+    signs = [0.0, -0.0]
+    entries = [[a, b, c, d] for a in signs for b in signs for c in signs for d in signs]
+    doc = {"w": [entries, [[a, b, -c, d] for a, b, c, d in entries]]}
+    assert _outcome(parse_matrix, doc) == _outcome(oracle_parse_matrix, doc)
+
+
+def test_parse_cartesian_matrix_keeps_the_bits_at_64x128():
+    z = np.random.default_rng(20).standard_normal((64, 128, 4)) * 10.0 ** np.arange(-3, 5, 2)
+    doc = {"w": z.tolist()}
+    assert _outcome(parse_matrix, doc) == _outcome(oracle_parse_matrix, doc)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [[True, 0.0, 0.0, 0.0], [1.0, "2", 0.0, 0.0], [None, 1.0, 0.0, 0.0], [1.0, 2.0, 3.0], [1.0] * 5,
+     (1.0, 2, 3, 4), 7, [10**309, 0, 0, 0], [1e308, 0, 0, -1e308], [0, 1e308, -1e308, 0],
+     [-1e308, 0, 0, -1e308], [math.nan, 0, 0, 0], [2**53 + 1, -0.0, 0, -0.0]],
+)
+def test_parse_cartesian_odd_entries_match_the_oracle(entry):
+    for doc in ({"w": [[entry, [1.0, 0.0, 0.0, 0.0]]]},
+                {"w": [[[1.0, 0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0, 0.0], entry]]},
+                {"w": [[[1e308, 0, 0, 1e308], entry]]}):
+        assert _outcome(parse_matrix, doc) == _outcome(oracle_parse_matrix, doc)
 
 
 def _refused_only_where_the_oracle_raises(doc, depth, oracle):
