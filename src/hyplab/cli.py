@@ -22,7 +22,8 @@ byte-identical envelopes.
 Each subcommand is one row of ``_ROWS``: its help, its flags and its run.
 A flag with a kind is an input: the kind says how its value is read and
 its canonical form in the inputs digest.  One loop builds the parser from
-the rows, and one reads a row's inputs, digests them and calls its run.
+the rows, with the flags of the named row only, and one reads its inputs,
+digests them and calls its run.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import traceback
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from . import __version__
 from .dmodule import DNormConfig, DSeminorm, abs_summability_check, series_sum, vec_dnorm
@@ -42,7 +44,6 @@ from .jsonio import (
     digest,
     dumps,
     load_json,
-    matrix_to_json,
     parse_hyp_literal,
     parse_matrix,
     parse_scalar,
@@ -155,7 +156,9 @@ def _deltas(text: str) -> list[float]:
 _PLAIN = _Kind(lambda value: value)  # typed by argparse
 _SCALAR = _Kind(lambda path: parse_scalar(load_json(path)), lambda z: scalar_to_json(z))
 _VECTOR = _Kind(lambda path: parse_vector(load_json(path)), lambda v: vector_to_json(v))
-_MATRIX = _Kind(lambda path: parse_matrix(load_json(path)), lambda T: matrix_to_json(T))
+# a matrix digests as ``matrix_to_json(T)`` does, its [re, im] pairs as float arrays
+_MATRIX = _Kind(lambda path: parse_matrix(load_json(path)), lambda T: {"rows": T.rows, "cols": T.cols, **{
+    e: np.stack((m.real, m.imag), -1) for e, m in (("e1", T.m1), ("e2", T.m2))}})
 _JSON = _Kind(lambda path: load_json(path))  # parsed by the run, after the digest
 _HYP = _Kind(lambda text: parse_hyp_literal(text), lambda h: [h.a1, h.a2])
 
@@ -265,10 +268,12 @@ _ROWS = {
     ),
     "ubp": _Row(
         "uniform boundedness over an operator family",
-        (_Flag("--family", _Kind(_family, lambda fam: [matrix_to_json(T) for T in fam]),
+        (_Flag("--family", _Kind(_family, lambda fam: [_MATRIX.canon(T) for T in fam]),
                required=True, help="JSON array of matrices"),
          _Flag("--samples", _PLAIN, type=int, default=100,
-               help=_SAMPLES_HELP + " plus 32 per matrix row and 64 more per family member"),
+               help="random samples; each takes about 64 bytes per matrix column and 64 per family "
+                    "member, plus 2 MB (or 2 KB per member and matrix row, if more) for the products "
+                    "of one chunk of samples"),
          _SEED, _OUTPUT),
         lambda a: _verdict(_theorem("ubp_verify")(a.family, a.samples, a.seed)),
     ),
@@ -302,7 +307,10 @@ _ROWS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with flags only on the first one ``argv``
+    names: argparse reads that one, as no top-level option takes a value."""
+    command = next((word for word in argv if word in _ROWS), None)
     parser = argparse.ArgumentParser(
         prog="hyplab",
         description="Bicomplex/hyperbolic scalar algebra, operator bounds, and theorem checks.",
@@ -311,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, row in _ROWS.items():
         sp = sub.add_parser(name, help=row.help)
-        for f in row.flags:
+        for f in row.flags if name == command else ():
             sp.add_argument(f.flag, **f.spec)
     return parser
 
@@ -336,7 +344,8 @@ def _dispatch(args, envelope: dict):
 
 def run(argv=None) -> int:
     """Execute one subcommand; returns the exit code."""
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors itself
@@ -352,6 +361,8 @@ def run(argv=None) -> int:
         # anything but a HyplabError is a defect in hyplab, not a verdict
         code = exc.exit_code if isinstance(exc, HyplabError) else EXIT_INTERNAL
         if code == EXIT_INTERNAL:
+            import traceback
+
             traceback.print_exc(file=sys.stderr)
         print(f"hyplab: {type(exc).__name__}: {exc}", file=sys.stderr)
         envelope["payload"] = {"error": {"kind": type(exc).__name__, "message": str(exc)}}

@@ -19,8 +19,9 @@ component and ``seminorm_terms`` after one matrix-vector product per row;
 of any shape into nested ``[re, im]`` lists of plain floats.  The vector
 documents of reports and of ``jsonio`` are built from it by ``vector_docs``.
 
-``Report`` is the one report encoder: every report is a dataclass that
-inherits it, so its fields are its keys in emission order.  It writes a
+``Report`` is the base of every report and its one encoder.  A report's
+fields are its class annotations after those of its bases, so they are
+its keyword arguments and its keys in emission order.  It writes a
 hyperbolic value as ``[a1, a2]``, a vector as its ``vector_doc``, a
 ``Columns`` view (a sequence of cone values or vectors over one read-only
 component-major array) from that array, and a list or tuple element by
@@ -30,14 +31,13 @@ element, and ends with ``"pass"`` when the class has a ``passed`` property.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
 from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator, Literal, NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, NotConverged, NotStrictlyPositive
-from .hyperscalar import Bicomplex, DPlus, Hyperbolic, hyp_leq
+from .hyperscalar import Bicomplex, DPlus, Frozen, Hyperbolic, Record, hyp_leq
 
 if TYPE_CHECKING:
     from .dop import BCMatrix
@@ -117,19 +117,19 @@ class BCVector:
         return f"BCVector(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class DNormConfig:
+class DNormConfig(Frozen):
     """Choice of the complex norm applied to each idempotent component.
 
     l2 is canonical; operator-norm machinery accepts only l2 because its
     singular-value kernel is exact for that norm alone.
     """
 
-    component_norm: Literal["l2", "l1", "linf"] = "l2"
+    __slots__ = _fields = ("component_norm",)
 
-    def __post_init__(self):
-        if self.component_norm not in ("l2", "l1", "linf"):
-            raise InvalidInput(f"unknown component norm {self.component_norm!r}")
+    def __init__(self, component_norm: Literal["l2", "l1", "linf"] = "l2"):
+        if component_norm not in ("l2", "l1", "linf"):
+            raise InvalidInput(f"unknown component norm {component_norm!r}")
+        super().__init__(component_norm=component_norm)
 
     def norms(self, a: np.ndarray) -> np.ndarray:
         """The component norm along the last axis: one value per row of a block.
@@ -180,15 +180,17 @@ def vec_dnorm(v: BCVector, cfg: DNormConfig = _L2) -> DPlus:
     return DPlus(*dnorm_rows(v.v1[None], v.v2[None], cfg)[:, 0].tolist())
 
 
-@dataclass(frozen=True)
-class DSeminorm:
+class DSeminorm(Frozen):
     """Seminorm x -> ||T x||_D represented by its defining operator.
 
     Degenerate operators give honest seminorms (zero on the kernel); the
     identity gives the norm itself.
     """
 
-    T: "BCMatrix"
+    __slots__ = _fields = ("T",)
+
+    def __init__(self, T: "BCMatrix"):
+        super().__init__(T=T)
 
     def __call__(self, x: BCVector) -> DPlus:
         return seminorm_eval(self, x)
@@ -273,12 +275,18 @@ class Columns(Sequence):
         return BCVector(*column) if column.ndim == 2 else DPlus(*column.tolist())
 
 
-class Report:
-    """Base of the report dataclasses: their one JSON encoder."""
+class Report(Record):
+    """Base of the reports and their one JSON encoder.  A report's fields are
+    the annotations of its class tree, a base's first."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        annotated = (vars(c).get("__annotations__", ()) for c in reversed(cls.__mro__))
+        cls._fields = tuple(dict.fromkeys(name for names in annotated for name in names))
 
     def to_json_dict(self) -> dict:
         """The fields in order, then ``"pass"`` if the class has ``passed``."""
-        d = {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+        d = {name: _json_value(getattr(self, name)) for name in self._fields}
         if isinstance(getattr(type(self), "passed", None), property):
             d["pass"] = self.passed
         return d
@@ -298,7 +306,6 @@ def _json_value(value):
     return value
 
 
-@dataclass
 class SeriesReport(Report):
     """Outcome of a capped series summation.
 
@@ -317,7 +324,6 @@ class SeriesReport(Report):
     window: int
 
 
-@dataclass
 class AbsSummabilityReport(SeriesReport):
     """A series report with the absolute-summability chain verdicts."""
 

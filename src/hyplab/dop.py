@@ -24,14 +24,13 @@ and no iterative kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .dmodule import BCVector, Report, dnorm_rows, require_finite
 from .errors import DimensionMismatch, InvalidInput, NoConvergence, NotInRange, NotSurjective
-from .hyperscalar import DPlus
+from .hyperscalar import DPlus, Record
 
 #: Singular values above RANK_TOL * sigma_max count as nonzero.
 RANK_TOL = 1e-10
@@ -148,7 +147,6 @@ def _check_tol(tol: float) -> None:
         raise InvalidInput(f"tol must be finite, got {tol}")
 
 
-@dataclass
 class OperatorNormReport(Report):
     """Operator D-norm, its top singular values and the recorded tolerance."""
 
@@ -174,7 +172,6 @@ def op_dnorm(T: BCMatrix, tol: float = 1e-10) -> OperatorNormReport:
     )
 
 
-@dataclass
 class SolveReport(Report):
     """Minimum-norm solve of Tx = y.
 
@@ -189,8 +186,7 @@ class SolveReport(Report):
     tol: DPlus
 
 
-@dataclass
-class BlockSolve:
+class BlockSolve(Record):
     """Minimum-norm solves of T x_i = y_i for the rows y_i of a block.
 
     ``x1`` and ``x2`` hold the solutions as rows; ``qy``, ``residual`` and
@@ -198,11 +194,7 @@ class BlockSolve:
     ``SolveReport`` fields of the same names.
     """
 
-    x1: np.ndarray
-    x2: np.ndarray
-    qy: np.ndarray
-    residual: np.ndarray
-    tol: np.ndarray
+    _fields = ("x1", "x2", "qy", "residual", "tol")
 
 
 def _min_norm_rows(f: ThinSVD, b: np.ndarray) -> np.ndarray:
@@ -260,7 +252,6 @@ def min_norm_solve(T: BCMatrix, y: BCVector, tol: float = 1e-10) -> SolveReport:
     )
 
 
-@dataclass
 class SurjectivityReport(Report):
     """Numerical row-rank check per component."""
 

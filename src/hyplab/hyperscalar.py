@@ -11,14 +11,14 @@ the same way, as the pair of real idempotent coefficients.  Norm values
 live in the nonnegative cone ``DPlus``, which carries the partial order
 ``alpha <= beta  iff  beta - alpha`` has both components nonnegative.
 
-All types here are immutable values; every operation is pure.
+All types here are immutable values on the ``Frozen`` base; every
+operation is pure.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -36,20 +36,62 @@ def _require_finite(*values: float) -> None:
             raise InvalidInput(f"non-finite component {v!r} rejected")
 
 
-@dataclass(frozen=True)
-class Hyperbolic:
+class Record:
+    """A record of the fields ``_fields``, built from keywords, compared and
+    printed as a dataclass is; unhashable unless a subclass says otherwise."""
+
+    __slots__ = ()
+    _fields = ()  # not annotated: a report's annotations are its fields
+
+    def __init__(self, **fields):
+        if fields.keys() != {*self._fields}:
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}, got {tuple(fields)}")
+        for name in self._fields:
+            object.__setattr__(self, name, fields[name])
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in zip(self._fields, self._key()))})"
+
+
+class Frozen(Record):
+    """Base of the immutable values: hashed, copied and pickled as their fields."""
+
+    __slots__ = ()
+
+    def _immutable(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+
+class Hyperbolic(Frozen):
     """Hyperbolic scalar a1*e1 + a2*e2 stored by its idempotent coefficients.
 
     The cartesian view b1 + k*b2 is derived: b1 = (a1+a2)/2, b2 = (a1-a2)/2.
     """
 
-    a1: float
-    a2: float
+    __slots__ = _fields = ("a1", "a2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a1", float(self.a1))
-        object.__setattr__(self, "a2", float(self.a2))
-        _require_finite(self.a1, self.a2)
+    def __init__(self, a1: float, a2: float):
+        a1, a2 = float(a1), float(a2)
+        _require_finite(a1, a2)
+        self._check(a1, a2)
+        super().__init__(a1=a1, a2=a2)
+
+    def _check(self, a1: float, a2: float) -> None:
+        """Hook of a subclass that confines the components; ``__init__`` calls it."""
 
     @classmethod
     def from_cartesian(cls, b1: float, b2: float) -> "Hyperbolic":
@@ -103,11 +145,15 @@ class Hyperbolic:
     def __neg__(self) -> "Hyperbolic":
         return Hyperbolic(-self.a1, -self.a2)
 
+    def __eq__(self, other):  # a Hyperbolic and a DPlus can be the same algebra element
+        return self.a1 == other.a1 and self.a2 == other.a2 if isinstance(other, Hyperbolic) else NotImplemented
+
+    __hash__ = Frozen.__hash__
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.a1!r}, {self.a2!r})"
 
 
-@dataclass(frozen=True, eq=False)
 class DPlus(Hyperbolic):
     """Hyperbolic scalar confined to the nonnegative cone.
 
@@ -115,21 +161,12 @@ class DPlus(Hyperbolic):
     negative components.
     """
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.a1 < 0.0 or self.a2 < 0.0:
-            raise InvalidInput(
-                f"cone violation: DPlus components must be nonnegative, got ({self.a1}, {self.a2})"
-            )
+    __slots__ = ()
+    __repr__ = Frozen.__repr__
 
-    def __eq__(self, other):
-        # value equality across Hyperbolic and DPlus (same algebra element)
-        if isinstance(other, Hyperbolic):
-            return self.a1 == other.a1 and self.a2 == other.a2
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a1, self.a2))
+    def _check(self, a1: float, a2: float) -> None:
+        if a1 < 0.0 or a2 < 0.0:
+            raise InvalidInput(f"cone violation: DPlus components must be nonnegative, got ({a1}, {a2})")
 
 
 class OrderRel(Enum):
@@ -202,17 +239,15 @@ def hyp_inf(values: Iterable[Hyperbolic]) -> Hyperbolic:
     return _extremum(values, min)
 
 
-@dataclass(frozen=True)
-class Bicomplex:
+class Bicomplex(Frozen):
     """Bicomplex scalar stored as its two complex idempotent components."""
 
-    z1: complex
-    z2: complex
+    __slots__ = _fields = ("z1", "z2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "z1", complex(self.z1))
-        object.__setattr__(self, "z2", complex(self.z2))
-        _require_finite(self.z1.real, self.z1.imag, self.z2.real, self.z2.imag)
+    def __init__(self, z1: complex, z2: complex):
+        z1, z2 = complex(z1), complex(z2)
+        _require_finite(z1.real, z1.imag, z2.real, z2.imag)
+        super().__init__(z1=z1, z2=z2)
 
     @classmethod
     def from_cartesian(cls, w1: complex, w2: complex) -> "Bicomplex":

@@ -21,15 +21,15 @@ prints every float with 17 significant digits (``"%.17g"``), so correctly
 rounded platforms produce byte-identical documents.
 
 ``dumps`` dispatches on the exact type of each value first.  A list of
-plain floats is formatted with one join, and a list of equal-length lists
-of plain floats (vector entries, hyperbolic pairs, the rows of a trace)
-with one format call, its template repeating one cached row template per
-width.  Every other value, numpy scalars included, goes through the
-general ``isinstance`` chain, which recurses into containers; both routes
-print the same bytes.  Keys and strings are
-quoted exactly as ``json.dumps`` quotes them.  Complex entries reach
-``dumps`` as plain floats through ``dmodule.complex_pairs``, the one emitter
-of [re, im] pairs, which ``vector_to_json`` and ``matrix_to_json`` use too.
+plain floats is formatted with one join; a list of equal-length lists of
+plain floats (vector entries, hyperbolic pairs, the rows of a trace) and a
+float64 array, printed as its nested lists, with one format call through
+one cached template per shape.  The CLI's inputs digest takes a matrix's
+[re, im] pairs that way, from the arrays.  Every other value, numpy scalars
+included, goes through the ``isinstance`` chain, which recurses into
+containers and prints the same bytes.  Keys and strings are quoted exactly
+as ``json.dumps`` quotes them.  Documents get complex entries as plain
+floats from ``dmodule.complex_pairs``, the one emitter of [re, im] lists.
 """
 
 from __future__ import annotations
@@ -60,9 +60,10 @@ def format_float(x: float) -> str:
 
 
 @lru_cache(maxsize=64)
-def _row_template(width: int) -> str:
-    """Format string of one list of ``width`` floats."""
-    return "[" + ",".join([_FLOAT] * width) + "]"
+def _template(shape: tuple[int, ...]) -> str:
+    """Format string of nested lists of floats of the given shape."""
+    inner = _FLOAT if len(shape) == 1 else _template(shape[1:])
+    return "[" + ",".join([inner] * shape[0]) + "]"
 
 
 def _array(items) -> str:
@@ -75,9 +76,15 @@ def _array(items) -> str:
         if len(widths) == 1:
             flat = tuple(chain.from_iterable(items))
             if {*map(type, flat)} == _FLOATS:
-                rows = ",".join([_row_template(widths.pop())] * len(items))
-                return ("[" + rows + "]") % flat
+                return _template((len(items), widths.pop())) % flat
     return "[" + ",".join(map(dumps, items)) + "]"
+
+
+def _ndarray(a: np.ndarray) -> str:
+    """A float64 array of one or more dimensions, as ``dumps(a.tolist())``."""
+    if a.dtype != np.float64 or a.ndim == 0:
+        raise InvalidInput("cannot serialize ndarray")
+    return _template(a.shape) % tuple(a.ravel().tolist())
 
 
 def _object(obj: dict) -> str:
@@ -98,6 +105,7 @@ _BY_TYPE = {
     str: _quote,
     list: _array,
     dict: _object,
+    np.ndarray: _ndarray,
 }
 
 

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -186,7 +185,6 @@ def _witness_rows(T: BCMatrix) -> tuple[np.ndarray, np.ndarray]:
     return np.stack((v1, zero, v1)), np.stack((zero, v2, v2))
 
 
-@dataclass
 class ContinuityReport(Report):
     """Evidence for the bound form of seminorm continuity."""
 
@@ -265,7 +263,6 @@ def continuity_bound_check(
     )
 
 
-@dataclass
 class SubaddReport(Report):
     """Partial-sum domination p(s_n) <= sum of p(x_k), checked at every step."""
 
@@ -319,7 +316,6 @@ def countable_subadd_check(
     )
 
 
-@dataclass
 class BallScaleReport(Report):
     """Scaling of sublevel-set coverage from radius r to delta*r."""
 
@@ -415,7 +411,6 @@ def ball_scaling_check(
     )
 
 
-@dataclass
 class ZabreikoTrace(Report):
     """Audit record of the geometric-budget decomposition x = sum x_k.
 
@@ -664,7 +659,6 @@ def zabreiko_decompose(
     )
 
 
-@dataclass
 class UBPReport(Report):
     """Uniform boundedness of a finite seminorm family via pointwise sups."""
 
@@ -683,6 +677,12 @@ class UBPReport(Report):
         return self.all_bounds_ok
 
 
+#: Product entries per component ``ubp_verify`` holds at once, in chunks of whole
+#: 64-row groups of samples, the rest joined to the last chunk.  BLAS computes rows
+#: in groups of a few, so each row keeps its place, and bits, of one product over all.
+_UBP_ENTRIES = 1 << 16
+
+
 def ubp_verify(
     family: list[BCMatrix],
     samples: int,
@@ -696,8 +696,8 @@ def ubp_verify(
     top-singular-vector witnesses of the norm-attaining member per
     component (the first on a tie), so an undersized delta (e.g. shrunk by
     1e-6) is refuted.  One SVD call factors the family and one stacked
-    product per component applies it; each value is bit for bit the one
-    that member's own SVD and product give.
+    product per component and chunk of samples applies it; each value is
+    bit for bit the one that member's own SVD and product give.
     """
     if not family:
         raise ShapeMismatch("empty operator family")
@@ -724,12 +724,20 @@ def ubp_verify(
     x1 = np.concatenate((wa1[:1], wb1[1:2], r1))
     x2 = np.concatenate((wa2[:1], wb2[1:2], r2))
 
-    # p_s(x) for every member s and sample x, as (2, members, samples), from
-    # one broadcast product per component; p* is their pointwise maximum
+    # p_s(x) for every member s and sample x, as (2, members, samples), from one
+    # broadcast product per component and chunk; p* is their pointwise maximum
     m1, m2 = np.stack([T.m1 for T in family]), np.stack([T.m2 for T in family])
-    with np.errstate(over="ignore", invalid="ignore"):  # the norm rejects an overflow
-        values = dnorm_rows(x1 @ m1.transpose(0, 2, 1), x2 @ m2.transpose(0, 2, 1))
-    pstar = values.max(axis=1)
+    values = np.empty((2, len(family), len(x1)))
+    chunk = max(64, _UBP_ENTRIES // (len(family) * shape[0]) // 64 * 64)
+    starts = range(0, max(len(x1) // chunk, 1) * chunk, chunk)
+    l2 = DNormConfig()
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below, over the whole block
+        for a, b in zip(starts, [*starts[1:], len(x1)]):
+            # both products before either norm: alternating them measured 1.8x slower
+            # at 20 members of 8x8 and 52 samples (OpenBLAS 0.3.31)
+            y1, y2 = x1[a:b] @ m1.transpose(0, 2, 1), x2[a:b] @ m2.transpose(0, 2, 1)
+            values[0, :, a:b], values[1, :, a:b] = l2.norms(y1), l2.norms(y2)
+    pstar = require_finite(values).max(axis=1)
     rhs = require_finite(_column(bound) * dnorm_rows(x1, x2))
     all_ok = bool(_within(values, pstar[:, None], 0.0).all()) and bool(_within(pstar, rhs).all())
 
@@ -746,7 +754,6 @@ def ubp_verify(
     )
 
 
-@dataclass
 class OpenMapReport(Report):
     """Solve-and-bound evidence for the open-mapping constant."""
 

@@ -177,6 +177,8 @@ def oracle_dumps(obj) -> str:
                 raise InvalidInput(f"JSON object keys must be strings, got {k!r}")
             parts.append(json.dumps(k) + ":" + oracle_dumps(v))
         return "{" + ",".join(parts) + "}"
+    if type(obj) is np.ndarray and obj.dtype == np.float64 and obj.ndim:
+        return oracle_dumps(obj.tolist())  # a float64 array reads as its nested lists
     raise InvalidInput(f"cannot serialize {type(obj).__name__}")
 
 

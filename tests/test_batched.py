@@ -404,6 +404,36 @@ def test_ubp_matches_the_per_member_oracle_on_random_families(seed, shape, size,
     _same_report(ubp_verify(members, 9, seed), oracle_ubp(members, 9, seed))
 
 
+@pytest.mark.parametrize("entries, samples", [(tl._UBP_ENTRIES, 893), (1, 63), (1, 126), (1, 200)])
+def test_ubp_matches_the_per_member_oracle_across_chunks(monkeypatch, entries, samples):
+    """Samples applied in chunks keep every bit of one product over all of
+    them: at the default, 20 members of 8 rows take chunks of 384 rows, so
+    893 samples (895 rows) are chunks of 384 and 511; one product entry per
+    chunk makes chunks of 64 rows."""
+    monkeypatch.setattr(tl, "_UBP_ENTRIES", entries)
+    rng = np.random.default_rng(10)
+    members = [random_mat(rng, 8, 8) for _ in range(20)]
+    _same_report(ubp_verify(members, samples, 5), oracle_ubp(members, samples, 5))
+
+
+@pytest.mark.parametrize("overflow", ["e1", "e2"])
+def test_ubp_rejects_an_overflow_across_chunks_over_the_whole_block(monkeypatch, overflow):
+    """Norms that overflow in every chunk of samples are judged once, over
+    the whole (2, members, samples) block, as one product over all samples
+    is: the first non-finite e1 value, else the first e2 value."""
+    monkeypatch.setattr(tl, "_UBP_ENTRIES", 1)  # chunks of 64 rows
+    small, big = scaled(0, 3, 3, 1.0), scaled(1, 3, 3, 1e160)
+    family = [small, BCMatrix(big.m1, small.m2) if overflow == "e1" else BCMatrix(small.m1, big.m2)]
+    judged = []
+    real = tl.require_finite
+    monkeypatch.setattr(tl, "require_finite", lambda values: judged.append(values.shape) or real(values))
+    with pytest.raises(InvalidInput, match="^non-finite component inf rejected$"):
+        ubp_verify(family, 300, 42)
+    assert judged == [(2, 2, 302)]
+    with pytest.raises(InvalidInput, match="^non-finite component inf rejected$"):
+        oracle_ubp(family, 300, 42)
+
+
 def test_open_mapping_matches_per_sample_evaluation():
     rng = np.random.default_rng(6)
     T = surjective_mat(rng, 3, 5)

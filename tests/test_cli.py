@@ -1,5 +1,6 @@
 """CLI subcommands: payloads, exit codes, determinism, stream discipline."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -464,6 +465,37 @@ def test_help_lists_only_the_flags_read(capsys, command):
     for (flag, _text), readers in FLAG_READERS.items():
         assert (f"[{flag} " in out) == (command in readers), flag
     assert "[--seed SEED]" in out and "[--output OUTPUT]" in out
+
+
+_build_parser = cli._build_parser  # the real builder, kept from the patch below
+
+
+def _parser_with_every_row(argv=()):
+    """The parser with every subcommand's flags, whichever one ``argv`` names."""
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sp in sub.choices.items():
+        for f in cli._ROWS[name].flags:
+            sp.add_argument(f.flag, **f.spec)
+    return parser
+
+
+#: command lines that argparse answers itself: help, version and usage errors
+PARSER_CASES = [
+    ["--help"], ["-h"], ["--version"], [], ["nope"], ["nope", "--matrix", "T.json"],
+    ["--seed", "3", "opnorm", "--matrix", "T.json"], ["--bogus", "knorm", "opnorm", "--matrix", "T.json"],
+    ["opnorm"], ["ubp", "--family"], ["opnorm", "--scalar", "z.json", "--matrix", "T.json"],
+    ["knorm", "--matrix", "T.json"], ["lemma31", "--matrix", "T.json", "--maxN", "3"],
+    *([command, "--help"] for command in sorted(REQUIRED_ARGS)),
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "no-args")
+def test_parser_with_only_the_named_flags_answers_as_the_full_one(capsys, monkeypatch, argv):
+    got = run_cli(capsys, argv)
+    monkeypatch.setattr(cli, "_build_parser", _parser_with_every_row)
+    assert got == run_cli(capsys, argv)
+    assert got[0] in (0, 2) and not got[1].startswith("{")  # argparse answered: no envelope
 
 
 def test_check_failed_maps_to_exit_1(tmp_path, capsys, monkeypatch):

@@ -71,6 +71,17 @@ def _imported_modules(cwd, argv) -> set[str]:
     return {row[-1].strip() for row in rows if len(row) == 3}
 
 
+def test_hyplab_imports_neither_dataclasses_nor_traceback():
+    """No class is built by ``dataclasses``, which compiles each one's methods
+    with ``exec`` in every process, and ``traceback`` waits for an exit-5 error."""
+    code = (
+        "import sys, numpy; before = set(sys.modules); import hyplab.cli, hyplab.theoremlab; "
+        "print(sorted({'dataclasses', 'traceback'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_env(), timeout=120, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr[-2000:]
+
+
 @pytest.mark.parametrize("command", sorted(ARGV))
 def test_only_theorem_subcommands_import_theoremlab(inputs, command):
     modules = _imported_modules(inputs, [command, *ARGV[command]])

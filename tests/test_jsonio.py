@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from hyplab import BCMatrix, BCVector, Bicomplex, DPlus, HyplabError, InvalidInput
 from hyplab.jsonio import (
@@ -25,7 +26,7 @@ from hyplab.jsonio import (
     scalar_to_json,
     vector_to_json,
 )
-from support import oracle_parse_matrix, oracle_parse_vector, random_mat, random_vec
+from support import oracle_dumps, oracle_parse_matrix, oracle_parse_vector, random_mat, random_vec
 
 
 # ------------------------------------------------------------------ scalars
@@ -184,6 +185,46 @@ def test_digest_stability_and_sensitivity():
     a = {"x": [1.0, 2.0], "y": "s"}
     assert digest(a) == digest({"x": [1.0, 2.0], "y": "s"})
     assert digest(a) != digest({"x": [1.0, 2.000001], "y": "s"})
+
+
+class _Subclass(np.ndarray):
+    pass
+
+
+#: finite doubles, with the signed zero, subnormals and values near the float limit
+EDGE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7e308, -1.7e308, 0.1]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5), elements=EDGE_FLOATS))
+def test_float_array_dumps_as_its_nested_lists(a):
+    assert dumps(a) == dumps(a.tolist()) == oracle_dumps(a.tolist())
+    assert dumps(a.T) == dumps(a.T.tolist())  # a strided view reads in index order
+    assert dumps({"k": [a]}) == dumps({"k": [a.tolist()]})
+
+
+def test_float_array_dumps_as_its_nested_lists_at_64x128():
+    T = random_mat(np.random.default_rng(31), 64, 128)
+    a = np.stack((T.m1.real, T.m1.imag), -1)
+    assert a.shape == (64, 128, 2)
+    assert dumps(a) == dumps(matrix_to_json(T)["e1"])  # the inputs digest's [re, im] pairs
+    a[0, 0], a[-1, -1] = (-0.0, 5e-324), (1.7e308, -1.7e308)
+    assert dumps(a) == dumps(a.tolist())
+
+
+@pytest.mark.parametrize(
+    "a",
+    [np.array(1.5), np.zeros(3, np.float32), np.zeros(3, int), np.zeros(3, bool), np.zeros(2, complex),
+     np.array([1.0, "x"], dtype=object), np.array([0.5, 1.5]).astype(">f8"), np.zeros(2).view(_Subclass)],
+    ids=["0-d", "float32", "int", "bool", "complex", "object", "big-endian", "subclass"],
+)
+def test_other_arrays_are_not_serialized(a):
+    with pytest.raises(InvalidInput, match=f"^cannot serialize {type(a).__name__}$"):
+        dumps(a)
+    with pytest.raises(InvalidInput, match="^cannot serialize"):
+        dumps({"k": [a]})
 
 
 # ----------------------------------------------------------------- literals
