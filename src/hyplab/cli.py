@@ -33,8 +33,6 @@ import os
 import sys
 from typing import Any, Callable, NamedTuple, Sequence
 
-import numpy as np
-
 from . import __version__
 from .dmodule import DNormConfig, DSeminorm, abs_summability_check, series_sum, vec_dnorm
 from .dop import _check_tol, min_norm_solve, op_dnorm, open_mapping_delta, surjectivity_check
@@ -50,7 +48,6 @@ from .jsonio import (
     parse_series,
     parse_vector,
     scalar_to_json,
-    vector_to_json,
 )
 
 EXIT_PASS = 0
@@ -97,7 +94,8 @@ def _emit(envelope: dict, output: str | None) -> None:
 
 
 class _Kind(NamedTuple):
-    """How an input's flag value is read, and its canonical form in the digest.
+    """How an input's flag value is read, and its canonical form in the digest,
+    where a vector's or matrix's components are arrays hashed from their bytes.
 
     An ``early`` input is read before any file is.  An omitted flag without
     a default gives ``fallback(args)``, where the inputs before it are read.
@@ -155,10 +153,9 @@ def _deltas(text: str) -> list[float]:
 # module attribute is the one that runs
 _PLAIN = _Kind(lambda value: value)  # typed by argparse
 _SCALAR = _Kind(lambda path: parse_scalar(load_json(path)), lambda z: scalar_to_json(z))
-_VECTOR = _Kind(lambda path: parse_vector(load_json(path)), lambda v: vector_to_json(v))
-# a matrix digests as ``matrix_to_json(T)`` does, its [re, im] pairs as float arrays
-_MATRIX = _Kind(lambda path: parse_matrix(load_json(path)), lambda T: {"rows": T.rows, "cols": T.cols, **{
-    e: np.stack((m.real, m.imag), -1) for e, m in (("e1", T.m1), ("e2", T.m2))}})
+_VECTOR = _Kind(lambda path: parse_vector(load_json(path)), lambda v: {"dim": v.dim, "e1": v.v1, "e2": v.v2})
+_MATRIX = _Kind(lambda path: parse_matrix(load_json(path)),
+                lambda T: {"rows": T.rows, "cols": T.cols, "e1": T.m1, "e2": T.m2})
 _JSON = _Kind(lambda path: load_json(path))  # parsed by the run, after the digest
 _HYP = _Kind(lambda text: parse_hyp_literal(text), lambda h: [h.a1, h.a2])
 
@@ -271,7 +268,7 @@ _ROWS = {
         (_Flag("--family", _Kind(_family, lambda fam: [_MATRIX.canon(T) for T in fam]),
                required=True, help="JSON array of matrices"),
          _Flag("--samples", _PLAIN, type=int, default=100,
-               help="random samples; each takes about 64 bytes per matrix column and 64 per family "
+               help="random samples; each takes about 64 bytes per matrix column and 16 per family "
                     "member, plus 2 MB (or 2 KB per member and matrix row, if more) for the products "
                     "of one chunk of samples"),
          _SEED, _OUTPUT),

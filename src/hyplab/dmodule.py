@@ -164,6 +164,11 @@ def require_finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _worst(*margins: np.ndarray) -> Hyperbolic:
+    """Componentwise maximum over (2, k) margin arrays; positive is a violation."""
+    return Hyperbolic(*np.concatenate(margins, axis=1).max(axis=1).tolist())
+
+
 def dnorm_rows(b1: np.ndarray, b2: np.ndarray, cfg: DNormConfig = _L2) -> np.ndarray:
     """||x_i||_D for every row x_i = (b1[i], b2[i]) of a block, as a (2, k) array.
 
@@ -529,7 +534,8 @@ def abs_summability_check(
     verdict in ``abs_converged`` rather than raising: divergence at a
     finite cap is always just "not yet converged".  Then verifies, for a
     deterministic schedule of index pairs m < n, that
-    ||s_n - s_m||_D <= sum_{k=m+1..n} ||x_k||_D componentwise.
+    ||s_n - s_m||_D <= sum_{k=m+1..n} ||x_k||_D componentwise, up to 1e-12
+    times sum_{k<=n} ||x_k||_D: a slack relative to the series' scale.
     """
     tol = _as_tol(tol if tol is not None else 1e-12)
     if max_n < 1:
@@ -572,13 +578,9 @@ def abs_summability_check(
         diff = dnorm_rows(s1[stride:] - s1[:-stride], s2[stride:] - s2[:-stride])
         upper = abs_sums[:, stride:]
         margins.append(diff - (upper - abs_sums[:, :-stride]))
-        chain_ok = chain_ok and bool((margins[-1] <= 1e-12 * np.maximum(1.0, upper)).all())
+        chain_ok = chain_ok and bool((margins[-1] <= 1e-12 * upper).all())
         stride *= 2
-    worst = (
-        Hyperbolic(*np.concatenate(margins, axis=1).max(axis=1).tolist())
-        if margins
-        else Hyperbolic(0.0, 0.0)
-    )
+    worst = _worst(*margins) if margins else Hyperbolic(0.0, 0.0)
 
     return AbsSummabilityReport(
         n_terms=n_terms,

@@ -22,14 +22,15 @@ rounded platforms produce byte-identical documents.
 
 ``dumps`` dispatches on the exact type of each value first.  A list of
 plain floats is formatted with one join; a list of equal-length lists of
-plain floats (vector entries, hyperbolic pairs, the rows of a trace) and a
-float64 array, printed as its nested lists, with one format call through
-one cached template per shape.  The CLI's inputs digest takes a matrix's
-[re, im] pairs that way, from the arrays.  Every other value, numpy scalars
-included, goes through the ``isinstance`` chain, which recurses into
-containers and prints the same bytes.  Keys and strings are quoted exactly
-as ``json.dumps`` quotes them.  Documents get complex entries as plain
-floats from ``dmodule.complex_pairs``, the one emitter of [re, im] lists.
+plain floats (vector entries, hyperbolic pairs, the rows of a trace) with
+one format call through one cached template per shape.  Every other value,
+numpy scalars included, goes through the ``isinstance`` chain, which
+recurses into containers and prints the same bytes.  Keys and strings are
+quoted exactly as ``json.dumps`` quotes them.  Documents get complex
+entries as plain floats from ``dmodule.complex_pairs``, the one emitter of
+[re, im] lists.  ``digest`` hashes the text of a document in which each
+complex array stands as ``{"dtype": "<f8", "shape": [*shape, 2], "sha256":
+<hex>}``, the SHA-256 of its little-endian float64 [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -60,10 +61,9 @@ def format_float(x: float) -> str:
 
 
 @lru_cache(maxsize=64)
-def _template(shape: tuple[int, ...]) -> str:
-    """Format string of nested lists of floats of the given shape."""
-    inner = _FLOAT if len(shape) == 1 else _template(shape[1:])
-    return "[" + ",".join([inner] * shape[0]) + "]"
+def _template(rows: int, width: int) -> str:
+    """Format string of ``rows`` lists of ``width`` floats each."""
+    return "[" + ",".join(["[" + ",".join([_FLOAT] * width) + "]"] * rows) + "]"
 
 
 def _array(items) -> str:
@@ -76,15 +76,8 @@ def _array(items) -> str:
         if len(widths) == 1:
             flat = tuple(chain.from_iterable(items))
             if {*map(type, flat)} == _FLOATS:
-                return _template((len(items), widths.pop())) % flat
+                return _template(len(items), widths.pop()) % flat
     return "[" + ",".join(map(dumps, items)) + "]"
-
-
-def _ndarray(a: np.ndarray) -> str:
-    """A float64 array of one or more dimensions, as ``dumps(a.tolist())``."""
-    if a.dtype != np.float64 or a.ndim == 0:
-        raise InvalidInput("cannot serialize ndarray")
-    return _template(a.shape) % tuple(a.ravel().tolist())
 
 
 def _object(obj: dict) -> str:
@@ -105,7 +98,6 @@ _BY_TYPE = {
     str: _quote,
     list: _array,
     dict: _object,
-    np.ndarray: _ndarray,
 }
 
 
@@ -135,9 +127,22 @@ def dumps(obj: Any) -> str:
     raise InvalidInput(f"cannot serialize {type(obj).__name__}")
 
 
+def _hashed(obj):
+    """``obj`` with each complex array it holds, as a dict value or as an item
+    of a list that holds a dict or an array, replaced by its bytes' record."""
+    if type(obj) is dict:
+        return {k: _hashed(v) for k, v in obj.items()}
+    if type(obj) is list and not {dict, np.ndarray}.isdisjoint(map(type, obj)):
+        return [*map(_hashed, obj)]
+    if type(obj) is not np.ndarray:
+        return obj
+    data = np.ascontiguousarray(obj, "<c16").tobytes()
+    return {"dtype": "<f8", "shape": [*obj.shape, 2], "sha256": hashlib.sha256(data).hexdigest()}
+
+
 def digest(obj: Any) -> str:
-    """SHA-256 of the canonical serialization; used as the inputs digest."""
-    return hashlib.sha256(dumps(obj).encode("utf-8")).hexdigest()
+    """SHA-256 of the canonical serialization, arrays as their bytes' record."""
+    return hashlib.sha256(dumps(_hashed(obj)).encode("utf-8")).hexdigest()
 
 
 def _num(x, *, what: str) -> float:

@@ -60,6 +60,7 @@ from .dmodule import (
     DNormConfig,
     DSeminorm,
     Report,
+    _worst,
     dnorm_rows,
     require_finite,
     seminorm_eval,
@@ -165,11 +166,6 @@ def _holds(a: Hyperbolic, b: Hyperbolic, slack: float = CHECK_SLACK, scale=0.0) 
 def _column(h: Hyperbolic) -> np.ndarray:
     """A hyperbolic value as a (2, 1) column that broadcasts over a block."""
     return np.array([[h.a1], [h.a2]])
-
-
-def _worst(*margins: np.ndarray) -> Hyperbolic:
-    """Componentwise maximum over (2, k) margin arrays; positive is a violation."""
-    return Hyperbolic(*np.concatenate(margins, axis=1).max(axis=1).tolist())
 
 
 def _witness_rows(T: BCMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -725,7 +721,7 @@ def ubp_verify(
     x2 = np.concatenate((wa2[:1], wb2[1:2], r2))
 
     # p_s(x) for every member s and sample x, as (2, members, samples), from one
-    # broadcast product per component and chunk; p* is their pointwise maximum
+    # broadcast product per component and chunk; p* is their maximum, so p_s <= p*
     m1, m2 = np.stack([T.m1 for T in family]), np.stack([T.m2 for T in family])
     values = np.empty((2, len(family), len(x1)))
     chunk = max(64, _UBP_ENTRIES // (len(family) * shape[0]) // 64 * 64)
@@ -739,7 +735,6 @@ def ubp_verify(
             values[0, :, a:b], values[1, :, a:b] = l2.norms(y1), l2.norms(y2)
     pstar = require_finite(values).max(axis=1)
     rhs = require_finite(_column(bound) * dnorm_rows(x1, x2))
-    all_ok = bool(_within(values, pstar[:, None], 0.0).all()) and bool(_within(pstar, rhs).all())
 
     return UBPReport(
         check=name,
@@ -749,7 +744,7 @@ def ubp_verify(
         pointwise_sups=Columns(pstar),
         sup_opnorm=sup_opnorm,
         bound_delta=bound,
-        all_bounds_ok=all_ok,
+        all_bounds_ok=bool(_within(pstar, rhs).all()),
         worst_margin=_worst(pstar - rhs),
     )
 

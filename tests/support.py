@@ -12,6 +12,8 @@ at a time, a step loop that builds one vector per term and remainder, and
 a loop that pulls, adds and measures one term at a time.  The library's
 type-dispatching ``dumps``, its block-backed decomposition and its
 block-backed ``series_sum`` must reproduce their bytes and their errors.
+``oracle_digest`` hashes the serializer's text, with each complex array as
+the ``pairs_record`` of the float64 bytes of its stacked [re, im] pairs.
 ``oracle_parse_vector`` and ``oracle_parse_matrix`` read documents one
 entry at a time into Python ``complex`` values, a cartesian entry through
 ``Bicomplex.from_reals``; ``jsonio``'s array-speed parse must give the same
@@ -22,6 +24,7 @@ stacked ``ubp_verify`` must give the same report.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import sys
@@ -177,9 +180,30 @@ def oracle_dumps(obj) -> str:
                 raise InvalidInput(f"JSON object keys must be strings, got {k!r}")
             parts.append(json.dumps(k) + ":" + oracle_dumps(v))
         return "{" + ",".join(parts) + "}"
-    if type(obj) is np.ndarray and obj.dtype == np.float64 and obj.ndim:
-        return oracle_dumps(obj.tolist())  # a float64 array reads as its nested lists
     raise InvalidInput(f"cannot serialize {type(obj).__name__}")
+
+
+def pairs_record(pairs) -> dict:
+    """The inputs digest's record of nested [re, im] pairs: their shape and
+    the SHA-256 of the pairs as little-endian float64, in index order."""
+    a = np.asarray(pairs, dtype="<f8")
+    return {"dtype": "<f8", "shape": list(a.shape), "sha256": hashlib.sha256(a.tobytes()).hexdigest()}
+
+
+def oracle_digest(obj) -> str:
+    """SHA-256 of ``oracle_dumps``' text, each complex array in ``obj``
+    replaced by the ``pairs_record`` of its [re, im] pairs."""
+
+    def canon(x):
+        if isinstance(x, np.ndarray):
+            return pairs_record(np.stack((x.real, x.imag), axis=-1))
+        if isinstance(x, dict):
+            return {k: canon(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [canon(v) for v in x]
+        return x
+
+    return hashlib.sha256(oracle_dumps(canon(obj)).encode("utf-8")).hexdigest()
 
 
 def _oracle_quantize(v: np.ndarray, pitch: float) -> np.ndarray:

@@ -16,7 +16,7 @@ import hyplab.cli as cli
 import hyplab.errors
 from hyplab import BCMatrix, BCVector, vec_dnorm
 from hyplab.jsonio import digest, dumps, matrix_to_json, vector_to_json
-from support import oracle_dumps, random_mat, random_vec, surjective_mat
+from support import oracle_digest, oracle_dumps, pairs_record, random_mat, random_vec, surjective_mat
 
 
 @pytest.fixture(autouse=True)
@@ -29,22 +29,21 @@ def emission_matches_oracle(monkeypatch):
     """
     mismatches = []
 
-    def reference(obj):
+    def reference(oracle, obj):
         try:
-            return oracle_dumps(obj)
+            return oracle(obj)
         except Exception:
             return None
 
     def checked_dumps(obj):
         text = dumps(obj)
-        if text != reference(obj):
+        if text != reference(oracle_dumps, obj):
             mismatches.append(("envelope", text[:200]))
         return text
 
     def checked_digest(obj):
         value = digest(obj)
-        want = reference(obj)
-        if want is None or value != hashlib.sha256(want.encode("utf-8")).hexdigest():
+        if value != reference(oracle_digest, obj):
             mismatches.append(("inputs_digest", value))
         return value
 
@@ -660,9 +659,10 @@ def test_error_envelope_keeps_seed(tmp_path, capsys, monkeypatch):
 
 
 #: input files as a user might write them (integer entries, no declared
-#: sizes), and the canonical form each takes in the inputs digest
+#: sizes), and the canonical form each takes in the inputs digest: a
+#: matrix's or vector's components as the record of their float64 bytes
 RANK1 = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
-RANK1_CANON = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+RANK1_CANON = pairs_record(RANK1)
 DIGEST_FILES = {
     "z.json": {"e1": [1, 0], "e2": [0, 0]},
     "v.json": {"e1": [[3, 0], [4, 0]], "e2": [[0, 0], [0, 0]]},
@@ -679,9 +679,13 @@ SCALAR_CANON = {"e1": [1.0, 0.0], "e2": [0.0, 0.0]}
 A_CANON = {"rows": 2, "cols": 2, "e1": RANK1_CANON, "e2": RANK1_CANON}
 I_CANON = {
     "rows": 2, "cols": 2,
-    "e1": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
-    "e2": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+    "e1": pairs_record([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+    "e2": pairs_record([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
 }
+
+#: the digest of ``opnorm --matrix A.json --tol 1e-8``, also worked out
+#: from ``struct.pack("<d", ...)`` bytes and the JSON text by hand
+OPNORM_A_DIGEST = "63e4e0e100bdab37c3d1f2bec71a029b8332786e2a65116ee1770590df33e680"
 
 #: per subcommand: its command line, exit code, and the inputs it digests,
 #: in the digest's key order
@@ -691,7 +695,11 @@ DIGEST_CASES = {
     "norm": (
         ["norm", "--vector", "v.json", "--norm", "l1"], 0,
         {
-            "vector": {"dim": 2, "e1": [[3.0, 0.0], [4.0, 0.0]], "e2": [[0.0, 0.0], [0.0, 0.0]]},
+            "vector": {
+                "dim": 2,
+                "e1": pairs_record([[3.0, 0.0], [4.0, 0.0]]),
+                "e2": pairs_record([[0.0, 0.0], [0.0, 0.0]]),
+            },
             "norm": "l1",
         },
     ),
@@ -700,7 +708,11 @@ DIGEST_CASES = {
         ["solve", "--matrix", "A.json", "--y", "y.json"], 4,
         {
             "matrix": A_CANON,
-            "y": {"dim": 2, "e1": [[0.0, 0.0], [1.0, 0.0]], "e2": [[0.0, 0.0], [1.0, 0.0]]},
+            "y": {
+                "dim": 2,
+                "e1": pairs_record([[0.0, 0.0], [1.0, 0.0]]),
+                "e2": pairs_record([[0.0, 0.0], [1.0, 0.0]]),
+            },
             "tol": 1e-10,
         },
     ),
@@ -714,7 +726,11 @@ DIGEST_CASES = {
         ["zabreiko", "--matrix", "I.json", "--x", "x.json", "--m", "1,1", "--r", "1", "--eps", "0.5"], 4,
         {
             "matrix": I_CANON,
-            "x": {"dim": 2, "e1": [[0.1, 0.0], [0.0, 0.0]], "e2": [[0.0, 0.1], [0.0, 0.0]]},
+            "x": {
+                "dim": 2,
+                "e1": pairs_record([[0.1, 0.0], [0.0, 0.0]]),
+                "e2": pairs_record([[0.0, 0.1], [0.0, 0.0]]),
+            },
             "m": [1.0, 1.0],
             "r": 1.0,
             "eps": [0.5, 0.5],
@@ -736,7 +752,9 @@ DIGEST_CASES = {
     "ballscale-default-alpha": (
         ["ballscale", "--matrix", "D.json", "--r", "0.5", "--deltas", ""], 2,
         {
-            "matrix": {"rows": 1, "cols": 1, "e1": [[[2.0, 0.0]]], "e2": [[[3.0, 0.0]]]},
+            "matrix": {
+                "rows": 1, "cols": 1, "e1": pairs_record([[[2.0, 0.0]]]), "e2": pairs_record([[[3.0, 0.0]]]),
+            },
             "alpha": [1.0, 1.5],
             "r": 0.5,
             "deltas": [],
@@ -753,7 +771,49 @@ def test_error_envelope_keeps_inputs_digest(tmp_path, capsys, case):
     args, exit_code, want = DIGEST_CASES[case]
     code, doc, _ = run_json(capsys, [str(tmp_path / a) if a in DIGEST_FILES else a for a in args])
     assert code == exit_code
-    assert doc["inputs_digest"] == digest(want)
+    assert doc["inputs_digest"] == hashlib.sha256(oracle_dumps(want).encode("utf-8")).hexdigest()
+    if case == "opnorm":  # pinned, so that the rule cannot drift with its oracle
+        assert doc["inputs_digest"] == OPNORM_A_DIGEST
+
+
+#: pairs of matrix files that must digest apart (the bits differ, or only
+#: the shape, or only which component holds which array) and pairs that
+#: must digest alike (the same parsed matrix)
+DIGEST_APART = {
+    "signed-zero": ({"e1": [[[1.0, 0.0]]], "e2": [[[1.0, 0.0]]]}, {"e1": [[[1.0, -0.0]]], "e2": [[[1.0, 0.0]]]}),
+    "1x2-vs-2x1": ({"e1": [[[1, 2], [3, 4]]], "e2": [[[5, 6], [7, 8]]]},
+                   {"e1": [[[1, 2]], [[3, 4]]], "e2": [[[5, 6]], [[7, 8]]]}),
+    "e1-e2-swapped": ({"e1": [[[1, 2]]], "e2": [[[3, 4]]]}, {"e1": [[[3, 4]]], "e2": [[[1, 2]]]}),
+}
+DIGEST_ALIKE = {
+    # a + b*i + c*j + d*k has e1 = (a + d) + (b - c)i and e2 = (a - d) + (b + c)i
+    "cartesian": ({"w": [[[1, 0, 0, 0], [0, 1, 0, 0]], [[2, 0, 0, 1], [0, 1, 3, 0]]]},
+                  {"e1": [[[1, 0], [0, 1]], [[3, 0], [0, -2]]], "e2": [[[1, 0], [0, 1]], [[1, 0], [0, 4]]]}),
+    "integer-entries": ({"e1": [[[1, 0]]], "e2": [[[-3, 2]]]}, {"e1": [[[1.0, 0.0]]], "e2": [[[-3.0, 2.0]]]}),
+}
+
+
+def _opnorm_digests(tmp_path, capsys, pair) -> list[str]:
+    digests = []
+    for i, obj in enumerate(pair):
+        path = tmp_path / f"M{i}.json"
+        path.write_text(json.dumps(obj))
+        code, doc, _ = run_json(capsys, ["opnorm", "--matrix", str(path)])
+        assert code == 0
+        digests.append(doc["inputs_digest"])
+    return digests
+
+
+@pytest.mark.parametrize("case", sorted(DIGEST_APART))
+def test_inputs_digest_tells_apart_what_parses_apart(tmp_path, capsys, case):
+    first, second = _opnorm_digests(tmp_path, capsys, DIGEST_APART[case])
+    assert first != second
+
+
+@pytest.mark.parametrize("case", sorted(DIGEST_ALIKE))
+def test_inputs_digest_is_alike_for_the_same_parsed_matrix(tmp_path, capsys, case):
+    first, second = _opnorm_digests(tmp_path, capsys, DIGEST_ALIKE[case])
+    assert first == second
 
 
 def test_error_envelope_before_the_inputs_parse_has_no_digest(tmp_path, capsys):

@@ -321,6 +321,24 @@ def test_abs_summability_geometric():
     assert rep.chain_margin.a1 <= 1e-12 and rep.chain_margin.a2 <= 1e-12
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-13, 1e-100])
+def test_abs_summability_chain_refutes_a_tripled_difference_at_any_scale(monkeypatch, scale):
+    import hyplab.dmodule as dmodule
+
+    rng = np.random.default_rng(93)
+    v = random_vec(rng, 4)
+    v = v.scale(scale / max(vec_dnorm(v).a1, vec_dnorm(v).a2))
+    ratio = Bicomplex(0.6 + 0.2j, -0.5j)
+    assert abs_summability_check(geometric_terms(ratio, v), 200).cauchy_chain_ok
+    # the chain is the only caller of dnorm_rows here: ||s_n - s_m||_D is
+    # tripled, which ||x_n||_D, the difference at stride 1, cannot meet
+    norms = dmodule.dnorm_rows
+    monkeypatch.setattr(dmodule, "dnorm_rows", lambda b1, b2: 3.0 * norms(b1, b2))
+    rep = abs_summability_check(geometric_terms(ratio, v), 200)
+    assert not rep.cauchy_chain_ok
+    assert rep.chain_margin.a1 > 0 and rep.chain_margin.a2 > 0
+
+
 def test_abs_summability_all_zero():
     rep = abs_summability_check([BCVector.zeros(2) for _ in range(5)], 100)
     assert rep.abs_converged and rep.cauchy_chain_ok

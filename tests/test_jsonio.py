@@ -1,6 +1,7 @@
 """JSON schemas, 17-digit emission, digests, and literals."""
 
 import copy
+import hashlib
 import math
 
 import numpy as np
@@ -26,7 +27,9 @@ from hyplab.jsonio import (
     scalar_to_json,
     vector_to_json,
 )
-from support import oracle_dumps, oracle_parse_matrix, oracle_parse_vector, random_mat, random_vec
+from support import (
+    oracle_digest, oracle_dumps, oracle_parse_matrix, oracle_parse_vector, pairs_record, random_mat, random_vec,
+)
 
 
 # ------------------------------------------------------------------ scalars
@@ -198,20 +201,32 @@ EDGE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from
 
 
 @settings(max_examples=200, deadline=None)
-@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5), elements=EDGE_FLOATS))
-def test_float_array_dumps_as_its_nested_lists(a):
-    assert dumps(a) == dumps(a.tolist()) == oracle_dumps(a.tolist())
-    assert dumps(a.T) == dumps(a.T.tolist())  # a strided view reads in index order
-    assert dumps({"k": [a]}) == dumps({"k": [a.tolist()]})
+@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5).map(lambda s: (*s, 2)),
+              elements=EDGE_FLOATS))
+def test_digest_hashes_complex_arrays_from_their_bytes(pairs):
+    z = pairs.view(complex)[..., 0]
+    doc = {"k": [z, {"e1": z.T, "e2": z}], "s": 0.5}
+    assert digest(doc) == oracle_digest(doc)
+    want = {"k": [pairs_record(pairs), {"e1": pairs_record(pairs.swapaxes(0, -2)), "e2": pairs_record(pairs)}],
+            "s": 0.5}
+    assert digest(doc) == hashlib.sha256(oracle_dumps(want).encode("utf-8")).hexdigest()
 
 
-def test_float_array_dumps_as_its_nested_lists_at_64x128():
-    T = random_mat(np.random.default_rng(31), 64, 128)
-    a = np.stack((T.m1.real, T.m1.imag), -1)
-    assert a.shape == (64, 128, 2)
-    assert dumps(a) == dumps(matrix_to_json(T)["e1"])  # the inputs digest's [re, im] pairs
-    a[0, 0], a[-1, -1] = (-0.0, 5e-324), (1.7e308, -1.7e308)
-    assert dumps(a) == dumps(a.tolist())
+@pytest.mark.parametrize(
+    "a, b",
+    [(np.array([0j]), np.array([complex(-0.0, 0.0)])), (np.array([0j]), np.array([complex(0.0, -0.0)])),
+     (np.array([[1, 2j]]), np.array([[1], [2j]])), (np.array([1, 2j]), np.array([[1, 2j]])),
+     (np.zeros((0, 2), complex), np.zeros((2, 0), complex))],
+    ids=["signed-zero-re", "signed-zero-im", "1x2-vs-2x1", "vector-vs-1x2", "empty-shapes"],
+)
+def test_digest_tells_apart_arrays_that_differ_in_bits_or_shape(a, b):
+    assert digest({"k": a}) != digest({"k": b})
+    assert digest({"k": a}) == digest({"k": a.copy()})
+
+
+def test_float64_array_is_not_serialized():
+    with pytest.raises(InvalidInput, match="^cannot serialize ndarray$"):
+        dumps(np.zeros(2))
 
 
 @pytest.mark.parametrize(
