@@ -5,7 +5,8 @@ Every invocation writes exactly one JSON document to the output stream
 
     0  run completed and every checked property holds
     1  run completed but a checked property is violated
-    2  invalid input (parse error, bad shape or dimension, bad literal)
+    2  invalid input (parse error, bad shape or dimension, bad literal),
+       or an envelope that cannot be written
     3  numerical non-convergence (series cap or SVD kernel failure)
     4  precondition violation (zero divisor, not surjective, budget
        precondition, right-hand side out of range, failed premise)
@@ -24,11 +25,18 @@ A flag with a kind is an input: the kind says how its value is read and
 its canonical form in the inputs digest.  One loop builds the parser from
 the rows, with the flags of the named row only, and one reads its inputs,
 digests them and calls its run.
+
+An envelope that cannot reach stdout (a full device, a closed pipe) exits
+2 with one line on stderr.  ``main``, the process entry, freezes the
+garbage collector once ``run`` returns, so interpreter shutdown skips its
+collections over the objects alive at exit; ``run`` itself leaves the
+collector as it found it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from typing import Any, Callable, NamedTuple, Sequence
@@ -81,16 +89,35 @@ def _new_envelope(subcommand: str) -> dict:
     }
 
 
-def _emit(envelope: dict, output: str | None) -> None:
-    text = dumps(envelope) + "\n"
-    if output is None:
-        sys.stdout.write(text)
-        return
+def _write(text: str, output: str | None) -> None:
+    """Write an envelope's text to the file ``output``, or to stdout if None.
+
+    stdout is flushed here, so that a full device or a closed pipe fails
+    the run; its descriptor then points at ``os.devnull``, so that the
+    interpreter's own flush at exit cannot fail again and exit 120.
+    """
     try:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if output is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except OSError as exc:
-        raise InvalidInput(f"cannot write the envelope to {output}: {exc}") from exc
+        if output is None:
+            _stdout_to_devnull()
+        where = "stdout" if output is None else output
+        raise InvalidInput(f"cannot write the envelope to {where}: {exc}") from exc
+
+
+def _stdout_to_devnull() -> None:
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # no descriptor behind it, so nothing to flush at exit
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 class _Kind(NamedTuple):
@@ -352,8 +379,11 @@ def run(argv=None) -> int:
     try:
         args.seed = envelope["seed"] = _resolve_seed(args)
         envelope["payload"], envelope["pass"] = _dispatch(args, envelope)
-        _emit(envelope, args.output)
-        return EXIT_PASS if envelope["pass"] else EXIT_CHECK_FAILED
+        code = EXIT_PASS if envelope["pass"] else EXIT_CHECK_FAILED
+        text = dumps(envelope) + "\n"
+        if args.output is not None:
+            _write(text, args.output)
+            return code
     except Exception as exc:
         # anything but a HyplabError is a defect in hyplab, not a verdict
         code = exc.exit_code if isinstance(exc, HyplabError) else EXIT_INTERNAL
@@ -366,15 +396,30 @@ def run(argv=None) -> int:
         if isinstance(exc, NotConverged) and exc.report is not None:
             envelope["payload"]["report"] = exc.report.to_json_dict()
         envelope["pass"] = False
-        try:
-            _emit(envelope, args.output)
-        except InvalidInput:
-            _emit(envelope, None)  # the output path itself failed: use stdout
-        return code
+        text = dumps(envelope) + "\n"
+        if args.output is not None:
+            try:
+                _write(text, args.output)
+                return code
+            except InvalidInput:
+                pass  # the output path itself failed: use stdout
+    try:
+        _write(text, None)
+    except InvalidInput as exc:  # stdout was the last place left for the envelope
+        print(f"hyplab: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    return code
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    # Interpreter shutdown runs full collections over every object still
+    # tracked, about 21,700 once numpy and hyplab are loaded: 19.4/21.5 ms
+    # (min/median of 20) from run's return to the exit of a 64x128 solve.
+    # It skips frozen objects, which cuts that to 5.5/5.8 ms.  No object
+    # alive here needs finalizing: run has closed its --output file.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

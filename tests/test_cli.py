@@ -1,6 +1,7 @@
 """CLI subcommands: payloads, exit codes, determinism, stream discipline."""
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -857,12 +858,18 @@ def test_malformed_file_exit_2(tmp_path, capsys, command, option, content):
     assert err.count("\n") == 1
 
 
+def _child_env(**overrides) -> dict:
+    """The environment of a ``python -m hyplab.cli`` child that imports this
+    checkout's hyplab."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""), **overrides)
+
+
 def _rejected_quietly(argv, message, kind="InvalidInput", code=2):
     """Run the CLI in a child that shows every warning; expect one envelope
     with error ``kind`` and exit ``code`` on stdout and only the one summary
     line on stderr."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env = _child_env()
     env.pop("PYTHONWARNINGS", None)
     proc = subprocess.run(
         [sys.executable, "-W", "always", "-m", "hyplab.cli", *argv],
@@ -936,14 +943,11 @@ def test_overflowing_geometric_terms_are_rejected_without_numpy_warnings(tmp_pat
 def test_omt_verify_bytes_independent_of_blas_threads(tmp_path, rows):
     rng = np.random.default_rng(17)
     mat = write(tmp_path, "T.json", matrix_to_json(surjective_mat(rng, rows, 2 * rows)))
-    src = os.path.dirname(os.path.dirname(cli.__file__))
     outs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
             [sys.executable, "-m", "hyplab.cli", "omt-verify", "--matrix", mat, "--trials", "30"],
-            capture_output=True, env=env, timeout=120,
+            capture_output=True, env=_child_env(OPENBLAS_NUM_THREADS=threads), timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
@@ -991,3 +995,81 @@ def test_unwritable_output_exit_2_envelope_on_stdout(tmp_path, capsys):
     code, doc, _ = run_json(capsys, ["knorm", "--scalar", scalar, "--output", out])
     assert code == 2
     assert doc["payload"]["error"]["kind"] == "InvalidInput"
+
+
+# ---------------------------------------------------------- process entry
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("sink", ["/dev/full", "closed pipe"])
+def test_unwritable_stdout_exits_2_with_one_line(tmp_path, sink, unbuffered):
+    """An envelope that cannot reach stdout fails the run at its write or,
+    when stdout is buffered, at the run's flush; the interpreter's own
+    flush at exit must not fail again."""
+    scalar = write(tmp_path, "z.json", {"e1": [3, 4], "e2": [-5, 0]})
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    if sink == "/dev/full":
+        if not os.path.exists(sink):
+            pytest.skip("no /dev/full")
+        stdout = open(sink, "w")
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stdout = os.fdopen(write_end, "w")
+    with stdout:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyplab.cli", "knorm", "--scalar", scalar],
+            stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120, text=True,
+        )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("hyplab: InvalidInput: cannot write the envelope to stdout: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["knorm", "--scalar", "{z}"], 0),
+        (["inv", "--scalar", "{zero}"], 4),
+        (["knorm", "--maxN", "3"], 2),  # argparse's usage error
+    ],
+)
+def test_run_leaves_the_collector_as_it_found_it(tmp_path, capsys, argv, exit_code):
+    paths = {
+        "z": write(tmp_path, "z.json", {"e1": [3, 4], "e2": [-5, 0]}),
+        "zero": write(tmp_path, "zero.json", {"e1": [1, 0], "e2": [0, 0]}),
+    }
+    enabled = gc.isenabled()
+    code, _, _ = run_cli(capsys, [word.format(**paths) for word in argv])
+    assert code == exit_code
+    assert gc.get_freeze_count() == 0
+    assert gc.isenabled() is enabled
+
+
+def test_main_exits_with_the_runs_code_and_a_frozen_collector(tmp_path, capsys, monkeypatch):
+    zero = write(tmp_path, "zero.json", {"e1": [1, 0], "e2": [0, 0]})
+    monkeypatch.setattr(sys, "argv", ["hyplab", "inv", "--scalar", zero])
+    try:
+        with pytest.raises(SystemExit) as exited:
+            cli.main()
+        assert exited.value.code == 4
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    _, err = capsys.readouterr()
+    assert err.startswith("hyplab: ZeroDivisor: ")
+
+
+def test_output_file_of_a_process_holds_the_in_process_envelope(tmp_path, capsys):
+    mat = write(tmp_path, "T.json", matrix_to_json(random_mat(np.random.default_rng(21), 3, 5)))
+    argv = ["opnorm", "--matrix", mat, "--output"]
+    assert cli.run([*argv, str(tmp_path / "in-process.json")]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyplab.cli", *argv, str(tmp_path / "process.json")],
+        capture_output=True, env=_child_env(), timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert (tmp_path / "process.json").read_bytes() == (tmp_path / "in-process.json").read_bytes()
