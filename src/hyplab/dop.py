@@ -1,22 +1,24 @@
 """Bicomplex linear operators as componentwise complex matrices.
 
-An operator T on BC^n is the pair (m1, m2) acting as m1 on the e1 part and
-m2 on the e2 part.  Because the hyperbolic norm and the equation Tx = y
-both decouple over the idempotents, every quantity here reduces to two
-ordinary complex matrix computations:
+An operator T on BC^n is one (2, rows, cols) array ``m`` whose leading
+axis is the idempotent component: m[0] = m1 acts on the e1 part and
+m[1] = m2 on the e2 part.  Because the hyperbolic norm and the equation
+Tx = y both decouple over the idempotents, every quantity here reduces to
+two ordinary complex matrix computations:
 
   * operator norm      ->  largest singular value per component
   * open-mapping bound ->  reciprocal smallest singular value per component
   * quotient value q(y) -> norm of the per-component minimum-norm solution
 
 Each operator is factored once: ``svd_family`` factors both components
-of every unfactored operator of a family in one SVD call and caches each
-thin SVD, read-only, with its operator.  Norms, ranks, open-mapping
-constants and minimum-norm solves all read that one factorization; the
-full spectrum is stored, so a caller's rank tolerance is applied when the
-values are read.
-``min_norm_solve_rows`` solves a whole block of right-hand sides with one
-product chain per component; ``min_norm_solve`` is its one-row case.
+of every unfactored operator of a family in one SVD call and caches its
+thin SVD, read-only and with the same leading axis, with the operator.
+Norms, ranks, open-mapping constants and minimum-norm solves all read that
+one factorization; the full spectrum is stored, so a caller's rank
+tolerance is applied when the values are read.
+``min_norm_solve_rows`` solves a (2, k, rows) block of right-hand sides
+with one product chain per component, as the components' ranks may
+differ; ``min_norm_solve`` is its one-row case.
 ``BCMatrix.svd`` is its family of one, so there is one SVD entry point
 and no iterative kernel.
 """
@@ -38,7 +40,7 @@ RANK_TOL = 1e-10
 
 def _as_matrix_component(values, *, what: str) -> np.ndarray:
     try:
-        arr = np.array(values, dtype=complex)
+        arr = np.asarray(values, dtype=complex)  # the operator stacks a copy
     except (TypeError, ValueError) as exc:  # ragged rows or non-numeric entries
         raise InvalidInput(f"{what} is not a numeric matrix: {exc}") from exc
     if arr.ndim != 2:
@@ -51,9 +53,10 @@ def _as_matrix_component(values, *, what: str) -> np.ndarray:
 
 
 class ThinSVD(NamedTuple):
-    """Thin SVD ``a = u @ diag(s) @ vh`` of one component; arrays read-only.
+    """Thin SVD of both components, ``m[i] = u[i] @ diag(s[i]) @ vh[i]``; read-only.
 
-    ``s`` holds all min(rows, cols) singular values in descending order.
+    ``s[i]`` holds all min(rows, cols) singular values of component i in
+    descending order.
     """
 
     u: np.ndarray
@@ -62,23 +65,34 @@ class ThinSVD(NamedTuple):
 
 
 class BCMatrix:
-    """BC-linear operator held as a pair of complex matrices of equal shape."""
+    """BC-linear operator held as one (2, rows, cols) array of its component matrices.
 
-    __slots__ = ("m1", "m2", "_svd")
+    The array is a private copy locked against writes; ``m1`` and ``m2``
+    are read-only views of its components.
+    """
+
+    __slots__ = ("m", "_svd")
 
     def __init__(self, m1, m2):
         m1 = _as_matrix_component(m1, what="e1 component")
         m2 = _as_matrix_component(m2, what="e2 component")
         if m1.shape != m2.shape:
             raise DimensionMismatch(f"component shapes differ: {m1.shape} vs {m2.shape}")
-        m1.setflags(write=False)
-        m2.setflags(write=False)
-        object.__setattr__(self, "m1", m1)
-        object.__setattr__(self, "m2", m2)
+        m = np.array((m1, m2))
+        m.setflags(write=False)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "_svd", None)
 
-    def svd(self) -> tuple[ThinSVD, ThinSVD]:
-        """Thin SVD of each component, computed on first use and cached.
+    @property
+    def m1(self) -> np.ndarray:
+        return self.m[0]
+
+    @property
+    def m2(self) -> np.ndarray:
+        return self.m[1]
+
+    def svd(self) -> ThinSVD:
+        """Thin SVD of both components, computed on first use and cached.
 
         The operator is a family of one for ``svd_family``.  The components
         are write-locked, so the factors stay valid for its lifetime.
@@ -89,11 +103,11 @@ class BCMatrix:
 
     @property
     def rows(self) -> int:
-        return self.m1.shape[0]
+        return self.m.shape[1]
 
     @property
     def cols(self) -> int:
-        return self.m1.shape[1]
+        return self.m.shape[2]
 
     @classmethod
     def identity(cls, n: int) -> "BCMatrix":
@@ -108,27 +122,30 @@ class BCMatrix:
         return f"BCMatrix(rows={self.rows}, cols={self.cols})"
 
 
-def svd_family(family: Sequence[BCMatrix]) -> list[tuple[ThinSVD, ThinSVD]]:
-    """The thin SVD pair of each operator of a family of one shape.
+def svd_family(family: Sequence[BCMatrix]) -> list[ThinSVD]:
+    """The thin SVD of each operator of a family of one shape.
 
     One ``np.linalg.svd`` call factors both components of every member
     without factors; each caches read-only views of its rows of the result.
     """
     todo = [T for T in family if T._svd is None]
-    if len(shapes := {T.m1.shape for T in todo}) > 1:
+    if len(shapes := {T.m.shape[1:] for T in todo}) > 1:
         raise DimensionMismatch(f"a family is factored at one shape, got {sorted(shapes)}")
     if todo:
         # Stack only matrices of identical shape: the svd gufunc makes the same
         # LAPACK call on each as on it alone, so the bits are those of one-matrix
-        # calls.  A merge into one larger problem could round differently.
+        # calls.  A merge into one larger problem could round differently.  A
+        # family of one is passed as a view: the gufunc copies its input
+        # anyway, so a stacked copy would only add a pass over the operator.
+        stack = todo[0].m[None] if len(todo) == 1 else np.stack([T.m for T in todo])
         try:
-            f = np.linalg.svd(np.stack([m for T in todo for m in (T.m1, T.m2)]), full_matrices=False)
+            f = np.linalg.svd(stack, full_matrices=False)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"SVD kernel failed: {exc}") from exc
         for a in f:
             a.setflags(write=False)
-        for T, u, s, vh in zip(todo, *(a.reshape(len(todo), 2, *a.shape[1:]) for a in f)):
-            object.__setattr__(T, "_svd", tuple(map(ThinSVD, u, s, vh)))
+        for T, u, s, vh in zip(todo, *f):
+            object.__setattr__(T, "_svd", ThinSVD(u, s, vh))
     return [T._svd for T in family]
 
 
@@ -136,7 +153,7 @@ def mat_apply(T: BCMatrix, x: BCVector) -> BCVector:
     """Apply the operator: components (m1 @ v1, m2 @ v2)."""
     if T.cols != x.dim:
         raise DimensionMismatch(f"operator has {T.cols} columns, vector has dim {x.dim}")
-    return BCVector(T.m1 @ x.v1, T.m2 @ x.v2)
+    return BCVector(*(T.m @ x.v[..., None])[..., 0])
 
 
 def _check_tol(tol: float) -> None:
@@ -163,13 +180,8 @@ def op_dnorm(T: BCMatrix, tol: float = 1e-10) -> OperatorNormReport:
     checked and recorded in the report; the values do not depend on it.
     """
     _check_tol(tol)
-    f1, f2 = T.svd()
-    s1, s2 = float(f1.s[0]), float(f2.s[0])
-    return OperatorNormReport(
-        M=DPlus(s1, s2),
-        sigma_max=(s1, s2),
-        tol=tol,
-    )
+    top = tuple(T.svd().s[:, 0].tolist())
+    return OperatorNormReport(M=DPlus(*top), sigma_max=top, tol=tol)
 
 
 class SolveReport(Report):
@@ -189,52 +201,54 @@ class SolveReport(Report):
 class BlockSolve(Record):
     """Minimum-norm solves of T x_i = y_i for the rows y_i of a block.
 
-    ``x1`` and ``x2`` hold the solutions as rows; ``qy``, ``residual`` and
-    ``tol`` are (2, k) arrays, one column per row, with the meanings of the
-    ``SolveReport`` fields of the same names.
+    ``x`` holds the solutions as a (2, k, cols) block; ``qy``, ``residual``
+    and ``tol`` are (2, k) arrays, one column per row, with the meanings of
+    the ``SolveReport`` fields of the same names.
     """
 
-    _fields = ("x1", "x2", "qy", "residual", "tol")
+    _fields = ("x", "qy", "residual", "tol")
 
 
-def _min_norm_rows(f: ThinSVD, b: np.ndarray) -> np.ndarray:
+def _min_norm_rows(u: np.ndarray, s: np.ndarray, vh: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     """Rows x_i = Vh_r^H (U_r^H b_i / s_r): least-squares solutions of least norm.
 
-    The rank cutoff is lstsq's default (rcond=None): singular values at or
-    below eps * max(rows, cols) * s[0] count as zero, so each solution is
-    the one ``np.linalg.lstsq`` returns.
+    ``u``, ``s`` and ``vh`` are one component's thin SVD, and the rows are
+    written into ``out``, that component of the solve's block, so no
+    per-component result is copied into a stack afterwards.  The rank cutoff
+    is lstsq's default (rcond=None): singular values at or below
+    eps * max(rows, cols) * s[0] count as zero, so each solution is the
+    one ``np.linalg.lstsq`` returns.
     """
-    cutoff = np.finfo(float).eps * max(f.u.shape[0], f.vh.shape[1]) * f.s[0]
-    r = int(np.count_nonzero(f.s > cutoff))
-    return ((b @ f.u[:, :r].conj()) / f.s[:r]) @ f.vh[:r].conj()
+    cutoff = np.finfo(float).eps * max(u.shape[0], vh.shape[1]) * s[0]
+    r = int(np.count_nonzero(s > cutoff))
+    np.matmul((b @ u[:, :r].conj()) / s[:r], vh[:r].conj(), out=out)
 
 
-def min_norm_solve_rows(
-    T: BCMatrix, y1: np.ndarray, y2: np.ndarray, tol: float = 1e-10
-) -> BlockSolve:
-    """Per-component minimum-norm solutions for every row of a (k, rows) block.
+def min_norm_solve_rows(T: BCMatrix, y: np.ndarray, tol: float = 1e-10) -> BlockSolve:
+    """Per-component minimum-norm solutions for every row of a (2, k, rows) block.
 
     The equation and the norm both decouple over the idempotents, so each
     bicomplex minimum-norm solution is a pair of complex ones, read off the
-    operator's cached SVD with one product chain per component.  Raises
-    ``NotInRange`` for the first row whose residual exceeds ``tol * ||y_i||``
-    in either component, so a zero right-hand side needs a zero residual.
+    operator's cached SVD with one product chain per component: the ranks,
+    and so the chains' shapes, may differ.  Raises ``NotInRange`` for the
+    first row whose residual exceeds ``tol * ||y_i||`` in either component,
+    so a zero right-hand side needs a zero residual.
     """
-    if y1.shape[-1] != T.rows or y2.shape[-1] != T.rows:
-        raise DimensionMismatch(f"operator has {T.rows} rows, vector has dim {y1.shape[-1]}")
-    f1, f2 = T.svd()
-    x1 = _min_norm_rows(f1, y1)
-    x2 = _min_norm_rows(f2, y2)
-    residual = dnorm_rows(x1 @ T.m1.T - y1, x2 @ T.m2.T - y2)
+    if y.shape[-1] != T.rows:
+        raise DimensionMismatch(f"operator has {T.rows} rows, vector has dim {y.shape[-1]}")
+    x = np.empty((*y.shape[:-1], T.cols), dtype=complex)
+    for u, s, vh, b, out in zip(*T.svd(), y, x):
+        _min_norm_rows(u, s, vh, b, out)
+    residual = dnorm_rows(x @ T.m.mT - y)
     with np.errstate(over="ignore"):  # an overflowing tolerance is rejected here
-        tol_y = require_finite(tol * dnorm_rows(y1, y2))
+        tol_y = require_finite(tol * dnorm_rows(y))
     bad = np.flatnonzero((residual > tol_y).any(axis=0))
     if bad.size:
         (r1, r2), (t1, t2) = residual[:, bad[0]].tolist(), tol_y[:, bad[0]].tolist()
         raise NotInRange(
             f"right-hand side outside operator range: residual ({r1}, {r2}) > ({t1}, {t2})"
         )
-    return BlockSolve(x1=x1, x2=x2, qy=dnorm_rows(x1, x2), residual=residual, tol=tol_y)
+    return BlockSolve(x=x, qy=dnorm_rows(x), residual=residual, tol=tol_y)
 
 
 def min_norm_solve(T: BCMatrix, y: BCVector, tol: float = 1e-10) -> SolveReport:
@@ -243,9 +257,9 @@ def min_norm_solve(T: BCMatrix, y: BCVector, tol: float = 1e-10) -> SolveReport:
     Raises ``NotInRange`` when the residual exceeds ``tol * ||y||`` in either
     component.
     """
-    b = min_norm_solve_rows(T, y.v1[None, :], y.v2[None, :], tol)
+    b = min_norm_solve_rows(T, y.v[:, None], tol)
     return SolveReport(
-        x=BCVector(b.x1[0], b.x2[0]),
+        x=BCVector(*b.x[:, 0]),
         qy=DPlus(*b.qy[:, 0].tolist()),
         residual=DPlus(*b.residual[:, 0].tolist()),
         tol=DPlus(*b.tol[:, 0].tolist()),
@@ -272,9 +286,7 @@ def _numerical_rank(s: np.ndarray, tol: float) -> int:
 
 def surjectivity_check(T: BCMatrix, tol: float = RANK_TOL) -> SurjectivityReport:
     """Surjective iff both components have numerical row rank equal to rows."""
-    f1, f2 = T.svd()
-    r1 = _numerical_rank(f1.s, tol)
-    r2 = _numerical_rank(f2.s, tol)
+    r1, r2 = (_numerical_rank(s, tol) for s in T.svd().s)
     return SurjectivityReport(
         surjective=(r1 == T.rows and r2 == T.rows),
         rank_e1=r1,
@@ -297,5 +309,4 @@ def open_mapping_delta(T: BCMatrix, tol: float = RANK_TOL) -> DPlus:
         raise NotSurjective(
             f"row ranks ({rep.rank_e1}, {rep.rank_e2}) below {rep.rows}; no open-mapping constant"
         )
-    f1, f2 = T.svd()
-    return DPlus(1.0 / float(f1.s[-1]), 1.0 / float(f2.s[-1]))
+    return DPlus(*(1.0 / s for s in T.svd().s[:, -1].tolist()))

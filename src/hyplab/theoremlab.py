@@ -27,14 +27,15 @@ block is its first rows: row i holds the stream's normals i*w to
 (i+1)*w - 1 for rows of width w, so trial i is replayed by drawing i + 1
 rows, and the first k rows are the same for every sample count >= k.
 
-The sampled checks are evaluated in blocks: row i of a (samples, n) block
-per component is the vector of trial i, every operator is applied
-to a whole block with one matrix product per component, and the open-mapping
-preimages come from one block solve on the operator's cached SVD.  Verdicts
-are array comparisons and worst margins are maxima over the arrays.  Every
-inequality is judged through ``_within``, whose slack is relative to the
-values compared, so verdicts do not depend on the operator's scale; a norm
-or bound that overflows is rejected as ``InvalidInput``, never compared.
+The sampled checks are evaluated in blocks: a (2, samples, n) array whose
+leading axis is the idempotent component and whose [:, i] is the vector of
+trial i.  Every operator is applied to a whole block with one stacked
+matrix product, and the open-mapping preimages come from one block solve
+on the operator's cached SVD.  Verdicts are array comparisons and worst
+margins are maxima over the arrays.  Every inequality is judged through
+``_within``, whose slack is relative to the values compared, so verdicts
+do not depend on the operator's scale; a norm or bound that overflows is
+rejected as ``InvalidInput``, never compared.
 A check's parameters are the quantities of the statement it replays
 (operators, radii, bounds, sample counts, seeds); the slack
 ``CHECK_SLACK``, the closure tolerance ``CLOSURE_TOL`` and the open-mapping
@@ -60,6 +61,7 @@ from .dmodule import (
     DNormConfig,
     DSeminorm,
     Report,
+    _component_norms,
     _worst,
     dnorm_rows,
     require_finite,
@@ -132,17 +134,18 @@ def _draws(seed: int, name: str, count: int, width: int) -> np.ndarray:
     return check_stream(seed, name).standard_normal((count, width))
 
 
-def _sample_rows(z: np.ndarray, n: int, j: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """The j-th vector of dim n in every row of ``_draws``, as a block.
+def _sample_rows(z: np.ndarray, n: int, j: int = 0) -> np.ndarray:
+    """The j-th vector of dim n in every row of ``_draws``, as a (2, k, n) block.
 
     Each vector takes 4n normals: real and imaginary parts of e1, then of
     e2, the order of four successive draws of n.
     """
-    o = 4 * n * j
-    return (
-        z[:, o : o + n] + 1j * z[:, o + n : o + 2 * n],
-        z[:, o + 2 * n : o + 3 * n] + 1j * z[:, o + 3 * n : o + 4 * n],
-    )
+    block = np.empty((2, len(z), n), dtype=complex)
+    # one component at a time, into the block: one expression over both
+    # components would make three block-sized temporaries
+    for rows, o in zip(block, range(4 * n * j, 4 * n * (j + 1), 2 * n)):
+        np.add(z[:, o : o + n], 1j * z[:, o + n : o + 2 * n], out=rows)
+    return block
 
 
 def _within(a, b, slack: float = CHECK_SLACK, scale=0.0):
@@ -168,17 +171,17 @@ def _column(h: Hyperbolic) -> np.ndarray:
     return np.array([[h.a1], [h.a2]])
 
 
-def _witness_rows(T: BCMatrix) -> tuple[np.ndarray, np.ndarray]:
+def _witness_rows(T: BCMatrix) -> np.ndarray:
     """Unit vectors attaining the operator norm, per component and combined.
 
-    The rows are (v1, 0), (0, v2) and (v1, v2), with v1 and v2 the right
-    singular vectors of each component's largest singular value.
+    The rows of the (2, 3, n) block are (v1, 0), (0, v2) and (v1, v2), with
+    v1 and v2 the right singular vectors of each component's largest
+    singular value.
     """
-    f1, f2 = T.svd()
-    v1 = f1.vh[0].conj()
-    v2 = f2.vh[0].conj()
-    zero = np.zeros(T.cols, dtype=complex)
-    return np.stack((v1, zero, v1)), np.stack((zero, v2, v2))
+    v = T.svd().vh[:, 0].conj()
+    rows = np.zeros((2, 3, T.cols), dtype=complex)
+    rows[:, 2] = rows[[0, 1], [0, 1]] = v
+    return rows
 
 
 class ContinuityReport(Report):
@@ -218,28 +221,18 @@ def continuity_bound_check(
     n = p.T.cols
 
     # the witnesses, then one random sample per trial, as one block
-    w1, w2 = _witness_rows(p.T)
-    r1, r2 = _sample_rows(_draws(seed, name, trials, 4 * n), n)
-    x1 = np.concatenate((w1, r1))
-    x2 = np.concatenate((w2, r2))
-    px = seminorm_rows(p, x1, x2)
-    bound = require_finite(alpha * dnorm_rows(x1, x2))
+    x = np.concatenate((_witness_rows(p.T), _sample_rows(_draws(seed, name, trials, 4 * n), n)), axis=1)
+    px = seminorm_rows(p, x)
+    bound = require_finite(alpha * dnorm_rows(x))
     all_ok = bool(_within(px, bound).all())
 
     # Lipschitz chain along generated sequences x_j = x + 2^-j d -> x:
     # |p(x_j) - p(x)| <= p(x_j - x) <= alpha* ||x_j - x||_D, 10 steps each
     z = _draws(seed, name + "/seq", min(trials, 8), 8 * n)
-    s1, s2 = _sample_rows(z, n, 0)
-    d1, d2 = _sample_rows(z, n, 1)
-    steps = (2.0 ** -np.arange(1, 11))[None, :, None]
-    xj1 = s1[:, None, :] + d1[:, None, :] * steps
-    xj2 = s2[:, None, :] + d2[:, None, :] * steps
-    gap = np.abs(
-        seminorm_rows(p, xj1.reshape(-1, n), xj2.reshape(-1, n))
-        - np.repeat(seminorm_rows(p, s1, s2), 10, axis=1)
-    )
-    dx = dnorm_rows((xj1 - s1[:, None, :]).reshape(-1, n), (xj2 - s2[:, None, :]).reshape(-1, n))
-    seq_bound = require_finite(alpha * dx)
+    s, d = _sample_rows(z, n, 0)[:, :, None], _sample_rows(z, n, 1)[:, :, None]
+    xj = s + d * (2.0 ** -np.arange(1, 11))[:, None]  # (2, sequences, 10, n)
+    gap = np.abs(seminorm_rows(p, xj.reshape(2, -1, n)) - np.repeat(seminorm_rows(p, s[:, :, 0]), 10, axis=1))
+    seq_bound = require_finite(alpha * dnorm_rows((xj - s).reshape(2, -1, n)))
     sequence_ok = bool(_within(gap, seq_bound).all())
 
     # tightness: the combined witness attains both components of the true
@@ -291,11 +284,10 @@ def countable_subadd_check(
     report = series_sum(xs, tol, max_n)  # raises NotConverged with report
 
     used = report.n_terms
-    b1 = np.stack([x.v1 for x in xs[:used]])
-    b2 = np.stack([x.v2 for x in xs[:used]])
+    b = np.stack([x.v for x in xs[:used]], axis=1)
     # partial sums s_n = x_1 + ... + x_n and running sums of p(x_k), in order
-    p_running = require_finite(np.cumsum(seminorm_rows(p, b1, b2), axis=1))
-    ps = seminorm_rows(p, np.cumsum(b1, axis=0), np.cumsum(b2, axis=0))
+    p_running = require_finite(np.cumsum(seminorm_rows(p, b), axis=1))
+    ps = seminorm_rows(p, np.cumsum(b, axis=1))
     partial_ok = bool(_within(ps, p_running).all())
 
     p_limit = np.array(seminorm_eval(p, report.limit).components())[:, None]
@@ -330,25 +322,20 @@ class BallScaleReport(Report):
         return all(self.per_delta_ok)
 
 
-def _ball_rows(
-    witnesses: tuple[np.ndarray, np.ndarray], radius: float, samples: int, seed: int, name: str
-) -> tuple[np.ndarray, np.ndarray]:
+def _ball_rows(witnesses: np.ndarray, radius: float, samples: int, seed: int, name: str) -> np.ndarray:
     """Rows with both norm components <= radius: witnesses, then random samples.
 
     Witnesses are scaled onto the sphere.  Sample i is row i of stream
     ``name``, scaled to radius times uniform i of the sibling stream
     ``name + "/u"``, so row i does not depend on the sample count.
     """
-    w1, w2 = witnesses
-    n = w1.shape[1]
-    r1, r2 = _sample_rows(_draws(seed, name, samples, 4 * n), n)
+    n = witnesses.shape[-1]
+    r = _sample_rows(_draws(seed, name, samples, 4 * n), n)
     u = check_stream(seed, name + "/u").uniform(0.0, 1.0, samples)
-    nw = dnorm_rows(w1, w2)
-    nr = dnorm_rows(r1, r2)
-    ws = (radius / np.maximum(np.maximum(nw[0], nw[1]), 1e-30))[:, None]
-    rs = (radius * u / np.maximum(np.maximum(nr[0], nr[1]), 1e-30))[:, None]
+    ws = (radius / np.maximum(np.maximum(*dnorm_rows(witnesses)), 1e-30))[:, None]
+    rs = (radius * u / np.maximum(np.maximum(*dnorm_rows(r)), 1e-30))[:, None]
     with np.errstate(invalid="ignore"):  # 0 * inf from an infinite radius is rejected later
-        return np.concatenate((w1 * ws, r1 * rs)), np.concatenate((w2 * ws, r2 * rs))
+        return np.concatenate((witnesses * ws, r * rs), axis=1)
 
 
 def ball_scaling_check(
@@ -377,7 +364,7 @@ def ball_scaling_check(
     name = "ballscale"
     witnesses = _witness_rows(p.T)
 
-    px = seminorm_rows(p, *_ball_rows(witnesses, r, samples, seed, name + "/hyp"))
+    px = seminorm_rows(p, _ball_rows(witnesses, r, samples, seed, name + "/hyp"))
     outside = np.flatnonzero(~_within(px, _column(alpha), CLOSURE_TOL).all(axis=0))
     if outside.size:
         a1, a2 = px[:, outside[0]].tolist()
@@ -390,7 +377,7 @@ def ball_scaling_check(
     margins = []
     for j, d in enumerate(delta_list):
         scaled_alpha = _column(alpha * float(d))
-        px = seminorm_rows(p, *_ball_rows(witnesses, d * r, samples, seed, f"{name}/d{j}"))
+        px = seminorm_rows(p, _ball_rows(witnesses, d * r, samples, seed, f"{name}/d{j}"))
         margins.append(px - scaled_alpha)
         per_delta_ok.append(bool(_within(px, scaled_alpha, CLOSURE_TOL).all()))
 
@@ -565,9 +552,9 @@ def zabreiko_decompose(
 
     n = x.dim
     denom = 2.0 * math.sqrt(n)
-    x0 = np.stack((x.v1, x.v2))
-    eps0 = np.array([[x_norm.a1 / r], [x_norm.a2 / r]])
-    ratio = np.array([[eps.a1 / m.a1], [eps.a2 / m.a2]])
+    x0 = x.v
+    eps0 = _column(x_norm) / r
+    ratio = _column(eps) / _column(m)
     stop1, stop2 = _ROUNDOFF * x_norm.a1, _ROUNDOFF * x_norm.a2
     coarse = [f"e{i}: (eps/m)*r/2={b} <= 2^-52*||x||_D={s}"
               for i, b, s in zip((1, 2), (ratio[:, 0] / 2 * r).tolist(), (stop1, stop2)) if 0 < s and b <= s]
@@ -613,8 +600,8 @@ def zabreiko_decompose(
     BCVector(*rems[:, -1])
 
     # budgets p(x_k) <= eps_{k-1} m and ||u_k||_D <= eps_k r, every step
-    pks = seminorm_terms(p, terms[0], terms[1])
-    uns = dnorm_rows(rems[0], rems[1])
+    pks = seminorm_terms(p, terms)
+    uns = dnorm_rows(rems)
     with np.errstate(over="ignore"):  # an overflowing bound is rejected here
         tbs = require_finite(epsilons[:, :-1] * _column(m))
         tails = require_finite(epsilons[:, 1:] * r)
@@ -706,7 +693,7 @@ def ubp_verify(
     name = "ubp"
 
     # the top singular values of all members; argmax takes the first on a tie
-    top = np.array([(f1.s[0], f2.s[0]) for f1, f2 in svd_family(family)])
+    top = np.array([f.s[:, 0] for f in svd_family(family)])
     i1, i2 = top.argmax(axis=0).tolist()
     sup_opnorm = DPlus(top[i1, 0], top[i2, 1])
     bound = sup_opnorm if delta is None else delta
@@ -714,27 +701,24 @@ def ubp_verify(
     # witnesses from the members attaining the supremum per component, then
     # the random samples, as one block
     n = shape[1]
-    wa1, wa2 = _witness_rows(family[i1])
-    wb1, wb2 = _witness_rows(family[i2])
-    r1, r2 = _sample_rows(_draws(seed, name, samples, 4 * n), n)
-    x1 = np.concatenate((wa1[:1], wb1[1:2], r1))
-    x2 = np.concatenate((wa2[:1], wb2[1:2], r2))
+    x = np.concatenate(
+        (_witness_rows(family[i1])[:, :1], _witness_rows(family[i2])[:, 1:2],
+         _sample_rows(_draws(seed, name, samples, 4 * n), n)),
+        axis=1,
+    )
 
     # p_s(x) for every member s and sample x, as (2, members, samples), from one
-    # broadcast product per component and chunk; p* is their maximum, so p_s <= p*
-    m1, m2 = np.stack([T.m1 for T in family]), np.stack([T.m2 for T in family])
-    values = np.empty((2, len(family), len(x1)))
+    # broadcast product per chunk; p* is their maximum, so p_s <= p*
+    m = np.stack([T.m for T in family], axis=1).mT  # (2, members, cols, rows)
+    k = x.shape[1]
+    values = np.empty((2, len(family), k))
     chunk = max(64, _UBP_ENTRIES // (len(family) * shape[0]) // 64 * 64)
-    starts = range(0, max(len(x1) // chunk, 1) * chunk, chunk)
-    l2 = DNormConfig()
+    starts = range(0, max(k // chunk, 1) * chunk, chunk)
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below, over the whole block
-        for a, b in zip(starts, [*starts[1:], len(x1)]):
-            # both products before either norm: alternating them measured 1.8x slower
-            # at 20 members of 8x8 and 52 samples (OpenBLAS 0.3.31)
-            y1, y2 = x1[a:b] @ m1.transpose(0, 2, 1), x2[a:b] @ m2.transpose(0, 2, 1)
-            values[0, :, a:b], values[1, :, a:b] = l2.norms(y1), l2.norms(y2)
+        for a, b in zip(starts, [*starts[1:], k]):
+            values[:, :, a:b] = _component_norms(x[:, None, a:b] @ m)
     pstar = require_finite(values).max(axis=1)
-    rhs = require_finite(_column(bound) * dnorm_rows(x1, x2))
+    rhs = require_finite(_column(bound) * dnorm_rows(x))
 
     return UBPReport(
         check=name,
@@ -773,7 +757,7 @@ def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
     """Verify delta = 1/sigma_min by solving for random right-hand sides.
 
     For every sampled y the minimum-norm preimage x must satisfy Tx = y
-    within ``CHECK_SLACK`` and ||x||_D <= delta ||y||_D, with the bound
+    within ``CHECK_SLACK * ||y||`` and ||x||_D <= delta ||y||_D, with the bound
     attained (up to 1e-6 relative) on the bottom singular vectors.  A
     geometric series of ``OMT_SERIES_LEN`` right-hand sides then replays
     the eps/2^k budget with eps = ``OMT_BUDGET``: with x_k the minimum-norm
@@ -787,17 +771,17 @@ def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
     rows = T.rows
 
     # one block solve for all trials: T x_i = y_i with x_i of least norm
-    y1, y2 = _sample_rows(_draws(seed, name, trials, 4 * rows), rows)
-    sol = min_norm_solve_rows(T, y1, y2, tol=CHECK_SLACK)
+    y = _sample_rows(_draws(seed, name, trials, 4 * rows), rows)
+    sol = min_norm_solve_rows(T, y, tol=CHECK_SLACK)
     worst_res = DPlus(*np.maximum(0.0, sol.residual.max(axis=1)).tolist())
-    solve_ok = bool((sol.residual <= CHECK_SLACK).all())
-    rhs = require_finite(_column(delta) * dnorm_rows(y1, y2))
+    # the solve's own rule, relative to ||y_i||; a residual beyond it raised NotInRange
+    solve_ok = bool((sol.residual <= sol.tol).all())
+    rhs = require_finite(_column(delta) * dnorm_rows(y))
     bound_ok = bool(_within(sol.qy, rhs).all())
 
     # minimality witness: the left singular vectors of the smallest
     # singular values reach the constant (T is surjective, so rows <= cols)
-    f1, f2 = T.svd()
-    yw = BCVector(f1.u[:, rows - 1], f2.u[:, rows - 1])
+    yw = BCVector(*T.svd().u[:, :, rows - 1])
     wrep = min_norm_solve(T, yw, tol=CHECK_SLACK)
     nyw = vec_dnorm(yw)
     ratio = DPlus(wrep.qy.a1 / nyw.a1, wrep.qy.a2 / nyw.a2)
@@ -807,20 +791,18 @@ def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
 
     # quotient-seminorm budget chain over the generated convergent series
     # y_k = 2^-(k-1) y_0, k = 1..OMT_SERIES_LEN, solved as one block
-    s1, s2 = _sample_rows(_draws(seed, name + "/series", 1, 4 * rows), rows)
-    y0 = BCVector(s1[0], s2[0])
+    y0 = BCVector(*_sample_rows(_draws(seed, name + "/series", 1, 4 * rows), rows)[:, 0])
     ny0 = vec_dnorm(y0)
     y0 = y0.scale(1.0 / max(ny0.a1, ny0.a2))
-    halves = (0.5 ** np.arange(OMT_SERIES_LEN))[:, None]
-    ys1, ys2 = y0.v1 * halves, y0.v2 * halves
-    chain = min_norm_solve_rows(T, ys1, ys2, tol=CHECK_SLACK)
+    ys = y0.v[:, None] * (0.5 ** np.arange(OMT_SERIES_LEN))[:, None]
+    chain = min_norm_solve_rows(T, ys, tol=CHECK_SLACK)
     # q(y_k) is ||x_k||_D for the minimum-norm preimage x_k
     eps_k = _column(OMT_BUDGET) * 2.0 ** -np.arange(1, OMT_SERIES_LEN + 1)
     subadd_ok = bool(_within(chain.qy, chain.qy + eps_k).all())
 
     # sums in series order from zero; adding +0.0 restores the zero start
-    y_sum = BCVector(np.cumsum(ys1, axis=0)[-1] + 0.0, np.cumsum(ys2, axis=0)[-1] + 0.0)
-    x_sum = BCVector(np.cumsum(chain.x1, axis=0)[-1] + 0.0, np.cumsum(chain.x2, axis=0)[-1] + 0.0)
+    y_sum = BCVector(*(np.cumsum(ys, axis=1)[:, -1] + 0.0))
+    x_sum = BCVector(*(np.cumsum(chain.x, axis=1)[:, -1] + 0.0))
     sum_q = Hyperbolic(*np.cumsum(chain.qy, axis=1)[:, -1].tolist())
     chain_slack = 1e-8
     q_sum = min_norm_solve(T, y_sum, tol=CHECK_SLACK).qy

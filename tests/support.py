@@ -36,7 +36,7 @@ from hyplab import (
     BCMatrix, BCVector, Bicomplex, DimensionMismatch, DPlus, InvalidInput, NotConverged, ShapeMismatch,
 )
 from hyplab.dmodule import (
-    Columns, DSeminorm, SeriesReport, _as_tol, dnorm_rows, require_finite, seminorm_eval, seminorm_rows, vec_dnorm,
+    SERIES_WINDOW, Columns, DSeminorm, SeriesReport, _as_tol, dnorm_rows, require_finite, seminorm_eval, seminorm_rows, vec_dnorm,
 )
 from hyplab.hyperscalar import hyp_leq, hyp_sup
 from hyplab.jsonio import _declared_size
@@ -296,13 +296,16 @@ def oracle_zabreiko(p, x: BCVector, m: DPlus, r: float, eps: DPlus, max_n: int) 
     }
 
 
-def oracle_series_sum(terms, tol, max_n: int, window: int = 3) -> SeriesReport:
-    """Capped series summation one term at a time: pull, add, measure, test."""
+def oracle_series_sum(terms, tol, max_n: int) -> SeriesReport:
+    """Capped series summation one term at a time: pull, add, measure, test.
+
+    The tail estimate sums the last ``SERIES_WINDOW`` term norms, as the
+    library's does.
+    """
     tol = _as_tol(tol)
     if max_n < 1:
         raise InvalidInput(f"max_n must be >= 1, got {max_n}")
-    if window < 1:
-        raise InvalidInput(f"window must be >= 1, got {window}")
+    window = SERIES_WINDOW
 
     it = iter(terms)
     s = None
@@ -450,9 +453,10 @@ def oracle_ubp(family, samples: int, seed: int, delta=None):
     r1, r2 = _sample_rows(_draws(seed, "ubp", samples, 4 * n), n)
     x1 = np.concatenate((factors[i1][0][2][:1].conj(), zero, r1))
     x2 = np.concatenate((zero, factors[i2][1][2][:1].conj(), r2))
-    values = np.stack([seminorm_rows(DSeminorm(T), x1, x2) for T in family])
+    x = np.stack((x1, x2))
+    values = np.stack([seminorm_rows(DSeminorm(T), x) for T in family])
     pstar = values.max(axis=0)
-    rhs = require_finite(_column(bound) * dnorm_rows(x1, x2))
+    rhs = require_finite(_column(bound) * dnorm_rows(x))
     return UBPReport(
         check="ubp",
         seed=seed,

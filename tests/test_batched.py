@@ -34,6 +34,7 @@ from hyplab import (
     ubp_verify,
     vec_dnorm,
 )
+from hyplab.dmodule import seminorm_terms
 from hyplab.jsonio import dumps
 from support import oracle_ubp, random_mat, random_vec, surjective_mat
 
@@ -74,15 +75,15 @@ def test_second_vector_follows_in_the_same_stream_and_uniform_in_its_sibling():
 
     # ballscale: sample i is row i of its stream scaled to radius times
     # uniform i of the "/u" sibling, so it does not depend on the count
-    none = np.empty((0, n), dtype=complex)
-    x1, x2 = tl._ball_rows((none, none), 2.5, 6, 9, "x")
-    r1, r2 = tl._sample_rows(tl._draws(9, "x", 6, 4 * n), n)
+    none = np.empty((2, 0, n), dtype=complex)
+    x1, x2 = tl._ball_rows(none, 2.5, 6, 9, "x")
+    r = tl._sample_rows(tl._draws(9, "x", 6, 4 * n), n)
     u = check_stream(9, "x/u").uniform(0.0, 1.0, 6)
-    nr = dnorm_rows(r1, r2)
+    nr = dnorm_rows(r)
     scale = (2.5 * u / np.maximum(nr[0], nr[1]))[:, None]
-    assert np.array_equal(x1, r1 * scale) and np.array_equal(x2, r2 * scale)
+    assert np.array_equal(x1, r[0] * scale) and np.array_equal(x2, r[1] * scale)
     for samples in (1, 4, 20):
-        y1, y2 = tl._ball_rows((none, none), 2.5, samples, 9, "x")
+        y1, y2 = tl._ball_rows(none, 2.5, samples, 9, "x")
         k = min(samples, 6)
         assert np.array_equal(y1[:k], x1[:k]) and np.array_equal(y2[:k], x2[:k])
 
@@ -214,12 +215,11 @@ def test_row_norms_equal_the_one_vector_kernel(norm):
     T = random_mat(rng, 5, 4)
     p = DSeminorm(T)
     xs = [random_vec(rng, 4) for _ in range(30)]
-    b1 = np.stack([x.v1 for x in xs])
-    b2 = np.stack([x.v2 for x in xs])
-    norms = dnorm_rows(b1, b2, cfg)
+    b = np.stack([x.v for x in xs], axis=1)
+    norms = dnorm_rows(b, cfg)
     for i, x in enumerate(xs):
         assert DPlus(*norms[:, i]) == vec_dnorm(x, cfg)
-    values = seminorm_rows(p, b1, b2)
+    values = seminorm_rows(p, b)
     for i, x in enumerate(xs):
         want = seminorm_eval(p, x)
         assert close(values[0, i], want.a1, want.a1) and close(values[1, i], want.a2, want.a2)
@@ -236,12 +236,11 @@ def test_block_solve_rows_match_one_row_solves():
     rng = np.random.default_rng(3)
     T = surjective_mat(rng, 3, 6)
     ys = [random_vec(rng, 3) for _ in range(20)]
-    sol = min_norm_solve_rows(T, np.stack([y.v1 for y in ys]), np.stack([y.v2 for y in ys]))
+    sol = min_norm_solve_rows(T, np.stack([y.v for y in ys], axis=1))
     for i, y in enumerate(ys):
         rep = min_norm_solve(T, y)
         scale = float(np.abs(rep.x.v1).max() + np.abs(rep.x.v2).max())
-        assert np.allclose(sol.x1[i], rep.x.v1, rtol=0, atol=1e-12 * scale)
-        assert np.allclose(sol.x2[i], rep.x.v2, rtol=0, atol=1e-12 * scale)
+        assert np.allclose(sol.x[:, i], rep.x.v, rtol=0, atol=1e-12 * scale)
         assert close(sol.qy[0, i], rep.qy.a1, rep.qy.a1)
         assert close(sol.qy[1, i], rep.qy.a2, rep.qy.a2)
         assert sol.tol[0, i] == rep.tol.a1 and sol.tol[1, i] == rep.tol.a2
@@ -253,7 +252,93 @@ def test_block_solve_rejects_the_first_row_out_of_range():
     T = BCMatrix([[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
     y1 = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(NotInRange, match=r"residual \(1\.0, 1\.0\) > \(1e-10, 1e-10\)"):
-        min_norm_solve_rows(T, y1, y1.copy())
+        min_norm_solve_rows(T, np.stack((y1, y1)))
+
+
+# ------------------------------------------------------------ stacked bits
+#
+# Each block function takes one (2, k, n) array and makes, per component,
+# the numpy call that the component alone would get.  Every slice of its
+# result must be that one-component computation bit for bit, at shapes
+# from 1x1 to 64x128 and at 1 to 893 rows (ubp_verify's chunks are 64 rows).
+
+_SHAPES = st.sampled_from([(1, 1), (3, 6), (4, 4), (6, 3), (8, 8), (64, 128)]) | st.tuples(
+    st.integers(1, 64), st.integers(1, 128)
+)
+_ROWS = st.sampled_from([1, 63, 64, 65, 893]) | st.integers(1, 893)
+
+
+def _one_norm(norm: str, a: np.ndarray) -> np.ndarray:
+    """The component norm of each row of one (k, n) component, as numpy computes it."""
+    if norm == "l2":
+        return np.sqrt(np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag))
+    return np.abs(a).sum(axis=-1) if norm == "l1" else np.abs(a).max(axis=-1)
+
+
+def _block(rng, k: int, n: int) -> np.ndarray:
+    return rng.standard_normal((2, k, n)) + 1j * rng.standard_normal((2, k, n))
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(norm=st.sampled_from(["l2", "l1", "linf"]), shape=_SHAPES, k=_ROWS, seed=st.integers(0, 2**32 - 1))
+@example(norm="l2", shape=(64, 128), k=893, seed=1)
+@example(norm="l1", shape=(64, 128), k=893, seed=2)
+@example(norm="linf", shape=(1, 1), k=1, seed=3)
+def test_stacked_bits_of_dnorm_rows(norm, shape, k, seed):
+    b = _block(np.random.default_rng(seed), k, shape[1])
+    got = dnorm_rows(b, DNormConfig(norm))
+    assert all(_same_bits(got[i], _one_norm(norm, b[i].copy())) for i in range(2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=_SHAPES, k=_ROWS, seed=st.integers(0, 2**32 - 1))
+@example(shape=(64, 128), k=893, seed=1)
+@example(shape=(1, 1), k=1, seed=2)
+def test_stacked_bits_of_seminorm_rows_and_terms(shape, k, seed):
+    rng = np.random.default_rng(seed)
+    T = random_mat(rng, *shape)
+    b = _block(rng, k, shape[1])
+    rows, terms = seminorm_rows(DSeminorm(T), b), seminorm_terms(DSeminorm(T), b)
+    for i, m in enumerate((T.m1.copy(), T.m2.copy())):
+        one = b[i].copy()
+        assert _same_bits(rows[i], _one_norm("l2", one @ m.T))
+        assert _same_bits(terms[i], _one_norm("l2", (m @ one[..., None])[..., 0]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=_SHAPES, k=_ROWS, seed=st.integers(0, 2**32 - 1))
+@example(shape=(64, 128), k=893, seed=1)
+@example(shape=(6, 3), k=1, seed=2)
+def test_stacked_bits_of_min_norm_solve_rows(shape, k, seed):
+    rng = np.random.default_rng(seed)
+    T = random_mat(rng, *shape)
+    y = np.stack([_block(rng, k, shape[1])[i] @ m.T for i, m in enumerate((T.m1, T.m2))])  # in range
+    sol = min_norm_solve_rows(T, y, tol=1e-6)
+    for i, m in enumerate((T.m1.copy(), T.m2.copy())):
+        yi = y[i].copy()
+        u, s, vh = np.linalg.svd(m, full_matrices=False)
+        r = int(np.count_nonzero(s > np.finfo(float).eps * max(m.shape) * s[0]))
+        x = ((yi @ u[:, :r].conj()) / s[:r]) @ vh[:r].conj()
+        assert _same_bits(sol.x[i], x)
+        assert _same_bits(sol.residual[i], _one_norm("l2", x @ m.T - yi))
+        assert _same_bits(sol.qy[i], _one_norm("l2", x))
+        assert _same_bits(sol.tol[i], 1e-6 * _one_norm("l2", yi))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 128), k=_ROWS, j=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
+@example(n=128, k=893, j=1, seed=1)
+def test_stacked_bits_of_sample_rows(n, k, j, seed):
+    z = tl._draws(seed, "lemma31", k, 8 * n)
+    got = tl._sample_rows(z, n, j)
+    assert got.flags.c_contiguous
+    o = 4 * n * j
+    assert _same_bits(got[0], z[:, o : o + n] + 1j * z[:, o + n : o + 2 * n])
+    assert _same_bits(got[1], z[:, o + 2 * n : o + 3 * n] + 1j * z[:, o + 3 * n : o + 4 * n])
 
 
 # ------------------------------------------------ agreement with per sample
@@ -262,8 +347,7 @@ def test_block_solve_rejects_the_first_row_out_of_range():
 def per_sample_continuity(p, trials, seed, a):
     """The check evaluated one vector at a time."""
     n = p.T.cols
-    f1, f2 = p.T.svd()
-    v1, v2, zero = f1.vh[0].conj(), f2.vh[0].conj(), np.zeros(n, complex)
+    (v1, v2), zero = p.T.svd().vh[:, 0].conj(), np.zeros(n, complex)
     xs = [BCVector(v1, zero), BCVector(zero, v2), BCVector(v1, v2)]
     rng = check_stream(seed, "lemma31")
     xs += [next_vector(rng, n) for _ in range(trials)]
@@ -316,10 +400,8 @@ def test_ubp_matches_per_sample_evaluation():
     norms = [op_dnorm(T).M for T in family]
     i1 = max(range(6), key=lambda i: norms[i].a1)
     i2 = max(range(6), key=lambda i: norms[i].a2)
-    f1, _ = family[i1].svd()
-    _, f2 = family[i2].svd()
     zero = np.zeros(4, complex)
-    xs = [BCVector(f1.vh[0].conj(), zero), BCVector(zero, f2.vh[0].conj())]
+    xs = [BCVector(family[i1].svd().vh[0, 0].conj(), zero), BCVector(zero, family[i2].svd().vh[1, 0].conj())]
     stream = check_stream(12, "ubp")
     xs += [next_vector(stream, 4) for _ in range(70)]
     d = rep.bound_delta
@@ -353,7 +435,7 @@ def _tied_family():
     """
     d13, d31 = np.diag([1.0, 3.0]).astype(complex), np.diag([3.0, 1.0j])
     family = [BCMatrix(d13, d31), BCMatrix(d31, d13), BCMatrix.zeros(2, 2), BCMatrix(d31, d13)]
-    tops = [(T.svd()[0].s[0], T.svd()[1].s[0]) for T in family]
+    tops = [tuple(T.svd().s[:, 0]) for T in family]
     assert tops[0] == tops[1] == tops[3] == (3.0, 3.0)
     return [BCMatrix(T.m1, T.m2) for T in family]  # unfactored copies
 

@@ -261,18 +261,17 @@ def _report_outcome(run):
     return "ok", dumps(report.to_json_dict())
 
 
-def assert_series_matches_oracle(make_terms, tol=1e-12, max_n=200, window=3):
+def assert_series_matches_oracle(make_terms, tol=1e-12, max_n=200):
     """``make_terms()`` gives a fresh iterable for each implementation."""
-    got = _report_outcome(lambda: series_sum(make_terms(), tol, max_n, window))
-    assert got == _report_outcome(lambda: oracle_series_sum(make_terms(), tol, max_n, window))
+    got = _report_outcome(lambda: series_sum(make_terms(), tol, max_n))
+    assert got == _report_outcome(lambda: oracle_series_sum(make_terms(), tol, max_n))
     return got
 
 
 def _raw_vector(v1, v2) -> BCVector:
     """A vector built around the constructor's finiteness check."""
     v = BCVector.__new__(BCVector)
-    object.__setattr__(v, "v1", np.array(v1, dtype=complex))
-    object.__setattr__(v, "v2", np.array(v2, dtype=complex))
+    object.__setattr__(v, "v", np.array([v1, v2], dtype=complex))
     return v
 
 
@@ -314,25 +313,24 @@ def series_cases(draw):
             terms.append(BCVector(*(z * decay ** min(k, 2000))))
     tols = st.sampled_from([1e-300, 1e-12, 1e-3, 1.0, 1e300])
     tol = DPlus(draw(tols), draw(tols))
-    return terms, tol, draw(st.integers(1, 100)), draw(st.integers(1, 5))
+    return terms, tol, draw(st.integers(1, 100))
 
 
 @settings(max_examples=300, deadline=None)
 @given(series_cases(), st.booleans())
 def test_series_sum_matches_term_loop(case, as_iterator):
-    terms, tol, max_n, window = case
+    terms, tol, max_n = case
     make = (lambda: iter(list(terms))) if as_iterator else (lambda: list(terms))
-    assert_series_matches_oracle(make, tol, max_n, window)
+    assert_series_matches_oracle(make, tol, max_n)
 
 
-@pytest.mark.parametrize("window", [1, 2, 3, 4, 5, 40])  # 40 spans the first chunk
-def test_series_sum_geometric_generators(window):
+def test_series_sum_geometric_generators():
     x0 = BCVector([1.0, -0.0, 2 - 1j], [0.5j, 1e-3, -0.0])
     kinds = set()
     for ratio in ((0.5, 0.25), (0.9j, -0.95), (0.999, 0.5), (1.0, 0.5), (1.5, 0.1), (0.0, 0.0)):
         for max_n in (1, 2, 31, 32, 33, 200, 1000, 3000):  # chunks stop growing at 1024
             outcome = assert_series_matches_oracle(
-                lambda: geometric_terms(Bicomplex(*ratio), x0), DPlus(1e-12, 1e-9), max_n, window
+                lambda: geometric_terms(Bicomplex(*ratio), x0), DPlus(1e-12, 1e-9), max_n
             )
             kinds.add(outcome[0])
     assert kinds == {"ok", "NotConverged", "InvalidInput"}  # 1.5^k overflows before 1000 terms

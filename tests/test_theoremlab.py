@@ -70,10 +70,9 @@ def test_continuity_random_and_falsification():
 
 def _bottom_witness_rows(T):
     """Unit vectors of the smallest singular values, which do not attain the norm."""
-    f1, f2 = T.svd()
-    v1, v2 = f1.vh[-1].conj(), f2.vh[-1].conj()
+    v1, v2 = T.svd().vh[:, -1].conj()
     zero = np.zeros(T.cols, dtype=complex)
-    return np.stack((v1, zero, v1)), np.stack((zero, v2, v2))
+    return np.stack((np.stack((v1, zero, v1)), np.stack((zero, v2, v2))))
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-12])
@@ -442,6 +441,24 @@ def test_omt_random_wide():
     assert rep.worst_residual.a1 <= 1e-9 and rep.worst_residual.a2 <= 1e-9
     assert rep.witness_ratio.a1 >= (1 - 1e-6) * rep.delta.a1
     assert rep.witness_ratio.a2 >= (1 - 1e-6) * rep.delta.a2
+
+
+def _graded(rng, rows: int, cols: int, smallest: float) -> np.ndarray:
+    """A random wide matrix whose singular values run log-evenly from 1 to ``smallest``."""
+    u, _ = np.linalg.qr(rng.standard_normal((rows, rows)) + 1j * rng.standard_normal((rows, rows)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, rows)) + 1j * rng.standard_normal((cols, rows)))
+    return (u * np.geomspace(1.0, smallest, rows)) @ v.conj().T
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+def test_omt_judges_residuals_by_the_solves_relative_rule(scale):
+    # at condition number 1e7 the 64-row residuals reach about 3e-9: above
+    # CHECK_SLACK itself, far below CHECK_SLACK * ||y_i|| (about 11)
+    rng = np.random.default_rng(7)
+    T = BCMatrix(_graded(rng, 64, 128, 1e-7) * scale, _graded(rng, 64, 128, 1e-7) * scale)
+    rep = open_mapping_verify(T, trials=100, seed=7)
+    assert max(rep.worst_residual.components()) > tl.CHECK_SLACK
+    assert rep.solve_ok and rep.passed
 
 
 def test_omt_not_surjective():
