@@ -16,7 +16,8 @@ way a scalar does, ``seminorm_rows`` after one stacked matrix product and
 ``seminorm_terms`` after one matrix-vector product per row; ``vec_dnorm``
 and ``seminorm_eval`` are their one-row cases.  Each stacked operation
 makes, per component, the call it would make on that component alone, so
-its values are bit for bit those of two one-component calls.
+its values are bit for bit those of two one-component calls.  Every block
+function rejects, through ``check_block``, an array that is not (2, k, n).
 
 ``complex_pairs`` is the one emitter of complex entries: it turns an array
 of any shape into nested ``[re, im]`` lists of plain floats.  The vector
@@ -104,19 +105,18 @@ class BCVector:
         with np.errstate(over="ignore", invalid="ignore"):
             return BCVector(*(mu * self.v))
 
+    def _combine(self, other, op):
+        if not isinstance(other, BCVector):
+            return NotImplemented
+        if self.dim != other.dim:
+            raise DimensionMismatch(f"dims {self.dim} vs {other.dim}")
+        return BCVector(*op(self.v, other.v))
+
     def __add__(self, other):
-        if isinstance(other, BCVector):
-            if self.dim != other.dim:
-                raise DimensionMismatch(f"dims {self.dim} vs {other.dim}")
-            return BCVector(*(self.v + other.v))
-        return NotImplemented
+        return self._combine(other, np.add)
 
     def __sub__(self, other):
-        if isinstance(other, BCVector):
-            if self.dim != other.dim:
-                raise DimensionMismatch(f"dims {self.dim} vs {other.dim}")
-            return BCVector(*(self.v - other.v))
-        return NotImplemented
+        return self._combine(other, np.subtract)
 
     def __neg__(self):
         return BCVector(*(-self.v))
@@ -191,12 +191,19 @@ def _component_norms(b: np.ndarray, cfg: DNormConfig = _L2) -> np.ndarray:
         return np.array([cfg.norms(rows) for rows in b])
 
 
+def check_block(b: np.ndarray) -> np.ndarray:
+    """``b`` if it is a (2, k, n) block; a vector's (2, n) array is not one."""
+    if b.ndim != 3 or b.shape[0] != 2:
+        raise DimensionMismatch(f"a block is a (2, rows, dim) array, got shape {b.shape}")
+    return b
+
+
 def dnorm_rows(b: np.ndarray, cfg: DNormConfig = _L2) -> np.ndarray:
     """||x_i||_D for every row x_i = b[:, i] of a (2, k, n) block, as a (2, k) array.
 
     A non-finite value is rejected: the first one of e1, else of e2.
     """
-    return require_finite(_component_norms(b, cfg))
+    return require_finite(_component_norms(check_block(b), cfg))
 
 
 def vec_dnorm(v: BCVector, cfg: DNormConfig = _L2) -> DPlus:
@@ -221,7 +228,7 @@ class DSeminorm(Frozen):
 
 
 def _check_block_dim(T: "BCMatrix", b: np.ndarray) -> None:
-    if b.shape[-1] != T.cols:
+    if check_block(b).shape[-1] != T.cols:
         raise DimensionMismatch(f"operator has {T.cols} columns, block rows have dim {b.shape[-1]}")
 
 
@@ -396,7 +403,7 @@ def _series_rows(b: np.ndarray, prev: _SeriesRows | None = None) -> _SeriesRows:
     """
     k = b.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        term_norms = _L2.norms(b)
+        term_norms = _component_norms(b)
         if prev is None:
             s = np.cumsum(b, axis=1)
             running, recent = np.zeros((2, 1)), np.zeros((2, SERIES_WINDOW - 1))
@@ -404,7 +411,7 @@ def _series_rows(b: np.ndarray, prev: _SeriesRows | None = None) -> _SeriesRows:
             s = np.cumsum(np.concatenate((prev.s[:, -1:], b), axis=1), axis=1)[:, 1:]
             running, recent = prev.abs_sums[:, -1:], prev.recent
         abs_sums = np.cumsum(np.concatenate((running, term_norms), axis=1), axis=1)[:, 1:]
-        partial_norms = _L2.norms(s)
+        partial_norms = _component_norms(s)
         padded = np.concatenate((recent, term_norms), axis=1)
         tails = np.zeros((2, k))
         for offset in range(SERIES_WINDOW):

@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dmodule import BCVector, Report, dnorm_rows, require_finite
+from .dmodule import BCVector, Report, check_block, dnorm_rows, require_finite
 from .errors import DimensionMismatch, InvalidInput, NoConvergence, NotInRange, NotSurjective
 from .hyperscalar import DPlus, Record
 
@@ -134,12 +134,9 @@ def svd_family(family: Sequence[BCMatrix]) -> list[ThinSVD]:
     if todo:
         # Stack only matrices of identical shape: the svd gufunc makes the same
         # LAPACK call on each as on it alone, so the bits are those of one-matrix
-        # calls.  A merge into one larger problem could round differently.  A
-        # family of one is passed as a view: the gufunc copies its input
-        # anyway, so a stacked copy would only add a pass over the operator.
-        stack = todo[0].m[None] if len(todo) == 1 else np.stack([T.m for T in todo])
+        # calls.  A merge into one larger problem could round differently.
         try:
-            f = np.linalg.svd(stack, full_matrices=False)
+            f = np.linalg.svd(np.stack([T.m for T in todo]), full_matrices=False)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"SVD kernel failed: {exc}") from exc
         for a in f:
@@ -209,21 +206,6 @@ class BlockSolve(Record):
     _fields = ("x", "qy", "residual", "tol")
 
 
-def _min_norm_rows(u: np.ndarray, s: np.ndarray, vh: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """Rows x_i = Vh_r^H (U_r^H b_i / s_r): least-squares solutions of least norm.
-
-    ``u``, ``s`` and ``vh`` are one component's thin SVD, and the rows are
-    written into ``out``, that component of the solve's block, so no
-    per-component result is copied into a stack afterwards.  The rank cutoff
-    is lstsq's default (rcond=None): singular values at or below
-    eps * max(rows, cols) * s[0] count as zero, so each solution is the
-    one ``np.linalg.lstsq`` returns.
-    """
-    cutoff = np.finfo(float).eps * max(u.shape[0], vh.shape[1]) * s[0]
-    r = int(np.count_nonzero(s > cutoff))
-    np.matmul((b @ u[:, :r].conj()) / s[:r], vh[:r].conj(), out=out)
-
-
 def min_norm_solve_rows(T: BCMatrix, y: np.ndarray, tol: float = 1e-10) -> BlockSolve:
     """Per-component minimum-norm solutions for every row of a (2, k, rows) block.
 
@@ -234,12 +216,23 @@ def min_norm_solve_rows(T: BCMatrix, y: np.ndarray, tol: float = 1e-10) -> Block
     first row whose residual exceeds ``tol * ||y_i||`` in either component,
     so a zero right-hand side needs a zero residual.
     """
-    if y.shape[-1] != T.rows:
+    if check_block(y).shape[-1] != T.rows:
         raise DimensionMismatch(f"operator has {T.rows} rows, vector has dim {y.shape[-1]}")
     x = np.empty((*y.shape[:-1], T.cols), dtype=complex)
     for u, s, vh, b, out in zip(*T.svd(), y, x):
-        _min_norm_rows(u, s, vh, b, out)
-    residual = dnorm_rows(x @ T.m.mT - y)
+        # rows x_i = Vh_r^H (U_r^H b_i / s_r), written into the block; the
+        # rank cutoff is lstsq's default (rcond=None), singular values at or
+        # below eps * max(rows, cols) * s[0] count as zero, so each solution
+        # is the one ``np.linalg.lstsq`` returns
+        r = int(np.count_nonzero(s > np.finfo(float).eps * max(T.rows, T.cols) * s[0]))
+        c = b @ u[:, :r].conj()
+        c /= s[:r]
+        np.matmul(c, vh[:r].conj(), out=out)
+    # in place, as the division above, so no second block-sized temporary
+    # adds to the solve's peak memory
+    res = x @ T.m.mT
+    res -= y
+    residual = dnorm_rows(res)
     with np.errstate(over="ignore"):  # an overflowing tolerance is rejected here
         tol_y = require_finite(tol * dnorm_rows(y))
     bad = np.flatnonzero((residual > tol_y).any(axis=0))

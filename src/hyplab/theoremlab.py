@@ -86,7 +86,7 @@ from .errors import (
     PreconditionViolated,
     ShapeMismatch,
 )
-from .hyperscalar import DPlus, Hyperbolic
+from .hyperscalar import DPlus, Hyperbolic, hyp_leq
 
 #: Relative slack of every verified inequality; see ``_within``.
 CHECK_SLACK = 1e-9
@@ -221,7 +221,9 @@ def continuity_bound_check(
     n = p.T.cols
 
     # the witnesses, then one random sample per trial, as one block
-    x = np.concatenate((_witness_rows(p.T), _sample_rows(_draws(seed, name, trials, 4 * n), n)), axis=1)
+    x = np.concatenate(
+        (_witness_rows(p.T), _sample_rows(_draws(seed, name, trials, 4 * n), n)), axis=1
+    )
     px = seminorm_rows(p, x)
     bound = require_finite(alpha * dnorm_rows(x))
     all_ok = bool(_within(px, bound).all())
@@ -231,7 +233,9 @@ def continuity_bound_check(
     z = _draws(seed, name + "/seq", min(trials, 8), 8 * n)
     s, d = _sample_rows(z, n, 0)[:, :, None], _sample_rows(z, n, 1)[:, :, None]
     xj = s + d * (2.0 ** -np.arange(1, 11))[:, None]  # (2, sequences, 10, n)
-    gap = np.abs(seminorm_rows(p, xj.reshape(2, -1, n)) - np.repeat(seminorm_rows(p, s[:, :, 0]), 10, axis=1))
+    gap = np.abs(
+        seminorm_rows(p, xj.reshape(2, -1, n)) - np.repeat(seminorm_rows(p, s[:, :, 0]), 10, axis=1)
+    )
     seq_bound = require_finite(alpha * dnorm_rows((xj - s).reshape(2, -1, n)))
     sequence_ok = bool(_within(gap, seq_bound).all())
 
@@ -322,7 +326,9 @@ class BallScaleReport(Report):
         return all(self.per_delta_ok)
 
 
-def _ball_rows(witnesses: np.ndarray, radius: float, samples: int, seed: int, name: str) -> np.ndarray:
+def _ball_rows(
+    witnesses: np.ndarray, radius: float, samples: int, seed: int, name: str
+) -> np.ndarray:
     """Rows with both norm components <= radius: witnesses, then random samples.
 
     Witnesses are scaled onto the sphere.  Sample i is row i of stream
@@ -536,12 +542,9 @@ def zabreiko_decompose(
 
     alpha_star = op_dnorm(p.T).M
     lhs = (2.0 * alpha_star) * r
-    if lhs.a1 > m.a1 or lhs.a2 > m.a2:
-        bad = []
-        if lhs.a1 > m.a1:
-            bad.append(f"e1: 2*alpha*r={lhs.a1} > m={m.a1}")
-        if lhs.a2 > m.a2:
-            bad.append(f"e2: 2*alpha*r={lhs.a2} > m={m.a2}")
+    bad = [f"e{i}: 2*alpha*r={a} > m={b}"
+           for i, a, b in zip((1, 2), lhs.components(), m.components()) if a > b]
+    if bad:
         raise PreconditionViolated("budget precondition fails (" + "; ".join(bad) + ")")
 
     x_norm = vec_dnorm(x)
@@ -552,7 +555,6 @@ def zabreiko_decompose(
 
     n = x.dim
     denom = 2.0 * math.sqrt(n)
-    x0 = x.v
     eps0 = _column(x_norm) / r
     ratio = _column(eps) / _column(m)
     stop1, stop2 = _ROUNDOFF * x_norm.a1, _ROUNDOFF * x_norm.a2
@@ -567,7 +569,7 @@ def zabreiko_decompose(
     size = 0
     terms = np.empty((2, 0, n), dtype=complex)
     rems = np.empty_like(terms)
-    u = x0
+    u = x.v
     steps = 0
     capped = True
     # a step that overflows ends the loop and is rejected below, so numpy's
@@ -609,7 +611,7 @@ def zabreiko_decompose(
     rem_ok = bool(_within(uns, tails).all())
 
     # replay the exact remainder chain u_k = u_{k-1} - x_k
-    before = np.concatenate((x0[:, None], rems[:, :-1]), axis=1)
+    before = np.concatenate((x.v[:, None], rems[:, :-1]), axis=1)
     chain_exact = bool(np.array_equal(before - terms, rems))
 
     px = seminorm_eval(p, x)
@@ -785,9 +787,7 @@ def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
     wrep = min_norm_solve(T, yw, tol=CHECK_SLACK)
     nyw = vec_dnorm(yw)
     ratio = DPlus(wrep.qy.a1 / nyw.a1, wrep.qy.a2 / nyw.a2)
-    witness_ok = (
-        ratio.a1 >= (1.0 - 1e-6) * delta.a1 and ratio.a2 >= (1.0 - 1e-6) * delta.a2
-    )
+    witness_ok = hyp_leq((1.0 - 1e-6) * delta, ratio)
 
     # quotient-seminorm budget chain over the generated convergent series
     # y_k = 2^-(k-1) y_0, k = 1..OMT_SERIES_LEN, solved as one block
@@ -807,7 +807,7 @@ def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
     chain_slack = 1e-8
     q_sum = min_norm_solve(T, y_sum, tol=CHECK_SLACK).qy
     nx_sum = vec_dnorm(x_sum)
-    budget_total = DPlus(sum_q.a1 + OMT_BUDGET.a1, sum_q.a2 + OMT_BUDGET.a2)
+    budget_total = sum_q + OMT_BUDGET
     subadd_ok = (
         subadd_ok
         and _holds(

@@ -17,6 +17,7 @@ from hyplab import (
     BCVector,
     DNormConfig,
     DPlus,
+    DimensionMismatch,
     DSeminorm,
     HypothesisFailed,
     InvalidInput,
@@ -253,6 +254,24 @@ def test_block_solve_rejects_the_first_row_out_of_range():
     y1 = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(NotInRange, match=r"residual \(1\.0, 1\.0\) > \(1e-10, 1e-10\)"):
         min_norm_solve_rows(T, np.stack((y1, y1)))
+
+
+def test_block_functions_reject_a_vectors_array():
+    # x.v is (2, n), not the (2, 1, n) block x.v[:, None]: a stacked product
+    # would pair each component's rows with both components of the operator
+    T = BCMatrix.identity(2)
+    x = BCVector([1.0, 2.0], [3.0, 4.0])
+    calls = [
+        lambda b: dnorm_rows(b),
+        lambda b: seminorm_rows(DSeminorm(T), b),
+        lambda b: seminorm_terms(DSeminorm(T), b),
+        lambda b: min_norm_solve_rows(T, b),
+    ]
+    for call in calls:
+        for b in (x.v, x.v[None], np.stack((x.v, x.v, x.v))[:, None]):
+            with pytest.raises(DimensionMismatch, match=r"a block is a \(2, rows, dim\) array"):
+                call(b)
+        assert call(x.v[:, None]) is not None
 
 
 # ------------------------------------------------------------ stacked bits

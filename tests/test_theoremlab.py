@@ -452,13 +452,17 @@ def _graded(rng, rows: int, cols: int, smallest: float) -> np.ndarray:
 
 @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
 def test_omt_judges_residuals_by_the_solves_relative_rule(scale):
-    # at condition number 1e7 the 64-row residuals reach about 3e-9: above
-    # CHECK_SLACK itself, far below CHECK_SLACK * ||y_i|| (about 11)
-    rng = np.random.default_rng(7)
-    T = BCMatrix(_graded(rng, 64, 128, 1e-7) * scale, _graded(rng, 64, 128, 1e-7) * scale)
-    rep = open_mapping_verify(T, trials=100, seed=7)
-    assert max(rep.worst_residual.components()) > tl.CHECK_SLACK
-    assert rep.solve_ok and rep.passed
+    # at condition number 5e6 the 64-row residuals reach 1.4e-9 to 2.5e-9:
+    # above CHECK_SLACK itself, far below CHECK_SLACK * ||y_i|| (about 11),
+    # while the unit witness solve stays under half its own bound
+    worst = []
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        T = BCMatrix(_graded(rng, 64, 128, 2e-7) * scale, _graded(rng, 64, 128, 2e-7) * scale)
+        rep = open_mapping_verify(T, trials=100, seed=7)
+        assert rep.solve_ok and rep.passed
+        worst.append(max(rep.worst_residual.components()))
+    assert max(worst) > tl.CHECK_SLACK
 
 
 def test_omt_not_surjective():
