@@ -125,6 +125,11 @@ class BCVector:
         return f"BCVector(dim={self.dim})"
 
 
+#: Scratch for the vectorized loop that ``DNormConfig.norms`` runs before
+#: its l2 dot products; it only ever holds zeros.
+_CLEAR = np.zeros(64)
+
+
 class DNormConfig(Frozen):
     """Choice of the complex norm applied to each idempotent component.
 
@@ -144,12 +149,22 @@ class DNormConfig(Frozen):
 
         A vector and a row of a block reduce identically, so a value does
         not depend on how many vectors were evaluated with it; the l2 value
-        is sqrt(re.re + im.im) with the dot product ``np.linalg.norm`` uses,
-        so it equals that function's result bit for bit.  A non-finite
-        result (an overflowing l2 sum) is left for the caller to judge, and
-        numpy warns on overflow here unless the caller silences it.
+        is sqrt(re.re + im.im) with the dot product ``np.linalg.norm`` uses
+        (one strided ``ddot`` per row), so it equals that function's result
+        bit for bit.  A non-finite result (an overflowing l2 sum) is left for
+        the caller to judge, and numpy warns on overflow here unless the
+        caller silences it.
+
+        Before the l2 dot products, one vectorized loop runs over a private
+        64-entry scratch array.  Right after a BLAS product the strided dot
+        products ran about 8 times slower until such a loop had run (20
+        members of 8x8 times 52 rows, product plus norms: 0.73 ms without
+        it, 0.09 ms with it; AVX-512 Xeon, OpenBLAS 0.3.31); a loop of 8
+        entries or fewer, or a square root, did not clear the stall.  Where
+        there is no stall it costs one short vector loop per reduction.
         """
         if self.component_norm == "l2":
+            np.add(_CLEAR, _CLEAR, out=_CLEAR)
             re, im = a.real, a.imag
             return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
         if self.component_norm == "l1":
@@ -158,6 +173,7 @@ class DNormConfig(Frozen):
 
 
 _L2 = DNormConfig()
+
 
 def require_finite(values: np.ndarray) -> np.ndarray:
     """Return ``values`` unchanged, or reject the first non-finite entry.
@@ -180,15 +196,12 @@ def _worst(*margins: np.ndarray) -> Hyperbolic:
 def _component_norms(b: np.ndarray, cfg: DNormConfig = _L2) -> np.ndarray:
     """``cfg.norms`` of every row of a (2, ...) block, unchecked and without warnings.
 
-    The components are reduced one after the other, not in one call.  Right
-    after a BLAS product, numpy's row-by-row l2 reduction took about 14
-    times as long until some other vectorized loop had run (0.7 ms instead
-    of 0.05 ms for 20 members of 8x8 and 52 rows, OpenBLAS 0.3.31, AVX-512
-    Xeon); the sum that ends the first component's norm is such a loop for
-    the second.
+    Both components are reduced in one call, each row by the dot product
+    it gets alone, so the values are bit for bit those of one call per
+    component or per row.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.array([cfg.norms(rows) for rows in b])
+        return cfg.norms(b)
 
 
 def check_block(b: np.ndarray) -> np.ndarray:

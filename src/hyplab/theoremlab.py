@@ -58,9 +58,9 @@ import numpy as np
 from .dmodule import (
     BCVector,
     Columns,
-    DNormConfig,
     DSeminorm,
     Report,
+    _L2,
     _component_norms,
     _worst,
     dnorm_rows,
@@ -564,7 +564,6 @@ def zabreiko_decompose(
         raise PreconditionViolated(
             "first remainder budget below the float64 spacing of x, so no grid step can meet it ("
             + "; ".join(coarse) + ")")
-    l2 = DNormConfig()
 
     size = 0
     terms = np.empty((2, 0, n), dtype=complex)
@@ -586,7 +585,7 @@ def zabreiko_decompose(
             terms[:, steps] = xk
             u = rems[:, steps] = u - xk
             steps += 1
-            un1, un2 = l2.norms(u).tolist()
+            un1, un2 = _L2.norms(u).tolist()
             if not (math.isfinite(un1) and math.isfinite(un2)):
                 break  # a non-finite remainder, rejected below
             if un1 <= stop1 and un2 <= stop2:

@@ -35,7 +35,7 @@ from hyplab import (
     ubp_verify,
     vec_dnorm,
 )
-from hyplab.dmodule import seminorm_terms
+from hyplab.dmodule import _component_norms, seminorm_terms
 from hyplab.jsonio import dumps
 from support import oracle_ubp, random_mat, random_vec, surjective_mat
 
@@ -311,6 +311,50 @@ def test_stacked_bits_of_dnorm_rows(norm, shape, k, seed):
     b = _block(np.random.default_rng(seed), k, shape[1])
     got = dnorm_rows(b, DNormConfig(norm))
     assert all(_same_bits(got[i], _one_norm(norm, b[i].copy())) for i in range(2))
+
+
+@pytest.mark.parametrize("view", ["product", "read-only", "strided"])
+@pytest.mark.parametrize("n", [1, 4, 7, 16, 17, 64, 128])
+def test_l2_norms_of_a_product_block_are_numpy_norm_bit_for_bit(n, view):
+    # the block comes straight from a stacked BLAS product, as in
+    # seminorm_rows and ubp_verify, and both components reduce in one call;
+    # each row must still get the strided dot product np.linalg.norm makes
+    # (a contiguous copy of the rows takes another kernel and other bits)
+    rng = np.random.default_rng(n)
+    T = random_mat(rng, 2 * n if view == "strided" else n, 5)
+    b = _block(rng, 300, 5) @ T.m.mT
+    if view == "read-only":
+        b.setflags(write=False)
+    elif view == "strided":
+        b = b[:, :, ::2]
+    want = np.array([[np.linalg.norm(row) for row in rows] for rows in b])
+    for got in (DNormConfig().norms(b), _component_norms(b), dnorm_rows(b)):
+        assert _same_bits(got, want)
+
+
+def test_l2_norms_in_concurrent_threads_match_the_serial_result():
+    # every l2 reduction writes the one module-level scratch array
+    rng = np.random.default_rng(19)
+    blocks = [_block(rng, 64, 8) @ random_mat(rng, n, 8).m.mT for n in (3, 8, 17)] * 3
+    want = [dnorm_rows(b).tobytes() for b in blocks]
+    got = [[] for _ in blocks]
+
+    def work(k):
+        for _ in range(20):
+            got[k].append(dnorm_rows(blocks[k]).tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(blocks))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 20 for w in want]
 
 
 @settings(max_examples=30, deadline=None)
