@@ -16,15 +16,15 @@ Every invocation writes exactly one JSON document to the output stream
 Codes 2-4 are the raised ``HyplabError`` class's ``exit_code``; the
 classes in ``hyplab.errors`` are the table.
 
-The default seed is 42, overridable by the HYPLAB_SEED environment
-variable; an explicit --seed beats both.  Identical inputs and seed give
+The seed is --seed, 42 by default.  Identical inputs and seed give
 byte-identical envelopes.
 
 Each subcommand is one row of ``_ROWS``: its help, its flags and its run.
 A flag with a kind is an input: the kind says how its value is read and
 its canonical form in the inputs digest.  One loop builds the parser from
 the rows, with the flags of the named row only, and one reads its inputs,
-digests them and calls its run.
+digests them and calls its run.  A theorem check is looked up on the
+``hyplab`` package as its row runs, so no other row imports theoremlab.
 
 An envelope that cannot reach stdout (a full device, a closed pipe) exits
 2 with one line on stderr.  ``main``, the process entry, freezes the
@@ -40,6 +40,8 @@ import gc
 import os
 import sys
 from typing import Any, Callable, NamedTuple, Sequence
+
+import hyplab
 
 from . import __version__
 from .dmodule import DNormConfig, DSeminorm, abs_summability_check, series_sum, vec_dnorm
@@ -61,18 +63,6 @@ from .jsonio import (
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INTERNAL = 5
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("HYPLAB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InvalidInput(f"HYPLAB_SEED must be an integer, got {env!r}") from exc
-    return 42
 
 
 def _new_envelope(subcommand: str) -> dict:
@@ -186,7 +176,7 @@ _MATRIX = _Kind(lambda path: parse_matrix(load_json(path)),
 _JSON = _Kind(lambda path: load_json(path))  # parsed by the run, after the digest
 _HYP = _Kind(lambda text: parse_hyp_literal(text), lambda h: [h.a1, h.a2])
 
-_SEED = _Flag("--seed", type=int, default=None, help="sampling seed (default 42 or HYPLAB_SEED)")
+_SEED = _Flag("--seed", type=int, default=42, help="sampling seed (default 42)")
 _OUTPUT = _Flag("--output", default=None, help="write the JSON envelope here instead of stdout")
 _FORMAT = _Flag("--format", choices=("idempotent", "cartesian"), default="idempotent",
                 help="scalar emission form")
@@ -201,26 +191,6 @@ _TRIALS = _Flag("--trials", _PLAIN, type=int, default=1000, help=_SAMPLES_HELP)
 
 def _max_n(help: str) -> _Flag:
     return _Flag("--maxN", _Kind(_cap, early=True), type=int, default=1000, metavar="MAX_N", help=help)
-
-
-#: the theorem checks; theoremlab is imported only when one is looked up,
-#: so the other subcommands run without it
-_CHECKS = ("ball_scaling_check", "continuity_bound_check", "countable_subadd_check",
-           "open_mapping_verify", "ubp_verify", "zabreiko_decompose")
-
-
-def __getattr__(name: str):
-    if name in _CHECKS:
-        from . import theoremlab
-
-        return getattr(theoremlab, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _theorem(name: str):
-    """A theorem check, looked up when called: an attribute set on this
-    module, as a test's patch is, wins over theoremlab's."""
-    return globals().get(name) or __getattr__(name)
 
 
 def _verdict(rep) -> tuple[dict, bool]:
@@ -288,7 +258,7 @@ _ROWS = {
                 "per component (about 49 steps at dim 4, never more than ~2,100), so memory and "
                 "output (~190 bytes per step and dimension) grow with steps*dim, not with maxN"),
          _OUTPUT),
-        lambda a: _verdict(_theorem("zabreiko_decompose")(DSeminorm(a.matrix), a.x, a.m, a.r, a.eps, a.maxN)),
+        lambda a: _verdict(hyplab.zabreiko_decompose(DSeminorm(a.matrix), a.x, a.m, a.r, a.eps, a.maxN)),
     ),
     "ubp": _Row(
         "uniform boundedness over an operator family",
@@ -299,13 +269,13 @@ _ROWS = {
                     "member, plus 2 MB (or 2 KB per member and matrix row, if more) for the products "
                     "of one chunk of samples"),
          _SEED, _OUTPUT),
-        lambda a: _verdict(_theorem("ubp_verify")(a.family, a.samples, a.seed)),
+        lambda a: _verdict(hyplab.ubp_verify(a.family, a.samples, a.seed)),
     ),
     "omt-verify": _Row("open-mapping solve-and-bound verification", (_MATRIX_IN, _TRIALS, _SEED, _OUTPUT),
-                       lambda a: _verdict(_theorem("open_mapping_verify")(a.matrix, a.trials, a.seed))),
+                       lambda a: _verdict(hyplab.open_mapping_verify(a.matrix, a.trials, a.seed))),
     "lemma31": _Row(
         "continuity bound check for a seminorm", (_MATRIX_IN, _TRIALS, _SEED, _OUTPUT),
-        lambda a: _verdict(_theorem("continuity_bound_check")(DSeminorm(a.matrix), a.trials, a.seed)),
+        lambda a: _verdict(hyplab.continuity_bound_check(DSeminorm(a.matrix), a.trials, a.seed)),
     ),
     "subadd": _Row(
         "countable subadditivity along a series",
@@ -313,7 +283,7 @@ _ROWS = {
          _max_n("term cap; every term up to it is kept, about 600 + 30*dim bytes each, "
                 "plus 0.1*dim MB at most while the series is summed"),
          _OUTPUT),
-        lambda a: _verdict(_theorem("countable_subadd_check")(
+        lambda a: _verdict(hyplab.countable_subadd_check(
             DSeminorm(a.matrix), parse_series(a.terms), a.maxN, a.series_tol)),
     ),
     "ballscale": _Row(
@@ -326,7 +296,7 @@ _ROWS = {
          _Flag("--samples", _PLAIN, type=int, default=100, help=_SAMPLES_HELP),
          _SEED, _OUTPUT),
         lambda a: _verdict(
-            _theorem("ball_scaling_check")(DSeminorm(a.matrix), a.alpha, a.r, a.deltas, a.samples, a.seed)),
+            hyplab.ball_scaling_check(DSeminorm(a.matrix), a.alpha, a.r, a.deltas, a.samples, a.seed)),
     ),
 }
 
@@ -376,8 +346,8 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
 
     envelope = _new_envelope(args.command)
+    envelope["seed"] = args.seed
     try:
-        args.seed = envelope["seed"] = _resolve_seed(args)
         envelope["payload"], envelope["pass"] = _dispatch(args, envelope)
         code = EXIT_PASS if envelope["pass"] else EXIT_CHECK_FAILED
         text = dumps(envelope) + "\n"

@@ -2,6 +2,8 @@
 
 The module is BC^n held as one complex (2, n) array whose leading axis is
 the idempotent component: row 0 is e1's vector v1, row 1 is e2's v2.
+``idempotent_pair`` builds it, and an operator's (2, rows, cols) array, from
+the two components, and is the one place that validates them.
 Norms split componentwise: ||x||_D = e1*N(v1) + e2*N(v2) for a configurable
 complex vector norm N (l2 by default).  Series summation is capped and every
 "converged" verdict means converged at the given cap with the given
@@ -47,15 +49,33 @@ if TYPE_CHECKING:
     from .dop import BCMatrix
 
 
-def _as_component(values, *, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=complex)  # the vector stacks a copy
-    if arr.ndim != 1:
-        raise InvalidInput(f"{what} must be one-dimensional, got shape {arr.shape}")
-    if arr.size < 1:
-        raise InvalidInput(f"{what} must have at least one entry")
-    if not np.isfinite(arr).all():
-        raise InvalidInput(f"{what} contains non-finite entries")
-    return arr
+def idempotent_pair(c1, c2, ndim: int) -> np.ndarray:
+    """The read-only (2, ...) array of an idempotent pair of ``ndim``-axis components.
+
+    A vector's components have one axis and an operator's two.  Each
+    component in turn must convert to complex, have ``ndim`` axes, at least
+    one entry and only finite ones; then the two shapes must match.  A
+    failure raises ``InvalidInput`` naming the component, or
+    ``DimensionMismatch`` for the shapes.  The array is a private copy.
+    """
+    comps = []
+    for what, values in (("e1 component", c1), ("e2 component", c2)):
+        try:
+            arr = np.asarray(values, dtype=complex)
+        except (TypeError, ValueError) as exc:  # ragged or non-numeric entries
+            raise InvalidInput(f"{what} is not a numeric {('vector', 'matrix')[ndim - 1]}: {exc}") from exc
+        if arr.ndim != ndim:
+            raise InvalidInput(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
+        if arr.size < 1:
+            raise InvalidInput(f"{what} must be nonempty")
+        if not np.isfinite(arr).all():
+            raise InvalidInput(f"{what} contains non-finite entries")
+        comps.append(arr)
+    if comps[0].shape != comps[1].shape:
+        raise DimensionMismatch(f"component shapes differ: {comps[0].shape} vs {comps[1].shape}")
+    pair = np.array(comps)
+    pair.setflags(write=False)
+    return pair
 
 
 class BCVector:
@@ -68,15 +88,7 @@ class BCVector:
     __slots__ = ("v",)
 
     def __init__(self, v1, v2):
-        v1 = _as_component(v1, what="e1 component")
-        v2 = _as_component(v2, what="e2 component")
-        if v1.shape != v2.shape:
-            raise DimensionMismatch(
-                f"component lengths differ: {v1.size} vs {v2.size}"
-            )
-        v = np.array((v1, v2))
-        v.setflags(write=False)
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "v", idempotent_pair(v1, v2, 1))
 
     @property
     def v1(self) -> np.ndarray:

@@ -30,26 +30,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dmodule import BCVector, Report, check_block, dnorm_rows, require_finite
+from .dmodule import BCVector, Report, check_block, dnorm_rows, idempotent_pair, require_finite
 from .errors import DimensionMismatch, InvalidInput, NoConvergence, NotInRange, NotSurjective
 from .hyperscalar import DPlus, Record
 
 #: Singular values above RANK_TOL * sigma_max count as nonzero.
 RANK_TOL = 1e-10
-
-
-def _as_matrix_component(values, *, what: str) -> np.ndarray:
-    try:
-        arr = np.asarray(values, dtype=complex)  # the operator stacks a copy
-    except (TypeError, ValueError) as exc:  # ragged rows or non-numeric entries
-        raise InvalidInput(f"{what} is not a numeric matrix: {exc}") from exc
-    if arr.ndim != 2:
-        raise InvalidInput(f"{what} must be two-dimensional, got shape {arr.shape}")
-    if arr.size < 1 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise InvalidInput(f"{what} must be nonempty")
-    if not np.isfinite(arr).all():
-        raise InvalidInput(f"{what} contains non-finite entries")
-    return arr
 
 
 class ThinSVD(NamedTuple):
@@ -74,13 +60,7 @@ class BCMatrix:
     __slots__ = ("m", "_svd")
 
     def __init__(self, m1, m2):
-        m1 = _as_matrix_component(m1, what="e1 component")
-        m2 = _as_matrix_component(m2, what="e2 component")
-        if m1.shape != m2.shape:
-            raise DimensionMismatch(f"component shapes differ: {m1.shape} vs {m2.shape}")
-        m = np.array((m1, m2))
-        m.setflags(write=False)
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", idempotent_pair(m1, m2, 2))
         object.__setattr__(self, "_svd", None)
 
     @property

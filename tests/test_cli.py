@@ -502,17 +502,25 @@ def test_check_failed_maps_to_exit_1(tmp_path, capsys, monkeypatch):
     # force a failing report to exercise the exit-1 path
     rng = np.random.default_rng(14)
     mat = write(tmp_path, "T.json", matrix_to_json(random_mat(rng, 2, 2)))
-    real = cli.continuity_bound_check
+    real = hyplab.continuity_bound_check
 
     def failing(p, trials, seed, alpha_star=None):
         rep = real(p, trials, seed)
         rep.all_ok = False
         return rep
 
-    monkeypatch.setattr(cli, "continuity_bound_check", failing)
+    # a patch on the package attribute wins over its lazy lookup
+    monkeypatch.setattr(hyplab, "continuity_bound_check", failing)
     code, doc, _ = run_json(capsys, ["lemma31", "--matrix", mat, "--trials", "10"])
     assert code == 1
     assert doc["pass"] is False
+
+
+def test_cli_exposes_no_theorem_check():
+    # the checks are looked up on the package, the one lazy lookup
+    checks = ("ball_scaling_check", "continuity_bound_check", "countable_subadd_check",
+              "open_mapping_verify", "ubp_verify", "zabreiko_decompose")
+    assert not [name for name in checks if hasattr(cli, name)]
 
 
 # ------------------------------------------------------------- determinism
@@ -539,13 +547,9 @@ def test_zabreiko_rerun_byte_identical(tmp_path, capsys):
     assert out1 == out2 and out1
 
 
-def test_seed_env_override(tmp_path, capsys, monkeypatch):
+def test_seed_env_override(tmp_path, capsys):
     rng = np.random.default_rng(16)
     mat = write(tmp_path, "T.json", matrix_to_json(random_mat(rng, 2, 2)))
-    monkeypatch.setenv("HYPLAB_SEED", "123")
-    code, doc, _ = run_json(capsys, ["lemma31", "--matrix", mat, "--trials", "10"])
-    assert doc["seed"] == 123
-    # explicit flag beats the environment
     code, doc, _ = run_json(
         capsys, ["lemma31", "--matrix", mat, "--trials", "10", "--seed", "9"]
     )
@@ -647,15 +651,13 @@ def test_integer_beyond_float_range_exit_2(tmp_path, capsys):
 # ---------------------------------------------------------- error envelopes
 
 
-def test_error_envelope_keeps_seed(tmp_path, capsys, monkeypatch):
+def test_error_envelope_keeps_seed(tmp_path, capsys):
     mat = write(tmp_path, "T.json", matrix_to_json(BCMatrix.zeros(2, 2)))
-    monkeypatch.delenv("HYPLAB_SEED", raising=False)
     code, doc, _ = run_json(capsys, ["omt-verify", "--matrix", mat, "--trials", "5"])
     assert code == 4 and doc["seed"] == 42
-    monkeypatch.setenv("HYPLAB_SEED", "7")
-    code, doc, _ = run_json(capsys, ["omt-verify", "--matrix", mat, "--trials", "5"])
+    code, doc, _ = run_json(capsys, ["omt-verify", "--matrix", mat, "--trials", "5", "--seed", "7"])
     assert code == 4 and doc["seed"] == 7
-    code, doc, _ = run_json(capsys, ["omt-verify", "--matrix", mat, "--trials", "0"])
+    code, doc, _ = run_json(capsys, ["omt-verify", "--matrix", mat, "--trials", "0", "--seed", "7"])
     assert code == 2 and doc["seed"] == 7
 
 

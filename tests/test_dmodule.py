@@ -56,6 +56,24 @@ def test_vector_construction_checks():
         v.v1[0] = 5.0  # locked
 
 
+@pytest.mark.parametrize(
+    "cls, e1, e2, named",
+    [
+        (BCVector, ["a"], [1], "e1"),
+        (BCVector, [1], [object()], "e2"),
+        (BCVector, [[1], [1, 2]], [1, 2], "e1"),
+        (BCMatrix, [["a"]], [[1]], "e1"),
+        (BCMatrix, [[1]], [[object()]], "e2"),
+        (BCMatrix, [[1, 2], [3, 4]], [[1], [2, 3]], "e2"),
+    ],
+)
+def test_constructors_reject_non_numeric_and_ragged_components(cls, e1, e2, named):
+    # vectors and operators share one validator of idempotent pairs
+    kind = "vector" if cls is BCVector else "matrix"
+    with pytest.raises(InvalidInput, match=f"^{named} component is not a numeric {kind}: "):
+        cls(e1, e2)
+
+
 def test_vector_arithmetic_dim_checks():
     v = BCVector([1], [1])
     w = BCVector([1, 2], [3, 4])
