@@ -5,20 +5,19 @@ The theorem checks' names (``_LAZY``) import ``hyplab.theoremlab`` on first
 access (PEP 562), so a process that runs no theorem check never loads it.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .errors import (
-    DimensionMismatch, EmptySet, HyplabError, HypothesisFailed, InvalidInput, NoConvergence, NotConverged,
-    NotInRange, NotStrictlyPositive, NotSurjective, PreconditionViolated, ShapeMismatch, ZeroDivisor,
+    DimensionMismatch, HyplabError, HypothesisFailed, InvalidInput, NoConvergence, NotConverged, NotInRange,
+    NotStrictlyPositive, NotSurjective, PreconditionViolated, ShapeMismatch, ZeroDivisor,
 )
 from .hyperscalar import (
-    E1, E2, ONE, UNIT_I, UNIT_J, UNIT_K, ZERO, ZERO_DIVISOR_TOL, Bicomplex, DPlus, Hyperbolic, OrderRel,
-    bc_inverse, bc_mul, dplus_inverse, euclid_norm, hyp_abs, hyp_compare, hyp_inf, hyp_leq, hyp_sup, knorm,
+    E1, E2, ONE, UNIT_I, UNIT_J, UNIT_K, ZERO_DIVISOR_TOL, Bicomplex, DPlus, Hyperbolic, OrderRel,
+    bc_inverse, bc_mul, euclid_norm, hyp_abs, hyp_compare, hyp_leq, knorm,
 )
 from .dmodule import (
     AbsSummabilityReport, BCVector, Columns, DNormConfig, DSeminorm, SeriesReport, abs_summability_check,
-    dnorm_rows, geometric_terms, seminorm_eval, seminorm_rows, series_sum, v_alpha_member,
-    v_alpha_member_closed, vec_dnorm,
+    dnorm_rows, geometric_terms, seminorm_eval, seminorm_rows, series_sum, vec_dnorm,
 )
 from .dop import (
     BCMatrix, BlockSolve, OperatorNormReport, SolveReport, SurjectivityReport, mat_apply, min_norm_solve,
@@ -50,17 +49,16 @@ __all__ = [
     "__version__",
     # errors
     "HyplabError", "InvalidInput", "DimensionMismatch", "ShapeMismatch", "ZeroDivisor", "NotStrictlyPositive",
-    "EmptySet", "NoConvergence", "NotConverged", "NotInRange", "NotSurjective", "PreconditionViolated",
-    "HypothesisFailed",
+    "NoConvergence", "NotConverged", "NotInRange", "NotSurjective", "PreconditionViolated", "HypothesisFailed",
     # scalars
     "Hyperbolic", "DPlus", "Bicomplex", "OrderRel",
-    "ZERO", "ONE", "E1", "E2", "UNIT_I", "UNIT_J", "UNIT_K", "ZERO_DIVISOR_TOL",
+    "ONE", "E1", "E2", "UNIT_I", "UNIT_J", "UNIT_K", "ZERO_DIVISOR_TOL",
     "bc_mul", "bc_inverse", "knorm", "euclid_norm",
-    "hyp_compare", "hyp_leq", "hyp_abs", "dplus_inverse", "hyp_sup", "hyp_inf",
+    "hyp_compare", "hyp_leq", "hyp_abs",
     # modules
     "BCVector", "Columns", "DNormConfig", "DSeminorm", "SeriesReport", "AbsSummabilityReport",
-    "vec_dnorm", "seminorm_eval", "v_alpha_member", "v_alpha_member_closed",
-    "series_sum", "abs_summability_check", "geometric_terms", "dnorm_rows", "seminorm_rows",
+    "vec_dnorm", "seminorm_eval", "series_sum", "abs_summability_check", "geometric_terms", "dnorm_rows",
+    "seminorm_rows",
     # operators
     "BCMatrix", "OperatorNormReport", "SolveReport", "SurjectivityReport", "BlockSolve",
     "mat_apply", "op_dnorm", "min_norm_solve", "min_norm_solve_rows", "open_mapping_delta", "surjectivity_check",

@@ -130,12 +130,6 @@ class BCVector:
     def __sub__(self, other):
         return self._combine(other, np.subtract)
 
-    def __neg__(self):
-        return BCVector(*(-self.v))
-
-    def __repr__(self) -> str:
-        return f"BCVector(dim={self.dim})"
-
 
 #: Scratch for the vectorized loop that ``DNormConfig.norms`` runs before
 #: its l2 dot products; it only ever holds zeros.
@@ -248,9 +242,6 @@ class DSeminorm(Frozen):
     def __init__(self, T: "BCMatrix"):
         super().__init__(T=T)
 
-    def __call__(self, x: BCVector) -> DPlus:
-        return seminorm_eval(self, x)
-
 
 def _check_block_dim(T: "BCMatrix", b: np.ndarray) -> None:
     if check_block(b).shape[-1] != T.cols:
@@ -286,24 +277,6 @@ def seminorm_eval(p: DSeminorm, x: BCVector) -> DPlus:
     if p.T.cols != x.dim:
         raise DimensionMismatch(f"operator has {p.T.cols} columns, vector has dim {x.dim}")
     return DPlus(*seminorm_terms(p, x.v[:, None])[:, 0].tolist())
-
-
-def v_alpha_member(p: DSeminorm, x: BCVector, alpha: DPlus) -> bool:
-    """Membership in the sublevel set { x : p(x) <= alpha }, exact order."""
-    return hyp_leq(seminorm_eval(p, x), alpha)
-
-
-def v_alpha_member_closed(
-    p: DSeminorm, x: BCVector, alpha: DPlus, tol: float = 1e-9
-) -> bool:
-    """Tolerance-closure membership: p(x) <= alpha + tol * max(p(x), alpha).
-
-    Per component and relative to the values compared, as ball scaling
-    judges closure, so the verdict does not depend on the scale of x and
-    alpha.  Stands in for topological closure of the sublevel set.
-    """
-    px = seminorm_eval(p, x)
-    return all(a <= b + tol * max(a, b) for a, b in zip(px.components(), alpha.components()))
 
 
 class Columns(Sequence):

@@ -60,12 +60,6 @@ class NotStrictlyPositive(HyplabError):
     exit_code = 4
 
 
-class EmptySet(HyplabError):
-    """Supremum or infimum of an empty collection."""
-
-    exit_code = 4
-
-
 class NotInRange(HyplabError):
     """The right-hand side is not in the range of the operator."""
 

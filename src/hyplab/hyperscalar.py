@@ -20,9 +20,8 @@ from __future__ import annotations
 import cmath
 import math
 from enum import Enum
-from typing import Iterable
 
-from .errors import EmptySet, InvalidInput, NotStrictlyPositive, ZeroDivisor
+from .errors import InvalidInput, ZeroDivisor
 
 #: Absolute floor below which an idempotent component counts as zero for
 #: invertibility.  The zero-divisor dichotomy is exact in the algebra;
@@ -77,10 +76,7 @@ class Frozen(Record):
 
 
 class Hyperbolic(Frozen):
-    """Hyperbolic scalar a1*e1 + a2*e2 stored by its idempotent coefficients.
-
-    The cartesian view b1 + k*b2 is derived: b1 = (a1+a2)/2, b2 = (a1-a2)/2.
-    """
+    """Hyperbolic scalar a1*e1 + a2*e2 stored by its idempotent coefficients."""
 
     __slots__ = _fields = ("a1", "a2")
 
@@ -98,23 +94,11 @@ class Hyperbolic(Frozen):
         """Build b1 + k*b2 from cartesian coefficients."""
         return cls(b1 + b2, b1 - b2)
 
-    @property
-    def b1(self) -> float:
-        return 0.5 * (self.a1 + self.a2)
-
-    @property
-    def b2(self) -> float:
-        return 0.5 * (self.a1 - self.a2)
-
     def components(self) -> tuple[float, float]:
         return (self.a1, self.a2)
 
-    def in_cone(self) -> bool:
-        """True when the value lies in the nonnegative cone."""
-        return self.a1 >= 0.0 and self.a2 >= 0.0
-
     def is_strictly_positive(self) -> bool:
-        """Strict variant of cone membership (both components > 0, exact)."""
+        """True in the interior of the cone: both components > 0, exact."""
         return self.a1 > 0.0 and self.a2 > 0.0
 
     def _binary(self, other, op):
@@ -129,21 +113,11 @@ class Hyperbolic(Frozen):
     def __add__(self, other):
         return self._binary(other, lambda a, b: a + b)
 
-    def __sub__(self, other):
-        if isinstance(other, Hyperbolic):
-            return Hyperbolic(self.a1 - other.a1, self.a2 - other.a2)
-        if isinstance(other, (int, float)):
-            return Hyperbolic(self.a1 - other, self.a2 - other)
-        return NotImplemented
-
     def __mul__(self, other):
         return self._binary(other, lambda a, b: a * b)
 
     def __rmul__(self, other):
         return self.__mul__(other)
-
-    def __neg__(self) -> "Hyperbolic":
-        return Hyperbolic(-self.a1, -self.a2)
 
     def __eq__(self, other):  # a Hyperbolic and a DPlus can be the same algebra element
         return self.a1 == other.a1 and self.a2 == other.a2 if isinstance(other, Hyperbolic) else NotImplemented
@@ -206,39 +180,6 @@ def hyp_abs(alpha: Hyperbolic) -> DPlus:
     return DPlus(abs(alpha.a1), abs(alpha.a2))
 
 
-def dplus_inverse(alpha: DPlus) -> DPlus:
-    """Componentwise reciprocal of a strictly positive cone element."""
-    if not alpha.is_strictly_positive():
-        raise NotStrictlyPositive(
-            f"inverse requires strictly positive components, got ({alpha.a1}, {alpha.a2})"
-        )
-    return DPlus(1.0 / alpha.a1, 1.0 / alpha.a2)
-
-
-def _extremum(values: Iterable[Hyperbolic], pick) -> Hyperbolic:
-    items = list(values)
-    if not items:
-        raise EmptySet("supremum/infimum of an empty set")
-    a1 = items[0].a1
-    a2 = items[0].a2
-    all_cone = isinstance(items[0], DPlus)
-    for v in items[1:]:
-        a1 = pick(a1, v.a1)
-        a2 = pick(a2, v.a2)
-        all_cone = all_cone and isinstance(v, DPlus)
-    return DPlus(a1, a2) if all_cone else Hyperbolic(a1, a2)
-
-
-def hyp_sup(values: Iterable[Hyperbolic]) -> Hyperbolic:
-    """Componentwise maximum: the least upper bound in the cone order."""
-    return _extremum(values, max)
-
-
-def hyp_inf(values: Iterable[Hyperbolic]) -> Hyperbolic:
-    """Componentwise minimum: the greatest lower bound in the cone order."""
-    return _extremum(values, min)
-
-
 class Bicomplex(Frozen):
     """Bicomplex scalar stored as its two complex idempotent components."""
 
@@ -284,11 +225,6 @@ class Bicomplex(Frozen):
             return Bicomplex(self.z1 + other.z1, self.z2 + other.z2)
         return NotImplemented
 
-    def __sub__(self, other):
-        if isinstance(other, Bicomplex):
-            return Bicomplex(self.z1 - other.z1, self.z2 - other.z2)
-        return NotImplemented
-
     def __mul__(self, other):
         if isinstance(other, Bicomplex):
             return Bicomplex(self.z1 * other.z1, self.z2 * other.z2)
@@ -299,14 +235,10 @@ class Bicomplex(Frozen):
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def __neg__(self) -> "Bicomplex":
-        return Bicomplex(-self.z1, -self.z2)
-
     def __repr__(self) -> str:
         return f"Bicomplex({self.z1!r}, {self.z2!r})"
 
 
-ZERO = Bicomplex(0.0, 0.0)
 ONE = Bicomplex(1.0, 1.0)
 E1 = Bicomplex(1.0, 0.0)
 E2 = Bicomplex(0.0, 1.0)

@@ -105,6 +105,12 @@ OMT_SERIES_LEN = 12
 #: The budget eps of that series' quotient-seminorm chain, per component.
 OMT_BUDGET = DPlus(0.5, 0.5)
 
+#: Standard normals one ``_draws`` call may return (count x width), so a huge
+#: count is rejected before anything is allocated.  At the cap the sampled
+#: checks peaked at 320-580 MiB, 20-36 bytes per normal; more where a sample's
+#: image is wider than its draw, as omt-verify's preimages under a wide operator.
+MAX_DRAWN_NORMALS = 1 << 24
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -129,8 +135,13 @@ def _draws(seed: int, name: str, count: int, width: int) -> np.ndarray:
     Row i holds normals i*width to (i+1)*width - 1 of
     check_stream(seed, name), so the first k rows are the same for every
     count >= k.  Each call opens its own stream, so concurrent calls never
-    share one.
+    share one.  More than ``MAX_DRAWN_NORMALS`` normals raise ``InvalidInput``.
     """
+    if count * width > MAX_DRAWN_NORMALS:
+        raise InvalidInput(
+            f"{name.partition('/')[0]}: count {count} of {width} normals each exceeds "
+            f"the cap of {MAX_DRAWN_NORMALS} drawn normals"
+        )
     return check_stream(seed, name).standard_normal((count, width))
 
 
@@ -354,10 +365,11 @@ def ball_scaling_check(
 ) -> BallScaleReport:
     """From B[0,r] inside the closed V_alpha, conclude B[0,dr] inside V_{d*alpha}.
 
-    The premise is re-verified on witness and random samples first and a
-    failing premise raises ``HypothesisFailed``.  Closure is the
-    tolerance-ball form: p(x) <= alpha + CLOSURE_TOL * max(p(x), alpha)
-    per component.
+    V_alpha = {x : p(x) <= alpha} is the paper's sublevel set.  Its closure
+    is stood in for by a tolerance closure: x is in it when p(x) <= alpha +
+    CLOSURE_TOL * max(p(x), alpha) per component.  The premise is
+    re-verified on witness and random samples first and a failing premise
+    raises ``HypothesisFailed``.
     """
     if r <= 0:
         raise InvalidInput(f"r must be positive, got {r}")
@@ -764,8 +776,11 @@ def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
     2^-52 * kappa), kappa the larger component condition number.  A geometric
     series of ``OMT_SERIES_LEN`` right-hand sides then replays
     the eps/2^k budget with eps = ``OMT_BUDGET``: with x_k the minimum-norm
-    preimages, q(sum y_k) <= ||sum x_k||_D <= sum ||x_k||_D
-    <= sum q(y_k) + eps componentwise.
+    preimages, T(sum x_k) = sum y_k, q(sum y_k) <= ||sum x_k||_D
+    <= sum ||x_k||_D and q(sum y_k) <= sum q(y_k) + eps componentwise are
+    checked.  Since q(y_k) is ||x_k||_D, q(y_k) <= ||x_k||_D + eps/2^k and
+    sum ||x_k||_D <= sum q(y_k) + eps hold by construction and are not
+    compared.
     """
     if trials < 1:
         raise InvalidInput(f"trials must be >= 1, got {trials}")
@@ -800,9 +815,6 @@ def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
     y0 = y0.scale(1.0 / max(ny0.a1, ny0.a2))
     ys = y0.v[:, None] * (0.5 ** np.arange(OMT_SERIES_LEN))[:, None]
     chain = min_norm_solve_rows(T, ys, tol=CHECK_SLACK)
-    # q(y_k) is ||x_k||_D for the minimum-norm preimage x_k
-    eps_k = _column(OMT_BUDGET) * 2.0 ** -np.arange(1, OMT_SERIES_LEN + 1)
-    subadd_ok = bool(_within(chain.qy, chain.qy + eps_k).all())
 
     # sums in series order from zero; adding +0.0 restores the zero start
     y_sum = BCVector(*(np.cumsum(ys, axis=1)[:, -1] + 0.0))
@@ -813,8 +825,7 @@ def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
     nx_sum = vec_dnorm(x_sum)
     budget_total = sum_q + OMT_BUDGET
     subadd_ok = (
-        subadd_ok
-        and _holds(
+        _holds(
             vec_dnorm(mat_apply(T, x_sum) - y_sum),
             DPlus(0.0, 0.0),
             chain_slack,
@@ -822,7 +833,6 @@ def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
         )
         and _holds(q_sum, nx_sum, chain_slack)
         and _holds(nx_sum, sum_q, chain_slack)
-        and _holds(sum_q, budget_total, chain_slack)
         and _holds(q_sum, budget_total, chain_slack)
     )
 

@@ -164,6 +164,22 @@ def test_draws_builds_one_bit_generator_per_call(monkeypatch, count):
     assert len(built) == 1
 
 
+class _ShapeOnly:
+    """A stream whose draws are a read-only broadcast zero: the shape, no memory."""
+
+    def standard_normal(self, shape):
+        return np.broadcast_to(0.0, shape)
+
+
+@pytest.mark.parametrize("width", [1, 8, 256])
+def test_draws_up_to_the_cap_and_rejects_one_normal_more(monkeypatch, width):
+    monkeypatch.setattr(tl, "check_stream", lambda seed, name: _ShapeOnly())
+    count = tl.MAX_DRAWN_NORMALS // width
+    assert tl._draws(3, "lemma31/seq", count, width).shape == (count, width)
+    with pytest.raises(InvalidInput, match=rf"^lemma31: count {count + 1} of {width} normals each exceeds"):
+        tl._draws(3, "lemma31/seq", count + 1, width)
+
+
 def test_every_sampled_stream_is_prefix_stable(monkeypatch):
     """Trial i of a sampled check is replayed by drawing i + 1 rows.
 

@@ -313,6 +313,30 @@ def test_ballscale_hypothesis_failed_exit_4(tmp_path, capsys):
     assert doc["payload"]["error"]["kind"] == "HypothesisFailed"
 
 
+#: a sample count far beyond the draw cap, per sampled subcommand
+HUGE_COUNTS = [
+    ("lemma31", "--trials", 10**12),
+    ("omt-verify", "--trials", 10**12),
+    ("ballscale", "--samples", 10**12),
+    ("lemma31", "--trials", 10**30),
+    ("ubp", "--samples", 10**20),
+]
+
+
+@pytest.mark.parametrize("command, flag, count", HUGE_COUNTS)
+def test_huge_sample_count_exit_2_before_allocating(tmp_path, capsys, command, flag, count):
+    T = matrix_to_json(BCMatrix.identity(4))
+    if command == "ubp":
+        inputs = ["--family", write(tmp_path, "F.json", [T])]
+    else:
+        inputs = ["--matrix", write(tmp_path, "T.json", T)]
+    code, doc, err = run_json(capsys, [command, *inputs, flag, str(count)])
+    message = f"{command}: count {count} of 16 normals each exceeds the cap of {2**24} drawn normals"
+    assert code == 2
+    assert doc["payload"] == {"error": {"kind": "InvalidInput", "message": message}}
+    assert err == f"hyplab: InvalidInput: {message}\n"
+
+
 @pytest.mark.parametrize("deltas", ["", ","])
 def test_ballscale_without_deltas_exit_2(tmp_path, capsys, deltas):
     mat = write(tmp_path, "T.json", matrix_to_json(random_mat(np.random.default_rng(12), 3, 3)))
@@ -353,7 +377,6 @@ EXIT_TABLE = {
     "NotConverged": 3,
     "ZeroDivisor": 4,
     "NotStrictlyPositive": 4,
-    "EmptySet": 4,
     "NotInRange": 4,
     "NotSurjective": 4,
     "PreconditionViolated": 4,

@@ -11,7 +11,9 @@ its usage message.
 Inputs mix arbitrary JSON with near-valid scalars, vectors, matrices and
 series whose numbers range from 0 to near the float limits.  The value
 flags take valid values, NaN, infinities, -0.0, 1e308 and non-numeric
-text; integer flags stay within -3..50, so no example allocates much.
+text.  Term caps (``--maxN``) stay within -3..50, so no example sums or
+keeps many terms.  Sample counts (``--trials``, ``--samples``) also take
+10**12, 10**20 and 10**30, which a check must reject before it allocates.
 Each subcommand gets only the flags it reads: ``--tol`` goes to
 ``opnorm``, ``solve`` and ``omc``, and ``--format`` (either form, or
 absent) to the five subcommands that emit a scalar.
@@ -116,7 +118,8 @@ deltas = st.one_of(
     st.just("0.5,2"),
     st.lists(value("2"), min_size=0, max_size=4).map(",".join),
 )
-counts = st.integers(min_value=-3, max_value=50).map(str)
+caps = st.integers(min_value=-3, max_value=50).map(str)
+counts = (st.integers(min_value=-3, max_value=50) | st.sampled_from([10**12, 10**20, 10**30])).map(str)
 tol = value("1e-10")
 form = st.sampled_from(["idempotent", "cartesian", None])
 
@@ -130,18 +133,18 @@ SUBCOMMANDS = {
     "omc": ({"--matrix": matrices()}, {"--tol": tol, "--format": form}),
     "series": (
         {"--terms": series},
-        {"--maxN": counts, "--series-tol": literal("1e-12"), "--abs-check": st.booleans()},
+        {"--maxN": caps, "--series-tol": literal("1e-12"), "--abs-check": st.booleans()},
     ),
     "zabreiko": (
         {"--matrix": matrices(), "--x": vectors()},
-        {"--m": literal("50,50"), "--r": value("1"), "--eps": literal("1,1"), "--maxN": counts},
+        {"--m": literal("50,50"), "--r": value("1"), "--eps": literal("1,1"), "--maxN": caps},
     ),
     "ubp": ({"--family": st.lists(matrices(), min_size=0, max_size=3)}, {"--samples": counts}),
     "omt-verify": ({"--matrix": matrices()}, {"--trials": counts}),
     "lemma31": ({"--matrix": matrices()}, {"--trials": counts}),
     "subadd": (
         {"--matrix": matrices(), "--terms": series},
-        {"--maxN": counts, "--series-tol": literal("1e-12")},
+        {"--maxN": caps, "--series-tol": literal("1e-12")},
     ),
     "ballscale": (
         {"--matrix": matrices()},

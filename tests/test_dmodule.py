@@ -27,10 +27,9 @@ from hyplab import (
     knorm,
     seminorm_eval,
     series_sum,
-    v_alpha_member,
-    v_alpha_member_closed,
     vec_dnorm,
 )
+from hyplab.theoremlab import CLOSURE_TOL, _holds
 from support import random_bc, random_mat, random_vec
 
 ALL_CONFIGS = [DNormConfig("l2"), DNormConfig("l1"), DNormConfig("linf")]
@@ -197,18 +196,22 @@ def test_seminorm_dim_mismatch():
 
 
 # ---------------------------------------------------------- sublevel  sets
+#
+# x is in V_alpha = {x : p(x) <= alpha} when p(x) <= alpha exactly, and in
+# its tolerance closure when the comparison holds at ball scaling's
+# relative slack CLOSURE_TOL, the one rule that ``ball_scaling_check`` uses.
 
 
 def test_member_boundary():
     p = DSeminorm(BCMatrix.identity(2))
     x = BCVector([1, 0], [1, 0])
-    assert v_alpha_member(p, x, DPlus(1.0, 1.0))  # boundary counts
+    assert _holds(seminorm_eval(p, x), DPlus(1.0, 1.0), 0.0)  # boundary counts
 
 
 def test_member_alpha_zero():
     p = DSeminorm(BCMatrix.identity(2))
     x = BCVector([1, 0], [0, 1])
-    assert not v_alpha_member(p, x, DPlus(0.0, 0.0))
+    assert not _holds(seminorm_eval(p, x), DPlus(0.0, 0.0), 0.0)
 
 
 def test_member_scaling_consistency():
@@ -221,28 +224,28 @@ def test_member_scaling_consistency():
         # alpha strictly off the boundary so float scaling cannot flip it
         factor = 1.25 if rng.uniform() > 0.5 else 0.8
         alpha = DPlus(px.a1 * factor + 1e-12, px.a2 * factor + 1e-12)
-        inside = v_alpha_member(p, x, alpha)
+        inside = _holds(px, alpha, 0.0)
         d = float(rng.uniform(0.1, 10.0))
-        assert inside == v_alpha_member(p, x.scale(d), alpha * d)
+        assert inside == _holds(seminorm_eval(p, x.scale(d)), alpha * d, 0.0)
 
 
 def test_member_closed_tolerance():
     p = DSeminorm(BCMatrix.identity(1))
-    x = BCVector([1.0], [1.0])
+    px = seminorm_eval(p, BCVector([1.0], [1.0]))
     just_out = DPlus(1.0 - 1e-10, 1.0 - 1e-10)
-    assert not v_alpha_member(p, x, just_out)
-    assert v_alpha_member_closed(p, x, just_out, tol=1e-9)
+    assert not _holds(px, just_out, 0.0)
+    assert _holds(px, just_out, CLOSURE_TOL)
 
 
 def test_member_closed_tolerance_is_relative():
     p = DSeminorm(BCMatrix.identity(1))
     # p(x) = 2 alpha is outside however small both are
-    assert not v_alpha_member_closed(p, BCVector([2e-12], [2e-12]), DPlus(1e-12, 1e-12))
+    assert not _holds(seminorm_eval(p, BCVector([2e-12], [2e-12])), DPlus(1e-12, 1e-12), CLOSURE_TOL)
     # and p(x) within 1e-12 relative of alpha is inside however large
     alpha = 1e6 * (1 - 1e-12)
-    assert v_alpha_member_closed(p, BCVector([1e6], [1e6]), DPlus(alpha, alpha))
+    assert _holds(seminorm_eval(p, BCVector([1e6], [1e6])), DPlus(alpha, alpha), CLOSURE_TOL)
     # one component out is out
-    assert not v_alpha_member_closed(p, BCVector([1.0], [1.1]), DPlus(1.0, 1.0))
+    assert not _holds(seminorm_eval(p, BCVector([1.0], [1.1])), DPlus(1.0, 1.0), CLOSURE_TOL)
 
 
 # ------------------------------------------------------------------- series

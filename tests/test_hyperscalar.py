@@ -1,4 +1,4 @@
-"""Scalar algebra: unit table, ring axioms, norms, cone order, sup/inf."""
+"""Scalar algebra: unit table, ring axioms, norms, cone order."""
 
 import math
 
@@ -14,27 +14,21 @@ from hyplab import (
     UNIT_I,
     UNIT_J,
     UNIT_K,
-    ZERO,
     Bicomplex,
     DPlus,
-    EmptySet,
     Hyperbolic,
     InvalidInput,
-    NotStrictlyPositive,
     OrderRel,
     ZeroDivisor,
     bc_inverse,
     bc_mul,
-    dplus_inverse,
     euclid_norm,
     hyp_abs,
     hyp_compare,
-    hyp_inf,
     hyp_leq,
-    hyp_sup,
     knorm,
 )
-from support import bc_from4, close4, mul4, random_bc, rel_err_c
+from support import bc_from4, close4, componentwise_max, mul4, random_bc, rel_err_c
 
 finite = st.floats(min_value=-1e75, max_value=1e75, allow_nan=False, allow_infinity=False)
 
@@ -191,7 +185,7 @@ def test_inverse_zero_divisor():
     with pytest.raises(ZeroDivisor):
         bc_inverse(E1)
     with pytest.raises(ZeroDivisor):
-        bc_inverse(ZERO)
+        bc_inverse(Bicomplex(0.0, 0.0))
 
 
 def test_inverse_multiply_back():
@@ -214,7 +208,7 @@ def test_knorm_complex_moduli():
 
 
 def test_knorm_zero_iff_zero():
-    assert knorm(ZERO) == DPlus(0.0, 0.0)
+    assert knorm(Bicomplex(0.0, 0.0)) == DPlus(0.0, 0.0)
     rng = np.random.default_rng(3)
     for _ in range(200):
         z = random_bc(rng)
@@ -299,13 +293,16 @@ def test_compare_consistent_with_cone():
         x = Hyperbolic(*rng.standard_normal(2))
         y = Hyperbolic(*rng.standard_normal(2))
         rel = hyp_compare(x, y)
-        d = y - x
+        d1, d2 = y.a1 - x.a1, y.a2 - x.a2
+        up, down = d1 >= 0 and d2 >= 0, d1 <= 0 and d2 <= 0  # y - x, x - y in the cone
         if rel is OrderRel.LESS:
-            assert d.in_cone() and (d.a1 != 0 or d.a2 != 0)
+            assert up and (d1 != 0 or d2 != 0)
         elif rel is OrderRel.GREATER:
-            assert (-d).in_cone()
+            assert down and (d1 != 0 or d2 != 0)
         elif rel is OrderRel.INCOMPARABLE:
-            assert not d.in_cone() and not (-d).in_cone()
+            assert not up and not down
+        else:
+            assert d1 == d2 == 0
 
 
 def test_order_transitive_antisymmetric():
@@ -318,7 +315,7 @@ def test_order_transitive_antisymmetric():
             assert x.components() == y.components()
 
 
-# -------------------------------------------------- abs / inverse / sup-inf
+# ------------------------------------------------------------- abs / cone
 
 
 def test_hyp_abs_of_k():
@@ -337,22 +334,7 @@ def test_hyp_abs_even():
     rng = np.random.default_rng(32)
     for _ in range(1000):
         a = Hyperbolic(*rng.standard_normal(2))
-        assert hyp_abs(-a) == hyp_abs(a)
-
-
-def test_dplus_inverse_examples():
-    assert dplus_inverse(DPlus(2.0, 4.0)) == DPlus(0.5, 0.25)
-    assert dplus_inverse(DPlus(1.0, 1.0)) == DPlus(1.0, 1.0)
-    with pytest.raises(NotStrictlyPositive):
-        dplus_inverse(DPlus(1.0, 0.0))
-
-
-def test_dplus_inverse_multiply_back():
-    rng = np.random.default_rng(33)
-    for _ in range(500):
-        a = DPlus(*(np.abs(rng.standard_normal(2)) + 1e-3))
-        prod = a * dplus_inverse(a)
-        assert abs(prod.a1 - 1.0) < 1e-12 and abs(prod.a2 - 1.0) < 1e-12
+        assert hyp_abs(Hyperbolic(-a.a1, -a.a2)) == hyp_abs(a)
 
 
 def test_dplus_rejects_negative():
@@ -360,25 +342,18 @@ def test_dplus_rejects_negative():
         DPlus(-0.5, 1.0)
 
 
-def test_sup_examples():
-    assert hyp_sup([Hyperbolic(1, 0), Hyperbolic(0, 1)]).components() == (1.0, 1.0)
-    a = Hyperbolic(2.5, -1.0)
-    assert hyp_sup([a]).components() == a.components()
-    assert hyp_inf([Hyperbolic(1, 0), Hyperbolic(0, 1)]).components() == (0.0, 0.0)
-    with pytest.raises(EmptySet):
-        hyp_sup([])
-
-
 def test_sup_is_least_upper_bound():
+    # p* of uniform boundedness is the componentwise maximum of the p_s(x),
+    # which is their least upper bound in the cone order
     rng = np.random.default_rng(41)
     for _ in range(300):
-        vals = [Hyperbolic(*rng.standard_normal(2)) for _ in range(5)]
-        sup = hyp_sup(vals)
+        vals = [DPlus(*np.abs(rng.standard_normal(2))) for _ in range(5)]
+        sup = componentwise_max(vals)
         for v in vals:
             assert hyp_leq(v, sup)
         # brute-force scan over sampled candidate upper bounds
         for _ in range(20):
-            u = Hyperbolic(*(rng.standard_normal(2) * 2.0))
+            u = DPlus(*np.abs(rng.standard_normal(2) * 2.0))
             if all(hyp_leq(v, u) for v in vals):
                 assert hyp_leq(sup, u)
         # sup itself plus any cone perturbation stays an upper bound
@@ -386,28 +361,19 @@ def test_sup_is_least_upper_bound():
         assert hyp_leq(sup, sup + bump)
 
 
-def test_sup_of_dplus_stays_in_cone():
-    vals = [DPlus(1.0, 2.0), DPlus(3.0, 0.5)]
-    sup = hyp_sup(vals)
-    assert isinstance(sup, DPlus)
-    assert sup == DPlus(3.0, 2.0)
-
-
 # --------------------------------------------------------------- misc views
 
 
 def test_hyperbolic_cartesian_views():
-    a = Hyperbolic(3.0, 1.0)
-    assert a.b1 == 2.0 and a.b2 == 1.0
-    b = Hyperbolic.from_cartesian(2.0, 1.0)
-    assert b.components() == (3.0, 1.0)
+    assert Hyperbolic.from_cartesian(2.0, 1.0).components() == (3.0, 1.0)
+    assert Hyperbolic.from_cartesian(0.0, 1.0).components() == (1.0, -1.0)  # k
 
 
 @given(finite, finite)
 def test_hyperbolic_round_trip(b1, b2):
-    a = Hyperbolic.from_cartesian(b1, b2)
-    assert abs(a.b1 - b1) <= 1e-15 * max(1.0, abs(b1), abs(b2))
-    assert abs(a.b2 - b2) <= 1e-15 * max(1.0, abs(b1), abs(b2))
+    a1, a2 = Hyperbolic.from_cartesian(b1, b2).components()
+    assert abs(0.5 * (a1 + a2) - b1) <= 1e-15 * max(1.0, abs(b1), abs(b2))
+    assert abs(0.5 * (a1 - a2) - b2) <= 1e-15 * max(1.0, abs(b1), abs(b2))
 
 
 def test_bc_scale_embeds_complex_diagonally():

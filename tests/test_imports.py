@@ -5,6 +5,7 @@
 so a CLI process for any other subcommand never imports the module.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from hyplab import BCMatrix, BCVector
 from hyplab.jsonio import dumps, matrix_to_json, vector_to_json
 
 SRC = os.path.dirname(os.path.dirname(hyplab.__file__))
+ACCEPTANCE = os.path.join(os.path.dirname(__file__), "test_acceptance.py")
 
 #: every subcommand, with inputs it accepts; the first seven are not theorem checks
 ARGV = {
@@ -123,3 +125,39 @@ def test_unknown_names_still_raise_attribute_error(module):
     assert not hasattr(module, "theoremlab_helper")
     with pytest.raises(ImportError):
         exec(f"from {module.__name__} import no_such_name")
+
+
+def _used_names(path: str, imports: bool) -> set[str]:
+    """Names a module reads, as names or attributes; a definition's own body
+    does not count for its name, nor (unless ``imports``) an import."""
+    used = set()
+
+    def visit(node, inside=frozenset()):
+        read = None
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Assign):
+            inside = inside | {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read = node.id
+        elif isinstance(node, ast.Attribute):
+            read = node.attr
+        elif isinstance(node, ast.alias) and imports:
+            read = node.asname or node.name
+        if read is not None and read not in inside:
+            used.add(read)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    with open(path, encoding="utf-8") as fh:
+        visit(ast.parse(fh.read()))
+    return used
+
+
+def test_every_exported_name_is_used_by_the_package_or_the_acceptance_gate():
+    package = os.path.dirname(hyplab.__file__)
+    used = _used_names(ACCEPTANCE, imports=True)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "__init__.py":
+            used |= _used_names(os.path.join(package, name), imports=False)
+    assert sorted(set(hyplab.__all__) - used) == []

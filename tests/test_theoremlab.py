@@ -23,7 +23,6 @@ from hyplab import (
     continuity_bound_check,
     countable_subadd_check,
     geometric_terms,
-    hyp_sup,
     mat_apply,
     op_dnorm,
     open_mapping_verify,
@@ -35,7 +34,7 @@ from hyplab import (
 from hyplab.jsonio import dumps, matrix_to_json
 from hyplab import Bicomplex
 import hyplab.theoremlab as tl
-from support import random_mat, random_vec, surjective_mat
+from support import componentwise_max, random_mat, random_vec, surjective_mat
 
 
 # ------------------------------------------------------- continuity (bound)
@@ -365,7 +364,7 @@ def test_ubp_scaled_identities():
     rng = np.random.default_rng(77)
     for _ in range(50):
         x = random_vec(rng, 3)
-        pstar = hyp_sup([vec_dnorm(mat_apply(T, x)) for T in family])
+        pstar = componentwise_max([vec_dnorm(mat_apply(T, x)) for T in family])
         want = vec_dnorm(x) * 5.0
         assert abs(pstar.a1 - want.a1) < 1e-9 and abs(pstar.a2 - want.a2) < 1e-9
 
@@ -396,11 +395,11 @@ def test_ubp_pointwise_sup_dominates_members():
     rep = ubp_verify(family, samples=40, seed=10)
     assert rep.passed
     # recompute the chain on fresh samples: p_s(x) <= sup of opnorms * ||x||
-    delta = hyp_sup([op_dnorm(T).M for T in family])
+    delta = componentwise_max([op_dnorm(T).M for T in family])
     for _ in range(100):
         x = random_vec(rng, 5)
         values = [vec_dnorm(mat_apply(T, x)) for T in family]
-        pstar = hyp_sup(values)
+        pstar = componentwise_max(values)
         bound = delta * vec_dnorm(x)
         assert pstar.a1 <= bound.a1 + 1e-9 and pstar.a2 <= bound.a2 + 1e-9
 
