@@ -5,7 +5,7 @@ The theorem checks' names (``_LAZY``) import ``hyplab.theoremlab`` on first
 access (PEP 562), so a process that runs no theorem check never loads it.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .errors import (
     DimensionMismatch, HyplabError, HypothesisFailed, InvalidInput, NoConvergence, NotConverged, NotInRange,
@@ -16,7 +16,7 @@ from .hyperscalar import (
     bc_inverse, bc_mul, euclid_norm, hyp_abs, hyp_compare, hyp_leq, knorm,
 )
 from .dmodule import (
-    AbsSummabilityReport, BCVector, Columns, DNormConfig, DSeminorm, SeriesReport, abs_summability_check,
+    AbsSummabilityReport, BCVector, Columns, DSeminorm, SeriesReport, abs_summability_check,
     dnorm_rows, geometric_terms, seminorm_eval, seminorm_rows, series_sum, vec_dnorm,
 )
 from .dop import (
@@ -56,7 +56,7 @@ __all__ = [
     "bc_mul", "bc_inverse", "knorm", "euclid_norm",
     "hyp_compare", "hyp_leq", "hyp_abs",
     # modules
-    "BCVector", "Columns", "DNormConfig", "DSeminorm", "SeriesReport", "AbsSummabilityReport",
+    "BCVector", "Columns", "DSeminorm", "SeriesReport", "AbsSummabilityReport",
     "vec_dnorm", "seminorm_eval", "series_sum", "abs_summability_check", "geometric_terms", "dnorm_rows",
     "seminorm_rows",
     # operators

@@ -44,7 +44,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 import hyplab
 
 from . import __version__
-from .dmodule import DNormConfig, DSeminorm, abs_summability_check, series_sum, vec_dnorm
+from .dmodule import MAX_SERIES_TERMS, DSeminorm, abs_summability_check, series_sum, vec_dnorm
 from .dop import _check_tol, min_norm_solve, op_dnorm, open_mapping_delta, surjectivity_check
 from .errors import HyplabError, InvalidInput, NotConverged
 from .hyperscalar import bc_inverse, knorm
@@ -223,7 +223,7 @@ _ROWS = {
         "D-norm of a vector",
         (_Flag("--vector", _VECTOR, required=True),
          _Flag("--norm", _PLAIN, choices=("l2", "l1", "linf"), default="l2"), _SEED, _OUTPUT, _FORMAT),
-        lambda a: ({"dnorm": scalar_to_json(vec_dnorm(a.vector, DNormConfig(a.norm)), a.format),
+        lambda a: ({"dnorm": scalar_to_json(vec_dnorm(a.vector, a.norm), a.format),
                     "component_norm": a.norm}, True),
     ),
     "opnorm": _Row("operator D-norm via extremal singular values",
@@ -241,9 +241,9 @@ _ROWS = {
         (_TERMS, _SERIES_TOL,
          _Flag("--abs-check", action="store_true", help="run the absolute-summability chain check"),
          _SEED,
-         _max_n("term cap; each term summed costs about 300 bytes of memory, plus 0.5 + 0.11*dim MB "
-                "at most for the chunk being summed (750 + 120*dim bytes per term with --abs-check, "
-                "which keeps every term) and ~90 bytes of output"),
+         _max_n(f"term cap, at most {MAX_SERIES_TERMS}; each term summed costs about 300 bytes of "
+                "memory, plus 0.5 + 0.11*dim MB at most for the chunk being summed (750 + 120*dim "
+                "bytes per term with --abs-check, which keeps every term) and ~90 bytes of output"),
          _OUTPUT),
         _series,
     ),
@@ -280,8 +280,8 @@ _ROWS = {
     "subadd": _Row(
         "countable subadditivity along a series",
         (_MATRIX_IN, _TERMS, _SERIES_TOL, _SEED,
-         _max_n("term cap; every term up to it is kept, about 600 + 30*dim bytes each, "
-                "plus 0.1*dim MB at most while the series is summed"),
+         _max_n(f"term cap, at most {MAX_SERIES_TERMS}; every term up to it is kept, about "
+                "600 + 30*dim bytes each, plus 0.1*dim MB at most while the series is summed"),
          _OUTPUT),
         lambda a: _verdict(hyplab.countable_subadd_check(
             DSeminorm(a.matrix), parse_series(a.terms), a.maxN, a.series_tol)),

@@ -4,15 +4,15 @@ The module is BC^n held as one complex (2, n) array whose leading axis is
 the idempotent component: row 0 is e1's vector v1, row 1 is e2's v2.
 ``idempotent_pair`` builds it, and an operator's (2, rows, cols) array, from
 the two components, and is the one place that validates them.
-Norms split componentwise: ||x||_D = e1*N(v1) + e2*N(v2) for a configurable
-complex vector norm N (l2 by default).  Series summation is capped and every
-"converged" verdict means converged at the given cap with the given
-tolerance, never a claim about the infinite limit.
+Norms split componentwise: ||x||_D = e1*N(v1) + e2*N(v2), N the complex l2
+norm (``vec_dnorm`` also takes l1 or linf).  Series summation is capped, at
+``MAX_SERIES_TERMS`` at most, and every "converged" verdict means converged
+at the given cap with the given tolerance, never a claim about the limit.
 
 Many vectors at once are held as a block: a (2, k, n) array whose [:, i]
-holds the components of the i-th vector.  ``DNormConfig.norms`` is the one
-component-norm kernel: it reduces along the last axis, so a vector and each
-row of a block go through the same arithmetic.
+holds the components of the i-th vector.  ``_component_norms`` is the one
+l2 kernel: it reduces along the last axis, so a vector and each row of a
+block go through the same arithmetic.
 ``dnorm_rows`` applies it to a block and rejects a non-finite result the
 way a scalar does, ``seminorm_rows`` after one stacked matrix product and
 ``seminorm_terms`` after one matrix-vector product per row; ``vec_dnorm``
@@ -20,6 +20,8 @@ and ``seminorm_eval`` are their one-row cases.  Each stacked operation
 makes, per component, the call it would make on that component alone, so
 its values are bit for bit those of two one-component calls.  Every block
 function rejects, through ``check_block``, an array that is not (2, k, n).
+``_within``, whose slack is relative to the values compared, is the one
+verdict rule: the Cauchy chain and every theorem check judge through it.
 
 ``complex_pairs`` is the one emitter of complex entries: it turns an array
 of any shape into nested ``[re, im]`` lists of plain floats.  The vector
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import islice
-from typing import TYPE_CHECKING, Iterable, Iterator, Literal, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -131,54 +133,32 @@ class BCVector:
         return self._combine(other, np.subtract)
 
 
-#: Scratch for the vectorized loop that ``DNormConfig.norms`` runs before
-#: its l2 dot products; it only ever holds zeros.
+#: Scratch for the vectorized loop in ``_component_norms``; only ever zeros.
 _CLEAR = np.zeros(64)
 
 
-class DNormConfig(Frozen):
-    """Choice of the complex norm applied to each idempotent component.
+def _component_norms(b: np.ndarray) -> np.ndarray:
+    """The l2 norm along the last axis: one value per row of a (2, ...) block.
 
-    l2 is canonical; operator-norm machinery accepts only l2 because its
-    singular-value kernel is exact for that norm alone.
+    Both components are reduced in one call.  A vector and a row of a block
+    reduce identically, so a value does not depend on how many vectors were
+    evaluated with it; the value is sqrt(re.re + im.im) with the dot product
+    ``np.linalg.norm`` uses (one strided ``ddot`` per row), so it equals that
+    function's result bit for bit.  A non-finite result (an overflowing sum)
+    is left for the caller to judge, and numpy warns on overflow here unless
+    the caller silences it.
+
+    Before the dot products, one vectorized loop runs over a private
+    64-entry scratch array.  Right after a BLAS product the strided dot
+    products ran about 8 times slower until such a loop had run (20
+    members of 8x8 times 52 rows, product plus norms: 0.73 ms without
+    it, 0.09 ms with it; AVX-512 Xeon, OpenBLAS 0.3.31); a loop of 8
+    entries or fewer, or a square root, did not clear the stall.  Where
+    there is no stall it costs one short vector loop per reduction.
     """
-
-    __slots__ = _fields = ("component_norm",)
-
-    def __init__(self, component_norm: Literal["l2", "l1", "linf"] = "l2"):
-        if component_norm not in ("l2", "l1", "linf"):
-            raise InvalidInput(f"unknown component norm {component_norm!r}")
-        super().__init__(component_norm=component_norm)
-
-    def norms(self, a: np.ndarray) -> np.ndarray:
-        """The component norm along the last axis: one value per row of a block.
-
-        A vector and a row of a block reduce identically, so a value does
-        not depend on how many vectors were evaluated with it; the l2 value
-        is sqrt(re.re + im.im) with the dot product ``np.linalg.norm`` uses
-        (one strided ``ddot`` per row), so it equals that function's result
-        bit for bit.  A non-finite result (an overflowing l2 sum) is left for
-        the caller to judge, and numpy warns on overflow here unless the
-        caller silences it.
-
-        Before the l2 dot products, one vectorized loop runs over a private
-        64-entry scratch array.  Right after a BLAS product the strided dot
-        products ran about 8 times slower until such a loop had run (20
-        members of 8x8 times 52 rows, product plus norms: 0.73 ms without
-        it, 0.09 ms with it; AVX-512 Xeon, OpenBLAS 0.3.31); a loop of 8
-        entries or fewer, or a square root, did not clear the stall.  Where
-        there is no stall it costs one short vector loop per reduction.
-        """
-        if self.component_norm == "l2":
-            np.add(_CLEAR, _CLEAR, out=_CLEAR)
-            re, im = a.real, a.imag
-            return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
-        if self.component_norm == "l1":
-            return np.abs(a).sum(axis=-1)
-        return np.abs(a).max(axis=-1)
-
-
-_L2 = DNormConfig()
+    np.add(_CLEAR, _CLEAR, out=_CLEAR)
+    re, im = b.real, b.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
 def require_finite(values: np.ndarray) -> np.ndarray:
@@ -199,15 +179,26 @@ def _worst(*margins: np.ndarray) -> Hyperbolic:
     return Hyperbolic(*np.concatenate(margins, axis=1).max(axis=1).tolist())
 
 
-def _component_norms(b: np.ndarray, cfg: DNormConfig = _L2) -> np.ndarray:
-    """``cfg.norms`` of every row of a (2, ...) block, unchecked and without warnings.
+#: Relative slack of every verified inequality; see ``_within``.
+CHECK_SLACK = 1e-9
 
-    Both components are reduced in one call, each row by the dot product
-    it gets alone, so the values are bit for bit those of one call per
-    component or per row.
+#: Magnitude below which the slack stops shrinking.  Entries under ~1e-154
+#: square into the subnormal range, so l2 norms that small carry absolute
+#: errors near 1e-161: only an absolute comparison is meaningful there.
+SLACK_FLOOR = 1e-150
+
+
+def _within(a, b, slack: float = CHECK_SLACK, scale=0.0):
+    """a <= b + slack * max(scale, |a|, |b|, SLACK_FLOOR), elementwise.
+
+    The slack is relative to the values compared, so an operator with
+    entries near 1e9 or 1e-12 is judged as one with entries near 1 is.  A
+    constant shrunk by 1e-6 is refuted only for values above about 1e-153;
+    below that its gap is under slack * SLACK_FLOOR = 1e-159 and it passes.
+    ``scale`` is a data scale both sides may sit far below (a zero side, a running sum).
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return cfg.norms(b)
+    size = np.maximum(np.maximum(scale, SLACK_FLOOR), np.maximum(np.abs(a), np.abs(b)))
+    return a <= b + slack * size
 
 
 def check_block(b: np.ndarray) -> np.ndarray:
@@ -217,17 +208,29 @@ def check_block(b: np.ndarray) -> np.ndarray:
     return b
 
 
-def dnorm_rows(b: np.ndarray, cfg: DNormConfig = _L2) -> np.ndarray:
+def dnorm_rows(b: np.ndarray) -> np.ndarray:
     """||x_i||_D for every row x_i = b[:, i] of a (2, k, n) block, as a (2, k) array.
 
     A non-finite value is rejected: the first one of e1, else of e2.
     """
-    return require_finite(_component_norms(check_block(b), cfg))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return require_finite(_component_norms(check_block(b)))
 
 
-def vec_dnorm(v: BCVector, cfg: DNormConfig = _L2) -> DPlus:
-    """Hyperbolic-valued norm e1*N(v1) + e2*N(v2): the one-row ``dnorm_rows``."""
-    return DPlus(*dnorm_rows(v.v[:, None], cfg)[:, 0].tolist())
+#: The component norms N that ``vec_dnorm`` applies by name; all else uses l2.
+_NORMS = {
+    "l2": _component_norms,
+    "l1": lambda b: np.abs(b).sum(axis=-1),
+    "linf": lambda b: np.abs(b).max(axis=-1),
+}
+
+
+def vec_dnorm(v: BCVector, norm: str = "l2") -> DPlus:
+    """e1*N(v1) + e2*N(v2), N the ``_NORMS`` entry ``norm``: with l2, the one-row ``dnorm_rows``."""
+    if norm not in _NORMS:
+        raise InvalidInput(f"unknown component norm {norm!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return DPlus(*require_finite(_NORMS[norm](v.v[:, None]))[:, 0].tolist())
 
 
 class DSeminorm(Frozen):
@@ -253,10 +256,9 @@ def seminorm_rows(p: DSeminorm, b: np.ndarray) -> np.ndarray:
 
     One stacked matrix product applies T to all rows at once.
     """
-    T = p.T
-    _check_block_dim(T, b)
+    _check_block_dim(p.T, b)
     with np.errstate(over="ignore", invalid="ignore"):  # its norm rejects an overflow
-        return dnorm_rows(b @ T.m.mT)
+        return dnorm_rows(b @ p.T.m.mT)
 
 
 def seminorm_terms(p: DSeminorm, b: np.ndarray) -> np.ndarray:
@@ -266,10 +268,9 @@ def seminorm_terms(p: DSeminorm, b: np.ndarray) -> np.ndarray:
     depend on the other rows; the one matrix-matrix product of
     ``seminorm_rows`` may round the last digit differently.
     """
-    T = p.T
-    _check_block_dim(T, b)
+    _check_block_dim(p.T, b)
     with np.errstate(over="ignore", invalid="ignore"):  # its norm rejects an overflow
-        return dnorm_rows((T.m[:, None] @ b[..., None])[..., 0])
+        return dnorm_rows((p.T.m[:, None] @ b[..., None])[..., 0])
 
 
 def seminorm_eval(p: DSeminorm, x: BCVector) -> DPlus:
@@ -371,6 +372,20 @@ def _as_tol(tol) -> DPlus:
 #: ``SERIES_WINDOW`` term norms.
 SERIES_WINDOW = 3
 
+#: Most terms a series is summed to: at the cap, an unsettled dim-4 series took
+#: 1.2-1.5 s and 66-117 MB from the CLI, 196 MB with --abs-check at dim 16.
+MAX_SERIES_TERMS = 1 << 16
+
+
+def _check_term_cap(max_n: int) -> int:
+    """``max_n`` if it is a term cap from 1 to ``MAX_SERIES_TERMS``, else ``InvalidInput``."""
+    if max_n < 1:
+        raise InvalidInput(f"max_n must be >= 1, got {max_n}")
+    if max_n > MAX_SERIES_TERMS:
+        raise InvalidInput(f"max_n {max_n} exceeds the cap of {MAX_SERIES_TERMS} terms")
+    return max_n
+
+
 #: Terms ``series_sum`` pulls at first; each further chunk is twice as
 #: long, up to ``_SERIES_CHUNK_MAX``, which bounds the terms held at once.
 _SERIES_CHUNK = 32
@@ -466,8 +481,7 @@ def series_sum(terms: Iterable[BCVector], tol, max_n: int) -> SeriesReport:
     settling point are never used.
     """
     tol = _as_tol(tol)
-    if max_n < 1:
-        raise InvalidInput(f"max_n must be >= 1, got {max_n}")
+    _check_term_cap(max_n)
 
     it = iter(terms)
     n = 0
@@ -544,12 +558,11 @@ def abs_summability_check(
     verdict in ``abs_converged`` rather than raising: divergence at a
     finite cap is always just "not yet converged".  Then verifies, for a
     deterministic schedule of index pairs m < n, that
-    ||s_n - s_m||_D <= sum_{k=m+1..n} ||x_k||_D componentwise, up to 1e-12
-    times sum_{k<=n} ||x_k||_D: a slack relative to the series' scale.
+    ||s_n - s_m||_D <= sum_{k=m+1..n} ||x_k||_D componentwise by ``_within``,
+    with sum_{k<=n} ||x_k||_D as the data scale of its relative slack.
     """
     tol = _as_tol(tol if tol is not None else 1e-12)
-    if max_n < 1:
-        raise InvalidInput(f"max_n must be >= 1, got {max_n}")
+    _check_term_cap(max_n)
 
     it = iter(terms)
     xs = list(islice(it, max_n))
@@ -585,8 +598,9 @@ def abs_summability_check(
     while stride < n_terms:
         diff = dnorm_rows(s[:, stride:] - s[:, :-stride])
         upper = abs_sums[:, stride:]
-        margins.append(diff - (upper - abs_sums[:, :-stride]))
-        chain_ok = chain_ok and bool((margins[-1] <= 1e-12 * upper).all())
+        gap = upper - abs_sums[:, :-stride]
+        margins.append(diff - gap)
+        chain_ok = chain_ok and bool(_within(diff, gap, scale=upper).all())
         stride *= 2
     worst = _worst(*margins) if margins else Hyperbolic(0.0, 0.0)
 

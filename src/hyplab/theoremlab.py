@@ -33,13 +33,13 @@ trial i.  Every operator is applied to a whole block with one stacked
 matrix product, and the open-mapping preimages come from one block solve
 on the operator's cached SVD.  Verdicts are array comparisons and worst
 margins are maxima over the arrays.  Every inequality is judged through
-``_within``, whose slack is relative to the values compared, so verdicts
-do not depend on the operator's scale; a norm or bound that overflows is
-rejected as ``InvalidInput``, never compared.
+``dmodule._within``, the one verdict rule, whose slack is relative to the
+values compared, so verdicts do not depend on the operator's scale; a norm
+or bound that overflows is rejected as ``InvalidInput``, never compared.
 A check's parameters are the quantities of the statement it replays
-(operators, radii, bounds, sample counts, seeds); the slack
-``CHECK_SLACK``, the closure tolerance ``CLOSURE_TOL`` and the open-mapping
-series ``OMT_SERIES_LEN``/``OMT_BUDGET`` are module constants.
+(operators, radii, bounds, sample counts, seeds); the slacks
+(``dmodule.CHECK_SLACK``, ``CLOSURE_TOL`` and the three below it) and the
+open-mapping series ``OMT_SERIES_LEN``/``OMT_BUDGET`` are module constants.
 
 The Zabreiko decomposition is sequential, so its steps fill (2, steps, n)
 blocks one row at a time; its budgets and its exact remainder chain are
@@ -56,12 +56,14 @@ from itertools import islice
 import numpy as np
 
 from .dmodule import (
+    CHECK_SLACK,
     BCVector,
     Columns,
     DSeminorm,
     Report,
-    _L2,
+    _check_term_cap,
     _component_norms,
+    _within,
     _worst,
     dnorm_rows,
     require_finite,
@@ -88,16 +90,17 @@ from .errors import (
 )
 from .hyperscalar import DPlus, Hyperbolic, hyp_leq
 
-#: Relative slack of every verified inequality; see ``_within``.
-CHECK_SLACK = 1e-9
-
 #: Relative tolerance-ball radius standing in for topological closure.
 CLOSURE_TOL = 1e-9
 
-#: Magnitude below which the slack stops shrinking.  Entries under ~1e-154
-#: square into the subnormal range, so l2 norms that small carry absolute
-#: errors near 1e-161: only an absolute comparison is meaningful there.
-SLACK_FLOOR = 1e-150
+#: ``lemma31``'s tightness slack: its witness reaches the constant up to SVD rounding.
+WITNESS_SLACK = 1e-8
+
+#: ``omt-verify``'s budget-chain slack: its solves' residuals grow with kappa.
+CHAIN_SLACK = 1e-8
+
+#: The shortfall below delta ``omt-verify``'s witness may show: its solve rounds by ~2^-52 kappa.
+WITNESS_SHRINK = 1e-6
 
 #: Terms of the geometric right-hand-side series ``open_mapping_verify`` solves.
 OMT_SERIES_LEN = 12
@@ -157,19 +160,6 @@ def _sample_rows(z: np.ndarray, n: int, j: int = 0) -> np.ndarray:
     for rows, o in zip(block, range(4 * n * j, 4 * n * (j + 1), 2 * n)):
         np.add(z[:, o : o + n], 1j * z[:, o + n : o + 2 * n], out=rows)
     return block
-
-
-def _within(a, b, slack: float = CHECK_SLACK, scale=0.0):
-    """a <= b + slack * max(scale, |a|, |b|, SLACK_FLOOR), elementwise.
-
-    The slack is relative to the values compared, so an operator with
-    entries near 1e9 or 1e-12 is judged as one with entries near 1 is.  A
-    constant shrunk by 1e-6 is refuted only for values above about 1e-153;
-    below that its gap is under slack * SLACK_FLOOR = 1e-159 and it passes.
-    ``scale`` gives the data scale of a comparison whose right-hand side is zero.
-    """
-    size = np.maximum(np.maximum(scale, SLACK_FLOOR), np.maximum(np.abs(a), np.abs(b)))
-    return a <= b + slack * size
 
 
 def _holds(a: Hyperbolic, b: Hyperbolic, slack: float = CHECK_SLACK, scale=0.0) -> bool:
@@ -251,9 +241,9 @@ def continuity_bound_check(
     sequence_ok = bool(_within(gap, seq_bound).all())
 
     # tightness: the combined witness attains both components of the true
-    # constant, so any alpha smaller by more than 1e-8 relative is refuted
+    # constant, so any alpha smaller by more than WITNESS_SLACK relative is refuted
     true_m = op_dnorm(p.T).M if alpha_star is not None else a_star
-    witness_tight = bool(_within(_column(true_m), px[:, 2:3], 1e-8).all())
+    witness_tight = bool(_within(_column(true_m), px[:, 2:3], WITNESS_SLACK).all())
 
     return ContinuityReport(
         check=name,
@@ -295,7 +285,7 @@ def countable_subadd_check(
     tolerance, defaulting to (1e-12, 1e-12).
     """
     tol = tol if tol is not None else DPlus(1e-12, 1e-12)
-    xs = list(islice(iter(terms), max_n + 1))
+    xs = list(islice(iter(terms), _check_term_cap(max_n) + 1))
     report = series_sum(xs, tol, max_n)  # raises NotConverged with report
 
     used = report.n_terms
@@ -597,7 +587,7 @@ def zabreiko_decompose(
             terms[:, steps] = xk
             u = rems[:, steps] = u - xk
             steps += 1
-            un1, un2 = _L2.norms(u).tolist()
+            un1, un2 = _component_norms(u).tolist()
             if not (math.isfinite(un1) and math.isfinite(un2)):
                 break  # a non-finite remainder, rejected below
             if un1 <= stop1 and un2 <= stop2:
@@ -771,7 +761,7 @@ def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
 
     For every sampled y the minimum-norm preimage x must satisfy Tx = y
     within ``CHECK_SLACK * ||y||`` and ||x||_D <= delta ||y||_D, with the bound
-    attained (up to 1e-6 relative) on the bottom singular vectors, whose
+    attained (up to ``WITNESS_SHRINK`` relative) on the bottom singular vectors, whose
     solve may leave a residual up to ||y|| times max(``CHECK_SLACK``, 8 *
     2^-52 * kappa), kappa the larger component condition number.  A geometric
     series of ``OMT_SERIES_LEN`` right-hand sides then replays
@@ -806,7 +796,7 @@ def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
     wrep = min_norm_solve(T, yw, tol=max(CHECK_SLACK, 8 * np.finfo(float).eps * kappa))
     nyw = vec_dnorm(yw)
     ratio = DPlus(wrep.qy.a1 / nyw.a1, wrep.qy.a2 / nyw.a2)
-    witness_ok = hyp_leq((1.0 - 1e-6) * delta, ratio)
+    witness_ok = hyp_leq((1.0 - WITNESS_SHRINK) * delta, ratio)
 
     # quotient-seminorm budget chain over the generated convergent series
     # y_k = 2^-(k-1) y_0, k = 1..OMT_SERIES_LEN, solved as one block
@@ -820,20 +810,14 @@ def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
     y_sum = BCVector(*(np.cumsum(ys, axis=1)[:, -1] + 0.0))
     x_sum = BCVector(*(np.cumsum(chain.x, axis=1)[:, -1] + 0.0))
     sum_q = Hyperbolic(*np.cumsum(chain.qy, axis=1)[:, -1].tolist())
-    chain_slack = 1e-8
     q_sum = min_norm_solve(T, y_sum, tol=CHECK_SLACK).qy
     nx_sum = vec_dnorm(x_sum)
-    budget_total = sum_q + OMT_BUDGET
+    residual = vec_dnorm(mat_apply(T, x_sum) - y_sum)
     subadd_ok = (
-        _holds(
-            vec_dnorm(mat_apply(T, x_sum) - y_sum),
-            DPlus(0.0, 0.0),
-            chain_slack,
-            np.array(vec_dnorm(y_sum).components()),
-        )
-        and _holds(q_sum, nx_sum, chain_slack)
-        and _holds(nx_sum, sum_q, chain_slack)
-        and _holds(q_sum, budget_total, chain_slack)
+        _holds(residual, DPlus(0.0, 0.0), CHAIN_SLACK, np.array(vec_dnorm(y_sum).components()))
+        and _holds(q_sum, nx_sum, CHAIN_SLACK)
+        and _holds(nx_sum, sum_q, CHAIN_SLACK)
+        and _holds(q_sum, sum_q + OMT_BUDGET, CHAIN_SLACK)
     )
 
     return OpenMapReport(

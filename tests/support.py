@@ -36,12 +36,13 @@ from hyplab import (
     BCMatrix, BCVector, Bicomplex, DimensionMismatch, DPlus, InvalidInput, NotConverged, ShapeMismatch,
 )
 from hyplab.dmodule import (
-    SERIES_WINDOW, Columns, DSeminorm, SeriesReport, _as_tol, dnorm_rows, require_finite, seminorm_eval, seminorm_rows, vec_dnorm,
+    SERIES_WINDOW, Columns, DSeminorm, SeriesReport, _as_tol, _within, dnorm_rows, require_finite, seminorm_eval,
+    seminorm_rows, vec_dnorm,
 )
 from hyplab.hyperscalar import hyp_leq
 from hyplab.jsonio import _declared_size
 from hyplab.dop import op_dnorm
-from hyplab.theoremlab import UBPReport, _column, _draws, _holds, _sample_rows, _within, _worst
+from hyplab.theoremlab import UBPReport, _column, _draws, _holds, _sample_rows, _worst
 
 
 def mul4(a, b):

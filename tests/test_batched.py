@@ -15,7 +15,6 @@ import hyplab.theoremlab as tl
 from hyplab import (
     BCMatrix,
     BCVector,
-    DNormConfig,
     DPlus,
     DimensionMismatch,
     DSeminorm,
@@ -228,14 +227,14 @@ def test_every_sampled_stream_is_prefix_stable(monkeypatch):
 @pytest.mark.parametrize("norm", ["l2", "l1", "linf"])
 def test_row_norms_equal_the_one_vector_kernel(norm):
     rng = np.random.default_rng(1)
-    cfg = DNormConfig(norm)
     T = random_mat(rng, 5, 4)
     p = DSeminorm(T)
     xs = [random_vec(rng, 4) for _ in range(30)]
     b = np.stack([x.v for x in xs], axis=1)
-    norms = dnorm_rows(b, cfg)
+    norms = _dnorms(norm, b)
     for i, x in enumerate(xs):
-        assert DPlus(*norms[:, i]) == vec_dnorm(x, cfg)
+        assert DPlus(*norms[:, i]) == vec_dnorm(x, norm)
+        assert all(norms[c, i] == _one_norm(norm, x.v[c : c + 1])[0] for c in range(2))
     values = seminorm_rows(p, b)
     for i, x in enumerate(xs):
         want = seminorm_eval(p, x)
@@ -245,7 +244,7 @@ def test_row_norms_equal_the_one_vector_kernel(norm):
 def test_l2_row_norm_is_numpy_norm_bit_for_bit():
     rng = np.random.default_rng(2)
     b = rng.standard_normal((200, 7)) + 1j * rng.standard_normal((200, 7))
-    got = DNormConfig().norms(b)
+    got = _component_norms(b)
     assert all(got[i] == np.linalg.norm(b[i]) for i in range(200))
 
 
@@ -310,6 +309,13 @@ def _one_norm(norm: str, a: np.ndarray) -> np.ndarray:
     return np.abs(a).sum(axis=-1) if norm == "l1" else np.abs(a).max(axis=-1)
 
 
+def _dnorms(norm: str, b: np.ndarray) -> np.ndarray:
+    """The (2, k) D-norms of a block's rows: ``dnorm_rows`` for l2, else ``vec_dnorm`` per row."""
+    if norm == "l2":
+        return dnorm_rows(b)
+    return np.array([vec_dnorm(BCVector(*b[:, i]), norm).components() for i in range(b.shape[1])]).T
+
+
 def _block(rng, k: int, n: int) -> np.ndarray:
     return rng.standard_normal((2, k, n)) + 1j * rng.standard_normal((2, k, n))
 
@@ -325,7 +331,7 @@ def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
 @example(norm="linf", shape=(1, 1), k=1, seed=3)
 def test_stacked_bits_of_dnorm_rows(norm, shape, k, seed):
     b = _block(np.random.default_rng(seed), k, shape[1])
-    got = dnorm_rows(b, DNormConfig(norm))
+    got = _dnorms(norm, b)
     assert all(_same_bits(got[i], _one_norm(norm, b[i].copy())) for i in range(2))
 
 
@@ -344,7 +350,7 @@ def test_l2_norms_of_a_product_block_are_numpy_norm_bit_for_bit(n, view):
     elif view == "strided":
         b = b[:, :, ::2]
     want = np.array([[np.linalg.norm(row) for row in rows] for rows in b])
-    for got in (DNormConfig().norms(b), _component_norms(b), dnorm_rows(b)):
+    for got in (_component_norms(b), dnorm_rows(b)):
         assert _same_bits(got, want)
 
 

@@ -16,6 +16,7 @@ import hyplab
 import hyplab.cli as cli
 import hyplab.errors
 from hyplab import BCMatrix, BCVector, vec_dnorm
+from hyplab.dmodule import MAX_SERIES_TERMS
 from hyplab.jsonio import digest, dumps, matrix_to_json, vector_to_json
 from support import oracle_digest, oracle_dumps, pairs_record, random_mat, random_vec, surjective_mat
 
@@ -191,6 +192,21 @@ def test_series_abs_check(tmp_path, capsys):
     assert code == 0
     assert doc["payload"]["abs_converged"] is True
     assert doc["payload"]["cauchy_chain_ok"] is True
+
+
+@pytest.mark.parametrize("entry", [1e-155, 1e-160])
+def test_series_abs_check_passes_where_the_squares_are_subnormal(tmp_path, capsys, entry):
+    # squares of such entries are subnormal, so the chain's margin of a few
+    # 1e-162 is rounding, within the one relative rule's slack floor
+    spec = {
+        "kind": "geometric",
+        "ratio": {"e1": [0.6, 0.2], "e2": [0, -0.5]},
+        "seed_vector": {"dim": 2, "e1": [[entry, 0], [0, entry]], "e2": [[entry, 0], [0, entry]]},
+    }
+    terms = write(tmp_path, "terms.json", spec)
+    code, doc, _ = run_json(capsys, ["series", "--terms", terms, "--abs-check", "--maxN", "200"])
+    assert code == 0 and doc["payload"]["cauchy_chain_ok"] is True
+    assert doc["payload"]["chain_margin"][0] > 0
 
 
 # ----------------------------------------------------------------- checks
@@ -954,6 +970,18 @@ def test_overflowing_geometric_terms_are_rejected_without_numpy_warnings(tmp_pat
     if command == "subadd":
         argv += ["--matrix", write(tmp_path, "T.json", matrix_to_json(BCMatrix([[1.0]], [[1.0]])))]
     _rejected_quietly(argv, message)
+
+
+@pytest.mark.parametrize("command", ["series", "series --abs-check", "subadd"])
+def test_a_huge_term_cap_is_rejected_before_any_term_is_summed(tmp_path, command):
+    # a ratio-1 series neither settles nor overflows: uncapped, it would be
+    # summed, and for subadd kept, for 10**12 terms
+    spec = {"kind": "geometric", "ratio": {"e1": [1, 0], "e2": [1, 0]},
+            "seed_vector": {"dim": 1, "e1": [[1, 0]], "e2": [[1, 0]]}}
+    argv = [*command.split(), "--terms", write(tmp_path, "terms.json", spec), "--maxN", str(10**12)]
+    if command == "subadd":
+        argv += ["--matrix", write(tmp_path, "T.json", matrix_to_json(BCMatrix([[1.0]], [[1.0]])))]
+    _rejected_quietly(argv, f"max_n {10**12} exceeds the cap of {MAX_SERIES_TERMS} terms")
 
 
 @pytest.mark.parametrize(

@@ -11,9 +11,10 @@ its usage message.
 Inputs mix arbitrary JSON with near-valid scalars, vectors, matrices and
 series whose numbers range from 0 to near the float limits.  The value
 flags take valid values, NaN, infinities, -0.0, 1e308 and non-numeric
-text.  Term caps (``--maxN``) stay within -3..50, so no example sums or
-keeps many terms.  Sample counts (``--trials``, ``--samples``) also take
-10**12, 10**20 and 10**30, which a check must reject before it allocates.
+text.  Term caps (``--maxN``) and sample counts (``--trials``,
+``--samples``) range over -3..50 and also take 10**12, 10**20 and 10**30:
+a series or a check must reject such a cap or count before it sums a term
+or allocates, and a Zabreiko trace ends by its step count.
 Each subcommand gets only the flags it reads: ``--tol`` goes to
 ``opnorm``, ``solve`` and ``omc``, and ``--format`` (either form, or
 absent) to the five subcommands that emit a scalar.
@@ -118,8 +119,8 @@ deltas = st.one_of(
     st.just("0.5,2"),
     st.lists(value("2"), min_size=0, max_size=4).map(",".join),
 )
-caps = st.integers(min_value=-3, max_value=50).map(str)
 counts = (st.integers(min_value=-3, max_value=50) | st.sampled_from([10**12, 10**20, 10**30])).map(str)
+caps = counts
 tol = value("1e-10")
 form = st.sampled_from(["idempotent", "cartesian", None])
 

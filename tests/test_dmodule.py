@@ -13,7 +13,6 @@ from hyplab import (
     BCVector,
     Bicomplex,
     Columns,
-    DNormConfig,
     DPlus,
     DSeminorm,
     DimensionMismatch,
@@ -23,16 +22,18 @@ from hyplab import (
     NotStrictlyPositive,
     SeriesReport,
     abs_summability_check,
+    countable_subadd_check,
     geometric_terms,
     knorm,
     seminorm_eval,
     series_sum,
     vec_dnorm,
 )
+from hyplab.dmodule import MAX_SERIES_TERMS
 from hyplab.theoremlab import CLOSURE_TOL, _holds
 from support import random_bc, random_mat, random_vec
 
-ALL_CONFIGS = [DNormConfig("l2"), DNormConfig("l1"), DNormConfig("linf")]
+ALL_NORMS = ["l2", "l1", "linf"]
 
 
 def le_slack(a, b, slack):
@@ -94,14 +95,14 @@ def test_dnorm_zero():
 
 def test_dnorm_component_decomposition_exact():
     rng = np.random.default_rng(60)
-    for cfg in ALL_CONFIGS:
+    for norm in ALL_NORMS:
         for _ in range(200):
             v = random_vec(rng, int(rng.integers(1, 9)))
-            n = vec_dnorm(v, cfg)
+            n = vec_dnorm(v, norm)
             # independent per-component evaluation
-            if cfg.component_norm == "l2":
+            if norm == "l2":
                 want = (np.linalg.norm(v.v1), np.linalg.norm(v.v2))
-            elif cfg.component_norm == "l1":
+            elif norm == "l1":
                 want = (np.abs(v.v1).sum(), np.abs(v.v2).sum())
             else:
                 want = (np.abs(v.v1).max(), np.abs(v.v2).max())
@@ -121,25 +122,25 @@ def test_dnorm_homogeneity():
 
 def test_dnorm_axioms_all_configs():
     rng = np.random.default_rng(62)
-    for cfg in ALL_CONFIGS:
+    for norm in ALL_NORMS:
         for _ in range(400):
             n = int(rng.integers(1, 9))
             x = random_vec(rng, n)
             y = random_vec(rng, n)
-            nx = vec_dnorm(x, cfg)
+            nx = vec_dnorm(x, norm)
             # (a) zero iff zero
             assert (nx.a1 == 0 and nx.a2 == 0) == (
                 not x.v1.any() and not x.v2.any()
             )
             # (b) homogeneity, including zero divisors
             mu = random_bc(rng) if rng.uniform() > 0.2 else E1
-            lhs = vec_dnorm(x.scale(mu), cfg)
+            lhs = vec_dnorm(x.scale(mu), norm)
             rhs = knorm(mu) * nx
             assert abs(lhs.a1 - rhs.a1) <= 1e-12 * max(1.0, rhs.a1)
             assert abs(lhs.a2 - rhs.a2) <= 1e-12 * max(1.0, rhs.a2)
             # (c) triangle
-            s = vec_dnorm(x + y, cfg)
-            t = nx + vec_dnorm(y, cfg)
+            s = vec_dnorm(x + y, norm)
+            t = nx + vec_dnorm(y, norm)
             assert le_slack(s, t, 1e-12 * max(1.0, t.a1, t.a2))
 
 
@@ -360,6 +361,39 @@ def test_abs_summability_chain_refutes_a_tripled_difference_at_any_scale(monkeyp
     assert rep.chain_margin.a1 > 0 and rep.chain_margin.a2 > 0
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1e-155, 1e-160])
+def test_abs_summability_chain_holds_where_the_squares_are_subnormal(scale):
+    # squares of entries this small lose bits in the subnormal range, so
+    # ||s_n - s_m||_D may exceed the sum of term norms by about 6e-162;
+    # the chain is judged by the one relative rule, whose slack has a floor
+    rng = np.random.default_rng(93)
+    v = random_vec(rng, 4)
+    v = v.scale(scale / max(vec_dnorm(v).a1, vec_dnorm(v).a2))
+    rep = abs_summability_check(geometric_terms(Bicomplex(0.6 + 0.2j, -0.5j), v), 200)
+    assert rep.abs_converged and rep.cauchy_chain_ok
+    assert max(rep.chain_margin.components()) > 0  # an exact comparison would refute it
+
+
+def test_term_caps_above_the_limit_are_rejected_before_any_term_is_pulled():
+    def untouchable():
+        raise AssertionError("a term was pulled")
+        yield
+
+    cap = MAX_SERIES_TERMS
+    p = DSeminorm(BCMatrix.identity(1))
+    for run in (
+        lambda n: series_sum(untouchable(), 1e-12, n),
+        lambda n: abs_summability_check(untouchable(), n),
+        lambda n: countable_subadd_check(p, untouchable(), n),
+    ):
+        with pytest.raises(InvalidInput, match=rf"^max_n {cap + 1} exceeds the cap of {cap} terms$"):
+            run(cap + 1)
+    one = [BCVector([1.0], [1.0])]
+    assert series_sum(one, 1e-12, cap).n_terms == 1
+    assert abs_summability_check(one, cap).n_terms == 1
+    assert countable_subadd_check(p, one, cap).n_terms == 1
+
+
 def test_abs_summability_all_zero():
     rep = abs_summability_check([BCVector.zeros(2) for _ in range(5)], 100)
     assert rep.abs_converged and rep.cauchy_chain_ok
@@ -412,7 +446,7 @@ def test_geometric_generator_terms():
 
 def test_dnorm_config_rejects_unknown():
     with pytest.raises(InvalidInput):
-        DNormConfig("l3")
+        vec_dnorm(BCVector([1.0], [1.0]), "l3")
 
 
 # --------------------------------------------------------- column views

@@ -1,6 +1,5 @@
 """Value and report semantics: equality, hashes, reprs, immutability and
-construction of the scalar values, ``DNormConfig``, ``DSeminorm`` and the
-reports.
+construction of the scalar values, ``DSeminorm`` and the reports.
 
 The values are immutable and hashable, and a ``Hyperbolic`` equals the
 ``DPlus`` with the same components.  Reports are built from keyword fields,
@@ -18,7 +17,6 @@ from hyplab import (
     BCMatrix,
     Bicomplex,
     Columns,
-    DNormConfig,
     DPlus,
     DSeminorm,
     Hyperbolic,
@@ -35,8 +33,6 @@ VALUES = [
     (DPlus(1, 2), "DPlus(a1=1.0, a2=2.0)", (1.0, 2.0)),
     (DPlus(-0.0, 5e-324), "DPlus(a1=-0.0, a2=5e-324)", (-0.0, 5e-324)),
     (Bicomplex(1, 2j), "Bicomplex((1+0j), 2j)", (1 + 0j, 2j)),
-    (DNormConfig(), "DNormConfig(component_norm='l2')", ("l2",)),
-    (DNormConfig("linf"), "DNormConfig(component_norm='linf')", ("linf",)),
     (DSeminorm(T), "DSeminorm(T=BCMatrix(rows=2, cols=2))", (T,)),
 ]
 IDS = [r for _, r, _ in VALUES]
@@ -50,7 +46,7 @@ def test_value_repr_and_hash(value, text, key):
 
 @pytest.mark.parametrize("value", [v for v, _, _ in VALUES], ids=IDS)
 def test_value_is_immutable(value):
-    for name in ("a1", "a2", "z1", "z2", "component_norm", "T"):
+    for name in ("a1", "a2", "z1", "z2", "T"):
         if hasattr(value, name):
             before = getattr(value, name)
             with pytest.raises(AttributeError):
@@ -78,22 +74,17 @@ def test_value_equality():
     assert Hyperbolic(1, 2) != (1.0, 2.0) and DPlus(1, 2) != [1.0, 2.0]
     assert Bicomplex(1, 2) == Bicomplex(1 + 0j, 2.0) != Bicomplex(1, 2j)
     assert Bicomplex(1, 2) != Hyperbolic(1, 2) and Hyperbolic(1, 2) != Bicomplex(1, 2)
-    assert DNormConfig("l1") == DNormConfig("l1") != DNormConfig()
-    assert DNormConfig() != "l2"
     # an operator compares by identity, so a seminorm does too
     assert DSeminorm(T) == DSeminorm(T) != DSeminorm(BCMatrix.identity(2))
 
 
 def test_value_construction_is_checked():
-    with pytest.raises(InvalidInput, match=r"^unknown component norm 'l3'$"):
-        DNormConfig("l3")
     with pytest.raises(InvalidInput, match=r"^cone violation: DPlus components must be nonnegative, got \(1\.0, -0\.5\)$"):
         DPlus(1, -0.5)
     with pytest.raises(InvalidInput, match=r"^non-finite component nan rejected$"):
         DPlus(float("nan"), -1.0)
     with pytest.raises(InvalidInput, match=r"^non-finite component inf rejected$"):
         Bicomplex(complex(1, float("inf")), 0)
-    assert DNormConfig(component_norm="l1").component_norm == "l1"
     assert type(DPlus(1, 2).a1) is float and type(Bicomplex(1, 2).z1) is complex
 
 
