@@ -241,9 +241,9 @@ _ROWS = {
         (_TERMS, _SERIES_TOL,
          _Flag("--abs-check", action="store_true", help="run the absolute-summability chain check"),
          _SEED,
-         _max_n(f"term cap, at most {MAX_SERIES_TERMS}; each term summed costs about 300 bytes of "
-                "memory, plus 0.5 + 0.11*dim MB at most for the chunk being summed (750 + 120*dim "
-                "bytes per term with --abs-check, which keeps every term) and ~90 bytes of output"),
+         _max_n(f"term cap, at most {MAX_SERIES_TERMS}; each term summed costs about 650 bytes of "
+                "memory (500 + 100*dim with --abs-check, which keeps every partial sum), plus "
+                "0.5 + 0.11*dim MB at most for the chunk being summed, and ~90 bytes of output"),
          _OUTPUT),
         _series,
     ),
@@ -280,8 +280,9 @@ _ROWS = {
     "subadd": _Row(
         "countable subadditivity along a series",
         (_MATRIX_IN, _TERMS, _SERIES_TOL, _SEED,
-         _max_n(f"term cap, at most {MAX_SERIES_TERMS}; every term up to it is kept, about "
-                "600 + 30*dim bytes each, plus 0.1*dim MB at most while the series is summed"),
+         _max_n(f"term cap, at most {MAX_SERIES_TERMS}; terms are read until the series settles "
+                "and each one summed is kept, at most about 600 + 100*dim bytes each, plus "
+                "0.5 + 0.11*dim MB at most for the chunk being summed"),
          _OUTPUT),
         lambda a: _verdict(hyplab.countable_subadd_check(
             DSeminorm(a.matrix), parse_series(a.terms), a.maxN, a.series_tol)),

@@ -8,6 +8,10 @@ Norms split componentwise: ||x||_D = e1*N(v1) + e2*N(v2), N the complex l2
 norm (``vec_dnorm`` also takes l1 or linf).  Series summation is capped, at
 ``MAX_SERIES_TERMS`` at most, and every "converged" verdict means converged
 at the given cap with the given tolerance, never a claim about the limit.
+``_read_series`` is the one reader of a series' terms: ``series_sum``,
+``abs_summability_check`` and ``theoremlab.countable_subadd_check`` pull,
+check and stack terms only through it, so a fault surfaces at its term in
+each, and each keeps only the arrays it uses.
 
 Many vectors at once are held as a block: a (2, k, n) array whose [:, i]
 holds the components of the i-th vector.  ``_component_norms`` is the one
@@ -39,7 +43,6 @@ element, and ends with ``"pass"`` when the class has a ``passed`` property.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -372,21 +375,13 @@ def _as_tol(tol) -> DPlus:
 #: ``SERIES_WINDOW`` term norms.
 SERIES_WINDOW = 3
 
-#: Most terms a series is summed to: at the cap, an unsettled dim-4 series took
-#: 1.2-1.5 s and 66-117 MB from the CLI, 196 MB with --abs-check at dim 16.
+#: Most terms a series is summed to.  At the cap, an unsettled ratio-1 series
+#: took 1.2-1.6 s and 66 MB (series), 73-99 MB (subadd) and 85-116 MB
+#: (series --abs-check) from the CLI at dims 4-16 (peak RSS by os.wait4).
 MAX_SERIES_TERMS = 1 << 16
 
 
-def _check_term_cap(max_n: int) -> int:
-    """``max_n`` if it is a term cap from 1 to ``MAX_SERIES_TERMS``, else ``InvalidInput``."""
-    if max_n < 1:
-        raise InvalidInput(f"max_n must be >= 1, got {max_n}")
-    if max_n > MAX_SERIES_TERMS:
-        raise InvalidInput(f"max_n {max_n} exceeds the cap of {MAX_SERIES_TERMS} terms")
-    return max_n
-
-
-#: Terms ``series_sum`` pulls at first; each further chunk is twice as
+#: Terms ``_read_series`` pulls at first; each further chunk is twice as
 #: long, up to ``_SERIES_CHUNK_MAX``, which bounds the terms held at once.
 _SERIES_CHUNK = 32
 _SERIES_CHUNK_MAX = 1024
@@ -432,21 +427,22 @@ def _series_rows(b: np.ndarray, prev: _SeriesRows | None = None) -> _SeriesRows:
     return _SeriesRows(s, term_norms, abs_sums, partial_norms, tails, padded[:, k:])
 
 
-def _settled_at(rows: _SeriesRows, tol: DPlus, before: int) -> int | None:
+def _settled_at(rows: _SeriesRows, tol: DPlus, before: int, stop: bool) -> int | None:
     """The number of terms of the block summed when the series first settles.
 
     It settles at the first term where the trailing window is full and its
     tail is at most ``tol`` componentwise; None if no term of the block
-    does.  ``before`` terms precede the block.  A term before that point
-    that a term-by-term loop rejects raises that loop's error instead: a
-    non-finite partial sum first, then a non-finite term norm, running sum
-    or partial-sum norm.  (A partial sum can be non-finite before a norm
-    only if a term was built around ``BCVector``'s checks.)
+    does, or if ``stop`` is false.  ``before`` terms precede the block.  A
+    term before that point that a term-by-term loop rejects raises that
+    loop's error instead: a non-finite partial sum first, then a
+    non-finite term norm, running sum or partial-sum norm.  (A partial sum
+    can be non-finite before a norm only if a term was built around
+    ``BCVector``'s checks.)
     """
     finite = np.isfinite(rows.s).all(axis=(0, 2))
     for values in (rows.term_norms, rows.abs_sums, rows.partial_norms):
         finite &= np.isfinite(values).all(axis=0)
-    settled = (rows.tails <= np.array([[tol.a1], [tol.a2]])).all(axis=0)
+    settled = stop & (rows.tails <= np.array([[tol.a1], [tol.a2]])).all(axis=0)
     settled[: max(0, SERIES_WINDOW - 1 - before)] = False  # the window is not full yet
     hits = np.flatnonzero(settled | ~finite)
     if not hits.size:
@@ -462,14 +458,10 @@ def _settled_at(rows: _SeriesRows, tol: DPlus, before: int) -> int | None:
     return i + 1
 
 
-def series_sum(terms: Iterable[BCVector], tol, max_n: int) -> SeriesReport:
-    """Accumulate partial sums of a vector series up to ``max_n`` terms.
-
-    Converged means the trailing-window tail estimate (the sum of the last
-    ``SERIES_WINDOW`` term norms, which dominates ||s_n - s_m||_D over that window)
-    dropped below ``tol`` componentwise, or the term sequence was exhausted,
-    in which case the finite sum is exact.  Hitting the cap first raises
-    ``NotConverged`` carrying the report.
+def _read_series(
+    terms: Iterable[BCVector], tol, max_n: int, keep: str | None = None, to_cap: bool = False
+) -> tuple[SeriesReport, np.ndarray | None]:
+    """Pull, check and sum a series' terms: the one reader of a term sequence.
 
     Terms are pulled in chunks (32, then twice as many each time up to
     1024, never past the cap) and summed as blocks by ``_series_rows``, so
@@ -478,17 +470,28 @@ def series_sum(terms: Iterable[BCVector], tol, max_n: int) -> SeriesReport:
     dimension mismatch, a non-finite partial sum or norm and an error
     raised by ``terms`` itself surface at the term where they occur, and
     only if the series has not settled before it.  Terms pulled past the
-    settling point are never used.
+    settling point are never used.  At the cap one more term is pulled to
+    see whether the terms ended there, which makes the sum exact.
+
+    Unless ``to_cap``, the series stops at the first settled term, and one
+    that has not settled at the cap raises ``NotConverged`` carrying the
+    report.  With ``to_cap`` it is read to the cap past a settled window,
+    and the report's ``converged`` says whether the terms ended or the
+    window at the last term settled.  ``keep`` names what else is returned
+    for every term summed, stacked as a (2, n_terms, dim) block: "terms"
+    or the partial sums "s"; None keeps nothing more than the report.
     """
     tol = _as_tol(tol)
-    _check_term_cap(max_n)
+    if max_n < 1:
+        raise InvalidInput(f"max_n must be >= 1, got {max_n}")
+    if max_n > MAX_SERIES_TERMS:
+        raise InvalidInput(f"max_n {max_n} exceeds the cap of {MAX_SERIES_TERMS} terms")
 
     it = iter(terms)
     n = 0
     dim = None
     rows: _SeriesRows | None = None
-    partial_norms: list[np.ndarray] = []  # the (2, used) columns of each block
-    abs_sums: list[np.ndarray] = []
+    columns: dict[str, list[np.ndarray]] = {name: [] for name in ("partial_norms", "abs_sums", keep) if name}
     cauchy_margin = np.zeros(2)
     used = 0  # terms of the last block in the sum
     cut: Exception | None = None  # what ends the terms early, raised if reached
@@ -511,11 +514,13 @@ def series_sum(terms: Iterable[BCVector], tol, max_n: int) -> SeriesReport:
                 chunk.append(x)
         settled = None
         if chunk:
-            rows = _series_rows(np.stack([x.v for x in chunk], axis=1), rows)
-            settled = _settled_at(rows, tol, n)
+            b = np.stack([x.v for x in chunk], axis=1)
+            rows = _series_rows(b, rows)
+            settled = _settled_at(rows, tol, n, stop=not to_cap)
             used = settled or len(chunk)
-            partial_norms.append(rows.partial_norms[:, :used])
-            abs_sums.append(rows.abs_sums[:, :used])
+            block = {"terms": b, **rows._asdict()}
+            for name, parts in columns.items():
+                parts.append(block[name][:, :used])
             cauchy_margin = np.maximum(cauchy_margin, rows.tails[:, :used].max(axis=1))
             n += used
         if settled is not None:
@@ -526,8 +531,11 @@ def series_sum(terms: Iterable[BCVector], tol, max_n: int) -> SeriesReport:
         if rows is None:
             raise InvalidInput("empty series")
         if exhausted or n == max_n:
-            # a finite sum is exact, also when the sequence ends at the cap
-            converged = exhausted or next(it, None) is None
+            # a finite sum is exact, also when the sequence ends at the cap;
+            # read to the cap, a settled last window converges too
+            converged = exhausted or next(it, None) is None or (
+                n >= SERIES_WINDOW and hyp_leq(DPlus(*rows.tails[:, used - 1].tolist()), tol)
+            )
             break
         size = min(2 * size, _SERIES_CHUNK_MAX)
 
@@ -535,15 +543,27 @@ def series_sum(terms: Iterable[BCVector], tol, max_n: int) -> SeriesReport:
         n_terms=n,
         converged=converged,
         limit=BCVector(*rows.s[:, used - 1]) if converged else None,
-        partial_norms=Columns(np.concatenate(partial_norms, axis=1)),
-        abs_sums=Columns(np.concatenate(abs_sums, axis=1)),
+        partial_norms=Columns(np.concatenate(columns.pop("partial_norms"), axis=1)),
+        abs_sums=Columns(np.concatenate(columns.pop("abs_sums"), axis=1)),
         cauchy_margin=DPlus(*cauchy_margin.tolist()),
         tol=tol,
         window=SERIES_WINDOW,
     )
-    if not converged:
+    if not (converged or to_cap):
         raise NotConverged(f"series not converged after {n} terms", report)
-    return report
+    return report, np.concatenate(columns[keep], axis=1) if keep else None
+
+
+def series_sum(terms: Iterable[BCVector], tol, max_n: int) -> SeriesReport:
+    """Accumulate partial sums of a vector series up to ``max_n`` terms.
+
+    Converged means the trailing-window tail estimate (the sum of the last
+    ``SERIES_WINDOW`` term norms, which dominates ||s_n - s_m||_D over that window)
+    dropped below ``tol`` componentwise, or the term sequence was exhausted,
+    in which case the finite sum is exact.  Hitting the cap first raises
+    ``NotConverged`` carrying the report.  ``_read_series`` reads the terms.
+    """
+    return _read_series(terms, tol, max_n)[0]
 
 
 def abs_summability_check(
@@ -553,43 +573,18 @@ def abs_summability_check(
 ) -> AbsSummabilityReport:
     """Check absolute summability and the Cauchy tail chain of partial sums.
 
-    First decides whether the real series sum ||x_k||_D settles below
-    ``tol`` (trailing window, componentwise) within the cap, recording the
-    verdict in ``abs_converged`` rather than raising: divergence at a
-    finite cap is always just "not yet converged".  Then verifies, for a
-    deterministic schedule of index pairs m < n, that
-    ||s_n - s_m||_D <= sum_{k=m+1..n} ||x_k||_D componentwise by ``_within``,
-    with sum_{k<=n} ||x_k||_D as the data scale of its relative slack.
+    Reads the series to the cap and decides whether the real series
+    sum ||x_k||_D settled below ``tol`` (trailing window at the last term,
+    componentwise), recording the verdict in ``abs_converged`` rather than
+    raising: divergence at a finite cap is always just "not yet
+    converged".  Then verifies, for a deterministic schedule of index pairs
+    m < n, that ||s_n - s_m||_D <= sum_{k=m+1..n} ||x_k||_D componentwise
+    by ``_within``, with sum_{k<=n} ||x_k||_D as the data scale of its
+    relative slack.
     """
-    tol = _as_tol(tol if tol is not None else 1e-12)
-    _check_term_cap(max_n)
-
-    it = iter(terms)
-    xs = list(islice(it, max_n))
-    exhausted = len(xs) < max_n or next(it, None) is None
-    if not xs:
-        raise InvalidInput("empty series")
-    dim = xs[0].dim
-    for k, x in enumerate(xs):
-        if x.dim != dim:
-            raise DimensionMismatch(f"term {k} has dim {x.dim}, expected {dim}")
-    n_terms = len(xs)
-
-    rows = _series_rows(np.stack([x.v for x in xs], axis=1))
-    # a non-finite term norm, running sum or partial-sum norm, in that order
-    require_finite(rows.term_norms)
-    abs_sums = require_finite(rows.abs_sums)
-    partial_norms = require_finite(rows.partial_norms)
-    tails = rows.tails
-    # row n of the partial sums is s_n = ((0 + x_0) + x_1) + ... + x_n;
-    # cumsum adds in that order, and adding +0.0 restores the zero start
-    # (it turns a -0.0 that the start would have absorbed into +0.0)
-    s = rows.s + 0.0
-    cauchy_margin = DPlus(*np.maximum(0.0, tails.max(axis=1)).tolist())
-    final_tail = DPlus(*tails[:, -1].tolist()) if n_terms >= SERIES_WINDOW else None
-    # verdict at the cap: exhausted sequences are finite sums, otherwise the
-    # trailing window must have settled below tol
-    abs_converged = exhausted or (final_tail is not None and hyp_leq(final_tail, tol))
+    report, s = _read_series(terms, tol if tol is not None else 1e-12, max_n, keep="s", to_cap=True)
+    n_terms = report.n_terms
+    abs_sums = report.abs_sums.array
 
     # pairs (m, n) = (n - stride, n) for strides 1, 2, 4, ...: deterministic
     chain_ok = True
@@ -604,16 +599,14 @@ def abs_summability_check(
         stride *= 2
     worst = _worst(*margins) if margins else Hyperbolic(0.0, 0.0)
 
+    fields = dict(zip(report._fields, report._key()))
+    if report.converged:
+        # the limit is ((0 + x_1) + x_2) + ... + x_n; adding +0.0 restores the
+        # zero start (it turns a -0.0 that the start would have absorbed into +0.0)
+        fields["limit"] = BCVector(*(report.limit.v + 0.0))
     return AbsSummabilityReport(
-        n_terms=n_terms,
-        converged=abs_converged,
-        limit=BCVector(*s[:, -1]) if abs_converged else None,
-        partial_norms=Columns(partial_norms),
-        abs_sums=Columns(abs_sums),
-        cauchy_margin=cauchy_margin,
-        tol=tol,
-        window=SERIES_WINDOW,
-        abs_converged=abs_converged,
+        **fields,
+        abs_converged=report.converged,
         cauchy_chain_ok=chain_ok,
         chain_margin=worst,
     )

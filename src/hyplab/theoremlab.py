@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import math
 import zlib
-from itertools import islice
 
 import numpy as np
 
@@ -61,8 +60,8 @@ from .dmodule import (
     Columns,
     DSeminorm,
     Report,
-    _check_term_cap,
     _component_norms,
+    _read_series,
     _within,
     _worst,
     dnorm_rows,
@@ -70,7 +69,6 @@ from .dmodule import (
     seminorm_eval,
     seminorm_rows,
     seminorm_terms,
-    series_sum,
     vec_dnorm,
 )
 from .dop import (
@@ -280,19 +278,18 @@ def countable_subadd_check(
 ) -> SubaddReport:
     """Check p(s_n) <= sum_{k<=n} p(x_k) for every partial sum of a series.
 
-    The underlying vector series must converge under ``series_sum`` at the
-    cap (its ``NotConverged`` passes through).  ``tol`` is the series
-    tolerance, defaulting to (1e-12, 1e-12).
+    The underlying vector series must converge as under ``series_sum`` at
+    the cap (its ``NotConverged`` passes through), and its terms are read
+    as ``series_sum`` reads them, up to the term where it settles.  ``tol``
+    is the series tolerance, defaulting to (1e-12, 1e-12).
     """
     tol = tol if tol is not None else DPlus(1e-12, 1e-12)
-    xs = list(islice(iter(terms), _check_term_cap(max_n) + 1))
-    report = series_sum(xs, tol, max_n)  # raises NotConverged with report
+    report, b = _read_series(terms, tol, max_n, keep="terms")  # raises NotConverged with report
 
-    used = report.n_terms
-    b = np.stack([x.v for x in xs[:used]], axis=1)
-    # partial sums s_n = x_1 + ... + x_n and running sums of p(x_k), in order
+    # running sums of p(x_k), then the block turned in place into the partial
+    # sums s_n = x_1 + ... + x_n, each added in order
     p_running = require_finite(np.cumsum(seminorm_rows(p, b), axis=1))
-    ps = seminorm_rows(p, np.cumsum(b, axis=1))
+    ps = seminorm_rows(p, np.cumsum(b, axis=1, out=b))
     partial_ok = bool(_within(ps, p_running).all())
 
     p_limit = np.array(seminorm_eval(p, report.limit).components())[:, None]
@@ -301,7 +298,7 @@ def countable_subadd_check(
 
     return SubaddReport(
         check="subadd",
-        n_terms=used,
+        n_terms=report.n_terms,
         series_converged=report.converged,
         partial_ok=partial_ok,
         limit_ok=limit_ok,

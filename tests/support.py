@@ -12,6 +12,8 @@ at a time, a step loop that builds one vector per term and remainder, and
 a loop that pulls, adds and measures one term at a time.  The library's
 type-dispatching ``dumps``, its block-backed decomposition and its
 block-backed ``series_sum`` must reproduce their bytes and their errors.
+``oracle_abs_summability`` and ``oracle_subadd`` read their series the same
+way, then judge one index pair or one partial sum at a time.
 ``oracle_digest`` hashes the serializer's text, with each complex array as
 the ``pairs_record`` of the float64 bytes of its stacked [re, im] pairs.
 ``oracle_parse_vector`` and ``oracle_parse_matrix`` read documents one
@@ -33,16 +35,16 @@ from collections import deque
 import numpy as np
 
 from hyplab import (
-    BCMatrix, BCVector, Bicomplex, DimensionMismatch, DPlus, InvalidInput, NotConverged, ShapeMismatch,
+    BCMatrix, BCVector, Bicomplex, DimensionMismatch, DPlus, Hyperbolic, InvalidInput, NotConverged, ShapeMismatch,
 )
 from hyplab.dmodule import (
-    SERIES_WINDOW, Columns, DSeminorm, SeriesReport, _as_tol, _within, dnorm_rows, require_finite, seminorm_eval,
-    seminorm_rows, vec_dnorm,
+    SERIES_WINDOW, AbsSummabilityReport, Columns, DSeminorm, SeriesReport, _as_tol, _within, dnorm_rows,
+    require_finite, seminorm_eval, seminorm_rows, vec_dnorm,
 )
 from hyplab.hyperscalar import hyp_leq
 from hyplab.jsonio import _declared_size
 from hyplab.dop import op_dnorm
-from hyplab.theoremlab import UBPReport, _column, _draws, _holds, _sample_rows, _worst
+from hyplab.theoremlab import SubaddReport, UBPReport, _column, _draws, _holds, _sample_rows, _worst
 
 
 def mul4(a, b):
@@ -364,6 +366,113 @@ def oracle_series_sum(terms, tol, max_n: int) -> SeriesReport:
     if not converged:
         raise NotConverged(f"series not converged after {n} terms", report)
     return report
+
+
+
+def oracle_abs_summability(terms, max_n: int, tol=None) -> AbsSummabilityReport:
+    """The absolute-summability check one term, then one index pair, at a time.
+
+    Terms are pulled, checked, added and measured as ``oracle_series_sum``
+    does, but always on to the cap.  Then each pair (n - stride, n), for
+    strides 1, 2, 4, ..., compares ||s_n - s_m||_D with the sum of the term
+    norms between them.
+    """
+    tol = _as_tol(tol if tol is not None else 1e-12)
+    if max_n < 1:
+        raise InvalidInput(f"max_n must be >= 1, got {max_n}")
+
+    it = iter(terms)
+    sums, running, recent = [], DPlus(0.0, 0.0), deque(maxlen=SERIES_WINDOW)
+    partial_norms, abs_sums = [], []
+    cauchy_margin = DPlus(0.0, 0.0)
+    exhausted = False
+    while len(sums) < max_n:
+        x = next(it, None)
+        if x is None:
+            exhausted = True
+            break
+        if sums and x.dim != sums[0].dim:
+            raise DimensionMismatch(f"term {len(sums)} has dim {x.dim}, expected {sums[0].dim}")
+        sums.append(sums[-1] + x if sums else x)
+        t_norm = vec_dnorm(x)
+        running = DPlus(running.a1 + t_norm.a1, running.a2 + t_norm.a2)
+        recent.append(t_norm)
+        partial_norms.append(vec_dnorm(sums[-1]))
+        abs_sums.append(running)
+        tail = DPlus(sum(t.a1 for t in recent), sum(t.a2 for t in recent))
+        cauchy_margin = DPlus(max(cauchy_margin.a1, tail.a1), max(cauchy_margin.a2, tail.a2))
+    if not sums:
+        raise InvalidInput("empty series")
+    exhausted = exhausted or next(it, None) is None
+    converged = exhausted or (len(recent) == SERIES_WINDOW and hyp_leq(tail, tol))
+
+    chain_ok, worst = True, [0.0, 0.0] if len(sums) == 1 else [-math.inf, -math.inf]
+    stride = 1
+    while stride < len(sums):
+        for n in range(stride, len(sums)):
+            diff = vec_dnorm(sums[n] - sums[n - stride]).components()
+            upper = abs_sums[n].components()
+            gap = [u - lo for u, lo in zip(upper, abs_sums[n - stride].components())]
+            for c in range(2):
+                chain_ok = chain_ok and bool(_within(diff[c], gap[c], scale=upper[c]))
+                worst[c] = max(worst[c], diff[c] - gap[c])
+        stride *= 2
+
+    return AbsSummabilityReport(
+        n_terms=len(sums),
+        converged=converged,
+        # a loop from a zero start turns an entry that is -0.0 in every term into +0.0
+        limit=BCVector.zeros(sums[0].dim) + sums[-1] if converged else None,
+        partial_norms=partial_norms,
+        abs_sums=abs_sums,
+        cauchy_margin=cauchy_margin,
+        tol=tol,
+        window=SERIES_WINDOW,
+        abs_converged=converged,
+        cauchy_chain_ok=chain_ok,
+        chain_margin=Hyperbolic(*worst),
+    )
+
+
+def oracle_subadd(p: DSeminorm, terms, max_n: int, tol=None) -> SubaddReport:
+    """The countable subadditivity check on the terms ``oracle_series_sum`` used,
+    one partial sum and one running sum of p(x_k) at a time.
+
+    p is applied by one ``seminorm_rows`` product over the stacked terms and
+    one over the stacked partial sums, the products the library makes: a
+    ``seminorm_eval`` per vector is a matrix-vector product, which may round
+    the last digit differently.
+    """
+    pulled = []
+
+    def recorded():
+        for x in terms:
+            pulled.append(x)
+            yield x
+
+    report = oracle_series_sum(recorded(), tol if tol is not None else DPlus(1e-12, 1e-12), max_n)
+    xs, sums = pulled[: report.n_terms], []
+    for x in xs:
+        sums.append(sums[-1] + x if sums else x)
+    p_terms = seminorm_rows(p, np.stack([x.v for x in xs], axis=1)).T.tolist()
+    p_sums = seminorm_rows(p, np.stack([s.v for s in sums], axis=1)).T.tolist()
+    running, margins = [0.0, 0.0], []
+    partial_ok = True
+    for px, ps in zip(p_terms, p_sums):
+        running = [r + v for r, v in zip(running, px)]
+        partial_ok = partial_ok and all(_within(a, b) for a, b in zip(ps, running))
+        margins.append([a - b for a, b in zip(ps, running)])
+    p_limit = seminorm_eval(p, report.limit).components()
+    limit_ok = all(_within(a, b) for a, b in zip(p_limit, running))
+    margins.append([a - b for a, b in zip(p_limit, running)])
+    return SubaddReport(
+        check="subadd",
+        n_terms=report.n_terms,
+        series_converged=report.converged,
+        partial_ok=partial_ok,
+        limit_ok=limit_ok,
+        worst_margin=Hyperbolic(*(max(m[c] for m in margins) for c in range(2))),
+    )
 
 
 def _oracle_num(x, *, what: str) -> float:

@@ -1,13 +1,15 @@
 """Byte-level pins of emission, of the Zabreiko trace and of series sums.
 
 ``dumps`` dispatches on exact types and formats float lists with templates;
-``zabreiko_decompose`` runs its steps on blocks; ``series_sum`` pulls its
-terms in chunks and sums them as blocks.  Each must print, or raise,
-exactly what the one-value-at-a-time references in ``support`` do.
+``zabreiko_decompose`` runs its steps on blocks; ``series_sum``,
+``abs_summability_check`` and ``countable_subadd_check`` pull their terms in
+chunks and sum them as blocks.  Each must print, or raise, exactly what the
+one-value-at-a-time references in ``support`` do.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import tracemalloc
@@ -19,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyplab.cli as cli
-import hyplab.theoremlab as tl
 from hyplab import (
+    BCMatrix,
     BCVector,
     Bicomplex,
     DPlus,
@@ -28,6 +30,7 @@ from hyplab import (
     InvalidInput,
     NotConverged,
     PreconditionViolated,
+    abs_summability_check,
     countable_subadd_check,
     geometric_terms,
     op_dnorm,
@@ -37,7 +40,9 @@ from hyplab import (
 )
 from hyplab.jsonio import dumps
 
-from support import oracle_dumps, oracle_series_sum, oracle_zabreiko, random_mat, random_vec
+from support import (
+    oracle_abs_summability, oracle_dumps, oracle_series_sum, oracle_subadd, oracle_zabreiko, random_mat, random_vec,
+)
 
 # ------------------------------------------------------------------ dumps
 
@@ -324,6 +329,15 @@ def test_series_sum_matches_term_loop(case, as_iterator):
     assert_series_matches_oracle(make, tol, max_n)
 
 
+@settings(max_examples=300, deadline=None)
+@given(series_cases(), st.booleans())
+def test_abs_summability_matches_term_loop(case, as_iterator):
+    terms, tol, max_n = case
+    make = (lambda: iter(list(terms))) if as_iterator else (lambda: list(terms))
+    got = _report_outcome(lambda: abs_summability_check(make(), max_n, tol))
+    assert got == _report_outcome(lambda: oracle_abs_summability(make(), max_n, tol))
+
+
 def test_series_sum_geometric_generators():
     x0 = BCVector([1.0, -0.0, 2 - 1j], [0.5j, 1e-3, -0.0])
     kinds = set()
@@ -383,20 +397,59 @@ def test_series_sum_edge_cases():
     assert settled[0] == "ok" and '"n_terms":3,' in settled[1]
 
 
-def test_series_sum_pulls_at_most_the_cap_plus_one():
+IDENTITY_1 = DSeminorm(BCMatrix.identity(1))
+
+#: the three readers of a series' terms, each at the default tolerance 1e-12
+CONSUMERS = {
+    "series_sum": lambda terms, max_n: series_sum(terms, 1e-12, max_n),
+    "abs_summability_check": abs_summability_check,
+    "countable_subadd_check": lambda terms, max_n: countable_subadd_check(IDENTITY_1, terms, max_n),
+}
+
+
+def _counted(pulled: list, ratio: float):
+    """x_k = ratio^k (1, 1) in BC^1, recording each pull in ``pulled``."""
+    for k in itertools.count():
+        pulled.append(k)
+        yield BCVector([ratio**k], [ratio**k])
+
+
+@pytest.mark.parametrize("consumer", sorted(CONSUMERS))
+def test_series_sum_pulls_at_most_the_cap_plus_one(consumer):
+    run, reads_to_cap = CONSUMERS[consumer], consumer == "abs_summability_check"
     pulled = []
-
-    def counted():
-        for k in range(10):
-            pulled.append(k)
-            yield BCVector([1.0], [1.0])
-
-    with pytest.raises(NotConverged):
-        series_sum(counted(), 1e-12, 5)
+    if reads_to_cap:
+        assert not run(_counted(pulled, 1.0), 5).abs_converged
+    else:
+        with pytest.raises(NotConverged):
+            run(_counted(pulled, 1.0), 5)
     assert pulled == list(range(6))  # the cap, plus one pull to see whether it ended
+    # ratio 1/4 settles at term 24 (21 * 4^-23 <= 1e-12): series_sum and
+    # subadd stop with the first chunk of 32 terms, the abs check reads on
+    pulled = []
+    assert run(_counted(pulled, 0.25), 100).n_terms == (100 if reads_to_cap else 24)
+    assert len(pulled) == (101 if reads_to_cap else 32)
 
 
-def test_subadd_reports_match_the_term_loop(monkeypatch):
+def test_subadd_memory_does_not_scale_with_max_n():
+    x0 = BCVector([0.5, -1.0, 0.25j, 2.0], [1.0, 0.5, -0.5, 1j])
+    p = DSeminorm(BCMatrix.identity(4))
+    peaks, reports = [], []
+    for max_n in (100, 100, 65536):  # the first run warms the caches
+        terms = geometric_terms(Bicomplex(0.5, 0.25), x0)
+        tracemalloc.start()
+        try:
+            reports.append(dumps(countable_subadd_check(p, terms, max_n).to_json_dict()))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert reports[0] == reports[1] == reports[2]
+    # equal up to the interpreter's bookkeeping (a few hundred bytes); all
+    # 65,537 dim-4 terms kept would take about 20 MB
+    assert abs(peaks[2] - peaks[1]) < 4096
+
+
+def test_subadd_reports_match_the_term_loop():
     rng = np.random.default_rng(41)
     for n in (1, 4):
         p = DSeminorm(random_mat(rng, n, n))
@@ -404,11 +457,8 @@ def test_subadd_reports_match_the_term_loop(monkeypatch):
         for ratio, max_n in (((0.5, 0.3j), 200), ((0.95, -0.9), 200), ((0.9, 0.9), 40)):
             terms = list(islice(geometric_terms(Bicomplex(*ratio), x0), 300))
             for cap in (max_n, len(terms)):
-                outcomes = []
-                for fn in (series_sum, oracle_series_sum):
-                    monkeypatch.setattr(tl, "series_sum", fn)
-                    outcomes.append(_report_outcome(lambda: countable_subadd_check(p, terms, cap)))
-                assert outcomes[0] == outcomes[1]
+                got = _report_outcome(lambda: countable_subadd_check(p, terms, cap))
+                assert got == _report_outcome(lambda: oracle_subadd(p, terms, cap)), (n, ratio, cap)
 
 
 def test_cli_series_envelope_matches_the_term_loop(tmp_path, capsys, monkeypatch):
