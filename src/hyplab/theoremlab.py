@@ -108,8 +108,8 @@ OMT_BUDGET = DPlus(0.5, 0.5)
 
 #: Standard normals one ``_draws`` call may return (count x width), so a huge
 #: count is rejected before anything is allocated.  At the cap the sampled
-#: checks peaked at 320-580 MiB, 20-36 bytes per normal; more where a sample's
-#: image is wider than its draw, as omt-verify's preimages under a wide operator.
+#: checks peaked at 320-580 MiB, 20-36 bytes per normal.  omt-verify counts a
+#: wide operator's preimages against it too, as 4 * cols normals each.
 MAX_DRAWN_NORMALS = 1 << 24
 
 _MASK64 = (1 << 64) - 1
@@ -774,6 +774,13 @@ def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
     name = "omt-verify"
     delta = open_mapping_delta(T)  # raises NotSurjective
     rows = T.rows
+    # a wide operator's preimages outgrow the draws: count each trial's
+    # (2, cols) preimage as the 4 * cols normals it weighs against the cap
+    if trials * 4 * T.cols > MAX_DRAWN_NORMALS and T.cols > rows:
+        raise InvalidInput(
+            f"{name}: count {trials} of preimages {T.cols} wide, {4 * T.cols} normals each, "
+            f"exceeds the cap of {MAX_DRAWN_NORMALS} drawn normals"
+        )
 
     # one block solve for all trials: T x_i = y_i with x_i of least norm
     y = _sample_rows(_draws(seed, name, trials, 4 * rows), rows)

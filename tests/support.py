@@ -21,7 +21,8 @@ entry at a time into Python ``complex`` values, a cartesian entry through
 ``Bicomplex.from_reals``; ``jsonio``'s array-speed parse must give the same
 bits or raise the same error.  ``oracle_ubp`` is the uniform boundedness
 check with one norm report and one block product per family member; the
-stacked ``ubp_verify`` must give the same report.
+stacked ``ubp_verify`` must give the same report.  ``one_matrix_svd`` is the
+thin SVD of one matrix in the orientation the library factors it.
 """
 
 from __future__ import annotations
@@ -543,10 +544,23 @@ def oracle_parse_matrix(obj) -> BCMatrix:
     return mat
 
 
+def one_matrix_svd(m: np.ndarray):
+    """The thin SVD (u, s, vh) of one matrix in its factored orientation.
+
+    A wide matrix (rows < cols) is factored through its transpose and read
+    back: m^T = U' S V'^H gives m = V'^T S U'^T.  Others are factored as is.
+    """
+    if m.shape[0] < m.shape[1]:
+        u, s, vh = np.linalg.svd(m.T, full_matrices=False)
+        return vh.T, s, u.T
+    return tuple(np.linalg.svd(m, full_matrices=False))
+
+
 def oracle_ubp(family, samples: int, seed: int, delta=None):
     """``ubp_verify`` member by member, as it was before the stacked route.
 
-    Each component of each member gets its own SVD call, each member its
+    Each component of each member gets its own SVD call, in the factored
+    orientation, each member its
     own norm and its own block product ``seminorm_rows``; the members
     attaining the supremum are picked by ``max`` (the first one on a tie).
     """
@@ -558,7 +572,7 @@ def oracle_ubp(family, samples: int, seed: int, delta=None):
             raise ShapeMismatch(f"member {i} has shape {(T.rows, T.cols)}, expected {shape}")
     if samples < 1:
         raise InvalidInput(f"samples must be >= 1, got {samples}")
-    factors = [[np.linalg.svd(m, full_matrices=False) for m in (T.m1, T.m2)] for T in family]
+    factors = [[one_matrix_svd(m) for m in (T.m1, T.m2)] for T in family]
     norms = [DPlus(float(f1[1][0]), float(f2[1][0])) for f1, f2 in factors]
     sup_opnorm = componentwise_max(norms)
     bound = sup_opnorm if delta is None else delta

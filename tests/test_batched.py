@@ -36,7 +36,7 @@ from hyplab import (
 )
 from hyplab.dmodule import _component_norms, seminorm_terms
 from hyplab.jsonio import dumps
-from support import oracle_ubp, random_mat, random_vec, surjective_mat
+from support import one_matrix_svd, oracle_ubp, random_mat, random_vec, surjective_mat
 
 
 def close(a: float, b: float, scale: float) -> bool:
@@ -404,14 +404,40 @@ def test_stacked_bits_of_min_norm_solve_rows(shape, k, seed):
     y = np.stack([_block(rng, k, shape[1])[i] @ m.T for i, m in enumerate((T.m1, T.m2))])  # in range
     sol = min_norm_solve_rows(T, y, tol=1e-6)
     for i, m in enumerate((T.m1.copy(), T.m2.copy())):
-        yi = y[i].copy()
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-        r = int(np.count_nonzero(s > np.finfo(float).eps * max(m.shape) * s[0]))
-        x = ((yi @ u[:, :r].conj()) / s[:r]) @ vh[:r].conj()
-        assert _same_bits(sol.x[i], x)
-        assert _same_bits(sol.residual[i], _one_norm("l2", x @ m.T - yi))
-        assert _same_bits(sol.qy[i], _one_norm("l2", x))
-        assert _same_bits(sol.tol[i], 1e-6 * _one_norm("l2", yi))
+        _assert_one_matrix_solve(sol, i, m, y[i].copy())
+
+
+def _assert_one_matrix_solve(sol, i: int, m: np.ndarray, yi: np.ndarray) -> None:
+    """Component i of a tol=1e-6 block solve is the one-matrix SVD chain bit for bit."""
+    u, s, vh = one_matrix_svd(m)
+    r = int(np.count_nonzero(s > np.finfo(float).eps * max(m.shape) * s[0]))
+    x = ((yi @ u[:, :r].conj()) / s[:r]) @ vh[:r].conj()
+    assert _same_bits(sol.x[i], x)
+    assert _same_bits(sol.residual[i], _one_norm("l2", x @ m.T - yi))
+    assert _same_bits(sol.qy[i], _one_norm("l2", x))
+    assert _same_bits(sol.tol[i], 1e-6 * _one_norm("l2", yi))
+
+
+@pytest.mark.parametrize("entries", ["complex", "real"])
+@pytest.mark.parametrize("shape", [(4, 4), (3, 6), (64, 128)], ids=["4x4", "3x6", "64x128"])
+def test_stacked_bits_of_min_norm_solve_rows_at_a_repeated_row(shape, entries):
+    """A repeated row leaves each component rank-deficient, so the chain
+    drops a singular value; real entries give exact zeros, whose signs the
+    conjugated factors keep as the one-matrix chain does."""
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    m = _block(rng, *shape)
+    if entries == "real":
+        m = m.real + 0j
+    m[:, -1] = m[:, 0]
+    T = BCMatrix(*m)
+    x = _block(rng, 5, shape[1])
+    if entries == "real":
+        x = x.real + 0j
+    y = np.stack([x[i] @ c.T for i, c in enumerate(T.m)])  # in range
+    sol = min_norm_solve_rows(T, y, tol=1e-6)
+    for i, c in enumerate((T.m1.copy(), T.m2.copy())):
+        assert np.linalg.matrix_rank(c) == shape[0] - 1
+        _assert_one_matrix_solve(sol, i, c, y[i].copy())
 
 
 @settings(max_examples=30, deadline=None)

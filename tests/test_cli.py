@@ -986,13 +986,33 @@ def test_a_huge_term_cap_is_rejected_before_any_term_is_summed(tmp_path, command
     _rejected_quietly(argv, f"max_n {10**12} exceeds the cap of {MAX_SERIES_TERMS} terms")
 
 
+def test_omt_verify_counts_a_wide_operators_preimages_against_the_draw_cap(tmp_path):
+    # 2**22 trials draw 4 normals each under a 1x1000 operator, within the
+    # cap, but their (2, trials, 1000) preimages would take 125 GiB: the
+    # count is refused before anything is drawn, and cap // 4000 still runs
+    cap = 2**24
+    mat = write(tmp_path, "T.json", matrix_to_json(surjective_mat(np.random.default_rng(21), 1, 1000)))
+    trials = cap // 4
+    message = f"omt-verify: count {trials} of preimages 1000 wide, 4000 normals each, exceeds the cap of {cap} drawn normals"
+    _rejected_quietly(["omt-verify", "--matrix", mat, "--trials", str(trials)], message)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyplab.cli", "omt-verify", "--matrix", mat, "--trials", str(cap // 4000)],
+        capture_output=True, env=_child_env(), timeout=120, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["payload"]["trials"] == cap // 4000
+
+
 @pytest.mark.parametrize(
     "rows",
     [
         24,
+        # factored through its transpose, a 64x128 operator rounds alike at
+        # one and two threads
+        64,
         # above OpenBLAS's threading threshold, two threads split the
         # reductions inside gemv and gesdd and round differently
-        pytest.param(64, marks=pytest.mark.xfail(reason="threaded OpenBLAS rounding differs")),
+        pytest.param(96, marks=pytest.mark.xfail(reason="threaded OpenBLAS rounding differs")),
     ],
 )
 def test_omt_verify_bytes_independent_of_blas_threads(tmp_path, rows):

@@ -31,6 +31,7 @@ from hyplab import (
 from support import (
     mul4,
     normal_eq_min_norm,
+    one_matrix_svd,
     pi_sigma_max,
     pi_sigma_min,
     random_bc,
@@ -410,18 +411,25 @@ def test_operator_session_factors_once(monkeypatch):
 
 
 def test_cached_factors_read_only_and_exact():
+    # the factorization itself, not numpy's phase choice for the singular
+    # vectors, which differs between a matrix and its transpose
     rng = np.random.default_rng(31)
     for rows, cols in ((3, 6), (5, 5), (6, 3)):
         T = random_mat(rng, rows, cols)
         factors = T.svd()
         assert T.svd() is factors
+        k = min(rows, cols)
         for i, m in enumerate((T.m1, T.m2)):
-            u, s, vh = np.linalg.svd(m, full_matrices=False)
-            for got, want in ((factors.u[i], u), (factors.s[i], s), (factors.vh[i], vh)):
-                assert not got.flags.writeable
-                assert np.allclose(got, want, rtol=0, atol=1e-12)
-            with pytest.raises(ValueError):
-                factors.s[i, 0] = 0.0
+            u, s, vh = (a[i] for a in factors)
+            assert (u.shape, s.shape, vh.shape) == ((rows, k), (k,), (k, cols))
+            assert not (u.flags.writeable or s.flags.writeable or vh.flags.writeable)
+            assert np.abs(u * s @ vh - m).max() <= 1e-12
+            assert np.abs(u.conj().T @ u - np.eye(k)).max() <= 1e-12
+            assert np.abs(vh @ vh.conj().T - np.eye(k)).max() <= 1e-12
+            assert np.allclose(s, np.linalg.svd(m, compute_uv=False), rtol=1e-13, atol=0)
+            for a, index in ((factors.u, (i, 0, 0)), (factors.s, (i, 0)), (factors.vh, (i, 0, 0))):
+                with pytest.raises(ValueError):
+                    a[index] = 0.0
 
 
 def _member(rng, kind: str, rows: int, cols: int) -> BCMatrix:
@@ -448,10 +456,11 @@ def _families(draw):
 
 
 def _assert_one_matrix_svds(family):
-    """Every cached factor is read-only and the one-matrix SVD bit for bit."""
+    """Every cached factor is read-only and the one-matrix SVD bit for bit,
+    in the factored orientation."""
     for T in family:
         for i, m in enumerate((T.m1, T.m2)):
-            for got, want in zip((a[i] for a in T.svd()), np.linalg.svd(m, full_matrices=False)):
+            for got, want in zip((a[i] for a in T.svd()), one_matrix_svd(m)):
                 assert not got.flags.writeable
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
@@ -471,6 +480,29 @@ def test_family_factors_are_the_one_matrix_svds_bit_for_bit_at_64x128():
     family = [random_mat(rng, 64, 128), random_mat(rng, 64, 128)]
     svd_family(family)
     _assert_one_matrix_svds(family)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (4, 4), (6, 3), (8, 1), (64, 64), (128, 64)])
+def test_square_and_tall_factors_are_the_one_matrix_svds_of_the_direct_call(rows, cols):
+    rng = np.random.default_rng(rows * 1000 + cols)
+    family = [random_mat(rng, rows, cols) for _ in range(3)]
+    svd_family(family)
+    for T in family:
+        for i, m in enumerate((T.m1, T.m2)):
+            for got, want in zip((a[i] for a in T.svd()), np.linalg.svd(m, full_matrices=False)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 2), (1, 8), (3, 6), (4, 5), (64, 128)])
+def test_wide_factors_are_the_one_matrix_svds_of_the_transposed_call(rows, cols):
+    rng = np.random.default_rng(rows * 1000 + cols)
+    family = [random_mat(rng, rows, cols) for _ in range(3)]
+    svd_family(family)
+    for T in family:
+        for i, m in enumerate((T.m1, T.m2)):
+            u, s, vh = np.linalg.svd(m.T, full_matrices=False)  # m.T = u s vh: m = vh.T s u.T
+            for got, want in zip((a[i] for a in T.svd()), (vh.T, s, u.T)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_partly_factored_family_factors_only_the_rest(monkeypatch):

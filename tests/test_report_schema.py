@@ -237,7 +237,7 @@ def _reports():
         payload={"error": {"kind": "InvalidInput", "message": "bad \"x\""}, "r": -0.0},
     )
     yield "envelope", envelope, (
-        '{"tool":"hyplab","version":"0.4.0","subcommand":"knorm","inputs_digest":"",'
+        '{"tool":"hyplab","version":"0.5.0","subcommand":"knorm","inputs_digest":"",'
         '"seed":0,"payload":{"error":{"kind":"InvalidInput","message":"bad \\"x\\""},'
         '"r":-0},"pass":false}'
     )
