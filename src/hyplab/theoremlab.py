@@ -776,7 +776,7 @@ def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
     rows = T.rows
     # a wide operator's preimages outgrow the draws: count each trial's
     # (2, cols) preimage as the 4 * cols normals it weighs against the cap
-    if trials * 4 * T.cols > MAX_DRAWN_NORMALS and T.cols > rows:
+    if T.cols > rows and trials * 4 * T.cols > MAX_DRAWN_NORMALS:
         raise InvalidInput(
             f"{name}: count {trials} of preimages {T.cols} wide, {4 * T.cols} normals each, "
             f"exceeds the cap of {MAX_DRAWN_NORMALS} drawn normals"

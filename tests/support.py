@@ -560,9 +560,9 @@ def oracle_ubp(family, samples: int, seed: int, delta=None):
     """``ubp_verify`` member by member, as it was before the stacked route.
 
     Each component of each member gets its own SVD call, in the factored
-    orientation, each member its
-    own norm and its own block product ``seminorm_rows``; the members
-    attaining the supremum are picked by ``max`` (the first one on a tie).
+    orientation, each member its own norm and its own block product
+    ``seminorm_rows``; the members attaining the supremum are picked by
+    ``max`` (the first one on a tie).
     """
     if not family:
         raise ShapeMismatch("empty operator family")

@@ -425,14 +425,11 @@ def test_stacked_bits_of_min_norm_solve_rows_at_a_repeated_row(shape, entries):
     drops a singular value; real entries give exact zeros, whose signs the
     conjugated factors keep as the one-matrix chain does."""
     rng = np.random.default_rng(shape[0] * 1000 + shape[1])
-    m = _block(rng, *shape)
+    m, x = _block(rng, *shape), _block(rng, 5, shape[1])
     if entries == "real":
-        m = m.real + 0j
+        m, x = m.real + 0j, x.real + 0j
     m[:, -1] = m[:, 0]
     T = BCMatrix(*m)
-    x = _block(rng, 5, shape[1])
-    if entries == "real":
-        x = x.real + 0j
     y = np.stack([x[i] @ c.T for i, c in enumerate(T.m)])  # in range
     sol = min_norm_solve_rows(T, y, tol=1e-6)
     for i, c in enumerate((T.m1.copy(), T.m2.copy())):
