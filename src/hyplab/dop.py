@@ -267,12 +267,18 @@ def _numerical_rank(s: np.ndarray, tol: float) -> int:
     """Count of singular values above tol * s[0]; ``s`` descending."""
     if s[0] == 0.0:
         return 0
-    with np.errstate(over="ignore"):  # an infinite cutoff counts no value
-        return int(np.count_nonzero(s > tol * s[0]))
+    return int(np.count_nonzero(s > tol * s[0]))
 
 
 def surjectivity_check(T: BCMatrix, tol: float = RANK_TOL) -> SurjectivityReport:
-    """Surjective iff both components have numerical row rank equal to rows."""
+    """Surjective iff both components have numerical row rank equal to rows.
+
+    ``tol`` is a relative rank cutoff, so it must be below 1: at 1 or more
+    no singular value exceeds tol * sigma_max.
+    """
+    _check_tol(tol)
+    if tol >= 1:
+        raise InvalidInput(f"tol must be below 1 as a rank cutoff, got {tol}")
     r1, r2 = (_numerical_rank(s, tol) for s in T.svd().s)
     return SurjectivityReport(
         surjective=(r1 == T.rows and r2 == T.rows),
@@ -290,7 +296,6 @@ def open_mapping_delta(T: BCMatrix, tol: float = RANK_TOL) -> DPlus:
     components to be surjective.  The bound is attained on the bottom left
     singular vectors.
     """
-    _check_tol(tol)
     rep = surjectivity_check(T, tol)
     if not rep.surjective:
         raise NotSurjective(

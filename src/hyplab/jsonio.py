@@ -16,30 +16,27 @@ Vector and matrix entries, cartesian ones included, are read at array
 speed by ``_complex_array``; an input it refuses, or a cartesian entry that
 overflows, is re-read entry by entry only to name the bad entry.
 
-Emission always uses idempotent components (cartesian on request) and
-prints every float with 17 significant digits (``"%.17g"``), so correctly
-rounded platforms produce byte-identical documents.
-
-``dumps`` dispatches on the exact type of each value first.  A list of
-plain floats is formatted with one join; a list of equal-length lists of
-plain floats (vector entries, hyperbolic pairs, the rows of a trace) with
-one format call through one cached template per shape.  Every other value,
-numpy scalars included, goes through the ``isinstance`` chain, which
-recurses into containers and prints the same bytes.  Keys and strings are
-quoted exactly as ``json.dumps`` quotes them.  Documents get complex
-entries as plain floats from ``dmodule.complex_pairs``, the one emitter of
-[re, im] lists.  ``digest`` hashes the text of a document in which each
-complex array stands as ``{"dtype": "<f8", "shape": [*shape, 2], "sha256":
-<hex>}``, the SHA-256 of its little-endian float64 [re, im] pairs.
+Emission always uses idempotent components (cartesian on request) and is
+one call of the standard library's JSON encoder: no spaces, keys in
+insertion order, strings quoted as ``json.dumps`` quotes them, and every
+float written by ``repr``, the shortest decimal that reads back as the same
+double.  So ``json.loads`` gives back each float bit for bit, -0.0 and
+integral values such as 2.0 included, and a document's bytes are the same
+on every platform.  Non-finite floats keep the encoder's ``NaN`` and
+``Infinity`` tokens, so that an inputs digest can hash a rejected
+``--r inf``.  Numpy scalars are written as their Python values.
+Documents get complex entries as plain floats from
+``dmodule.complex_pairs``, the one emitter of [re, im] lists.  ``digest``
+hashes the text of a document in which each complex array stands as
+``{"dtype": "<f8", "shape": [*shape, 2], "sha256": <hex>}``, the SHA-256 of
+its little-endian float64 [re, im] pairs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from functools import lru_cache
 from itertools import chain
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 import numpy as np
@@ -49,82 +46,24 @@ from .dop import BCMatrix
 from .errors import InvalidInput
 from .hyperscalar import Bicomplex, DPlus, Hyperbolic
 
-#: 17 significant digits: enough to round-trip any double.
-_FLOAT = "%.17g"
-_FLOATS = {float}
-_LISTS = {list}
 
-
-def format_float(x: float) -> str:
-    """17-significant-digit decimal, enough to round-trip any double."""
-    return _FLOAT % float(x)
-
-
-@lru_cache(maxsize=64)
-def _template(rows: int, width: int) -> str:
-    """Format string of ``rows`` lists of ``width`` floats each."""
-    return "[" + ",".join(["[" + ",".join([_FLOAT] * width) + "]"] * rows) + "]"
-
-
-def _array(items) -> str:
-    """A list or tuple; flat and equal-width float lists take one format each."""
-    kinds = {*map(type, items)}
-    if kinds == _FLOATS:
-        return "[" + ",".join(map(_FLOAT.__mod__, items)) + "]"
-    if kinds == _LISTS:
-        widths = {*map(len, items)}
-        if len(widths) == 1:
-            flat = tuple(chain.from_iterable(items))
-            if {*map(type, flat)} == _FLOATS:
-                return _template(len(items), widths.pop()) % flat
-    return "[" + ",".join(map(dumps, items)) + "]"
-
-
-def _object(obj: dict) -> str:
-    parts = []
-    for k, v in obj.items():
-        if not isinstance(k, str):
-            raise InvalidInput(f"JSON object keys must be strings, got {k!r}")
-        parts.append(_quote(k) + ":" + dumps(v))
-    return "{" + ",".join(parts) + "}"
-
-
-#: Emitters of the exact types JSON data is made of.
-_BY_TYPE = {
-    float: _FLOAT.__mod__,
-    int: int.__str__,
-    bool: lambda b: "true" if b else "false",
-    type(None): lambda _: "null",
-    str: _quote,
-    list: _array,
-    dict: _object,
-}
+def _plain(obj):
+    """The encoder's ``default``: a numpy scalar's Python value, else a TypeError."""
+    if isinstance(obj, (np.bool_, np.integer, np.floating)):
+        return obj.item()
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps(obj: Any) -> str:
-    """Serialize to JSON with deterministic float formatting.
+    """Serialize to compact JSON, dict keys in insertion order and floats by ``repr``.
 
-    Dict keys keep insertion order (reports are built with stable field
-    order); floats go through :func:`format_float`'s format.  Values of an
-    exact JSON type are emitted through ``_BY_TYPE``; numpy scalars,
-    tuples and subclasses take the ``isinstance`` chain below.
+    A value of no JSON type, a key that is not a string, int, float, bool or
+    None, and a container that holds itself raise ``InvalidInput``.
     """
-    emit = _BY_TYPE.get(type(obj))
-    if emit is not None:
-        return emit(obj)
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, (list, tuple)):
-        return _array(obj)
-    if isinstance(obj, dict):
-        return _object(obj)
-    raise InvalidInput(f"cannot serialize {type(obj).__name__}")
+    try:
+        return json.dumps(obj, separators=(",", ":"), default=_plain)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(str(exc)) from exc
 
 
 def _hashed(obj):
@@ -155,11 +94,11 @@ def _num(x, *, what: str) -> float:
 
 
 def _declared_size(obj: dict, key: str) -> int:
-    """The optional "dim", "rows" or "cols" field as an integer."""
-    try:
-        return int(obj[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInput(f"declared {key} must be an integer, got {obj[key]!r}") from exc
+    """The optional "dim", "rows" or "cols" field, which must be an integer."""
+    size = obj[key]
+    if isinstance(size, bool) or not isinstance(size, int):
+        raise InvalidInput(f"declared {key} must be an integer, got {size!r}")
+    return size
 
 
 def _rows(x, *, what: str) -> list:

@@ -10,7 +10,7 @@ reference implementations of emission, of the Zabreiko decomposition and
 of capped series summation: a recursive serializer that formats one value
 at a time, a step loop that builds one vector per term and remainder, and
 a loop that pulls, adds and measures one term at a time.  The library's
-type-dispatching ``dumps``, its block-backed decomposition and its
+encoder-backed ``dumps``, its block-backed decomposition and its
 block-backed ``series_sum`` must reproduce their bytes and their errors.
 ``oracle_abs_summability`` and ``oracle_subadd`` read their series the same
 way, then judge one index pair or one partial sum at a time.
@@ -170,7 +170,8 @@ def bc_from4(t) -> Bicomplex:
 
 
 def oracle_dumps(obj) -> str:
-    """JSON with 17-significant-digit floats, one value at a time."""
+    """JSON with floats written by ``repr``, one value at a time; non-finite
+    floats and keys other than strings follow ``json.dumps``' rules."""
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -178,7 +179,7 @@ def oracle_dumps(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
+        return _oracle_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
@@ -186,11 +187,31 @@ def oracle_dumps(obj) -> str:
     if isinstance(obj, dict):
         parts = []
         for k, v in obj.items():
-            if not isinstance(k, str):
-                raise InvalidInput(f"JSON object keys must be strings, got {k!r}")
-            parts.append(json.dumps(k) + ":" + oracle_dumps(v))
+            parts.append(json.dumps(_oracle_key(k)) + ":" + oracle_dumps(v))
         return "{" + ",".join(parts) + "}"
     raise InvalidInput(f"cannot serialize {type(obj).__name__}")
+
+
+def _oracle_float(x: float) -> str:
+    if math.isnan(x):
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return repr(x)
+
+
+def _oracle_key(k) -> str:
+    """A dict key as text: a float, bool, None or int key is written as its
+    JSON value; a key of any other type is refused."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _oracle_float(k)
+    if k is None or isinstance(k, bool):
+        return oracle_dumps(k)
+    if isinstance(k, int):
+        return str(int(k))
+    raise InvalidInput(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
 def pairs_record(pairs) -> dict:

@@ -528,7 +528,7 @@ def test_ubp_matches_per_sample_evaluation():
 
 
 def _same_report(got, want):
-    """Equal fields: 17 significant digits and the sign of zero give the bits."""
+    """Equal fields: ``repr`` of each float gives its bits, the sign of zero included."""
     assert type(got) is type(want)
     assert [type(v) for v in vars(got).values()] == [type(v) for v in vars(want).values()]
     assert dumps(got.to_json_dict()) == dumps(want.to_json_dict())

@@ -451,6 +451,67 @@ def test_non_finite_tol_exit_2(tmp_path, capsys, command, tol):
     assert err.startswith("hyplab: InvalidInput: tol must be")
 
 
+@pytest.mark.parametrize("tol", ["1", "1e308"])
+def test_rank_cutoff_of_one_or_more_exit_2(tmp_path, capsys, tol):
+    # no singular value exceeds tol * sigma_max, so omc refuses the cutoff
+    # instead of reporting row ranks (0, 0) of the identity
+    argv = ["omc", "--matrix", write(tmp_path, "I.json", matrix_to_json(BCMatrix.identity(2))), "--tol", tol]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    error = _strict_json(lines[0])["payload"]["error"]
+    assert error == {"kind": "InvalidInput", "message": f"tol must be below 1 as a rank cutoff, got {float(tol)}"}
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["1", "10"])
+def test_solve_accepts_a_residual_tolerance_of_one_or_more(tmp_path, capsys, tol):
+    # solve's --tol bounds the residual relative to ||y||, not a rank
+    y = write(tmp_path, "y.json", {"e1": [[0.5, 0], [0, 0.5]], "e2": [[0.25, 0], [0, 0]]})
+    argv = ["solve", "--matrix", write(tmp_path, "I.json", matrix_to_json(BCMatrix.identity(2))), "--y", y]
+    code, doc, _ = run_json(capsys, argv + ["--tol", tol])
+    assert code == 0 and doc["pass"] is True
+    assert doc["payload"]["x"]["e1"] == [[0.5, 0.0], [0.0, 0.5]]
+
+
+#: declared sizes that are no JSON integer, though ``int`` reads each as the
+#: entry count beside it
+NON_INTEGER_SIZES = [('"2"', 2), ("2.0", 2), ("2.5", 2), ("2.9", 2), ("true", 1)]
+
+
+def _sized_input(command: str, key: str, size: str, n: int) -> str:
+    """The text of a ``norm`` vector or an ``opnorm`` n x n matrix whose ``key`` is ``size``."""
+    if command == "norm":
+        entries = json.dumps([[1, 0]] * n)
+    else:
+        entries = json.dumps([[[1, 0]] * n] * n)
+    return f'{{"{key}": {size}, "e1": {entries}, "e2": {entries}}}'
+
+
+@pytest.mark.parametrize("size, n", NON_INTEGER_SIZES, ids=[s for s, _ in NON_INTEGER_SIZES])
+@pytest.mark.parametrize("command, key", [("norm", "dim"), ("opnorm", "rows"), ("opnorm", "cols")])
+def test_declared_size_that_is_no_integer_exit_2(tmp_path, capsys, command, key, size, n):
+    path = tmp_path / "in.json"
+    path.write_text(_sized_input(command, key, size, n))
+    code, out, err = run_cli(capsys, [command, "--vector" if command == "norm" else "--matrix", str(path)])
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    error = _strict_json(lines[0])["payload"]["error"]
+    assert error == {"kind": "InvalidInput", "message": f"declared {key} must be an integer, got {json.loads(size)!r}"}
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("command, key", [("norm", "dim"), ("opnorm", "rows"), ("opnorm", "cols")])
+def test_declared_integer_size_passes(tmp_path, capsys, command, key, n):
+    path = tmp_path / "in.json"
+    path.write_text(_sized_input(command, key, str(n), n))
+    code, doc, _ = run_json(capsys, [command, "--vector" if command == "norm" else "--matrix", str(path)])
+    assert code == 0 and doc["pass"] is True
+
+
 #: required arguments of each subcommand; argparse rejects a stray flag
 #: before any file is opened, so the paths need not exist
 REQUIRED_ARGS = {

@@ -578,12 +578,27 @@ def test_solve_tolerance_scales_with_rhs():
         min_norm_solve(R, BCVector([0.0, 1e-12], [0.0, 1e-12]), tol=1e-10)
 
 
+def test_rank_cutoff_must_be_below_one():
+    # at tol >= 1 no singular value exceeds tol * sigma_max, so every
+    # operator would have row rank 0
+    T = BCMatrix.identity(2)
+    assert surjectivity_check(T, tol=math.nextafter(1.0, 0.0)).surjective
+    for tol in (1.0, 1e308):
+        with pytest.raises(InvalidInput) as info:
+            surjectivity_check(T, tol=tol)
+        assert str(info.value) == f"tol must be below 1 as a rank cutoff, got {tol}"
+        with pytest.raises(InvalidInput, match="below 1 as a rank cutoff"):
+            open_mapping_delta(T, tol=tol)
+
+
 def test_tolerance_products_that_overflow_raise_no_numpy_warning():
     # 1e308 times a singular value or a norm above ~1.8 overflows: a rank
-    # cutoff at inf counts no value, and a residual bound at inf is rejected
+    # cutoff of 1 or more is rejected before any product, and a residual
+    # bound at inf is rejected
     T = BCMatrix([[2.0, 0.0]], [[3.0, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert surjectivity_check(T, tol=1e308).rank_e1 == 0
+        with pytest.raises(InvalidInput, match="tol must be below 1 as a rank cutoff, got 1e"):
+            surjectivity_check(T, tol=1e308)
         with pytest.raises(InvalidInput, match="non-finite component inf"):
             min_norm_solve(T, BCVector([4.0], [4.0]), tol=1e308)

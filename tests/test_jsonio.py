@@ -1,8 +1,10 @@
-"""JSON schemas, 17-digit emission, digests, and literals."""
+"""JSON schemas, emission that reads back bit for bit, digests, and literals."""
 
 import copy
 import hashlib
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from hyplab.jsonio import (
     _complex_array,
     digest,
     dumps,
-    format_float,
     load_json,
     matrix_to_json,
     parse_hyp_literal,
@@ -157,16 +158,9 @@ def test_series_bad_spec():
 # ------------------------------------------------------- emission and digest
 
 
-def test_format_float_17_digits():
-    assert format_float(0.1) == "0.10000000000000001"
-    assert format_float(2.0) == "2"
-    assert format_float(1e-300) == "1e-300"
-    assert format_float(1 / 3) == "0.33333333333333331"
-
-
 def test_dumps_shapes():
     doc = {"a": 1, "b": [0.5, True, None, "s"], "c": {"k": 2.0}}
-    assert dumps(doc) == '{"a":1,"b":[0.5,true,null,"s"],"c":{"k":2}}'
+    assert dumps(doc) == '{"a":1,"b":[0.5,true,null,"s"],"c":{"k":2.0}}'
 
 
 def test_dumps_preserves_insertion_order():
@@ -174,14 +168,50 @@ def test_dumps_preserves_insertion_order():
 
 
 def test_float_round_trip_through_dumps():
-    import json
-
     rng = np.random.default_rng(4)
     vals = list(rng.standard_normal(200)) + [1e-308, 1e300, -0.0]
     text = dumps(vals)
     back = json.loads(text)
     for x, y in zip(vals, back):
         assert float(x) == float(y)
+
+
+#: doubles that 17 significant digits wrote as ints or bloated: signed
+#: zero, the smallest subnormal and normal, the largest double and
+#: integral values
+_EXACT_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+     2.0, -3.0, 2.0**53, 1e22]
+)
+_ROUND_TRIP_DOCS = st.recursive(
+    st.one_of(
+        _EXACT_FLOATS, st.integers(), st.booleans(), st.none(), st.text(max_size=4),
+        _EXACT_FLOATS.map(np.float64), st.integers(-(2**63), 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    ),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+def _typed_bits(x):
+    """A document as the JSON values it stands for, each float as its bits."""
+    if isinstance(x, dict):
+        return {k: _typed_bits(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_typed_bits(v) for v in x]
+    if isinstance(x, (float, np.float64)):
+        return "float", struct.pack("<d", x)
+    if isinstance(x, np.bool_):
+        return "bool", bool(x)
+    if isinstance(x, np.int64):
+        return "int", int(x)
+    return type(x).__name__, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ROUND_TRIP_DOCS)
+def test_dumps_reads_back_the_same_types_and_float_bits(doc):
+    assert _typed_bits(json.loads(dumps(doc))) == _typed_bits(doc)
 
 
 def test_digest_stability_and_sensitivity():

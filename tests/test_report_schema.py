@@ -51,9 +51,9 @@ def _reports():
         witness_tight=True,
         worst_margin=Hyperbolic(-1.5, 0.1),
     ), (
-        '{"check":"lemma31","seed":-3,"trials":1,"alpha_star":[-0,4.9406564584124654e-324],'
+        '{"check":"lemma31","seed":-3,"trials":1,"alpha_star":[-0.0,5e-324],'
         '"all_ok":true,"sequence_ok":false,"witness_tight":true,'
-        '"worst_margin":[-1.5,0.10000000000000001],"pass":false}'
+        '"worst_margin":[-1.5,0.1],"pass":false}'
     )
     yield "subadd", SubaddReport(
         check="subadd",
@@ -64,7 +64,7 @@ def _reports():
         worst_margin=Hyperbolic(-0.0, -TINY),
     ), (
         '{"check":"subadd","n_terms":0,"series_converged":true,"partial_ok":true,'
-        '"limit_ok":true,"worst_margin":[-0,-4.9406564584124654e-324],"pass":true}'
+        '"limit_ok":true,"worst_margin":[-0.0,-5e-324],"pass":true}'
     )
     yield "ballscale", BallScaleReport(
         check="ballscale",
@@ -77,8 +77,8 @@ def _reports():
         worst_margin=Hyperbolic(0.0, 0.0),
         closure_tol=TINY,
     ), (
-        '{"check":"ballscale","seed":0,"samples":2,"r":-0,"alpha":[1,2],"deltas":[],'
-        '"per_delta_ok":[],"worst_margin":[0,0],"closure_tol":4.9406564584124654e-324,'
+        '{"check":"ballscale","seed":0,"samples":2,"r":-0.0,"alpha":[1.0,2.0],"deltas":[],'
+        '"per_delta_ok":[],"worst_margin":[0.0,0.0],"closure_tol":5e-324,'
         '"pass":true}'
     )
     yield "ballscale-deltas", BallScaleReport(
@@ -93,9 +93,9 @@ def _reports():
         closure_tol=1e-9,
     ), (
         '{"check":"ballscale","seed":7,"samples":1,"r":0.5,'
-        '"alpha":[4.9406564584124654e-324,1e+308],"deltas":[0.5,-0],'
-        '"per_delta_ok":[true,false],"worst_margin":[1e-300,-2],'
-        '"closure_tol":1.0000000000000001e-09,"pass":false}'
+        '"alpha":[5e-324,1e+308],"deltas":[0.5,-0.0],'
+        '"per_delta_ok":[true,false],"worst_margin":[1e-300,-2.0],'
+        '"closure_tol":1e-09,"pass":false}'
     )
     yield "ubp", UBPReport(
         check="ubp",
@@ -109,8 +109,8 @@ def _reports():
         worst_margin=Hyperbolic(-0.0, 0.0),
     ), (
         '{"check":"ubp","seed":1,"family_size":2,"samples":1,'
-        '"pointwise_sups":[[-0,4.9406564584124654e-324],[3,0.25]],"sup_opnorm":[3,0.25],'
-        '"bound_delta":[3,0.25],"all_bounds_ok":true,"worst_margin":[-0,0],"pass":true}'
+        '"pointwise_sups":[[-0.0,5e-324],[3.0,0.25]],"sup_opnorm":[3.0,0.25],'
+        '"bound_delta":[3.0,0.25],"all_bounds_ok":true,"worst_margin":[-0.0,0.0],"pass":true}'
     )
     yield "ubp-empty", UBPReport(
         check="ubp",
@@ -124,8 +124,8 @@ def _reports():
         worst_margin=Hyperbolic(0.0, 0.0),
     ), (
         '{"check":"ubp","seed":1,"family_size":0,"samples":0,"pointwise_sups":[],'
-        '"sup_opnorm":[0,0],"bound_delta":[0,0],"all_bounds_ok":false,'
-        '"worst_margin":[0,0],"pass":false}'
+        '"sup_opnorm":[0.0,0.0],"bound_delta":[0.0,0.0],"all_bounds_ok":false,'
+        '"worst_margin":[0.0,0.0],"pass":false}'
     )
     yield "openmap", OpenMapReport(
         check="omt-verify",
@@ -140,17 +140,17 @@ def _reports():
         worst_residual=DPlus(0.0, TINY),
         worst_margin=Hyperbolic(-1e-17, 2.5),
     ), (
-        '{"check":"omt-verify","seed":2,"trials":3,"delta":[4.9406564584124654e-324,-0],'
-        '"solve_ok":true,"bound_ok":true,"witness_ok":false,"witness_ratio":[1,1],'
-        '"subadd_ok":true,"worst_residual":[0,4.9406564584124654e-324],'
-        '"worst_margin":[-1.0000000000000001e-17,2.5],"pass":false}'
+        '{"check":"omt-verify","seed":2,"trials":3,"delta":[5e-324,-0.0],'
+        '"solve_ok":true,"bound_ok":true,"witness_ok":false,"witness_ratio":[1.0,1.0],'
+        '"subadd_ok":true,"worst_residual":[0.0,5e-324],'
+        '"worst_margin":[-1e-17,2.5],"pass":false}'
     )
     yield "opnorm", OperatorNormReport(
         M=DPlus(-0.0, TINY),
         sigma_max=(-0.0, TINY),
         tol=1e-10,
     ), (
-        '{"M":[-0,4.9406564584124654e-324],"sigma_max":[-0,4.9406564584124654e-324],'
+        '{"M":[-0.0,5e-324],"sigma_max":[-0.0,5e-324],'
         '"tol":1e-10}'
     )
     yield "solve", SolveReport(
@@ -159,8 +159,8 @@ def _reports():
         residual=DPlus(0.0, 0.0),
         tol=DPlus(1e-10, 1e-10),
     ), (
-        '{"x":{"dim":2,"e1":[[-0,4.9406564584124654e-324],[1,2]],"e2":[[0,0],[3,-0]]},'
-        '"qy":[4.9406564584124654e-324,-0],"residual":[0,0],'
+        '{"x":{"dim":2,"e1":[[-0.0,5e-324],[1.0,2.0]],"e2":[[0.0,0.0],[3.0,-0.0]]},'
+        '"qy":[5e-324,-0.0],"residual":[0.0,0.0],'
         '"tol":[1e-10,1e-10]}'
     )
     yield "surjectivity", SurjectivityReport(
@@ -177,8 +177,8 @@ def _reports():
         window=3,
     ), (
         '{"n_terms":0,"converged":false,"limit":null,"partial_norms":[],"abs_sums":[],'
-        '"cauchy_margin":[-0,4.9406564584124654e-324],'
-        '"tol":[9.9999999999999998e-13,9.9999999999999998e-13],"window":3}'
+        '"cauchy_margin":[-0.0,5e-324],'
+        '"tol":[1e-12,1e-12],"window":3}'
     )
     yield "series-full", AbsSummabilityReport(
         n_terms=2,
@@ -193,11 +193,11 @@ def _reports():
         cauchy_chain_ok=True,
         chain_margin=Hyperbolic(-0.0, -TINY),
     ), (
-        '{"n_terms":2,"converged":true,"limit":{"dim":1,"e1":[[-0,0.5]],'
-        '"e2":[[4.9406564584124654e-324,0]]},"partial_norms":[[1,-0],'
-        '[4.9406564584124654e-324,2]],"abs_sums":[[1,0],[1.5,2]],"cauchy_margin":[0.5,0.5],'
-        '"tol":[0.25,4],"window":1,"abs_converged":false,"cauchy_chain_ok":true,'
-        '"chain_margin":[-0,-4.9406564584124654e-324]}'
+        '{"n_terms":2,"converged":true,"limit":{"dim":1,"e1":[[-0.0,0.5]],'
+        '"e2":[[5e-324,0.0]]},"partial_norms":[[1.0,-0.0],'
+        '[5e-324,2.0]],"abs_sums":[[1.0,0.0],[1.5,2.0]],"cauchy_margin":[0.5,0.5],'
+        '"tol":[0.25,4.0],"window":1,"abs_converged":false,"cauchy_chain_ok":true,'
+        '"chain_margin":[-0.0,-5e-324]}'
     )
     yield "zabreiko", ZabreikoTrace(
         check="zabreiko",
@@ -220,15 +220,15 @@ def _reports():
         worst_term_margin=Hyperbolic(-0.0, -1.0),
         worst_remainder_margin=Hyperbolic(TINY, -TINY),
     ), (
-        '{"check":"zabreiko","m":[50,50],"r":1,"eps":[1,4.9406564584124654e-324],'
-        '"alpha_star":[-0,2],"x_norm":[0.5,0.25],"px":[4.9406564584124654e-324,0],'
-        '"n_steps":1,"capped":false,"epsilons":[[0.5,0.25],[0.02,-0]],'
-        '"tail_bounds":[[0.02,4.9406564584124654e-324]],'
-        '"x_terms":[{"dim":1,"e1":[[-0,0.5]],"e2":[[4.9406564584124654e-324,1]]}],'
-        '"remainders":[{"dim":1,"e1":[[0,0]],"e2":[[-4.9406564584124654e-324,-0]]}],'
+        '{"check":"zabreiko","m":[50.0,50.0],"r":1.0,"eps":[1.0,5e-324],'
+        '"alpha_star":[-0.0,2.0],"x_norm":[0.5,0.25],"px":[5e-324,0.0],'
+        '"n_steps":1,"capped":false,"epsilons":[[0.5,0.25],[0.02,-0.0]],'
+        '"tail_bounds":[[0.02,5e-324]],'
+        '"x_terms":[{"dim":1,"e1":[[-0.0,0.5]],"e2":[[5e-324,1.0]]}],'
+        '"remainders":[{"dim":1,"e1":[[0.0,0.0]],"e2":[[-5e-324,-0.0]]}],'
         '"chain_exact":true,"term_bounds_ok":true,"remainder_bounds_ok":false,'
-        '"final_bound_ok":true,"worst_term_margin":[-0,-1],'
-        '"worst_remainder_margin":[4.9406564584124654e-324,-4.9406564584124654e-324],'
+        '"final_bound_ok":true,"worst_term_margin":[-0.0,-1.0],'
+        '"worst_remainder_margin":[5e-324,-5e-324],'
         '"pass":false}'
     )
     envelope = _new_envelope("knorm")
@@ -237,9 +237,9 @@ def _reports():
         payload={"error": {"kind": "InvalidInput", "message": "bad \"x\""}, "r": -0.0},
     )
     yield "envelope", envelope, (
-        '{"tool":"hyplab","version":"0.5.0","subcommand":"knorm","inputs_digest":"",'
+        '{"tool":"hyplab","version":"0.6.0","subcommand":"knorm","inputs_digest":"",'
         '"seed":0,"payload":{"error":{"kind":"InvalidInput","message":"bad \\"x\\""},'
-        '"r":-0},"pass":false}'
+        '"r":-0.0},"pass":false}'
     )
 
 
