@@ -18,18 +18,17 @@ overflows, is re-read entry by entry only to name the bad entry.
 
 Emission always uses idempotent components (cartesian on request) and is
 one call of the standard library's JSON encoder: no spaces, keys in
-insertion order, strings quoted as ``json.dumps`` quotes them, and every
-float written by ``repr``, the shortest decimal that reads back as the same
-double.  So ``json.loads`` gives back each float bit for bit, -0.0 and
-integral values such as 2.0 included, and a document's bytes are the same
-on every platform.  Non-finite floats keep the encoder's ``NaN`` and
-``Infinity`` tokens, so that an inputs digest can hash a rejected
-``--r inf``.  Numpy scalars are written as their Python values.
-Documents get complex entries as plain floats from
-``dmodule.complex_pairs``, the one emitter of [re, im] lists.  ``digest``
-hashes the text of a document in which each complex array stands as
-``{"dtype": "<f8", "shape": [*shape, 2], "sha256": <hex>}``, the SHA-256 of
-its little-endian float64 [re, im] pairs.
+insertion order, strings ASCII-escaped, and every float written by
+``repr``, the shortest decimal that reads back as the same double.  So
+``json.loads`` gives back each float bit for bit, -0.0 and integral values
+such as 2.0 included, and a document's bytes are the same on every
+platform.  Non-finite floats keep the encoder's ``NaN`` and ``Infinity``
+tokens, so that an inputs digest can hash a rejected ``--r inf``.  Numpy
+scalars are written as their Python values.  Documents get complex entries
+as plain floats from ``dmodule.complex_pairs``, the one emitter of [re, im]
+lists.  ``digest`` hashes the text of a document in which each complex
+array stands as ``{"dtype": "<f8", "shape": [*shape, 2], "sha256": <hex>}``,
+the SHA-256 of its little-endian float64 [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -49,7 +48,9 @@ from .hyperscalar import Bicomplex, DPlus, Hyperbolic
 
 def _plain(obj):
     """The encoder's ``default``: a numpy scalar's Python value, else a TypeError."""
-    if isinstance(obj, (np.bool_, np.integer, np.floating)):
+    if isinstance(obj, np.floating):  # not item(): a long double's is a long double
+        return float(obj)
+    if isinstance(obj, (np.bool_, np.integer)):
         return obj.item()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 

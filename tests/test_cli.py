@@ -475,41 +475,30 @@ def test_solve_accepts_a_residual_tolerance_of_one_or_more(tmp_path, capsys, tol
     assert doc["payload"]["x"]["e1"] == [[0.5, 0.0], [0.0, 0.5]]
 
 
-#: declared sizes that are no JSON integer, though ``int`` reads each as the
-#: entry count beside it
-NON_INTEGER_SIZES = [('"2"', 2), ("2.0", 2), ("2.5", 2), ("2.9", 2), ("true", 1)]
+#: declared sizes beside the entry count; ``int`` reads each as the count,
+#: but only a JSON integer is a size
+DECLARED_SIZES = [('"2"', 2), ("2.0", 2), ("2.5", 2), ("2.9", 2), ("true", 1), ("2", 2), ("1", 1)]
 
 
-def _sized_input(command: str, key: str, size: str, n: int) -> str:
-    """The text of a ``norm`` vector or an ``opnorm`` n x n matrix whose ``key`` is ``size``."""
-    if command == "norm":
-        entries = json.dumps([[1, 0]] * n)
-    else:
-        entries = json.dumps([[[1, 0]] * n] * n)
-    return f'{{"{key}": {size}, "e1": {entries}, "e2": {entries}}}'
-
-
-@pytest.mark.parametrize("size, n", NON_INTEGER_SIZES, ids=[s for s, _ in NON_INTEGER_SIZES])
+@pytest.mark.parametrize("size, n", DECLARED_SIZES, ids=[s for s, _ in DECLARED_SIZES])
 @pytest.mark.parametrize("command, key", [("norm", "dim"), ("opnorm", "rows"), ("opnorm", "cols")])
-def test_declared_size_that_is_no_integer_exit_2(tmp_path, capsys, command, key, size, n):
+def test_declared_size_must_be_a_json_integer(tmp_path, capsys, command, key, size, n):
+    entries = json.dumps([[1, 0]] * n if command == "norm" else [[[1, 0]] * n] * n)
     path = tmp_path / "in.json"
-    path.write_text(_sized_input(command, key, size, n))
+    path.write_text(f'{{"{key}": {size}, "e1": {entries}, "e2": {entries}}}')
     code, out, err = run_cli(capsys, [command, "--vector" if command == "norm" else "--matrix", str(path)])
-    assert code == 2
     lines = out.splitlines()
     assert len(lines) == 1
-    error = _strict_json(lines[0])["payload"]["error"]
-    assert error == {"kind": "InvalidInput", "message": f"declared {key} must be an integer, got {json.loads(size)!r}"}
+    doc = _strict_json(lines[0])
+    value = json.loads(size)
+    if type(value) is int:
+        assert code == 0 and doc["pass"] is True
+    else:
+        assert code == 2
+        assert doc["payload"]["error"] == {
+            "kind": "InvalidInput", "message": f"declared {key} must be an integer, got {value!r}"
+        }
     assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("command, key", [("norm", "dim"), ("opnorm", "rows"), ("opnorm", "cols")])
-def test_declared_integer_size_passes(tmp_path, capsys, command, key, n):
-    path = tmp_path / "in.json"
-    path.write_text(_sized_input(command, key, str(n), n))
-    code, doc, _ = run_json(capsys, [command, "--vector" if command == "norm" else "--matrix", str(path)])
-    assert code == 0 and doc["pass"] is True
 
 
 #: required arguments of each subcommand; argparse rejects a stray flag

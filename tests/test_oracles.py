@@ -112,6 +112,7 @@ def test_dumps_matches_oracle(obj):
         {1: 2.0},
         {"ok": [1.0, {None: 1}]},
         [object()],
+        [np.longdouble(0.1), np.float16(0.1), np.uint64(2**64 - 1)],
     ],
 )
 def test_dumps_edge_values_match_oracle(obj):
