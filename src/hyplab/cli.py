@@ -185,7 +185,7 @@ _SCALAR_IN = _Flag("--scalar", _SCALAR, required=True)
 _MATRIX_IN = _Flag("--matrix", _MATRIX, required=True)
 _TERMS = _Flag("--terms", _JSON, required=True)
 _SERIES_TOL = _Flag("--series-tol", _HYP, default="1e-12", help="hyperbolic literal a1,a2")
-_SAMPLES_HELP = "random samples; each takes about 100 bytes per matrix column"
+_SAMPLES_HELP = "random samples, drawn and judged a chunk at a time: memory does not grow with the count"
 _TRIALS = _Flag("--trials", _PLAIN, type=int, default=1000, help=_SAMPLES_HELP)
 
 
@@ -265,9 +265,8 @@ _ROWS = {
         (_Flag("--family", _Kind(_family, lambda fam: [_MATRIX.canon(T) for T in fam]),
                required=True, help="JSON array of matrices"),
          _Flag("--samples", _PLAIN, type=int, default=100,
-               help="random samples; each takes about 64 bytes per matrix column and 16 per family "
-                    "member, plus 2 MB (or 2 KB per member and matrix row, if more) for the products "
-                    "of one chunk of samples"),
+               help="random samples, applied to the family a chunk at a time: memory grows only "
+                    "with the report, which lists each sample's pointwise supremum"),
          _SEED, _OUTPUT),
         lambda a: _verdict(hyplab.ubp_verify(a.family, a.samples, a.seed)),
     ),

@@ -45,7 +45,7 @@ from hyplab.dmodule import (
 from hyplab.hyperscalar import hyp_leq
 from hyplab.jsonio import _declared_size
 from hyplab.dop import op_dnorm
-from hyplab.theoremlab import SubaddReport, UBPReport, _column, _draws, _holds, _sample_rows, _worst
+from hyplab.theoremlab import SubaddReport, UBPReport, _column, _holds, _sample_rows, _worst, check_stream
 
 
 def mul4(a, b):
@@ -601,7 +601,7 @@ def oracle_ubp(family, samples: int, seed: int, delta=None):
     i2 = max(range(len(family)), key=lambda i: norms[i].a2)
     n = shape[1]
     zero = np.zeros((1, n), dtype=complex)
-    r1, r2 = _sample_rows(_draws(seed, "ubp", samples, 4 * n), n)
+    r1, r2 = _sample_rows(check_stream(seed, "ubp").standard_normal((samples, 4 * n)), n)
     x1 = np.concatenate((factors[i1][0][2][:1].conj(), zero, r1))
     x2 = np.concatenate((zero, factors[i2][1][2][:1].conj(), r2))
     x = np.stack((x1, x2))

@@ -4,6 +4,8 @@ evaluation, constant object counts, and tolerances that scale with the data."""
 import math
 import sys
 import threading
+import tracemalloc
+import unittest.mock
 import zlib
 
 import numpy as np
@@ -53,18 +55,51 @@ def next_vector(rng, n):
     return BCVector(v1, v2)
 
 
+def fold_rows(seed, name, count, n, **kwargs):
+    """The whole block ``_fold`` judges, joined from its chunks in order.
+
+    Each chunk's first row must be the row of the whole block the judge is told.
+    """
+    chunks = []
+
+    def judge(x, a):
+        assert a == sum(c.shape[1] for c in chunks)
+        chunks.append(x)
+        return ()
+
+    assert tl._fold(seed, name, count, n, judge, **kwargs) == []
+    return np.concatenate(chunks, axis=1)
+
+
+def chunks_of_64():
+    """Folds in chunks of 64 rows, the least a chunk takes."""
+    return unittest.mock.patch.object(tl, "_CHUNK_FLOATS", 1)
+
+
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_sample_block_rows_are_the_per_trial_streams(n):
-    b1, b2 = tl._sample_rows(tl._draws(5, "lemma31", 40, 4 * n), n)
+    with chunks_of_64():
+        b1, b2 = fold_rows(5, "lemma31", 150, n)
     rng = check_stream(5, "lemma31")
-    for i in range(40):
+    for i in range(150):
         x = next_vector(rng, n)
         assert np.array_equal(b1[i], x.v1) and np.array_equal(b2[i], x.v2)
 
 
-def test_second_vector_follows_in_the_same_stream_and_uniform_in_its_sibling():
+def _ball_blocks(monkeypatch, T, samples):
+    """The blocks ``ball_scaling_check`` judges at r = 1, delta = 0.5: premise, then delta."""
+    blocks = []
+    real = tl.seminorm_rows
+    with monkeypatch.context() as m:
+        m.setattr(tl, "seminorm_rows", lambda p, x: blocks.append(x) or real(p, x))
+        assert ball_scaling_check(DSeminorm(T), op_dnorm(T).M, 1.0, [0.5], samples, 9).passed
+    half = len(blocks) // 2
+    return np.concatenate(blocks[:half], axis=1), np.concatenate(blocks[half:], axis=1)
+
+
+def test_second_vector_follows_in_the_same_stream_and_uniform_in_its_sibling(monkeypatch):
     n = 3
-    z = tl._draws(9, "x", 6, 8 * n)
+    z = check_stream(9, "x").standard_normal((6, 8 * n))
     rng = check_stream(9, "x")
     for i in range(6):
         first = next_vector(rng, n)
@@ -73,23 +108,29 @@ def test_second_vector_follows_in_the_same_stream_and_uniform_in_its_sibling():
             b1, b2 = tl._sample_rows(z, n, j)
             assert np.array_equal(b1[i], want.v1) and np.array_equal(b2[i], want.v2)
 
-    # ballscale: sample i is row i of its stream scaled to radius times
-    # uniform i of the "/u" sibling, so it does not depend on the count
-    none = np.empty((2, 0, n), dtype=complex)
-    x1, x2 = tl._ball_rows(none, 2.5, 6, 9, "x")
-    r = tl._sample_rows(tl._draws(9, "x", 6, 4 * n), n)
-    u = check_stream(9, "x/u").uniform(0.0, 1.0, 6)
-    nr = dnorm_rows(r)
-    scale = (2.5 * u / np.maximum(nr[0], nr[1]))[:, None]
-    assert np.array_equal(x1, r[0] * scale) and np.array_equal(x2, r[1] * scale)
-    for samples in (1, 4, 20):
-        y1, y2 = tl._ball_rows(none, 2.5, samples, 9, "x")
-        k = min(samples, 6)
-        assert np.array_equal(y1[:k], x1[:k]) and np.array_equal(y2[:k], x2[:k])
+    # ballscale: the witnesses lead, scaled onto the sphere; sample i is row
+    # i of its stream scaled to radius times uniform i of the "/u" sibling,
+    # so it does not depend on the count or on the chunk it falls in
+    T = random_mat(np.random.default_rng(3), 2, n)
+    witnesses = tl._witness_rows(T)
+    premise, scaled = _ball_blocks(monkeypatch, T, 6)
+    for block, stream, radius in ((premise, "ballscale/hyp", 1.0), (scaled, "ballscale/d0", 0.5)):
+        r = tl._sample_rows(check_stream(9, stream).standard_normal((6, 4 * n)), n)
+        u = check_stream(9, stream + "/u").uniform(0.0, 1.0, 6)
+        nr, nw = dnorm_rows(r), dnorm_rows(witnesses)
+        want = np.concatenate((witnesses * (radius / np.maximum(nw[0], nw[1]))[:, None],
+                               r * (radius * u / np.maximum(nr[0], nr[1]))[:, None]), axis=1)
+        assert block.tobytes() == want.tobytes()
+    for samples in (1, 4, 20, 200):
+        with chunks_of_64():
+            blocks = _ball_blocks(monkeypatch, T, samples)
+        k = 3 + min(samples, 6)
+        for got, want in zip(blocks, (premise, scaled)):
+            assert got.shape[1] == 3 + samples and np.array_equal(got[:, :k], want[:, :k])
 
 
 def _stream_rows(seed, name, count, width):
-    """What ``_draws`` must hold: the next ``width`` normals of one stream per row."""
+    """The next ``width`` normals of one stream per row, one row at a time."""
     rng = check_stream(seed, name)
     out = np.empty((count, width))
     for i in range(count):
@@ -101,14 +142,19 @@ def _stream_rows(seed, name, count, width):
 @given(
     seed=st.integers(-(2**70), 2**70) | st.sampled_from([-1, 0, 2**63, 2**64 - 1, 2**64]),
     name=st.text(max_size=8) | st.sampled_from(["lemma31/seq", "omt-verify", "ßallscale/δ", "ubp 検証"]),
-    count=st.integers(0, 50),
-    width=st.integers(0, 64),
+    count=st.integers(1, 200),
+    n=st.integers(1, 16),
+    lead=st.integers(0, 3),
+    chunks=st.sampled_from([1, 1 << 12, tl._CHUNK_FLOATS]),
 )
-@example(seed=-(2**63), name="é", count=50, width=64)
-def test_draws_rows_are_the_check_streams_bit_for_bit(seed, name, count, width):
-    got = tl._draws(seed, name, count, width)
-    want = _stream_rows(seed, name, count, width)
-    assert got.shape == want.shape == (count, width)
+@example(seed=-(2**63), name="é", count=200, n=16, lead=3, chunks=1)
+def test_draws_rows_are_the_check_streams_bit_for_bit(seed, name, count, n, lead, chunks):
+    """A folded block is its lead rows, then the stream's rows, in any chunks."""
+    fixed = np.arange(2 * lead * n).reshape(2, lead, n) * (1 + 1j)
+    with unittest.mock.patch.object(tl, "_CHUNK_FLOATS", chunks):
+        got = fold_rows(seed, name, count, n, lead=fixed if lead else None)
+    want = np.concatenate((fixed, tl._sample_rows(_stream_rows(seed, name, count, 4 * n), n)), axis=1)
+    assert got.shape == want.shape == (2, lead + count, n)
     assert got.tobytes() == want.tobytes()
 
 
@@ -126,31 +172,68 @@ def test_stream_key_wraps_the_seed_at_64_bits():
         assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize(
+    "n, lead, count, weight, held, sizes",
+    [
+        (4, 0, 10, None, 0, [10]),
+        (4, 3, 4093, None, 0, [4096]),  # 2^16 floats of 16 a row: one chunk of 4096 rows
+        (4, 3, 8190, None, 0, [4096, 4097]),  # the rest joins the last chunk
+        (4, 3, 12285, None, 0, [4096, 4096, 4096]),
+        (128, 0, 300, None, 0, [128, 172]),  # 512 floats a row: 128 rows
+        (1, 0, 300, None, 0, [300]),
+        (1, 0, 300, 4000, 0, [64, 64, 64, 108]),  # 4000 floats a row: 64 rows, the least
+        (1, 0, 300, None, 4000, [64, 64, 64, 108]),  # held floats size chunks too
+    ],
+)
+def test_fold_chunks_are_whole_64_row_groups_with_the_rest_in_the_last(n, lead, count, weight, held, sizes):
+    got = []
+
+    def judge(x, a):
+        got.append(x.shape[1])
+        return ()
+
+    fixed = np.zeros((2, lead, n), complex) if lead else None
+    tl._fold(3, "lemma31", count, n, judge, fixed, weight=weight, held=held)
+    assert got == sizes
+
+
+def test_fold_returns_the_componentwise_maxima_of_every_judged_array():
+    def judge(x, a):
+        rows = np.arange(a, a + x.shape[1], dtype=float)
+        return np.stack((rows, -rows)), np.stack((rows == 100, rows < 0))
+
+    with chunks_of_64():
+        top, flagged = tl._fold(3, "lemma31", 300, 2, judge)
+    assert top.tolist() == [[299.0], [-0.0]] and flagged.tolist() == [[True], [False]]
+
+
 def test_draws_in_concurrent_threads_match_the_serial_result():
-    jobs = [(11, "lemma31", 300, 16), (12, "ballscale", 300, 12)] * 3
-    want = [tl._draws(*job).tobytes() for job in jobs]
-    got = [[] for _ in jobs]
+    jobs = [(11, "lemma31", 300, 4), (12, "ballscale", 300, 3)] * 3
+    with chunks_of_64():
+        want = [fold_rows(*job).tobytes() for job in jobs]
+        got = [[] for _ in jobs]
 
-    def work(k):
-        for _ in range(5):
-            got[k].append(tl._draws(*jobs[k]).tobytes())
+        def work(k):
+            for _ in range(5):
+                got[k].append(fold_rows(*jobs[k]).tobytes())
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(jobs))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == [[w] * 5 for w in want]
 
 
 @pytest.mark.parametrize("count", [0, 1, 7, 400])
 def test_draws_builds_one_bit_generator_per_call(monkeypatch, count):
+    """One stream per fold, however many chunks it draws (400 rows are 7 chunks)."""
     built = []
     real = np.random.Philox
 
@@ -159,7 +242,8 @@ def test_draws_builds_one_bit_generator_per_call(monkeypatch, count):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "Philox", counting)
-    tl._draws(3, "lemma31", count, 8)
+    with chunks_of_64():
+        fold_rows(3, "lemma31", count, 2)
     assert len(built) == 1
 
 
@@ -172,31 +256,36 @@ class _ShapeOnly:
 
 @pytest.mark.parametrize("width", [1, 8, 256])
 def test_draws_up_to_the_cap_and_rejects_one_normal_more(monkeypatch, width):
+    """A fold takes count * weight normals up to the cap, chunk by chunk."""
     monkeypatch.setattr(tl, "check_stream", lambda seed, name: _ShapeOnly())
     count = tl.MAX_DRAWN_NORMALS // width
-    assert tl._draws(3, "lemma31/seq", count, width).shape == (count, width)
+    judged = []
+    tl._fold(3, "lemma31/seq", count, 1, lambda x, a: judged.append(x.shape[1]) or (), weight=width)
+    assert sum(judged) == count and len(judged) <= 256
     with pytest.raises(InvalidInput, match=rf"^lemma31: count {count + 1} of {width} normals each exceeds"):
-        tl._draws(3, "lemma31/seq", count + 1, width)
+        tl._fold(3, "lemma31/seq", count + 1, 1, lambda x, a: judged.append(x.shape[1]) or (), weight=width)
+    assert sum(judged) == count
 
 
 def test_every_sampled_stream_is_prefix_stable(monkeypatch):
     """Trial i of a sampled check is replayed by drawing i + 1 rows.
 
     The streams are the ones the four sampled checks open; for each, the
-    first k rows (or uniforms) are the same for every count >= k.
+    first k rows (or uniforms) are the same for every count >= k, whatever
+    chunks a fold draws them in.
     """
-    draws, opened = [], []
-    real_draws, real_stream = tl._draws, tl.check_stream
+    folds, opened = [], []
+    real_fold, real_stream = tl._fold, tl.check_stream
 
-    def recording_draws(*args):
-        draws.append(args)
-        return real_draws(*args)
+    def recording_fold(seed, name, count, n, *args, **kwargs):
+        folds.append((seed, name, n))
+        return real_fold(seed, name, count, n, *args, **kwargs)
 
     def recording_stream(seed, name):
         opened.append(name)
         return real_stream(seed, name)
 
-    monkeypatch.setattr(tl, "_draws", recording_draws)
+    monkeypatch.setattr(tl, "_fold", recording_fold)
     monkeypatch.setattr(tl, "check_stream", recording_stream)
     rng = np.random.default_rng(7)
     T = surjective_mat(rng, 2, 3)
@@ -207,17 +296,20 @@ def test_every_sampled_stream_is_prefix_stable(monkeypatch):
     assert open_mapping_verify(T, 12, 21).passed
     monkeypatch.undo()
 
-    drawn = {name for _, name, _, _ in draws}
-    assert drawn == {
-        "lemma31", "lemma31/seq", "ballscale/hyp", "ballscale/d0", "ballscale/d1",
-        "ubp", "omt-verify", "omt-verify/series",
-    }
-    uniforms = set(opened) - drawn
+    folded = {name for _, name, _ in folds}
+    assert folded == {"lemma31", "ballscale/hyp", "ballscale/d0", "ballscale/d1", "ubp", "omt-verify"}
+    drawn = {"lemma31/seq": 8 * 3, "omt-verify/series": 4 * 2}
+    uniforms = set(opened) - folded - set(drawn)
     assert uniforms == {"ballscale/hyp/u", "ballscale/d0/u", "ballscale/d1/u"}
-    for seed, name, _, width in draws:
-        block = tl._draws(seed, name, 40, width)
+    with chunks_of_64():
+        for seed, name, n in folds:
+            block = fold_rows(seed, name, 150, n)
+            for k in (1, 12, 40, 63, 64, 65, 128, 129, 150):
+                assert np.array_equal(fold_rows(seed, name, k, n), block[:, :k])
+    for name, width in drawn.items():
+        z = check_stream(21, name).standard_normal((40, width))
         for k in range(41):
-            assert np.array_equal(tl._draws(seed, name, k, width), block[:k])
+            assert np.array_equal(check_stream(21, name).standard_normal((k, width)), z[:k])
     for name in uniforms:
         u = check_stream(21, name).uniform(0.0, 1.0, 40)
         for k in range(41):
@@ -441,7 +533,7 @@ def test_stacked_bits_of_min_norm_solve_rows_at_a_repeated_row(shape, entries):
 @given(n=st.integers(1, 128), k=_ROWS, j=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
 @example(n=128, k=893, j=1, seed=1)
 def test_stacked_bits_of_sample_rows(n, k, j, seed):
-    z = tl._draws(seed, "lemma31", k, 8 * n)
+    z = check_stream(seed, "lemma31").standard_normal((k, 8 * n))
     got = tl._sample_rows(z, n, j)
     assert got.flags.c_contiguous
     o = 4 * n * j
@@ -594,24 +686,25 @@ def test_ubp_matches_the_per_member_oracle_on_random_families(seed, shape, size,
     _same_report(ubp_verify(members, 9, seed), oracle_ubp(members, 9, seed))
 
 
-@pytest.mark.parametrize("entries, samples", [(tl._UBP_ENTRIES, 893), (1, 63), (1, 126), (1, 200)])
+@pytest.mark.parametrize("entries, samples", [(tl._CHUNK_FLOATS, 893), (1, 63), (1, 126), (1, 200)])
 def test_ubp_matches_the_per_member_oracle_across_chunks(monkeypatch, entries, samples):
     """Samples applied in chunks keep every bit of one product over all of
-    them: at the default, 20 members of 8 rows take chunks of 384 rows, so
-    893 samples (895 rows) are chunks of 384 and 511; one product entry per
-    chunk makes chunks of 64 rows."""
-    monkeypatch.setattr(tl, "_UBP_ENTRIES", entries)
+    them: at the default, 20 members of 8 rows hold 640 floats a row and
+    take chunks of 64 rows, so 893 samples (895 rows) are 12 chunks of 64
+    and one of 127; one float per chunk makes chunks of 64 rows too."""
+    monkeypatch.setattr(tl, "_CHUNK_FLOATS", entries)
     rng = np.random.default_rng(10)
     members = [random_mat(rng, 8, 8) for _ in range(20)]
     _same_report(ubp_verify(members, samples, 5), oracle_ubp(members, samples, 5))
 
 
 @pytest.mark.parametrize("overflow", ["e1", "e2"])
-def test_ubp_rejects_an_overflow_across_chunks_over_the_whole_block(monkeypatch, overflow):
-    """Norms that overflow in every chunk of samples are judged once, over
-    the whole (2, members, samples) block, as one product over all samples
-    is: the first non-finite e1 value, else the first e2 value."""
-    monkeypatch.setattr(tl, "_UBP_ENTRIES", 1)  # chunks of 64 rows
+def test_ubp_rejects_an_overflow_in_the_first_chunk_that_holds_one(monkeypatch, overflow):
+    """Norms that overflow in every chunk of samples are rejected in the
+    first, over its (2, members, rows) values: the first non-finite e1
+    value, else the first e2 value, the message the oracle's one product
+    over all samples gives."""
+    monkeypatch.setattr(tl, "_CHUNK_FLOATS", 1)  # chunks of 64 rows
     small, big = scaled(0, 3, 3, 1.0), scaled(1, 3, 3, 1e160)
     family = [small, BCMatrix(big.m1, small.m2) if overflow == "e1" else BCMatrix(small.m1, big.m2)]
     judged = []
@@ -619,7 +712,7 @@ def test_ubp_rejects_an_overflow_across_chunks_over_the_whole_block(monkeypatch,
     monkeypatch.setattr(tl, "require_finite", lambda values: judged.append(values.shape) or real(values))
     with pytest.raises(InvalidInput, match="^non-finite component inf rejected$"):
         ubp_verify(family, 300, 42)
-    assert judged == [(2, 2, 302)]
+    assert judged == [(2, 2, 64)]
     with pytest.raises(InvalidInput, match="^non-finite component inf rejected$"):
         oracle_ubp(family, 300, 42)
 
@@ -680,6 +773,57 @@ def test_vector_constructions_do_not_grow_with_trials(monkeypatch):
         small = count_vectors(monkeypatch, lambda: check(50))
         large = count_vectors(monkeypatch, lambda: check(400))
         assert small == large, name
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("check", ["lemma31", "omt-verify"])
+def test_sampled_check_memory_does_not_scale_with_trials(check):
+    """Samples are drawn and judged one chunk at a time.
+
+    At 16x32 a chunk holds 512 to 1,023 rows of about 2.5 KiB each, so two
+    peaks differ by at most the 511 rows the last chunk may add: 1,536 KiB.
+    The whole block would peak near 5 MiB at 2,000 trials and 49 MiB at 20,000.
+    """
+    T = surjective_mat(np.random.default_rng(31), 16, 32)
+    run = {
+        "lemma31": lambda k: continuity_bound_check(DSeminorm(T), k, 3),
+        "omt-verify": lambda k: open_mapping_verify(T, k, 3),
+    }[check]
+    run(2000)  # factors the operator and warms the caches
+    small, large = _peak_bytes(lambda: run(2000)), _peak_bytes(lambda: run(20000))
+    assert abs(large - small) <= 1536 * 1024, (small, large)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (3, 6), (1, 40), (64, 128)])
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 893])
+def test_stacked_bits_of_sampled_reports_across_fold_chunks(shape, count):
+    """Every sampled report has the same bytes whether its rows are judged in
+    chunks of 64 rows, in the default chunks, or in one chunk."""
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    T = surjective_mat(rng, *shape)
+    family = [T, random_mat(rng, *shape), random_mat(rng, *shape)]
+    p, M = DSeminorm(T), op_dnorm(T).M
+    shrunk = DPlus((1 - 1e-6) * M.a1, (1 - 1e-6) * M.a2)
+    checks = [
+        lambda: continuity_bound_check(p, count, 3),
+        lambda: continuity_bound_check(p, count, 3, alpha_star=shrunk),
+        lambda: ball_scaling_check(p, M, 1.0, [0.5, 2.0], count, 4),
+        lambda: ubp_verify(family, count, 5),
+        lambda: ubp_verify(family, count, 5, delta=shrunk),
+        lambda: open_mapping_verify(T, count, 6),
+    ]
+    want = [dumps(check().to_json_dict()) for check in checks]
+    for chunk in (1, 1 << 40):
+        with unittest.mock.patch.object(tl, "_CHUNK_FLOATS", chunk):
+            assert [dumps(check().to_json_dict()) for check in checks] == want, chunk
 
 
 # -------------------------------------------------- scale-aware tolerances

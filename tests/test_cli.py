@@ -1038,12 +1038,13 @@ def test_a_huge_term_cap_is_rejected_before_any_term_is_summed(tmp_path, command
 
 def test_omt_verify_counts_a_wide_operators_preimages_against_the_draw_cap(tmp_path):
     # 2**22 trials draw 4 normals each under a 1x1000 operator, within the
-    # cap, but their (2, trials, 1000) preimages would take 125 GiB: the
-    # count is refused before anything is drawn, and cap // 4000 still runs
+    # cap, but each solves for a (2, 1000) preimage: a trial weighs the
+    # 4000 floats of its preimage, so the count is refused before anything
+    # is drawn, and cap // 4000 still runs
     cap = 2**24
     mat = write(tmp_path, "T.json", matrix_to_json(surjective_mat(np.random.default_rng(21), 1, 1000)))
     trials = cap // 4
-    message = f"omt-verify: count {trials} of preimages 1000 wide, 4000 normals each, exceeds the cap of {cap} drawn normals"
+    message = f"omt-verify: count {trials} of 4000 normals each exceeds the cap of {cap} drawn normals"
     _rejected_quietly(["omt-verify", "--matrix", mat, "--trials", str(trials)], message)
     proc = subprocess.run(
         [sys.executable, "-m", "hyplab.cli", "omt-verify", "--matrix", mat, "--trials", str(cap // 4000)],
