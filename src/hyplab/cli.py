@@ -30,7 +30,9 @@ An envelope that cannot reach stdout (a full device, a closed pipe) exits
 2 with one line on stderr.  ``main``, the process entry, freezes the
 garbage collector once ``run`` returns, so interpreter shutdown skips its
 collections over the objects alive at exit; ``run`` itself leaves the
-collector as it found it.
+collector as it found it.  ``run`` pins numpy's OpenBLAS to one thread and
+restores its count on return; the library API never pins, as its callers
+own their process.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import hyplab
 
 from . import __version__
 from .dmodule import MAX_SERIES_TERMS, DSeminorm, abs_summability_check, series_sum, vec_dnorm
-from .dop import _check_tol, min_norm_solve, op_dnorm, open_mapping_delta, surjectivity_check
+from .dop import _check_tol, _openblas, min_norm_solve, op_dnorm, open_mapping_delta, surjectivity_check
 from .errors import HyplabError, InvalidInput, NotConverged
 from .hyperscalar import bc_inverse, knorm
 from .jsonio import (
@@ -337,7 +339,26 @@ def _dispatch(args, envelope: dict):
 
 
 def run(argv=None) -> int:
-    """Execute one subcommand; returns the exit code."""
+    """Execute one subcommand; returns the exit code.
+
+    BLAS runs one thread per call for the run, so an envelope's bits do not
+    depend on ``OPENBLAS_NUM_THREADS`` and ``svd_family`` may factor the two
+    components on two threads; the count is restored on return.  Where
+    numpy's OpenBLAS cannot be reached, the count is left as it is.
+    """
+    blas = _openblas()
+    if blas is None:
+        return _run(argv)
+    get_threads, set_threads = blas
+    threads = get_threads()
+    set_threads(1)
+    try:
+        return _run(argv)
+    finally:
+        set_threads(threads)
+
+
+def _run(argv) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = _build_parser(argv)
     try:

@@ -11,8 +11,13 @@ two ordinary complex matrix computations:
   * quotient value q(y) -> norm of the per-component minimum-norm solution
 
 Each operator is factored once: ``svd_family`` factors both components
-of every unfactored operator of a family in one SVD call and caches its
-thin SVD, read-only and with the same leading axis, with the operator.
+of every unfactored operator of a family and caches its thin SVD,
+read-only and with the same leading axis, with the operator.  The two
+components are independent problems, so a family worth it (see
+``_SPLIT_WORK``) is factored as two SVD calls, component 1 on a helper
+thread, while BLAS runs one thread per call; otherwise as one call over
+the stack of all its components.  Each matrix gets the same LAPACK call
+either way, so the bits do not depend on the route.
 A wide family (rows < cols) is factored through its transpose: LAPACK's
 ``gesdd`` reduces a wide matrix by an LQ factorization first and a tall
 one by QR, and the QR-first route is the faster one (about 14% at 64x128).
@@ -29,7 +34,11 @@ and no iterative kernel.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import threading
+from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -106,11 +115,80 @@ class BCMatrix:
         return f"BCMatrix(rows={self.rows}, cols={self.cols})"
 
 
+#: Work per component, k*m*n*min(m, n) for k (m, n) matrices, from which
+#: ``svd_family`` factors the components on two threads.  Called back to back,
+#: the split broke even at 2^13 (2x32x16); after 1-3 ms of Python work, as in
+#: a check, the idle second CPU adds about 100 us, and the split took longer
+#: at the 90th percentile below 2^17 (a 2x50x50 stack) and less at and above
+#: it.  A 2x128x64 stack took 1.06 ms against 1.72 ms there (medians, one BLAS
+#: thread, 2-CPU Xeon).
+_SPLIT_WORK = 1 << 17
+
+
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS thread count as (get, set) functions, or None.
+
+    The library is the ``scipy-openblas`` build that ``np.show_config``
+    names, in the ``numpy.libs`` directory beside the numpy package; it is
+    already loaded, so this opens the instance numpy calls.
+    """
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    if blas.get("name") != "scipy-openblas":
+        return None
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):  # not loadable, or another build's symbols
+            continue
+    return None
+
+
+def _blas_threads() -> int | None:
+    """Threads each BLAS call may use now, or None where it cannot be read."""
+    blas = _openblas()
+    return None if blas is None else blas[0]()
+
+
+def _factor(a: np.ndarray):
+    """``np.linalg.svd`` of a (k, 2, m, n) stack as (U, S, Vh), each (k, 2, ...).
+
+    When the work per component reaches ``_SPLIT_WORK`` and BLAS runs one
+    thread per call, component 0 is factored here and component 1 on a
+    helper thread, joined before this returns, and the halves are stacked
+    back.  A smaller stack is one call, as is any stack while BLAS may run
+    more threads, which a second thread would compete with, or while its
+    count cannot be read.
+    """
+    k, _, m, n = a.shape
+    if k * m * n * min(m, n) < _SPLIT_WORK or _blas_threads() != 1:
+        return np.linalg.svd(a, full_matrices=False)
+    second = []
+
+    def factor_second():
+        try:
+            second.append(np.linalg.svd(a[:, 1], full_matrices=False))
+        except BaseException as exc:  # raised again on the calling thread
+            second.append(exc)
+
+    helper = threading.Thread(target=factor_second, name="hyplab-svd")
+    helper.start()
+    try:
+        first = np.linalg.svd(a[:, 0], full_matrices=False)
+    finally:
+        helper.join()
+    if isinstance(second[0], BaseException):
+        raise second[0]
+    return tuple(np.stack(pair, axis=1) for pair in zip(first, second[0]))
+
+
 def svd_family(family: Sequence[BCMatrix]) -> list[ThinSVD]:
     """The thin SVD of each operator of a family of one shape.
 
-    One ``np.linalg.svd`` call factors both components of every member
-    without factors; each caches read-only views of its rows of the result.
+    Both components of every member without factors are factored together,
+    in one SVD call over the stack or one per component (see ``_factor``);
+    each member caches read-only views of its rows of the result.
     A wide family is factored through its transpose, T^T = U' S V'^H, and
     read back as T = V'^T S U'^T: ``u`` is ``Vh'.mT`` and ``vh`` is ``U'.mT``.
     """
@@ -125,15 +203,15 @@ def svd_family(family: Sequence[BCMatrix]) -> list[ThinSVD]:
         stack = np.stack([T.m for T in todo])
         wide = stack.shape[-2] < stack.shape[-1]
         try:
-            f = np.linalg.svd(stack.mT if wide else stack, full_matrices=False)
+            u, s, vh = _factor(stack.mT if wide else stack)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"SVD kernel failed: {exc}") from exc
-        for a in f:
+        for a in (u, s, vh):
             a.setflags(write=False)
         if wide:
-            f = (f.Vh.mT, f.S, f.U.mT)
-        for T, u, s, vh in zip(todo, *f):
-            object.__setattr__(T, "_svd", ThinSVD(u, s, vh))
+            u, vh = vh.mT, u.mT
+        for T, *f in zip(todo, u, s, vh):
+            object.__setattr__(T, "_svd", ThinSVD(*f))
     return [T._svd for T in family]
 
 

@@ -109,7 +109,7 @@ OMT_BUDGET = DPlus(0.5, 0.5)
 
 #: Normals a sampled check may draw (count x weight per row, see ``_fold``), so a
 #: huge count is rejected before anything is drawn.  It bounds work, not memory:
-#: at the cap a check took 0.07-1.9 s on one core of a 2-CPU Xeon, ubp more per member.
+#: at the cap a check took 0.02-1.9 s on one core of a 2-CPU Xeon.
 MAX_DRAWN_NORMALS = 1 << 24
 
 _MASK64 = (1 << 64) - 1
@@ -690,9 +690,10 @@ def ubp_verify(
     the supremum of the operator norms.  The sample set always contains the
     top-singular-vector witnesses of the norm-attaining member per
     component (the first on a tie), so an undersized delta (e.g. shrunk by
-    1e-6) is refuted.  One SVD call factors the family and one stacked
-    product per component and chunk of samples applies it; each value is
-    bit for bit the one that member's own SVD and product give.
+    1e-6) is refuted.  ``svd_family`` factors the whole family, one SVD call
+    per component or one for both, and one stacked product per component
+    and chunk of samples applies it; each value is bit for bit the one that
+    member's own SVD and product give.
     """
     if not family:
         raise ShapeMismatch("empty operator family")
@@ -724,7 +725,9 @@ def ubp_verify(
 
     # witnesses from the members attaining the supremum per component lead
     lead = np.concatenate((_witness_rows(family[i1])[:, :1], _witness_rows(family[i2])[:, 1:2]), axis=1)
-    margin, over = _fold(seed, name, samples, shape[1], judge, lead, held=4 * len(family) * shape[0])
+    # a sample weighs its members x rows products, no less than its draws
+    weight = 4 * max(shape[1], len(family) * shape[0])
+    margin, over = _fold(seed, name, samples, shape[1], judge, lead, weight=weight)
 
     return UBPReport(
         check=name,

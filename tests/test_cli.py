@@ -1036,6 +1036,29 @@ def test_a_huge_term_cap_is_rejected_before_any_term_is_summed(tmp_path, command
     _rejected_quietly(argv, f"max_n {10**12} exceeds the cap of {MAX_SERIES_TERMS} terms")
 
 
+def test_ubp_counts_a_samples_products_against_the_draw_cap(tmp_path, capsys, monkeypatch):
+    # a sample of a 200-member 8x8 family draws 32 normals but makes
+    # 200 x 8 row products: it weighs 4 * 1600 = 6400, so the count that 32
+    # normals each allow is refused before anything is drawn, and
+    # cap // 6400 still runs
+    cap = 2**24
+    rng = np.random.default_rng(22)
+    fam = write(tmp_path, "F.json", [matrix_to_json(random_mat(rng, 8, 8)) for _ in range(200)])
+    import hyplab.theoremlab as tl
+
+    real_stream, streams = tl.check_stream, []
+    monkeypatch.setattr(tl, "check_stream", lambda *a: streams.append(a) or real_stream(*a))
+    samples = cap // 32
+    code, doc, _ = run_json(capsys, ["ubp", "--family", fam, "--samples", str(samples)])
+    message = f"ubp: count {samples} of 6400 normals each exceeds the cap of {cap} drawn normals"
+    assert code == 2
+    assert doc["payload"] == {"error": {"kind": "InvalidInput", "message": message}}
+    assert streams == []
+    code, doc, _ = run_json(capsys, ["ubp", "--family", fam, "--samples", str(cap // 6400)])
+    assert code == 0 and doc["payload"]["samples"] == cap // 6400
+    assert len(streams) == 1
+
+
 def test_omt_verify_counts_a_wide_operators_preimages_against_the_draw_cap(tmp_path):
     # 2**22 trials draw 4 normals each under a 1x1000 operator, within the
     # cap, but each solves for a (2, 1000) preimage: a trial weighs the
@@ -1061,9 +1084,10 @@ def test_omt_verify_counts_a_wide_operators_preimages_against_the_draw_cap(tmp_p
         # factored through its transpose, a 64x128 operator rounds alike at
         # one and two threads
         64,
-        # above OpenBLAS's threading threshold, two threads split the
-        # reductions inside gemv and gesdd and round differently
-        pytest.param(96, marks=pytest.mark.xfail(reason="threaded OpenBLAS rounding differs")),
+        # above OpenBLAS's threading threshold, two threads would split the
+        # reductions inside gemv and gesdd and round differently; the CLI
+        # runs BLAS at one thread
+        96,
     ],
 )
 def test_omt_verify_bytes_independent_of_blas_threads(tmp_path, rows):
@@ -1078,6 +1102,41 @@ def test_omt_verify_bytes_independent_of_blas_threads(tmp_path, rows):
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1] and outs[0]
+
+
+def test_run_pins_blas_to_one_thread_and_restores_the_count(tmp_path, capsys, monkeypatch):
+    from hyplab import dop
+
+    blas = dop._openblas()
+    if blas is None:
+        pytest.skip("this numpy bundles no scipy-openblas")
+    get_threads, set_threads = blas
+    mat = write(tmp_path, "T.json", matrix_to_json(random_mat(np.random.default_rng(23), 3, 3)))
+    real, seen = cli.op_dnorm, []
+    monkeypatch.setattr(cli, "op_dnorm", lambda *a, **k: seen.append(get_threads()) or real(*a, **k))
+    threads = get_threads()
+    try:
+        set_threads(2)
+        assert run_json(capsys, ["opnorm", "--matrix", mat])[0] == 0
+        assert seen == [1] and get_threads() == 2
+        # the count is restored after a failed run too
+        assert run_json(capsys, ["opnorm", "--matrix", mat, "--tol", "nan"])[0] == 2
+        assert get_threads() == 2
+    finally:
+        set_threads(threads)
+
+
+def test_run_leaves_blas_alone_where_its_thread_count_cannot_be_read(tmp_path, capsys, monkeypatch):
+    from hyplab import dop
+
+    monkeypatch.setattr(cli, "_openblas", lambda: None)
+    mat = write(tmp_path, "T.json", matrix_to_json(random_mat(np.random.default_rng(24), 3, 3)))
+    real, seen = cli.op_dnorm, []
+    monkeypatch.setattr(cli, "op_dnorm", lambda *a, **k: seen.append(dop._blas_threads()) or real(*a, **k))
+    threads = dop._blas_threads()  # read here, through the library the CLI no longer finds
+    code, doc, _ = run_json(capsys, ["opnorm", "--matrix", mat])
+    assert code == 0 and doc["pass"] is True
+    assert seen == [threads] and dop._blas_threads() == threads
 
 
 # ------------------------------------------------------------ last resort

@@ -1,6 +1,7 @@
 """Operators: application, singular-value kernel, norms, solves, surjectivity."""
 
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from hyplab import (
     DimensionMismatch,
     E1,
     InvalidInput,
+    NoConvergence,
     NotInRange,
     NotSurjective,
     knorm,
@@ -28,6 +30,7 @@ from hyplab import (
     ubp_verify,
     vec_dnorm,
 )
+from hyplab import dop
 from support import (
     mul4,
     normal_eq_min_norm,
@@ -397,16 +400,40 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _recording_svds(monkeypatch):
+    """Every array ``np.linalg.svd`` is called on, copied as it was passed."""
+    arrays = []
+    real = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        arrays.append(np.array(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return arrays
+
+
+def _assert_one_call_per_component(arrays, family):
+    """The calls were one per component, each over every member, in the
+    factored orientation: the two components of the family's stack."""
+    stack = np.stack([T.m for T in family])
+    if stack.shape[-2] < stack.shape[-1]:
+        stack = stack.mT
+    # the helper thread's call may be recorded first
+    assert sorted(i for a in arrays for i in (0, 1) if np.array_equal(a, stack[:, i])) == [0, 1]
+
+
 def test_operator_session_factors_once(monkeypatch):
     from hyplab import open_mapping_verify
 
     T = surjective_mat(np.random.default_rng(30), 64, 128)
-    svd_calls = _counting(monkeypatch, "svd")
+    monkeypatch.setattr(dop, "_blas_threads", lambda: 1)  # not the runner's thread count
+    svd_arrays = _recording_svds(monkeypatch)
     lstsq_calls = _counting(monkeypatch, "lstsq")
     op_dnorm(T)
     open_mapping_delta(T)
     assert open_mapping_verify(T, 20, seed=1).passed
-    assert len(svd_calls) == 1  # both components in one stacked call
+    _assert_one_call_per_component(svd_arrays, [T])
     assert lstsq_calls == []
 
 
@@ -536,10 +563,87 @@ def test_family_of_two_shapes_is_rejected_unfactored():
 
 def test_ubp_family_costs_one_svd_call(monkeypatch):
     rng = np.random.default_rng(38)
-    family = [random_mat(rng, 8, 8) for _ in range(20)]
-    svd_calls = _counting(monkeypatch, "svd")
+    family = [random_mat(rng, 24, 24) for _ in range(20)]  # work enough to split
+    monkeypatch.setattr(dop, "_blas_threads", lambda: 1)  # not the runner's thread count
+    svd_arrays = _recording_svds(monkeypatch)
     assert ubp_verify(family, 50, 7).passed
-    assert len(svd_calls) == 1
+    _assert_one_call_per_component(svd_arrays, family)
+
+
+# -------------------------------------------------- components on two threads
+
+
+@pytest.mark.parametrize(
+    "members, rows, cols",
+    [
+        # per-component work k*rows*cols*min(rows, cols) below, at and above 2^17
+        (1, 31, 128), (1, 32, 128), (1, 33, 128),  # wide
+        (3, 32, 32), (4, 32, 32), (5, 32, 32),  # square
+        (1, 128, 31), (1, 128, 32), (1, 128, 33),  # tall
+        (20, 8, 8), (255, 8, 8), (256, 8, 8), (1, 64, 128),  # families, and omt-large's operator
+    ],
+)
+def test_stacked_bits_of_component_split_factors(monkeypatch, members, rows, cols):
+    rng = np.random.default_rng(members * 10_000 + rows * 100 + cols)
+    family = [random_mat(rng, rows, cols) for _ in range(members)]
+    stack = np.stack([T.m for T in family])
+    wide = rows < cols
+    u, s, vh = np.linalg.svd(stack.mT if wide else stack, full_matrices=False)
+    want = (vh.mT, s, u.mT) if wide else (u, s, vh)
+    monkeypatch.setattr(dop, "_blas_threads", lambda: 1)
+    calls = _counting(monkeypatch, "svd")
+    svd_family(family)
+    split = members * rows * cols * min(rows, cols) >= dop._SPLIT_WORK
+    assert len(calls) == (2 if split else 1)
+    for i, T in enumerate(family):
+        for got, whole in zip(T.svd(), want):
+            assert not got.flags.writeable
+            assert got.shape == whole[i].shape and got.tobytes() == whole[i].tobytes()
+
+
+def test_component_split_failure_is_no_convergence_and_joins_its_thread(monkeypatch):
+    T = random_mat(np.random.default_rng(39), 64, 64)
+    monkeypatch.setattr(dop, "_blas_threads", lambda: 1)
+    real = np.linalg.svd
+    failed_on = []
+
+    def failing(a, *args, **kwargs):
+        if np.array_equal(a, T.m2[None]):  # component 1 only
+            failed_on.append(threading.current_thread())
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    threads = threading.active_count()
+    with pytest.raises(NoConvergence, match=r"^SVD kernel failed: SVD did not converge$"):
+        svd_family([T])
+    assert threading.active_count() == threads
+    assert len(failed_on) == 1 and failed_on[0] is not threading.current_thread()
+    assert T._svd is None
+
+
+@pytest.mark.parametrize("threads", [2, None])
+def test_component_split_is_off_unless_blas_runs_one_thread(monkeypatch, threads):
+    # None: numpy's OpenBLAS thread count cannot be read
+    T = random_mat(np.random.default_rng(40), 64, 128)
+    monkeypatch.setattr(dop, "_blas_threads", lambda: threads)
+    svd_arrays = _recording_svds(monkeypatch)
+    svd_family([T])
+    assert [a.shape for a in svd_arrays] == [(1, 2, 128, 64)]
+
+
+def test_blas_thread_count_reads_numpys_openblas():
+    blas = dop._openblas()
+    if blas is None:
+        pytest.skip("this numpy bundles no scipy-openblas")
+    get_threads, set_threads = blas
+    threads = get_threads()
+    try:
+        for n in (1, 2):
+            set_threads(n)
+            assert dop._blas_threads() == n
+    finally:
+        set_threads(threads)
 
 
 def test_solve_matches_lstsq():
