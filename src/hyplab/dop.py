@@ -15,8 +15,8 @@ of every unfactored operator of a family and caches its thin SVD,
 read-only and with the same leading axis, with the operator.  The two
 components are independent problems, so a family worth it (see
 ``_SPLIT_WORK``) is factored as two SVD calls, component 1 on a helper
-thread, while BLAS runs one thread per call; otherwise as one call over
-the stack of all its components.  Each matrix gets the same LAPACK call
+thread, while BLAS runs one thread per call and the process may use a
+second CPU; otherwise as one call over the stack of all its components.  Each matrix gets the same LAPACK call
 either way, so the bits do not depend on the route.
 A wide family (rows < cols) is factored through its transpose: LAPACK's
 ``gesdd`` reduces a wide matrix by an LQ factorization first and a tall
@@ -37,6 +37,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import os
 import threading
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -134,15 +135,14 @@ def _openblas():
     already loaded, so this opens the instance numpy calls.
     """
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    if blas.get("name") != "scipy-openblas":
+    libs = list((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+    if blas.get("name") != "scipy-openblas" or len(libs) != 1:
         return None
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-            return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):  # not loadable, or another build's symbols
-            continue
-    return None
+    try:
+        lib = ctypes.CDLL(str(libs[0]))
+        return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):  # not loadable, or without the symbols
+        return None
 
 
 def _blas_threads() -> int | None:
@@ -151,18 +151,27 @@ def _blas_threads() -> int | None:
     return None if blas is None else blas[0]()
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _factor(a: np.ndarray):
     """``np.linalg.svd`` of a (k, 2, m, n) stack as (U, S, Vh), each (k, 2, ...).
 
-    When the work per component reaches ``_SPLIT_WORK`` and BLAS runs one
-    thread per call, component 0 is factored here and component 1 on a
-    helper thread, joined before this returns, and the halves are stacked
-    back.  A smaller stack is one call, as is any stack while BLAS may run
-    more threads, which a second thread would compete with, or while its
-    count cannot be read.
+    When the work per component reaches ``_SPLIT_WORK``, BLAS runs one
+    thread per call and a second CPU is free to take the helper, component
+    0 is factored here and component 1 on a helper thread, joined before
+    this returns, and the halves are stacked back.  A smaller stack is one
+    call, as is any stack while BLAS may run more threads, which a second
+    thread would compete with, while its count cannot be read, or while
+    the process may run on one CPU only, where the helper gains nothing.
     """
     k, _, m, n = a.shape
-    if k * m * n * min(m, n) < _SPLIT_WORK or _blas_threads() != 1:
+    if k * m * n * min(m, n) < _SPLIT_WORK or _blas_threads() != 1 or _cpus() < 2:
         return np.linalg.svd(a, full_matrices=False)
     second = []
 

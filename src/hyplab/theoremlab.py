@@ -158,13 +158,14 @@ def _fold(seed, name, count, n, judge, lead=None, build=None, weight=None, held=
     ``lead`` go first.  ``judge(x, a)`` takes a chunk's (2, k, n) block, row
     a onward, and returns (2, k) arrays in which larger is worse; each comes
     back as its componentwise maximum, a (2, 1) column.  A sample weighs
-    ``weight`` (4n) against ``MAX_DRAWN_NORMALS``, a row max(weight, held) floats.
+    ``weight`` (4n, its normals, or what it costs beyond them) against
+    ``MAX_DRAWN_NORMALS``, a row max(weight, held) floats.
     """
     weight = 4 * n if weight is None else weight
     if count * weight > MAX_DRAWN_NORMALS:
         raise InvalidInput(
-            f"{name.partition('/')[0]}: count {count} of {weight} normals each exceeds "
-            f"the cap of {MAX_DRAWN_NORMALS} drawn normals"
+            f"{name.partition('/')[0]}: count {count} of weight {weight} each exceeds "
+            f"the cap of {MAX_DRAWN_NORMALS}"
         )
     build = build or (lambda z: _sample_rows(z, n))
     rng = check_stream(seed, name)

@@ -262,7 +262,7 @@ def test_draws_up_to_the_cap_and_rejects_one_normal_more(monkeypatch, width):
     judged = []
     tl._fold(3, "lemma31/seq", count, 1, lambda x, a: judged.append(x.shape[1]) or (), weight=width)
     assert sum(judged) == count and len(judged) <= 256
-    with pytest.raises(InvalidInput, match=rf"^lemma31: count {count + 1} of {width} normals each exceeds"):
+    with pytest.raises(InvalidInput, match=rf"^lemma31: count {count + 1} of weight {width} each exceeds the cap of {tl.MAX_DRAWN_NORMALS}$"):
         tl._fold(3, "lemma31/seq", count + 1, 1, lambda x, a: judged.append(x.shape[1]) or (), weight=width)
     assert sum(judged) == count
 

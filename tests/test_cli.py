@@ -347,7 +347,7 @@ def test_huge_sample_count_exit_2_before_allocating(tmp_path, capsys, command, f
     else:
         inputs = ["--matrix", write(tmp_path, "T.json", T)]
     code, doc, err = run_json(capsys, [command, *inputs, flag, str(count)])
-    message = f"{command}: count {count} of 16 normals each exceeds the cap of {2**24} drawn normals"
+    message = f"{command}: count {count} of weight 16 each exceeds the cap of {2**24}"
     assert code == 2
     assert doc["payload"] == {"error": {"kind": "InvalidInput", "message": message}}
     assert err == f"hyplab: InvalidInput: {message}\n"
@@ -1050,7 +1050,7 @@ def test_ubp_counts_a_samples_products_against_the_draw_cap(tmp_path, capsys, mo
     monkeypatch.setattr(tl, "check_stream", lambda *a: streams.append(a) or real_stream(*a))
     samples = cap // 32
     code, doc, _ = run_json(capsys, ["ubp", "--family", fam, "--samples", str(samples)])
-    message = f"ubp: count {samples} of 6400 normals each exceeds the cap of {cap} drawn normals"
+    message = f"ubp: count {samples} of weight 6400 each exceeds the cap of {cap}"
     assert code == 2
     assert doc["payload"] == {"error": {"kind": "InvalidInput", "message": message}}
     assert streams == []
@@ -1067,7 +1067,7 @@ def test_omt_verify_counts_a_wide_operators_preimages_against_the_draw_cap(tmp_p
     cap = 2**24
     mat = write(tmp_path, "T.json", matrix_to_json(surjective_mat(np.random.default_rng(21), 1, 1000)))
     trials = cap // 4
-    message = f"omt-verify: count {trials} of 4000 normals each exceeds the cap of {cap} drawn normals"
+    message = f"omt-verify: count {trials} of weight 4000 each exceeds the cap of {cap}"
     _rejected_quietly(["omt-verify", "--matrix", mat, "--trials", str(trials)], message)
     proc = subprocess.run(
         [sys.executable, "-m", "hyplab.cli", "omt-verify", "--matrix", mat, "--trials", str(cap // 4000)],

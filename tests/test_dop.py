@@ -1,6 +1,7 @@
 """Operators: application, singular-value kernel, norms, solves, surjectivity."""
 
 import math
+import os
 import threading
 import warnings
 
@@ -413,12 +414,21 @@ def _recording_svds(monkeypatch):
     return arrays
 
 
+def _split_on(monkeypatch):
+    """Gate the component split on work alone: one BLAS thread and two
+    CPUs, whatever the runner's ``OPENBLAS_NUM_THREADS`` and affinity."""
+    monkeypatch.setattr(dop, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(dop, "_cpus", lambda: 2)
+
+
 def _assert_one_call_per_component(arrays, family):
-    """The calls were one per component, each over every member, in the
-    factored orientation: the two components of the family's stack."""
+    """The calls were exactly two, one per component, each over every
+    member, in the factored orientation: the two components of the
+    family's stack."""
     stack = np.stack([T.m for T in family])
     if stack.shape[-2] < stack.shape[-1]:
         stack = stack.mT
+    assert len(arrays) == 2
     # the helper thread's call may be recorded first
     assert sorted(i for a in arrays for i in (0, 1) if np.array_equal(a, stack[:, i])) == [0, 1]
 
@@ -427,7 +437,7 @@ def test_operator_session_factors_once(monkeypatch):
     from hyplab import open_mapping_verify
 
     T = surjective_mat(np.random.default_rng(30), 64, 128)
-    monkeypatch.setattr(dop, "_blas_threads", lambda: 1)  # not the runner's thread count
+    _split_on(monkeypatch)
     svd_arrays = _recording_svds(monkeypatch)
     lstsq_calls = _counting(monkeypatch, "lstsq")
     op_dnorm(T)
@@ -564,7 +574,7 @@ def test_family_of_two_shapes_is_rejected_unfactored():
 def test_ubp_family_costs_one_svd_call(monkeypatch):
     rng = np.random.default_rng(38)
     family = [random_mat(rng, 24, 24) for _ in range(20)]  # work enough to split
-    monkeypatch.setattr(dop, "_blas_threads", lambda: 1)  # not the runner's thread count
+    _split_on(monkeypatch)
     svd_arrays = _recording_svds(monkeypatch)
     assert ubp_verify(family, 50, 7).passed
     _assert_one_call_per_component(svd_arrays, family)
@@ -590,7 +600,7 @@ def test_stacked_bits_of_component_split_factors(monkeypatch, members, rows, col
     wide = rows < cols
     u, s, vh = np.linalg.svd(stack.mT if wide else stack, full_matrices=False)
     want = (vh.mT, s, u.mT) if wide else (u, s, vh)
-    monkeypatch.setattr(dop, "_blas_threads", lambda: 1)
+    _split_on(monkeypatch)
     calls = _counting(monkeypatch, "svd")
     svd_family(family)
     split = members * rows * cols * min(rows, cols) >= dop._SPLIT_WORK
@@ -603,7 +613,7 @@ def test_stacked_bits_of_component_split_factors(monkeypatch, members, rows, col
 
 def test_component_split_failure_is_no_convergence_and_joins_its_thread(monkeypatch):
     T = random_mat(np.random.default_rng(39), 64, 64)
-    monkeypatch.setattr(dop, "_blas_threads", lambda: 1)
+    _split_on(monkeypatch)
     real = np.linalg.svd
     failed_on = []
 
@@ -627,9 +637,27 @@ def test_component_split_is_off_unless_blas_runs_one_thread(monkeypatch, threads
     # None: numpy's OpenBLAS thread count cannot be read
     T = random_mat(np.random.default_rng(40), 64, 128)
     monkeypatch.setattr(dop, "_blas_threads", lambda: threads)
+    monkeypatch.setattr(dop, "_cpus", lambda: 2)
     svd_arrays = _recording_svds(monkeypatch)
     svd_family([T])
     assert [a.shape for a in svd_arrays] == [(1, 2, 128, 64)]
+
+
+def test_component_split_is_off_on_one_cpu(monkeypatch):
+    # a helper thread that cannot run beside the caller only adds its start-up
+    T = random_mat(np.random.default_rng(41), 64, 128)
+    monkeypatch.setattr(dop, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(dop, "_cpus", lambda: 1)
+    svd_arrays = _recording_svds(monkeypatch)
+    svd_family([T])
+    assert [a.shape for a in svd_arrays] == [(1, 2, 128, 64)]
+
+
+def test_cpus_are_the_ones_this_process_may_run_on():
+    if hasattr(os, "sched_getaffinity"):
+        assert dop._cpus() == len(os.sched_getaffinity(0))
+    else:
+        assert dop._cpus() == (os.cpu_count() or 1)
 
 
 def test_blas_thread_count_reads_numpys_openblas():
