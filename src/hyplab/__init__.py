@@ -5,11 +5,11 @@ The theorem checks' names (``_LAZY``) import ``hyplab.theoremlab`` on first
 access (PEP 562), so a process that runs no theorem check never loads it.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .errors import (
     DimensionMismatch, HyplabError, HypothesisFailed, InvalidInput, NoConvergence, NotConverged, NotInRange,
-    NotStrictlyPositive, NotSurjective, PreconditionViolated, ShapeMismatch, ZeroDivisor,
+    NotSurjective, PreconditionViolated, ShapeMismatch, ZeroDivisor,
 )
 from .hyperscalar import (
     E1, E2, ONE, UNIT_I, UNIT_J, UNIT_K, ZERO_DIVISOR_TOL, Bicomplex, DPlus, Hyperbolic, OrderRel,
@@ -48,7 +48,7 @@ def __dir__() -> list[str]:
 __all__ = [
     "__version__",
     # errors
-    "HyplabError", "InvalidInput", "DimensionMismatch", "ShapeMismatch", "ZeroDivisor", "NotStrictlyPositive",
+    "HyplabError", "InvalidInput", "DimensionMismatch", "ShapeMismatch", "ZeroDivisor",
     "NoConvergence", "NotConverged", "NotInRange", "NotSurjective", "PreconditionViolated", "HypothesisFailed",
     # scalars
     "Hyperbolic", "DPlus", "Bicomplex", "OrderRel",

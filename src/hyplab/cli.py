@@ -21,10 +21,14 @@ byte-identical envelopes.
 
 Each subcommand is one row of ``_ROWS``: its help, its flags and its run.
 A flag with a kind is an input: the kind says how its value is read and
-its canonical form in the inputs digest.  One loop builds the parser from
-the rows, with the flags of the named row only, and one reads its inputs,
-digests them and calls its run.  A theorem check is looked up on the
-``hyplab`` package as its row runs, so no other row imports theoremlab.
+its canonical form in the inputs digest.  The CLI keeps no range rule of
+its own: the library routine that reads a value is its one checker, so a
+rejected ``--tol``, ``--maxN``, ``--series-tol`` or ``--norm`` gets an
+envelope with the inputs digest, as any error of the run does.  One loop
+builds the parser from the rows, with the flags of the named row only, and
+one reads its inputs, digests them and calls its run.  A theorem check is
+looked up on the ``hyplab`` package as its row runs, so no other row
+imports theoremlab.
 
 An envelope that cannot reach stdout (a full device, a closed pipe) exits
 2 with one line on stderr.  ``main``, the process entry, freezes the
@@ -47,9 +51,9 @@ import hyplab
 
 from . import __version__
 from .dmodule import MAX_SERIES_TERMS, DSeminorm, abs_summability_check, series_sum, vec_dnorm
-from .dop import _check_tol, _openblas, min_norm_solve, op_dnorm, open_mapping_delta, surjectivity_check
+from .dop import _openblas, min_norm_solve, op_dnorm, open_mapping_delta, surjectivity_check
 from .errors import HyplabError, InvalidInput, NotConverged
-from .hyperscalar import bc_inverse, knorm
+from .hyperscalar import Hyperbolic, bc_inverse, knorm
 from .jsonio import (
     digest,
     dumps,
@@ -116,13 +120,12 @@ class _Kind(NamedTuple):
     """How an input's flag value is read, and its canonical form in the digest,
     where a vector's or matrix's components are arrays hashed from their bytes.
 
-    An ``early`` input is read before any file is.  An omitted flag without
-    a default gives ``fallback(args)``, where the inputs before it are read.
+    An omitted flag without a default gives ``fallback(args)``, where the
+    inputs before it are read.
     """
 
     read: Callable[[Any], Any]
     canon: Callable[[Any], Any] = lambda value: value
-    early: bool = False
     fallback: Callable[[argparse.Namespace], Any] | None = None
 
 
@@ -141,17 +144,6 @@ class _Row(NamedTuple):
     help: str
     flags: tuple[_Flag, ...]
     run: Callable[[argparse.Namespace], tuple[dict, bool]]
-
-
-def _tol(tol: float) -> float:
-    _check_tol(tol)
-    return tol
-
-
-def _cap(max_n: int) -> int:
-    if max_n < 1:
-        raise InvalidInput(f"maxN must be >= 1, got {max_n}")
-    return max_n
 
 
 def _family(path: str) -> list:
@@ -182,17 +174,19 @@ _SEED = _Flag("--seed", type=int, default=42, help="sampling seed (default 42)")
 _OUTPUT = _Flag("--output", default=None, help="write the JSON envelope here instead of stdout")
 _FORMAT = _Flag("--format", choices=("idempotent", "cartesian"), default="idempotent",
                 help="scalar emission form")
-_TOL = _Flag("--tol", _Kind(_tol, early=True), type=float, default=1e-10, help="numeric tolerance")
+_TOL = _Flag("--tol", _PLAIN, type=float, default=1e-10, help="numeric tolerance")
 _SCALAR_IN = _Flag("--scalar", _SCALAR, required=True)
 _MATRIX_IN = _Flag("--matrix", _MATRIX, required=True)
 _TERMS = _Flag("--terms", _JSON, required=True)
-_SERIES_TOL = _Flag("--series-tol", _HYP, default="1e-12", help="hyperbolic literal a1,a2")
+# the series reader checks the tolerance's sign, so a bad one is digested
+_SERIES_TOL = _Flag("--series-tol", _HYP._replace(read=lambda text: parse_hyp_literal(text, Hyperbolic)),
+                    default="1e-12", help="hyperbolic literal a1,a2, both components > 0")
 _SAMPLES_HELP = "random samples, drawn and judged a chunk at a time: memory does not grow with the count"
 _TRIALS = _Flag("--trials", _PLAIN, type=int, default=1000, help=_SAMPLES_HELP)
 
 
 def _max_n(help: str) -> _Flag:
-    return _Flag("--maxN", _Kind(_cap, early=True), type=int, default=1000, metavar="MAX_N", help=help)
+    return _Flag("--maxN", _PLAIN, type=int, default=1000, metavar="MAX_N", help=help)
 
 
 def _verdict(rep) -> tuple[dict, bool]:
@@ -224,7 +218,8 @@ _ROWS = {
     "norm": _Row(
         "D-norm of a vector",
         (_Flag("--vector", _VECTOR, required=True),
-         _Flag("--norm", _PLAIN, choices=("l2", "l1", "linf"), default="l2"), _SEED, _OUTPUT, _FORMAT),
+         _Flag("--norm", _PLAIN, default="l2", help="component norm: l2, l1 or linf"),
+         _SEED, _OUTPUT, _FORMAT),
         lambda a: ({"dnorm": scalar_to_json(vec_dnorm(a.vector, a.norm), a.format),
                     "component_norm": a.norm}, True),
     ),
@@ -324,14 +319,15 @@ def _dispatch(args, envelope: dict):
     """Read the row's inputs into ``args``, digest them and run the row;
     returns (payload, passed).
 
-    Early inputs are read first, then the others in row order.  The digest
-    holds every input, in row order, keyed by its flag's name.  It goes into
-    ``envelope`` before the run, so an error the computation raises still
-    reports which inputs it saw.
+    Inputs are read in row order, so the first bad one is reported.  The
+    digest holds every input, in row order, keyed by its flag's name.  It
+    goes into ``envelope`` before the run, so an error the computation
+    raises, such as a value the library rejects, still reports which inputs
+    it saw.
     """
     row = _ROWS[args.command]
     inputs = [f for f in row.flags if f.kind is not None]
-    for f in sorted(inputs, key=lambda f: not f.kind.early):
+    for f in inputs:
         value = getattr(args, f.dest)
         setattr(args, f.dest, f.kind.fallback(args) if value is None else f.kind.read(value))
     envelope["inputs_digest"] = digest({f.dest: f.kind.canon(getattr(args, f.dest)) for f in inputs})

@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInput, NotConverged, NotStrictlyPositive
+from .errors import DimensionMismatch, InvalidInput, NotConverged
 from .hyperscalar import Bicomplex, DPlus, Frozen, Hyperbolic, Record, hyp_leq
 
 if TYPE_CHECKING:
@@ -278,8 +278,6 @@ def seminorm_terms(p: DSeminorm, b: np.ndarray) -> np.ndarray:
 
 def seminorm_eval(p: DSeminorm, x: BCVector) -> DPlus:
     """Evaluate p(x) = ||Tx||_D: the one-row ``seminorm_terms``."""
-    if p.T.cols != x.dim:
-        raise DimensionMismatch(f"operator has {p.T.cols} columns, vector has dim {x.dim}")
     return DPlus(*seminorm_terms(p, x.v[:, None])[:, 0].tolist())
 
 
@@ -362,13 +360,15 @@ class AbsSummabilityReport(SeriesReport):
 
 
 def _as_tol(tol) -> DPlus:
+    """A series tolerance, a number or a hyperbolic value, checked to be
+    strictly positive in both components: the one check of its sign."""
     if isinstance(tol, (int, float)):
-        tol = DPlus(tol, tol)
-    if not isinstance(tol, DPlus):
-        raise InvalidInput(f"tolerance must be DPlus or a number, got {type(tol).__name__}")
+        tol = Hyperbolic(tol, tol)
+    if not isinstance(tol, Hyperbolic):
+        raise InvalidInput(f"tolerance must be hyperbolic or a number, got {type(tol).__name__}")
     if not tol.is_strictly_positive():
-        raise NotStrictlyPositive("series tolerance must be strictly positive")
-    return tol
+        raise InvalidInput(f"series tolerance must be strictly positive, got ({tol.a1}, {tol.a2})")
+    return DPlus(tol.a1, tol.a2)
 
 
 #: Terms in a series' trailing-window tail estimate, the sum of the last
@@ -481,11 +481,11 @@ def _read_series(
     for every term summed, stacked as a (2, n_terms, dim) block: "terms"
     or the partial sums "s"; None keeps nothing more than the report.
     """
-    tol = _as_tol(tol)
     if max_n < 1:
         raise InvalidInput(f"max_n must be >= 1, got {max_n}")
     if max_n > MAX_SERIES_TERMS:
         raise InvalidInput(f"max_n {max_n} exceeds the cap of {MAX_SERIES_TERMS} terms")
+    tol = _as_tol(tol)
 
     it = iter(terms)
     n = 0

@@ -292,8 +292,10 @@ def min_norm_solve_rows(T: BCMatrix, y: np.ndarray, tol: float = 1e-10) -> Block
     operator's cached SVD with one product chain per component: the ranks,
     and so the chains' shapes, may differ.  Raises ``NotInRange`` for the
     first row whose residual exceeds ``tol * ||y_i||`` in either component,
-    so a zero right-hand side needs a zero residual.
+    so a zero right-hand side needs a zero residual; ``tol`` itself must be
+    finite and positive.
     """
+    _check_tol(tol)
     if check_block(y).shape[-1] != T.rows:
         raise DimensionMismatch(f"operator has {T.rows} rows, vector has dim {y.shape[-1]}")
     x = np.empty((*y.shape[:-1], T.cols), dtype=complex)

@@ -54,12 +54,6 @@ class ZeroDivisor(HyplabError):
     exit_code = 4
 
 
-class NotStrictlyPositive(HyplabError):
-    """A strictly positive hyperbolic value was required."""
-
-    exit_code = 4
-
-
 class NotInRange(HyplabError):
     """The right-hand side is not in the range of the operator."""
 

@@ -254,8 +254,9 @@ def parse_series(obj):
     raise InvalidInput("series must be a vector array or a geometric generator spec")
 
 
-def parse_hyp_literal(text: str) -> DPlus:
-    """Parse the CLI literal "a1,a2" (or a single value used for both)."""
+def parse_hyp_literal(text: str, cls: type[Hyperbolic] = DPlus) -> Hyperbolic:
+    """Parse the CLI literal "a1,a2" (or a single value used for both) as a
+    ``cls``: by default a DPlus, so a negative component is rejected here."""
     parts = [p.strip() for p in str(text).split(",")]
     if len(parts) == 1:
         parts = [parts[0], parts[0]]
@@ -265,7 +266,7 @@ def parse_hyp_literal(text: str) -> DPlus:
         a1, a2 = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise InvalidInput(f"bad numeric literal in {text!r}") from exc
-    return DPlus(a1, a2)
+    return cls(a1, a2)
 
 
 #: Deepest container nesting ``load_json`` accepts: far above the 5 levels

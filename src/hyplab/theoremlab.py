@@ -549,10 +549,10 @@ def zabreiko_decompose(
     p(x_k) <= eps_{k-1} m and ||u_k||_D <= eps_k r and the replay of the
     exact chain u_k = u_{k-1} - x_k are then judged once over the blocks.
     """
-    if r <= 0:
-        raise PreconditionViolated(f"radius must be positive, got {r}")
     if max_n < 1:
         raise InvalidInput(f"max_n must be >= 1, got {max_n}")
+    if r <= 0:
+        raise PreconditionViolated(f"radius must be positive, got {r}")
     if not eps.is_strictly_positive():
         raise PreconditionViolated("eps must be strictly positive in both components")
     if not m.is_strictly_positive():

@@ -333,9 +333,9 @@ def oracle_series_sum(terms, tol, max_n: int) -> SeriesReport:
     The tail estimate sums the last ``SERIES_WINDOW`` term norms, as the
     library's does.
     """
-    tol = _as_tol(tol)
     if max_n < 1:
         raise InvalidInput(f"max_n must be >= 1, got {max_n}")
+    tol = _as_tol(tol)
     window = SERIES_WINDOW
 
     it = iter(terms)
@@ -399,9 +399,9 @@ def oracle_abs_summability(terms, max_n: int, tol=None) -> AbsSummabilityReport:
     strides 1, 2, 4, ..., compares ||s_n - s_m||_D with the sum of the term
     norms between them.
     """
-    tol = _as_tol(tol if tol is not None else 1e-12)
     if max_n < 1:
         raise InvalidInput(f"max_n must be >= 1, got {max_n}")
+    tol = _as_tol(tol if tol is not None else 1e-12)
 
     it = iter(terms)
     sums, running, recent = [], DPlus(0.0, 0.0), deque(maxlen=SERIES_WINDOW)

@@ -392,7 +392,6 @@ EXIT_TABLE = {
     "NoConvergence": 3,
     "NotConverged": 3,
     "ZeroDivisor": 4,
-    "NotStrictlyPositive": 4,
     "NotInRange": 4,
     "NotSurjective": 4,
     "PreconditionViolated": 4,
@@ -448,7 +447,56 @@ def test_non_finite_tol_exit_2(tmp_path, capsys, command, tol):
     doc = _strict_json(lines[0])
     assert doc["payload"]["error"]["kind"] == "InvalidInput"
     assert "tol must be" in doc["payload"]["error"]["message"]
+    assert len(doc["inputs_digest"]) == 64  # the library rejects it, after the inputs are read
     assert err.startswith("hyplab: InvalidInput: tol must be")
+
+
+#: a value that reads as its type but that the library routine reading it
+#: rejects, after the CLI's required arguments (LIBRARY_ARGS), with the
+#: library's message
+LIBRARY_REJECTS = [
+    *((command, f"--tol={tol}", f"tol must be positive, got {float(tol)}")
+      for command in ("opnorm", "solve", "omc") for tol in ("0", "-1")),
+    *((command, "--maxN 0", "max_n must be >= 1, got 0")
+      for command in ("series", "series --abs-check", "zabreiko", "subadd")),
+    ("zabreiko", "--maxN 0 --r 0", "max_n must be >= 1, got 0"),  # the radius alone is exit 4
+    ("series", "--maxN 0 --series-tol=0", "max_n must be >= 1, got 0"),  # the cap first, as in zabreiko
+    *((command, f"--series-tol={tol}", f"series tolerance must be strictly positive, got {got}")
+      for command in ("series", "subadd")
+      for tol, got in (("0", "(0.0, 0.0)"), ("-1", "(-1.0, -1.0)"), ("0,1e-9", "(0.0, 1e-09)"))),
+    ("norm", "--norm l3", "unknown component norm 'l3'"),
+]
+LIBRARY_ARGS = {
+    "opnorm": "--matrix {T}", "solve": "--matrix {T} --y {y}", "omc": "--matrix {T}",
+    "series": "--terms {terms}", "subadd": "--matrix {I} --terms {terms}", "norm": "--vector {x}",
+    "zabreiko": "--matrix {I} --x {x} --m 2,2 --r 1 --eps 1,1",
+}
+
+
+@pytest.mark.parametrize(
+    "command, flags, message", LIBRARY_REJECTS, ids=[f"{c} {f}" for c, f, _ in LIBRARY_REJECTS]
+)
+def test_a_value_the_library_rejects_gets_one_digested_envelope(tmp_path, capsys, command, flags, message):
+    # the CLI checks none of these values itself, so each one is read and
+    # digested like any other input before the library refuses it
+    files = {
+        "T": matrix_to_json(surjective_mat(np.random.default_rng(21), 2, 3)),
+        "I": matrix_to_json(BCMatrix.identity(2)),
+        "y": vector_to_json(random_vec(np.random.default_rng(22), 2)),
+        "x": vector_to_json(BCVector([0.1, 0.2], [0.3, 0.1])),
+        "terms": {"kind": "geometric", "ratio": {"e1": [0.5, 0], "e2": [0.25, 0]},
+                  "seed_vector": {"dim": 2, "e1": [[1, 0], [1, 0]], "e2": [[1, 0], [1, 0]]}},
+    }
+    paths = {name: write(tmp_path, f"{name}.json", obj) for name, obj in files.items()}
+    required = LIBRARY_ARGS[command.split()[0]].format(**paths)
+    code, out, err = run_cli(capsys, [*command.split(), *required.split(), *flags.split()])
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    doc = _strict_json(lines[0])
+    assert doc["payload"] == {"error": {"kind": "InvalidInput", "message": message}}
+    assert doc["pass"] is False and len(doc["inputs_digest"]) == 64
+    assert err == f"hyplab: InvalidInput: {message}\n"
 
 
 @pytest.mark.parametrize("tol", ["1", "1e308"])

@@ -17,9 +17,9 @@ from hyplab import (
     DSeminorm,
     DimensionMismatch,
     E1,
+    Hyperbolic,
     InvalidInput,
     NotConverged,
-    NotStrictlyPositive,
     SeriesReport,
     abs_summability_check,
     countable_subadd_check,
@@ -191,9 +191,12 @@ def test_seminorm_axioms():
 
 
 def test_seminorm_dim_mismatch():
+    # seminorm_eval makes no check of its own: the block check of
+    # seminorm_terms rejects a vector shorter or longer than the columns
     p = DSeminorm(BCMatrix.identity(3))
-    with pytest.raises(DimensionMismatch):
-        seminorm_eval(p, BCVector([1], [1]))
+    for dim in (1, 4):
+        with pytest.raises(DimensionMismatch, match=f"^operator has 3 columns, block rows have dim {dim}$"):
+            seminorm_eval(p, BCVector([1] * dim, [1] * dim))
 
 
 # ---------------------------------------------------------- sublevel  sets
@@ -314,8 +317,13 @@ def test_series_finite_list_is_exact():
 
 
 def test_series_requires_strictly_positive_tol():
-    with pytest.raises(NotStrictlyPositive):
-        series_sum([BCVector([1], [1])], DPlus(0.0, 1e-9), 10)
+    # one check of the sign, invalid input (exit 2) as a non-positive --tol is
+    cases = [(DPlus(0.0, 1e-9), "(0.0, 1e-09)"), (0.0, "(0.0, 0.0)"), (-1.0, "(-1.0, -1.0)"),
+             (Hyperbolic(1e-9, -1.0), "(1e-09, -1.0)")]
+    for tol, got in cases:
+        with pytest.raises(InvalidInput) as info:
+            series_sum([BCVector([1], [1])], tol, 10)
+        assert str(info.value) == f"series tolerance must be strictly positive, got {got}"
 
 
 def test_series_empty_rejected():

@@ -723,6 +723,16 @@ def test_rank_cutoff_must_be_below_one():
             open_mapping_delta(T, tol=tol)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_solve_tolerance_must_be_finite_and_positive(tol):
+    # checked before the solve, for a right-hand side in the range too: a
+    # negative bound would reject every residual, a zero one accept only
+    # exact residuals and a NaN one any residual
+    R = BCMatrix([[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(InvalidInput, match=f"^tol must be (positive|finite), got {tol}$"):
+        min_norm_solve(R, BCVector([1.0, 0.0], [1.0, 0.0]), tol=tol)
+
+
 def test_tolerance_products_that_overflow_raise_no_numpy_warning():
     # 1e308 times a singular value or a norm above ~1.8 overflows: a rank
     # cutoff of 1 or more is rejected before any product, and a residual
