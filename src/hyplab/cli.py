@@ -23,7 +23,7 @@ Each subcommand is one row of ``_ROWS``: its help, its flags and its run.
 A flag with a kind is an input: the kind says how its value is read and
 its canonical form in the inputs digest.  The CLI keeps no range rule of
 its own: the library routine that reads a value is its one checker, so a
-rejected ``--tol``, ``--maxN``, ``--series-tol`` or ``--norm`` gets an
+rejected ``--tol``, ``--maxN``, ``--norm`` or hyperbolic literal gets an
 envelope with the inputs digest, as any error of the run does.  One loop
 builds the parser from the rows, with the flags of the named row only, and
 one reads its inputs, digests them and calls its run.  A theorem check is
@@ -168,7 +168,8 @@ _VECTOR = _Kind(lambda path: parse_vector(load_json(path)), lambda v: {"dim": v.
 _MATRIX = _Kind(lambda path: parse_matrix(load_json(path)),
                 lambda T: {"rows": T.rows, "cols": T.cols, "e1": T.m1, "e2": T.m2})
 _JSON = _Kind(lambda path: load_json(path))  # parsed by the run, after the digest
-_HYP = _Kind(lambda text: parse_hyp_literal(text), lambda h: [h.a1, h.a2])
+# read in the whole plane: the routine taking it judges the sign after the digest
+_HYP = _Kind(lambda text: parse_hyp_literal(text, Hyperbolic), lambda h: [h.a1, h.a2])
 
 _SEED = _Flag("--seed", type=int, default=42, help="sampling seed (default 42)")
 _OUTPUT = _Flag("--output", default=None, help="write the JSON envelope here instead of stdout")
@@ -178,9 +179,7 @@ _TOL = _Flag("--tol", _PLAIN, type=float, default=1e-10, help="numeric tolerance
 _SCALAR_IN = _Flag("--scalar", _SCALAR, required=True)
 _MATRIX_IN = _Flag("--matrix", _MATRIX, required=True)
 _TERMS = _Flag("--terms", _JSON, required=True)
-# the series reader checks the tolerance's sign, so a bad one is digested
-_SERIES_TOL = _Flag("--series-tol", _HYP._replace(read=lambda text: parse_hyp_literal(text, Hyperbolic)),
-                    default="1e-12", help="hyperbolic literal a1,a2, both components > 0")
+_SERIES_TOL = _Flag("--series-tol", _HYP, default="1e-12", help="hyperbolic literal a1,a2, both components > 0")
 _SAMPLES_HELP = "random samples, drawn and judged a chunk at a time: memory does not grow with the count"
 _TRIALS = _Flag("--trials", _PLAIN, type=int, default=1000, help=_SAMPLES_HELP)
 

@@ -12,12 +12,12 @@ two ordinary complex matrix computations:
 
 Each operator is factored once: ``svd_family`` factors both components
 of every unfactored operator of a family and caches its thin SVD,
-read-only and with the same leading axis, with the operator.  The two
-components are independent problems, so a family worth it (see
-``_SPLIT_WORK``) is factored as two SVD calls, component 1 on a helper
-thread, while BLAS runs one thread per call and the process may use a
-second CPU; otherwise as one call over the stack of all its components.  Each matrix gets the same LAPACK call
-either way, so the bits do not depend on the route.
+read-only and with the same leading axis, with the operator.  Where
+``_split`` finds it worth it, a kernel runs component 1 on the process's
+one waiting helper thread beside component 0 (``_beside``): the SVD as two
+calls, the block solve as two product chains; otherwise the SVD is one call
+over the stack and the chains run in turn.  Each matrix gets the same
+LAPACK and BLAS calls either way, so the bits do not depend on the route.
 A wide family (rows < cols) is factored through its transpose: LAPACK's
 ``gesdd`` reduces a wide matrix by an LQ factorization first and a tall
 one by QR, and the QR-first route is the faster one (about 14% at 64x128).
@@ -27,7 +27,8 @@ one factorization; the full spectrum is stored, so a caller's rank
 tolerance is applied when the values are read.
 ``min_norm_solve_rows`` solves a (2, k, rows) block of right-hand sides
 with one product chain per component, as the components' ranks may
-differ; ``min_norm_solve`` is its one-row case.
+differ, and judges the residuals once both are done; ``min_norm_solve`` is
+its one-row case.
 ``BCMatrix.svd`` is its family of one, so there is one SVD entry point
 and no iterative kernel.
 """
@@ -38,6 +39,7 @@ import ctypes
 import functools
 import math
 import os
+import queue
 import threading
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -116,13 +118,14 @@ class BCMatrix:
         return f"BCMatrix(rows={self.rows}, cols={self.cols})"
 
 
-#: Work per component, k*m*n*min(m, n) for k (m, n) matrices, from which
-#: ``svd_family`` factors the components on two threads.  Called back to back,
-#: the split broke even at 2^13 (2x32x16); after 1-3 ms of Python work, as in
-#: a check, the idle second CPU adds about 100 us, and the split took longer
-#: at the 90th percentile below 2^17 (a 2x50x50 stack) and less at and above
-#: it.  A 2x128x64 stack took 1.06 ms against 1.72 ms there (medians, one BLAS
-#: thread, 2-CPU Xeon).
+#: Work per component from which a kernel splits, one constant for both:
+#: k*m*n*min(m, n) for the SVD of k (m, n) matrices, k*rows*cols for a solve of
+#: k rows.  After 1-3 ms of Python, as in a check (median/90th percentile, one
+#: BLAS thread, 2-CPU Xeon), the split solve broke even at 2^16.6 (12 rows at
+#: 64x128: 103/147 us against 104/110), won the median at 2^17 (16 rows:
+#: 110/154 against 127/136) and both at 2^18 (32 rows: 151/194 against 197/209).
+#: The split SVD won the median from 2^13.3 (20 8x8 matrices, as ubp reads:
+#: 225 against 307 us), not always the 90th percentile below 2^17.
 _SPLIT_WORK = 1 << 17
 
 
@@ -159,37 +162,62 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _factor(a: np.ndarray):
-    """``np.linalg.svd`` of a (k, 2, m, n) stack as (U, S, Vh), each (k, 2, ...).
+def _split(work: int) -> bool:
+    """Whether a kernel runs its components side by side: ``work`` per
+    component reaches ``_SPLIT_WORK``, BLAS runs one thread per call, as more
+    would compete with the helper, and a second CPU is free to run it."""
+    return work >= _SPLIT_WORK and _blas_threads() == 1 and _cpus() >= 2
 
-    When the work per component reaches ``_SPLIT_WORK``, BLAS runs one
-    thread per call and a second CPU is free to take the helper, component
-    0 is factored here and component 1 on a helper thread, joined before
-    this returns, and the halves are stacked back.  A smaller stack is one
-    call, as is any stack while BLAS may run more threads, which a second
-    thread would compete with, while its count cannot be read, or while
-    the process may run on one CPU only, where the helper gains nothing.
-    """
-    k, _, m, n = a.shape
-    if k * m * n * min(m, n) < _SPLIT_WORK or _blas_threads() != 1 or _cpus() < 2:
-        return np.linalg.svd(a, full_matrices=False)
-    second = []
 
-    def factor_second():
+#: (pid, thread, job queue) of the process's helper thread; a forked child
+#: inherits this record but not the thread, so it starts its own
+_helper = None
+_helper_lock = threading.Lock()
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    while True:
+        job, done = jobs.get()
         try:
-            second.append(np.linalg.svd(a[:, 1], full_matrices=False))
+            done.put((job(), None))
         except BaseException as exc:  # raised again on the calling thread
-            second.append(exc)
+            done.put((None, exc))
 
-    helper = threading.Thread(target=factor_second, name="hyplab-svd")
-    helper.start()
+
+def _beside(job):
+    """``(job(0), job(1))``, ``job(1)`` run on the helper thread while
+    ``job(0)`` runs here; an exception of ``job(1)`` is raised here once both
+    are done.  The helper waits on its queue between jobs, so a split costs a
+    round trip, not a thread's start; a call from the helper runs inline."""
+    global _helper
+    with _helper_lock:
+        if _helper is None or _helper[0] != os.getpid():
+            jobs = queue.SimpleQueue()
+            thread = threading.Thread(target=_serve, args=(jobs,), name="hyplab-helper", daemon=True)
+            thread.start()
+            _helper = (os.getpid(), thread, jobs)
+        _, thread, jobs = _helper
+    if thread is threading.current_thread():
+        return job(0), job(1)
+    done = queue.SimpleQueue()
+    jobs.put((functools.partial(job, 1), done))
     try:
-        first = np.linalg.svd(a[:, 0], full_matrices=False)
+        first = job(0)
     finally:
-        helper.join()
-    if isinstance(second[0], BaseException):
-        raise second[0]
-    return tuple(np.stack(pair, axis=1) for pair in zip(first, second[0]))
+        second, exc = done.get()
+    if exc is not None:
+        raise exc
+    return first, second
+
+
+def _factor(a: np.ndarray):
+    """``np.linalg.svd`` of a (k, 2, m, n) stack as (U, S, Vh), each (k, 2, ...):
+    one call, or one per component side by side, stacked back."""
+    k, _, m, n = a.shape
+    if not _split(k * m * n * min(m, n)):
+        return np.linalg.svd(a, full_matrices=False)
+    halves = _beside(lambda i: np.linalg.svd(a[:, i], full_matrices=False))
+    return tuple(np.stack(pair, axis=1) for pair in zip(*halves))
 
 
 def svd_family(family: Sequence[BCMatrix]) -> list[ThinSVD]:
@@ -276,12 +304,12 @@ class SolveReport(Report):
 class BlockSolve(Record):
     """Minimum-norm solves of T x_i = y_i for the rows y_i of a block.
 
-    ``x`` holds the solutions as a (2, k, cols) block; ``qy``, ``residual``
-    and ``tol`` are (2, k) arrays, one column per row, with the meanings of
-    the ``SolveReport`` fields of the same names.
+    ``x`` holds the solutions as a (2, k, cols) block; ``qy``, ``residual``,
+    ``tol`` and ``ynorm``, the rows' ||y_i||_D, are (2, k) arrays, one column
+    per row, with the meanings of the ``SolveReport`` fields of those names.
     """
 
-    _fields = ("x", "qy", "residual", "tol")
+    _fields = ("x", "qy", "residual", "tol", "ynorm")
 
 
 def min_norm_solve_rows(T: BCMatrix, y: np.ndarray, tol: float = 1e-10) -> BlockSolve:
@@ -298,8 +326,12 @@ def min_norm_solve_rows(T: BCMatrix, y: np.ndarray, tol: float = 1e-10) -> Block
     _check_tol(tol)
     if check_block(y).shape[-1] != T.rows:
         raise DimensionMismatch(f"operator has {T.rows} rows, vector has dim {y.shape[-1]}")
+    factors = T.svd()
     x = np.empty((*y.shape[:-1], T.cols), dtype=complex)
-    for u, s, vh, b, out in zip(*T.svd(), y, x):
+    res = np.empty_like(y, dtype=complex)
+
+    def solve(i):
+        u, s, vh = (f[i] for f in factors)
         # rows x_i = Vh_r^H (U_r^H b_i / s_r), written into the block; the
         # rank cutoff is lstsq's default (rcond=None), singular values at or
         # below eps * max(rows, cols) * s[0] count as zero, so each solution
@@ -308,23 +340,29 @@ def min_norm_solve_rows(T: BCMatrix, y: np.ndarray, tol: float = 1e-10) -> Block
         # the factors are conjugated, not b and the result: conj(conj(b) @ U_r)
         # has the same nonzero bits, but an exact zero can change sign, as in
         # the imaginary parts of a real diagonal system's solution
-        c = b @ u[:, :r].conj()
+        c = y[i] @ u[:, :r].conj()
         c /= s[:r]
-        np.matmul(c, vh[:r].conj(), out=out)
-    # in place, as the division above, so no second block-sized temporary
-    # adds to the solve's peak memory
-    res = x @ T.m.mT
-    res -= y
+        np.matmul(c, vh[:r].conj(), out=x[i])
+        # in place, as the division: no block-sized temporary adds to the peak
+        np.matmul(x[i], T.m[i].T, out=res[i])
+        res[i] -= y[i]
+
+    if _split(y.shape[1] * T.rows * T.cols):
+        _beside(solve)
+    else:
+        solve(0)
+        solve(1)
     residual = dnorm_rows(res)
+    ynorm = dnorm_rows(y)
     with np.errstate(over="ignore"):  # an overflowing tolerance is rejected here
-        tol_y = require_finite(tol * dnorm_rows(y))
+        tol_y = require_finite(tol * ynorm)
     bad = np.flatnonzero((residual > tol_y).any(axis=0))
     if bad.size:
         (r1, r2), (t1, t2) = residual[:, bad[0]].tolist(), tol_y[:, bad[0]].tolist()
         raise NotInRange(
             f"right-hand side outside operator range: residual ({r1}, {r2}) > ({t1}, {t2})"
         )
-    return BlockSolve(x=x, qy=dnorm_rows(x), residual=residual, tol=tol_y)
+    return BlockSolve(x=x, qy=dnorm_rows(x), residual=residual, tol=tol_y, ynorm=ynorm)
 
 
 def min_norm_solve(T: BCMatrix, y: BCVector, tol: float = 1e-10) -> SolveReport:

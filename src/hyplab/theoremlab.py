@@ -346,7 +346,7 @@ class BallScaleReport(Report):
 
 def ball_scaling_check(
     p: DSeminorm,
-    alpha: DPlus,
+    alpha: Hyperbolic,
     r: float,
     delta_list: list[float],
     samples: int,
@@ -362,6 +362,8 @@ def ball_scaling_check(
     """
     if r <= 0:
         raise InvalidInput(f"r must be positive, got {r}")
+    if alpha.a1 < 0 or alpha.a2 < 0:
+        raise InvalidInput(f"alpha must be nonnegative, got ({alpha.a1}, {alpha.a2})")
     if samples < 1:
         raise InvalidInput(f"samples must be >= 1, got {samples}")
     if not delta_list:
@@ -512,9 +514,9 @@ def _schedule(
 def zabreiko_decompose(
     p: DSeminorm,
     x: BCVector,
-    m: DPlus,
+    m: Hyperbolic,
     r: float,
-    eps: DPlus,
+    eps: Hyperbolic,
     max_n: int,
 ) -> ZabreikoTrace:
     """Decompose x into terms with geometrically decaying seminorm budget.
@@ -787,7 +789,7 @@ def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
 
     def judge(y, a):  # T x_i = y_i with x_i of least norm, one block solve per chunk
         sol = min_norm_solve_rows(T, y, tol=CHECK_SLACK)
-        rhs = require_finite(_column(delta) * dnorm_rows(y))
+        rhs = require_finite(_column(delta) * sol.ynorm)
         return sol.residual, sol.qy - rhs, ~_within(sol.qy, rhs)
 
     # a trial weighs its (2, cols) preimage, no less than its draws: cols >= rows

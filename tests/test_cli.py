@@ -499,6 +499,41 @@ def test_a_value_the_library_rejects_gets_one_digested_envelope(tmp_path, capsys
     assert err == f"hyplab: InvalidInput: {message}\n"
 
 
+
+#: hyperbolic literals read in the whole plane and refused by the routine
+#: that takes them, as (command, flags, kind, exit code, message)
+SIGN_REJECTS = [
+    *(("zabreiko", f"--m={m} --eps 1,1", "PreconditionViolated", 4,
+       "m must be strictly positive in both components") for m in ("-1,1", "0,1", "2,-2")),
+    *(("zabreiko", f"--m 2,2 --eps={eps}", "PreconditionViolated", 4,
+       "eps must be strictly positive in both components") for eps in ("-1,1", "1,0")),
+    ("ballscale", "--alpha=-1,1", "InvalidInput", 2, "alpha must be nonnegative, got (-1.0, 1.0)"),
+    ("ballscale", "--alpha=-0.5", "InvalidInput", 2, "alpha must be nonnegative, got (-0.5, -0.5)"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flags, kind, code, message", SIGN_REJECTS, ids=[f"{c} {f}" for c, f, *_ in SIGN_REJECTS]
+)
+def test_a_hyperbolic_literal_of_the_wrong_sign_gets_one_digested_envelope(
+    tmp_path, capsys, command, flags, kind, code, message
+):
+    # the literal parses as any hyperbolic number, so its sign is judged
+    # after the inputs are digested, whichever component is refused
+    paths = {
+        "I": write(tmp_path, "I.json", matrix_to_json(BCMatrix.identity(4))),
+        "x": write(tmp_path, "x.json", vector_to_json(BCVector([0.1, 0.2, 0.0, 0.1], [0.3, 0.1, 0.1, 0.0]))),
+    }
+    required = {"zabreiko": "--matrix {I} --x {x} --r 1", "ballscale": "--matrix {I}"}[command]
+    got, out, err = run_cli(capsys, [command, *required.format(**paths).split(), *flags.split()])
+    assert got == code
+    lines = out.splitlines()
+    assert len(lines) == 1
+    doc = _strict_json(lines[0])
+    assert doc["payload"] == {"error": {"kind": kind, "message": message}}
+    assert doc["pass"] is False and re.fullmatch("[0-9a-f]{64}", doc["inputs_digest"])
+    assert err == f"hyplab: {kind}: {message}\n"
+
 @pytest.mark.parametrize("tol", ["1", "1e308"])
 def test_rank_cutoff_of_one_or_more_exit_2(tmp_path, capsys, tol):
     # no singular value exceeds tol * sigma_max, so omc refuses the cutoff

@@ -2,7 +2,10 @@
 
 import math
 import os
+import signal
+import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -21,9 +24,11 @@ from hyplab import (
     NoConvergence,
     NotInRange,
     NotSurjective,
+    dnorm_rows,
     knorm,
     mat_apply,
     min_norm_solve,
+    min_norm_solve_rows,
     op_dnorm,
     open_mapping_delta,
     surjectivity_check,
@@ -611,25 +616,208 @@ def test_stacked_bits_of_component_split_factors(monkeypatch, members, rows, col
             assert got.shape == whole[i].shape and got.tobytes() == whole[i].tobytes()
 
 
-def test_component_split_failure_is_no_convergence_and_joins_its_thread(monkeypatch):
+def _helpers() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name == "hyplab-helper"]
+
+
+def test_component_split_failure_is_no_convergence_and_leaves_one_helper(monkeypatch):
     T = random_mat(np.random.default_rng(39), 64, 64)
+    want = np.linalg.svd(T.m[None], full_matrices=False)
     _split_on(monkeypatch)
     real = np.linalg.svd
-    failed_on = []
+    second_on = []
 
     def failing(a, *args, **kwargs):
         if np.array_equal(a, T.m2[None]):  # component 1 only
-            failed_on.append(threading.current_thread())
+            second_on.append(threading.current_thread())
             raise np.linalg.LinAlgError("SVD did not converge")
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", failing)
-    threads = threading.active_count()
     with pytest.raises(NoConvergence, match=r"^SVD kernel failed: SVD did not converge$"):
         svd_family([T])
-    assert threading.active_count() == threads
-    assert len(failed_on) == 1 and failed_on[0] is not threading.current_thread()
+    assert len(second_on) == 1 and second_on[0] is not threading.current_thread()
     assert T._svd is None
+    # the failure leaves one helper, the one it ran on, and that helper
+    # factors component 1 of the next split
+    assert _helpers() == second_on
+
+    def recording(a, *args, **kwargs):
+        if np.array_equal(a, T.m2[None]):
+            second_on.append(threading.current_thread())
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    for got, whole in zip(svd_family([T])[0], want):
+        assert got.tobytes() == whole[0].tobytes()
+    assert second_on[1] is second_on[0] and _helpers() == second_on[:1]
+
+
+def _ranked(rng, rows: int, cols: int, rank1: int) -> BCMatrix:
+    """A random operator whose e1 component has rank ``rank1``."""
+    T = random_mat(rng, rows, cols)
+    return BCMatrix(T.m1[:, :rank1] @ T.m1[:rank1], T.m2)
+
+
+def _in_range(rng, T: BCMatrix, k: int) -> np.ndarray:
+    """A (2, k, rows) block of right-hand sides T x_i."""
+    return (rng.standard_normal((2, k, T.cols)) + 1j * rng.standard_normal((2, k, T.cols))) @ T.m.mT
+
+
+def _counting_splits(monkeypatch) -> list:
+    calls = []
+    real = dop._beside
+
+    def spy(job):
+        calls.append(job)
+        return real(job)
+
+    monkeypatch.setattr(dop, "_beside", spy)
+    return calls
+
+
+def _one_thread(monkeypatch):
+    monkeypatch.setattr(dop, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(dop, "_cpus", lambda: 1)
+
+
+@pytest.mark.parametrize("rows, cols", [(64, 128), (32, 32), (128, 64)])  # wide, square, tall
+@pytest.mark.parametrize("step", [-1, 0, 1])  # rows k below, at and above the split's work
+def test_split_solve_is_the_one_thread_solve_bit_for_bit(monkeypatch, rows, cols, step):
+    rng = np.random.default_rng(rows * 1000 + cols * 10 + step + 1)
+    k = dop._SPLIT_WORK // (rows * cols) + step
+    T = _ranked(rng, rows, cols, min(rows, cols) // 2)  # the components' ranks differ
+    y = _in_range(rng, T, k)
+    _one_thread(monkeypatch)
+    one = min_norm_solve_rows(T, y, tol=1e-6)
+    _split_on(monkeypatch)
+    splits = _counting_splits(monkeypatch)
+    two = min_norm_solve_rows(T, y, tol=1e-6)
+    assert len(splits) == (k * rows * cols >= dop._SPLIT_WORK)
+    for name in ("x", "qy", "residual", "tol", "ynorm"):
+        assert getattr(two, name).tobytes() == getattr(one, name).tobytes(), name
+    # and the residuals are those of the stacked product over both components
+    res = one.x @ T.m.mT
+    res -= y
+    assert dnorm_rows(res).tobytes() == one.residual.tobytes()
+    assert one.ynorm.tobytes() == dnorm_rows(y).tobytes()
+
+
+def test_split_solve_rejects_the_first_row_out_of_range(monkeypatch):
+    R = BCMatrix([[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
+    # row 1 is the first outside the range, in e1 only; row 2 in both
+    y = np.array([[[1, 0], [0, 3], [0, 4]], [[1, 0], [1, 0], [0, 5]]], dtype=complex)
+    want = f"right-hand side outside operator range: residual (3.0, 0.0) > ({1e-10 * 3.0}, {1e-10 * 1.0})"
+    for route in (_one_thread, _split_on):
+        route(monkeypatch)
+        monkeypatch.setattr(dop, "_SPLIT_WORK", 1)
+        splits = _counting_splits(monkeypatch)
+        with pytest.raises(NotInRange) as info:
+            min_norm_solve_rows(R, y, tol=1e-10)
+        assert str(info.value) == want
+        assert len(splits) == (route is _split_on)
+
+
+def test_an_error_on_the_helper_is_raised_on_the_caller():
+    ran = {}
+
+    def job(i):
+        ran[i] = threading.current_thread()
+        if i == 1:
+            raise ValueError("component 1 failed")
+        return i
+
+    with pytest.raises(ValueError, match="^component 1 failed$"):
+        dop._beside(job)
+    assert ran[0] is threading.current_thread() and [ran[1]] == _helpers()
+
+
+def test_a_split_from_the_helper_runs_inline():
+    def outer(i):
+        return dop._beside(lambda j: (j, threading.current_thread())) if i else None
+
+    out = []
+    caller = threading.Thread(target=lambda: out.append(dop._beside(outer)), daemon=True)
+    caller.start()
+    caller.join(30)
+    assert not caller.is_alive(), "a split from the helper waited on its own queue"
+    (helper,) = _helpers()
+    assert out == [(None, ((0, helper), (1, helper)))]
+
+
+def test_one_helper_serves_a_thousand_splits(monkeypatch):
+    rng = np.random.default_rng(43)
+    _split_on(monkeypatch)
+    monkeypatch.setattr(dop, "_SPLIT_WORK", 1)
+    splits = _counting_splits(monkeypatch)
+    for _ in range(500):  # a split factoring and a split solve each
+        T = random_mat(rng, 4, 4)
+        min_norm_solve_rows(T, _in_range(rng, T, 2), tol=1e-6)
+    assert len(splits) == 1000
+    assert len(_helpers()) == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+def test_a_forked_child_splits_on_a_helper_of_its_own(monkeypatch):
+    rng = np.random.default_rng(44)
+    T = random_mat(rng, 8, 8)
+    y = _in_range(rng, T, 3)
+    _split_on(monkeypatch)
+    monkeypatch.setattr(dop, "_SPLIT_WORK", 1)
+    want = min_norm_solve_rows(T, y, tol=1e-6).x.tobytes()  # the parent's helper is up
+    pid = os.fork()
+    if pid == 0:  # the child inherits the parent's record of a helper, not its thread
+        code = 1
+        try:
+            got = min_norm_solve_rows(BCMatrix(T.m1, T.m2), y, tol=1e-6).x.tobytes()
+            code = 0 if got == want and dop._helper[0] == os.getpid() and len(_helpers()) == 1 else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's split solve did not finish in 30 s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_threads_that_split_at_once_get_the_one_thread_bits(monkeypatch):
+    # more calling threads than CPUs, switched often, queue on the one helper
+    rng = np.random.default_rng(45)
+    cases = [(T, _in_range(rng, T, 20)) for T in (random_mat(rng, 64, 128) for _ in range(4))]
+    _one_thread(monkeypatch)
+    want = [(BCMatrix(T.m1, T.m2).svd(), min_norm_solve_rows(T, y, tol=1e-6)) for T, y in cases]
+    _split_on(monkeypatch)
+    splits = _counting_splits(monkeypatch)
+    start = threading.Barrier(len(cases))
+    got = [[] for _ in cases]
+
+    def run(i):
+        T, y = cases[i]
+        start.wait()
+        for _ in range(10):  # a fresh copy each time, so it is factored again
+            fresh = BCMatrix(T.m1, T.m2)
+            got[i].append((fresh.svd(), min_norm_solve_rows(fresh, y, tol=1e-6)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(splits) == 2 * 10 * len(cases) and len(_helpers()) == 1
+    for (svd, sol), runs in zip(want, got):
+        assert len(runs) == 10
+        for svd2, sol2 in runs:
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(svd, svd2))
+            assert all(getattr(sol, n).tobytes() == getattr(sol2, n).tobytes() for n in ("x", "qy", "residual", "tol"))
 
 
 @pytest.mark.parametrize("threads", [2, None])

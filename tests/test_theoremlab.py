@@ -15,6 +15,7 @@ from hyplab import (
     DPlus,
     DSeminorm,
     HypothesisFailed,
+    Hyperbolic,
     InvalidInput,
     NotSurjective,
     PreconditionViolated,
@@ -200,6 +201,13 @@ def test_ballscale_rejects_empty_deltas():
     p = DSeminorm(BCMatrix.identity(2))
     with pytest.raises(InvalidInput, match="deltas must be nonempty"):
         ball_scaling_check(p, DPlus(1.0, 1.0), 1.0, [], samples=5, seed=1)
+
+
+def test_ballscale_rejects_a_negative_alpha_as_invalid_input():
+    # the sublevel set's bound lies in the cone, before any premise is sampled
+    p = DSeminorm(BCMatrix.identity(2))
+    with pytest.raises(InvalidInput, match=r"^alpha must be nonnegative, got \(1.0, -1e-300\)$"):
+        ball_scaling_check(p, Hyperbolic(1.0, -1e-300), 1.0, [0.5], samples=5, seed=1)
 
 
 def test_ballscale_deterministic():
