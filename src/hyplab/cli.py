@@ -53,7 +53,7 @@ from . import __version__
 from .dmodule import MAX_SERIES_TERMS, DSeminorm, abs_summability_check, series_sum, vec_dnorm
 from .dop import _openblas, min_norm_solve, op_dnorm, open_mapping_delta, surjectivity_check
 from .errors import HyplabError, InvalidInput, NotConverged
-from .hyperscalar import Hyperbolic, bc_inverse, knorm
+from .hyperscalar import bc_inverse, knorm
 from .jsonio import (
     digest,
     dumps,
@@ -169,7 +169,7 @@ _MATRIX = _Kind(lambda path: parse_matrix(load_json(path)),
                 lambda T: {"rows": T.rows, "cols": T.cols, "e1": T.m1, "e2": T.m2})
 _JSON = _Kind(lambda path: load_json(path))  # parsed by the run, after the digest
 # read in the whole plane: the routine taking it judges the sign after the digest
-_HYP = _Kind(lambda text: parse_hyp_literal(text, Hyperbolic), lambda h: [h.a1, h.a2])
+_HYP = _Kind(lambda text: parse_hyp_literal(text), lambda h: [h.a1, h.a2])
 
 _SEED = _Flag("--seed", type=int, default=42, help="sampling seed (default 42)")
 _OUTPUT = _Flag("--output", default=None, help="write the JSON envelope here instead of stdout")
@@ -251,8 +251,8 @@ _ROWS = {
          _Flag("--eps", _HYP, required=True, help="hyperbolic literal a1,a2"),
          _SEED,
          _max_n("step cap; the trace ends when the remainder's norm is at most 2^-52 times ||x||_D "
-                "per component (about 49 steps at dim 4, never more than ~2,100), so memory and "
-                "output (~190 bytes per step and dimension) grow with steps*dim, not with maxN"),
+                "per component (about 49 steps at dim 4, at most 2,099, where eps/m 2^-k is 0), so "
+                "memory and output (~165 bytes per step and dimension) grow with steps*dim, not maxN"),
          _OUTPUT),
         lambda a: _verdict(hyplab.zabreiko_decompose(DSeminorm(a.matrix), a.x, a.m, a.r, a.eps, a.maxN)),
     ),

@@ -43,7 +43,7 @@ import numpy as np
 from .dmodule import BCVector, complex_pairs, geometric_terms, vector_doc
 from .dop import BCMatrix
 from .errors import InvalidInput
-from .hyperscalar import Bicomplex, DPlus, Hyperbolic
+from .hyperscalar import Bicomplex, Hyperbolic
 
 
 def _plain(obj):
@@ -254,9 +254,9 @@ def parse_series(obj):
     raise InvalidInput("series must be a vector array or a geometric generator spec")
 
 
-def parse_hyp_literal(text: str, cls: type[Hyperbolic] = DPlus) -> Hyperbolic:
+def parse_hyp_literal(text: str) -> Hyperbolic:
     """Parse the CLI literal "a1,a2" (or a single value used for both) as a
-    ``cls``: by default a DPlus, so a negative component is rejected here."""
+    ``Hyperbolic``; the routine that takes it judges the signs."""
     parts = [p.strip() for p in str(text).split(",")]
     if len(parts) == 1:
         parts = [parts[0], parts[0]]
@@ -266,7 +266,7 @@ def parse_hyp_literal(text: str, cls: type[Hyperbolic] = DPlus) -> Hyperbolic:
         a1, a2 = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise InvalidInput(f"bad numeric literal in {text!r}") from exc
-    return cls(a1, a2)
+    return Hyperbolic(a1, a2)
 
 
 #: Deepest container nesting ``load_json`` accepts: far above the 5 levels

@@ -42,10 +42,10 @@ A check's parameters are the quantities of the statement it replays
 (``dmodule.CHECK_SLACK``, ``CLOSURE_TOL`` and the three below it) and the
 open-mapping series ``OMT_SERIES_LEN``/``OMT_BUDGET`` are module constants.
 
-The Zabreiko decomposition is sequential, so its steps fill (2, steps, n)
-blocks one row at a time; its budgets and its exact remainder chain are
-then judged over the whole blocks, and its trace holds ``Columns`` views
-of them.
+The Zabreiko decomposition is sequential, so its steps run one vector at
+a time and are stacked into (2, steps, n) blocks once it stops; its budgets
+and its exact remainder chain are then judged over the whole blocks, and
+its trace holds ``Columns`` views of them.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ from .dmodule import (
 from .dop import (
     BCMatrix,
     mat_apply,
-    min_norm_solve,
     min_norm_solve_rows,
     op_dnorm,
     open_mapping_delta,
@@ -401,7 +400,7 @@ def ball_scaling_check(
             return px - bound, outside
 
         ws = (radius / np.maximum(np.maximum(*dnorm_rows(witnesses)), 1e-30))[:, None]
-        with np.errstate(invalid="ignore"):  # 0 * inf from an infinite radius is rejected later
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan scale: the judge rejects it
             return _fold(seed, stream, samples, n, judge, witnesses * ws, build, held=4 * p.T.rows)
 
     ball("hyp", 1, premise=True)
@@ -428,8 +427,8 @@ class ZabreikoTrace(Report):
     construction: x_terms[i] is x_{i+1} and remainders[i] is
     u_{i+1} = x - (x_1 + ... + x_{i+1}), both over a (2, steps, n) block.
     ``epsilons`` holds eps_0, ..., eps_K with eps_0 = ||x||_D / r and
-    eps_k = eps / (m 2^k), and tail_bounds[i] = eps_{i+1} * r bounds
-    ||u_{i+1}||_D.
+    eps_k = eps / (m 2^k); eps_{i+1} * r, the remainder budget, bounds
+    ||u_{i+1}||_D and is not stored, as ``epsilons`` and ``r`` give it.
     """
 
     check: str
@@ -442,7 +441,6 @@ class ZabreikoTrace(Report):
     n_steps: int
     capped: bool
     epsilons: Columns
-    tail_bounds: Columns
     x_terms: Columns
     remainders: Columns
     chain_exact: bool
@@ -462,8 +460,9 @@ class ZabreikoTrace(Report):
         )
 
 
-#: Steps a decomposition allocates at first; its blocks double when full.
-_STEP_CHUNK = 256
+#: No decomposition runs past this step: eps/m < 2^1024, so eps_k = ldexp(eps/m, -k)
+#: and the pitch are 0 from k = 2099 on, and a zero pitch leaves a zero remainder.
+_MAX_STEPS = 2099
 
 #: A decomposition stops once its remainder is this fraction of ||x||_D
 #: per component: float64 machine epsilon, 2^-52.
@@ -539,17 +538,18 @@ def zabreiko_decompose(
     common scale of x, r, m and eps, as long as the l2 squares of the
     remainder's entries do not underflow.  A random x in the unit ball at
     n=4 with r = 1 and eps = 1 stops after about 49 steps, and its trace is
-    ~37 KB of JSON (about 190 bytes per step and dimension).  Once eps_k
-    underflows the pitch is zero, the remainder is copied into the term and
-    the next remainder is zero, so no trace is longer than ~2,100 steps.
-    Memory and output grow with steps * n and not with ``max_n``, which
-    only caps the steps.  The final bound p(x) <= (m/r)||x||_D + eps is
-    evaluated directly on x and does not depend on where the trace stops.
+    ~33 KB of JSON (about 165 bytes per step and dimension).  Once eps_k
+    underflows, a zero pitch copies the remainder into the term and the next
+    remainder is zero; eps/m is below 2^1024, so that is by step
+    ``_MAX_STEPS`` = 2,099, and the schedule is computed once, for at most
+    that many steps: memory and output grow with steps * n, not with ``max_n``.
+    The final bound p(x) <= (m/r)||x||_D + eps is evaluated directly on x
+    and does not depend on where the trace stops.
 
-    The steps run on (2, steps, n) blocks: each step only quantizes,
-    subtracts and takes the norm that decides termination.  The budgets
-    p(x_k) <= eps_{k-1} m and ||u_k||_D <= eps_k r and the replay of the
-    exact chain u_k = u_{k-1} - x_k are then judged once over the blocks.
+    Each step quantizes, subtracts and keeps the remainder's norm, which
+    decides termination; the budgets p(x_k) <= eps_{k-1} m and ||u_k||_D <=
+    eps_k r and the exact chain u_k = u_{k-1} - x_k are then judged once
+    over the stacked (2, steps, n) blocks.
     """
     if max_n < 1:
         raise InvalidInput(f"max_n must be >= 1, got {max_n}")
@@ -576,44 +576,37 @@ def zabreiko_decompose(
     n = x.dim
     denom = 2.0 * math.sqrt(n)
     eps0 = _column(x_norm) / r
-    ratio = _column(eps) / _column(m)
     stop1, stop2 = _ROUNDOFF * x_norm.a1, _ROUNDOFF * x_norm.a2
-    coarse = [f"e{i}: (eps/m)*r/2={b} <= 2^-52*||x||_D={s}"
-              for i, b, s in zip((1, 2), (ratio[:, 0] / 2 * r).tolist(), (stop1, stop2)) if 0 < s and b <= s]
+    with np.errstate(over="ignore"):  # _schedule rejects an infinite ratio; an infinite budget is not coarse
+        ratio = _column(eps) / _column(m)
+        coarse = [f"e{i}: (eps/m)*r/2={b} <= 2^-52*||x||_D={s}"
+                  for i, b, s in zip((1, 2), (ratio[:, 0] / 2 * r).tolist(), (stop1, stop2)) if 0 < s and b <= s]
     if coarse:
         raise PreconditionViolated(
             "first remainder budget below the float64 spacing of x, so no grid step can meet it ("
             + "; ".join(coarse) + ")")
 
-    size = 0
-    terms = np.empty((2, 0, n), dtype=complex)
-    rems = np.empty_like(terms)
+    epsilons, pitches = _schedule(eps0, ratio, r, denom, min(max_n, _MAX_STEPS))
+    done = []  # each step's term, remainder and remainder norms
     u = x.v
-    steps = 0
     capped = True
     # a step that overflows ends the loop and is rejected below, so numpy's
     # warnings about it are silenced
     with np.errstate(over="ignore", invalid="ignore"):
-        while steps < max_n:
-            if steps == size:
-                size = min(max_n, max(_STEP_CHUNK, 2 * size))
-                epsilons, pitches = _schedule(eps0, ratio, r, denom, size)
-                unset = np.empty((2, size - steps, n), dtype=complex)  # the steps to come
-                terms = np.concatenate((terms, unset), axis=1)
-                rems = np.concatenate((rems, unset), axis=1)
-            xk = _quantize(u, pitches[steps])
-            terms[:, steps] = xk
-            u = rems[:, steps] = u - xk
-            steps += 1
-            un1, un2 = _component_norms(u).tolist()
+        for pitch in pitches:
+            xk = _quantize(u, pitch)
+            u = u - xk
+            un = _component_norms(u)
+            done.append((xk, u, un))
+            un1, un2 = un.tolist()
             if not (math.isfinite(un1) and math.isfinite(un2)):
                 break  # a non-finite remainder, rejected below
             if un1 <= stop1 and un2 <= stop2:
                 capped = False
                 break
 
-    terms = terms[:, :steps]
-    rems = rems[:, :steps]
+    steps = len(done)
+    terms, rems, uns = (np.stack(block, axis=1) for block in zip(*done))
     epsilons = epsilons[:, : steps + 1]
     # the loop stops at the first non-finite remainder, so only the last
     # term and remainder can be non-finite: reject them as vectors are
@@ -622,7 +615,7 @@ def zabreiko_decompose(
 
     # budgets p(x_k) <= eps_{k-1} m and ||u_k||_D <= eps_k r, every step
     pks = seminorm_terms(p, terms)
-    uns = dnorm_rows(rems)
+    require_finite(uns)  # the norms the stop rule took
     with np.errstate(over="ignore"):  # an overflowing bound is rejected here
         tbs = require_finite(epsilons[:, :-1] * _column(m))
         tails = require_finite(epsilons[:, 1:] * r)
@@ -651,7 +644,6 @@ def zabreiko_decompose(
         n_steps=steps,
         capped=capped,
         epsilons=Columns(epsilons),
-        tail_bounds=Columns(tails),
         x_terms=Columns(terms),
         remainders=Columns(rems),
         chain_exact=chain_exact,
@@ -801,9 +793,8 @@ def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
     u, s, _ = T.svd()
     kappa = float((s[:, 0] / s[:, -1]).max())
     yw = BCVector(*u[:, :, rows - 1])
-    wrep = min_norm_solve(T, yw, tol=max(CHECK_SLACK, 8 * np.finfo(float).eps * kappa))
-    nyw = vec_dnorm(yw)
-    ratio = DPlus(wrep.qy.a1 / nyw.a1, wrep.qy.a2 / nyw.a2)
+    wit = min_norm_solve_rows(T, yw.v[:, None], tol=max(CHECK_SLACK, 8 * np.finfo(float).eps * kappa))
+    ratio = DPlus(*(wit.qy[:, 0] / wit.ynorm[:, 0]).tolist())
     witness_ok = hyp_leq((1.0 - WITNESS_SHRINK) * delta, ratio)
 
     # quotient-seminorm budget chain over the generated convergent series
@@ -819,11 +810,12 @@ def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
     y_sum = BCVector(*(np.cumsum(ys, axis=1)[:, -1] + 0.0))
     x_sum = BCVector(*(np.cumsum(chain.x, axis=1)[:, -1] + 0.0))
     sum_q = Hyperbolic(*np.cumsum(chain.qy, axis=1)[:, -1].tolist())
-    q_sum = min_norm_solve(T, y_sum, tol=CHECK_SLACK).qy
+    whole = min_norm_solve_rows(T, y_sum.v[:, None], tol=CHECK_SLACK)
+    q_sum = DPlus(*whole.qy[:, 0].tolist())
     nx_sum = vec_dnorm(x_sum)
     residual = vec_dnorm(mat_apply(T, x_sum) - y_sum)
     subadd_ok = (
-        _holds(residual, DPlus(0.0, 0.0), CHAIN_SLACK, np.array(vec_dnorm(y_sum).components()))
+        _holds(residual, DPlus(0.0, 0.0), CHAIN_SLACK, whole.ynorm[:, 0])
         and _holds(q_sum, nx_sum, CHAIN_SLACK)
         and _holds(nx_sum, sum_q, CHAIN_SLACK)
         and _holds(q_sum, sum_q + OMT_BUDGET, CHAIN_SLACK)

@@ -260,7 +260,7 @@ def oracle_zabreiko(p, x: BCVector, m: DPlus, r: float, eps: DPlus, max_n: int) 
     x_norm = vec_dnorm(x)
     n = x.dim
     epsilons = [DPlus(x_norm.a1 / r, x_norm.a2 / r)]
-    x_terms, remainders, tail_bounds = [], [], []
+    x_terms, remainders = [], []
     p_terms, term_bounds, rem_norms = [], [], []
     u = x
     capped = True
@@ -283,13 +283,13 @@ def oracle_zabreiko(p, x: BCVector, m: DPlus, r: float, eps: DPlus, max_n: int) 
         x_terms.append(xk)
         remainders.append(u)
         epsilons.append(eps_k)
-        tail_bounds.append(eps_k * r)
         if un.a1 <= stop.a1 and un.a2 <= stop.a2:
             capped = False
             break
 
     pks, tbs = np.array(p_terms).T, np.array(term_bounds).T
-    uns, rbs = np.array(rem_norms).T, np.array([t.components() for t in tail_bounds]).T
+    # the remainder budgets eps_k r, recomputed from the epsilons
+    uns, rbs = np.array(rem_norms).T, np.array([(e * r).components() for e in epsilons[1:]]).T
     chain_exact = True
     prev = x
     for xk, uk in zip(x_terms, remainders):
@@ -317,7 +317,6 @@ def oracle_zabreiko(p, x: BCVector, m: DPlus, r: float, eps: DPlus, max_n: int) 
         "n_steps": len(x_terms),
         "capped": capped,
         "epsilons": [[e.a1, e.a2] for e in epsilons],
-        "tail_bounds": [[t.a1, t.a2] for t in tail_bounds],
         "x_terms": [_vector_json(v) for v in x_terms],
         "remainders": [_vector_json(v) for v in remainders],
         **checks,

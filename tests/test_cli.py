@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -465,11 +466,18 @@ LIBRARY_REJECTS = [
       for command in ("series", "subadd")
       for tol, got in (("0", "(0.0, 0.0)"), ("-1", "(-1.0, -1.0)"), ("0,1e-9", "(0.0, 1e-09)"))),
     ("norm", "--norm l3", "unknown component norm 'l3'"),
+    # values that overflow on the way to a bound that the library rejects;
+    # a later flag overrides the required one
+    ("zabreiko", "--matrix {I4} --x {tiny} --m 1e-10,1e-10 --r 1e-11 --eps 1e300,1e300",
+     "non-finite component inf rejected"),  # eps/m
+    ("zabreiko", "--matrix {D4} --x {x4} --m 10,10 --r 1e300 --eps 1e300,1e300",
+     "e1 component contains non-finite entries"),  # (eps/m) r / 2, then a pitch
+    ("ballscale", "--r 1e308 --samples 200", "non-finite component inf rejected"),  # a sample's scale
 ]
 LIBRARY_ARGS = {
     "opnorm": "--matrix {T}", "solve": "--matrix {T} --y {y}", "omc": "--matrix {T}",
     "series": "--terms {terms}", "subadd": "--matrix {I} --terms {terms}", "norm": "--vector {x}",
-    "zabreiko": "--matrix {I} --x {x} --m 2,2 --r 1 --eps 1,1",
+    "zabreiko": "--matrix {I} --x {x} --m 2,2 --r 1 --eps 1,1", "ballscale": "--matrix {I1}",
 }
 
 
@@ -486,10 +494,18 @@ def test_a_value_the_library_rejects_gets_one_digested_envelope(tmp_path, capsys
         "x": vector_to_json(BCVector([0.1, 0.2], [0.3, 0.1])),
         "terms": {"kind": "geometric", "ratio": {"e1": [0.5, 0], "e2": [0.25, 0]},
                   "seed_vector": {"dim": 2, "e1": [[1, 0], [1, 0]], "e2": [[1, 0], [1, 0]]}},
+        "I1": matrix_to_json(BCMatrix.identity(1)),
+        "I4": matrix_to_json(BCMatrix.identity(4)),
+        "D4": matrix_to_json(BCMatrix(np.eye(4) * 1e-300, np.eye(4) * 1e-300)),
+        "tiny": vector_to_json(BCVector([1e-150, 2e-150, -1e-150, 3e-150], [2e-150, 1e-150, 1e-150, -2e-150])),
+        "x4": vector_to_json(BCVector([0.5, -0.3, 0.1, 0.2], [-0.2, 0.3, 0.5, -0.1])),
     }
     paths = {name: write(tmp_path, f"{name}.json", obj) for name, obj in files.items()}
     required = LIBRARY_ARGS[command.split()[0]].format(**paths)
-    code, out, err = run_cli(capsys, [*command.split(), *required.split(), *flags.split()])
+    # a numpy warning on the way would be a second stderr line outside pytest
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, [*command.split(), *required.split(), *flags.format(**paths).split()])
     assert code == 2
     lines = out.splitlines()
     assert len(lines) == 1

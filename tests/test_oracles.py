@@ -10,6 +10,7 @@ one-value-at-a-time references in ``support`` do.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import sys
 import tracemalloc
@@ -38,7 +39,9 @@ from hyplab import (
     vec_dnorm,
     zabreiko_decompose,
 )
-from hyplab.jsonio import dumps
+from hyplab.dmodule import _within, _worst, dnorm_rows
+from hyplab.jsonio import dumps, parse_vector
+from hyplab.theoremlab import _MAX_STEPS, _schedule
 
 from support import (
     oracle_abs_summability, oracle_dumps, oracle_series_sum, oracle_subadd, oracle_zabreiko, random_mat, random_vec,
@@ -149,18 +152,67 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("n", [1, 4, 16])
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_trace_bytes_match_step_loop(n, case):
-    p, x, m = _instance(n)
-    x, eps, max_n = CASES[case](x)
-    trace = zabreiko_decompose(p, x, m, 1.0, eps, max_n)
-    want = oracle_dumps(oracle_zabreiko(p, x, m, 1.0, eps, max_n))
+def _long_instance():
+    """Identity 4x4, x near 1e-150 and eps/m = 1.7e308 at r = 0.5: the pitches
+    start far above x and reach its scale after ~1,500 halvings, so the
+    trace stops at roundoff of ||x||_D after 1,558 steps."""
+    x = BCVector([1e-150, 2e-150, -1e-150, 3e-150], [2e-150, 1e-150, 1e-150, -2e-150])
+    return DSeminorm(BCMatrix.identity(4)), x, DPlus(1.0, 1.0), 0.5, DPlus(1.7e308, 1.7e308)
+
+
+LONG_STEPS = 1558
+
+#: the long instance's step caps, around 256 steps and far above its length
+LONG_CASES = {"long-255": 255, "long-256": 256, "long-257": 257, "long-1e12": 10**12}
+
+TRACE_CASES = [*itertools.product(sorted(CASES), [1, 4, 16]), *((case, 4) for case in LONG_CASES)]
+
+
+@pytest.mark.parametrize("case, n", TRACE_CASES, ids=[f"{case}-{n}" for case, n in TRACE_CASES])
+def test_trace_bytes_match_step_loop(case, n):
+    if case in LONG_CASES:
+        p, x, m, r, eps = _long_instance()
+        max_n = LONG_CASES[case]
+    else:
+        p, x, m = _instance(n)
+        r = 1.0
+        x, eps, max_n = CASES[case](x)
+    trace = zabreiko_decompose(p, x, m, r, eps, max_n)
+    want = oracle_dumps(oracle_zabreiko(p, x, m, r, eps, max_n))
     assert dumps(trace.to_json_dict()) == want
-    assert trace.n_steps == len(trace.x_terms) == len(trace.remainders) == len(trace.tail_bounds)
+    assert trace.n_steps == len(trace.x_terms) == len(trace.remainders)
     assert len(trace.epsilons) == trace.n_steps + 1
     if case == "uncapped":
         assert not trace.capped and trace.n_steps < max_n
+    if case in LONG_CASES:
+        assert (trace.n_steps, trace.capped) == (min(max_n, LONG_STEPS), max_n < LONG_STEPS)
+
+
+def test_no_trace_outlives_the_schedule():
+    # eps/m is a finite double below 2^1024, so eps_k = ldexp(eps/m, -k) and
+    # the pitch of step k are exactly 0 from k = 2099 on, even at the largest
+    # double; a zero pitch copies the remainder and the next remainder is 0
+    ratio = np.full((2, 1), sys.float_info.max)
+    epsilons, pitches = _schedule(np.ones((2, 1)), ratio, 1.0, 1.0, _MAX_STEPS)
+    assert _MAX_STEPS == 2099 and pitches.shape == (_MAX_STEPS, 2, 1)
+    assert not epsilons[:, _MAX_STEPS].any() and epsilons[:, _MAX_STEPS - 1].all()
+    assert not pitches[-1].any() and pitches[-2].all()
+
+
+@pytest.mark.parametrize("case", ["n1", "n4", "n16", "long"])
+def test_remainder_verdict_rebuilds_from_the_envelope(case):
+    # the remainder budgets are eps_k r, so the parsed envelope's epsilons, r
+    # and remainders give its remainder verdict and margin bit for bit
+    if case == "long":
+        p, x, m, r, eps = _long_instance()
+    else:
+        (p, x, m), r, eps = _instance(int(case[1:])), 1.0, DPlus(1.0, 1.0)
+    doc = json.loads(dumps(zabreiko_decompose(p, x, m, r, eps, 10**12).to_json_dict()))
+    assert "tail_bounds" not in doc
+    uns = dnorm_rows(np.stack([parse_vector(u).v for u in doc["remainders"]], axis=1))
+    budgets = np.array(doc["epsilons"]).T[:, 1:] * doc["r"]
+    assert dumps(_worst(uns - budgets).components()) == dumps(doc["worst_remainder_margin"])
+    assert bool(_within(uns, budgets).all()) is doc["remainder_bounds_ok"] is True
 
 
 @pytest.mark.parametrize("n", [1, 4, 16])
@@ -232,7 +284,10 @@ def test_trace_length_and_arrays_scale_with_the_instance():
         assert (trace.n_steps, trace.capped) == (unit.n_steps, False), e
         # the budgets eps_k are ratios and do not scale; everything else does, exactly
         assert np.array_equal(trace.epsilons.array, unit.epsilons.array), e
-        for name in ("tail_bounds", "x_terms", "remainders"):
+        # so do the remainder budgets eps_k r, recomputed from the epsilons
+        budgets = trace.epsilons.array[:, 1:] * trace.r
+        assert np.array_equal(budgets, unit.epsilons.array[:, 1:] * unit.r * s), e
+        for name in ("x_terms", "remainders"):
             got, want = getattr(trace, name).array, getattr(unit, name).array
             assert np.array_equal(got, want * s), (e, name)
 
@@ -240,7 +295,7 @@ def test_trace_length_and_arrays_scale_with_the_instance():
 def test_trace_blocks_are_read_only():
     p, x, m = _instance(4)
     trace = zabreiko_decompose(p, x, m, 1.0, DPlus(1.0, 1.0), 64)
-    views = (trace.x_terms, trace.remainders, trace.epsilons, trace.tail_bounds)
+    views = (trace.x_terms, trace.remainders, trace.epsilons)
     for view in views:
         assert not view.array.flags.writeable
         with pytest.raises(ValueError):

@@ -210,7 +210,6 @@ def _reports():
         n_steps=1,
         capped=False,
         epsilons=Columns([[0.5, 0.02], [0.25, -0.0]]),
-        tail_bounds=Columns([[0.02], [TINY]]),
         x_terms=Columns(np.array([[[complex(-0.0, 0.5)]], [[complex(TINY, 1.0)]]])),
         remainders=Columns(np.array([[[0j]], [[complex(-TINY, -0.0)]]])),
         chain_exact=True,
@@ -223,7 +222,6 @@ def _reports():
         '{"check":"zabreiko","m":[50.0,50.0],"r":1.0,"eps":[1.0,5e-324],'
         '"alpha_star":[-0.0,2.0],"x_norm":[0.5,0.25],"px":[5e-324,0.0],'
         '"n_steps":1,"capped":false,"epsilons":[[0.5,0.25],[0.02,-0.0]],'
-        '"tail_bounds":[[0.02,5e-324]],'
         '"x_terms":[{"dim":1,"e1":[[-0.0,0.5]],"e2":[[5e-324,1.0]]}],'
         '"remainders":[{"dim":1,"e1":[[0.0,0.0]],"e2":[[-5e-324,-0.0]]}],'
         '"chain_exact":true,"term_bounds_ok":true,"remainder_bounds_ok":false,'
@@ -237,7 +235,7 @@ def _reports():
         payload={"error": {"kind": "InvalidInput", "message": "bad \"x\""}, "r": -0.0},
     )
     yield "envelope", envelope, (
-        '{"tool":"hyplab","version":"0.7.0","subcommand":"knorm","inputs_digest":"",'
+        '{"tool":"hyplab","version":"0.8.0","subcommand":"knorm","inputs_digest":"",'
         '"seed":0,"payload":{"error":{"kind":"InvalidInput","message":"bad \\"x\\""},'
         '"r":-0.0},"pass":false}'
     )
