@@ -180,8 +180,9 @@ _SCALAR_IN = _Flag("--scalar", _SCALAR, required=True)
 _MATRIX_IN = _Flag("--matrix", _MATRIX, required=True)
 _TERMS = _Flag("--terms", _JSON, required=True)
 _SERIES_TOL = _Flag("--series-tol", _HYP, default="1e-12", help="hyperbolic literal a1,a2, both components > 0")
-_SAMPLES_HELP = "random samples, drawn and judged a chunk at a time: memory does not grow with the count"
-_TRIALS = _Flag("--trials", _PLAIN, type=int, default=1000, help=_SAMPLES_HELP)
+_SAMPLES_HELP = ("random samples, drawn and judged a chunk at a time: memory does not grow with the count; "
+                 "each weighs 4*max(rows, cols) floats{}; over 2^24 in all exits 2")
+_TRIALS = _Flag("--trials", _PLAIN, type=int, default=1000, help=_SAMPLES_HELP.format(""))
 
 
 def _max_n(help: str) -> _Flag:
@@ -262,7 +263,8 @@ _ROWS = {
                required=True, help="JSON array of matrices"),
          _Flag("--samples", _PLAIN, type=int, default=100,
                help="random samples, applied to the family a chunk at a time: memory grows only "
-                    "with the report, which lists each sample's pointwise supremum"),
+                    "with the report, which lists each sample's pointwise supremum; each weighs "
+                    "4*max(cols, members*rows) floats; over 2^24 in all exits 2"),
          _SEED, _OUTPUT),
         lambda a: _verdict(hyplab.ubp_verify(a.family, a.samples, a.seed)),
     ),
@@ -289,7 +291,8 @@ _ROWS = {
                default=None, help="hyperbolic literal a1,a2 (default opnorm*r)"),
          _Flag("--r", _PLAIN, type=float, default=1.0),
          _Flag("--deltas", _Kind(_deltas), default="0.5,2,10", help="comma-separated positive reals"),
-         _Flag("--samples", _PLAIN, type=int, default=100, help=_SAMPLES_HELP),
+         _Flag("--samples", _PLAIN, type=int, default=100,
+               help=_SAMPLES_HELP.format(" in each of the 1 + len(deltas) balls")),
          _SEED, _OUTPUT),
         lambda a: _verdict(
             hyplab.ball_scaling_check(DSeminorm(a.matrix), a.alpha, a.r, a.deltas, a.samples, a.seed)),

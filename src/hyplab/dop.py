@@ -390,13 +390,6 @@ class SurjectivityReport(Report):
     cols: int
 
 
-def _numerical_rank(s: np.ndarray, tol: float) -> int:
-    """Count of singular values above tol * s[0]; ``s`` descending."""
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
-
-
 def surjectivity_check(T: BCMatrix, tol: float = RANK_TOL) -> SurjectivityReport:
     """Surjective iff both components have numerical row rank equal to rows.
 
@@ -406,7 +399,8 @@ def surjectivity_check(T: BCMatrix, tol: float = RANK_TOL) -> SurjectivityReport
     _check_tol(tol)
     if tol >= 1:
         raise InvalidInput(f"tol must be below 1 as a rank cutoff, got {tol}")
-    r1, r2 = (_numerical_rank(s, tol) for s in T.svd().s)
+    s = T.svd().s  # descending and never negative: a zero component has rank 0
+    r1, r2 = np.count_nonzero(s > tol * s[:, :1], axis=1).tolist()
     return SurjectivityReport(
         surjective=(r1 == T.rows and r2 == T.rows),
         rank_e1=r1,

@@ -29,14 +29,15 @@ rows, and the first k rows are the same for every sample count >= k.
 
 The sampled checks are evaluated in blocks: a (2, k, n) array whose
 leading axis is the idempotent component and whose [:, i] is the vector of
-row i.  ``_fold`` draws the rows one chunk at a time, witnesses first, and
-its judge applies every operator to a chunk with one stacked matrix
-product, or one block solve on the operator's cached SVD; verdicts and
-worst margins are maxima over the chunks, so memory does not grow with the
-sample count.  Every inequality is judged through
-``dmodule._within``, the one verdict rule, whose slack is relative to the
-values compared, so verdicts do not depend on the operator's scale; a norm
-or bound that overflows is rejected as ``InvalidInput``, never compared.
+row i.  ``_admit`` weighs the sample count first, then ``_fold`` draws the
+rows one chunk at a time, witnesses first, and its judge applies every
+operator to a chunk with one stacked matrix product, or one block solve on
+the operator's cached SVD; verdicts and worst margins are maxima over the
+chunks, so memory does not grow with the sample count.  Every inequality is
+judged through ``dmodule._within``, the one verdict rule, whose slack is
+relative to the values compared, so verdicts do not depend on the
+operator's scale; a norm or bound that overflows is rejected as
+``InvalidInput``, never compared.
 A check's parameters are the quantities of the statement it replays
 (operators, radii, bounds, sample counts, seeds); the slacks
 (``dmodule.CHECK_SLACK``, ``CLOSURE_TOL`` and the three below it) and the
@@ -106,9 +107,10 @@ OMT_SERIES_LEN = 12
 #: The budget eps of that series' quotient-seminorm chain, per component.
 OMT_BUDGET = DPlus(0.5, 0.5)
 
-#: Normals a sampled check may draw (count x weight per row, see ``_fold``), so a
-#: huge count is rejected before anything is drawn.  It bounds work, not memory:
-#: at the cap a check took 0.02-1.9 s on one core of a 2-CPU Xeon.
+#: Floats a sampled check's samples may weigh in all (see ``_admit``), so a huge
+#: count is rejected before anything is factored or drawn.  It bounds work, not
+#: memory: at the cap, one BLAS thread on a 2-CPU AMD EPYC, each check took
+#: 0.26-0.36 s at 4x4, 0.21 s at 64x128, 0.58-1.07 s at 512x512, under 0.02 s at 8192x1.
 MAX_DRAWN_NORMALS = 1 << 24
 
 _MASK64 = (1 << 64) - 1
@@ -149,28 +151,36 @@ def _sample_rows(z: np.ndarray, n: int, j: int = 0) -> np.ndarray:
 _CHUNK_FLOATS = 1 << 16
 
 
-def _fold(seed, name, count, n, judge, lead=None, build=None, weight=None, held=0):
+def _admit(name: str, count: int, width: int, balls: int = 1) -> int:
+    """A sample's weight, 4 * ``width`` floats for its widest array (its draw, image
+    T x, family's products or preimage), once ``count``, at least 1, is admitted:
+    samples drawn in each of ``balls`` balls weigh at most ``MAX_DRAWN_NORMALS``.
+    Each sampled check calls this once, before it factors or draws anything."""
+    weight = 4 * width
+    if count < 1:
+        raise InvalidInput(f"{name}: count must be >= 1, got {count}")
+    if count * balls * weight > MAX_DRAWN_NORMALS:
+        raise InvalidInput(
+            f"{name}: count {count} of weight {balls * weight} each exceeds the cap of {MAX_DRAWN_NORMALS}")
+    return weight
+
+
+def _fold(seed, name, count, n, judge, weight, lead=None, build=None):
     """Judge ``count`` rows of stream (seed, name), one chunk at a time.
 
     Sample i is the stream's i-th vector of dim n, 4n normals, or what
     ``build`` makes of a chunk's (k, 4n) normals; the fixed (2, L, n) rows
     ``lead`` go first.  ``judge(x, a)`` takes a chunk's (2, k, n) block, row
     a onward, and returns (2, k) arrays in which larger is worse; each comes
-    back as its componentwise maximum, a (2, 1) column.  A sample weighs
-    ``weight`` (4n, its normals, or what it costs beyond them) against
-    ``MAX_DRAWN_NORMALS``, a row max(weight, held) floats.
+    back as its componentwise maximum, a (2, 1) column.  ``weight`` is the
+    sample's weight from ``_admit``, which admits the count; here it only
+    sizes the chunks.
     """
-    weight = 4 * n if weight is None else weight
-    if count * weight > MAX_DRAWN_NORMALS:
-        raise InvalidInput(
-            f"{name.partition('/')[0]}: count {count} of weight {weight} each exceeds "
-            f"the cap of {MAX_DRAWN_NORMALS}"
-        )
     build = build or (lambda z: _sample_rows(z, n))
     rng = check_stream(seed, name)
     skip = 0 if lead is None else lead.shape[1]
     total = skip + count
-    step = max(64, _CHUNK_FLOATS // max(weight, held) // 64 * 64)
+    step = max(64, _CHUNK_FLOATS // weight // 64 * 64)
     ends = [*range(step, max(total // step, 1) * step, step), total]
     worst = []
     for a, b in zip([0, *ends], ends):
@@ -233,9 +243,8 @@ def continuity_bound_check(
     an override exists so a deliberately corrupted constant can be shown to
     fail (the witness samples attain the true constant).
     """
-    if trials < 1:
-        raise InvalidInput(f"trials must be >= 1, got {trials}")
     name = "lemma31"
+    weight = _admit(name, trials, max(p.T.cols, p.T.rows))  # a trial's draw or its image T x
     true_m = op_dnorm(p.T).M
     a_star = true_m if alpha_star is None else alpha_star
     alpha = _column(a_star)
@@ -250,7 +259,7 @@ def continuity_bound_check(
         return px - bound, ~_within(px, bound), loose
 
     # the witnesses, then one random sample per trial
-    margin, over, loose = _fold(seed, name, trials, n, judge, lead=_witness_rows(p.T), held=4 * p.T.rows)
+    margin, over, loose = _fold(seed, name, trials, n, judge, weight, _witness_rows(p.T))
 
     # Lipschitz chain along generated sequences x_j = x + 2^-j d -> x:
     # |p(x_j) - p(x)| <= p(x_j - x) <= alpha* ||x_j - x||_D, 10 steps each
@@ -363,13 +372,12 @@ def ball_scaling_check(
         raise InvalidInput(f"r must be positive, got {r}")
     if alpha.a1 < 0 or alpha.a2 < 0:
         raise InvalidInput(f"alpha must be nonnegative, got ({alpha.a1}, {alpha.a2})")
-    if samples < 1:
-        raise InvalidInput(f"samples must be >= 1, got {samples}")
     if not delta_list:
         raise InvalidInput("deltas must be nonempty")
     if any(d <= 0 for d in delta_list):
         raise InvalidInput("all deltas must be positive")
     name = "ballscale"
+    weight = _admit(name, samples, max(p.T.cols, p.T.rows), balls=1 + len(delta_list))
     witnesses = _witness_rows(p.T)
     n = p.T.cols
 
@@ -401,7 +409,7 @@ def ball_scaling_check(
 
         ws = (radius / np.maximum(np.maximum(*dnorm_rows(witnesses)), 1e-30))[:, None]
         with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan scale: the judge rejects it
-            return _fold(seed, stream, samples, n, judge, witnesses * ws, build, held=4 * p.T.rows)
+            return _fold(seed, stream, samples, n, judge, weight, witnesses * ws, build)
 
     ball("hyp", 1, premise=True)
     folds = [ball(f"d{j}", d) for j, d in enumerate(delta_list)]
@@ -696,9 +704,8 @@ def ubp_verify(
     for i, T in enumerate(family):
         if (T.rows, T.cols) != shape:
             raise ShapeMismatch(f"member {i} has shape {(T.rows, T.cols)}, expected {shape}")
-    if samples < 1:
-        raise InvalidInput(f"samples must be >= 1, got {samples}")
     name = "ubp"
+    weight = _admit(name, samples, max(shape[1], len(family) * shape[0]))  # its draw or members x rows products
 
     # the top singular values of all members; argmax takes the first on a tie
     top = np.array([f.s[:, 0] for f in svd_family(family)])
@@ -720,9 +727,7 @@ def ubp_verify(
 
     # witnesses from the members attaining the supremum per component lead
     lead = np.concatenate((_witness_rows(family[i1])[:, :1], _witness_rows(family[i2])[:, 1:2]), axis=1)
-    # a sample weighs its members x rows products, no less than its draws
-    weight = 4 * max(shape[1], len(family) * shape[0])
-    margin, over = _fold(seed, name, samples, shape[1], judge, lead, weight=weight)
+    margin, over = _fold(seed, name, samples, shape[1], judge, weight, lead)
 
     return UBPReport(
         check=name,
@@ -773,9 +778,8 @@ def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
     sum ||x_k||_D <= sum q(y_k) + eps hold by construction and are not
     compared.
     """
-    if trials < 1:
-        raise InvalidInput(f"trials must be >= 1, got {trials}")
     name = "omt-verify"
+    weight = _admit(name, trials, max(T.rows, T.cols))  # a trial's draw or its preimage
     delta = open_mapping_delta(T)  # raises NotSurjective
     rows = T.rows
 
@@ -784,8 +788,7 @@ def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
         rhs = require_finite(_column(delta) * sol.ynorm)
         return sol.residual, sol.qy - rhs, ~_within(sol.qy, rhs)
 
-    # a trial weighs its (2, cols) preimage, no less than its draws: cols >= rows
-    res, margin, over = _fold(seed, name, trials, rows, judge, weight=4 * T.cols)
+    res, margin, over = _fold(seed, name, trials, rows, judge, weight)
 
     # minimality witness: the left singular vectors of the smallest
     # singular values reach the constant (T is surjective, so rows <= cols)
@@ -798,24 +801,23 @@ def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
     witness_ok = hyp_leq((1.0 - WITNESS_SHRINK) * delta, ratio)
 
     # quotient-seminorm budget chain over the generated convergent series
-    # y_k = 2^-(k-1) y_0, k = 1..OMT_SERIES_LEN, solved as one block
+    # y_k = 2^-(k-1) y_0, k = 1..OMT_SERIES_LEN, and its sum, in series order
+    # from zero (adding +0.0 restores the zero start), solved as one block
     z = check_stream(seed, name + "/series").standard_normal((1, 4 * rows))
     y0 = BCVector(*_sample_rows(z, rows)[:, 0])
     ny0 = vec_dnorm(y0)
     y0 = y0.scale(1.0 / max(ny0.a1, ny0.a2))
     ys = y0.v[:, None] * (0.5 ** np.arange(OMT_SERIES_LEN))[:, None]
-    chain = min_norm_solve_rows(T, ys, tol=CHECK_SLACK)
-
-    # sums in series order from zero; adding +0.0 restores the zero start
     y_sum = BCVector(*(np.cumsum(ys, axis=1)[:, -1] + 0.0))
-    x_sum = BCVector(*(np.cumsum(chain.x, axis=1)[:, -1] + 0.0))
-    sum_q = Hyperbolic(*np.cumsum(chain.qy, axis=1)[:, -1].tolist())
-    whole = min_norm_solve_rows(T, y_sum.v[:, None], tol=CHECK_SLACK)
-    q_sum = DPlus(*whole.qy[:, 0].tolist())
+    chain = min_norm_solve_rows(T, np.concatenate((ys, y_sum.v[:, None]), axis=1), tol=CHECK_SLACK)
+
+    x_sum = BCVector(*(np.cumsum(chain.x[:, :-1], axis=1)[:, -1] + 0.0))
+    sum_q = Hyperbolic(*np.cumsum(chain.qy[:, :-1], axis=1)[:, -1].tolist())
+    q_sum = DPlus(*chain.qy[:, -1].tolist())
     nx_sum = vec_dnorm(x_sum)
     residual = vec_dnorm(mat_apply(T, x_sum) - y_sum)
     subadd_ok = (
-        _holds(residual, DPlus(0.0, 0.0), CHAIN_SLACK, whole.ynorm[:, 0])
+        _holds(residual, DPlus(0.0, 0.0), CHAIN_SLACK, chain.ynorm[:, -1])
         and _holds(q_sum, nx_sum, CHAIN_SLACK)
         and _holds(nx_sum, sum_q, CHAIN_SLACK)
         and _holds(q_sum, sum_q + OMT_BUDGET, CHAIN_SLACK)

@@ -55,7 +55,7 @@ def next_vector(rng, n):
     return BCVector(v1, v2)
 
 
-def fold_rows(seed, name, count, n, **kwargs):
+def fold_rows(seed, name, count, n, lead=None):
     """The whole block ``_fold`` judges, joined from its chunks in order.
 
     Each chunk's first row must be the row of the whole block the judge is told.
@@ -67,7 +67,7 @@ def fold_rows(seed, name, count, n, **kwargs):
         chunks.append(x)
         return ()
 
-    assert tl._fold(seed, name, count, n, judge, **kwargs) == []
+    assert tl._fold(seed, name, count, n, judge, 4 * n, lead) == []
     return np.concatenate(chunks, axis=1)
 
 
@@ -173,19 +173,20 @@ def test_stream_key_wraps_the_seed_at_64_bits():
 
 
 @pytest.mark.parametrize(
-    "n, lead, count, weight, held, sizes",
+    "n, lead, count, weight, sizes",
     [
-        (4, 0, 10, None, 0, [10]),
-        (4, 3, 4093, None, 0, [4096]),  # 2^16 floats of 16 a row: one chunk of 4096 rows
-        (4, 3, 8190, None, 0, [4096, 4097]),  # the rest joins the last chunk
-        (4, 3, 12285, None, 0, [4096, 4096, 4096]),
-        (128, 0, 300, None, 0, [128, 172]),  # 512 floats a row: 128 rows
-        (1, 0, 300, None, 0, [300]),
-        (1, 0, 300, 4000, 0, [64, 64, 64, 108]),  # 4000 floats a row: 64 rows, the least
-        (1, 0, 300, None, 4000, [64, 64, 64, 108]),  # held floats size chunks too
+        (4, 0, 10, None, [10]),
+        (4, 3, 4093, None, [4096]),  # 2^16 floats of 16 a row: one chunk of 4096 rows
+        (4, 3, 8190, None, [4096, 4097]),  # the rest joins the last chunk
+        (4, 3, 12285, None, [4096, 4096, 4096]),
+        (128, 0, 300, None, [128, 172]),  # 512 floats a row: 128 rows
+        (1, 0, 300, None, [300]),
+        # 4000 floats a row, as a 1000x1 operator's images weigh: 64 rows, the least
+        (1, 0, 300, 4000, [64, 64, 64, 108]),
     ],
 )
-def test_fold_chunks_are_whole_64_row_groups_with_the_rest_in_the_last(n, lead, count, weight, held, sizes):
+def test_fold_chunks_are_whole_64_row_groups_with_the_rest_in_the_last(n, lead, count, weight, sizes):
+    """The weight sizes the chunks; None is a sample's draws alone, 4n."""
     got = []
 
     def judge(x, a):
@@ -193,7 +194,7 @@ def test_fold_chunks_are_whole_64_row_groups_with_the_rest_in_the_last(n, lead, 
         return ()
 
     fixed = np.zeros((2, lead, n), complex) if lead else None
-    tl._fold(3, "lemma31", count, n, judge, fixed, weight=weight, held=held)
+    tl._fold(3, "lemma31", count, n, judge, weight or 4 * n, fixed)
     assert got == sizes
 
 
@@ -203,7 +204,7 @@ def test_fold_returns_the_componentwise_maxima_of_every_judged_array():
         return np.stack((rows, -rows)), np.stack((rows == 100, rows < 0))
 
     with chunks_of_64():
-        top, flagged = tl._fold(3, "lemma31", 300, 2, judge)
+        top, flagged = tl._fold(3, "lemma31", 300, 2, judge, 8)
     assert top.tolist() == [[299.0], [-0.0]] and flagged.tolist() == [[True], [False]]
 
 
@@ -256,15 +257,26 @@ class _ShapeOnly:
 
 @pytest.mark.parametrize("width", [1, 8, 256])
 def test_draws_up_to_the_cap_and_rejects_one_normal_more(monkeypatch, width):
-    """A fold takes count * weight normals up to the cap, chunk by chunk."""
+    """``_admit`` lets count * weight reach the cap, a fold then draws it
+    chunk by chunk, and one sample more is refused."""
     monkeypatch.setattr(tl, "check_stream", lambda seed, name: _ShapeOnly())
-    count = tl.MAX_DRAWN_NORMALS // width
+    count = tl.MAX_DRAWN_NORMALS // (4 * width)
     judged = []
-    tl._fold(3, "lemma31/seq", count, 1, lambda x, a: judged.append(x.shape[1]) or (), weight=width)
+    weight = tl._admit("lemma31", count, width)
+    assert weight == 4 * width
+    tl._fold(3, "lemma31/seq", count, 1, lambda x, a: judged.append(x.shape[1]) or (), weight)
     assert sum(judged) == count and len(judged) <= 256
-    with pytest.raises(InvalidInput, match=rf"^lemma31: count {count + 1} of weight {width} each exceeds the cap of {tl.MAX_DRAWN_NORMALS}$"):
-        tl._fold(3, "lemma31/seq", count + 1, 1, lambda x, a: judged.append(x.shape[1]) or (), weight=width)
-    assert sum(judged) == count
+    with pytest.raises(InvalidInput, match=rf"^lemma31: count {count + 1} of weight {weight} each exceeds the cap of {tl.MAX_DRAWN_NORMALS}$"):
+        tl._admit("lemma31", count + 1, width)
+    # a sample drawn in each of two balls weighs twice as much
+    with pytest.raises(InvalidInput, match=rf"^lemma31: count {count // 2 + 1} of weight {2 * weight} each exceeds"):
+        tl._admit("lemma31", count // 2 + 1, width, balls=2)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_admit_refuses_a_count_below_one(count):
+    with pytest.raises(InvalidInput, match=rf"^ubp: count must be >= 1, got {count}$"):
+        tl._admit("ubp", count, 4)
 
 
 def test_every_sampled_stream_is_prefix_stable(monkeypatch):

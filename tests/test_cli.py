@@ -348,7 +348,9 @@ def test_huge_sample_count_exit_2_before_allocating(tmp_path, capsys, command, f
     else:
         inputs = ["--matrix", write(tmp_path, "T.json", T)]
     code, doc, err = run_json(capsys, [command, *inputs, flag, str(count)])
-    message = f"{command}: count {count} of weight 16 each exceeds the cap of {2**24}"
+    # 16 floats a sample; ballscale draws one in each of its 1 + 3 default balls
+    weight = 64 if command == "ballscale" else 16
+    message = f"{command}: count {count} of weight {weight} each exceeds the cap of {2**24}"
     assert code == 2
     assert doc["payload"] == {"error": {"kind": "InvalidInput", "message": message}}
     assert err == f"hyplab: InvalidInput: {message}\n"
@@ -360,6 +362,33 @@ def test_ballscale_without_deltas_exit_2(tmp_path, capsys, deltas):
     code, doc, _ = run_json(capsys, ["ballscale", "--matrix", mat, "--deltas", deltas])
     assert code == 2
     assert doc["payload"]["error"] == {"kind": "InvalidInput", "message": "deltas must be nonempty"}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # one message for a count below 1, named by its subcommand
+        (["lemma31", "--trials", "0"], "lemma31: count must be >= 1, got 0"),
+        (["ubp", "--samples", "-3"], "ubp: count must be >= 1, got -3"),
+        # the count is weighed after the other inputs are checked...
+        (["ballscale", "--samples", "0", "--deltas", "0.5,-1"], "all deltas must be positive"),
+        # ...and before the operator is factored: a huge count on a
+        # non-surjective operator is invalid input, not NotSurjective
+        (["omt-verify", "--trials", str(10**12)],
+         f"omt-verify: count {10**12} of weight 8 each exceeds the cap of {2**24}"),
+    ],
+    ids=["lemma31-zero", "ubp-negative", "ballscale-bad-deltas", "omt-verify-not-surjective"],
+)
+def test_a_sample_count_is_admitted_after_the_other_inputs_and_before_any_factoring(tmp_path, capsys, argv, message):
+    zero = matrix_to_json(BCMatrix.zeros(2, 2))
+    if argv[0] == "ubp":
+        inputs = ["--family", write(tmp_path, "F.json", [zero])]
+    else:
+        inputs = ["--matrix", write(tmp_path, "T.json", zero)]
+    code, doc, _ = run_json(capsys, [argv[0], *inputs, *argv[1:]])
+    assert code == 2
+    assert doc["payload"] == {"error": {"kind": "InvalidInput", "message": message}}
+    assert len(doc["inputs_digest"]) == 64
 
 
 # ----------------------------------------------------------- error mapping

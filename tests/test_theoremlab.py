@@ -511,3 +511,70 @@ def test_omt_deterministic():
     a = open_mapping_verify(T, trials=64, seed=15)
     b = open_mapping_verify(T, trials=64, seed=15)
     assert dumps(a.to_json_dict()) == dumps(b.to_json_dict())
+
+
+# --------------------------------------------------------------- admission
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The ``svd_family`` calls made while a test runs, by either name."""
+    import hyplab.dop as dop
+
+    calls, real = [], dop.svd_family
+
+    def counting(family):
+        calls.append(len(family))
+        return real(family)
+
+    monkeypatch.setattr(dop, "svd_family", counting)
+    monkeypatch.setattr(tl, "svd_family", counting)
+    return calls
+
+
+@pytest.mark.parametrize("rows, cols", [(2048, 4), (8192, 1)])
+def test_a_tall_operators_images_count_against_the_draw_cap(rows, cols):
+    # a sample weighs 4 * rows, its image T x: 8192 at 2048x4, so the cap
+    # admits 2048 trials, and 32768 at 8192x1, 512 trials; ballscale's one
+    # delta makes two balls, so it admits half as many samples
+    rng = np.random.default_rng(80)
+    p = DSeminorm(random_mat(rng, rows, cols))
+    weight = 4 * rows
+    cap = tl.MAX_DRAWN_NORMALS // weight
+    assert continuity_bound_check(p, cap, seed=3).passed
+    with pytest.raises(InvalidInput, match=rf"^lemma31: count {cap + 1} of weight {weight} each exceeds"):
+        continuity_bound_check(p, cap + 1, seed=3)
+    alpha = op_dnorm(p.T).M
+    assert ball_scaling_check(p, alpha, 1.0, [2.0], cap // 2, seed=3).passed
+    with pytest.raises(InvalidInput, match=rf"^ballscale: count {cap // 2 + 1} of weight {2 * weight} each exceeds"):
+        ball_scaling_check(p, alpha, 1.0, [2.0], cap // 2 + 1, seed=3)
+
+
+def test_ballscale_counts_every_ball_against_the_draw_cap():
+    # 30 deltas and the premise make 31 balls of 16 floats a sample each
+    p = DSeminorm(BCMatrix.identity(4))
+    deltas = [0.5 + j for j in range(30)]
+    cap = tl.MAX_DRAWN_NORMALS // (31 * 16)
+    with pytest.raises(InvalidInput, match=rf"^ballscale: count {cap + 1} of weight 496 each exceeds"):
+        ball_scaling_check(p, DPlus(1.0, 1.0), 1.0, deltas, cap + 1, seed=2)
+    assert ball_scaling_check(p, DPlus(1.0, 1.0), 1.0, deltas, 20, seed=2).passed
+
+
+_SAMPLED = {
+    "lemma31": lambda T, count: continuity_bound_check(DSeminorm(T), count, seed=1),
+    "ballscale": lambda T, count: ball_scaling_check(DSeminorm(T), DPlus(1e3, 1e3), 1.0, [0.5], count, seed=1),
+    "ubp": lambda T, count: ubp_verify([T, T], count, seed=1),
+    "omt-verify": lambda T, count: open_mapping_verify(T, count, seed=1),
+}
+
+
+@pytest.mark.parametrize("count", [0, 10**12])
+@pytest.mark.parametrize("name", sorted(_SAMPLED))
+def test_a_refused_count_makes_no_svd_call(svd_calls, name, count):
+    # the count is admitted before the operator is factored, so a non-surjective
+    # operator's huge count is invalid input, not NotSurjective
+    with pytest.raises(InvalidInput, match=rf"^{name}: count "):
+        _SAMPLED[name](BCMatrix.zeros(3, 5), count)
+    assert svd_calls == []
+    assert _SAMPLED[name](surjective_mat(np.random.default_rng(81), 3, 5), 10).passed
+    assert svd_calls != []
