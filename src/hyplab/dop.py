@@ -16,8 +16,10 @@ read-only and with the same leading axis, with the operator.  Where
 ``_split`` finds it worth it, a kernel runs component 1 on the process's
 one waiting helper thread beside component 0 (``_beside``): the SVD as two
 calls, the block solve as two product chains; otherwise the SVD is one call
-over the stack and the chains run in turn.  Each matrix gets the same
-LAPACK and BLAS calls either way, so the bits do not depend on the route.
+over the stack and the chains run in turn.  ``theoremlab.open_mapping_verify``
+splits the same way, its sampled fold here and its fixed solves on the helper.
+Each matrix gets the same LAPACK and BLAS calls either way, so the bits do
+not depend on the route.
 A wide family (rows < cols) is factored through its transpose: LAPACK's
 ``gesdd`` reduces a wide matrix by an LQ factorization first and a tall
 one by QR, and the QR-first route is the faster one (about 14% at 64x128).
@@ -118,14 +120,20 @@ class BCMatrix:
         return f"BCMatrix(rows={self.rows}, cols={self.cols})"
 
 
-#: Work per component from which a kernel splits, one constant for both:
-#: k*m*n*min(m, n) for the SVD of k (m, n) matrices, k*rows*cols for a solve of
-#: k rows.  After 1-3 ms of Python, as in a check (median/90th percentile, one
-#: BLAS thread, 2-CPU Xeon), the split solve broke even at 2^16.6 (12 rows at
+#: Work per component from which work splits, one constant for its three
+#: users: k*m*n*min(m, n) for the SVD of k (m, n) matrices, k*rows*cols for a
+#: solve of k rows and for omt-verify's check, whose solves total k rows.
+#: After 1-3 ms of Python, as in a check (median/90th percentile, one BLAS
+#: thread, 2-CPU Xeon), the split solve broke even at 2^16.6 (12 rows at
 #: 64x128: 103/147 us against 104/110), won the median at 2^17 (16 rows:
 #: 110/154 against 127/136) and both at 2^18 (32 rows: 151/194 against 197/209).
 #: The split SVD won the median from 2^13.3 (20 8x8 matrices, as ubp reads:
 #: 225 against 307 us), not always the 90th percentile below 2^17.
+#: omt-verify weighs (trials + 14) rows: at 64x128 and 100 trials (933,888;
+#: one BLAS thread, 2-CPU AMD EPYC) its split check took 745-750/854-1046 us
+#: (min/median) against 972-992/1098-1152 us in turn; at 3x6 and 200 trials
+#: (3,852) a forced split took 365/464 us against 336/351 us, so the desk's
+#: check runs in turn.
 _SPLIT_WORK = 1 << 17
 
 

@@ -23,6 +23,9 @@ bits or raise the same error.  ``oracle_ubp`` is the uniform boundedness
 check with one norm report and one block product per family member; the
 stacked ``ubp_verify`` must give the same report.  ``one_matrix_svd`` is the
 thin SVD of one matrix in the orientation the library factors it.
+``_split_on`` and ``_one_thread`` steer ``dop._split`` to its two routes,
+``_counting_splits`` records each ``dop._beside`` job and ``_helpers`` lists
+the helper threads.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import hashlib
 import json
 import math
 import sys
+import threading
 from collections import deque
 
 import numpy as np
@@ -44,6 +48,7 @@ from hyplab.dmodule import (
 )
 from hyplab.hyperscalar import hyp_leq
 from hyplab.jsonio import _declared_size
+from hyplab import dop
 from hyplab.dop import op_dnorm
 from hyplab.theoremlab import SubaddReport, UBPReport, _column, _holds, _sample_rows, _worst, check_stream
 
@@ -618,3 +623,31 @@ def oracle_ubp(family, samples: int, seed: int, delta=None):
         all_bounds_ok=bool(_within(values, pstar, 0.0).all()) and bool(_within(pstar, rhs).all()),
         worst_margin=_worst(pstar - rhs),
     )
+
+
+def _split_on(monkeypatch):
+    """Gate the component split on work alone: one BLAS thread and two
+    CPUs, whatever the runner's ``OPENBLAS_NUM_THREADS`` and affinity."""
+    monkeypatch.setattr(dop, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(dop, "_cpus", lambda: 2)
+
+
+def _one_thread(monkeypatch):
+    monkeypatch.setattr(dop, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(dop, "_cpus", lambda: 1)
+
+
+def _counting_splits(monkeypatch) -> list:
+    calls = []
+    real = dop._beside
+
+    def spy(job):
+        calls.append(job)
+        return real(job)
+
+    monkeypatch.setattr(dop, "_beside", spy)
+    return calls
+
+
+def _helpers() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name == "hyplab-helper"]

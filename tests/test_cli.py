@@ -498,9 +498,11 @@ LIBRARY_REJECTS = [
     # values that overflow on the way to a bound that the library rejects;
     # a later flag overrides the required one
     ("zabreiko", "--matrix {I4} --x {tiny} --m 1e-10,1e-10 --r 1e-11 --eps 1e300,1e300",
-     "non-finite component inf rejected"),  # eps/m
+     "eps_k = (eps/m) 2^-k is not finite at step 1: (inf, inf)"),  # eps/m
     ("zabreiko", "--matrix {D4} --x {x4} --m 10,10 --r 1e300 --eps 1e300,1e300",
-     "e1 component contains non-finite entries"),  # (eps/m) r / 2, then a pitch
+     "the term x_k is not finite at step 2, quantized at pitch eps'_k r / (2 sqrt(n)) = (inf, inf)"),
+    ("zabreiko", "--matrix {D4} --x {e1} --m 10,10 --r 1e300 --eps 1e300,1e300",
+     "the remainder budget eps_k r is not finite at step 1: (inf, inf)"),  # x_1 = x, then (eps/m) r / 2
     ("ballscale", "--r 1e308 --samples 200", "non-finite component inf rejected"),  # a sample's scale
 ]
 LIBRARY_ARGS = {
@@ -528,6 +530,7 @@ def test_a_value_the_library_rejects_gets_one_digested_envelope(tmp_path, capsys
         "D4": matrix_to_json(BCMatrix(np.eye(4) * 1e-300, np.eye(4) * 1e-300)),
         "tiny": vector_to_json(BCVector([1e-150, 2e-150, -1e-150, 3e-150], [2e-150, 1e-150, 1e-150, -2e-150])),
         "x4": vector_to_json(BCVector([0.5, -0.3, 0.1, 0.2], [-0.2, 0.3, 0.5, -0.1])),
+        "e1": vector_to_json(BCVector([1, 0, 0, 0], [1, 0, 0, 0])),
     }
     paths = {name: write(tmp_path, f"{name}.json", obj) for name, obj in files.items()}
     required = LIBRARY_ARGS[command.split()[0]].format(**paths)

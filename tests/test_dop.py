@@ -38,6 +38,10 @@ from hyplab import (
 )
 from hyplab import dop
 from support import (
+    _counting_splits,
+    _helpers,
+    _one_thread,
+    _split_on,
     mul4,
     normal_eq_min_norm,
     one_matrix_svd,
@@ -419,13 +423,6 @@ def _recording_svds(monkeypatch):
     return arrays
 
 
-def _split_on(monkeypatch):
-    """Gate the component split on work alone: one BLAS thread and two
-    CPUs, whatever the runner's ``OPENBLAS_NUM_THREADS`` and affinity."""
-    monkeypatch.setattr(dop, "_blas_threads", lambda: 1)
-    monkeypatch.setattr(dop, "_cpus", lambda: 2)
-
-
 def _assert_one_call_per_component(arrays, family):
     """The calls were exactly two, one per component, each over every
     member, in the factored orientation: the two components of the
@@ -616,10 +613,6 @@ def test_stacked_bits_of_component_split_factors(monkeypatch, members, rows, col
             assert got.shape == whole[i].shape and got.tobytes() == whole[i].tobytes()
 
 
-def _helpers() -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name == "hyplab-helper"]
-
-
 def test_component_split_failure_is_no_convergence_and_leaves_one_helper(monkeypatch):
     T = random_mat(np.random.default_rng(39), 64, 64)
     want = np.linalg.svd(T.m[None], full_matrices=False)
@@ -662,23 +655,6 @@ def _ranked(rng, rows: int, cols: int, rank1: int) -> BCMatrix:
 def _in_range(rng, T: BCMatrix, k: int) -> np.ndarray:
     """A (2, k, rows) block of right-hand sides T x_i."""
     return (rng.standard_normal((2, k, T.cols)) + 1j * rng.standard_normal((2, k, T.cols))) @ T.m.mT
-
-
-def _counting_splits(monkeypatch) -> list:
-    calls = []
-    real = dop._beside
-
-    def spy(job):
-        calls.append(job)
-        return real(job)
-
-    monkeypatch.setattr(dop, "_beside", spy)
-    return calls
-
-
-def _one_thread(monkeypatch):
-    monkeypatch.setattr(dop, "_blas_threads", lambda: 1)
-    monkeypatch.setattr(dop, "_cpus", lambda: 1)
 
 
 @pytest.mark.parametrize("rows, cols", [(64, 128), (32, 32), (128, 64)])  # wide, square, tall

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -35,7 +36,10 @@ from hyplab import (
 from hyplab.jsonio import dumps, matrix_to_json
 from hyplab import Bicomplex
 import hyplab.theoremlab as tl
-from support import componentwise_max, random_mat, random_vec, surjective_mat
+from hyplab import dop
+from support import (
+    _counting_splits, _helpers, _one_thread, _split_on, componentwise_max, random_mat, random_vec, surjective_mat,
+)
 
 
 # ------------------------------------------------------- continuity (bound)
@@ -513,14 +517,122 @@ def test_omt_deterministic():
     assert dumps(a.to_json_dict()) == dumps(b.to_json_dict())
 
 
+def _check_splits(splits: list) -> list:
+    """The recorded ``dop._beside`` jobs that split an ``open_mapping_verify`` check."""
+    return [job for job in splits if job.__qualname__.startswith("open_mapping_verify.")]
+
+
+@pytest.mark.parametrize("rows, cols, trials", [(64, 128, 100), (3, 6, 200)])  # the benchmark's and the desk's
+def test_omt_report_is_bit_identical_on_both_routes(monkeypatch, rows, cols, trials):
+    # the check's work per component, (trials + 14) rows of solves, is
+    # 933,888 at 64x128 and 3,852 at 3x6: one split check and one in turn
+    T = surjective_mat(np.random.default_rng(rows), rows, cols)
+    T.svd()  # factored, as open_mapping_delta leaves it before either part runs
+    _one_thread(monkeypatch)
+    splits = _counting_splits(monkeypatch)
+    one = dumps(open_mapping_verify(T, trials, seed=16).to_json_dict())
+    assert splits == []
+    _split_on(monkeypatch)
+    two = dumps(open_mapping_verify(T, trials, seed=16).to_json_dict())
+    assert two == one and json.loads(one)["pass"] is True
+    split = (trials + tl.OMT_SERIES_LEN + 2) * rows * cols >= dop._SPLIT_WORK
+    assert split is (rows == 64)
+    assert len(_check_splits(splits)) == split
+    # the fold's 100-row solve splits too, queued behind the fixed part
+    assert len(splits) == 2 * split
+
+
+def test_omt_checks_that_split_at_once_get_the_one_thread_bits(monkeypatch):
+    # more calling threads than CPUs, switched often: each check's fixed part
+    # and its fold's split solve queue on the one helper among the others'
+    rng = np.random.default_rng(74)
+    cases = [surjective_mat(rng, 64, 128) for _ in range(4)]
+    _one_thread(monkeypatch)
+    want = [dumps(open_mapping_verify(T, 100, seed=19).to_json_dict()) for T in cases]
+    _split_on(monkeypatch)
+    splits = _counting_splits(monkeypatch)
+    start = threading.Barrier(len(cases))
+    got = [[] for _ in cases]
+
+    def run(i):
+        start.wait()
+        for _ in range(5):
+            got[i].append(dumps(open_mapping_verify(cases[i], 100, seed=19).to_json_dict()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 5 for w in want]
+    assert len(_check_splits(splits)) == 5 * len(cases) and len(_helpers()) == 1
+
+
+@pytest.mark.parametrize("route", [_one_thread, _split_on])
+def test_omt_fixed_part_error_surfaces_after_the_fold(monkeypatch, route):
+    T = surjective_mat(np.random.default_rng(72), 64, 128)
+    want = dumps(open_mapping_verify(T, 100, seed=17).to_json_dict())
+    route(monkeypatch)
+    events = []
+    real_fold = tl._fold
+
+    def fold(*args):
+        out = real_fold(*args)
+        events.append("fold done")
+        return out
+
+    def failing(*args):  # mat_apply is read by the series chain only
+        events.append(threading.current_thread())
+        raise RuntimeError("fixed part failed")
+
+    monkeypatch.setattr(tl, "_fold", fold)
+    monkeypatch.setattr(tl, "mat_apply", failing)
+    splits = _counting_splits(monkeypatch)
+    with pytest.raises(RuntimeError, match="^fixed part failed$"):
+        open_mapping_verify(T, 100, seed=17)
+    assert "fold done" in events and len(_check_splits(splits)) == (route is _split_on)
+    (where,) = [e for e in events if e != "fold done"]
+    assert (where is threading.current_thread()) is (route is _one_thread)
+    if route is _one_thread:
+        assert events[0] == "fold done"  # in turn, the fold goes first
+    else:
+        assert [where] == _helpers()
+    # the helper, if it ran the part, serves the next check's split as before
+    monkeypatch.setattr(tl, "mat_apply", mat_apply)
+    assert dumps(open_mapping_verify(T, 100, seed=17).to_json_dict()) == want
+    assert len(_check_splits(splits)) == 2 * (route is _split_on) and len(_helpers()) <= 1
+
+
+@pytest.mark.parametrize("route", [_one_thread, _split_on])
+def test_omt_fold_error_is_the_one_reported(monkeypatch, route):
+    T = surjective_mat(np.random.default_rng(73), 64, 128)
+    T.svd()
+    route(monkeypatch)
+
+    def fold(*args):
+        raise ValueError("fold failed")
+
+    def failing(*args):
+        raise RuntimeError("fixed part failed")
+
+    monkeypatch.setattr(tl, "_fold", fold)
+    monkeypatch.setattr(tl, "mat_apply", failing)
+    with pytest.raises(ValueError, match="^fold failed$"):
+        open_mapping_verify(T, 100, seed=18)
+
+
 # --------------------------------------------------------------- admission
 
 
 @pytest.fixture
 def svd_calls(monkeypatch):
     """The ``svd_family`` calls made while a test runs, by either name."""
-    import hyplab.dop as dop
-
     calls, real = [], dop.svd_family
 
     def counting(family):
