@@ -606,7 +606,9 @@ def test_omt_fixed_part_error_surfaces_after_the_fold(monkeypatch, route):
     # the helper, if it ran the part, serves the next check's split as before
     monkeypatch.setattr(tl, "mat_apply", mat_apply)
     assert dumps(open_mapping_verify(T, 100, seed=17).to_json_dict()) == want
-    assert len(_check_splits(splits)) == 2 * (route is _split_on) and len(_helpers()) <= 1
+    assert len(_check_splits(splits)) == 2 * (route is _split_on)
+    if route is _split_on:
+        assert _helpers() == [where]
 
 
 @pytest.mark.parametrize("route", [_one_thread, _split_on])
