@@ -16,8 +16,9 @@ read-only and with the same leading axis, with the operator.  Where
 ``_split`` finds it worth it, a kernel runs component 1 on the process's
 one waiting helper thread beside component 0 (``_beside``): the SVD as two
 calls, the block solve as two product chains; otherwise the SVD is one call
-over the stack and the chains run in turn.  ``theoremlab.open_mapping_verify``
-splits the same way, its sampled fold here and its fixed solves on the helper.
+over the stack and the chains run in turn (``_pair`` picks the route for
+both chains).  ``theoremlab.open_mapping_verify`` splits through ``_pair``
+too, its sampled fold here and its fixed solves on the helper.
 Each matrix gets the same LAPACK and BLAS calls either way, so the bits do
 not depend on the route.
 A wide family (rows < cols) is factored through its transpose: LAPACK's
@@ -129,11 +130,17 @@ class BCMatrix:
 #: 110/154 against 127/136) and both at 2^18 (32 rows: 151/194 against 197/209).
 #: The split SVD won the median from 2^13.3 (20 8x8 matrices, as ubp reads:
 #: 225 against 307 us), not always the 90th percentile below 2^17.
-#: omt-verify weighs (trials + 14) rows: at 64x128 and 100 trials (933,888;
-#: one BLAS thread, 2-CPU AMD EPYC) its split check took 745-750/854-1046 us
-#: (min/median) against 972-992/1098-1152 us in turn; at 3x6 and 200 trials
-#: (3,852) a forced split took 365/464 us against 336/351 us, so the desk's
-#: check runs in turn.
+#: omt-verify weighs (trials + 14) rows.  After about 1 ms of Python (one
+#: BLAS thread, 2-CPU AMD EPYC; min/median/90th percentile of 150 checks on
+#: a factored operator) the split check took 750/1020/1114 us against
+#: 977/1141/1196 in turn at 64x128 and 100 trials (933,888), 438/454/556
+#: against 594/603/624 at 16x32 and 300 trials (160,768), 2912/2940/2968
+#: against 3100/3117/3217 at 3x6 and 10,000 trials (180,252, 15 checks), and
+#: 1319/1359/1408 against 1628/1662/1699 at 128x192 and 100 trials, where the
+#: chain's own 13-row solve reaches the gate and runs inline on the helper.
+#: At 3x6 and 200 trials (3,852) a forced split took 365/464 us (min/median)
+#: against 336/351 us, so the desk's check runs in turn.  No shape between
+#: 3,852 and 2^17 was measured.
 _SPLIT_WORK = 1 << 17
 
 
@@ -216,6 +223,12 @@ def _beside(job):
     if exc is not None:
         raise exc
     return first, second
+
+
+def _pair(job, work: int):
+    """``(job(0), job(1))``: side by side (``_beside``) where ``_split(work)``
+    holds, otherwise in turn, ``job(0)`` first."""
+    return _beside(job) if _split(work) else (job(0), job(1))
 
 
 def _factor(a: np.ndarray):
@@ -355,11 +368,7 @@ def min_norm_solve_rows(T: BCMatrix, y: np.ndarray, tol: float = 1e-10) -> Block
         np.matmul(x[i], T.m[i].T, out=res[i])
         res[i] -= y[i]
 
-    if _split(y.shape[1] * T.rows * T.cols):
-        _beside(solve)
-    else:
-        solve(0)
-        solve(1)
+    _pair(solve, y.shape[1] * T.rows * T.cols)
     residual = dnorm_rows(res)
     ynorm = dnorm_rows(y)
     with np.errstate(over="ignore"):  # an overflowing tolerance is rejected here

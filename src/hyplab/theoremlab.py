@@ -796,9 +796,11 @@ def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
     the fixed part, the witness and the chain, share nothing but T's
     factors.  Where ``dop._split`` finds the check's solves worth it,
     (trials + ``OMT_SERIES_LEN`` + 2) rows per component, the fixed part runs
-    on the helper thread beside the fold (``dop._beside``); otherwise it runs
+    on the helper thread beside the fold (``dop._pair``); otherwise it runs
     after the fold.  Either way an error of the fold is raised first, and the
-    report's bits are the same.
+    report's bits are the same.  The split won at the four shapes
+    ``dop._SPLIT_WORK``'s comment lists above the gate and lost at the desk's
+    3x6 with 200 trials below it; other shapes follow the gate unmeasured.
     """
     name = "omt-verify"
     weight = _admit(name, trials, max(T.rows, T.cols))  # a trial's draw or its preimage
@@ -851,8 +853,7 @@ def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
     # weighed as the check's solves per component: the trials, the chain's
     # OMT_SERIES_LEN + 1 rows and the witness; in turn, the fold goes first
     work = (trials + OMT_SERIES_LEN + 2) * rows * T.cols
-    both = dop._beside if dop._split(work) else lambda job: (job(0), job(1))
-    (res, margin, over), (ratio, witness_ok, subadd_ok) = both(part)
+    (res, margin, over), (ratio, witness_ok, subadd_ok) = dop._pair(part, work)
 
     return OpenMapReport(
         check=name,
