@@ -44,9 +44,10 @@ A check's parameters are the quantities of the statement it replays
 open-mapping series ``OMT_SERIES_LEN``/``OMT_BUDGET`` are module constants.
 
 The Zabreiko decomposition is sequential, so its steps run one vector at
-a time and are stacked into (2, steps, n) blocks once it stops; its budgets
-and its exact remainder chain are then judged over the whole blocks, and
-its trace holds ``Columns`` views of them.
+a time, its stop rule is judged once per chunk of steps, and the steps are
+stacked into (2, steps, n) blocks once it stops; its budgets and its exact
+remainder chain are then judged over the whole blocks, and its trace holds
+``Columns`` views of them.
 """
 
 from __future__ import annotations
@@ -438,6 +439,8 @@ class ZabreikoTrace(Report):
     ``epsilons`` holds eps_0, ..., eps_K with eps_0 = ||x||_D / r and
     eps_k = eps / (m 2^k); eps_{i+1} * r, the remainder budget, bounds
     ||u_{i+1}||_D and is not stored, as ``epsilons`` and ``r`` give it.
+    A term's zeros are +0.0 where its pitch is positive, so a remainder
+    coordinate is -0.0 only where that coordinate of x is.
     """
 
     check: str
@@ -477,23 +480,20 @@ _MAX_STEPS = 2099
 #: per component: float64 machine epsilon, 2^-52.
 _ROUNDOFF = 2.0**-52
 
+#: The stop rule is judged once per chunk of this many steps.
+_CHUNK_STEPS = 16
+
 
 def _grid(v: np.ndarray, pitch) -> np.ndarray:
-    """Real and imaginary parts rounded to multiples of ``pitch``.
-
-    ``np.rint`` is what ``np.round`` calls for zero decimals, minus the
-    dispatch.
-    """
-    return np.rint(v.real / pitch) * pitch + 1j * (np.rint(v.imag / pitch) * pitch)
+    """Each real of the float view ``v`` rounded to a multiple of its row's
+    positive ``pitch``; adding 0.0 turns ``rint``'s -0.0 into +0.0."""
+    return np.rint(v / pitch) * pitch + 0.0
 
 
 def _quantize(v: np.ndarray, pitch: np.ndarray) -> np.ndarray:
-    """Round each row of ``v`` to the grid of its pitch, a (2, 1) column.
-
-    Pitches are never negative; a row whose pitch is zero is copied exactly.
-    """
-    if all(pitch.ravel().tolist()):
-        return _grid(v, pitch)
+    """Round each row of the float view ``v`` to the grid of its pitch, a
+    (2, 1) column holding a zero: a row whose pitch is zero is copied exactly,
+    zero signs included.  Pitches are never negative."""
     out = v.copy()
     live = pitch[:, 0] > 0.0
     out[live] = _grid(v[live], pitch[live])
@@ -556,8 +556,8 @@ def zabreiko_decompose(
     by step k ~ 52 + log2(eps r / (m ||x||_D)): the same step at every
     common scale of x, r, m and eps, as long as the l2 squares of the
     remainder's entries do not underflow.  A random x in the unit ball at
-    n=4 with r = 1 and eps = 1 stops after about 49 steps, and its trace is
-    ~33 KB of JSON (about 165 bytes per step and dimension).  Once eps_k
+    n=4 with r = 1 and eps = 1 stops after 47 to 49 steps, and its trace is
+    ~34 KB of JSON (about 170 to 180 bytes per step and dimension).  Once eps_k
     underflows, a zero pitch copies the remainder into the term and the next
     remainder is zero; eps/m is below 2^1024, so that is by step
     ``_MAX_STEPS`` = 2,099, and the schedule is computed once, for at most
@@ -565,10 +565,15 @@ def zabreiko_decompose(
     The final bound p(x) <= (m/r)||x||_D + eps is evaluated directly on x
     and does not depend on where the trace stops.
 
-    Each step quantizes, subtracts and keeps the remainder's norm, which
-    decides termination; the budgets p(x_k) <= eps_{k-1} m and ||u_k||_D <=
-    eps_k r and the exact chain u_k = u_{k-1} - x_k are then judged once
-    over the stacked (2, steps, n) blocks.
+    Each step is one grid op on the remainder's float view,
+    ``rint(u / pitch) * pitch + 0.0``, so each zero of a term is +0.0 (a zero
+    pitch copies the remainder), and one subtraction.  The stop rule is
+    judged once per ``_CHUNK_STEPS`` steps, by one norm call over their
+    stacked remainders, and cuts the trace at the first step that meets it
+    or whose norm is not finite; the steps computed past the cut leave no
+    block, norm or warning.  The budgets p(x_k) <= eps_{k-1} m and
+    ||u_k||_D <= eps_k r and the exact chain u_k = u_{k-1} - x_k are then
+    judged once over the stacked (2, steps, n) blocks.
     """
     if max_n < 1:
         raise InvalidInput(f"max_n must be >= 1, got {max_n}")
@@ -595,40 +600,43 @@ def zabreiko_decompose(
     n = x.dim
     denom = 2.0 * math.sqrt(n)
     eps0 = _column(x_norm) / r
-    stop1, stop2 = _ROUNDOFF * x_norm.a1, _ROUNDOFF * x_norm.a2
+    stops = _ROUNDOFF * _column(x_norm)
     with np.errstate(over="ignore"):  # _schedule rejects an infinite ratio; an infinite budget is not coarse
         ratio = _column(eps) / _column(m)
         coarse = [f"e{i}: (eps/m)*r/2={b} <= 2^-52*||x||_D={s}"
-                  for i, b, s in zip((1, 2), (ratio[:, 0] / 2 * r).tolist(), (stop1, stop2)) if 0 < s and b <= s]
+                  for i, b, s in zip((1, 2), (ratio[:, 0] / 2 * r).tolist(), stops[:, 0].tolist()) if 0 < s and b <= s]
     if coarse:
         raise PreconditionViolated(
             "first remainder budget below the float64 spacing of x, so no grid step can meet it ("
             + "; ".join(coarse) + ")")
 
     epsilons, pitches = _schedule(eps0, ratio, r, denom, min(max_n, _MAX_STEPS))
-    done = []  # each step's term, remainder and remainder norms
-    u = x.v
-    capped = True
-    # a step that overflows ends the loop and is rejected below, so numpy's
-    # warnings about it are silenced
+    whole = pitches.all(axis=(1, 2)).tolist()  # the steps with no zero pitch
+    terms, rems, uns = [], [], []  # the terms and remainders per step, their norms per chunk
+    u = x.v.view(float)
+    # a step that overflows ends the trace and is rejected below, and steps
+    # past a chunk's cut are dropped, so numpy's warnings about them are silenced
     with np.errstate(over="ignore", invalid="ignore"):
-        for pitch in pitches:
-            xk = _quantize(u, pitch)
-            u = u - xk
-            un = _component_norms(u)
-            done.append((xk, u, un))
-            un1, un2 = un.tolist()
-            if not (math.isfinite(un1) and math.isfinite(un2)):
-                break  # a non-finite remainder, rejected below
-            if un1 <= stop1 and un2 <= stop2:
-                capped = False
+        for start in range(0, len(pitches), _CHUNK_STEPS):
+            for k in range(start, min(start + _CHUNK_STEPS, len(pitches))):
+                xk = _grid(u, pitches[k]) if whole[k] else _quantize(u, pitches[k])
+                u = u - xk
+                terms.append(xk)
+                rems.append(u)
+            un = _component_norms(np.array(rems[start:]).view(complex).swapaxes(0, 1))
+            # cut at the first non-finite remainder norm, rejected below, or
+            # at the first remainder within roundoff of x
+            cut = np.flatnonzero((un <= stops).all(axis=0) | ~np.isfinite(un).all(axis=0))
+            uns.append(un[:, : cut[0] + 1] if cut.size else un)
+            if cut.size:
                 break
+    capped = not cut.size
 
-    steps = len(done)
-    # one np.array per list, axes swapped: 15 us against np.stack's 37 at 49 steps of dim 4
-    terms, rems, uns = (np.array(block).swapaxes(0, 1) for block in zip(*done))
+    uns = np.concatenate(uns, axis=1)
+    steps = uns.shape[1]
+    terms, rems = (np.array(b[:steps]).swapaxes(0, 1).view(complex) for b in (terms, rems))
     epsilons = epsilons[:, : steps + 1]
-    # the loop stops at the first non-finite remainder norm, so only the last
+    # the trace stops at the first non-finite remainder norm, so only the last
     # step's term, remainder and norms can be non-finite
     for what, v in (("the term x_k", terms[:, -1]), ("the remainder u_k", rems[:, -1]), ("||u_k||_D", uns[:, -1])):
         if not np.isfinite(v).all():

@@ -23,9 +23,10 @@ bits or raise the same error.  ``oracle_ubp`` is the uniform boundedness
 check with one norm report and one block product per family member; the
 stacked ``ubp_verify`` must give the same report.  ``one_matrix_svd`` is the
 thin SVD of one matrix in the orientation the library factors it.
-``_split_on`` and ``_one_thread`` steer ``dop._split`` to its two routes,
-``_counting_splits`` records each ``dop._beside`` job and ``_helpers`` lists
-the helper threads.
+``desk_zabreiko_instance`` draws the Zabreiko problem of one op of the
+benchmark's ``checks-desk`` battery.  ``_split_on`` and ``_one_thread``
+steer ``dop._split`` to its two routes, ``_counting_splits`` records each
+``dop._beside`` job and ``_helpers`` lists the helper threads.
 """
 
 from __future__ import annotations
@@ -243,9 +244,14 @@ def oracle_digest(obj) -> str:
 
 
 def _oracle_quantize(v: np.ndarray, pitch: float) -> np.ndarray:
+    """One component's real and imaginary parts rounded to the grid of
+    ``pitch``, each zero +0.0; a zero pitch copies the component exactly."""
     if pitch <= 0.0:
         return v.copy()
-    return np.round(v.real / pitch) * pitch + 1j * (np.round(v.imag / pitch) * pitch)
+    out = np.empty_like(v)
+    out.real = np.round(v.real / pitch) * pitch + 0.0
+    out.imag = np.round(v.imag / pitch) * pitch + 0.0
+    return out
 
 
 def _vector_json(v: BCVector) -> dict:
@@ -329,6 +335,23 @@ def oracle_zabreiko(p, x: BCVector, m: DPlus, r: float, eps: DPlus, max_n: int) 
         "worst_remainder_margin": [worst_rem.a1, worst_rem.a2],
         "pass": all(checks.values()),
     }
+
+
+def desk_zabreiko_instance(key: int, seed: int = 9091):
+    """The Zabreiko problem (p, x, m) of op ``key`` of the ``checks-desk``
+    benchmark battery at ``seed``, drawn in the battery's order; it runs at
+    r = 1, eps = (1, 1) and max_n = 1000."""
+    rng = np.random.default_rng([seed % (1 << 63), 2, 0, key])
+
+    def cvec(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    T = BCMatrix(cvec(4, 4), cvec(4, 4))
+    rng.uniform(0.9, 0.95, 2), rng.uniform(0, 2 * np.pi, 2), cvec(4), cvec(4)  # the battery's series
+    x = BCVector(cvec(4), cvec(4))
+    x = x.scale(0.9 / max(np.linalg.norm(x.v1), np.linalg.norm(x.v2)))
+    s1, s2 = (np.linalg.svd(c, compute_uv=False)[0] for c in (T.m1, T.m2))
+    return DSeminorm(T), x, DPlus(2.5 * s1, 2.5 * s2)
 
 
 def oracle_series_sum(terms, tol, max_n: int) -> SeriesReport:

@@ -1,9 +1,9 @@
 """Byte-level pins of emission, of the Zabreiko trace and of series sums.
 
 ``dumps`` is one call of the standard library's JSON encoder;
-``zabreiko_decompose`` runs its steps on blocks; ``series_sum``,
-``abs_summability_check`` and ``countable_subadd_check`` pull their terms in
-chunks and sum them as blocks.  Each must print, or raise, exactly what the
+``zabreiko_decompose`` judges its stop rule once per chunk of steps;
+``series_sum``, ``abs_summability_check`` and ``countable_subadd_check``
+pull their terms in chunks and sum them as blocks.  Each must print, or raise, exactly what the
 one-value-at-a-time references in ``support`` do.
 """
 
@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyplab.cli as cli
+import hyplab.theoremlab as theoremlab
 from hyplab import (
     BCMatrix,
     BCVector,
@@ -41,10 +42,11 @@ from hyplab import (
 )
 from hyplab.dmodule import _within, _worst, dnorm_rows
 from hyplab.jsonio import dumps, parse_vector
-from hyplab.theoremlab import _MAX_STEPS, _schedule
+from hyplab.theoremlab import _CHUNK_STEPS, _MAX_STEPS, _schedule
 
 from support import (
-    oracle_abs_summability, oracle_dumps, oracle_series_sum, oracle_subadd, oracle_zabreiko, random_mat, random_vec,
+    desk_zabreiko_instance, oracle_abs_summability, oracle_dumps, oracle_series_sum, oracle_subadd, oracle_zabreiko,
+    random_mat, random_vec,
 )
 
 # ------------------------------------------------------------------ dumps
@@ -143,9 +145,13 @@ def _instance(n: int):
     return DSeminorm(T), x, m
 
 
+#: the step counts around the chunks in which the stop rule is judged
+CHUNK_EDGES = [_CHUNK_STEPS - 1, _CHUNK_STEPS, _CHUNK_STEPS + 1, 2 * _CHUNK_STEPS]
+
 CASES = {
     "cap1": lambda x: (x, DPlus(1.0, 1.0), 1),
     "cap7": lambda x: (x, DPlus(1.0, 1.0), 7),
+    **{f"cap{c}": lambda x, c=c: (x, DPlus(1.0, 1.0), c) for c in CHUNK_EDGES},
     "uncapped": lambda x: (x, DPlus(1.0, 1.0), 1000),
     "zero": lambda x: (BCVector.zeros(x.dim), DPlus(1.0, 1.0), 50),
     "zero-eps1e-300": lambda x: (BCVector.zeros(x.dim), DPlus(1e-300, 1e-300), 1000),
@@ -184,6 +190,8 @@ def test_trace_bytes_match_step_loop(case, n):
     assert len(trace.epsilons) == trace.n_steps + 1
     if case == "uncapped":
         assert not trace.capped and trace.n_steps < max_n
+    if case.startswith("cap"):
+        assert trace.capped and trace.n_steps == max_n
     if case in LONG_CASES:
         assert (trace.n_steps, trace.capped) == (min(max_n, LONG_STEPS), max_n < LONG_STEPS)
 
@@ -307,6 +315,99 @@ def test_trace_blocks_are_read_only():
     assert not np.shares_memory(first.v1, trace.x_terms.array)
     assert trace.x_terms[-1].v2.tolist() == trace.x_terms.array[1, -1].tolist()
     assert [e.a1 for e in trace.epsilons[:2]] == trace.epsilons.array[0, :2].tolist()
+
+
+def _eps_stopping_at(steps: int) -> DPlus:
+    # eps = 2^(-j/8) moves _instance(4)'s stop step by about one step per 8
+    # values of j, so every step count from 1 to 48 is met
+    p, x, m = _instance(4)
+    for j in range(400):
+        eps = DPlus(2.0 ** (-j / 8), 2.0 ** (-j / 8))
+        trace = zabreiko_decompose(p, x, m, 1.0, eps, 1000)
+        if trace.n_steps == steps and not trace.capped:
+            return eps
+    raise AssertionError(f"no eps stops _instance(4) at step {steps}")
+
+
+def test_trace_with_a_zero_component_copies_it_at_zero_pitch():
+    # ||x||_D is 0 in e1, so e1's first pitch is 0 and the step copies it,
+    # signed zeros included, while e2 is rounded to its grid
+    p, x, m = _instance(4)
+    x = BCVector([-0.0, 0.0, complex(0.0, -0.0), -0.0], x.v2)
+    trace = zabreiko_decompose(p, x, m, 1.0, DPlus(1.0, 1.0), 1000)
+    assert dumps(trace.to_json_dict()) == oracle_dumps(oracle_zabreiko(p, x, m, 1.0, DPlus(1.0, 1.0), 1000))
+    assert not trace.capped and trace.n_steps > 1
+    assert np.signbit(trace.x_terms.array[0, 0].view(float)).tolist() == np.signbit(x.v1.view(float)).tolist()
+    assert not np.signbit(trace.remainders.array[0].view(float)).any()
+
+
+def test_a_non_finite_step_inside_a_chunk_is_rejected_at_its_step(recwarn):
+    # step 2's pitch overflows, so its term is not finite; the steps computed
+    # after it in the same chunk leave no warning and are not named
+    p = DSeminorm(BCMatrix(np.eye(4) * 1e-300, np.eye(4) * 1e-300))
+    x = BCVector([0.5, -0.3, 0.1, 0.2], [-0.2, 0.3, 0.5, -0.1])
+    want = "the term x_k is not finite at step 2, quantized at pitch eps'_k r / (2 sqrt(n)) = (inf, inf)"
+    assert 2 < _CHUNK_STEPS
+    with pytest.raises(InvalidInput) as info:
+        zabreiko_decompose(p, x, DPlus(10.0, 10.0), 1e300, DPlus(1e300, 1e300), 1000)
+    assert str(info.value) == want
+    assert not recwarn.list
+
+
+def _counted_norms(monkeypatch) -> list:
+    calls = []
+    norms = theoremlab._component_norms
+
+    def counted(b):
+        calls.append(b.shape)
+        return norms(b)
+
+    monkeypatch.setattr(theoremlab, "_component_norms", counted)
+    return calls
+
+
+@pytest.mark.parametrize("steps", [1, *CHUNK_EDGES, 47])
+def test_trace_stopping_at_a_chunk_edge_takes_one_norm_call_per_chunk(monkeypatch, steps):
+    p, x, m = _instance(4)
+    eps = _eps_stopping_at(steps)
+    calls = _counted_norms(monkeypatch)
+    trace = zabreiko_decompose(p, x, m, 1.0, eps, 1000)
+    assert (trace.n_steps, trace.capped) == (steps, False)
+    assert len(calls) == -(-steps // _CHUNK_STEPS)
+    assert all(shape[:2] == (2, _CHUNK_STEPS) for shape in calls[:-1])
+    if steps == 47:
+        assert len(calls) <= 3
+    assert dumps(trace.to_json_dict()) == oracle_dumps(oracle_zabreiko(p, x, m, 1.0, eps, 1000))
+
+
+def _sign_cases():
+    for key in range(5, 45):
+        yield f"desk-{key}", (*desk_zabreiko_instance(key), 1.0, DPlus(1.0, 1.0), 1000)
+    # the CI's 49-step trace of the identity
+    x4 = BCVector([0.5 + 0.1j, -0.3 + 0.2j, 0.1 - 0.4j, 0.2 + 0.3j], [-0.2 + 0.4j, 0.3 + 0.1j, 0.5 - 0.1j, -0.1 + 0.2j])
+    yield "ci-49", (DSeminorm(BCMatrix.identity(4)), x4, DPlus(3.0, 3.0), 1.0, DPlus(1.0, 1.0), 1000)
+    yield "long", (*_long_instance(), 10**12)
+    # a negative zero in x stays in every remainder, as no term moves it
+    xz = BCVector([0.5 + 0.1j, complex(-0.0, 0.2), -0.0, 0.2 + 0.3j], [-0.2 + 0.4j, 0.3 + 0.1j, 0.5 - 0.1j, -0.1 + 0.2j])
+    yield "x-with-negative-zeros", (DSeminorm(BCMatrix.identity(4)), xz, DPlus(3.0, 3.0), 1.0, DPlus(1.0, 1.0), 1000)
+
+
+def test_term_zeros_are_positive_and_remainder_zeros_keep_the_sign_of_x():
+    steps = {}
+    for name, (p, x, m, r, eps, max_n) in _sign_cases():
+        trace = zabreiko_decompose(p, x, m, r, eps, max_n)
+        steps[name] = trace.n_steps
+        e = trace.epsilons.array
+        pitch = np.minimum(e[:, 1:], e[:, :-1]) * r / (2.0 * math.sqrt(x.dim))
+        terms, rems = trace.x_terms.array.view(float), trace.remainders.array.view(float)
+        live = (pitch > 0.0)[:, :, None]
+        assert not (np.signbit(terms) & (terms == 0) & live).any(), name
+        negative_zero = np.signbit(rems) & (rems == 0)
+        xv = x.v.view(float)
+        assert not (negative_zero & ~np.signbit(xv)[:, None]).any(), name
+        if name == "x-with-negative-zeros":
+            assert (negative_zero == (np.signbit(xv) & (xv == 0))[:, None]).all()
+    assert (steps["ci-49"], steps["long"]) == (49, LONG_STEPS)
 
 
 # ----------------------------------------------------------------- series
