@@ -16,9 +16,7 @@ read-only and with the same leading axis, with the operator.  Where
 ``_split`` finds it worth it, a kernel runs component 1 on the process's
 one waiting helper thread beside component 0 (``_beside``): the SVD as two
 calls, the block solve as two product chains; otherwise the SVD is one call
-over the stack and the chains run in turn (``_pair`` picks the route for
-both chains).  ``theoremlab.open_mapping_verify`` splits through ``_pair``
-too, its sampled fold here and its fixed solves on the helper.
+over the stack and the chains run in turn.
 Each matrix gets the same LAPACK and BLAS calls either way, so the bits do
 not depend on the route.
 A wide family (rows < cols) is factored through its transpose: LAPACK's
@@ -121,26 +119,15 @@ class BCMatrix:
         return f"BCMatrix(rows={self.rows}, cols={self.cols})"
 
 
-#: Work per component from which work splits, one constant for its three
+#: Work per component from which work splits, one constant for its two
 #: users: k*m*n*min(m, n) for the SVD of k (m, n) matrices, k*rows*cols for a
-#: solve of k rows and for omt-verify's check, whose solves total k rows.
-#: After 1-3 ms of Python, as in a check (median/90th percentile, one BLAS
-#: thread, 2-CPU Xeon), the split solve broke even at 2^16.6 (12 rows at
-#: 64x128: 103/147 us against 104/110), won the median at 2^17 (16 rows:
-#: 110/154 against 127/136) and both at 2^18 (32 rows: 151/194 against 197/209).
-#: The split SVD won the median from 2^13.3 (20 8x8 matrices, as ubp reads:
-#: 225 against 307 us), not always the 90th percentile below 2^17.
-#: omt-verify weighs (trials + 14) rows.  After about 1 ms of Python (one
-#: BLAS thread, 2-CPU AMD EPYC; min/median/90th percentile of 150 checks on
-#: a factored operator) the split check took 750/1020/1114 us against
-#: 977/1141/1196 in turn at 64x128 and 100 trials (933,888), 438/454/556
-#: against 594/603/624 at 16x32 and 300 trials (160,768), 2912/2940/2968
-#: against 3100/3117/3217 at 3x6 and 10,000 trials (180,252, 15 checks), and
-#: 1319/1359/1408 against 1628/1662/1699 at 128x192 and 100 trials, where the
-#: chain's own 13-row solve reaches the gate and runs inline on the helper.
-#: At 3x6 and 200 trials (3,852) a forced split took 365/464 us (min/median)
-#: against 336/351 us, so the desk's check runs in turn.  No shape between
-#: 3,852 and 2^17 was measured.
+#: solve of k rows.  After 1-3 ms of Python, as in a check (median/90th
+#: percentile, one BLAS thread, 2-CPU Xeon), the split solve broke even at
+#: 2^16.6 (12 rows at 64x128: 103/147 us against 104/110), won the median at
+#: 2^17 (16 rows: 110/154 against 127/136) and both at 2^18 (32 rows: 151/194
+#: against 197/209).  The split SVD won the median from 2^13.3 (20 8x8
+#: matrices, as ubp reads: 225 against 307 us), not always the 90th
+#: percentile below 2^17.
 _SPLIT_WORK = 1 << 17
 
 
@@ -223,12 +210,6 @@ def _beside(job):
     if exc is not None:
         raise exc
     return first, second
-
-
-def _pair(job, work: int):
-    """``(job(0), job(1))``: side by side (``_beside``) where ``_split(work)``
-    holds, otherwise in turn, ``job(0)`` first."""
-    return _beside(job) if _split(work) else (job(0), job(1))
 
 
 def _factor(a: np.ndarray):
@@ -333,20 +314,24 @@ class BlockSolve(Record):
     _fields = ("x", "qy", "residual", "tol", "ynorm")
 
 
-def min_norm_solve_rows(T: BCMatrix, y: np.ndarray, tol: float = 1e-10) -> BlockSolve:
+def min_norm_solve_rows(T: BCMatrix, y: np.ndarray, tol: float | np.ndarray = 1e-10) -> BlockSolve:
     """Per-component minimum-norm solutions for every row of a (2, k, rows) block.
 
     The equation and the norm both decouple over the idempotents, so each
     bicomplex minimum-norm solution is a pair of complex ones, read off the
     operator's cached SVD with one product chain per component: the ranks,
     and so the chains' shapes, may differ.  Raises ``NotInRange`` for the
-    first row whose residual exceeds ``tol * ||y_i||`` in either component,
-    so a zero right-hand side needs a zero residual; ``tol`` itself must be
-    finite and positive.
+    first row whose residual exceeds ``tol_i * ||y_i||`` in either component,
+    so a zero right-hand side needs a zero residual.  ``tol`` is one number
+    for every row or a (k,) array of one per row; each must be finite and
+    positive.
     """
-    _check_tol(tol)
+    for t in np.ravel(tol).tolist():
+        _check_tol(t)
     if check_block(y).shape[-1] != T.rows:
         raise DimensionMismatch(f"operator has {T.rows} rows, vector has dim {y.shape[-1]}")
+    if np.ndim(tol) and np.shape(tol) != y.shape[1:2]:
+        raise DimensionMismatch(f"{y.shape[1]} rows take one tol or one per row, got {np.shape(tol)}")
     factors = T.svd()
     x = np.empty((*y.shape[:-1], T.cols), dtype=complex)
     res = np.empty_like(y, dtype=complex)
@@ -368,7 +353,11 @@ def min_norm_solve_rows(T: BCMatrix, y: np.ndarray, tol: float = 1e-10) -> Block
         np.matmul(x[i], T.m[i].T, out=res[i])
         res[i] -= y[i]
 
-    _pair(solve, y.shape[1] * T.rows * T.cols)
+    if _split(y.shape[1] * T.rows * T.cols):
+        _beside(solve)
+    else:
+        solve(0)
+        solve(1)
     residual = dnorm_rows(res)
     ynorm = dnorm_rows(y)
     with np.errstate(over="ignore"):  # an overflowing tolerance is rejected here

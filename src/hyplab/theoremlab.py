@@ -30,13 +30,15 @@ rows, and the first k rows are the same for every sample count >= k.
 The sampled checks are evaluated in blocks: a (2, k, n) array whose
 leading axis is the idempotent component and whose [:, i] is the vector of
 row i.  ``_admit`` weighs the sample count first, then ``_fold`` draws the
-rows one chunk at a time, witnesses first, and its judge applies every
+rows one chunk at a time, fixed rows first, and its judge applies every
 operator to a chunk with one stacked matrix product, or one block solve on
 the operator's cached SVD; verdicts and worst margins are maxima over the
-chunks, so memory does not grow with the sample count.  Every inequality is
-judged through ``dmodule._within``, the one verdict rule, whose slack is
-relative to the values compared, so verdicts do not depend on the
-operator's scale; a norm or bound that overflows is rejected as
+chunks, so memory does not grow with the sample count.  The fixed rows are
+witnesses, and for ``open_mapping_verify`` also the series chain, so each of
+its right-hand sides is solved in one block solve per chunk.  Every
+inequality is judged through ``dmodule._within``, the one verdict rule,
+whose slack is relative to the values compared, so verdicts do not depend
+on the operator's scale; a norm or bound that overflows is rejected as
 ``InvalidInput``, never compared.
 A check's parameters are the quantities of the statement it replays
 (operators, radii, bounds, sample counts, seeds); the slacks
@@ -57,7 +59,6 @@ import zlib
 
 import numpy as np
 
-from . import dop
 from .dmodule import (
     CHECK_SLACK,
     BCVector,
@@ -511,21 +512,19 @@ def _finite_steps(v: np.ndarray, what: str, first: int = 0) -> np.ndarray:
 
 
 def _schedule(
-    eps0: np.ndarray, ratio: np.ndarray, r: float, denom: float, steps: int
+    prev: np.ndarray, ratio: np.ndarray, r: float, denom: float, steps: int, start: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The epsilons eps_0, ..., eps_steps and the pitch of every step.
+    """The epsilons eps_start, ..., eps_(start+steps) and the pitches of the
+    ``steps`` steps after step ``start``.
 
-    eps_k = ratio 2^-k for k >= 1, as a (2, steps + 1) array.  Step k
-    quantizes at eps'_k r / denom with eps'_k = min(eps_k, eps_{k-1}); the
-    pitches come as a (steps, 2, 1) array, one column per step.
+    eps_k = ratio 2^-k for k >= 1, and ``prev`` is eps_start as a (2, 1)
+    column, the first of the (2, steps + 1) array.  Step k quantizes at
+    eps'_k r / denom with eps'_k = min(eps_k, eps_{k-1}); the pitches come as
+    a (steps, 2, 1) array, one column per step.
     """
-    halvings = np.ldexp(ratio, -np.arange(1, steps + 1))
-    epsilons = _finite_steps(np.concatenate((eps0, halvings), axis=1), "eps_k = (eps/m) 2^-k")
-    clamp = np.minimum(epsilons[:, 1:], epsilons[:, :-1])
-    # a pitch that overflows gives a non-finite term, rejected when it is
-    # reached; steps past the end of the trace are never reached
-    with np.errstate(over="ignore"):
-        pitches = clamp * r / denom
+    halvings = np.ldexp(ratio, -np.arange(start + 1, start + steps + 1))
+    epsilons = _finite_steps(np.concatenate((prev, halvings), axis=1), "eps_k = (eps/m) 2^-k", start)
+    pitches = np.minimum(epsilons[:, 1:], epsilons[:, :-1]) * r / denom
     return epsilons, pitches.T[:, :, None]
 
 
@@ -560,8 +559,9 @@ def zabreiko_decompose(
     ~34 KB of JSON (about 170 to 180 bytes per step and dimension).  Once eps_k
     underflows, a zero pitch copies the remainder into the term and the next
     remainder is zero; eps/m is below 2^1024, so that is by step
-    ``_MAX_STEPS`` = 2,099, and the schedule is computed once, for at most
-    that many steps: memory and output grow with steps * n, not with ``max_n``.
+    ``_MAX_STEPS`` = 2,099.  The schedule is built one ``_CHUNK_STEPS`` chunk
+    at a time, as the loop reaches it, so memory and output grow with
+    steps * n, not with ``max_n``.
     The final bound p(x) <= (m/r)||x||_D + eps is evaluated directly on x
     and does not depend on where the trace stops.
 
@@ -610,16 +610,20 @@ def zabreiko_decompose(
             "first remainder budget below the float64 spacing of x, so no grid step can meet it ("
             + "; ".join(coarse) + ")")
 
-    epsilons, pitches = _schedule(eps0, ratio, r, denom, min(max_n, _MAX_STEPS))
-    whole = pitches.all(axis=(1, 2)).tolist()  # the steps with no zero pitch
+    last = min(max_n, _MAX_STEPS)
+    epsilons, pitches = [eps0], []  # the schedule per chunk, built as the loop reaches it
     terms, rems, uns = [], [], []  # the terms and remainders per step, their norms per chunk
     u = x.v.view(float)
-    # a step that overflows ends the trace and is rejected below, and steps
-    # past a chunk's cut are dropped, so numpy's warnings about them are silenced
+    # a pitch or step that overflows ends the trace and is rejected below, and
+    # steps past a chunk's cut are dropped, so numpy's warnings about them are silenced
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(pitches), _CHUNK_STEPS):
-            for k in range(start, min(start + _CHUNK_STEPS, len(pitches))):
-                xk = _grid(u, pitches[k]) if whole[k] else _quantize(u, pitches[k])
+        for start in range(0, last, _CHUNK_STEPS):
+            eps_k, pitch = _schedule(epsilons[-1][:, -1:], ratio, r, denom, min(_CHUNK_STEPS, last - start), start)
+            epsilons.append(eps_k[:, 1:])
+            pitches.append(pitch)
+            # a step with no zero pitch is one grid op
+            for p_k, whole in zip(pitch, pitch.all(axis=(1, 2)).tolist()):
+                xk = _grid(u, p_k) if whole else _quantize(u, p_k)
                 u = u - xk
                 terms.append(xk)
                 rems.append(u)
@@ -635,12 +639,12 @@ def zabreiko_decompose(
     uns = np.concatenate(uns, axis=1)
     steps = uns.shape[1]
     terms, rems = (np.array(b[:steps]).swapaxes(0, 1).view(complex) for b in (terms, rems))
-    epsilons = epsilons[:, : steps + 1]
+    epsilons = np.concatenate(epsilons, axis=1)[:, : steps + 1]
     # the trace stops at the first non-finite remainder norm, so only the last
     # step's term, remainder and norms can be non-finite
     for what, v in (("the term x_k", terms[:, -1]), ("the remainder u_k", rems[:, -1]), ("||u_k||_D", uns[:, -1])):
         if not np.isfinite(v).all():
-            p1, p2 = pitches[steps - 1, :, 0].tolist()
+            p1, p2 = pitches[-1][(steps - 1) % _CHUNK_STEPS, :, 0].tolist()
             raise InvalidInput(
                 f"{what} is not finite at step {steps}, quantized at pitch eps'_k r / (2 sqrt(n)) = ({p1}, {p2})")
 
@@ -800,68 +804,66 @@ def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
     sum ||x_k||_D <= sum q(y_k) + eps hold by construction and are not
     compared.
 
-    Once ``open_mapping_delta`` has factored T, the fold over the trials and
-    the fixed part, the witness and the chain, share nothing but T's
-    factors.  Where ``dop._split`` finds the check's solves worth it,
-    (trials + ``OMT_SERIES_LEN`` + 2) rows per component, the fixed part runs
-    on the helper thread beside the fold (``dop._pair``); otherwise it runs
-    after the fold.  Either way an error of the fold is raised first, and the
-    report's bits are the same.  The split won at the four shapes
-    ``dop._SPLIT_WORK``'s comment lists above the gate and lost at the desk's
-    3x6 with 200 trials below it; other shapes follow the gate unmeasured.
+    Every right-hand side is solved by the fold's one block solve per chunk:
+    the witness row and the chain's ``OMT_SERIES_LEN`` + 1 rows lead the
+    trials in the first chunk, so a ``NotInRange`` names the first failing
+    row in the order witness, chain, trials.  The witness ratio and the
+    chain verdicts are read from that chunk's solve; ``judge`` judges the
+    trial rows alone.  Where ``dop._split`` finds a chunk's solve worth it,
+    its component-1 product chain runs on the helper thread, and the bits
+    are the same either way.
     """
     name = "omt-verify"
     weight = _admit(name, trials, max(T.rows, T.cols))  # a trial's draw or its preimage
     delta = open_mapping_delta(T)  # raises NotSurjective
     rows = T.rows
 
+    # minimality witness: the left singular vectors of the smallest singular
+    # values reach the constant (T is surjective, so rows <= cols); its residual
+    # stayed below 0.7 * 2^-52 * kappa up to kappa 1e9: 8 leaves 10x
+    u, s, _ = T.svd()
+    kappa = float((s[:, 0] / s[:, -1]).max())
+    yw = u[:, :, rows - 1 :].mT
+
+    # quotient-seminorm budget chain over the generated convergent series
+    # y_k = 2^-(k-1) y_0, k = 1..OMT_SERIES_LEN, and its sum, in series order
+    # from zero (adding +0.0 restores the zero start)
+    z = check_stream(seed, name + "/series").standard_normal((1, 4 * rows))
+    y0 = BCVector(*_sample_rows(z, rows)[:, 0])
+    ny0 = vec_dnorm(y0)
+    y0 = y0.scale(1.0 / max(ny0.a1, ny0.a2))
+    ys = y0.v[:, None] * (0.5 ** np.arange(OMT_SERIES_LEN))[:, None]
+    y_sum = BCVector(*(np.cumsum(ys, axis=1)[:, -1] + 0.0))
+    lead = np.concatenate((yw, ys, y_sum.v[:, None]), axis=1)
+    skip = lead.shape[1]
+    first = []  # the first chunk's solve, which holds the lead rows
+
     def judge(y, a):  # T x_i = y_i with x_i of least norm, one block solve per chunk
-        sol = min_norm_solve_rows(T, y, tol=CHECK_SLACK)
-        rhs = require_finite(_column(delta) * sol.ynorm)
-        return sol.residual, sol.qy - rhs, ~_within(sol.qy, rhs)
+        if a:
+            sol, cut = min_norm_solve_rows(T, y, CHECK_SLACK), 0
+        else:  # the lead rows first, the witness with its kappa-scaled rule
+            tol = np.full(y.shape[1], CHECK_SLACK)
+            tol[0] = max(CHECK_SLACK, 8 * np.finfo(float).eps * kappa)
+            sol, cut = min_norm_solve_rows(T, y, tol), skip
+            first.append(sol)
+        qy, rhs = sol.qy[:, cut:], require_finite(_column(delta) * sol.ynorm[:, cut:])
+        return sol.residual[:, cut:], qy - rhs, ~_within(qy, rhs)
 
-    def fixed():
-        """The witness ratio and verdict and the chain verdict; T is already factored."""
-        # minimality witness: the left singular vectors of the smallest
-        # singular values reach the constant (T is surjective, so rows <= cols)
-        # (its residual stayed below 0.7 * 2^-52 * kappa up to kappa 1e9: 8 leaves 10x)
-        u, s, _ = T.svd()
-        kappa = float((s[:, 0] / s[:, -1]).max())
-        yw = BCVector(*u[:, :, rows - 1])
-        wit = min_norm_solve_rows(T, yw.v[:, None], tol=max(CHECK_SLACK, 8 * np.finfo(float).eps * kappa))
-        ratio = DPlus(*(wit.qy[:, 0] / wit.ynorm[:, 0]).tolist())
+    res, margin, over = _fold(seed, name, trials, rows, judge, weight, lead)
 
-        # quotient-seminorm budget chain over the generated convergent series
-        # y_k = 2^-(k-1) y_0, k = 1..OMT_SERIES_LEN, and its sum, in series order
-        # from zero (adding +0.0 restores the zero start), solved as one block
-        z = check_stream(seed, name + "/series").standard_normal((1, 4 * rows))
-        y0 = BCVector(*_sample_rows(z, rows)[:, 0])
-        ny0 = vec_dnorm(y0)
-        y0 = y0.scale(1.0 / max(ny0.a1, ny0.a2))
-        ys = y0.v[:, None] * (0.5 ** np.arange(OMT_SERIES_LEN))[:, None]
-        y_sum = BCVector(*(np.cumsum(ys, axis=1)[:, -1] + 0.0))
-        chain = min_norm_solve_rows(T, np.concatenate((ys, y_sum.v[:, None]), axis=1), tol=CHECK_SLACK)
-
-        x_sum = BCVector(*(np.cumsum(chain.x[:, :-1], axis=1)[:, -1] + 0.0))
-        sum_q = Hyperbolic(*np.cumsum(chain.qy[:, :-1], axis=1)[:, -1].tolist())
-        q_sum = DPlus(*chain.qy[:, -1].tolist())
-        nx_sum = vec_dnorm(x_sum)
-        residual = vec_dnorm(mat_apply(T, x_sum) - y_sum)
-        subadd_ok = (
-            _holds(residual, DPlus(0.0, 0.0), CHAIN_SLACK, chain.ynorm[:, -1])
-            and _holds(q_sum, nx_sum, CHAIN_SLACK)
-            and _holds(nx_sum, sum_q, CHAIN_SLACK)
-            and _holds(q_sum, sum_q + OMT_BUDGET, CHAIN_SLACK)
-        )
-        return ratio, hyp_leq((1.0 - WITNESS_SHRINK) * delta, ratio), subadd_ok
-
-    def part(i):
-        return fixed() if i else _fold(seed, name, trials, rows, judge, weight)
-
-    # weighed as the check's solves per component: the trials, the chain's
-    # OMT_SERIES_LEN + 1 rows and the witness; in turn, the fold goes first
-    work = (trials + OMT_SERIES_LEN + 2) * rows * T.cols
-    (res, margin, over), (ratio, witness_ok, subadd_ok) = dop._pair(part, work)
+    (sol,) = first
+    ratio = DPlus(*(sol.qy[:, 0] / sol.ynorm[:, 0]).tolist())
+    x_sum = BCVector(*(np.cumsum(sol.x[:, 1 : skip - 1], axis=1)[:, -1] + 0.0))
+    sum_q = Hyperbolic(*np.cumsum(sol.qy[:, 1 : skip - 1], axis=1)[:, -1].tolist())
+    q_sum = DPlus(*sol.qy[:, skip - 1].tolist())
+    nx_sum = vec_dnorm(x_sum)
+    residual = vec_dnorm(mat_apply(T, x_sum) - y_sum)
+    subadd_ok = (
+        _holds(residual, DPlus(0.0, 0.0), CHAIN_SLACK, sol.ynorm[:, skip - 1])
+        and _holds(q_sum, nx_sum, CHAIN_SLACK)
+        and _holds(nx_sum, sum_q, CHAIN_SLACK)
+        and _holds(q_sum, sum_q + OMT_BUDGET, CHAIN_SLACK)
+    )
 
     return OpenMapReport(
         check=name,
@@ -872,7 +874,7 @@ def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
         # tolerance, so every solve that reached here is within it
         solve_ok=True,
         bound_ok=not over.any(),
-        witness_ok=witness_ok,
+        witness_ok=hyp_leq((1.0 - WITNESS_SHRINK) * delta, ratio),
         witness_ratio=ratio,
         subadd_ok=subadd_ok,
         worst_residual=DPlus(*np.maximum(0.0, res[:, 0]).tolist()),

@@ -380,6 +380,32 @@ def test_trace_stopping_at_a_chunk_edge_takes_one_norm_call_per_chunk(monkeypatc
     assert dumps(trace.to_json_dict()) == oracle_dumps(oracle_zabreiko(p, x, m, 1.0, eps, 1000))
 
 
+@pytest.mark.parametrize("case, steps", [("ci-49", 49), ("x-zero", 1), ("long", LONG_STEPS)])
+def test_the_schedule_is_built_one_chunk_at_a_time(monkeypatch, case, steps):
+    # the loop builds the epsilons and pitches of a chunk of steps when it
+    # reaches that chunk, so a trace builds no more than its chunks' steps,
+    # not min(max_n, 2099): 64 for a 49-step trace of max_n 1000, 16 for x = 0
+    x4 = BCVector([0.5 + 0.1j, -0.3 + 0.2j, 0.1 - 0.4j, 0.2 + 0.3j], [-0.2 + 0.4j, 0.3 + 0.1j, 0.5 - 0.1j, -0.1 + 0.2j])
+    args = {
+        "ci-49": (DSeminorm(BCMatrix.identity(4)), x4, DPlus(3.0, 3.0), 1.0, DPlus(1.0, 1.0), 1000),
+        "x-zero": (DSeminorm(BCMatrix.identity(4)), x4.scale(0.0), DPlus(3.0, 3.0), 1.0, DPlus(1.0, 1.0), 1000),
+        "long": (*_long_instance(), 10**12),
+    }[case]
+    built, real = [], theoremlab._schedule
+
+    def counting(prev, ratio, r, denom, n, start=0):
+        built.append((start, n))
+        return real(prev, ratio, r, denom, n, start)
+
+    monkeypatch.setattr(theoremlab, "_schedule", counting)
+    trace = zabreiko_decompose(*args)
+    chunks = -(-steps // _CHUNK_STEPS)
+    assert (trace.n_steps, trace.capped) == (steps, False)
+    assert built == [(k * _CHUNK_STEPS, _CHUNK_STEPS) for k in range(chunks)]
+    monkeypatch.setattr(theoremlab, "_schedule", real)
+    assert dumps(trace.to_json_dict()) == oracle_dumps(oracle_zabreiko(*args))
+
+
 def _sign_cases():
     for key in range(5, 45):
         yield f"desk-{key}", (*desk_zabreiko_instance(key), 1.0, DPlus(1.0, 1.0), 1000)

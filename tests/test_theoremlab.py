@@ -18,6 +18,7 @@ from hyplab import (
     HypothesisFailed,
     Hyperbolic,
     InvalidInput,
+    NotInRange,
     NotSurjective,
     PreconditionViolated,
     ShapeMismatch,
@@ -517,17 +518,35 @@ def test_omt_deterministic():
     assert dumps(a.to_json_dict()) == dumps(b.to_json_dict())
 
 
-def _check_splits(splits: list) -> list:
-    """The recorded ``dop._beside`` jobs that split an ``open_mapping_verify`` check."""
-    return [job for job in splits if job.__qualname__.startswith("open_mapping_verify.")]
+def _solve_splits(splits: list) -> list:
+    """The recorded ``dop._beside`` jobs that are a block solve's product chains, not
+    a check's own or an SVD's."""
+    return [job for job in splits if job.__qualname__ == "min_norm_solve_rows.<locals>.solve"]
+
+
+@pytest.fixture
+def omt_solves(monkeypatch):
+    """The block solves ``open_mapping_verify`` makes while a test runs."""
+    calls, real = [], tl.min_norm_solve_rows
+
+    def counting(T, y, tol):
+        calls.append(real(T, y, tol))
+        return calls[-1]
+
+    monkeypatch.setattr(tl, "min_norm_solve_rows", counting)
+    return calls
+
+
+#: The rows that lead an ``open_mapping_verify`` check's trials: the witness, then the chain's.
+_OMT_LEAD = 2 + tl.OMT_SERIES_LEN
 
 
 @pytest.mark.parametrize("rows, cols, trials", [(64, 128, 100), (3, 6, 200)])  # the benchmark's and the desk's
 def test_omt_report_is_bit_identical_on_both_routes(monkeypatch, rows, cols, trials):
-    # the check's work per component, (trials + 14) rows of solves, is
-    # 933,888 at 64x128 and 3,852 at 3x6: one split check and one in turn
+    # the check's one block solve, (trials + 14) rows, weighs 933,888 per
+    # component at 64x128 and 3,852 at 3x6: one split solve and one in turn
     T = surjective_mat(np.random.default_rng(rows), rows, cols)
-    T.svd()  # factored, as open_mapping_delta leaves it before either part runs
+    T.svd()  # factored, as open_mapping_delta leaves it before the fold
     _one_thread(monkeypatch)
     splits = _counting_splits(monkeypatch)
     one = dumps(open_mapping_verify(T, trials, seed=16).to_json_dict())
@@ -535,16 +554,15 @@ def test_omt_report_is_bit_identical_on_both_routes(monkeypatch, rows, cols, tri
     _split_on(monkeypatch)
     two = dumps(open_mapping_verify(T, trials, seed=16).to_json_dict())
     assert two == one and json.loads(one)["pass"] is True
-    split = (trials + tl.OMT_SERIES_LEN + 2) * rows * cols >= dop._SPLIT_WORK
+    split = (trials + _OMT_LEAD) * rows * cols >= dop._SPLIT_WORK
     assert split is (rows == 64)
-    assert len(_check_splits(splits)) == split
-    # the fold's 100-row solve splits too, queued behind the fixed part
-    assert len(splits) == 2 * split
+    # the helper runs the solve's component-1 chain and nothing of the check's own
+    assert len(_solve_splits(splits)) == len(splits) == split
 
 
 def test_omt_checks_that_split_at_once_get_the_one_thread_bits(monkeypatch):
-    # more calling threads than CPUs, switched often: each check's fixed part
-    # and its fold's split solve queue on the one helper among the others'
+    # more calling threads than CPUs, switched often: each check's split
+    # solve queues its component-1 chain on the one helper among the others'
     rng = np.random.default_rng(74)
     cases = [surjective_mat(rng, 64, 128) for _ in range(4)]
     _one_thread(monkeypatch)
@@ -571,48 +589,47 @@ def test_omt_checks_that_split_at_once_get_the_one_thread_bits(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == [[w] * 5 for w in want]
-    assert len(_check_splits(splits)) == 5 * len(cases) and len(_helpers()) == 1
+    assert len(_solve_splits(splits)) == len(splits) == 5 * len(cases) and len(_helpers()) == 1
 
 
+@pytest.mark.parametrize("failing, first", [
+    ((0, 5, 13, 20), 0),
+    ((5, 13, 20), 5),
+    ((13, 20, 99), 13),
+    ((20, 99), 20),
+], ids=["witness", "chain-term", "chain-sum", "trial"])
 @pytest.mark.parametrize("route", [_one_thread, _split_on])
-def test_omt_fixed_part_error_surfaces_after_the_fold(monkeypatch, route):
+def test_omt_reports_the_first_row_out_of_range_in_witness_chain_trial_order(monkeypatch, route, failing, first):
     T = surjective_mat(np.random.default_rng(72), 64, 128)
     want = dumps(open_mapping_verify(T, 100, seed=17).to_json_dict())
     route(monkeypatch)
-    events = []
-    real_fold = tl._fold
+    real = tl.min_norm_solve_rows
+    solved = []
 
-    def fold(*args):
-        out = real_fold(*args)
-        events.append("fold done")
-        return out
+    def tight(T, y, tol):  # the rows ``failing`` of the block get a bound no residual meets
+        solved.append(real(T, y, tol))
+        bound = np.broadcast_to(tol, y.shape[1:2]).copy()
+        bound[list(failing)] = 1e-300
+        return real(T, y, bound)
 
-    def failing(*args):  # mat_apply is read by the series chain only
-        events.append(threading.current_thread())
-        raise RuntimeError("fixed part failed")
-
-    monkeypatch.setattr(tl, "_fold", fold)
-    monkeypatch.setattr(tl, "mat_apply", failing)
+    monkeypatch.setattr(tl, "min_norm_solve_rows", tight)
     splits = _counting_splits(monkeypatch)
-    with pytest.raises(RuntimeError, match="^fixed part failed$"):
+    with pytest.raises(NotInRange) as info:
         open_mapping_verify(T, 100, seed=17)
-    assert "fold done" in events and len(_check_splits(splits)) == (route is _split_on)
-    (where,) = [e for e in events if e != "fold done"]
-    assert (where is threading.current_thread()) is (route is _one_thread)
-    if route is _one_thread:
-        assert events[0] == "fold done"  # in turn, the fold goes first
-    else:
-        assert [where] == _helpers()
-    # the helper, if it ran the part, serves the next check's split as before
-    monkeypatch.setattr(tl, "mat_apply", mat_apply)
+    (sol,) = solved  # one block solve for the witness, the chain and the trials
+    (r1, r2), (t1, t2) = sol.residual[:, first].tolist(), (1e-300 * sol.ynorm[:, first]).tolist()
+    assert str(info.value) == f"right-hand side outside operator range: residual ({r1}, {r2}) > ({t1}, {t2})"
+    assert len(_solve_splits(splits)) == len(splits) == 2 * (route is _split_on)
+    # the helper, if it ran the failed solve's chain, serves the next check
+    monkeypatch.setattr(tl, "min_norm_solve_rows", real)
     assert dumps(open_mapping_verify(T, 100, seed=17).to_json_dict()) == want
-    assert len(_check_splits(splits)) == 2 * (route is _split_on)
-    if route is _split_on:
-        assert _helpers() == [where]
+    assert len(_helpers()) == 1 or route is _one_thread
 
 
 @pytest.mark.parametrize("route", [_one_thread, _split_on])
-def test_omt_fold_error_is_the_one_reported(monkeypatch, route):
+def test_omt_fold_error_is_the_one_reported(monkeypatch, omt_solves, route):
+    # the witness and the chain are solved in the fold's first chunk, so a
+    # failed fold leaves nothing of theirs to solve or judge after it
     T = surjective_mat(np.random.default_rng(73), 64, 128)
     T.svd()
     route(monkeypatch)
@@ -621,12 +638,44 @@ def test_omt_fold_error_is_the_one_reported(monkeypatch, route):
         raise ValueError("fold failed")
 
     def failing(*args):
-        raise RuntimeError("fixed part failed")
+        raise RuntimeError("chain judged")
 
     monkeypatch.setattr(tl, "_fold", fold)
     monkeypatch.setattr(tl, "mat_apply", failing)
     with pytest.raises(ValueError, match="^fold failed$"):
         open_mapping_verify(T, 100, seed=18)
+    assert omt_solves == []
+
+
+def test_omt_makes_one_block_solve_and_queues_no_job_of_its_own(monkeypatch, omt_solves):
+    # 100 trials at 64x128 are one fold chunk: the witness, the 13 chain rows
+    # and the trials are one 114-row solve, whose component-1 chain is the
+    # helper's one job; 0.9.0 made three solves and split the check itself
+    T = surjective_mat(np.random.default_rng(75), 64, 128)
+    T.svd()  # factored, so that the SVD's own split is not counted
+    _split_on(monkeypatch)
+    splits = _counting_splits(monkeypatch)
+    assert open_mapping_verify(T, 100, seed=20).passed
+    assert [sol.x.shape[1] for sol in omt_solves] == [100 + _OMT_LEAD]
+    assert len(_solve_splits(splits)) == len(splits) == 1
+
+
+@pytest.mark.parametrize("rows, cols, trials, chunks", [(64, 128, 1000, 7), (3, 6, 10000, 3)])
+def test_omt_trial_rows_keep_the_bits_of_the_trial_block_solved_alone(omt_solves, rows, cols, trials, chunks):
+    # the 14 lead rows shift every chunk boundary of the trials, and the check
+    # makes one solve per chunk; each trial row keeps the bits it has in one
+    # block solve of the trials alone, so do the worst residual and margin
+    T = surjective_mat(np.random.default_rng(rows + 1), rows, cols)
+    rep = open_mapping_verify(T, trials, seed=21)
+    assert rep.passed and len(omt_solves) == chunks
+    y = tl._sample_rows(tl.check_stream(21, "omt-verify").standard_normal((trials, 4 * rows)), rows)
+    alone = dop.min_norm_solve_rows(T, y, tol=tl.CHECK_SLACK)
+    for name in ("x", "qy", "residual", "ynorm"):
+        rows_solved = np.concatenate([getattr(sol, name) for sol in omt_solves], axis=1)[:, _OMT_LEAD:]
+        assert rows_solved.tobytes() == getattr(alone, name).tobytes(), name
+    margin = alone.qy - tl._column(rep.delta) * alone.ynorm
+    assert rep.worst_residual.components() == tuple(alone.residual.max(axis=1).tolist())
+    assert rep.worst_margin.components() == tuple(margin.max(axis=1).tolist())
 
 
 # --------------------------------------------------------------- admission
