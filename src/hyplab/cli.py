@@ -20,13 +20,13 @@ The seed is --seed, 42 by default.  Identical inputs and seed give
 byte-identical envelopes.
 
 Each subcommand is one row of ``_ROWS``: its help, its flags and its run.
-A flag with a kind is an input: the kind says how its value is read and
-its canonical form in the inputs digest.  The CLI keeps no range rule of
-its own: the library routine that reads a value is its one checker, so a
-rejected ``--tol``, ``--maxN``, ``--norm`` or hyperbolic literal gets an
-envelope with the inputs digest, as any error of the run does.  One loop
-builds the parser from the rows, with the flags of the named row only, and
-one reads its inputs, digests them and calls its run.  A theorem check is
+A flag with a reader is an input, digested as read (None if omitted with
+no default).  The CLI keeps no range rule or computed default of its own:
+the library routine that reads a value is its one checker, so a rejected
+``--tol``, ``--maxN``, ``--norm`` or hyperbolic literal gets an envelope
+with the inputs digest, as any error of the run does.  One loop builds the
+parser from the rows, with the flags of the named row only, and one reads
+its inputs, digests them and calls its run.  A theorem check is
 looked up on the ``hyplab`` package as its row runs, so no other row
 imports theoremlab.
 
@@ -116,25 +116,12 @@ def _stdout_to_devnull() -> None:
     os.close(devnull)
 
 
-class _Kind(NamedTuple):
-    """How an input's flag value is read, and its canonical form in the digest,
-    where a vector's or matrix's components are arrays hashed from their bytes.
-
-    An omitted flag without a default gives ``fallback(args)``, where the
-    inputs before it are read.
-    """
-
-    read: Callable[[Any], Any]
-    canon: Callable[[Any], Any] = lambda value: value
-    fallback: Callable[[argparse.Namespace], Any] | None = None
-
-
 class _Flag:
-    """One option of a subcommand: an input if it has a kind, else a setting
-    of the run; ``spec`` holds its ``add_argument`` keywords."""
+    """One option of a subcommand: an input if it has a reader of its value,
+    else a setting of the run; ``spec`` holds its ``add_argument`` keywords."""
 
-    def __init__(self, flag: str, kind: _Kind | None = None, **spec):
-        self.flag, self.kind, self.spec = flag, kind, spec
+    def __init__(self, flag: str, read: Callable[[Any], Any] | None = None, **spec):
+        self.flag, self.read, self.spec = flag, read, spec
         self.dest = flag[2:].replace("-", "_")
 
 
@@ -160,25 +147,21 @@ def _deltas(text: str) -> list[float]:
         raise InvalidInput(f"bad --deltas literal {text!r}") from exc
 
 
-# kinds look hyplab functions up when called, so a patched or wrapped
+# readers look hyplab functions up when called, so a patched or wrapped
 # module attribute is the one that runs
-_PLAIN = _Kind(lambda value: value)  # typed by argparse
-_SCALAR = _Kind(lambda path: parse_scalar(load_json(path)), lambda z: scalar_to_json(z))
-_VECTOR = _Kind(lambda path: parse_vector(load_json(path)), lambda v: {"dim": v.dim, "e1": v.v1, "e2": v.v2})
-_MATRIX = _Kind(lambda path: parse_matrix(load_json(path)),
-                lambda T: {"rows": T.rows, "cols": T.cols, "e1": T.m1, "e2": T.m2})
-_JSON = _Kind(lambda path: load_json(path))  # parsed by the run, after the digest
+_PLAIN = lambda value: value  # typed by argparse
+_VECTOR = lambda path: parse_vector(load_json(path))
 # read in the whole plane: the routine taking it judges the sign after the digest
-_HYP = _Kind(lambda text: parse_hyp_literal(text), lambda h: [h.a1, h.a2])
+_HYP = lambda text: parse_hyp_literal(text)
 
 _SEED = _Flag("--seed", type=int, default=42, help="sampling seed (default 42)")
 _OUTPUT = _Flag("--output", default=None, help="write the JSON envelope here instead of stdout")
 _FORMAT = _Flag("--format", choices=("idempotent", "cartesian"), default="idempotent",
                 help="scalar emission form")
 _TOL = _Flag("--tol", _PLAIN, type=float, default=1e-10, help="numeric tolerance")
-_SCALAR_IN = _Flag("--scalar", _SCALAR, required=True)
-_MATRIX_IN = _Flag("--matrix", _MATRIX, required=True)
-_TERMS = _Flag("--terms", _JSON, required=True)
+_SCALAR_IN = _Flag("--scalar", lambda path: parse_scalar(load_json(path)), required=True)
+_MATRIX_IN = _Flag("--matrix", lambda path: parse_matrix(load_json(path)), required=True)
+_TERMS = _Flag("--terms", lambda path: load_json(path), required=True)  # parsed by the run, after the digest
 _SERIES_TOL = _Flag("--series-tol", _HYP, default="1e-12", help="hyperbolic literal a1,a2, both components > 0")
 _SAMPLES_HELP = ("random samples, drawn and judged a chunk at a time: memory does not grow with the count; "
                  "each weighs 4*max(rows, cols) floats{}; over 2^24 in all exits 2")
@@ -253,14 +236,13 @@ _ROWS = {
          _SEED,
          _max_n("step cap; the trace ends when the remainder's norm is at most 2^-52 times ||x||_D "
                 "per component (about 49 steps at dim 4, at most 2,099, where eps/m 2^-k is 0), so "
-                "memory and output (~165 bytes per step and dimension) grow with steps*dim, not maxN"),
+                "memory and output (165 to 185 bytes per step and dimension) grow with steps*dim, not maxN"),
          _OUTPUT),
         lambda a: _verdict(hyplab.zabreiko_decompose(DSeminorm(a.matrix), a.x, a.m, a.r, a.eps, a.maxN)),
     ),
     "ubp": _Row(
         "uniform boundedness over an operator family",
-        (_Flag("--family", _Kind(_family, lambda fam: [_MATRIX.canon(T) for T in fam]),
-               required=True, help="JSON array of matrices"),
+        (_Flag("--family", _family, required=True, help="JSON array of matrices"),
          _Flag("--samples", _PLAIN, type=int, default=100,
                help="random samples, applied to the family a chunk at a time: memory grows only "
                     "with the report, which lists each sample's pointwise supremum; each weighs "
@@ -287,10 +269,10 @@ _ROWS = {
     "ballscale": _Row(
         "sublevel-set ball scaling check",
         (_MATRIX_IN,
-         _Flag("--alpha", _HYP._replace(fallback=lambda a: op_dnorm(a.matrix).M * a.r),
-               default=None, help="hyperbolic literal a1,a2 (default opnorm*r)"),
+         _Flag("--alpha", _HYP, default=None, help="hyperbolic literal a1,a2 (default: opnorm * r, "
+               "computed once the sample count is admitted)"),
          _Flag("--r", _PLAIN, type=float, default=1.0),
-         _Flag("--deltas", _Kind(_deltas), default="0.5,2,10", help="comma-separated positive reals"),
+         _Flag("--deltas", _deltas, default="0.5,2,10", help="comma-separated finite positive reals"),
          _Flag("--samples", _PLAIN, type=int, default=100,
                help=_SAMPLES_HELP.format(" in each of the 1 + len(deltas) balls")),
          _SEED, _OUTPUT),
@@ -322,17 +304,17 @@ def _dispatch(args, envelope: dict):
     returns (payload, passed).
 
     Inputs are read in row order, so the first bad one is reported.  The
-    digest holds every input, in row order, keyed by its flag's name.  It
-    goes into ``envelope`` before the run, so an error the computation
-    raises, such as a value the library rejects, still reports which inputs
-    it saw.
+    digest holds every input as read, None if omitted without a default, in
+    row order, keyed by its flag's name.  It goes into ``envelope`` before
+    the run, so an error the computation raises, such as a value the library
+    rejects, still reports which inputs it saw.
     """
     row = _ROWS[args.command]
-    inputs = [f for f in row.flags if f.kind is not None]
+    inputs = [f for f in row.flags if f.read is not None]
     for f in inputs:
-        value = getattr(args, f.dest)
-        setattr(args, f.dest, f.kind.fallback(args) if value is None else f.kind.read(value))
-    envelope["inputs_digest"] = digest({f.dest: f.kind.canon(getattr(args, f.dest)) for f in inputs})
+        if (value := getattr(args, f.dest)) is not None:
+            setattr(args, f.dest, f.read(value))
+    envelope["inputs_digest"] = digest({f.dest: getattr(args, f.dest) for f in inputs})
     return row.run(args)
 
 

@@ -26,9 +26,9 @@ platform.  Non-finite floats keep the encoder's ``NaN`` and ``Infinity``
 tokens, so that an inputs digest can hash a rejected ``--r inf``.  Numpy
 scalars are written as their Python values.  Documents get complex entries
 as plain floats from ``dmodule.complex_pairs``, the one emitter of [re, im]
-lists.  ``digest`` hashes the text of a document in which each complex
-array stands as ``{"dtype": "<f8", "shape": [*shape, 2], "sha256": <hex>}``,
-the SHA-256 of its little-endian float64 [re, im] pairs.
+lists.  ``digest`` hashes a document with each ``_CANON`` value in its form
+there and each complex array as ``{"dtype": "<f8", "shape": [*shape, 2],
+"sha256": <hex>}``, the SHA-256 of its little-endian float64 [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -67,12 +67,23 @@ def dumps(obj: Any) -> str:
         raise InvalidInput(str(exc)) from exc
 
 
+#: each library value's form in the digest, by its type; its arrays are hashed
+_CANON = {
+    BCMatrix: lambda T: {"rows": T.rows, "cols": T.cols, "e1": T.m1, "e2": T.m2},
+    BCVector: lambda v: {"dim": v.dim, "e1": v.v1, "e2": v.v2},
+    Hyperbolic: lambda h: [h.a1, h.a2],
+    Bicomplex: lambda z: scalar_to_json(z),
+}
+
+
 def _hashed(obj):
-    """``obj`` with each complex array it holds, as a dict value or as an item
-    of a list that holds a dict or an array, replaced by its bytes' record."""
+    """``obj`` with each ``_CANON`` value and complex array it holds, as a dict
+    value or as an item of a list that holds one or a dict, in its form."""
+    if type(obj) in _CANON:
+        obj = _CANON[type(obj)](obj)
     if type(obj) is dict:
         return {k: _hashed(v) for k, v in obj.items()}
-    if type(obj) is list and not {dict, np.ndarray}.isdisjoint(map(type, obj)):
+    if type(obj) is list and not {dict, np.ndarray, *_CANON}.isdisjoint(map(type, obj)):
         return [*map(_hashed, obj)]
     if type(obj) is not np.ndarray:
         return obj
@@ -81,7 +92,7 @@ def _hashed(obj):
 
 
 def digest(obj: Any) -> str:
-    """SHA-256 of the canonical serialization, arrays as their bytes' record."""
+    """SHA-256 of the canonical serialization, each library value in its form."""
     return hashlib.sha256(dumps(_hashed(obj)).encode("utf-8")).hexdigest()
 
 

@@ -357,7 +357,7 @@ class BallScaleReport(Report):
 
 def ball_scaling_check(
     p: DSeminorm,
-    alpha: Hyperbolic,
+    alpha: Hyperbolic | None,
     r: float,
     delta_list: list[float],
     samples: int,
@@ -369,18 +369,24 @@ def ball_scaling_check(
     is stood in for by a tolerance closure: x is in it when p(x) <= alpha +
     CLOSURE_TOL * max(p(x), alpha) per component.  The premise is
     re-verified on witness and random samples first and a failing premise
-    raises ``HypothesisFailed``.
+    raises ``HypothesisFailed``.  ``alpha`` None stands for ||p.T||_D r, the
+    least alpha the premise allows, computed once the count is admitted.
     """
+    if not math.isfinite(r):
+        raise InvalidInput(f"r must be finite, got {r}")
     if r <= 0:
         raise InvalidInput(f"r must be positive, got {r}")
-    if alpha.a1 < 0 or alpha.a2 < 0:
+    if alpha is not None and (alpha.a1 < 0 or alpha.a2 < 0):
         raise InvalidInput(f"alpha must be nonnegative, got ({alpha.a1}, {alpha.a2})")
     if not delta_list:
         raise InvalidInput("deltas must be nonempty")
+    if not all(map(math.isfinite, delta_list)):
+        raise InvalidInput("all deltas must be finite")
     if any(d <= 0 for d in delta_list):
         raise InvalidInput("all deltas must be positive")
     name = "ballscale"
     weight = _admit(name, samples, max(p.T.cols, p.T.rows), balls=1 + len(delta_list))
+    alpha = op_dnorm(p.T).M * r if alpha is None else alpha
     witnesses = _witness_rows(p.T)
     n = p.T.cols
 
@@ -523,7 +529,7 @@ def _schedule(
     a (steps, 2, 1) array, one column per step.
     """
     halvings = np.ldexp(ratio, -np.arange(start + 1, start + steps + 1))
-    epsilons = _finite_steps(np.concatenate((prev, halvings), axis=1), "eps_k = (eps/m) 2^-k", start)
+    epsilons = np.concatenate((prev, halvings), axis=1)
     pitches = np.minimum(epsilons[:, 1:], epsilons[:, :-1]) * r / denom
     return epsilons, pitches.T[:, :, None]
 
@@ -556,7 +562,7 @@ def zabreiko_decompose(
     common scale of x, r, m and eps, as long as the l2 squares of the
     remainder's entries do not underflow.  A random x in the unit ball at
     n=4 with r = 1 and eps = 1 stops after 47 to 49 steps, and its trace is
-    ~34 KB of JSON (about 170 to 180 bytes per step and dimension).  Once eps_k
+    ~34 KB of JSON (about 165 to 185 bytes per step and dimension).  Once eps_k
     underflows, a zero pitch copies the remainder into the term and the next
     remainder is zero; eps/m is below 2^1024, so that is by step
     ``_MAX_STEPS`` = 2,099.  The schedule is built one ``_CHUNK_STEPS`` chunk
@@ -610,8 +616,10 @@ def zabreiko_decompose(
             "first remainder budget below the float64 spacing of x, so no grid step can meet it ("
             + "; ".join(coarse) + ")")
 
+    # eps_k = ldexp(eps/m, -k) is finite at every step k >= 1 if it is at step 1
+    _finite_steps(np.ldexp(ratio, -1), "eps_k = (eps/m) 2^-k", 1)
     last = min(max_n, _MAX_STEPS)
-    epsilons, pitches = [eps0], []  # the schedule per chunk, built as the loop reaches it
+    epsilons = [eps0]  # the schedule per chunk, built as the loop reaches it
     terms, rems, uns = [], [], []  # the terms and remainders per step, their norms per chunk
     u = x.v.view(float)
     # a pitch or step that overflows ends the trace and is rejected below, and
@@ -620,7 +628,6 @@ def zabreiko_decompose(
         for start in range(0, last, _CHUNK_STEPS):
             eps_k, pitch = _schedule(epsilons[-1][:, -1:], ratio, r, denom, min(_CHUNK_STEPS, last - start), start)
             epsilons.append(eps_k[:, 1:])
-            pitches.append(pitch)
             # a step with no zero pitch is one grid op
             for p_k, whole in zip(pitch, pitch.all(axis=(1, 2)).tolist()):
                 xk = _grid(u, p_k) if whole else _quantize(u, p_k)
@@ -644,7 +651,7 @@ def zabreiko_decompose(
     # step's term, remainder and norms can be non-finite
     for what, v in (("the term x_k", terms[:, -1]), ("the remainder u_k", rems[:, -1]), ("||u_k||_D", uns[:, -1])):
         if not np.isfinite(v).all():
-            p1, p2 = pitches[-1][(steps - 1) % _CHUNK_STEPS, :, 0].tolist()
+            p1, p2 = pitch[(steps - 1) % _CHUNK_STEPS, :, 0].tolist()  # the last chunk's
             raise InvalidInput(
                 f"{what} is not finite at step {steps}, quantized at pitch eps'_k r / (2 sqrt(n)) = ({p1}, {p2})")
 

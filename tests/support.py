@@ -15,7 +15,9 @@ block-backed ``series_sum`` must reproduce their bytes and their errors.
 ``oracle_abs_summability`` and ``oracle_subadd`` read their series the same
 way, then judge one index pair or one partial sum at a time.
 ``oracle_digest`` hashes the serializer's text, with each complex array as
-the ``pairs_record`` of the float64 bytes of its stacked [re, im] pairs.
+the ``pairs_record`` of the float64 bytes of its stacked [re, im] pairs,
+and each matrix, vector, hyperbolic and bicomplex input written out by
+hand around such records.
 ``oracle_parse_vector`` and ``oracle_parse_matrix`` read documents one
 entry at a time into Python ``complex`` values, a cartesian entry through
 ``Bicomplex.from_reals``; ``jsonio``'s array-speed parse must give the same
@@ -229,11 +231,25 @@ def pairs_record(pairs) -> dict:
 
 def oracle_digest(obj) -> str:
     """SHA-256 of ``oracle_dumps``' text, each complex array in ``obj``
-    replaced by the ``pairs_record`` of its [re, im] pairs."""
+    replaced by the ``pairs_record`` of its [re, im] pairs, a matrix by its
+    rows, cols and component records, a vector by its dim and component
+    records, a hyperbolic value by [a1, a2] and a bicomplex one by the
+    [re, im] pairs of its idempotent components."""
+
+    def record(x):
+        return pairs_record(np.stack((x.real, x.imag), axis=-1))
 
     def canon(x):
         if isinstance(x, np.ndarray):
-            return pairs_record(np.stack((x.real, x.imag), axis=-1))
+            return record(x)
+        if isinstance(x, BCMatrix):
+            return {"rows": x.m1.shape[0], "cols": x.m1.shape[1], "e1": record(x.m1), "e2": record(x.m2)}
+        if isinstance(x, BCVector):
+            return {"dim": len(x.v1), "e1": record(x.v1), "e2": record(x.v2)}
+        if isinstance(x, Hyperbolic):
+            return [x.a1, x.a2]
+        if isinstance(x, Bicomplex):
+            return {"e1": [x.z1.real, x.z1.imag], "e2": [x.z2.real, x.z2.imag]}
         if isinstance(x, dict):
             return {k: canon(v) for k, v in x.items()}
         if isinstance(x, (list, tuple)):

@@ -345,6 +345,7 @@ def test_row_norms_equal_the_one_vector_kernel(norm):
         assert close(values[0, i], want.a1, want.a1) and close(values[1, i], want.a2, want.a2)
 
 
+@pytest.mark.routes
 def test_l2_row_norm_is_numpy_norm_bit_for_bit():
     rng = np.random.default_rng(2)
     b = rng.standard_normal((200, 7)) + 1j * rng.standard_normal((200, 7))
@@ -433,6 +434,7 @@ def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
 @example(norm="l2", shape=(64, 128), k=893, seed=1)
 @example(norm="l1", shape=(64, 128), k=893, seed=2)
 @example(norm="linf", shape=(1, 1), k=1, seed=3)
+@pytest.mark.routes
 def test_stacked_bits_of_dnorm_rows(norm, shape, k, seed):
     b = _block(np.random.default_rng(seed), k, shape[1])
     got = _dnorms(norm, b)
@@ -441,6 +443,7 @@ def test_stacked_bits_of_dnorm_rows(norm, shape, k, seed):
 
 @pytest.mark.parametrize("view", ["product", "read-only", "strided"])
 @pytest.mark.parametrize("n", [1, 4, 7, 16, 17, 64, 128])
+@pytest.mark.routes
 def test_l2_norms_of_a_product_block_are_numpy_norm_bit_for_bit(n, view):
     # the block comes straight from a stacked BLAS product, as in
     # seminorm_rows and ubp_verify, and both components reduce in one call;
@@ -487,6 +490,7 @@ def test_l2_norms_in_concurrent_threads_match_the_serial_result():
 @given(shape=_SHAPES, k=_ROWS, seed=st.integers(0, 2**32 - 1))
 @example(shape=(64, 128), k=893, seed=1)
 @example(shape=(1, 1), k=1, seed=2)
+@pytest.mark.routes
 def test_stacked_bits_of_seminorm_rows_and_terms(shape, k, seed):
     rng = np.random.default_rng(seed)
     T = random_mat(rng, *shape)
@@ -502,6 +506,7 @@ def test_stacked_bits_of_seminorm_rows_and_terms(shape, k, seed):
 @given(shape=_SHAPES, k=_ROWS, seed=st.integers(0, 2**32 - 1))
 @example(shape=(64, 128), k=893, seed=1)
 @example(shape=(6, 3), k=1, seed=2)
+@pytest.mark.routes
 def test_stacked_bits_of_min_norm_solve_rows(shape, k, seed):
     rng = np.random.default_rng(seed)
     T = random_mat(rng, *shape)
@@ -524,6 +529,7 @@ def _assert_one_matrix_solve(sol, i: int, m: np.ndarray, yi: np.ndarray) -> None
 
 @pytest.mark.parametrize("entries", ["complex", "real"])
 @pytest.mark.parametrize("shape", [(4, 4), (3, 6), (64, 128)], ids=["4x4", "3x6", "64x128"])
+@pytest.mark.routes
 def test_stacked_bits_of_min_norm_solve_rows_at_a_repeated_row(shape, entries):
     """A repeated row leaves each component rank-deficient, so the chain
     drops a singular value; real entries give exact zeros, whose signs the
@@ -544,6 +550,7 @@ def test_stacked_bits_of_min_norm_solve_rows_at_a_repeated_row(shape, entries):
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 128), k=_ROWS, j=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
 @example(n=128, k=893, j=1, seed=1)
+@pytest.mark.routes
 def test_stacked_bits_of_sample_rows(n, k, j, seed):
     z = check_stream(seed, "lemma31").standard_normal((k, 8 * n))
     got = tl._sample_rows(z, n, j)
@@ -664,6 +671,7 @@ def _tied_family():
     ],
 )
 @pytest.mark.parametrize("delta", [None, DPlus(2.5, 0.5)])
+@pytest.mark.routes
 def test_ubp_matches_the_per_member_oracle(family, delta):
     members = family(np.random.default_rng(8))
     want = oracle_ubp(members, 40, 17, delta)
@@ -691,6 +699,7 @@ def test_ubp_takes_witnesses_from_the_first_tied_member(monkeypatch):
     size=st.integers(1, 7),
     scale=st.sampled_from([1.0, 1e-12, 1e9, 1e150]),
 )
+@pytest.mark.routes
 def test_ubp_matches_the_per_member_oracle_on_random_families(seed, shape, size, scale):
     rng = np.random.default_rng(seed)
     members = [random_mat(rng, *shape) for _ in range(size)]
@@ -699,6 +708,7 @@ def test_ubp_matches_the_per_member_oracle_on_random_families(seed, shape, size,
 
 
 @pytest.mark.parametrize("entries, samples", [(tl._CHUNK_FLOATS, 893), (1, 63), (1, 126), (1, 200)])
+@pytest.mark.routes
 def test_ubp_matches_the_per_member_oracle_across_chunks(monkeypatch, entries, samples):
     """Samples applied in chunks keep every bit of one product over all of
     them: at the default, 20 members of 8 rows hold 640 floats a row and
@@ -816,6 +826,7 @@ def test_sampled_check_memory_does_not_scale_with_trials(check):
 
 @pytest.mark.parametrize("shape", [(4, 4), (3, 6), (1, 40), (64, 128)])
 @pytest.mark.parametrize("count", [1, 63, 64, 65, 893])
+@pytest.mark.routes
 def test_stacked_bits_of_sampled_reports_across_fold_chunks(shape, count):
     """Every sampled report has the same bytes whether its rows are judged in
     chunks of 64 rows, in the default chunks, or in one chunk."""

@@ -185,6 +185,20 @@ def test_series_not_converged_exit_3(tmp_path, capsys):
     assert doc["payload"]["report"]["n_terms"] == 10
 
 
+def test_series_abs_check_not_settled_exit_3_with_its_report(tmp_path, capsys):
+    spec = {
+        "kind": "geometric",
+        "ratio": {"e1": [1.0, 0], "e2": [1.0, 0]},  # no decay
+        "seed_vector": {"dim": 1, "e1": [[1, 0]], "e2": [[1, 0]]},
+    }
+    terms = write(tmp_path, "terms.json", spec)
+    code, doc, _ = run_json(capsys, ["series", "--terms", terms, "--abs-check", "--maxN", "10"])
+    assert code == 3
+    assert doc["payload"]["error"] == {"kind": "NotConverged", "message": "absolute sums not settled at the cap"}
+    assert doc["payload"]["report"]["abs_converged"] is False
+    assert doc["payload"]["report"]["n_terms"] == 10
+
+
 def test_series_abs_check(tmp_path, capsys):
     terms = write(tmp_path, "terms.json", geometric_spec())
     code, doc, _ = run_json(
@@ -364,6 +378,28 @@ def test_ballscale_without_deltas_exit_2(tmp_path, capsys, deltas):
     assert doc["payload"]["error"] == {"kind": "InvalidInput", "message": "deltas must be nonempty"}
 
 
+@pytest.mark.parametrize("alpha", [[], ["--alpha", "1,1"]], ids=["default-alpha", "alpha"])
+def test_a_refused_ballscale_count_factors_nothing(tmp_path, capsys, monkeypatch, alpha):
+    # alpha's default, the operator's D-norm times r, is the check's to
+    # compute, after it admits the count
+    argv = ["ballscale", "--matrix", write(tmp_path, "I.json", matrix_to_json(BCMatrix.identity(3))), *alpha]
+    calls, real = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or real(*a, **k))
+    code, doc, _ = run_json(capsys, [*argv, "--samples", str(10**12)])
+    assert code == 2 and doc["payload"]["error"]["message"].startswith("ballscale: count ")
+    assert calls == []
+    assert run_json(capsys, [*argv, "--samples", "10"])[0] == 0
+    assert calls != []
+
+
+def test_ballscale_bad_deltas_literal_exit_2_before_the_digest(tmp_path, capsys):
+    mat = write(tmp_path, "T.json", matrix_to_json(BCMatrix.identity(2)))
+    code, doc, _ = run_json(capsys, ["ballscale", "--matrix", mat, "--deltas", "abc"])
+    assert code == 2
+    assert doc["payload"]["error"] == {"kind": "InvalidInput", "message": "bad --deltas literal 'abc'"}
+    assert doc["inputs_digest"] == ""
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -504,6 +540,11 @@ LIBRARY_REJECTS = [
     ("zabreiko", "--matrix {D4} --x {e1} --m 10,10 --r 1e300 --eps 1e300,1e300",
      "the remainder budget eps_k r is not finite at step 1: (inf, inf)"),  # x_1 = x, then (eps/m) r / 2
     ("ballscale", "--r 1e308 --samples 200", "non-finite component inf rejected"),  # a sample's scale
+    ("ballscale", "--r inf", "r must be finite, got inf"),  # --alpha omitted, so digested as null
+    ("ballscale", "--alpha 1,1 --r nan", "r must be finite, got nan"),
+    ("ballscale", "--r 0", "r must be positive, got 0.0"),
+    ("ballscale", "--alpha 1,1 --deltas nan,1", "all deltas must be finite"),
+    ("ballscale", "--deltas 0.5,inf", "all deltas must be finite"),
 ]
 LIBRARY_ARGS = {
     "opnorm": "--matrix {T}", "solve": "--matrix {T} --y {y}", "omc": "--matrix {T}",
@@ -548,9 +589,10 @@ def test_a_value_the_library_rejects_gets_one_digested_envelope(tmp_path, capsys
 
 
 
-#: hyperbolic literals read in the whole plane and refused by the routine
-#: that takes them, as (command, flags, kind, exit code, message)
+#: hyperbolic literals read in the whole plane, and a real radius, refused by
+#: the routine that takes them, as (command, flags, kind, exit code, message)
 SIGN_REJECTS = [
+    ("zabreiko", "--m 2,2 --eps 1,1 --r 0", "PreconditionViolated", 4, "radius must be positive, got 0.0"),
     *(("zabreiko", f"--m={m} --eps 1,1", "PreconditionViolated", 4,
        "m must be strictly positive in both components") for m in ("-1,1", "0,1", "2,-2")),
     *(("zabreiko", f"--m 2,2 --eps={eps}", "PreconditionViolated", 4,
@@ -971,14 +1013,14 @@ DIGEST_CASES = {
         ["ballscale", "--matrix", "A.json", "--alpha", "1e-6,1e-6", "--samples", "20"], 4,
         {"matrix": A_CANON, "alpha": [1e-6, 1e-6], "r": 1.0, "deltas": [0.5, 2.0, 10.0], "samples": 20},
     ),
-    # without --alpha the digest holds the resolved opnorm * r
+    # an omitted --alpha is digested as null: the check resolves it after the digest
     "ballscale-default-alpha": (
         ["ballscale", "--matrix", "D.json", "--r", "0.5", "--deltas", ""], 2,
         {
             "matrix": {
                 "rows": 1, "cols": 1, "e1": pairs_record([[[2.0, 0.0]]]), "e2": pairs_record([[[3.0, 0.0]]]),
             },
-            "alpha": [1.0, 1.5],
+            "alpha": None,
             "r": 0.5,
             "deltas": [],
             "samples": 100,
@@ -1133,7 +1175,7 @@ def test_overflowing_norms_are_rejected_without_numpy_warnings(tmp_path, command
 def test_infinite_radius_is_rejected_without_numpy_warnings(tmp_path, entry):
     mat = write(tmp_path, "T.json", {"e1": [[[entry, 0.0]]], "e2": [[[entry, 0.0]]]})
     argv = ["ballscale", "--matrix", mat, "--alpha", "100,100", "--r", "inf"]
-    _rejected_quietly(argv, "non-finite component nan rejected")
+    _rejected_quietly(argv, "r must be finite, got inf")
 
 
 @pytest.mark.parametrize(
@@ -1303,6 +1345,18 @@ def test_svd_failure_exit_3_with_one_envelope(tmp_path, capsys, monkeypatch):
         "error": {"kind": "NoConvergence", "message": "SVD kernel failed: SVD did not converge"}
     }
     assert err == "hyplab: NoConvergence: SVD kernel failed: SVD did not converge\n"
+
+
+def test_error_envelope_goes_to_output(tmp_path, capsys):
+    zero = write(tmp_path, "zero.json", {"e1": [1, 0], "e2": [0, 0]})
+    out_path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, ["inv", "--scalar", zero, "--output", str(out_path)])
+    assert code == 4
+    assert out == ""
+    doc = _strict_json(out_path.read_text())
+    assert doc["pass"] is False and doc["payload"]["error"]["kind"] == "ZeroDivisor"
+    assert len(doc["inputs_digest"]) == 64
+    assert err.startswith("hyplab: ZeroDivisor: ")
 
 
 def test_unwritable_output_exit_2_envelope_on_stdout(tmp_path, capsys):

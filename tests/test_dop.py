@@ -507,6 +507,7 @@ def _assert_one_matrix_svds(family):
 
 @settings(max_examples=80, deadline=None)
 @given(family=_families())
+@pytest.mark.routes
 def test_family_factors_are_the_one_matrix_svds_bit_for_bit(family):
     pairs = svd_family(family)
     assert [T.svd() for T in family] == pairs
@@ -514,6 +515,7 @@ def test_family_factors_are_the_one_matrix_svds_bit_for_bit(family):
     _assert_one_matrix_svds(family)
 
 
+@pytest.mark.routes
 def test_family_factors_are_the_one_matrix_svds_bit_for_bit_at_64x128():
     rng = np.random.default_rng(35)
     family = [random_mat(rng, 64, 128), random_mat(rng, 64, 128)]
@@ -522,6 +524,7 @@ def test_family_factors_are_the_one_matrix_svds_bit_for_bit_at_64x128():
 
 
 @pytest.mark.parametrize("rows, cols", [(1, 1), (4, 4), (6, 3), (8, 1), (64, 64), (128, 64)])
+@pytest.mark.routes
 def test_square_and_tall_factors_are_the_one_matrix_svds_of_the_direct_call(rows, cols):
     rng = np.random.default_rng(rows * 1000 + cols)
     family = [random_mat(rng, rows, cols) for _ in range(3)]
@@ -533,6 +536,7 @@ def test_square_and_tall_factors_are_the_one_matrix_svds_of_the_direct_call(rows
 
 
 @pytest.mark.parametrize("rows, cols", [(1, 2), (1, 8), (3, 6), (4, 5), (64, 128)])
+@pytest.mark.routes
 def test_wide_factors_are_the_one_matrix_svds_of_the_transposed_call(rows, cols):
     rng = np.random.default_rng(rows * 1000 + cols)
     family = [random_mat(rng, rows, cols) for _ in range(3)]
@@ -544,6 +548,7 @@ def test_wide_factors_are_the_one_matrix_svds_of_the_transposed_call(rows, cols)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.routes
 def test_partly_factored_family_factors_only_the_rest(monkeypatch):
     rng = np.random.default_rng(36)
     family = [random_mat(rng, 5, 3) for _ in range(5)]
@@ -595,6 +600,7 @@ def test_ubp_family_costs_one_svd_call(monkeypatch):
         (20, 8, 8), (255, 8, 8), (256, 8, 8), (1, 64, 128),  # families, and omt-large's operator
     ],
 )
+@pytest.mark.routes
 def test_stacked_bits_of_component_split_factors(monkeypatch, members, rows, cols):
     rng = np.random.default_rng(members * 10_000 + rows * 100 + cols)
     family = [random_mat(rng, rows, cols) for _ in range(members)]
@@ -613,6 +619,7 @@ def test_stacked_bits_of_component_split_factors(monkeypatch, members, rows, col
             assert got.shape == whole[i].shape and got.tobytes() == whole[i].tobytes()
 
 
+@pytest.mark.routes
 def test_component_split_failure_is_no_convergence_and_leaves_one_helper(monkeypatch):
     T = random_mat(np.random.default_rng(39), 64, 64)
     want = np.linalg.svd(T.m[None], full_matrices=False)
@@ -659,6 +666,7 @@ def _in_range(rng, T: BCMatrix, k: int) -> np.ndarray:
 
 @pytest.mark.parametrize("rows, cols", [(64, 128), (32, 32), (128, 64)])  # wide, square, tall
 @pytest.mark.parametrize("step", [-1, 0, 1])  # rows k below, at and above the split's work
+@pytest.mark.routes
 def test_split_solve_is_the_one_thread_solve_bit_for_bit(monkeypatch, rows, cols, step):
     rng = np.random.default_rng(rows * 1000 + cols * 10 + step + 1)
     k = dop._SPLIT_WORK // (rows * cols) + step
@@ -679,6 +687,7 @@ def test_split_solve_is_the_one_thread_solve_bit_for_bit(monkeypatch, rows, cols
     assert one.ynorm.tobytes() == dnorm_rows(y).tobytes()
 
 
+@pytest.mark.routes
 def test_split_solve_rejects_the_first_row_out_of_range(monkeypatch):
     R = BCMatrix([[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
     # row 1 is the first outside the range, in e1 only; row 2 in both
@@ -694,6 +703,7 @@ def test_split_solve_rejects_the_first_row_out_of_range(monkeypatch):
         assert len(splits) == (route is _split_on)
 
 
+@pytest.mark.routes
 def test_an_error_on_the_helper_is_raised_on_the_caller():
     ran = {}
 
@@ -708,6 +718,7 @@ def test_an_error_on_the_helper_is_raised_on_the_caller():
     assert ran[0] is threading.current_thread() and [ran[1]] == _helpers()
 
 
+@pytest.mark.routes
 def test_a_split_from_the_helper_runs_inline():
     def outer(i):
         return dop._beside(lambda j: (j, threading.current_thread())) if i else None
@@ -721,6 +732,7 @@ def test_a_split_from_the_helper_runs_inline():
     assert out == [(None, ((0, helper), (1, helper)))]
 
 
+@pytest.mark.routes
 def test_one_helper_serves_a_thousand_splits(monkeypatch):
     rng = np.random.default_rng(43)
     _split_on(monkeypatch)
@@ -734,6 +746,7 @@ def test_one_helper_serves_a_thousand_splits(monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+@pytest.mark.routes
 def test_a_forked_child_splits_on_a_helper_of_its_own(monkeypatch):
     rng = np.random.default_rng(44)
     T = random_mat(rng, 8, 8)
@@ -759,6 +772,7 @@ def test_a_forked_child_splits_on_a_helper_of_its_own(monkeypatch):
     assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
+@pytest.mark.routes
 def test_threads_that_split_at_once_get_the_one_thread_bits(monkeypatch):
     # more calling threads than CPUs, switched often, queue on the one helper
     rng = np.random.default_rng(45)
@@ -797,6 +811,7 @@ def test_threads_that_split_at_once_get_the_one_thread_bits(monkeypatch):
 
 
 @pytest.mark.parametrize("threads", [2, None])
+@pytest.mark.routes
 def test_component_split_is_off_unless_blas_runs_one_thread(monkeypatch, threads):
     # None: numpy's OpenBLAS thread count cannot be read
     T = random_mat(np.random.default_rng(40), 64, 128)
@@ -807,6 +822,7 @@ def test_component_split_is_off_unless_blas_runs_one_thread(monkeypatch, threads
     assert [a.shape for a in svd_arrays] == [(1, 2, 128, 64)]
 
 
+@pytest.mark.routes
 def test_component_split_is_off_on_one_cpu(monkeypatch):
     # a helper thread that cannot run beside the caller only adds its start-up
     T = random_mat(np.random.default_rng(41), 64, 128)

@@ -81,6 +81,13 @@ def test_scalar_bad_forms():
         parse_scalar([1, 2])
     with pytest.raises(InvalidInput):
         parse_scalar({"h": [1, True]})
+    with pytest.raises(InvalidInput, match=r"^hyperbolic scalar must be \[b1, b2\], got \[1\]$"):
+        parse_scalar({"h": [1]})
+
+
+def test_scalar_emission_unknown_form():
+    with pytest.raises(InvalidInput, match="^unknown scalar form 'polar'$"):
+        scalar_to_json(Bicomplex(1.0, 2.0), "polar")
 
 
 # ---------------------------------------------------------- vectors/matrices
@@ -98,6 +105,11 @@ def test_vector_round_trip():
 def test_vector_dim_declared_mismatch():
     with pytest.raises(InvalidInput):
         parse_vector({"dim": 3, "e1": [[1, 0]], "e2": [[1, 0]]})
+
+
+def test_vector_components_must_be_lists():
+    with pytest.raises(InvalidInput, match=r"^vector e1 must be a list of \[re, im\] pairs$"):
+        parse_vector({"e1": {"re": 1}, "e2": [[1, 0]]})
 
 
 def test_matrix_round_trip():

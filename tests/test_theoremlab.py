@@ -542,6 +542,7 @@ _OMT_LEAD = 2 + tl.OMT_SERIES_LEN
 
 
 @pytest.mark.parametrize("rows, cols, trials", [(64, 128, 100), (3, 6, 200)])  # the benchmark's and the desk's
+@pytest.mark.routes
 def test_omt_report_is_bit_identical_on_both_routes(monkeypatch, rows, cols, trials):
     # the check's one block solve, (trials + 14) rows, weighs 933,888 per
     # component at 64x128 and 3,852 at 3x6: one split solve and one in turn
@@ -560,6 +561,7 @@ def test_omt_report_is_bit_identical_on_both_routes(monkeypatch, rows, cols, tri
     assert len(_solve_splits(splits)) == len(splits) == split
 
 
+@pytest.mark.routes
 def test_omt_checks_that_split_at_once_get_the_one_thread_bits(monkeypatch):
     # more calling threads than CPUs, switched often: each check's split
     # solve queues its component-1 chain on the one helper among the others'
@@ -661,6 +663,7 @@ def test_omt_makes_one_block_solve_and_queues_no_job_of_its_own(monkeypatch, omt
 
 
 @pytest.mark.parametrize("rows, cols, trials, chunks", [(64, 128, 1000, 7), (3, 6, 10000, 3)])
+@pytest.mark.routes
 def test_omt_trial_rows_keep_the_bits_of_the_trial_block_solved_alone(omt_solves, rows, cols, trials, chunks):
     # the 14 lead rows shift every chunk boundary of the trials, and the check
     # makes one solve per chunk; each trial row keeps the bits it has in one
