@@ -164,8 +164,8 @@ _MATRIX_IN = _Flag("--matrix", lambda path: parse_matrix(load_json(path)), requi
 _TERMS = _Flag("--terms", lambda path: load_json(path), required=True)  # parsed by the run, after the digest
 _SERIES_TOL = _Flag("--series-tol", _HYP, default="1e-12", help="hyperbolic literal a1,a2, both components > 0")
 _SAMPLES_HELP = ("random samples, drawn and judged a chunk at a time: memory does not grow with the count; "
-                 "each weighs 4*max(rows, cols) floats{}; over 2^24 in all exits 2")
-_TRIALS = _Flag("--trials", _PLAIN, type=int, default=1000, help=_SAMPLES_HELP.format(""))
+                 "each weighs 4*max({}) floats{}; over 2^24 in all exits 2")
+_TRIALS = _Flag("--trials", _PLAIN, type=int, default=1000, help=_SAMPLES_HELP.format("rows, cols", ""))
 
 
 def _max_n(help: str) -> _Flag:
@@ -244,9 +244,7 @@ _ROWS = {
         "uniform boundedness over an operator family",
         (_Flag("--family", _family, required=True, help="JSON array of matrices"),
          _Flag("--samples", _PLAIN, type=int, default=100,
-               help="random samples, applied to the family a chunk at a time: memory grows only "
-                    "with the report, which lists each sample's pointwise supremum; each weighs "
-                    "4*max(cols, members*rows) floats; over 2^24 in all exits 2"),
+               help=_SAMPLES_HELP.format("cols, members*rows", "")),
          _SEED, _OUTPUT),
         lambda a: _verdict(hyplab.ubp_verify(a.family, a.samples, a.seed)),
     ),
@@ -274,7 +272,7 @@ _ROWS = {
          _Flag("--r", _PLAIN, type=float, default=1.0),
          _Flag("--deltas", _deltas, default="0.5,2,10", help="comma-separated finite positive reals"),
          _Flag("--samples", _PLAIN, type=int, default=100,
-               help=_SAMPLES_HELP.format(" in each of the 1 + len(deltas) balls")),
+               help=_SAMPLES_HELP.format("rows, cols", " in each of the 1 + len(deltas) balls")),
          _SEED, _OUTPUT),
         lambda a: _verdict(
             hyplab.ball_scaling_check(DSeminorm(a.matrix), a.alpha, a.r, a.deltas, a.samples, a.seed)),

@@ -314,24 +314,20 @@ class BlockSolve(Record):
     _fields = ("x", "qy", "residual", "tol", "ynorm")
 
 
-def min_norm_solve_rows(T: BCMatrix, y: np.ndarray, tol: float | np.ndarray = 1e-10) -> BlockSolve:
+def min_norm_solve_rows(T: BCMatrix, y: np.ndarray, tol: float = 1e-10) -> BlockSolve:
     """Per-component minimum-norm solutions for every row of a (2, k, rows) block.
 
     The equation and the norm both decouple over the idempotents, so each
     bicomplex minimum-norm solution is a pair of complex ones, read off the
     operator's cached SVD with one product chain per component: the ranks,
     and so the chains' shapes, may differ.  Raises ``NotInRange`` for the
-    first row whose residual exceeds ``tol_i * ||y_i||`` in either component,
-    so a zero right-hand side needs a zero residual.  ``tol`` is one number
-    for every row or a (k,) array of one per row; each must be finite and
-    positive.
+    first row whose residual exceeds ``tol * ||y_i||`` in either component,
+    so a zero right-hand side needs a zero residual; ``tol`` itself must be
+    finite and positive.
     """
-    for t in np.ravel(tol).tolist():
-        _check_tol(t)
+    _check_tol(tol)
     if check_block(y).shape[-1] != T.rows:
         raise DimensionMismatch(f"operator has {T.rows} rows, vector has dim {y.shape[-1]}")
-    if np.ndim(tol) and np.shape(tol) != y.shape[1:2]:
-        raise DimensionMismatch(f"{y.shape[1]} rows take one tol or one per row, got {np.shape(tol)}")
     factors = T.svd()
     x = np.empty((*y.shape[:-1], T.cols), dtype=complex)
     res = np.empty_like(y, dtype=complex)

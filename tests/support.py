@@ -46,7 +46,7 @@ from hyplab import (
     BCMatrix, BCVector, Bicomplex, DimensionMismatch, DPlus, Hyperbolic, InvalidInput, NotConverged, ShapeMismatch,
 )
 from hyplab.dmodule import (
-    SERIES_WINDOW, AbsSummabilityReport, Columns, DSeminorm, SeriesReport, _as_tol, _within, dnorm_rows,
+    SERIES_WINDOW, AbsSummabilityReport, DSeminorm, SeriesReport, _as_tol, _within, dnorm_rows,
     require_finite, seminorm_eval, seminorm_rows, vec_dnorm,
 )
 from hyplab.hyperscalar import hyp_leq
@@ -656,7 +656,6 @@ def oracle_ubp(family, samples: int, seed: int, delta=None):
         seed=seed,
         family_size=len(family),
         samples=samples,
-        pointwise_sups=Columns(pstar),
         sup_opnorm=sup_opnorm,
         bound_delta=bound,
         all_bounds_ok=bool(_within(values, pstar, 0.0).all()) and bool(_within(pstar, rhs).all()),

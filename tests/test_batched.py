@@ -625,10 +625,9 @@ def test_ubp_matches_per_sample_evaluation():
     xs += [next_vector(stream, 4) for _ in range(70)]
     d = rep.bound_delta
     w1 = w2 = -math.inf
-    for k, x in enumerate(xs):
+    for x in xs:
         vals = [seminorm_eval(DSeminorm(T), x) for T in family]
         s1, s2 = max(v.a1 for v in vals), max(v.a2 for v in vals)
-        assert close(rep.pointwise_sups[k].a1, s1, s1) and close(rep.pointwise_sups[k].a2, s2, s2)
         nx = vec_dnorm(x)
         w1, w2 = max(w1, s1 - d.a1 * nx.a1), max(w2, s2 - d.a2 * nx.a2)
     scale = max(d.a1, d.a2) * max(max(vec_dnorm(x).a1, vec_dnorm(x).a2) for x in xs)
@@ -643,7 +642,6 @@ def _same_report(got, want):
     assert type(got) is type(want)
     assert [type(v) for v in vars(got).values()] == [type(v) for v in vars(want).values()]
     assert dumps(got.to_json_dict()) == dumps(want.to_json_dict())
-    assert got.pointwise_sups.array.tobytes() == want.pointwise_sups.array.tobytes()
 
 
 def _tied_family():
@@ -747,9 +745,17 @@ def test_open_mapping_matches_per_sample_evaluation():
     w1 = w2 = -math.inf
     r1 = r2 = 0.0
     scale = 1.0
+    # the lead rows first: the witness, the bottom left singular vectors, then
+    # the chain's geometric series y_0 2^-k, k = 0..11, and its sum
+    u = T.svd().u
+    y0 = next_vector(check_stream(13, "omt-verify/series"), 3)
+    y0 = y0.scale(1.0 / max(vec_dnorm(y0).components()))
+    ys = [y0.scale(0.5**k) for k in range(tl.OMT_SERIES_LEN)]
+    y_sum = BCVector.zeros(3)
+    for y in ys:
+        y_sum = y_sum + y
     stream = check_stream(13, "omt-verify")
-    for _ in range(150):
-        y = next_vector(stream, 3)
+    for y in [BCVector(u[0][:, -1], u[1][:, -1]), *ys, y_sum, *(next_vector(stream, 3) for _ in range(150))]:
         sol = min_norm_solve(T, y, tol=1e-9)
         ny = vec_dnorm(y)
         w1 = max(w1, sol.qy.a1 - delta.a1 * ny.a1)

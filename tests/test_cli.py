@@ -590,9 +590,12 @@ def test_a_value_the_library_rejects_gets_one_digested_envelope(tmp_path, capsys
 
 
 #: hyperbolic literals read in the whole plane, and a real radius, refused by
-#: the routine that takes them, as (command, flags, kind, exit code, message)
+#: the routine that takes them before it factors the operator, as (command,
+#: flags, kind, exit code, message)
 SIGN_REJECTS = [
     ("zabreiko", "--m 2,2 --eps 1,1 --r 0", "PreconditionViolated", 4, "radius must be positive, got 0.0"),
+    *(("zabreiko", f"--m 2,2 --eps 1,1 --r {r}", "InvalidInput", 2, f"r must be finite, got {r}")
+      for r in ("inf", "nan")),
     *(("zabreiko", f"--m={m} --eps 1,1", "PreconditionViolated", 4,
        "m must be strictly positive in both components") for m in ("-1,1", "0,1", "2,-2")),
     *(("zabreiko", f"--m 2,2 --eps={eps}", "PreconditionViolated", 4,
@@ -606,10 +609,13 @@ SIGN_REJECTS = [
     "command, flags, kind, code, message", SIGN_REJECTS, ids=[f"{c} {f}" for c, f, *_ in SIGN_REJECTS]
 )
 def test_a_hyperbolic_literal_of_the_wrong_sign_gets_one_digested_envelope(
-    tmp_path, capsys, command, flags, kind, code, message
+    tmp_path, capsys, monkeypatch, command, flags, kind, code, message
 ):
     # the literal parses as any hyperbolic number, so its sign is judged
-    # after the inputs are digested, whichever component is refused
+    # after the inputs are digested, whichever component is refused, and
+    # before anything is factored
+    calls, real = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or real(*a, **k))
     paths = {
         "I": write(tmp_path, "I.json", matrix_to_json(BCMatrix.identity(4))),
         "x": write(tmp_path, "x.json", vector_to_json(BCVector([0.1, 0.2, 0.0, 0.1], [0.3, 0.1, 0.1, 0.0]))),
@@ -623,6 +629,7 @@ def test_a_hyperbolic_literal_of_the_wrong_sign_gets_one_digested_envelope(
     assert doc["payload"] == {"error": {"kind": kind, "message": message}}
     assert doc["pass"] is False and re.fullmatch("[0-9a-f]{64}", doc["inputs_digest"])
     assert err == f"hyplab: {kind}: {message}\n"
+    assert calls == []
 
 @pytest.mark.parametrize("tol", ["1", "1e308"])
 def test_rank_cutoff_of_one_or_more_exit_2(tmp_path, capsys, tol):

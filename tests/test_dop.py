@@ -913,31 +913,6 @@ def test_solve_tolerance_must_be_finite_and_positive(tol):
         min_norm_solve(R, BCVector([1.0, 0.0], [1.0, 0.0]), tol=tol)
 
 
-def test_solve_tolerance_may_be_one_per_row():
-    # each row is judged by its own tolerance, with the bits of that value
-    # given for every row; a bad value anywhere is rejected by its value
-    R = BCMatrix([[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
-    # residuals (0, 0), (1e-12, 0) and (3, 3)
-    y = np.array([[[1, 0], [1, 1e-12], [0, 3]], [[1, 0], [1, 0], [0, 3]]], dtype=complex)
-    loose = min_norm_solve_rows(R, y, tol=2.0)
-    rows = min_norm_solve_rows(R, y, tol=np.array([1e-10, 1e-10, 2.0]))
-    for name in ("x", "qy", "residual", "ynorm"):
-        assert getattr(rows, name).tobytes() == getattr(loose, name).tobytes(), name
-    assert rows.tol.tobytes() == (np.array([1e-10, 1e-10, 2.0]) * loose.ynorm).tobytes()
-    assert rows.tol[:, 2].tolist() == loose.tol[:, 2].tolist()
-    with pytest.raises(NotInRange) as info:
-        min_norm_solve_rows(R, y, tol=[1e-10, 1e-13, 2.0])
-    (r1, r2), (t1, t2) = loose.residual[:, 1].tolist(), (1e-13 * loose.ynorm[:, 1]).tolist()
-    assert r1 > t1
-    assert str(info.value) == f"right-hand side outside operator range: residual ({r1}, {r2}) > ({t1}, {t2})"
-    for bad, word in ((0.0, "positive"), (-1.0, "positive"), (math.nan, "positive"), (math.inf, "finite")):
-        with pytest.raises(InvalidInput) as info:
-            min_norm_solve_rows(R, y, tol=[1e-10, bad, 2.0])
-        assert str(info.value) == f"tol must be {word}, got {bad}"
-    with pytest.raises(DimensionMismatch, match=r"^3 rows take one tol or one per row, got \(2,\)$"):
-        min_norm_solve_rows(R, y, tol=[1e-10, 2.0])
-
-
 def test_tolerance_products_that_overflow_raise_no_numpy_warning():
     # 1e308 times a singular value or a norm above ~1.8 overflows: a rank
     # cutoff of 1 or more is rejected before any product, and a residual

@@ -102,28 +102,25 @@ def _reports():
         seed=1,
         family_size=2,
         samples=1,
-        pointwise_sups=[DPlus(-0.0, TINY), DPlus(3.0, 0.25)],
         sup_opnorm=DPlus(3.0, 0.25),
-        bound_delta=DPlus(3.0, 0.25),
+        bound_delta=DPlus(-0.0, TINY),
         all_bounds_ok=True,
         worst_margin=Hyperbolic(-0.0, 0.0),
     ), (
-        '{"check":"ubp","seed":1,"family_size":2,"samples":1,'
-        '"pointwise_sups":[[-0.0,5e-324],[3.0,0.25]],"sup_opnorm":[3.0,0.25],'
-        '"bound_delta":[3.0,0.25],"all_bounds_ok":true,"worst_margin":[-0.0,0.0],"pass":true}'
+        '{"check":"ubp","seed":1,"family_size":2,"samples":1,"sup_opnorm":[3.0,0.25],'
+        '"bound_delta":[-0.0,5e-324],"all_bounds_ok":true,"worst_margin":[-0.0,0.0],"pass":true}'
     )
     yield "ubp-empty", UBPReport(
         check="ubp",
         seed=1,
         family_size=0,
         samples=0,
-        pointwise_sups=[],
         sup_opnorm=DPlus(0.0, 0.0),
         bound_delta=DPlus(0.0, 0.0),
         all_bounds_ok=False,
         worst_margin=Hyperbolic(0.0, 0.0),
     ), (
-        '{"check":"ubp","seed":1,"family_size":0,"samples":0,"pointwise_sups":[],'
+        '{"check":"ubp","seed":1,"family_size":0,"samples":0,'
         '"sup_opnorm":[0.0,0.0],"bound_delta":[0.0,0.0],"all_bounds_ok":false,'
         '"worst_margin":[0.0,0.0],"pass":false}'
     )
@@ -235,7 +232,7 @@ def _reports():
         payload={"error": {"kind": "InvalidInput", "message": "bad \"x\""}, "r": -0.0},
     )
     yield "envelope", envelope, (
-        '{"tool":"hyplab","version":"0.11.0","subcommand":"knorm","inputs_digest":"",'
+        '{"tool":"hyplab","version":"0.12.0","subcommand":"knorm","inputs_digest":"",'
         '"seed":0,"payload":{"error":{"kind":"InvalidInput","message":"bad \\"x\\""},'
         '"r":-0.0},"pass":false}'
     )

@@ -30,6 +30,7 @@ from hyplab import (
     op_dnorm,
     open_mapping_verify,
     seminorm_eval,
+    surjectivity_check,
     ubp_verify,
     vec_dnorm,
     zabreiko_decompose,
@@ -469,8 +470,8 @@ def _graded(rng, rows: int, cols: int, smallest: float) -> np.ndarray:
 @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
 def test_omt_judges_residuals_by_the_solves_relative_rule(scale):
     # at condition number 5e6 the 64-row residuals reach 1.4e-9 to 2.5e-9:
-    # above CHECK_SLACK itself, far below CHECK_SLACK * ||y_i|| (about 11),
-    # while the unit witness solve stays under half its own bound
+    # above CHECK_SLACK itself, far below the slack 8 * 2^-52 * kappa (about
+    # 8.9e-9) times ||y_i|| (about 11), and the unit witness within it too
     worst = []
     for seed in range(3):
         rng = np.random.default_rng(seed)
@@ -481,28 +482,47 @@ def test_omt_judges_residuals_by_the_solves_relative_rule(scale):
     assert max(worst) > tl.CHECK_SLACK
 
 
+#: The graded operators below have condition number 10^e for each of these e.
+_DECADES = range(10)
+
+
+@pytest.mark.parametrize("e", _DECADES, ids=[f"1e{e}" for e in _DECADES])
+@pytest.mark.parametrize("rows, cols", [(3, 6), (64, 128)], ids=["3x6", "64x128"])
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_omt_accepts_surjective_operators_at_condition_1e7(tmp_path, threads):
-    # at condition number 1e7 and scale 1e-6, the unit witness solve of these
-    # three surjective operators leaves a residual of up to 1.14e-9, above
-    # CHECK_SLACK but far within the witness's 8 * 2^-52 * kappa (about
-    # 1.8e-8); the solve's rounding moves with the BLAS thread count, so the
-    # children run at one and at two threads, and every one must pass
+def test_omt_accepts_surjective_operators_at_every_condition_decade(tmp_path, threads, rows, cols, e):
+    # a minimum-norm solve leaves a residual of up to about 2.5 * 2^-52 * kappa
+    # ||y|| here, above CHECK_SLACK from kappa ~ 1e6 on, and every row is
+    # judged within 8 * 2^-52 * kappa; the solve's rounding moves with the
+    # BLAS thread count, so the child runs at one and at two threads
     src = os.path.dirname(os.path.dirname(tl.__file__))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""),
                OPENBLAS_NUM_THREADS=threads)
-    for seed in (0, 1, 5):
-        rng = np.random.default_rng(seed)
-        T = BCMatrix(_graded(rng, 64, 128, 1e-7) * 1e-6, _graded(rng, 64, 128, 1e-7) * 1e-6)
-        path = tmp_path / f"T{seed}.json"
-        path.write_text(dumps(matrix_to_json(T)) + "\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "hyplab.cli", "omt-verify", "--matrix", str(path),
-             "--trials", "100", "--seed", "7"],
-            capture_output=True, env=env, timeout=120,
-        )
-        doc = json.loads(proc.stdout)
-        assert (proc.returncode, doc["pass"]) == (0, True), (seed, doc["payload"])
+    rng = np.random.default_rng(e)
+    T = BCMatrix(_graded(rng, rows, cols, 10.0**-e) * 1e-6, _graded(rng, rows, cols, 10.0**-e) * 1e-6)
+    assert surjectivity_check(T).surjective
+    path = tmp_path / "T.json"
+    path.write_text(dumps(matrix_to_json(T)) + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyplab.cli", "omt-verify", "--matrix", str(path), "--trials", "100", "--seed", "7"],
+        capture_output=True, env=env, timeout=120,
+    )
+    doc = json.loads(proc.stdout)
+    assert (proc.returncode, doc["pass"]) == (0, True), doc["payload"]
+
+
+@pytest.mark.parametrize("e", _DECADES, ids=[f"1e{e}" for e in _DECADES])
+@pytest.mark.parametrize("rows, cols", [(3, 6), (64, 128)], ids=["3x6", "64x128"])
+@pytest.mark.parametrize("factor, caught", [(1 - 1e-6, "bound_ok"), (1 + 1e-6, "witness_ok")], ids=["shrunk", "grown"])
+def test_omt_refutes_a_delta_off_by_1e_6_at_every_condition_decade(monkeypatch, rows, cols, e, factor, caught):
+    # the witness row attains delta to within about 1e-15 at every kappa, so
+    # a shrunk delta fails its bound and a grown one its witness
+    rng = np.random.default_rng(e)
+    T = BCMatrix(_graded(rng, rows, cols, 10.0**-e), _graded(rng, rows, cols, 10.0**-e))
+    assert open_mapping_verify(T, 100, seed=7).passed
+    real = tl.open_mapping_delta
+    monkeypatch.setattr(tl, "open_mapping_delta", lambda T: real(T) * factor)
+    rep = open_mapping_verify(T, 100, seed=7)
+    assert not rep.passed and not getattr(rep, caught)
 
 
 def test_omt_not_surjective():
@@ -608,11 +628,11 @@ def test_omt_reports_the_first_row_out_of_range_in_witness_chain_trial_order(mon
     real = tl.min_norm_solve_rows
     solved = []
 
-    def tight(T, y, tol):  # the rows ``failing`` of the block get a bound no residual meets
+    def tight(T, y, tol):  # only the rows ``failing`` are left nonzero, at a bound no residual meets
         solved.append(real(T, y, tol))
-        bound = np.broadcast_to(tol, y.shape[1:2]).copy()
-        bound[list(failing)] = 1e-300
-        return real(T, y, bound)
+        kept = np.zeros_like(y)
+        kept[:, list(failing)] = y[:, list(failing)]
+        return real(T, kept, 1e-300)
 
     monkeypatch.setattr(tl, "min_norm_solve_rows", tight)
     splits = _counting_splits(monkeypatch)
@@ -667,17 +687,19 @@ def test_omt_makes_one_block_solve_and_queues_no_job_of_its_own(monkeypatch, omt
 def test_omt_trial_rows_keep_the_bits_of_the_trial_block_solved_alone(omt_solves, rows, cols, trials, chunks):
     # the 14 lead rows shift every chunk boundary of the trials, and the check
     # makes one solve per chunk; each trial row keeps the bits it has in one
-    # block solve of the trials alone, so do the worst residual and margin
+    # block solve of the trials alone, and the worst residual and margin are
+    # those of every solved row, the lead rows' included
     T = surjective_mat(np.random.default_rng(rows + 1), rows, cols)
     rep = open_mapping_verify(T, trials, seed=21)
     assert rep.passed and len(omt_solves) == chunks
     y = tl._sample_rows(tl.check_stream(21, "omt-verify").standard_normal((trials, 4 * rows)), rows)
     alone = dop.min_norm_solve_rows(T, y, tol=tl.CHECK_SLACK)
-    for name in ("x", "qy", "residual", "ynorm"):
-        rows_solved = np.concatenate([getattr(sol, name) for sol in omt_solves], axis=1)[:, _OMT_LEAD:]
-        assert rows_solved.tobytes() == getattr(alone, name).tobytes(), name
-    margin = alone.qy - tl._column(rep.delta) * alone.ynorm
-    assert rep.worst_residual.components() == tuple(alone.residual.max(axis=1).tolist())
+    solved = {name: np.concatenate([getattr(sol, name) for sol in omt_solves], axis=1)
+              for name in ("x", "qy", "residual", "ynorm")}
+    for name, rows_solved in solved.items():
+        assert rows_solved[:, _OMT_LEAD:].tobytes() == getattr(alone, name).tobytes(), name
+    margin = solved["qy"] - tl._column(rep.delta) * solved["ynorm"]
+    assert rep.worst_residual.components() == tuple(solved["residual"].max(axis=1).tolist())
     assert rep.worst_margin.components() == tuple(margin.max(axis=1).tolist())
 
 
