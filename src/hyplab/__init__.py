@@ -5,7 +5,7 @@ The theorem checks' names (``_LAZY``) import ``hyplab.theoremlab`` on first
 access (PEP 562), so a process that runs no theorem check never loads it.
 """
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .errors import (
     DimensionMismatch, HyplabError, HypothesisFailed, InvalidInput, NoConvergence, NotConverged, NotInRange,

@@ -53,7 +53,7 @@ from . import __version__
 from .dmodule import MAX_SERIES_TERMS, DSeminorm, abs_summability_check, series_sum, vec_dnorm
 from .dop import _openblas, min_norm_solve, op_dnorm, open_mapping_delta, surjectivity_check
 from .errors import HyplabError, InvalidInput, NotConverged
-from .hyperscalar import bc_inverse, knorm
+from .hyperscalar import Hyperbolic, bc_inverse, knorm
 from .jsonio import (
     digest,
     dumps,
@@ -151,7 +151,7 @@ def _deltas(text: str) -> list[float]:
 # module attribute is the one that runs
 _PLAIN = lambda value: value  # typed by argparse
 _VECTOR = lambda path: parse_vector(load_json(path))
-# read in the whole plane: the routine taking it judges the sign after the digest
+# a float pair in the whole plane, built after the digest; the routine taking it judges the sign
 _HYP = lambda text: parse_hyp_literal(text)
 
 _SEED = _Flag("--seed", type=int, default=42, help="sampling seed (default 42)")
@@ -305,7 +305,8 @@ def _dispatch(args, envelope: dict):
     digest holds every input as read, None if omitted without a default, in
     row order, keyed by its flag's name.  It goes into ``envelope`` before
     the run, so an error the computation raises, such as a value the library
-    rejects, still reports which inputs it saw.
+    rejects, still reports which inputs it saw.  A hyperbolic literal's
+    value is built after it, so a non-finite component is refused by flag.
     """
     row = _ROWS[args.command]
     inputs = [f for f in row.flags if f.read is not None]
@@ -313,6 +314,12 @@ def _dispatch(args, envelope: dict):
         if (value := getattr(args, f.dest)) is not None:
             setattr(args, f.dest, f.read(value))
     envelope["inputs_digest"] = digest({f.dest: getattr(args, f.dest) for f in inputs})
+    for f in inputs:
+        if f.read is _HYP and (pair := getattr(args, f.dest)) is not None:
+            try:
+                setattr(args, f.dest, Hyperbolic(*pair))
+            except InvalidInput as exc:
+                raise InvalidInput(f"{f.flag}: {exc}") from exc
     return row.run(args)
 
 

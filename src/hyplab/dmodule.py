@@ -24,8 +24,9 @@ and ``seminorm_eval`` are their one-row cases.  Each stacked operation
 makes, per component, the call it would make on that component alone, so
 its values are bit for bit those of two one-component calls.  Every block
 function rejects, through ``check_block``, an array that is not (2, k, n).
-``_within``, whose slack is relative to the values compared, is the one
-verdict rule: the Cauchy chain and every theorem check judge through it.
+``_excess``, whose slack is relative to the values compared, is the one
+verdict rule: the Cauchy chain and every theorem check judge each
+inequality once through it, and report its worst value as the margin.
 
 ``complex_pairs`` is the one emitter of complex entries: it turns an array
 of any shape into nested ``[re, im]`` lists of plain floats.  The vector
@@ -178,11 +179,11 @@ def require_finite(values: np.ndarray) -> np.ndarray:
 
 
 def _worst(*margins: np.ndarray) -> Hyperbolic:
-    """Componentwise maximum over (2, k) margin arrays; positive is a violation."""
+    """Componentwise maximum over (2, k) ``_excess`` arrays; positive is a violation."""
     return Hyperbolic(*np.concatenate(margins, axis=1).max(axis=1).tolist())
 
 
-#: Relative slack of every verified inequality; see ``_within``.
+#: Relative slack of every verified inequality; see ``_excess``.
 CHECK_SLACK = 1e-9
 
 #: Magnitude below which the slack stops shrinking.  Entries under ~1e-154
@@ -191,8 +192,10 @@ CHECK_SLACK = 1e-9
 SLACK_FLOOR = 1e-150
 
 
-def _within(a, b, slack: float = CHECK_SLACK, scale=0.0):
-    """a <= b + slack * max(scale, |a|, |b|, SLACK_FLOOR), elementwise.
+def _excess(a, b, slack: float = CHECK_SLACK, scale=0.0):
+    """a - (b + slack * max(scale, |a|, |b|, SLACK_FLOOR)), elementwise: a <= b
+    holds within the slack exactly where it is <= 0, as a - c rounds to 0 only
+    where a == c and keeps its sign elsewhere (gradual underflow).
 
     The slack is relative to the values compared, so an operator with
     entries near 1e9 or 1e-12 is judged as one with entries near 1 is.  A
@@ -201,7 +204,7 @@ def _within(a, b, slack: float = CHECK_SLACK, scale=0.0):
     ``scale`` is a data scale both sides may sit far below (a zero side, a running sum).
     """
     size = np.maximum(np.maximum(scale, SLACK_FLOOR), np.maximum(np.abs(a), np.abs(b)))
-    return a <= b + slack * size
+    return a - (b + slack * size)
 
 
 def check_block(b: np.ndarray) -> np.ndarray:
@@ -579,23 +582,19 @@ def abs_summability_check(
     raising: divergence at a finite cap is always just "not yet
     converged".  Then verifies, for a deterministic schedule of index pairs
     m < n, that ||s_n - s_m||_D <= sum_{k=m+1..n} ||x_k||_D componentwise
-    by ``_within``, with sum_{k<=n} ||x_k||_D as the data scale of its
-    relative slack.
+    by ``_excess``, with sum_{k<=n} ||x_k||_D as the data scale of its
+    relative slack; ``chain_margin`` is the worst excess.
     """
     report, s = _read_series(terms, tol if tol is not None else 1e-12, max_n, keep="s", to_cap=True)
-    n_terms = report.n_terms
     abs_sums = report.abs_sums.array
 
     # pairs (m, n) = (n - stride, n) for strides 1, 2, 4, ...: deterministic
-    chain_ok = True
     margins = []
     stride = 1
-    while stride < n_terms:
-        diff = dnorm_rows(s[:, stride:] - s[:, :-stride])
+    while stride < report.n_terms:
         upper = abs_sums[:, stride:]
-        gap = upper - abs_sums[:, :-stride]
-        margins.append(diff - gap)
-        chain_ok = chain_ok and bool(_within(diff, gap, scale=upper).all())
+        diff = dnorm_rows(s[:, stride:] - s[:, :-stride])
+        margins.append(_excess(diff, upper - abs_sums[:, :-stride], scale=upper))
         stride *= 2
     worst = _worst(*margins) if margins else Hyperbolic(0.0, 0.0)
 
@@ -607,7 +606,7 @@ def abs_summability_check(
     return AbsSummabilityReport(
         **fields,
         abs_converged=report.converged,
-        cauchy_chain_ok=chain_ok,
+        cauchy_chain_ok=worst.a1 <= 0 and worst.a2 <= 0,
         chain_margin=worst,
     )
 

@@ -265,9 +265,10 @@ def parse_series(obj):
     raise InvalidInput("series must be a vector array or a geometric generator spec")
 
 
-def parse_hyp_literal(text: str) -> Hyperbolic:
+def parse_hyp_literal(text: str) -> tuple[float, float]:
     """Parse the CLI literal "a1,a2" (or a single value used for both) as a
-    ``Hyperbolic``; the routine that takes it judges the signs."""
+    float pair, non-finite values included: a pair is digested as a
+    ``Hyperbolic`` is, ``[a1,a2]``, and the caller builds the value after."""
     parts = [p.strip() for p in str(text).split(",")]
     if len(parts) == 1:
         parts = [parts[0], parts[0]]
@@ -277,7 +278,7 @@ def parse_hyp_literal(text: str) -> Hyperbolic:
         a1, a2 = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise InvalidInput(f"bad numeric literal in {text!r}") from exc
-    return Hyperbolic(a1, a2)
+    return a1, a2
 
 
 #: Deepest container nesting ``load_json`` accepts: far above the 5 levels

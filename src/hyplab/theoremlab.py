@@ -36,16 +36,17 @@ the operator's cached SVD; verdicts and worst margins are maxima over the
 chunks, so memory does not grow with the sample count.  The fixed rows are
 witnesses, and for ``open_mapping_verify`` also the series chain, so each of
 its right-hand sides is solved in one block solve per chunk.  Every
-inequality is judged through ``dmodule._within``, the one verdict rule,
-whose slack is relative to the values compared, so verdicts do not depend
-on the operator's scale; a norm or bound that overflows is rejected as
-``InvalidInput``, never compared.
+inequality is judged once, through ``dmodule._excess``, the one verdict
+rule, whose slack is relative to the values compared, so verdicts do not
+depend on the operator's scale: the inequality holds where its excess is
+at most 0, and each reported margin is the worst excess of the verdicts
+it covers, so its sign agrees with them.  A norm or bound that overflows
+is rejected as ``InvalidInput``, never compared.
 A check's parameters are the quantities of the statement it replays
-(operators, radii, bounds, sample counts, seeds); the slacks
-(``dmodule.CHECK_SLACK``, which ``open_mapping_verify`` widens with its
-operator's condition number, ``CLOSURE_TOL`` and ``WITNESS_SLACK`` below
-it) and the open-mapping series ``OMT_SERIES_LEN``/``OMT_BUDGET`` are module
-constants.
+(operators, radii, bounds, sample counts, seeds); the one slack
+``dmodule.CHECK_SLACK``, which ``open_mapping_verify`` alone widens with
+its operator's condition number, and the open-mapping series
+``OMT_SERIES_LEN``/``OMT_BUDGET`` are module constants.
 
 The Zabreiko decomposition is sequential, so its steps run one vector at
 a time, its stop rule is judged once per chunk of steps, and the steps are
@@ -68,8 +69,8 @@ from .dmodule import (
     DSeminorm,
     Report,
     _component_norms,
+    _excess,
     _read_series,
-    _within,
     _worst,
     dnorm_rows,
     require_finite,
@@ -93,12 +94,6 @@ from .errors import (
     ShapeMismatch,
 )
 from .hyperscalar import DPlus, Hyperbolic
-
-#: Relative tolerance-ball radius standing in for topological closure.
-CLOSURE_TOL = 1e-9
-
-#: ``lemma31``'s tightness slack: its witness reaches the constant up to SVD rounding.
-WITNESS_SLACK = 1e-8
 
 #: Terms of the geometric right-hand-side series ``open_mapping_verify`` solves.
 OMT_SERIES_LEN = 12
@@ -170,8 +165,10 @@ def _fold(seed, name, count, n, judge, weight, lead=None, build=None):
     Sample i is the stream's i-th vector of dim n, 4n normals, or what
     ``build`` makes of a chunk's (k, 4n) normals; the fixed (2, L, n) rows
     ``lead`` go first.  ``judge(x, a)`` takes a chunk's (2, k, n) block, row
-    a onward, and returns (2, k) arrays in which larger is worse; each comes
-    back as its componentwise maximum, a (2, 1) column.  ``weight`` is the
+    a onward, and returns (2, k) arrays in which larger is worse, each an
+    inequality's ``_excess`` or a residual; each comes back as its
+    componentwise maximum, a (2, 1) column, so an excess's column is at most
+    0 exactly where its inequality holds on every row.  ``weight`` is the
     sample's weight from ``_admit``, which admits the count; here it only
     sizes the chunks.
     """
@@ -188,11 +185,6 @@ def _fold(seed, name, count, n, judge, weight, lead=None, build=None):
             x = np.concatenate((lead, x), axis=1)
         worst.append([v.max(axis=1, keepdims=True) for v in judge(x, a)])
     return [np.concatenate(v, axis=1).max(axis=1, keepdims=True) for v in zip(*worst)]
-
-
-def _holds(a: Hyperbolic, b: Hyperbolic, slack: float = CHECK_SLACK, scale=0.0) -> bool:
-    """``_within`` for one pair of hyperbolic values, both components."""
-    return bool(_within(np.array(a.components()), np.array(b.components()), slack, scale).all())
 
 
 def _column(h: Hyperbolic) -> np.ndarray:
@@ -251,14 +243,13 @@ def continuity_bound_check(
 
     def judge(x, a):
         px = seminorm_rows(p, x)
-        bound = require_finite(alpha * dnorm_rows(x))
-        # tightness: the combined witness, row 2, attains both components of the
-        # true constant, so any alpha smaller by more than WITNESS_SLACK relative is refuted
-        loose = ~_within(_column(true_m), px[:, 2:3], WITNESS_SLACK) if a == 0 else np.zeros((2, 1), bool)
-        return px - bound, ~_within(px, bound), loose
+        # tightness: the combined witness, row 2, attains both components of the true
+        # constant up to SVD rounding, so any alpha smaller by more than the slack is refuted
+        loose = _excess(_column(true_m), px[:, 2:3]) if a == 0 else np.full((2, 1), -np.inf)
+        return _excess(px, require_finite(alpha * dnorm_rows(x))), loose
 
     # the witnesses, then one random sample per trial
-    margin, over, loose = _fold(seed, name, trials, n, judge, weight, _witness_rows(p.T))
+    margin, loose = _fold(seed, name, trials, n, judge, weight, _witness_rows(p.T))
 
     # Lipschitz chain along generated sequences x_j = x + 2^-j d -> x:
     # |p(x_j) - p(x)| <= p(x_j - x) <= alpha* ||x_j - x||_D, 10 steps each
@@ -268,17 +259,17 @@ def continuity_bound_check(
     gap = np.abs(
         seminorm_rows(p, xj.reshape(2, -1, n)) - np.repeat(seminorm_rows(p, s[:, :, 0]), 10, axis=1)
     )
-    seq_bound = require_finite(alpha * dnorm_rows((xj - s).reshape(2, -1, n)))
+    seq_margin = _excess(gap, require_finite(alpha * dnorm_rows((xj - s).reshape(2, -1, n))))
 
     return ContinuityReport(
         check=name,
         seed=seed,
         trials=trials,
         alpha_star=a_star,
-        all_ok=not over.any(),
-        sequence_ok=bool(_within(gap, seq_bound).all()),
-        witness_tight=not loose.any(),
-        worst_margin=_worst(margin, gap - seq_bound),
+        all_ok=bool((margin <= 0).all()),
+        sequence_ok=bool((seq_margin <= 0).all()),
+        witness_tight=bool((loose <= 0).all()),
+        worst_margin=_worst(margin, seq_margin),
     )
 
 
@@ -316,20 +307,16 @@ def countable_subadd_check(
     # running sums of p(x_k), then the block turned in place into the partial
     # sums s_n = x_1 + ... + x_n, each added in order
     p_running = require_finite(np.cumsum(seminorm_rows(p, b), axis=1))
-    ps = seminorm_rows(p, np.cumsum(b, axis=1, out=b))
-    partial_ok = bool(_within(ps, p_running).all())
-
-    p_limit = np.array(seminorm_eval(p, report.limit).components())[:, None]
-    p_total = p_running[:, -1:]
-    limit_ok = bool(_within(p_limit, p_total).all())
+    partial = _excess(seminorm_rows(p, np.cumsum(b, axis=1, out=b)), p_running)
+    limit = _excess(_column(seminorm_eval(p, report.limit)), p_running[:, -1:])
 
     return SubaddReport(
         check="subadd",
         n_terms=report.n_terms,
         series_converged=report.converged,
-        partial_ok=partial_ok,
-        limit_ok=limit_ok,
-        worst_margin=_worst(ps - p_running, p_limit - p_total),
+        partial_ok=bool((partial <= 0).all()),
+        limit_ok=bool((limit <= 0).all()),
+        worst_margin=_worst(partial, limit),
     )
 
 
@@ -363,7 +350,8 @@ def ball_scaling_check(
 
     V_alpha = {x : p(x) <= alpha} is the paper's sublevel set.  Its closure
     is stood in for by a tolerance closure: x is in it when p(x) <= alpha +
-    CLOSURE_TOL * max(p(x), alpha) per component.  The premise is
+    CHECK_SLACK * max(p(x), alpha) per component, the one verdict rule, and
+    the report records that slack as ``closure_tol``.  The premise is
     re-verified on witness and random samples first and a failing premise
     raises ``HypothesisFailed``.  ``alpha`` None stands for ||p.T||_D r, the
     least alpha the premise allows, computed once the count is admitted.
@@ -387,7 +375,7 @@ def ball_scaling_check(
     n = p.T.cols
 
     def ball(j, d, premise=False):
-        """The worst margin and violations of p(x) <= d alpha over the d r ball.
+        """The worst excess of p(x) over d alpha on the d r ball.
 
         The witnesses lead, scaled onto the sphere.  Sample i is row i of
         stream j, scaled to d r times uniform i of its sibling stream j/u,
@@ -403,18 +391,19 @@ def ball_scaling_check(
 
         def judge(x, a):
             px = seminorm_rows(p, x)
-            outside = ~_within(px, bound, CLOSURE_TOL)
+            excess = _excess(px, bound)
+            outside = (excess > 0).any(axis=0)
             if premise and outside.any():
-                a1, a2 = px[:, outside.any(axis=0).argmax()].tolist()
+                a1, a2 = px[:, outside.argmax()].tolist()
                 raise HypothesisFailed(
                     f"premise fails at radius {r}: p(x)=({a1}, {a2}) "
-                    f"exceeds alpha=({alpha.a1}, {alpha.a2}) beyond relative tolerance {CLOSURE_TOL}"
+                    f"exceeds alpha=({alpha.a1}, {alpha.a2}) beyond relative tolerance {CHECK_SLACK}"
                 )
-            return px - bound, outside
+            return (excess,)
 
         ws = (radius / np.maximum(np.maximum(*dnorm_rows(witnesses)), 1e-30))[:, None]
         with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan scale: the judge rejects it
-            return _fold(seed, stream, samples, n, judge, weight, witnesses * ws, build)
+            return _fold(seed, stream, samples, n, judge, weight, witnesses * ws, build)[0]
 
     ball("hyp", 1, premise=True)
     folds = [ball(f"d{j}", d) for j, d in enumerate(delta_list)]
@@ -426,9 +415,9 @@ def ball_scaling_check(
         r=r,
         alpha=alpha,
         deltas=list(delta_list),
-        per_delta_ok=[not outside.any() for _, outside in folds],
-        worst_margin=_worst(*(margin for margin, _ in folds)),
-        closure_tol=CLOSURE_TOL,
+        per_delta_ok=[bool((margin <= 0).all()) for margin in folds],
+        worst_margin=_worst(*folds),
+        closure_tol=CHECK_SLACK,
     )
 
 
@@ -653,13 +642,14 @@ def zabreiko_decompose(
             raise InvalidInput(
                 f"{what} is not finite at step {steps}, quantized at pitch eps'_k r / (2 sqrt(n)) = ({p1}, {p2})")
 
-    # budgets p(x_k) <= eps_{k-1} m and ||u_k||_D <= eps_k r, every step
-    pks = seminorm_terms(p, terms)
+    # budgets p(x_k) <= eps_{k-1} m and ||u_k||_D <= eps_k r, every step.  The
+    # term budget is finite: ||x||_D <= r gives eps_0 <= 1, so eps_0 m <= m, and
+    # for k >= 1 eps_k = ldexp(eps/m, -k) is finite (checked at step 1), so
+    # eps_k m <= (eps/2)(1 + u)^2 < 2^1024 with u = 2^-53 the unit roundoff
+    term_margin = _excess(seminorm_terms(p, terms), epsilons[:, :-1] * _column(m))
     with np.errstate(over="ignore"):  # an overflowing bound is rejected here
-        tbs = _finite_steps(epsilons[:, :-1] * _column(m), "the term budget eps_(k-1) m", 1)
         tails = _finite_steps(epsilons[:, 1:] * r, "the remainder budget eps_k r", 1)
-    term_ok = bool(_within(pks, tbs).all())
-    rem_ok = bool(_within(uns, tails).all())
+    rem_margin = _excess(uns, tails)
 
     # replay the exact remainder chain u_k = u_{k-1} - x_k
     before = np.concatenate((x.v[:, None], rems[:, :-1]), axis=1)
@@ -670,7 +660,6 @@ def zabreiko_decompose(
         m.a1 * x_norm.a1 / r + eps.a1,
         m.a2 * x_norm.a2 / r + eps.a2,
     )
-    final_bound_ok = _holds(px, final_rhs)
 
     return ZabreikoTrace(
         check="zabreiko",
@@ -686,11 +675,11 @@ def zabreiko_decompose(
         x_terms=Columns(terms),
         remainders=Columns(rems),
         chain_exact=chain_exact,
-        term_bounds_ok=term_ok,
-        remainder_bounds_ok=rem_ok,
-        final_bound_ok=final_bound_ok,
-        worst_term_margin=_worst(pks - tbs),
-        worst_remainder_margin=_worst(uns - tails),
+        term_bounds_ok=bool((term_margin <= 0).all()),
+        remainder_bounds_ok=bool((rem_margin <= 0).all()),
+        final_bound_ok=bool((_excess(_column(px), _column(final_rhs)) <= 0).all()),
+        worst_term_margin=_worst(term_margin),
+        worst_remainder_margin=_worst(rem_margin),
     )
 
 
@@ -751,12 +740,11 @@ def ubp_verify(
         with np.errstate(over="ignore", invalid="ignore"):  # rejected here
             values = _component_norms(x[:, None] @ m)
         pstar = require_finite(values).max(axis=1)
-        rhs = require_finite(_column(bound) * dnorm_rows(x))
-        return pstar - rhs, ~_within(pstar, rhs)
+        return (_excess(pstar, require_finite(_column(bound) * dnorm_rows(x))),)
 
     # witnesses from the members attaining the supremum per component lead
     lead = np.concatenate((_witness_rows(family[i1])[:, :1], _witness_rows(family[i2])[:, 1:2]), axis=1)
-    margin, over = _fold(seed, name, samples, shape[1], judge, weight, lead)
+    (margin,) = _fold(seed, name, samples, shape[1], judge, weight, lead)
 
     return UBPReport(
         check=name,
@@ -765,7 +753,7 @@ def ubp_verify(
         samples=samples,
         sup_opnorm=sup_opnorm,
         bound_delta=bound,
-        all_bounds_ok=not over.any(),
+        all_bounds_ok=bool((margin <= 0).all()),
         worst_margin=_worst(margin),
     )
 
@@ -851,10 +839,9 @@ def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
         sol = min_norm_solve_rows(T, y, slack)
         if not a:
             first.append(sol)
-        rhs = require_finite(_column(delta) * sol.ynorm)
-        return sol.residual, sol.qy - rhs, ~_within(sol.qy, rhs)
+        return sol.residual, _excess(sol.qy, require_finite(_column(delta) * sol.ynorm))
 
-    res, margin, over = _fold(seed, name, trials, rows, judge, weight, lead)
+    res, margin = _fold(seed, name, trials, rows, judge, weight, lead)
 
     (sol,) = first
     ratio = DPlus(*(sol.qy[:, 0] / sol.ynorm[:, 0]).tolist())
@@ -863,12 +850,9 @@ def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
     q_sum = DPlus(*sol.qy[:, skip - 1].tolist())
     nx_sum = vec_dnorm(x_sum)
     residual = vec_dnorm(mat_apply(T, x_sum) - y_sum)
-    subadd_ok = (
-        _holds(residual, DPlus(0.0, 0.0), slack, sol.ynorm[:, skip - 1])
-        and _holds(q_sum, nx_sum, slack)
-        and _holds(nx_sum, sum_q, slack)
-        and _holds(q_sum, sum_q + OMT_BUDGET, slack)
-    )
+    lhs = np.hstack([_column(h) for h in (residual, q_sum, nx_sum, q_sum)])
+    rhs = np.hstack([_column(h) for h in (DPlus(0.0, 0.0), nx_sum, sum_q, sum_q + OMT_BUDGET)])
+    scale = np.hstack((sol.ynorm[:, skip - 1 : skip], np.zeros((2, 3))))
 
     return OpenMapReport(
         check=name,
@@ -878,10 +862,10 @@ def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
         # min_norm_solve_rows raised NotInRange for any residual beyond the
         # slack, so every solve that reached here is within it
         solve_ok=True,
-        bound_ok=not over.any(),
-        witness_ok=_holds(delta, ratio),
+        bound_ok=bool((margin <= 0).all()),
+        witness_ok=bool((_excess(_column(delta), _column(ratio)) <= 0).all()),
         witness_ratio=ratio,
-        subadd_ok=subadd_ok,
+        subadd_ok=bool((_excess(lhs, rhs, slack, scale) <= 0).all()),
         worst_residual=DPlus(*np.maximum(0.0, res[:, 0]).tolist()),
         worst_margin=_worst(margin),
     )

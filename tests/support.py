@@ -13,7 +13,9 @@ a loop that pulls, adds and measures one term at a time.  The library's
 encoder-backed ``dumps``, its block-backed decomposition and its
 block-backed ``series_sum`` must reproduce their bytes and their errors.
 ``oracle_abs_summability`` and ``oracle_subadd`` read their series the same
-way, then judge one index pair or one partial sum at a time.
+way, then judge one index pair or one partial sum at a time.  Every oracle
+judges an inequality by ``oracle_excess``, the verdict rule one float at a
+time, and reports the worst excess as its margin.
 ``oracle_digest`` hashes the serializer's text, with each complex array as
 the ``pairs_record`` of the float64 bytes of its stacked [re, im] pairs,
 and each matrix, vector, hyperbolic and bicomplex input written out by
@@ -46,14 +48,14 @@ from hyplab import (
     BCMatrix, BCVector, Bicomplex, DimensionMismatch, DPlus, Hyperbolic, InvalidInput, NotConverged, ShapeMismatch,
 )
 from hyplab.dmodule import (
-    SERIES_WINDOW, AbsSummabilityReport, DSeminorm, SeriesReport, _as_tol, _within, dnorm_rows,
+    SERIES_WINDOW, AbsSummabilityReport, DSeminorm, SeriesReport, _as_tol, dnorm_rows,
     require_finite, seminorm_eval, seminorm_rows, vec_dnorm,
 )
 from hyplab.hyperscalar import hyp_leq
 from hyplab.jsonio import _declared_size
 from hyplab import dop
 from hyplab.dop import op_dnorm
-from hyplab.theoremlab import SubaddReport, UBPReport, _column, _holds, _sample_rows, _worst, check_stream
+from hyplab.theoremlab import SubaddReport, UBPReport, _column, _sample_rows, _worst, check_stream
 
 
 def mul4(a, b):
@@ -70,6 +72,15 @@ def mul4(a, b):
         a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2,
         a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
     )
+
+
+def oracle_excess(a, b, slack: float = 1e-9, scale=0.0) -> np.ndarray:
+    """a - (b + slack * max(scale, 1e-150, |a|, |b|)) one Python float at a
+    time, over the broadcast shape: a <= b holds within the slack where it
+    is at most 0."""
+    a, b, scale = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, scale)))
+    out = [x - (y + slack * max(s, 1e-150, abs(x), abs(y))) for x, y, s in zip(a.flat, b.flat, scale.flat)]
+    return np.array(out).reshape(a.shape)
 
 
 def componentwise_max(values) -> DPlus:
@@ -326,13 +337,14 @@ def oracle_zabreiko(p, x: BCVector, m: DPlus, r: float, eps: DPlus, max_n: int) 
         prev = uk
     px = seminorm_eval(p, x)
     final_rhs = DPlus(m.a1 * x_norm.a1 / r + eps.a1, m.a2 * x_norm.a2 / r + eps.a2)
+    term_margin, rem_margin = oracle_excess(pks, tbs), oracle_excess(uns, rbs)
     checks = {
         "chain_exact": chain_exact,
-        "term_bounds_ok": bool(_within(pks, tbs).all()),
-        "remainder_bounds_ok": bool(_within(uns, rbs).all()),
-        "final_bound_ok": _holds(px, final_rhs),
+        "term_bounds_ok": bool((term_margin <= 0).all()),
+        "remainder_bounds_ok": bool((rem_margin <= 0).all()),
+        "final_bound_ok": bool((oracle_excess(px.components(), final_rhs.components()) <= 0).all()),
     }
-    worst_term, worst_rem = _worst(pks - tbs), _worst(uns - rbs)
+    worst_term, worst_rem = _worst(term_margin), _worst(rem_margin)
     return {
         "check": "zabreiko",
         "m": [m.a1, m.a2],
@@ -479,8 +491,9 @@ def oracle_abs_summability(terms, max_n: int, tol=None) -> AbsSummabilityReport:
             upper = abs_sums[n].components()
             gap = [u - lo for u, lo in zip(upper, abs_sums[n - stride].components())]
             for c in range(2):
-                chain_ok = chain_ok and bool(_within(diff[c], gap[c], scale=upper[c]))
-                worst[c] = max(worst[c], diff[c] - gap[c])
+                excess = float(oracle_excess(diff[c], gap[c], scale=upper[c]))
+                chain_ok = chain_ok and excess <= 0
+                worst[c] = max(worst[c], excess)
         stride *= 2
 
     return AbsSummabilityReport(
@@ -525,11 +538,10 @@ def oracle_subadd(p: DSeminorm, terms, max_n: int, tol=None) -> SubaddReport:
     partial_ok = True
     for px, ps in zip(p_terms, p_sums):
         running = [r + v for r, v in zip(running, px)]
-        partial_ok = partial_ok and all(_within(a, b) for a, b in zip(ps, running))
-        margins.append([a - b for a, b in zip(ps, running)])
-    p_limit = seminorm_eval(p, report.limit).components()
-    limit_ok = all(_within(a, b) for a, b in zip(p_limit, running))
-    margins.append([a - b for a, b in zip(p_limit, running)])
+        margins.append(oracle_excess(ps, running).tolist())
+        partial_ok = partial_ok and all(e <= 0 for e in margins[-1])
+    margins.append(oracle_excess(seminorm_eval(p, report.limit).components(), running).tolist())
+    limit_ok = all(e <= 0 for e in margins[-1])
     return SubaddReport(
         check="subadd",
         n_terms=report.n_terms,
@@ -650,7 +662,7 @@ def oracle_ubp(family, samples: int, seed: int, delta=None):
     x = np.stack((x1, x2))
     values = np.stack([seminorm_rows(DSeminorm(T), x) for T in family])
     pstar = values.max(axis=0)
-    rhs = require_finite(_column(bound) * dnorm_rows(x))
+    margin = oracle_excess(pstar, require_finite(_column(bound) * dnorm_rows(x)))
     return UBPReport(
         check="ubp",
         seed=seed,
@@ -658,8 +670,8 @@ def oracle_ubp(family, samples: int, seed: int, delta=None):
         samples=samples,
         sup_opnorm=sup_opnorm,
         bound_delta=bound,
-        all_bounds_ok=bool(_within(values, pstar, 0.0).all()) and bool(_within(pstar, rhs).all()),
-        worst_margin=_worst(pstar - rhs),
+        all_bounds_ok=bool((values <= pstar).all()) and bool((margin <= 0).all()),
+        worst_margin=_worst(margin),
     )
 
 

@@ -38,7 +38,7 @@ from hyplab import (
 )
 from hyplab.dmodule import _component_norms, seminorm_terms
 from hyplab.jsonio import dumps
-from support import one_matrix_svd, oracle_ubp, random_mat, random_vec, surjective_mat
+from support import one_matrix_svd, oracle_excess, oracle_ubp, random_mat, random_vec, surjective_mat
 
 
 def close(a: float, b: float, scale: float) -> bool:
@@ -564,7 +564,8 @@ def test_stacked_bits_of_sample_rows(n, k, j, seed):
 
 
 def per_sample_continuity(p, trials, seed, a):
-    """The check evaluated one vector at a time."""
+    """The check evaluated one vector at a time: each inequality's excess
+    per component, then the larger side of its bounds."""
     n = p.T.cols
     (v1, v2), zero = p.T.svd().vh[:, 0].conj(), np.zeros(n, complex)
     xs = [BCVector(v1, zero), BCVector(zero, v2), BCVector(v1, v2)]
@@ -573,7 +574,8 @@ def per_sample_continuity(p, trials, seed, a):
     margins = []
     for x in xs:
         px, nx = seminorm_eval(p, x), vec_dnorm(x)
-        margins.append((px.a1 - a.a1 * nx.a1, px.a2 - a.a2 * nx.a2, a.a1 * nx.a1, a.a2 * nx.a2))
+        bound = (a.a1 * nx.a1, a.a2 * nx.a2)
+        margins.append((*oracle_excess(px.components(), bound).tolist(), max(bound)))
     rng = check_stream(seed, "lemma31/seq")
     for _ in range(min(trials, 8)):
         x = next_vector(rng, n)
@@ -582,12 +584,8 @@ def per_sample_continuity(p, trials, seed, a):
         for j in range(1, 11):
             xj = x + d.scale(2.0**-j)
             pj, nd = seminorm_eval(p, xj), vec_dnorm(xj - x)
-            margins.append((
-                abs(pj.a1 - px.a1) - a.a1 * nd.a1,
-                abs(pj.a2 - px.a2) - a.a2 * nd.a2,
-                a.a1 * nd.a1,
-                a.a2 * nd.a2,
-            ))
+            bound = (a.a1 * nd.a1, a.a2 * nd.a2)
+            margins.append((*oracle_excess((abs(pj.a1 - px.a1), abs(pj.a2 - px.a2)), bound).tolist(), max(bound)))
     return margins
 
 
@@ -601,14 +599,11 @@ def test_continuity_matches_per_sample_evaluation():
         margins = per_sample_continuity(p, 120, 11, alpha)
         w1 = max(m[0] for m in margins)
         w2 = max(m[1] for m in margins)
-        scale = max(max(m[2], m[3]) for m in margins)
+        scale = max(m[2] for m in margins)
         assert close(rep.worst_margin.a1, w1, scale) and close(rep.worst_margin.a2, w2, scale)
-        # slack relative to the larger side, as every check applies it
-        ok = all(
-            m[0] <= 1e-9 * max(abs(m[0] + m[2]), m[2]) and m[1] <= 1e-9 * max(abs(m[1] + m[3]), m[3])
-            for m in margins
-        )
-        assert (rep.all_ok and rep.sequence_ok) == ok
+        # each inequality holds exactly where its excess is at most 0
+        ok = all(m[0] <= 0 and m[1] <= 0 for m in margins)
+        assert (rep.all_ok and rep.sequence_ok) == ok == (w1 <= 0 and w2 <= 0)
     assert not continuity_bound_check(p, 120, 11, alpha_star=DPlus(0.9 * a.a1, 0.9 * a.a2)).passed
 
 
@@ -629,7 +624,8 @@ def test_ubp_matches_per_sample_evaluation():
         vals = [seminorm_eval(DSeminorm(T), x) for T in family]
         s1, s2 = max(v.a1 for v in vals), max(v.a2 for v in vals)
         nx = vec_dnorm(x)
-        w1, w2 = max(w1, s1 - d.a1 * nx.a1), max(w2, s2 - d.a2 * nx.a2)
+        e1, e2 = oracle_excess((s1, s2), (d.a1 * nx.a1, d.a2 * nx.a2)).tolist()
+        w1, w2 = max(w1, e1), max(w2, e2)
     scale = max(d.a1, d.a2) * max(max(vec_dnorm(x).a1, vec_dnorm(x).a2) for x in xs)
     assert close(rep.worst_margin.a1, w1, scale) and close(rep.worst_margin.a2, w2, scale)
     assert rep.passed and w1 <= 1e-12 * scale and w2 <= 1e-12 * scale
@@ -758,8 +754,8 @@ def test_open_mapping_matches_per_sample_evaluation():
     for y in [BCVector(u[0][:, -1], u[1][:, -1]), *ys, y_sum, *(next_vector(stream, 3) for _ in range(150))]:
         sol = min_norm_solve(T, y, tol=1e-9)
         ny = vec_dnorm(y)
-        w1 = max(w1, sol.qy.a1 - delta.a1 * ny.a1)
-        w2 = max(w2, sol.qy.a2 - delta.a2 * ny.a2)
+        e1, e2 = oracle_excess(sol.qy.components(), (delta.a1 * ny.a1, delta.a2 * ny.a2)).tolist()
+        w1, w2 = max(w1, e1), max(w2, e2)
         r1, r2 = max(r1, sol.residual.a1), max(r2, sol.residual.a2)
         scale = max(scale, delta.a1 * ny.a1, delta.a2 * ny.a2)
     assert rep.passed

@@ -211,8 +211,9 @@ def test_series_abs_check(tmp_path, capsys):
 
 @pytest.mark.parametrize("entry", [1e-155, 1e-160])
 def test_series_abs_check_passes_where_the_squares_are_subnormal(tmp_path, capsys, entry):
-    # squares of such entries are subnormal, so the chain's margin of a few
-    # 1e-162 is rounding, within the one relative rule's slack floor
+    # squares of such entries are subnormal, so the chain's excess of a few
+    # 1e-162 is rounding, within the one relative rule's slack floor, and the
+    # reported margin, that rule's worst excess, is not positive
     spec = {
         "kind": "geometric",
         "ratio": {"e1": [0.6, 0.2], "e2": [0, -0.5]},
@@ -221,7 +222,7 @@ def test_series_abs_check_passes_where_the_squares_are_subnormal(tmp_path, capsy
     terms = write(tmp_path, "terms.json", spec)
     code, doc, _ = run_json(capsys, ["series", "--terms", terms, "--abs-check", "--maxN", "200"])
     assert code == 0 and doc["payload"]["cauchy_chain_ok"] is True
-    assert doc["payload"]["chain_margin"][0] > 0
+    assert max(doc["payload"]["chain_margin"]) <= 0
 
 
 # ----------------------------------------------------------------- checks
@@ -630,6 +631,40 @@ def test_a_hyperbolic_literal_of_the_wrong_sign_gets_one_digested_envelope(
     assert doc["pass"] is False and re.fullmatch("[0-9a-f]{64}", doc["inputs_digest"])
     assert err == f"hyplab: {kind}: {message}\n"
     assert calls == []
+
+
+#: a non-finite component of a hyperbolic literal, as (command, flags, flag named)
+NONFINITE_LITERALS = [
+    ("ballscale", "--matrix {I} --alpha nan,1", "--alpha", "nan"),
+    ("zabreiko", "--matrix {I} --x {x} --r 1 --eps 1,1 --m inf,3", "--m", "inf"),
+    ("series", "--terms {terms} --series-tol nan", "--series-tol", "nan"),
+]
+
+
+@pytest.mark.parametrize("command, flags, flag, bad", NONFINITE_LITERALS, ids=[c for c, *_ in NONFINITE_LITERALS])
+def test_a_non_finite_hyperbolic_literal_is_digested_then_refused_by_its_flag(
+    tmp_path, capsys, monkeypatch, command, flags, flag, bad
+):
+    # the literal reads as a float pair and is digested as any input; its
+    # hyperbolic value is built after the digest, before anything is factored
+    calls, real = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or real(*a, **k))
+    paths = {
+        "I": write(tmp_path, "I.json", matrix_to_json(BCMatrix.identity(4))),
+        "x": write(tmp_path, "x.json", vector_to_json(BCVector([0.1, 0.2, 0.0, 0.1], [0.3, 0.1, 0.1, 0.0]))),
+        "terms": write(tmp_path, "terms.json", geometric_spec()),
+    }
+    code, out, err = run_cli(capsys, [command, *flags.format(**paths).split()])
+    message = f"{flag}: non-finite component {bad} rejected"
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    doc = _strict_json(lines[0])
+    assert doc["payload"] == {"error": {"kind": "InvalidInput", "message": message}}
+    assert re.fullmatch("[0-9a-f]{64}", doc["inputs_digest"])
+    assert err == f"hyplab: InvalidInput: {message}\n"
+    assert calls == []
+
 
 @pytest.mark.parametrize("tol", ["1", "1e308"])
 def test_rank_cutoff_of_one_or_more_exit_2(tmp_path, capsys, tol):

@@ -29,9 +29,8 @@ from hyplab import (
     series_sum,
     vec_dnorm,
 )
-from hyplab.dmodule import MAX_SERIES_TERMS
-from hyplab.theoremlab import CLOSURE_TOL, _holds
-from support import random_bc, random_mat, random_vec
+from hyplab.dmodule import CHECK_SLACK, MAX_SERIES_TERMS, _excess
+from support import oracle_excess, random_bc, random_mat, random_vec
 
 ALL_NORMS = ["l2", "l1", "linf"]
 
@@ -202,8 +201,13 @@ def test_seminorm_dim_mismatch():
 # ---------------------------------------------------------- sublevel  sets
 #
 # x is in V_alpha = {x : p(x) <= alpha} when p(x) <= alpha exactly, and in
-# its tolerance closure when the comparison holds at ball scaling's
-# relative slack CLOSURE_TOL, the one rule that ``ball_scaling_check`` uses.
+# its tolerance closure when the comparison holds at the relative slack
+# CHECK_SLACK, the one rule that ``ball_scaling_check`` uses.
+
+
+def _holds(a: Hyperbolic, b: Hyperbolic, slack: float) -> bool:
+    """a <= b in both components by the one verdict rule."""
+    return bool((_excess(np.array(a.components()), np.array(b.components()), slack) <= 0).all())
 
 
 def test_member_boundary():
@@ -238,18 +242,47 @@ def test_member_closed_tolerance():
     px = seminorm_eval(p, BCVector([1.0], [1.0]))
     just_out = DPlus(1.0 - 1e-10, 1.0 - 1e-10)
     assert not _holds(px, just_out, 0.0)
-    assert _holds(px, just_out, CLOSURE_TOL)
+    assert _holds(px, just_out, CHECK_SLACK)
 
 
 def test_member_closed_tolerance_is_relative():
     p = DSeminorm(BCMatrix.identity(1))
     # p(x) = 2 alpha is outside however small both are
-    assert not _holds(seminorm_eval(p, BCVector([2e-12], [2e-12])), DPlus(1e-12, 1e-12), CLOSURE_TOL)
+    assert not _holds(seminorm_eval(p, BCVector([2e-12], [2e-12])), DPlus(1e-12, 1e-12), CHECK_SLACK)
     # and p(x) within 1e-12 relative of alpha is inside however large
     alpha = 1e6 * (1 - 1e-12)
-    assert _holds(seminorm_eval(p, BCVector([1e6], [1e6])), DPlus(alpha, alpha), CLOSURE_TOL)
+    assert _holds(seminorm_eval(p, BCVector([1e6], [1e6])), DPlus(alpha, alpha), CHECK_SLACK)
     # one component out is out
-    assert not _holds(seminorm_eval(p, BCVector([1.0], [1.1])), DPlus(1.0, 1.0), CLOSURE_TOL)
+    assert not _holds(seminorm_eval(p, BCVector([1.0], [1.1])), DPlus(1.0, 1.0), CHECK_SLACK)
+
+
+#: floats at the edges of the double range: signed zeros, subnormals, the
+#: smallest normal and values near the largest double
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1.0, 1.0 + 2e-16]
+_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _within_before(a, b, slack, scale):
+    """The verdict rule as a bool, the form it had before it returned the excess."""
+    size = np.maximum(np.maximum(scale, 1e-150), np.maximum(np.abs(a), np.abs(b)))
+    return a <= b + slack * size
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(_floats, _floats), min_size=1, max_size=8),
+    slack=st.one_of(st.sampled_from([0.0, CHECK_SLACK, 5e-324, 1.0]), st.floats(0.0, 1e300)),
+    scale=st.one_of(st.sampled_from([0.0, 1e-150, 1e308]), st.floats(0.0, 1.7976931348623157e308)),
+)
+def test_excess_is_at_most_zero_exactly_where_the_comparison_holds(pairs, slack, scale):
+    # a - c rounds to 0 only when a == c and keeps its sign otherwise, also
+    # when it overflows, so the one array gives the verdict of a <= c
+    a, b = np.array(pairs).T
+    with np.errstate(over="ignore"):  # b + slack * size may overflow: both sides see the same infinity
+        excess = _excess(a, b, slack, scale)
+        assert ((excess <= 0) == _within_before(a, b, slack, scale)).all()
+        assert np.array_equal(excess, oracle_excess(a, b, slack, scale))
 
 
 # ------------------------------------------------------------------- series
@@ -370,16 +403,22 @@ def test_abs_summability_chain_refutes_a_tripled_difference_at_any_scale(monkeyp
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e-155, 1e-160])
-def test_abs_summability_chain_holds_where_the_squares_are_subnormal(scale):
+def test_abs_summability_chain_holds_where_the_squares_are_subnormal(monkeypatch, scale):
     # squares of entries this small lose bits in the subnormal range, so
     # ||s_n - s_m||_D may exceed the sum of term norms by about 6e-162;
     # the chain is judged by the one relative rule, whose slack has a floor
+    import hyplab.dmodule as dmodule
+
     rng = np.random.default_rng(93)
     v = random_vec(rng, 4)
     v = v.scale(scale / max(vec_dnorm(v).a1, vec_dnorm(v).a2))
     rep = abs_summability_check(geometric_terms(Bicomplex(0.6 + 0.2j, -0.5j), v), 200)
     assert rep.abs_converged and rep.cauchy_chain_ok
-    assert max(rep.chain_margin.components()) > 0  # an exact comparison would refute it
+    assert max(rep.chain_margin.components()) <= 0  # the margin is the rule's excess
+    # an exact comparison would refute it
+    monkeypatch.setattr(dmodule, "_excess", lambda a, b, slack=0.0, scale=0.0: _excess(a, b, 0.0, scale))
+    exact = abs_summability_check(geometric_terms(Bicomplex(0.6 + 0.2j, -0.5j), v), 200)
+    assert not exact.cauchy_chain_ok and max(exact.chain_margin.components()) > 0
 
 
 def test_term_caps_above_the_limit_are_rejected_before_any_term_is_pulled():

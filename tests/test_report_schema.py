@@ -232,7 +232,7 @@ def _reports():
         payload={"error": {"kind": "InvalidInput", "message": "bad \"x\""}, "r": -0.0},
     )
     yield "envelope", envelope, (
-        '{"tool":"hyplab","version":"0.12.0","subcommand":"knorm","inputs_digest":"",'
+        '{"tool":"hyplab","version":"0.13.0","subcommand":"knorm","inputs_digest":"",'
         '"seed":0,"payload":{"error":{"kind":"InvalidInput","message":"bad \\"x\\""},'
         '"r":-0.0},"pass":false}'
     )

@@ -117,9 +117,12 @@ def test_subadd_parallel_terms_equality():
     terms = [base.scale(c) for c in (0.5, 0.25, 0.125, 0.0625)]
     rep = countable_subadd_check(p, terms, max_n=100)
     assert rep.passed
-    # nonnegative multiples of one vector: homogeneity collapses the sum
-    assert abs(rep.worst_margin.a1) <= 1e-12 * 10
-    assert abs(rep.worst_margin.a2) <= 1e-12 * 10
+    # nonnegative multiples of one vector: homogeneity collapses the sum, so
+    # each partial sum's excess is its slack alone, -CHECK_SLACK p(s_n), and
+    # the worst is the first one's
+    first = seminorm_eval(p, terms[0])
+    assert abs(rep.worst_margin.a1 + tl.CHECK_SLACK * first.a1) <= 1e-12 * 10
+    assert abs(rep.worst_margin.a2 + tl.CHECK_SLACK * first.a2) <= 1e-12 * 10
 
 
 def test_subadd_geometric_strict():
@@ -698,7 +701,7 @@ def test_omt_trial_rows_keep_the_bits_of_the_trial_block_solved_alone(omt_solves
               for name in ("x", "qy", "residual", "ynorm")}
     for name, rows_solved in solved.items():
         assert rows_solved[:, _OMT_LEAD:].tobytes() == getattr(alone, name).tobytes(), name
-    margin = solved["qy"] - tl._column(rep.delta) * solved["ynorm"]
+    margin = tl._excess(solved["qy"], tl._column(rep.delta) * solved["ynorm"])
     assert rep.worst_residual.components() == tuple(solved["residual"].max(axis=1).tolist())
     assert rep.worst_margin.components() == tuple(margin.max(axis=1).tolist())
 
