@@ -34,24 +34,30 @@ An envelope that cannot reach stdout (a full device, a closed pipe) exits
 2 with one line on stderr.  ``main``, the process entry, freezes the
 garbage collector once ``run`` returns, so interpreter shutdown skips its
 collections over the objects alive at exit; ``run`` itself leaves the
-collector as it found it.  ``run`` pins numpy's OpenBLAS to one thread and
-restores its count on return; the library API never pins, as its callers
-own their process.
+collector as it found it.  ``run`` pins numpy's OpenBLAS to one thread, so
+an envelope's bits do not depend on ``OPENBLAS_NUM_THREADS``, and restores
+its count on return; the library API never pins, as its callers own their
+process.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import gc
 import os
 import sys
+from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
+
+import numpy as np
 
 import hyplab
 
 from . import __version__
 from .dmodule import MAX_SERIES_TERMS, DSeminorm, abs_summability_check, series_sum, vec_dnorm
-from .dop import _openblas, min_norm_solve, op_dnorm, open_mapping_delta, surjectivity_check
+from .dop import min_norm_solve, op_dnorm, open_mapping_delta, surjectivity_check
 from .errors import HyplabError, InvalidInput, NotConverged
 from .hyperscalar import Hyperbolic, bc_inverse, knorm
 from .jsonio import (
@@ -69,6 +75,28 @@ from .jsonio import (
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INTERNAL = 5
+
+
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS thread count as (get, set) functions, or None.
+
+    The library is the ``scipy-openblas`` build that ``np.show_config``
+    names, in the ``numpy.libs`` directory beside the numpy package; it is
+    already loaded, so this opens the instance numpy calls.
+    """
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    libs = list((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+    if blas.get("name") != "scipy-openblas" or len(libs) != 1:
+        return None
+    try:
+        lib = ctypes.CDLL(str(libs[0]))
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):  # not loadable, or without the symbols
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
 
 
 def _new_envelope(subcommand: str) -> dict:
@@ -327,9 +355,8 @@ def run(argv=None) -> int:
     """Execute one subcommand; returns the exit code.
 
     BLAS runs one thread per call for the run, so an envelope's bits do not
-    depend on ``OPENBLAS_NUM_THREADS`` and ``svd_family`` may factor the two
-    components on two threads; the count is restored on return.  Where
-    numpy's OpenBLAS cannot be reached, the count is left as it is.
+    depend on ``OPENBLAS_NUM_THREADS``; the count is restored on return.
+    Where numpy's OpenBLAS cannot be reached, the count is left as it is.
     """
     blas = _openblas()
     if blas is None:

@@ -11,14 +11,9 @@ two ordinary complex matrix computations:
   * quotient value q(y) -> norm of the per-component minimum-norm solution
 
 Each operator is factored once: ``svd_family`` factors both components
-of every unfactored operator of a family and caches its thin SVD,
-read-only and with the same leading axis, with the operator.  Where
-``_split`` finds it worth it, a kernel runs component 1 on the process's
-one waiting helper thread beside component 0 (``_beside``): the SVD as two
-calls, the block solve as two product chains; otherwise the SVD is one call
-over the stack and the chains run in turn.
-Each matrix gets the same LAPACK and BLAS calls either way, so the bits do
-not depend on the route.
+of every unfactored operator of a family in one SVD call over the stack and
+caches its thin SVD, read-only and with the same leading axis, with the
+operator.  Everything runs on the calling thread; the module starts none.
 A wide family (rows < cols) is factored through its transpose: LAPACK's
 ``gesdd`` reduces a wide matrix by an LQ factorization first and a tall
 one by QR, and the QR-first route is the faster one (about 14% at 64x128).
@@ -36,13 +31,7 @@ and no iterative kernel.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-import os
-import queue
-import threading
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -119,115 +108,12 @@ class BCMatrix:
         return f"BCMatrix(rows={self.rows}, cols={self.cols})"
 
 
-#: Work per component from which work splits, one constant for its two
-#: users: k*m*n*min(m, n) for the SVD of k (m, n) matrices, k*rows*cols for a
-#: solve of k rows.  After 1-3 ms of Python, as in a check (median/90th
-#: percentile, one BLAS thread, 2-CPU Xeon), the split solve broke even at
-#: 2^16.6 (12 rows at 64x128: 103/147 us against 104/110), won the median at
-#: 2^17 (16 rows: 110/154 against 127/136) and both at 2^18 (32 rows: 151/194
-#: against 197/209).  The split SVD won the median from 2^13.3 (20 8x8
-#: matrices, as ubp reads: 225 against 307 us), not always the 90th
-#: percentile below 2^17.
-_SPLIT_WORK = 1 << 17
-
-
-@functools.cache
-def _openblas():
-    """numpy's bundled OpenBLAS thread count as (get, set) functions, or None.
-
-    The library is the ``scipy-openblas`` build that ``np.show_config``
-    names, in the ``numpy.libs`` directory beside the numpy package; it is
-    already loaded, so this opens the instance numpy calls.
-    """
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    libs = list((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
-    if blas.get("name") != "scipy-openblas" or len(libs) != 1:
-        return None
-    try:
-        lib = ctypes.CDLL(str(libs[0]))
-        return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (OSError, AttributeError):  # not loadable, or without the symbols
-        return None
-
-
-def _blas_threads() -> int | None:
-    """Threads each BLAS call may use now, or None where it cannot be read."""
-    blas = _openblas()
-    return None if blas is None else blas[0]()
-
-
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _split(work: int) -> bool:
-    """Whether a kernel runs its components side by side: ``work`` per
-    component reaches ``_SPLIT_WORK``, BLAS runs one thread per call, as more
-    would compete with the helper, and a second CPU is free to run it."""
-    return work >= _SPLIT_WORK and _blas_threads() == 1 and _cpus() >= 2
-
-
-#: (pid, thread, job queue) of the process's helper thread; a forked child
-#: inherits this record but not the thread, so it starts its own
-_helper = None
-_helper_lock = threading.Lock()
-
-
-def _serve(jobs: queue.SimpleQueue) -> None:
-    while True:
-        job, done = jobs.get()
-        try:
-            done.put((job(), None))
-        except BaseException as exc:  # raised again on the calling thread
-            done.put((None, exc))
-
-
-def _beside(job):
-    """``(job(0), job(1))``, ``job(1)`` run on the helper thread while
-    ``job(0)`` runs here; an exception of ``job(1)`` is raised here once both
-    are done.  The helper waits on its queue between jobs, so a split costs a
-    round trip, not a thread's start; a call from the helper runs inline."""
-    global _helper
-    with _helper_lock:
-        if _helper is None or _helper[0] != os.getpid():
-            jobs = queue.SimpleQueue()
-            thread = threading.Thread(target=_serve, args=(jobs,), name="hyplab-helper", daemon=True)
-            thread.start()
-            _helper = (os.getpid(), thread, jobs)
-        _, thread, jobs = _helper
-    if thread is threading.current_thread():
-        return job(0), job(1)
-    done = queue.SimpleQueue()
-    jobs.put((functools.partial(job, 1), done))
-    try:
-        first = job(0)
-    finally:
-        second, exc = done.get()
-    if exc is not None:
-        raise exc
-    return first, second
-
-
-def _factor(a: np.ndarray):
-    """``np.linalg.svd`` of a (k, 2, m, n) stack as (U, S, Vh), each (k, 2, ...):
-    one call, or one per component side by side, stacked back."""
-    k, _, m, n = a.shape
-    if not _split(k * m * n * min(m, n)):
-        return np.linalg.svd(a, full_matrices=False)
-    halves = _beside(lambda i: np.linalg.svd(a[:, i], full_matrices=False))
-    return tuple(np.stack(pair, axis=1) for pair in zip(*halves))
-
-
 def svd_family(family: Sequence[BCMatrix]) -> list[ThinSVD]:
     """The thin SVD of each operator of a family of one shape.
 
     Both components of every member without factors are factored together,
-    in one SVD call over the stack or one per component (see ``_factor``);
-    each member caches read-only views of its rows of the result.
+    in one SVD call over the stack; each member caches read-only views of
+    its rows of the result.
     A wide family is factored through its transpose, T^T = U' S V'^H, and
     read back as T = V'^T S U'^T: ``u`` is ``Vh'.mT`` and ``vh`` is ``U'.mT``.
     """
@@ -242,7 +128,7 @@ def svd_family(family: Sequence[BCMatrix]) -> list[ThinSVD]:
         stack = np.stack([T.m for T in todo])
         wide = stack.shape[-2] < stack.shape[-1]
         try:
-            u, s, vh = _factor(stack.mT if wide else stack)
+            u, s, vh = np.linalg.svd(stack.mT if wide else stack, full_matrices=False)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"SVD kernel failed: {exc}") from exc
         for a in (u, s, vh):
@@ -328,12 +214,10 @@ def min_norm_solve_rows(T: BCMatrix, y: np.ndarray, tol: float = 1e-10) -> Block
     _check_tol(tol)
     if check_block(y).shape[-1] != T.rows:
         raise DimensionMismatch(f"operator has {T.rows} rows, vector has dim {y.shape[-1]}")
-    factors = T.svd()
     x = np.empty((*y.shape[:-1], T.cols), dtype=complex)
     res = np.empty_like(y, dtype=complex)
 
-    def solve(i):
-        u, s, vh = (f[i] for f in factors)
+    for i, (u, s, vh) in enumerate(zip(*T.svd())):
         # rows x_i = Vh_r^H (U_r^H b_i / s_r), written into the block; the
         # rank cutoff is lstsq's default (rcond=None), singular values at or
         # below eps * max(rows, cols) * s[0] count as zero, so each solution
@@ -348,12 +232,6 @@ def min_norm_solve_rows(T: BCMatrix, y: np.ndarray, tol: float = 1e-10) -> Block
         # in place, as the division: no block-sized temporary adds to the peak
         np.matmul(x[i], T.m[i].T, out=res[i])
         res[i] -= y[i]
-
-    if _split(y.shape[1] * T.rows * T.cols):
-        _beside(solve)
-    else:
-        solve(0)
-        solve(1)
     residual = dnorm_rows(res)
     ynorm = dnorm_rows(y)
     with np.errstate(over="ignore"):  # an overflowing tolerance is rejected here

@@ -193,16 +193,13 @@ def _column(h: Hyperbolic) -> np.ndarray:
 
 
 def _witness_rows(T: BCMatrix) -> np.ndarray:
-    """Unit vectors attaining the operator norm, per component and combined.
-
-    The rows of the (2, 3, n) block are (v1, 0), (0, v2) and (v1, v2), with
-    v1 and v2 the right singular vectors of each component's largest
-    singular value.
+    """The unit vector (v1, v2) attaining the operator norm in both components,
+    as the one row of a (2, 1, n) block: v1 and v2 are the right singular
+    vectors of each component's largest singular value.  The components are
+    judged apart, so this one row attains each of them; a row with a zero
+    component would only compare 0 with 0 there.
     """
-    v = T.svd().vh[:, 0].conj()
-    rows = np.zeros((2, 3, T.cols), dtype=complex)
-    rows[:, 2] = rows[[0, 1], [0, 1]] = v
-    return rows
+    return T.svd().vh[:, :1].conj()
 
 
 class ContinuityReport(Report):
@@ -243,12 +240,12 @@ def continuity_bound_check(
 
     def judge(x, a):
         px = seminorm_rows(p, x)
-        # tightness: the combined witness, row 2, attains both components of the true
-        # constant up to SVD rounding, so any alpha smaller by more than the slack is refuted
-        loose = _excess(_column(true_m), px[:, 2:3]) if a == 0 else np.full((2, 1), -np.inf)
+        # tightness: the witness, row 0, attains both components of the true constant
+        # up to SVD rounding, so any alpha smaller by more than the slack is refuted
+        loose = _excess(_column(true_m), px[:, :1]) if a == 0 else np.full((2, 1), -np.inf)
         return _excess(px, require_finite(alpha * dnorm_rows(x))), loose
 
-    # the witnesses, then one random sample per trial
+    # the witness, then one random sample per trial
     margin, loose = _fold(seed, name, trials, n, judge, weight, _witness_rows(p.T))
 
     # Lipschitz chain along generated sequences x_j = x + 2^-j d -> x:
@@ -371,13 +368,13 @@ def ball_scaling_check(
     name = "ballscale"
     weight = _admit(name, samples, max(p.T.cols, p.T.rows), balls=1 + len(delta_list))
     alpha = op_dnorm(p.T).M * r if alpha is None else alpha
-    witnesses = _witness_rows(p.T)
+    witness = _witness_rows(p.T)
     n = p.T.cols
 
     def ball(j, d, premise=False):
         """The worst excess of p(x) over d alpha on the d r ball.
 
-        The witnesses lead, scaled onto the sphere.  Sample i is row i of
+        The witness leads, scaled onto the sphere.  Sample i is row i of
         stream j, scaled to d r times uniform i of its sibling stream j/u,
         so row i does not depend on the sample count.
         """
@@ -401,9 +398,9 @@ def ball_scaling_check(
                 )
             return (excess,)
 
-        ws = (radius / np.maximum(np.maximum(*dnorm_rows(witnesses)), 1e-30))[:, None]
+        ws = (radius / np.maximum(np.maximum(*dnorm_rows(witness)), 1e-30))[:, None]
         with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan scale: the judge rejects it
-            return _fold(seed, stream, samples, n, judge, weight, witnesses * ws, build)[0]
+            return _fold(seed, stream, samples, n, judge, weight, witness * ws, build)[0]
 
     ball("hyp", 1, premise=True)
     folds = [ball(f"d{j}", d) for j, d in enumerate(delta_list)]
@@ -709,13 +706,13 @@ def ubp_verify(
     """Verify the chain p_s(x) <= p*(x) <= delta ||x||_D over a family.
 
     p*(x) is the pointwise supremum over the family and delta defaults to
-    the supremum of the operator norms.  The sample set always contains the
-    top-singular-vector witnesses of the norm-attaining member per
-    component (the first on a tie), so an undersized delta (e.g. shrunk by
-    1e-6) is refuted.  ``svd_family`` factors the whole family, one SVD call
-    per component or one for both, and one stacked product per component
-    and chunk of samples applies it; each value is bit for bit the one that
-    member's own SVD and product give.
+    the supremum of the operator norms.  The samples always start with one
+    witness row: per component, the top right singular vector of the member
+    that attains the supremum there (the first on a tie), so a delta
+    undersized in either component (e.g. shrunk by 1e-6) is refuted.
+    ``svd_family`` factors the whole family in one SVD call, and one stacked
+    product per chunk of samples applies it; each value is bit for bit the
+    one that member's own SVD and product give.
     """
     if not family:
         raise ShapeMismatch("empty operator family")
@@ -742,8 +739,8 @@ def ubp_verify(
         pstar = require_finite(values).max(axis=1)
         return (_excess(pstar, require_finite(_column(bound) * dnorm_rows(x))),)
 
-    # witnesses from the members attaining the supremum per component lead
-    lead = np.concatenate((_witness_rows(family[i1])[:, :1], _witness_rows(family[i2])[:, 1:2]), axis=1)
+    # one witness leads: e1 from the member attaining the supremum in e1, e2 from that in e2
+    lead = np.stack((_witness_rows(family[i1])[0], _witness_rows(family[i2])[1]))
     (margin,) = _fold(seed, name, samples, shape[1], judge, weight, lead)
 
     return UBPReport(
@@ -803,9 +800,7 @@ def open_mapping_verify(T: BCMatrix, trials: int, seed: int) -> OpenMapReport:
     trials in the first chunk, so a ``NotInRange`` names the first failing
     row in the order witness, chain, trials.  ``judge`` judges the bound on
     every row, and the witness ratio and the chain verdicts are read from
-    the first chunk's solve.  Where ``dop._split`` finds a chunk's solve
-    worth it, its component-1 product chain runs on the helper thread, and
-    the bits are the same either way.
+    the first chunk's solve.
     """
     name = "omt-verify"
     weight = _admit(name, trials, max(T.rows, T.cols))  # a trial's draw or its preimage

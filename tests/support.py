@@ -28,9 +28,7 @@ check with one norm report and one block product per family member; the
 stacked ``ubp_verify`` must give the same report.  ``one_matrix_svd`` is the
 thin SVD of one matrix in the orientation the library factors it.
 ``desk_zabreiko_instance`` draws the Zabreiko problem of one op of the
-benchmark's ``checks-desk`` battery.  ``_split_on`` and ``_one_thread``
-steer ``dop._split`` to its two routes, ``_counting_splits`` records each
-``dop._beside`` job and ``_helpers`` lists the helper threads.
+benchmark's ``checks-desk`` battery.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ import hashlib
 import json
 import math
 import sys
-import threading
 from collections import deque
 
 import numpy as np
@@ -53,7 +50,6 @@ from hyplab.dmodule import (
 )
 from hyplab.hyperscalar import hyp_leq
 from hyplab.jsonio import _declared_size
-from hyplab import dop
 from hyplab.dop import op_dnorm
 from hyplab.theoremlab import SubaddReport, UBPReport, _column, _sample_rows, _worst, check_stream
 
@@ -655,10 +651,9 @@ def oracle_ubp(family, samples: int, seed: int, delta=None):
     i1 = max(range(len(family)), key=lambda i: norms[i].a1)
     i2 = max(range(len(family)), key=lambda i: norms[i].a2)
     n = shape[1]
-    zero = np.zeros((1, n), dtype=complex)
     r1, r2 = _sample_rows(check_stream(seed, "ubp").standard_normal((samples, 4 * n)), n)
-    x1 = np.concatenate((factors[i1][0][2][:1].conj(), zero, r1))
-    x2 = np.concatenate((zero, factors[i2][1][2][:1].conj(), r2))
+    x1 = np.concatenate((factors[i1][0][2][:1].conj(), r1))
+    x2 = np.concatenate((factors[i2][1][2][:1].conj(), r2))
     x = np.stack((x1, x2))
     values = np.stack([seminorm_rows(DSeminorm(T), x) for T in family])
     pstar = values.max(axis=0)
@@ -673,31 +668,3 @@ def oracle_ubp(family, samples: int, seed: int, delta=None):
         all_bounds_ok=bool((values <= pstar).all()) and bool((margin <= 0).all()),
         worst_margin=_worst(margin),
     )
-
-
-def _split_on(monkeypatch):
-    """Gate the component split on work alone: one BLAS thread and two
-    CPUs, whatever the runner's ``OPENBLAS_NUM_THREADS`` and affinity."""
-    monkeypatch.setattr(dop, "_blas_threads", lambda: 1)
-    monkeypatch.setattr(dop, "_cpus", lambda: 2)
-
-
-def _one_thread(monkeypatch):
-    monkeypatch.setattr(dop, "_blas_threads", lambda: 1)
-    monkeypatch.setattr(dop, "_cpus", lambda: 1)
-
-
-def _counting_splits(monkeypatch) -> list:
-    calls = []
-    real = dop._beside
-
-    def spy(job):
-        calls.append(job)
-        return real(job)
-
-    monkeypatch.setattr(dop, "_beside", spy)
-    return calls
-
-
-def _helpers() -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name == "hyplab-helper"]

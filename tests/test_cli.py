@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -1319,10 +1320,42 @@ def test_omt_verify_bytes_independent_of_blas_threads(tmp_path, rows):
     assert outs[0] == outs[1] and outs[0]
 
 
-def test_run_pins_blas_to_one_thread_and_restores_the_count(tmp_path, capsys, monkeypatch):
-    from hyplab import dop
+def test_blas_lookup_reads_and_sets_numpys_openblas():
+    blas = cli._openblas()
+    if blas is None:
+        pytest.skip("this numpy bundles no scipy-openblas")
+    get_threads, set_threads = blas
+    threads = get_threads()
+    try:
+        for n in (1, 2):
+            set_threads(n)
+            assert get_threads() == n
+    finally:
+        set_threads(threads)
 
-    blas = dop._openblas()
+
+def test_no_hyplab_call_starts_a_thread(tmp_path, capsys):
+    # each call is above the work at which a component once ran on a helper
+    # thread: a 114-row block solve at 64x128 (2^19.8 per component), a family
+    # of 20 8x8 members, and a 64x128 solve through the CLI
+    rng = np.random.default_rng(26)
+    T = surjective_mat(rng, 64, 128)
+    mat = write(tmp_path, "T.json", matrix_to_json(T))
+    y = write(tmp_path, "y.json", vector_to_json(random_vec(rng, 64)))
+    calls = [
+        lambda: hyplab.open_mapping_verify(T, 100, seed=1).passed,
+        lambda: hyplab.ubp_verify([random_mat(rng, 8, 8) for _ in range(20)], 50, seed=1).passed,
+        lambda: run_json(capsys, ["solve", "--matrix", mat, "--y", y])[0] == 0,
+    ]
+    for call in calls:
+        before = threading.enumerate()
+        assert call()
+        assert threading.enumerate() == before
+    assert not [t for t in threading.enumerate() if t.name == "hyplab-helper"]
+
+
+def test_run_pins_blas_to_one_thread_and_restores_the_count(tmp_path, capsys, monkeypatch):
+    blas = cli._openblas()
     if blas is None:
         pytest.skip("this numpy bundles no scipy-openblas")
     get_threads, set_threads = blas
@@ -1342,16 +1375,18 @@ def test_run_pins_blas_to_one_thread_and_restores_the_count(tmp_path, capsys, mo
 
 
 def test_run_leaves_blas_alone_where_its_thread_count_cannot_be_read(tmp_path, capsys, monkeypatch):
-    from hyplab import dop
-
+    blas = cli._openblas()
+    if blas is None:
+        pytest.skip("this numpy bundles no scipy-openblas")
+    get_threads = blas[0]  # read here, through the library the CLI no longer finds
     monkeypatch.setattr(cli, "_openblas", lambda: None)
     mat = write(tmp_path, "T.json", matrix_to_json(random_mat(np.random.default_rng(24), 3, 3)))
     real, seen = cli.op_dnorm, []
-    monkeypatch.setattr(cli, "op_dnorm", lambda *a, **k: seen.append(dop._blas_threads()) or real(*a, **k))
-    threads = dop._blas_threads()  # read here, through the library the CLI no longer finds
+    monkeypatch.setattr(cli, "op_dnorm", lambda *a, **k: seen.append(get_threads()) or real(*a, **k))
+    threads = get_threads()
     code, doc, _ = run_json(capsys, ["opnorm", "--matrix", mat])
     assert code == 0 and doc["pass"] is True
-    assert seen == [threads] and dop._blas_threads() == threads
+    assert seen == [threads] and get_threads() == threads
 
 
 # ------------------------------------------------------------ last resort

@@ -6,8 +6,7 @@ leaves the normal range, so each float of a report scales by exactly
 Zabreiko decomposition T is scaled by 2^k, x and r by 2^j, and m and eps by
 2^(k+j).  The paper's statements are also symmetric under the swap of the
 idempotent components e1 <-> e2.  The sampled checks draw e1 before e2, so
-their margins are not bit-equal after a swap, but every verdict is.  A case
-that fails stays as a strict xfail that names the defect.
+their margins are not bit-equal after a swap, but every verdict is.
 """
 
 import math
@@ -59,13 +58,6 @@ def _equivariant(base, scaled, powers, fields=None):
         _same_scaled(base[key], scaled[key], powers.get(key, 0), key)
 
 
-#: The defect behind the strict xfails: a witness row (v1, 0) or (0, v2) of
-#: lemma31 and ubp compares 0 with 0, where the slack is absolute,
-#: CHECK_SLACK * SLACK_FLOOR, so that row's excess is -1e-159 at every scale
-#: and it is the worst one whenever every other row holds by more.
-FLOOR_MARGIN = pytest.mark.xfail(
-    strict=True, reason="a zero-vs-zero witness row's excess is -CHECK_SLACK * SLACK_FLOOR = -1e-159 at any scale")
-
 
 # ---------------------------------------------------------------- 2^k scale
 
@@ -83,7 +75,6 @@ def test_lemma31_scales_with_its_operator(k):
     _equivariant(*runs, {"alpha_star": k}, [key for key in runs[0]._fields if key != "worst_margin"])
 
 
-@FLOOR_MARGIN
 @pytest.mark.parametrize("k", KS)
 def test_lemma31_margin_scales_with_its_operator(k):
     _equivariant(*_lemma31_runs(k), {"worst_margin": k}, ["worst_margin"])
@@ -112,7 +103,6 @@ def test_ubp_scales_with_its_family(k):
                  [key for key in runs[0]._fields if key != "worst_margin"])
 
 
-@FLOOR_MARGIN
 @pytest.mark.parametrize("k", KS)
 def test_ubp_margin_scales_with_its_family(k):
     _equivariant(*_ubp_runs(k), {"worst_margin": k}, ["worst_margin"])

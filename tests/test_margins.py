@@ -12,7 +12,7 @@ import pytest
 
 import hyplab.theoremlab as tl
 from hyplab import (
-    Bicomplex, DPlus, DSeminorm, abs_summability_check, ball_scaling_check, continuity_bound_check,
+    Bicomplex, DPlus, DSeminorm, HypothesisFailed, abs_summability_check, ball_scaling_check, continuity_bound_check,
     countable_subadd_check, geometric_terms, op_dnorm, open_mapping_verify, ubp_verify, vec_dnorm,
     zabreiko_decompose,
 )
@@ -96,3 +96,30 @@ def test_every_margin_is_at_most_zero_exactly_when_its_verdicts_hold(monkeypatch
     assert disagree == []
     # the checks that take a constant see it refuted as well as upheld
     assert seen == ({True, False} if case in (_lemma31, _ubp, _omt) else {True})
+
+
+def _one_shrunk(h, c):
+    """``h`` with component ``c`` alone shrunk by 1e-6."""
+    a = list(h.components())
+    a[c] *= 1 - 1e-6
+    return DPlus(*a)
+
+
+@pytest.mark.parametrize("c", [0, 1], ids=["e1", "e2"])
+def test_a_constant_shrunk_in_one_component_is_refuted_in_that_component(c):
+    # one witness row (v1, v2) attains both components of the constant, so a
+    # shrink of either one alone is refuted there, and the other component's
+    # margin is an excess of that row or a sample, at most 0
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        p = DSeminorm(random_mat(rng, 4, 4))
+        family = [random_mat(rng, 4, 4) for _ in range(3)]
+        alpha = op_dnorm(p.T).M
+        reports = [continuity_bound_check(p, 50, seed, _one_shrunk(alpha, c)),
+                   ubp_verify(family, 50, seed, _one_shrunk(ubp_verify(family, 50, seed).bound_delta, c))]
+        for rep in reports:
+            margin = rep.worst_margin.components()
+            assert not rep.passed and margin[c] > 0 and margin[1 - c] <= 0, (seed, rep.check, margin)
+        # ballscale's premise on the r ball is refuted by the same witness
+        with pytest.raises(HypothesisFailed):
+            ball_scaling_check(p, _one_shrunk(alpha, c), 1.0, [0.5], 50, seed)

@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -39,9 +38,7 @@ from hyplab.jsonio import dumps, matrix_to_json
 from hyplab import Bicomplex
 import hyplab.theoremlab as tl
 from hyplab import dop
-from support import (
-    _counting_splits, _helpers, _one_thread, _split_on, componentwise_max, random_mat, random_vec, surjective_mat,
-)
+from support import componentwise_max, random_mat, random_vec, surjective_mat
 
 
 # ------------------------------------------------------- continuity (bound)
@@ -80,9 +77,7 @@ def test_continuity_random_and_falsification():
 
 def _bottom_witness_rows(T):
     """Unit vectors of the smallest singular values, which do not attain the norm."""
-    v1, v2 = T.svd().vh[:, -1].conj()
-    zero = np.zeros(T.cols, dtype=complex)
-    return np.stack((np.stack((v1, zero, v1)), np.stack((zero, v2, v2))))
+    return T.svd().vh[:, -1:].conj()
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-12])
@@ -541,12 +536,6 @@ def test_omt_deterministic():
     assert dumps(a.to_json_dict()) == dumps(b.to_json_dict())
 
 
-def _solve_splits(splits: list) -> list:
-    """The recorded ``dop._beside`` jobs that are a block solve's product chains, not
-    a check's own or an SVD's."""
-    return [job for job in splits if job.__qualname__ == "min_norm_solve_rows.<locals>.solve"]
-
-
 @pytest.fixture
 def omt_solves(monkeypatch):
     """The block solves ``open_mapping_verify`` makes while a test runs."""
@@ -564,70 +553,15 @@ def omt_solves(monkeypatch):
 _OMT_LEAD = 2 + tl.OMT_SERIES_LEN
 
 
-@pytest.mark.parametrize("rows, cols, trials", [(64, 128, 100), (3, 6, 200)])  # the benchmark's and the desk's
-@pytest.mark.routes
-def test_omt_report_is_bit_identical_on_both_routes(monkeypatch, rows, cols, trials):
-    # the check's one block solve, (trials + 14) rows, weighs 933,888 per
-    # component at 64x128 and 3,852 at 3x6: one split solve and one in turn
-    T = surjective_mat(np.random.default_rng(rows), rows, cols)
-    T.svd()  # factored, as open_mapping_delta leaves it before the fold
-    _one_thread(monkeypatch)
-    splits = _counting_splits(monkeypatch)
-    one = dumps(open_mapping_verify(T, trials, seed=16).to_json_dict())
-    assert splits == []
-    _split_on(monkeypatch)
-    two = dumps(open_mapping_verify(T, trials, seed=16).to_json_dict())
-    assert two == one and json.loads(one)["pass"] is True
-    split = (trials + _OMT_LEAD) * rows * cols >= dop._SPLIT_WORK
-    assert split is (rows == 64)
-    # the helper runs the solve's component-1 chain and nothing of the check's own
-    assert len(_solve_splits(splits)) == len(splits) == split
-
-
-@pytest.mark.routes
-def test_omt_checks_that_split_at_once_get_the_one_thread_bits(monkeypatch):
-    # more calling threads than CPUs, switched often: each check's split
-    # solve queues its component-1 chain on the one helper among the others'
-    rng = np.random.default_rng(74)
-    cases = [surjective_mat(rng, 64, 128) for _ in range(4)]
-    _one_thread(monkeypatch)
-    want = [dumps(open_mapping_verify(T, 100, seed=19).to_json_dict()) for T in cases]
-    _split_on(monkeypatch)
-    splits = _counting_splits(monkeypatch)
-    start = threading.Barrier(len(cases))
-    got = [[] for _ in cases]
-
-    def run(i):
-        start.wait()
-        for _ in range(5):
-            got[i].append(dumps(open_mapping_verify(cases[i], 100, seed=19).to_json_dict()))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(len(cases))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert got == [[w] * 5 for w in want]
-    assert len(_solve_splits(splits)) == len(splits) == 5 * len(cases) and len(_helpers()) == 1
-
-
 @pytest.mark.parametrize("failing, first", [
     ((0, 5, 13, 20), 0),
     ((5, 13, 20), 5),
     ((13, 20, 99), 13),
     ((20, 99), 20),
 ], ids=["witness", "chain-term", "chain-sum", "trial"])
-@pytest.mark.parametrize("route", [_one_thread, _split_on])
-def test_omt_reports_the_first_row_out_of_range_in_witness_chain_trial_order(monkeypatch, route, failing, first):
+def test_omt_reports_the_first_row_out_of_range_in_witness_chain_trial_order(monkeypatch, failing, first):
     T = surjective_mat(np.random.default_rng(72), 64, 128)
     want = dumps(open_mapping_verify(T, 100, seed=17).to_json_dict())
-    route(monkeypatch)
     real = tl.min_norm_solve_rows
     solved = []
 
@@ -638,26 +572,21 @@ def test_omt_reports_the_first_row_out_of_range_in_witness_chain_trial_order(mon
         return real(T, kept, 1e-300)
 
     monkeypatch.setattr(tl, "min_norm_solve_rows", tight)
-    splits = _counting_splits(monkeypatch)
     with pytest.raises(NotInRange) as info:
         open_mapping_verify(T, 100, seed=17)
     (sol,) = solved  # one block solve for the witness, the chain and the trials
     (r1, r2), (t1, t2) = sol.residual[:, first].tolist(), (1e-300 * sol.ynorm[:, first]).tolist()
     assert str(info.value) == f"right-hand side outside operator range: residual ({r1}, {r2}) > ({t1}, {t2})"
-    assert len(_solve_splits(splits)) == len(splits) == 2 * (route is _split_on)
-    # the helper, if it ran the failed solve's chain, serves the next check
+    # a failed check leaves nothing behind that moves the next one's bits
     monkeypatch.setattr(tl, "min_norm_solve_rows", real)
     assert dumps(open_mapping_verify(T, 100, seed=17).to_json_dict()) == want
-    assert len(_helpers()) == 1 or route is _one_thread
 
 
-@pytest.mark.parametrize("route", [_one_thread, _split_on])
-def test_omt_fold_error_is_the_one_reported(monkeypatch, omt_solves, route):
+def test_omt_fold_error_is_the_one_reported(monkeypatch, omt_solves):
     # the witness and the chain are solved in the fold's first chunk, so a
     # failed fold leaves nothing of theirs to solve or judge after it
     T = surjective_mat(np.random.default_rng(73), 64, 128)
     T.svd()
-    route(monkeypatch)
 
     def fold(*args):
         raise ValueError("fold failed")
@@ -672,17 +601,12 @@ def test_omt_fold_error_is_the_one_reported(monkeypatch, omt_solves, route):
     assert omt_solves == []
 
 
-def test_omt_makes_one_block_solve_and_queues_no_job_of_its_own(monkeypatch, omt_solves):
+def test_omt_makes_one_block_solve(omt_solves):
     # 100 trials at 64x128 are one fold chunk: the witness, the 13 chain rows
-    # and the trials are one 114-row solve, whose component-1 chain is the
-    # helper's one job; 0.9.0 made three solves and split the check itself
+    # and the trials are one 114-row solve; 0.9.0 made three solves
     T = surjective_mat(np.random.default_rng(75), 64, 128)
-    T.svd()  # factored, so that the SVD's own split is not counted
-    _split_on(monkeypatch)
-    splits = _counting_splits(monkeypatch)
     assert open_mapping_verify(T, 100, seed=20).passed
     assert [sol.x.shape[1] for sol in omt_solves] == [100 + _OMT_LEAD]
-    assert len(_solve_splits(splits)) == len(splits) == 1
 
 
 @pytest.mark.parametrize("rows, cols, trials, chunks", [(64, 128, 1000, 7), (3, 6, 10000, 3)])
