@@ -1334,7 +1334,8 @@ def test_blas_lookup_reads_and_sets_numpys_openblas():
         set_threads(threads)
 
 
-def test_no_hyplab_call_starts_a_thread(tmp_path, capsys):
+@pytest.mark.parametrize("call", ["omt-verify", "ubp", "solve"])
+def test_no_hyplab_call_starts_a_thread(tmp_path, capsys, call):
     # each call is above the work at which a component once ran on a helper
     # thread: a 114-row block solve at 64x128 (2^19.8 per component), a family
     # of 20 8x8 members, and a 64x128 solve through the CLI
@@ -1342,15 +1343,14 @@ def test_no_hyplab_call_starts_a_thread(tmp_path, capsys):
     T = surjective_mat(rng, 64, 128)
     mat = write(tmp_path, "T.json", matrix_to_json(T))
     y = write(tmp_path, "y.json", vector_to_json(random_vec(rng, 64)))
-    calls = [
-        lambda: hyplab.open_mapping_verify(T, 100, seed=1).passed,
-        lambda: hyplab.ubp_verify([random_mat(rng, 8, 8) for _ in range(20)], 50, seed=1).passed,
-        lambda: run_json(capsys, ["solve", "--matrix", mat, "--y", y])[0] == 0,
-    ]
-    for call in calls:
-        before = threading.enumerate()
-        assert call()
-        assert threading.enumerate() == before
+    calls = {
+        "omt-verify": lambda: hyplab.open_mapping_verify(T, 100, seed=1).passed,
+        "ubp": lambda: hyplab.ubp_verify([random_mat(rng, 8, 8) for _ in range(20)], 50, seed=1).passed,
+        "solve": lambda: run_json(capsys, ["solve", "--matrix", mat, "--y", y])[0] == 0,
+    }
+    before = threading.enumerate()
+    assert calls[call]()
+    assert threading.enumerate() == before
     assert not [t for t in threading.enumerate() if t.name == "hyplab-helper"]
 
 

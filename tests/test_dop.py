@@ -1,6 +1,8 @@
 """Operators: application, singular-value kernel, norms, solves, surjectivity."""
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -627,11 +629,12 @@ def _in_range(rng, T: BCMatrix, k: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("rows, cols", [(64, 128), (32, 32), (128, 64)])  # wide, square, tall
+@pytest.mark.parametrize("k", [1, 16, 129])  # one right-hand side, a few, more than the operator's rows
 @pytest.mark.routes
-def test_block_solve_residuals_are_the_stacked_products(rows, cols):
+def test_block_solve_residuals_are_the_stacked_products(rows, cols, k):
     rng = np.random.default_rng(rows * 1000 + cols * 10)
     T = _ranked(rng, rows, cols, min(rows, cols) // 2)  # the components' ranks differ
-    y = _in_range(rng, T, 16)
+    y = _in_range(rng, T, k)
     sol = min_norm_solve_rows(T, y, tol=1e-6)
     # the residuals are those of the stacked product over both components
     res = sol.x @ T.m.mT
@@ -648,6 +651,42 @@ def test_block_solve_rejects_the_first_row_out_of_range():
     with pytest.raises(NotInRange) as info:
         min_norm_solve_rows(R, y, tol=1e-10)
     assert str(info.value) == want
+
+
+@pytest.mark.parametrize("rows, cols", [(64, 128), (128, 64)])  # wide, tall
+@pytest.mark.routes
+def test_threads_that_factor_and_solve_at_once_get_the_serial_bits(rows, cols):
+    # more calling threads than CPUs, switched often: each runs its kernels
+    # on itself and shares nothing with the others that moves their bits
+    rng = np.random.default_rng(45)
+    cases = [(T, _in_range(rng, T, 20)) for T in (random_mat(rng, rows, cols) for _ in range(4))]
+    want = [(BCMatrix(T.m1, T.m2).svd(), min_norm_solve_rows(T, y, tol=1e-6)) for T, y in cases]
+    start = threading.Barrier(len(cases))
+    got = [[] for _ in cases]
+
+    def run(i):
+        T, y = cases[i]
+        start.wait()
+        for _ in range(10):  # a fresh copy each time, so it is factored again
+            fresh = BCMatrix(T.m1, T.m2)
+            got[i].append((fresh.svd(), min_norm_solve_rows(fresh, y, tol=1e-6)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for (svd, sol), runs in zip(want, got):
+        assert len(runs) == 10
+        for svd2, sol2 in runs:
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(svd, svd2))
+            assert all(getattr(sol, n).tobytes() == getattr(sol2, n).tobytes() for n in ("x", "qy", "residual", "tol"))
 
 
 def test_solve_matches_lstsq():

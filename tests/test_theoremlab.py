@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -551,6 +552,54 @@ def omt_solves(monkeypatch):
 
 #: The rows that lead an ``open_mapping_verify`` check's trials: the witness, then the chain's.
 _OMT_LEAD = 2 + tl.OMT_SERIES_LEN
+
+
+@pytest.mark.parametrize("rows, cols, trials", [(64, 128, 100), (3, 6, 200)])  # the benchmark's and the desk's
+@pytest.mark.routes
+def test_omt_report_is_bit_identical_on_a_thread_of_its_own(rows, cols, trials):
+    # every kernel runs on the calling thread: a check run from another
+    # thread, on an unfactored copy, makes the same calls and the same bits
+    T = surjective_mat(np.random.default_rng(rows), rows, cols)
+    T.svd()  # factored, as open_mapping_delta leaves it before the fold
+    here = dumps(open_mapping_verify(T, trials, seed=16).to_json_dict())
+    out = []
+    worker = threading.Thread(
+        target=lambda: out.append(dumps(open_mapping_verify(BCMatrix(T.m1, T.m2), trials, seed=16).to_json_dict())),
+        daemon=True,
+    )
+    worker.start()
+    worker.join(60)
+    assert not worker.is_alive()
+    assert out == [here] and json.loads(here)["pass"] is True
+
+
+@pytest.mark.routes
+def test_omt_checks_run_at_once_get_the_serial_bits():
+    # more calling threads than CPUs, switched often: each check runs its
+    # block solve on its own thread, among the others' checks
+    rng = np.random.default_rng(74)
+    cases = [surjective_mat(rng, 64, 128) for _ in range(4)]
+    want = [dumps(open_mapping_verify(T, 100, seed=19).to_json_dict()) for T in cases]
+    start = threading.Barrier(len(cases))
+    got = [[] for _ in cases]
+
+    def run(i):
+        start.wait()
+        for _ in range(5):
+            got[i].append(dumps(open_mapping_verify(cases[i], 100, seed=19).to_json_dict()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 5 for w in want]
 
 
 @pytest.mark.parametrize("failing, first", [
