@@ -462,7 +462,7 @@ def _settled_at(rows: _SeriesRows, tol: DPlus, before: int, stop: bool) -> int |
 
 
 def _read_series(
-    terms: Iterable[BCVector], tol, max_n: int, keep: str | None = None, to_cap: bool = False
+    terms: Iterable[BCVector], tol, max_n: int, keep: bool = False, to_cap: bool = False
 ) -> tuple[SeriesReport, np.ndarray | None]:
     """Pull, check and sum a series' terms: the one reader of a term sequence.
 
@@ -480,9 +480,8 @@ def _read_series(
     that has not settled at the cap raises ``NotConverged`` carrying the
     report.  With ``to_cap`` it is read to the cap past a settled window,
     and the report's ``converged`` says whether the terms ended or the
-    window at the last term settled.  ``keep`` names what else is returned
-    for every term summed, stacked as a (2, n_terms, dim) block: "terms"
-    or the partial sums "s"; None keeps nothing more than the report.
+    window at the last term settled.  With ``keep`` every term summed is
+    returned too, stacked as a (2, n_terms, dim) block; else None is.
     """
     if max_n < 1:
         raise InvalidInput(f"max_n must be >= 1, got {max_n}")
@@ -494,7 +493,7 @@ def _read_series(
     n = 0
     dim = None
     rows: _SeriesRows | None = None
-    columns: dict[str, list[np.ndarray]] = {name: [] for name in ("partial_norms", "abs_sums", keep) if name}
+    columns = {name: [] for name in ("partial_norms", "abs_sums", "terms") if keep or name != "terms"}
     cauchy_margin = np.zeros(2)
     used = 0  # terms of the last block in the sum
     cut: Exception | None = None  # what ends the terms early, raised if reached
@@ -554,7 +553,7 @@ def _read_series(
     )
     if not (converged or to_cap):
         raise NotConverged(f"series not converged after {n} terms", report)
-    return report, np.concatenate(columns[keep], axis=1) if keep else None
+    return report, np.concatenate(columns["terms"], axis=1) if keep else None
 
 
 def series_sum(terms: Iterable[BCVector], tol, max_n: int) -> SeriesReport:
@@ -585,8 +584,9 @@ def abs_summability_check(
     by ``_excess``, with sum_{k<=n} ||x_k||_D as the data scale of its
     relative slack; ``chain_margin`` is the worst excess.
     """
-    report, s = _read_series(terms, tol if tol is not None else 1e-12, max_n, keep="s", to_cap=True)
+    report, b = _read_series(terms, tol if tol is not None else 1e-12, max_n, keep=True, to_cap=True)
     abs_sums = report.abs_sums.array
+    s = np.cumsum(b, axis=1, out=b)  # the partial sums, in place, each added in order from x_1
 
     # pairs (m, n) = (n - stride, n) for strides 1, 2, 4, ...: deterministic
     margins = []

@@ -26,9 +26,10 @@ platform.  Non-finite floats keep the encoder's ``NaN`` and ``Infinity``
 tokens, so that an inputs digest can hash a rejected ``--r inf``.  Numpy
 scalars are written as their Python values.  Documents get complex entries
 as plain floats from ``dmodule.complex_pairs``, the one emitter of [re, im]
-lists.  ``digest`` hashes a document with each ``_CANON`` value in its form
-there and each complex array as ``{"dtype": "<f8", "shape": [*shape, 2],
-"sha256": <hex>}``, the SHA-256 of its little-endian float64 [re, im] pairs.
+lists.  ``digest`` hashes a document with each matrix, vector or bicomplex
+scalar in its ``_CANON`` form, and each complex array as ``{"dtype": "<f8",
+"shape": [*shape, 2], "sha256": <hex>}``, the SHA-256 of its little-endian
+float64 [re, im] pairs; any other value is refused as ``dumps`` refuses it.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ def dumps(obj: Any) -> str:
 _CANON = {
     BCMatrix: lambda T: {"rows": T.rows, "cols": T.cols, "e1": T.m1, "e2": T.m2},
     BCVector: lambda v: {"dim": v.dim, "e1": v.v1, "e2": v.v2},
-    Hyperbolic: lambda h: [h.a1, h.a2],
     Bicomplex: lambda z: scalar_to_json(z),
 }
 
@@ -267,8 +267,8 @@ def parse_series(obj):
 
 def parse_hyp_literal(text: str) -> tuple[float, float]:
     """Parse the CLI literal "a1,a2" (or a single value used for both) as a
-    float pair, non-finite values included: a pair is digested as a
-    ``Hyperbolic`` is, ``[a1,a2]``, and the caller builds the value after."""
+    float pair, non-finite values included: the pair is digested as the
+    JSON array ``[a1,a2]``, and the caller builds the value after."""
     parts = [p.strip() for p in str(text).split(",")]
     if len(parts) == 1:
         parts = [parts[0], parts[0]]

@@ -299,7 +299,7 @@ def countable_subadd_check(
     is the series tolerance, defaulting to (1e-12, 1e-12).
     """
     tol = tol if tol is not None else DPlus(1e-12, 1e-12)
-    report, b = _read_series(terms, tol, max_n, keep="terms")  # raises NotConverged with report
+    report, b = _read_series(terms, tol, max_n, keep=True)  # raises NotConverged with report
 
     # running sums of p(x_k), then the block turned in place into the partial
     # sums s_n = x_1 + ... + x_n, each added in order
@@ -500,18 +500,17 @@ def _finite_steps(v: np.ndarray, what: str, first: int = 0) -> np.ndarray:
 
 
 def _schedule(
-    prev: np.ndarray, ratio: np.ndarray, r: float, denom: float, steps: int, start: int = 0
+    eps0: np.ndarray, ratio: np.ndarray, r: float, denom: float, steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The epsilons eps_start, ..., eps_(start+steps) and the pitches of the
-    ``steps`` steps after step ``start``.
+    """The epsilons eps_0, ..., eps_steps and the pitches of steps 1 to ``steps``.
 
-    eps_k = ratio 2^-k for k >= 1, and ``prev`` is eps_start as a (2, 1)
-    column, the first of the (2, steps + 1) array.  Step k quantizes at
+    eps_k = ratio 2^-k for k >= 1, and ``eps0`` is eps_0 as a (2, 1) column,
+    the first of the (2, steps + 1) array.  Step k quantizes at
     eps'_k r / denom with eps'_k = min(eps_k, eps_{k-1}); the pitches come as
     a (steps, 2, 1) array, one column per step.
     """
-    halvings = np.ldexp(ratio, -np.arange(start + 1, start + steps + 1))
-    epsilons = np.concatenate((prev, halvings), axis=1)
+    halvings = np.ldexp(ratio, -np.arange(1, steps + 1))
+    epsilons = np.concatenate((eps0, halvings), axis=1)
     pitches = np.minimum(epsilons[:, 1:], epsilons[:, :-1]) * r / denom
     return epsilons, pitches.T[:, :, None]
 
@@ -547,9 +546,9 @@ def zabreiko_decompose(
     ~34 KB of JSON (about 165 to 185 bytes per step and dimension).  Once eps_k
     underflows, a zero pitch copies the remainder into the term and the next
     remainder is zero; eps/m is below 2^1024, so that is by step
-    ``_MAX_STEPS`` = 2,099.  The schedule is built one ``_CHUNK_STEPS`` chunk
-    at a time, as the loop reaches it, so memory and output grow with
-    steps * n, not with ``max_n``.
+    ``_MAX_STEPS`` = 2,099.  The schedule of min(``max_n``, 2,099) steps is
+    built once, before the first step, so it holds at most ~67 KB, and
+    memory and output grow with steps * n, not with ``max_n``.
     The final bound p(x) <= (m/r)||x||_D + eps is evaluated directly on x
     and does not depend on where the trace stops.
 
@@ -591,7 +590,7 @@ def zabreiko_decompose(
     denom = 2.0 * math.sqrt(n)
     eps0 = _column(x_norm) / r
     stops = _ROUNDOFF * _column(x_norm)
-    with np.errstate(over="ignore"):  # _schedule rejects an infinite ratio; an infinite budget is not coarse
+    with np.errstate(over="ignore"):  # an infinite ratio is rejected below; an infinite budget is not coarse
         ratio = _column(eps) / _column(m)
         coarse = [f"e{i}: (eps/m)*r/2={b} <= 2^-52*||x||_D={s}"
                   for i, b, s in zip((1, 2), (ratio[:, 0] / 2 * r).tolist(), stops[:, 0].tolist()) if 0 < s and b <= s]
@@ -602,19 +601,16 @@ def zabreiko_decompose(
 
     # eps_k = ldexp(eps/m, -k) is finite at every step k >= 1 if it is at step 1
     _finite_steps(np.ldexp(ratio, -1), "eps_k = (eps/m) 2^-k", 1)
-    last = min(max_n, _MAX_STEPS)
-    epsilons = [eps0]  # the schedule per chunk, built as the loop reaches it
     terms, rems, uns = [], [], []  # the terms and remainders per step, their norms per chunk
     u = x.v.view(float)
     # a pitch or step that overflows ends the trace and is rejected below, and
     # steps past a chunk's cut are dropped, so numpy's warnings about them are silenced
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, last, _CHUNK_STEPS):
-            eps_k, pitch = _schedule(epsilons[-1][:, -1:], ratio, r, denom, min(_CHUNK_STEPS, last - start), start)
-            epsilons.append(eps_k[:, 1:])
-            # a step with no zero pitch is one grid op
-            for p_k, whole in zip(pitch, pitch.all(axis=(1, 2)).tolist()):
-                xk = _grid(u, p_k) if whole else _quantize(u, p_k)
+        epsilons, pitches = _schedule(eps0, ratio, r, denom, min(max_n, _MAX_STEPS))
+        whole = pitches.all(axis=(1, 2)).tolist()  # a step with no zero pitch is one grid op
+        for start in range(0, len(whole), _CHUNK_STEPS):
+            for p_k, grid in zip(pitches[start : start + _CHUNK_STEPS], whole[start : start + _CHUNK_STEPS]):
+                xk = _grid(u, p_k) if grid else _quantize(u, p_k)
                 u = u - xk
                 terms.append(xk)
                 rems.append(u)
@@ -630,12 +626,12 @@ def zabreiko_decompose(
     uns = np.concatenate(uns, axis=1)
     steps = uns.shape[1]
     terms, rems = (np.array(b[:steps]).swapaxes(0, 1).view(complex) for b in (terms, rems))
-    epsilons = np.concatenate(epsilons, axis=1)[:, : steps + 1]
+    epsilons = epsilons[:, : steps + 1]
     # the trace stops at the first non-finite remainder norm, so only the last
     # step's term, remainder and norms can be non-finite
     for what, v in (("the term x_k", terms[:, -1]), ("the remainder u_k", rems[:, -1]), ("||u_k||_D", uns[:, -1])):
         if not np.isfinite(v).all():
-            p1, p2 = pitch[(steps - 1) % _CHUNK_STEPS, :, 0].tolist()  # the last chunk's
+            p1, p2 = pitches[steps - 1, :, 0].tolist()
             raise InvalidInput(
                 f"{what} is not finite at step {steps}, quantized at pitch eps'_k r / (2 sqrt(n)) = ({p1}, {p2})")
 

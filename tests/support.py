@@ -240,8 +240,8 @@ def oracle_digest(obj) -> str:
     """SHA-256 of ``oracle_dumps``' text, each complex array in ``obj``
     replaced by the ``pairs_record`` of its [re, im] pairs, a matrix by its
     rows, cols and component records, a vector by its dim and component
-    records, a hyperbolic value by [a1, a2] and a bicomplex one by the
-    [re, im] pairs of its idempotent components."""
+    records and a bicomplex scalar by the [re, im] pairs of its idempotent
+    components."""
 
     def record(x):
         return pairs_record(np.stack((x.real, x.imag), axis=-1))
@@ -253,8 +253,6 @@ def oracle_digest(obj) -> str:
             return {"rows": x.m1.shape[0], "cols": x.m1.shape[1], "e1": record(x.m1), "e2": record(x.m2)}
         if isinstance(x, BCVector):
             return {"dim": len(x.v1), "e1": record(x.v1), "e2": record(x.v2)}
-        if isinstance(x, Hyperbolic):
-            return [x.a1, x.a2]
         if isinstance(x, Bicomplex):
             return {"e1": [x.z1.real, x.z1.imag], "e2": [x.z2.real, x.z2.imag]}
         if isinstance(x, dict):

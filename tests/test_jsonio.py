@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from hyplab import BCMatrix, BCVector, Bicomplex, DPlus, HyplabError, InvalidInput
+from hyplab import BCMatrix, BCVector, Bicomplex, DPlus, Hyperbolic, HyplabError, InvalidInput
 from hyplab.jsonio import (
     MAX_DEPTH,
     _complex_array,
@@ -230,6 +230,14 @@ def test_digest_stability_and_sensitivity():
     a = {"x": [1.0, 2.0], "y": "s"}
     assert digest(a) == digest({"x": [1.0, 2.0], "y": "s"})
     assert digest(a) != digest({"x": [1.0, 2.000001], "y": "s"})
+
+
+@pytest.mark.parametrize("cls", [Hyperbolic, DPlus])
+def test_digest_refuses_hyperbolic_values_alike(cls):
+    # no input is digested as a built hyperbolic value: a literal is digested
+    # as its float pair, so a Hyperbolic and its cone subtype are refused alike
+    with pytest.raises(InvalidInput, match=f"^cannot serialize {cls.__name__}$"):
+        digest({"a": cls(1.0, 2.0)})
 
 
 class _Subclass(np.ndarray):

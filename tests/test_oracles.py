@@ -172,7 +172,28 @@ LONG_STEPS = 1558
 #: the long instance's step caps, around 256 steps and far above its length
 LONG_CASES = {"long-255": 255, "long-256": 256, "long-257": 257, "long-1e12": 10**12}
 
-TRACE_CASES = [*itertools.product(sorted(CASES), [1, 4, 16]), *((case, 4) for case in LONG_CASES)]
+
+def _underflow_instance(eps: DPlus):
+    """Identity 4x4, x near 1e-3, m = 1.7e308 and r = 8e307: eps_k =
+    (eps/m) 2^-k turns subnormal before the remainder is within roundoff of
+    x, so each pitch reaches 0 mid-chunk and copies its remainder into the
+    term, and the trace stops at the step where the last one does."""
+    x = BCVector([1e-3, -2e-3, 0.5e-3, 1e-3], [2e-3, 1e-3, -1e-3, 0.5e-3])
+    return DSeminorm(BCMatrix.identity(4)), x, DPlus(1.7e308, 1.7e308), 8e307, eps
+
+
+#: the first zero pitch of each component: both at step 1,075, or e2's at
+#: step 1,049, so 26 steps quantize with e1's row live and e2's copied
+UNDERFLOW_CASES = {
+    "underflow-both": (DPlus(1.7e308, 1.7e308), (1075, 1075)),
+    "underflow-e2-first": (DPlus(1.7e308, 1.7e300), (1075, 1049)),
+}
+
+TRACE_CASES = [
+    *itertools.product(sorted(CASES), [1, 4, 16]),
+    *((case, 4) for case in LONG_CASES),
+    *((case, 4) for case in UNDERFLOW_CASES),
+]
 
 
 @pytest.mark.parametrize("case, n", TRACE_CASES, ids=[f"{case}-{n}" for case, n in TRACE_CASES])
@@ -180,6 +201,9 @@ def test_trace_bytes_match_step_loop(case, n):
     if case in LONG_CASES:
         p, x, m, r, eps = _long_instance()
         max_n = LONG_CASES[case]
+    elif case in UNDERFLOW_CASES:
+        p, x, m, r, eps = _underflow_instance(UNDERFLOW_CASES[case][0])
+        max_n = 10**12
     else:
         p, x, m = _instance(n)
         r = 1.0
@@ -195,6 +219,10 @@ def test_trace_bytes_match_step_loop(case, n):
         assert trace.capped and trace.n_steps == max_n
     if case in LONG_CASES:
         assert (trace.n_steps, trace.capped) == (min(max_n, LONG_STEPS), max_n < LONG_STEPS)
+    if case in UNDERFLOW_CASES:
+        first_zero = tuple(int(np.flatnonzero(row == 0)[0]) for row in trace.epsilons.array)
+        assert first_zero == UNDERFLOW_CASES[case][1]
+        assert (trace.n_steps, trace.capped) == (max(first_zero), False)
 
 
 def test_no_trace_outlives_the_schedule():
@@ -382,28 +410,28 @@ def test_trace_stopping_at_a_chunk_edge_takes_one_norm_call_per_chunk(monkeypatc
     assert dumps(trace.to_json_dict()) == oracle_dumps(oracle_zabreiko(p, x, m, 1.0, eps, 1000))
 
 
-@pytest.mark.parametrize("case, steps", [("ci-49", 49), ("x-zero", 1), ("long", LONG_STEPS)])
-def test_the_schedule_is_built_one_chunk_at_a_time(monkeypatch, case, steps):
-    # the loop builds the epsilons and pitches of a chunk of steps when it
-    # reaches that chunk, so a trace builds no more than its chunks' steps,
-    # not min(max_n, 2099): 64 for a 49-step trace of max_n 1000, 16 for x = 0
+@pytest.mark.parametrize(
+    "case, steps, built", [("ci-49", 49, 1000), ("x-zero", 1, 1000), ("long", LONG_STEPS, _MAX_STEPS)]
+)
+def test_the_schedule_is_built_once(monkeypatch, case, steps, built):
+    # the whole schedule, min(max_n, 2099) steps, is built before the first
+    # step, in one call, whatever step the stop rule cuts the trace at
     x4 = BCVector([0.5 + 0.1j, -0.3 + 0.2j, 0.1 - 0.4j, 0.2 + 0.3j], [-0.2 + 0.4j, 0.3 + 0.1j, 0.5 - 0.1j, -0.1 + 0.2j])
     args = {
         "ci-49": (DSeminorm(BCMatrix.identity(4)), x4, DPlus(3.0, 3.0), 1.0, DPlus(1.0, 1.0), 1000),
         "x-zero": (DSeminorm(BCMatrix.identity(4)), x4.scale(0.0), DPlus(3.0, 3.0), 1.0, DPlus(1.0, 1.0), 1000),
         "long": (*_long_instance(), 10**12),
     }[case]
-    built, real = [], theoremlab._schedule
+    calls, real = [], theoremlab._schedule
 
-    def counting(prev, ratio, r, denom, n, start=0):
-        built.append((start, n))
-        return real(prev, ratio, r, denom, n, start)
+    def counting(eps0, ratio, r, denom, n):
+        calls.append(n)
+        return real(eps0, ratio, r, denom, n)
 
     monkeypatch.setattr(theoremlab, "_schedule", counting)
     trace = zabreiko_decompose(*args)
-    chunks = -(-steps // _CHUNK_STEPS)
     assert (trace.n_steps, trace.capped) == (steps, False)
-    assert built == [(k * _CHUNK_STEPS, _CHUNK_STEPS) for k in range(chunks)]
+    assert calls == [built]
     monkeypatch.setattr(theoremlab, "_schedule", real)
     assert dumps(trace.to_json_dict()) == oracle_dumps(oracle_zabreiko(*args))
 
